@@ -12,27 +12,26 @@ from .textcore import (Corpus, FrequencyTable, MinimizerSet, PhraseDecomposition
                        QGramRef, entropy, extract_qgrams, minimizers, phrases,
                        printable)
 from .suffixbwt import (FmIndex, RankIndex, build_count_table, build_suffix_array,
-                        bwt_forward, bwt_inverse, fm_count, rank)
-from .fmgram import (LinearIndex, SuperlinearIndex, build_linear, build_superlinear,
-                     count_linear, count_superlinear, list_rank)
+                        bwt_forward, bwt_inverse)
+from .fmgram import LinearIndex, SuperlinearIndex, list_rank
 from .splitindex import (Dictionary, SplitIndex, SplitIndexConfig, SubstitutionTable,
                          decode_word, encode_word, select_qgrams, split_word)
-from .sketches import (PopcountTable, Sketch, SketchConfig, build_sketch,
-                       filtered_compare, hamming_lower_bound, sketch_distance)
+from .sketches import (Sketch, SketchConfig, build_sketch, filtered_compare,
+                       hamming_lower_bound, sketch_distance)
 from .envelope import deserialize_index, load_index, save_index, serialize_index
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Corpus", "Dictionary", "FmIndex", "FrequencyTable", "LinearIndex",
-    "MalformedInputError", "MinimizerSet", "PhraseDecomposition", "PopcountTable",
+    "MalformedInputError", "MinimizerSet", "PhraseDecomposition",
     "QGramRef", "RankIndex", "Sketch", "SketchConfig", "SplitIndex",
     "SplitIndexConfig", "SubstitutionTable", "SuperlinearIndex",
-    "UnsupportedPatternError", "build_count_table", "build_linear", "build_sketch",
-    "build_suffix_array", "build_superlinear", "bwt_forward", "bwt_inverse",
-    "count_linear", "count_superlinear", "decode_word", "deserialize_index",
-    "encode_word", "entropy", "extract_qgrams", "filtered_compare", "fm_count",
+    "UnsupportedPatternError", "build_count_table", "build_sketch",
+    "build_suffix_array", "bwt_forward", "bwt_inverse",
+    "decode_word", "deserialize_index",
+    "encode_word", "entropy", "extract_qgrams", "filtered_compare",
     "hamming_lower_bound", "list_rank", "load_index", "minimizers", "phrases",
-    "printable", "rank", "save_index", "select_qgrams", "serialize_index",
+    "printable", "save_index", "select_qgrams", "serialize_index",
     "sketch_distance", "split_word",
 ]

@@ -11,11 +11,11 @@ import argparse
 import sys
 
 from .envelope import load_index, save_index
-from .errors import MalformedInputError, UnsupportedPatternError
+from .errors import MalformedInputError
 from .fmgram import LinearIndex, SuperlinearIndex
-from .harness import (BenchConfig, NaiveHammingSearcher, generate_noisy_queries,
-                      load_corpus, load_dictionary, load_queries, naive_count,
-                      run_bench, sample_patterns)
+from .harness import (BenchConfig, NaiveHammingSearcher, count_with_fallback,
+                      generate_noisy_queries, load_corpus, load_dictionary,
+                      load_queries, naive_count, run_bench, sample_patterns)
 from .hashes import DEFAULT_HASH, HASH_FUNCTIONS
 from .splitindex import Dictionary, SplitIndex, SplitIndexConfig, select_qgrams
 from .textcore import FrequencyTable, entropy, printable
@@ -95,13 +95,12 @@ def _cmd_build(args) -> int:
             substitution=substitution)
         index = SplitIndex.build(dictionary, args.k, config)
         save_index(index, args.out)
-        table_stats = index.table.stats()
         print(f"split index: k={args.k} words={index.stats.words_indexed} "
               f"skipped={index.stats.words_skipped} entries={index.stats.entries}")
         print(f"rejected lines: overlong={load_stats.rejected_overlong} "
               f"bad-bytes={load_stats.rejected_bad_bytes} empty={load_stats.rejected_empty}")
-        print(f"size={index.size_in_bytes()} bytes load-factor={table_stats['load_factor']:.3f} "
-              f"buckets={table_stats['buckets']} compressed={substitution is not None}")
+        print(f"size={index.size_in_bytes()} bytes load-factor={index.table.load_factor:.3f} "
+              f"buckets={index.table.bucket_count} compressed={substitution is not None}")
         return 0
     corpus = load_corpus(args.input)
     if args.type == "fm-super":
@@ -115,18 +114,11 @@ def _cmd_build(args) -> int:
             max_load_factor=args.max_load_factor or 2.81)
         extra = f"alpha={index.alpha} q={index.q}"
     save_index(index, args.out)
-    stats = index.directory.stats()
-    print(f"{args.type} index: n={corpus.n} {extra} grams={stats['entries']}")
-    print(f"size={index.size_in_bytes()} bytes load-factor={stats['load_factor']:.3f} "
-          f"buckets={stats['buckets']}")
+    directory = index.directory
+    print(f"{args.type} index: n={corpus.n} {extra} grams={len(directory)}")
+    print(f"size={index.size_in_bytes()} bytes load-factor={directory.load_factor:.3f} "
+          f"buckets={directory.bucket_count}")
     return 0
-
-
-def _linear_count_with_fallback(index: LinearIndex, pattern: bytes) -> int:
-    try:
-        return index.count(pattern)
-    except UnsupportedPatternError:
-        return index.fm.count(pattern)
 
 
 def _cmd_query(args, parser) -> int:
@@ -161,10 +153,7 @@ def _cmd_query(args, parser) -> int:
         parser.error("--op words is only supported by split indexes")
     for pattern in patterns:
         try:
-            if isinstance(index, LinearIndex):
-                count = _linear_count_with_fallback(index, pattern)
-            else:
-                count = index.count(pattern)
+            count = count_with_fallback(index, pattern)
         except ValueError as exc:
             print(f"error: {exc}")
             failed = True
@@ -206,12 +195,7 @@ def _cmd_verify(args, parser) -> int:
             patterns = sample_patterns(corpus.text, args.random, lengths, seed=args.seed)
         for pattern in patterns:
             total += 1
-            want = naive_count(corpus.text, pattern)
-            if isinstance(index, LinearIndex):
-                got = _linear_count_with_fallback(index, pattern)
-            else:
-                got = index.count(pattern)
-            if got != want:
+            if count_with_fallback(index, pattern) != naive_count(corpus.text, pattern):
                 discrepancies += 1
 
     print(f"{discrepancies} discrepancies over {total} queries")

@@ -169,17 +169,23 @@ def _read_fm_substrate(r: _Reader) -> FmIndex:
     return FmIndex(corpus, sa, l, build_count_table(corpus), RankIndex(l))
 
 
+# Per directory entry: key offset, key length, first row, row count.
+_ENTRY_HEADER = struct.Struct("<4I")
+
+
 def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
     w.f64(directory.max_load_factor)
     w.short_blob(directory.hash_name.encode())
     w.u32(directory.bucket_count)
     w.u32(len(directory))
-    for offset, length, entry in directory.refs():
-        w.u32(offset)
-        w.u32(length)
-        w.u32(entry.first)
-        w.u32(entry.count)
-        w.parts.append(np.asarray(entry.rows, dtype="<u4").tobytes())
+    swap = sys.byteorder == "big"
+    for key, entry in directory.items():
+        rows = entry.rows
+        if swap:
+            rows = array("I", rows)
+            rows.byteswap()
+        w.parts.append(_ENTRY_HEADER.pack(entry.offset, len(key), entry.first, len(rows)))
+        w.parts.append(rows.tobytes())
 
 
 def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
@@ -189,11 +195,9 @@ def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
     entry_count = r.u32()
     directory = GramDirectory(buffer, hash_name, max_lf, initial_buckets=bucket_count)
     for _ in range(entry_count):
-        offset = r.u32()
-        length = r.u32()
-        first = r.u32()
+        offset, length, first, count = _ENTRY_HEADER.unpack(r.raw(_ENTRY_HEADER.size))
         rows = array("I")
-        rows.frombytes(r.raw(4 * r.u32()))
+        rows.frombytes(r.raw(4 * count))
         if sys.byteorder == "big":
             rows.byteswap()
         entry = directory.entry_for(offset, length)

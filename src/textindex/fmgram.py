@@ -25,7 +25,8 @@ from array import array
 from bisect import bisect_right
 
 from .errors import UnsupportedPatternError
-from .hashes import DEFAULT_HASH, get_hash
+from .hashes import DEFAULT_HASH
+from .hashmap import ChainedHashMap
 from .textcore import TERMINATOR, Corpus, minimizers, phrases
 from .suffixbwt import FmIndex, RankIndex
 
@@ -49,11 +50,15 @@ def list_rank(lst, row: int) -> int:
 
 
 class GramEntry:
-    """Directory payload: occurrence rows in suffix order plus range start."""
+    """Directory payload: occurrence rows in suffix order plus range start.
 
-    __slots__ = ("first", "rows")
+    `offset` locates one occurrence of the gram in the corpus buffer, so
+    files store the key as an (offset, length) reference."""
 
-    def __init__(self):
+    __slots__ = ("offset", "first", "rows")
+
+    def __init__(self, offset: int):
+        self.offset = offset
         self.first = -1
         self.rows = array("I")
 
@@ -62,88 +67,27 @@ class GramEntry:
         return len(self.rows)
 
 
-class GramDirectory:
-    """Chained-bucket map from gram content to a GramEntry.
-
-    Grams are not copied: a key is an (offset, length) reference into the
-    corpus buffer, hashed and compared through its content.
-    """
+class GramDirectory(ChainedHashMap):
+    """Map from gram content to a GramEntry, over one corpus buffer."""
 
     def __init__(self, buffer: bytes, hash_name: str = DEFAULT_HASH,
                  max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
                  initial_buckets: int = 64):
+        super().__init__(hash_name, max_load_factor, initial_buckets)
         self.buffer = buffer
-        self.hash_name = hash_name
-        self.max_load_factor = max_load_factor
-        self._hash = get_hash(hash_name)
-        self._buckets: list[list] = [[] for _ in range(initial_buckets)]
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def bucket_count(self) -> int:
-        return len(self._buckets)
-
-    @property
-    def load_factor(self) -> float:
-        return self._size / len(self._buckets)
 
     def entry_for(self, offset: int, length: int) -> GramEntry:
         """The entry for the gram at buffer[offset:offset+length], created if new."""
         content = self.buffer[offset:offset + length]
-        bucket = self._buckets[self._hash(content) % len(self._buckets)]
-        for off, ln, entry in bucket:
-            if ln == length and self.buffer[off:off + ln] == content:
-                return entry
-        entry = GramEntry()
-        bucket.append((offset, length, entry))
-        self._size += 1
-        if self._size / len(self._buckets) > self.max_load_factor:
-            self._grow()
+        entry = self._entries.get(content)
+        if entry is None:
+            entry = self._entries[content] = GramEntry(offset)
         return entry
 
     def get(self, content: bytes) -> GramEntry | None:
-        bucket = self._buckets[self._hash(content) % len(self._buckets)]
-        ln = len(content)
-        for off, entry_ln, entry in bucket:
-            if entry_ln == ln and self.buffer[off:off + ln] == content:
-                return entry
-        return None
-
-    def _grow(self) -> None:
-        target = len(self._buckets)
-        while self._size / target > self.max_load_factor:
-            target *= 2
-        fresh: list[list] = [[] for _ in range(target)]
-        for bucket in self._buckets:
-            for item in bucket:
-                off, ln, _ = item
-                fresh[self._hash(self.buffer[off:off + ln]) % target].append(item)
-        self._buckets = fresh
-
-    def items(self):
-        """Yield (content, entry) pairs in bucket order."""
-        for bucket in self._buckets:
-            for off, ln, entry in bucket:
-                yield self.buffer[off:off + ln], entry
-
-    def refs(self):
-        """Yield (offset, length, entry) triples in bucket order."""
-        for bucket in self._buckets:
-            yield from bucket
-
-    def stats(self) -> dict:
-        lengths = [len(b) for b in self._buckets]
-        used = sum(1 for v in lengths if v)
-        return {
-            "entries": self._size,
-            "buckets": len(self._buckets),
-            "load_factor": self.load_factor,
-            "max_chain": max(lengths, default=0),
-            "mean_chain_nonempty": (self._size / used) if used else 0.0,
-        }
+        # Defined here rather than inherited, so that traced benchmark runs
+        # time gram lookups apart from split-table lookups.
+        return self._entries.get(content)
 
 
 def _greedy_chunks(m: int, q_max: int) -> list[int]:
@@ -244,13 +188,9 @@ class SuperlinearIndex:
         return self._search(pattern)
 
     def size_in_bytes(self) -> int:
-        """Deterministic size accounting: 4-byte rows, 4-byte range starts,
-        8-byte (offset, length) key refs, 4-byte bucket slots, plus the
+        """Deterministic size accounting: the gram directory plus the
         character-level substrate."""
-        directory_bytes = sum(
-            8 + 4 + 4 + 4 * entry.count for _, _, entry in self.directory.refs())
-        directory_bytes += 4 * self.directory.bucket_count
-        return directory_bytes + _substrate_bytes(self.fm)
+        return _directory_bytes(self.directory) + _substrate_bytes(self.fm)
 
 
 class LinearIndex:
@@ -349,10 +289,16 @@ class LinearIndex:
         return e - s + 1
 
     def size_in_bytes(self) -> int:
-        directory_bytes = sum(
-            8 + 4 + 4 + 4 * entry.count for _, _, entry in self.directory.refs())
-        directory_bytes += 4 * self.directory.bucket_count
-        return directory_bytes + _substrate_bytes(self.fm)
+        """Deterministic size accounting: the gram directory plus the
+        character-level substrate."""
+        return _directory_bytes(self.directory) + _substrate_bytes(self.fm)
+
+
+def _directory_bytes(directory: GramDirectory) -> int:
+    """4-byte rows, 4-byte range starts, 8-byte (offset, length) key refs and
+    4-byte bucket slots."""
+    return (sum(8 + 4 + 4 + 4 * entry.count for _, entry in directory.items())
+            + 4 * directory.bucket_count)
 
 
 def _substrate_bytes(fm: FmIndex) -> int:
@@ -387,18 +333,3 @@ def _sa_range(fm: FmIndex, content: bytes) -> tuple[int, int]:
             hi = mid
     return first, lo - 1
 
-
-def build_superlinear(corpus: Corpus, q_max: int = DEFAULT_Q_MAX, **kwargs) -> SuperlinearIndex:
-    return SuperlinearIndex.build(corpus, q_max, **kwargs)
-
-
-def count_superlinear(index: SuperlinearIndex, pattern: bytes) -> int:
-    return index.count(pattern)
-
-
-def build_linear(corpus: Corpus, alpha: int, q: int, **kwargs) -> LinearIndex:
-    return LinearIndex.build(corpus, alpha, q, **kwargs)
-
-
-def count_linear(index: LinearIndex, pattern: bytes) -> int:
-    return index.count(pattern)

@@ -15,6 +15,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -234,6 +235,8 @@ def sample_patterns(text: bytes, count: int, lengths, seed: int = 0,
     random strings of the same lengths (mostly absent from the text)."""
     rng = random.Random(seed)
     lengths = [ln for ln in lengths if ln <= len(text)]
+    if not lengths:
+        raise ValueError(f"no requested pattern length fits a text of {len(text)} bytes")
     if alphabet is None:
         alphabet = bytes(sorted(set(text)))
     patterns = []
@@ -349,6 +352,15 @@ class BenchConfig:
     pattern_lengths: tuple[int, ...] = (8, 16, 32)
 
 
+def count_with_fallback(index, pattern: bytes) -> int:
+    """`index.count(pattern)`, except that a pattern a LinearIndex refuses as
+    shorter than its minimizer window is counted by its plain FM index."""
+    try:
+        return index.count(pattern)
+    except UnsupportedPatternError:
+        return index.fm.count(pattern)
+
+
 def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, float]:
     """Per-query microseconds: mean over repetitions, plus 50th and 95th
     percentiles of the per-repetition averages.  One warm-up pass runs first
@@ -390,7 +402,6 @@ def run_bench(config: BenchConfig) -> BenchReport:
             index = SplitIndex.build(dictionary, k, split_config)
             build_seconds = time.perf_counter() - start
             usable = [q for q in queries if len(q) >= k + 1]
-            stats = index.table.stats()
             if not usable:
                 mean = p50 = p95 = 0.0
                 counters = "no-queries"
@@ -409,8 +420,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
                 build_seconds=build_seconds, queries=len(usable),
                 repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
                 p95_query_us=p95, counters=counters,
-                load_factor=stats["load_factor"], buckets=stats["buckets"],
-                entries=stats["entries"]))
+                load_factor=index.table.load_factor,
+                buckets=index.table.bucket_count, entries=len(index.table)))
         return report
 
     corpus = load_corpus(config.input_path)
@@ -428,17 +439,11 @@ def run_bench(config: BenchConfig) -> BenchReport:
             corpus, config.alpha, config.q, hash_name=config.hash_name,
             max_load_factor=config.max_load_factor or 2.81)
         build_seconds = time.perf_counter() - start
-
-        def run(pattern, _index=index):
-            try:
-                return _index.count(pattern)
-            except UnsupportedPatternError:
-                return _index.fm.count(pattern)
-
+        run = partial(count_with_fallback, index)
         base_params = f"alpha={config.alpha};q={config.q}"
     else:
         raise ValueError(f"unknown structure {config.structure!r}")
-    stats = index.directory.stats()
+    directory = index.directory
 
     # One row per pattern length so per-character trends can be read off;
     # a query file, if given, contributes a single mixed-length row instead.
@@ -466,8 +471,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
             build_seconds=build_seconds, queries=len(queries),
             repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
             p95_query_us=p95, counters=counters,
-            load_factor=stats["load_factor"], buckets=stats["buckets"],
-            entries=stats["entries"]))
+            load_factor=directory.load_factor, buckets=directory.bucket_count,
+            entries=len(directory)))
     return report
 
 

@@ -1,8 +1,9 @@
-"""Non-cryptographic string hash functions used by the bucket maps.
+"""Non-cryptographic string hash functions for bucket-layout reports.
 
-All functions take bytes and return an unsigned 32-bit integer.  The map
-implementations look them up by name through `get_hash`, so benchmark runs
-can swap functions without touching index code.
+All functions take bytes and return an unsigned 32-bit integer.
+`hashmap.bucket_report` looks them up by name through `get_hash`, so the
+chain statistics of different functions can be compared without touching
+index code.
 """
 
 import zlib

@@ -1,10 +1,13 @@
-"""A chained-bucket hash map with an explicit, configurable load factor.
+"""The lookup map shared by the indexes, plus a report on its bucket layout.
 
-Python's dict would do the job functionally, but the indexes in this package
-treat the bucket layout as part of their design: the load factor is a tuning
-parameter, the hash function is swappable, and benchmark reports include
-chain statistics.  Keys are byte strings; values are arbitrary objects
-stored next to their key inside the bucket.
+Lookups are served by a plain dict keyed by bytes, so no Python-level hash
+runs on a query path.  The chained-bucket layout that the hash function and
+the load factor describe is kept only as a measurement: `bucket_count` and
+`load_factor` follow the doubling rule of a chained map that grows whenever
+entries / buckets passes `max_load_factor`, and `stats()` hashes every key
+once to report the chain lengths that map would have.  Chain lengths depend
+only on the final key set and the final bucket count, so the report equals
+what a map grown one insertion at a time would show.
 """
 
 from __future__ import annotations
@@ -12,13 +15,29 @@ from __future__ import annotations
 from .hashes import DEFAULT_HASH, get_hash
 
 
-class ChainedHashMap:
-    """Hash map resolving collisions by chaining.
+def bucket_report(keys, hash_name: str, buckets: int) -> dict:
+    """Chain statistics of `keys` chained into `buckets` slots by `hash_name`."""
+    hash_fn = get_hash(hash_name)
+    lengths = [0] * buckets
+    for key in keys:
+        lengths[hash_fn(key) % buckets] += 1
+    entries = sum(lengths)
+    used = buckets - lengths.count(0)
+    return {
+        "entries": entries,
+        "buckets": buckets,
+        "load_factor": entries / buckets,
+        "max_chain": max(lengths, default=0),
+        "mean_chain_nonempty": (entries / used) if used else 0.0,
+    }
 
-    The load factor (entries / buckets) may exceed 1; once it would pass
-    `max_load_factor` the bucket count doubles and entries are rehashed.
-    Iteration order is bucket order, then insertion order within a bucket,
-    which is deterministic for a fixed hash function and insertion sequence.
+
+class ChainedHashMap:
+    """Map from byte keys to arbitrary values.
+
+    `hash_name`, `max_load_factor` and `initial_buckets` shape only the
+    reported bucket layout.  Iteration follows insertion order, so it is
+    deterministic for a fixed insertion sequence.
     """
 
     def __init__(self, hash_name: str = DEFAULT_HASH, max_load_factor: float = 2.0,
@@ -27,80 +46,38 @@ class ChainedHashMap:
             raise ValueError("max_load_factor must be positive")
         if initial_buckets < 1:
             raise ValueError("initial_buckets must be positive")
+        get_hash(hash_name)  # reject an unknown name here, not at the first stats()
         self.hash_name = hash_name
         self.max_load_factor = max_load_factor
-        self._hash = get_hash(hash_name)
-        self._buckets: list[list] = [[] for _ in range(initial_buckets)]
-        self._size = 0
+        self.initial_buckets = initial_buckets
+        self._entries: dict = {}
 
     def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, key: bytes) -> bool:
-        return self.get(key) is not None
+        return len(self._entries)
 
     @property
     def bucket_count(self) -> int:
-        return len(self._buckets)
+        """Buckets of a chained map that doubles whenever an insertion takes
+        entries / buckets past `max_load_factor`."""
+        buckets = self.initial_buckets
+        while len(self._entries) / buckets > self.max_load_factor:
+            buckets *= 2
+        return buckets
 
     @property
     def load_factor(self) -> float:
-        return self._size / len(self._buckets)
+        return len(self._entries) / self.bucket_count
 
     def get(self, key: bytes):
-        bucket = self._buckets[self._hash(key) % len(self._buckets)]
-        for entry in bucket:
-            if entry[0] == key:
-                return entry[1]
-        return None
+        return self._entries.get(key)
 
     def put(self, key: bytes, value) -> None:
         """Insert or replace the value for `key`."""
-        bucket = self._buckets[self._hash(key) % len(self._buckets)]
-        for entry in bucket:
-            if entry[0] == key:
-                entry[1] = value
-                return
-        bucket.append([key, value])
-        self._size += 1
-        if self._size / len(self._buckets) > self.max_load_factor:
-            self._grow()
-
-    def setdefault(self, key: bytes, factory):
-        bucket = self._buckets[self._hash(key) % len(self._buckets)]
-        for entry in bucket:
-            if entry[0] == key:
-                return entry[1]
-        value = factory()
-        bucket.append([key, value])
-        self._size += 1
-        if self._size / len(self._buckets) > self.max_load_factor:
-            self._grow()
-        return value
-
-    def _grow(self) -> None:
-        target = len(self._buckets)
-        while self._size / target > self.max_load_factor:
-            target *= 2
-        fresh: list[list] = [[] for _ in range(target)]
-        for bucket in self._buckets:
-            for entry in bucket:
-                fresh[self._hash(entry[0]) % target].append(entry)
-        self._buckets = fresh
+        self._entries[key] = value
 
     def items(self):
-        """Yield (key, value) pairs in bucket order."""
-        for bucket in self._buckets:
-            for key, value in bucket:
-                yield key, value
+        """(key, value) pairs in insertion order."""
+        return self._entries.items()
 
     def stats(self) -> dict:
-        lengths = [len(b) for b in self._buckets]
-        used = sum(1 for n in lengths if n)
-        return {
-            "entries": self._size,
-            "buckets": len(self._buckets),
-            "load_factor": self.load_factor,
-            "max_chain": max(lengths, default=0),
-            "mean_chain_nonempty": (self._size / used) if used else 0.0,
-        }
+        return bucket_report(self._entries, self.hash_name, self.bucket_count)

@@ -24,32 +24,6 @@ _COUNT_SATURATION = 3
 _CEIL_HALF = tuple((v + 1) // 2 for v in range(513))
 
 
-class PopcountTable:
-    """Precomputed Hamming weights for every value of a fixed-width block."""
-
-    def __init__(self, block_bits: int = 16):
-        self.block_bits = block_bits
-        self.table = bytes(bin(v).count("1") for v in range(1 << block_bits))
-
-    def weight(self, value: int) -> int:
-        mask = (1 << self.block_bits) - 1
-        total = 0
-        while value:
-            total += self.table[value & mask]
-            value >>= self.block_bits
-        return total
-
-
-_POPCOUNT: PopcountTable | None = None
-
-
-def default_popcount() -> PopcountTable:
-    global _POPCOUNT
-    if _POPCOUNT is None:
-        _POPCOUNT = PopcountTable()
-    return _POPCOUNT
-
-
 @dataclass(frozen=True)
 class SketchConfig:
     """Sketch shape: mode, tracked 1-grams and width in bytes.
@@ -135,7 +109,7 @@ def sketch_distance(s1: Sketch, s2: Sketch) -> int:
     """Hamming weight of the xor of two sketches built under the same config."""
     if s1.config is not s2.config and s1.config != s2.config:
         raise ValueError("sketches built under different configs are not comparable")
-    return default_popcount().weight(s1.bits ^ s2.bits)
+    return (s1.bits ^ s2.bits).bit_count()
 
 
 def hamming_lower_bound(sketch_diff: int) -> int:

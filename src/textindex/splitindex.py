@@ -2,16 +2,17 @@
 
 Every word is cut into k+1 disjoint pieces.  A query with at most k
 mismatches must leave at least one piece untouched, so each piece acts as a
-key in a chained hash map and the rest of the word (the "missing" piece) is
-stored in a packed byte list next to the key.  Verification recombines the
-key with a stored missing piece and runs a plain Hamming check against the
-pattern.
+key in a map and the rest of the word (the "missing" piece) is stored in a
+packed byte list next to the key.  Verification recombines the key with a
+stored missing piece and runs a plain Hamming check against the pattern.
 
 List layout: each entry is an 8-bit length counter followed by the missing
 bytes; a zero counter terminates the list.  For k = 1 a 16-bit boundary in
-front of the list says where the entries keyed by the trailing piece begin,
-so a lookup walks only the role group it needs.  For k > 1 every entry
-carries a tag byte naming the piece that serves as its key.
+front of the list gives the ordinal of the first entry keyed by the trailing
+piece; the boundary counts entries, not bytes, so a trailing-piece lookup
+still parses every leading entry before it.  For k > 1 every entry carries
+a tag byte naming the piece that serves as its key, and a lookup parses
+every entry of the list, skipping those with another tag.
 
 Lists can be compressed by substituting frequent word q-grams with byte
 codes 128..255; in that case each entry also stores its decoded length so
@@ -276,9 +277,10 @@ class SplitIndex:
         config = config or SplitIndexConfig()
         sub = config.substitution
         stats = BuildStats()
-        # Assemble packed lists per key first, then feed the bucket map in
-        # key-first-seen order so rehash points are reproducible.  Each value
-        # is [leading-group blob, trailing-group blob, leading entry count].
+        # Assemble packed lists per key first, then feed the table in
+        # key-first-seen order, which is also the order files store.  Each
+        # value is [leading-group blob, trailing-group blob, leading entry
+        # count].
         lists: dict[bytes, list] = {}
         usable = []
         for word in dictionary:
@@ -505,11 +507,3 @@ class SplitIndex:
 
     def list_bytes(self) -> int:
         return sum(len(blob) for _, blob in self.table.items())
-
-
-def build(dictionary: Dictionary, k: int, config: SplitIndexConfig | None = None) -> SplitIndex:
-    return SplitIndex.build(dictionary, k, config)
-
-
-def query(index: SplitIndex, pattern: bytes, k: int) -> set[bytes]:
-    return index.query(pattern, k)

@@ -130,6 +130,7 @@ class RankIndex:
             self._samples[int(sym)] = sampled
 
     def rank(self, symbol: int, i: int) -> int:
+        """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""
         if i == -1:
             return 0
         if i < -1 or i >= self.n:
@@ -139,11 +140,6 @@ class RankIndex:
             return 0
         block = i // self.STRIDE
         return int(sampled[block]) + self.l.count(symbol, block * self.STRIDE, i + 1)
-
-
-def rank(rank_index: RankIndex, symbol: int, i: int) -> int:
-    """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""
-    return rank_index.rank(symbol, i)
 
 
 class FmIndex:
@@ -191,7 +187,3 @@ class FmIndex:
             if s > e:
                 return 0
         return e - s + 1
-
-
-def fm_count(index: FmIndex, pattern: bytes) -> int:
-    return index.count(pattern)

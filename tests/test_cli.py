@@ -165,6 +165,19 @@ class TestVerifyCommand:
         main(["verify", "--index", str(out), "--random", "500", "--seed", "7"])
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("text", [b"", b"a"])
+    def test_random_on_tiny_corpus_is_refused(self, tmp_path, capsys, text):
+        # Every sampled length (2 and up) is longer than the corpus.
+        source = tmp_path / "tiny.txt"
+        source.write_bytes(text)
+        out = tmp_path / "tiny.idx"
+        assert main(["build", "--type", "fm-super", "--input", str(source),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--random", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_corrupted_file_rejected(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"
         main(["build", "--type", "split", "--input", str(dict_file), "--out", str(out)])

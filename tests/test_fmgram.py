@@ -5,9 +5,7 @@ import pytest
 
 from textindex.errors import UnsupportedPatternError
 from textindex.textcore import Corpus
-from textindex.fmgram import (SuperlinearIndex, _greedy_chunks, build_linear,
-                              build_superlinear, count_linear, count_superlinear,
-                              list_rank)
+from textindex.fmgram import LinearIndex, SuperlinearIndex, _greedy_chunks, list_rank
 
 
 def naive_count(text, pattern):
@@ -96,21 +94,21 @@ class TestListRank:
 
 class TestSuperlinearCount:
     def test_banana_ana_two_steps(self):
-        idx = build_superlinear(Corpus.from_bytes(b"banana"), q_max=4)
+        idx = SuperlinearIndex.build(Corpus.from_bytes(b"banana"), q_max=4)
         count, steps = idx.count_with_steps(b"ana")
         assert count == 2
         assert steps == 2  # one 2-gram step, one 1-gram step
 
     def test_single_gram_lookup(self):
-        idx = build_superlinear(Corpus.from_bytes(b"pattern"), q_max=4)
-        assert count_superlinear(idx, b"tt") == 1
+        idx = SuperlinearIndex.build(Corpus.from_bytes(b"pattern"), q_max=4)
+        assert idx.count(b"tt") == 1
 
     def test_absent_pattern(self):
-        idx = build_superlinear(Corpus.from_bytes(b"pattern"), q_max=4)
-        assert count_superlinear(idx, b"xyz") == 0
+        idx = SuperlinearIndex.build(Corpus.from_bytes(b"pattern"), q_max=4)
+        assert idx.count(b"xyz") == 0
 
     def test_pattern_longer_than_text(self):
-        idx = build_superlinear(Corpus.from_bytes(b"ab"), q_max=2)
+        idx = SuperlinearIndex.build(Corpus.from_bytes(b"ab"), q_max=2)
         assert idx.count(b"ababab") == 0
 
     def test_chunk_decomposition(self):
@@ -123,7 +121,7 @@ class TestSuperlinearCount:
     def test_step_count_is_popcount(self):
         rng = random.Random(23)
         raw = bytes(rng.choice(b"ab") for _ in range(600))
-        idx = build_superlinear(Corpus.from_bytes(raw), q_max=128)
+        idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=128)
         for m in (1, 2, 3, 5, 8, 12, 16, 31, 32):
             s = rng.randrange(len(raw) - m)
             pattern = raw[s:s + m]
@@ -135,7 +133,7 @@ class TestSuperlinearCount:
     def test_matches_naive(self, q_max):
         rng = random.Random(q_max)
         raw = bytes(rng.choice(b"abcd") for _ in range(500))
-        idx = build_superlinear(Corpus.from_bytes(raw), q_max=q_max)
+        idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=q_max)
         for _ in range(300):
             m = rng.randint(1, 20)
             if rng.random() < 0.5:
@@ -148,7 +146,7 @@ class TestSuperlinearCount:
     def test_qmax_one_degenerates_to_fm(self):
         rng = random.Random(31)
         raw = bytes(rng.choice(b"ab") for _ in range(200))
-        idx = build_superlinear(Corpus.from_bytes(raw), q_max=1)
+        idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=1)
         for _ in range(100):
             m = rng.randint(1, 6)
             s = rng.randrange(len(raw) - m)
@@ -158,34 +156,34 @@ class TestSuperlinearCount:
 
 class TestLinearIndex:
     def test_appearance_phrases_in_directory(self):
-        idx = build_linear(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
+        idx = LinearIndex.build(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
         contents = {gram for gram, _ in idx.directory.items()}
         assert contents == {b"appe", b"ar"}
 
     def test_single_minimizer_corpus(self):
         # whole text is one window; no phrases, but queries still answer
-        idx = build_linear(Corpus.from_bytes(b"ab"), alpha=1, q=2)
+        idx = LinearIndex.build(Corpus.from_bytes(b"ab"), alpha=1, q=2)
         assert len(idx.directory) == 0
         assert idx.count(b"ab") == 1
 
     def test_corpus_too_short(self):
         with pytest.raises(ValueError):
-            build_linear(Corpus.from_bytes(b"ab"), alpha=3, q=2)
+            LinearIndex.build(Corpus.from_bytes(b"ab"), alpha=3, q=2)
 
     def test_short_pattern_unsupported(self):
-        idx = build_linear(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
+        idx = LinearIndex.build(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
         with pytest.raises(UnsupportedPatternError):
             idx.count(b"app")
 
     def test_whole_text_pattern(self):
-        idx = build_linear(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
-        assert count_linear(idx, b"appearance") == 1
+        idx = LinearIndex.build(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
+        assert idx.count(b"appearance") == 1
 
     def test_phrase_lists_match_naive_locations(self):
         rng = random.Random(41)
         raw = bytes(rng.choice(b"ACGT") for _ in range(400))
         corpus = Corpus.from_bytes(raw)
-        idx = build_linear(corpus, alpha=3, q=3)
+        idx = LinearIndex.build(corpus, alpha=3, q=3)
         inv = {int(p): r for r, p in enumerate(idx.fm.sa)}
         for gram, entry in idx.directory.items():
             starts = [s for s in range(len(raw) - len(gram) + 1)
@@ -197,7 +195,7 @@ class TestLinearIndex:
     def test_matches_naive(self):
         rng = random.Random(43)
         raw = bytes(rng.choice(b"abc") for _ in range(700))
-        idx = build_linear(Corpus.from_bytes(raw), alpha=3, q=2)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=2)
         window = 2 + 3 - 1
         for _ in range(400):
             m = rng.randint(window, 24)
@@ -211,7 +209,7 @@ class TestLinearIndex:
     def test_sampled_patterns_always_found(self):
         rng = random.Random(47)
         raw = bytes(rng.choice(b"ab") for _ in range(300))
-        idx = build_linear(Corpus.from_bytes(raw), alpha=2, q=2)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=2, q=2)
         for _ in range(200):
             m = rng.randint(3, 30)
             s = rng.randrange(len(raw) - m)
@@ -223,7 +221,7 @@ class TestLinearIndex:
         # leftmost tie-breaking and phrase boundary alignment
         rng = random.Random(53)
         raw = bytes(rng.choice(b"ab") for _ in range(500))
-        idx = build_linear(Corpus.from_bytes(raw), alpha=4, q=1)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=4, q=1)
         window = 1 + 4 - 1
         for _ in range(600):
             m = rng.randint(window, 40)

@@ -7,6 +7,30 @@ from textindex.hashes import (HASH_FUNCTIONS, fnv1_32, fnv1a_32, get_hash,
 from textindex.hashmap import ChainedHashMap
 
 
+def chained_layout(keys, hash_name, max_load_factor, initial_buckets):
+    """Reference chained map: a list of buckets filled one insertion at a
+    time, doubled and rehashed whenever entries / buckets passes the load
+    factor.  Yields the bucket list after each insertion."""
+    hash_fn = HASH_FUNCTIONS[hash_name]
+    buckets = [[] for _ in range(initial_buckets)]
+    size = 0
+    for key in keys:
+        bucket = buckets[hash_fn(key) % len(buckets)]
+        if key not in bucket:
+            bucket.append(key)
+            size += 1
+            if size / len(buckets) > max_load_factor:
+                target = len(buckets)
+                while size / target > max_load_factor:
+                    target *= 2
+                fresh = [[] for _ in range(target)]
+                for old in buckets:
+                    for k in old:
+                        fresh[hash_fn(k) % target].append(k)
+                buckets = fresh
+        yield buckets
+
+
 class TestHashVectors:
     # frozen reference digests from the upstream implementations
     XXHASH32 = {
@@ -117,3 +141,30 @@ class TestChainedHashMap:
         for key, value in reference.items():
             assert m.get(key) == value
         assert len(m) == len(reference)
+
+    @pytest.mark.parametrize("hash_name", sorted(HASH_FUNCTIONS))
+    @pytest.mark.parametrize("max_load_factor, initial_buckets",
+                             [(0.5, 1), (1.0, 8), (2.0, 3), (2.81, 64)])
+    def test_bucket_numbers_match_chained_layout(self, hash_name, max_load_factor,
+                                                 initial_buckets):
+        rng = random.Random(5)
+        # Short keys over a small alphabet, so some repeat.
+        keys = [bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(1, 12)))
+                for _ in range(600)]
+        m = ChainedHashMap(hash_name, max_load_factor, initial_buckets)
+        layouts = chained_layout(keys, hash_name, max_load_factor, initial_buckets)
+        for i, (key, buckets) in enumerate(zip(keys, layouts)):
+            m.put(key, i)
+            if i % 50 and i != len(keys) - 1:
+                continue
+            lengths = [len(b) for b in buckets]
+            used = sum(1 for n in lengths if n)
+            assert m.bucket_count == len(buckets)
+            assert m.load_factor == len(m) / len(buckets)
+            assert m.stats() == {
+                "entries": sum(lengths),
+                "buckets": len(buckets),
+                "load_factor": sum(lengths) / len(buckets),
+                "max_chain": max(lengths),
+                "mean_chain_nonempty": sum(lengths) / used,
+            }

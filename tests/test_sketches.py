@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from textindex.sketches import (COUNT, OCCURRENCE, PopcountTable, SketchConfig,
-                                build_sketch, default_popcount, filtered_compare,
-                                hamming, hamming_lower_bound, sketch_distance)
+from textindex.sketches import (COUNT, OCCURRENCE, SketchConfig, build_sketch,
+                                filtered_compare, hamming, hamming_lower_bound,
+                                sketch_distance)
 
 
 class TestConfig:
@@ -85,17 +85,6 @@ class TestSketchDistance:
             s1, s2 = build_sketch(w1, cfg), build_sketch(w2, cfg)
             x = s1.bits ^ s2.bits
             assert sketch_distance(s1, s2) == bin(x).count("1")
-
-
-class TestPopcountTable:
-    def test_table_is_exact(self):
-        table = default_popcount()
-        for v in range(0, 1 << 16, 257):
-            assert table.table[v] == bin(v).count("1")
-
-    def test_folding(self):
-        table = PopcountTable(block_bits=8)
-        assert table.weight((1 << 30) | (1 << 9) | 1) == 3
 
 
 class TestLowerBound:

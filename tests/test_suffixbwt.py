@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from textindex.errors import MalformedInputError
 from textindex.textcore import Corpus, printable
 from textindex.suffixbwt import (FmIndex, RankIndex, build_count_table,
-                                 build_suffix_array, bwt_forward, bwt_inverse,
-                                 fm_count, rank)
+                                 build_suffix_array, bwt_forward, bwt_inverse)
 
 
 def naive_suffix_array(corpus):
@@ -121,20 +120,20 @@ class TestCountTable:
 class TestRank:
     def test_empty_prefix(self):
         idx = RankIndex(b"nptr\x00eta")
-        assert rank(idx, ord("t"), -1) == 0
+        assert idx.rank(ord("t"), -1) == 0
 
     def test_worked_value(self):
         idx = RankIndex(b"nptr\x00eta")
-        assert rank(idx, ord("t"), 7) == 2
+        assert idx.rank(ord("t"), 7) == 2
 
     def test_out_of_range(self):
         idx = RankIndex(b"abc")
         with pytest.raises(IndexError):
-            rank(idx, ord("a"), 3)
+            idx.rank(ord("a"), 3)
 
     def test_absent_symbol(self):
         idx = RankIndex(b"abc")
-        assert rank(idx, ord("z"), 2) == 0
+        assert idx.rank(ord("z"), 2) == 0
 
     def test_total_count(self):
         l = b"ipssm\x00pissii"
@@ -156,29 +155,29 @@ class TestRank:
 class TestFmCount:
     def test_banana_single_symbol(self):
         fm = FmIndex.build(Corpus.from_bytes(b"banana"))
-        assert fm_count(fm, b"a") == 3
+        assert fm.count(b"a") == 3
 
     def test_banana_ana(self):
         fm = FmIndex.build(Corpus.from_bytes(b"banana"))
-        assert fm_count(fm, b"ana") == 2
+        assert fm.count(b"ana") == 2
 
     def test_absent_symbols(self):
         fm = FmIndex.build(Corpus.from_bytes(b"banana"))
-        assert fm_count(fm, b"xyz") == 0
+        assert fm.count(b"xyz") == 0
 
     def test_pattern_longer_than_text(self):
         fm = FmIndex.build(Corpus.from_bytes(b"ab"))
-        assert fm_count(fm, b"abab") == 0
+        assert fm.count(b"abab") == 0
 
     def test_empty_pattern_rejected(self):
         fm = FmIndex.build(Corpus.from_bytes(b"ab"))
         with pytest.raises(ValueError):
-            fm_count(fm, b"")
+            fm.count(b"")
 
     def test_terminator_in_pattern_rejected(self):
         fm = FmIndex.build(Corpus.from_bytes(b"ab"))
         with pytest.raises(ValueError):
-            fm_count(fm, b"a\x00")
+            fm.count(b"a\x00")
 
     def test_matches_naive_on_random_texts(self):
         rng = random.Random(13)
