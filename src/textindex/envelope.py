@@ -17,6 +17,7 @@ from array import array
 import numpy as np
 
 from .errors import MalformedInputError
+from .hashes import get_hash
 from .hashmap import ChainedHashMap
 from .splitindex import BuildStats, SplitIndex, SplitIndexConfig, SubstitutionTable
 from .suffixbwt import FmIndex, RankIndex, build_count_table, bwt_forward
@@ -26,7 +27,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 
@@ -74,6 +75,16 @@ class _Reader:
 
     def done(self) -> bool:
         return self.at == len(self.data)
+
+
+def _read_hash_name(r: _Reader) -> str:
+    raw = r.short_blob()
+    try:
+        name = raw.decode()
+        get_hash(name)
+    except ValueError:  # UnicodeDecodeError included
+        raise MalformedInputError(f"unknown hash function {raw!r}") from None
+    return name
 
 
 def _wrap(magic: bytes, payload: bytes) -> bytes:
@@ -126,24 +137,38 @@ def _split_payload(index: SplitIndex) -> bytes:
 def _load_split(payload: bytes) -> SplitIndex:
     r = _Reader(payload)
     k = r.u8()
+    if k < 1:
+        raise MalformedInputError("split index k must be at least 1")
     compressed = r.u8()
     max_lf = r.f64()
-    hash_name = r.short_blob().decode()
+    hash_name = _read_hash_name(r)
     substitution = None
     if compressed:
         pairs = []
         for _ in range(r.u8()):
             gram = r.short_blob()
             pairs.append((gram, r.u8()))
-        substitution = SubstitutionTable(pairs)
+        try:
+            substitution = SubstitutionTable(pairs)
+        except ValueError as exc:
+            raise MalformedInputError(f"bad substitution table: {exc}") from None
     stats = BuildStats(words_indexed=r.u32(), words_skipped=r.u32(),
                        entries=r.u32())
     bucket_count = r.u32()
     entry_count = r.u32()
+    if not max_lf > 0 or bucket_count < 1:
+        raise MalformedInputError("bad load factor or bucket count")
     table = ChainedHashMap(hash_name, max_lf, initial_buckets=bucket_count)
     for _ in range(entry_count):
         key = r.short_blob()
-        table.put(key, r.blob())
+        blob = r.blob()
+        # One zero byte between consecutive role groups, and no other: the
+        # list walk relies on it to find its group without parsing entries.
+        if not key or blob.count(0) != k:
+            raise MalformedInputError("malformed split list")
+        table.put(key, blob)
+    if len(table) != entry_count:
+        raise MalformedInputError("repeated key in split index")
     if not r.done():
         raise MalformedInputError("trailing bytes after split index payload")
     config = SplitIndexConfig(hash_name=hash_name, max_load_factor=max_lf,
@@ -190,12 +215,19 @@ def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
 
 def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
     max_lf = r.f64()
-    hash_name = r.short_blob().decode()
+    hash_name = _read_hash_name(r)
     bucket_count = r.u32()
     entry_count = r.u32()
+    if not max_lf > 0 or bucket_count < 1:
+        raise MalformedInputError("bad load factor or bucket count")
     directory = GramDirectory(buffer, hash_name, max_lf, initial_buckets=bucket_count)
+    n = len(buffer)
     for _ in range(entry_count):
         offset, length, first, count = _ENTRY_HEADER.unpack(r.raw(_ENTRY_HEADER.size))
+        # A gram lies inside the text (the terminator is never part of one)
+        # and its row range inside the n rows.
+        if length == 0 or offset + length > n - 1 or first + count > n:
+            raise MalformedInputError("gram directory entry out of range")
         rows = array("I")
         rows.frombytes(r.raw(4 * count))
         if sys.byteorder == "big":
@@ -203,6 +235,8 @@ def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
         entry = directory.entry_for(offset, length)
         entry.first = first
         entry.rows = rows
+    if len(directory) != entry_count:
+        raise MalformedInputError("repeated gram in directory")
     return directory
 
 

@@ -6,23 +6,27 @@ key in a map and the rest of the word (the "missing" piece) is stored in a
 packed byte list next to the key.  Verification recombines the key with a
 stored missing piece and runs a plain Hamming check against the pattern.
 
-List layout: each entry is an 8-bit length counter followed by the missing
-bytes; a zero counter terminates the list.  For k = 1 a 16-bit boundary in
-front of the list gives the ordinal of the first entry keyed by the trailing
-piece; the boundary counts entries, not bytes, so a trailing-piece lookup
-still parses every leading entry before it.  For k > 1 every entry carries
-a tag byte naming the piece that serves as its key, and a lookup parses
-every entry of the list, skipping those with another tag.
+List layout, the same for every k: ``group_0 0x00 group_1 0x00 ... group_k``.
+Group i holds, in dictionary order, the entries whose key is piece i of
+their word.  An entry is an 8-bit counter (the payload length), then the
+payload: the missing bytes.  There is no header and no final terminator.
+A lookup for piece i skips i separators with ``bytes.index`` and parses
+group i only.
+
+Separator invariant: a 0 byte in a list is always a separator, because
+counters, decoded lengths, word bytes (1..127) and substitution codes
+(128..255) are all nonzero.  A list therefore holds exactly k zero bytes.
 
 Lists can be compressed by substituting frequent word q-grams with byte
-codes 128..255; in that case each entry also stores its decoded length so
-the length pre-filter can run before any decoding.
+codes 128..255; in that case each entry stores its decoded length between
+the counter and the payload, so the length pre-filter can run before any
+decoding.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedInputError
 from .hashes import DEFAULT_HASH
@@ -30,7 +34,6 @@ from .hashmap import ChainedHashMap
 
 MAX_WORD_LENGTH = 255
 CODE_FLOOR = 128
-_BOUNDARY_LIMIT = 0xFFFF
 
 
 class Dictionary:
@@ -240,11 +243,9 @@ class BuildStats:
 
 @dataclass
 class QueryStats:
-    lists_probed: int = 0
     entries_inspected: int = 0
     length_matches: int = 0
     verifications: int = 0
-    group_sizes: list[int] = field(default_factory=list)
 
 
 def _hamming_within(a: bytes, b: bytes, k: int) -> bool:
@@ -270,73 +271,40 @@ class SplitIndex:
     @classmethod
     def build(cls, dictionary: Dictionary, k: int,
               config: SplitIndexConfig | None = None) -> "SplitIndex":
-        """Deterministic build: lists grow in dictionary order; for k = 1 the
-        leading-piece group is populated before the trailing-piece group."""
+        """Deterministic build: keys enter the table in first-seen order and
+        every role group lists its entries in dictionary order."""
         if k < 1:
             raise ValueError("k must be at least 1")
         config = config or SplitIndexConfig()
         sub = config.substitution
         stats = BuildStats()
-        # Assemble packed lists per key first, then feed the table in
-        # key-first-seen order, which is also the order files store.  Each
-        # value is [leading-group blob, trailing-group blob, leading entry
-        # count].
-        lists: dict[bytes, list] = {}
-        usable = []
+        # The k+1 role groups of each key, in key-first-seen order.
+        lists: dict[bytes, list[bytearray]] = {}
         for word in dictionary:
             if len(word) <= k:
                 stats.words_skipped += 1
-            else:
-                usable.append(word)
-        stats.words_indexed = len(usable)
-
-        def emit(key: bytes, missing: bytes, group: int, tag: int | None) -> None:
-            slot = lists.setdefault(key, [bytearray(), bytearray(), 0])
-            blob = slot[group]
-            payload = sub.encode(missing) if sub is not None else missing
-            blob.append(len(payload))
-            if tag is not None:
-                blob.append(tag)
-            if sub is not None:
-                blob.append(len(missing))
-            blob.extend(payload)
-            if group == 0:
-                slot[2] += 1
-            stats.entries += 1
-
-        if k == 1:
-            for word in usable:
-                lead, trail = split_word(word, 1)
-                emit(lead, trail, 0, None)
-            for word in usable:
-                lead, trail = split_word(word, 1)
-                emit(trail, lead, 1, None)
-        else:
-            for word in usable:
-                pieces = split_word(word, k)
-                offset = 0
-                for i, piece in enumerate(pieces):
-                    missing = word[:offset] + word[offset + len(piece):]
-                    emit(piece, missing, 0, i)
-                    offset += len(piece)
+                continue
+            stats.words_indexed += 1
+            offset = 0
+            for role, piece in enumerate(split_word(word, k)):
+                end = offset + len(piece)
+                missing = word[:offset] + word[end:]
+                offset = end
+                groups = lists.get(piece)
+                if groups is None:
+                    groups = lists[piece] = [bytearray() for _ in range(k + 1)]
+                group = groups[role]
+                payload = missing if sub is None else sub.encode(missing)
+                group.append(len(payload))
+                if sub is not None:
+                    group.append(len(missing))
+                group += payload
+        stats.entries = (k + 1) * stats.words_indexed
 
         table = ChainedHashMap(config.hash_name, config.max_load_factor)
-        for key, (group0, group1, lead_entries) in lists.items():
-            table.put(key, cls._pack(k, group0, group1, lead_entries))
+        for key, groups in lists.items():
+            table.put(key, b"\0".join(groups))
         return cls(k, table, config, stats)
-
-    @staticmethod
-    def _pack(k: int, group0: bytearray, group1: bytearray, lead_entries: int) -> bytes:
-        blob = bytearray()
-        if k == 1:
-            boundary = (lead_entries + 1) if group1 else 0
-            if boundary > _BOUNDARY_LIMIT:
-                raise ValueError("list exceeds the 16-bit boundary range")
-            blob += boundary.to_bytes(2, "little")
-        blob += group0
-        blob += group1
-        blob.append(0)
-        return bytes(blob)
 
     # -- queries ------------------------------------------------------------
 
@@ -356,104 +324,54 @@ class SplitIndex:
             raise ValueError(f"pattern must have at least {k + 1} symbols")
         stats = QueryStats()
         results: set[bytes] = set()
-        pieces = split_word(pattern, k)
-        offsets = []
-        at = 0
-        for piece in pieces:
-            offsets.append(at)
-            at += len(piece)
-        for i, piece in enumerate(pieces):
+        split_at = 0
+        for role, piece in enumerate(split_word(pattern, k)):
             blob = self.table.get(piece)
-            if blob is None:
-                continue
-            stats.lists_probed += 1
-            if k == 1:
-                self._walk_k1(pattern, piece, i, blob, results, stats)
-            else:
-                self._walk_tagged(pattern, pieces, offsets, i, blob, results, stats)
+            if blob is not None:
+                self._walk(pattern, piece, split_at, role, blob, results, stats)
+            split_at += len(piece)
         return results, stats
 
-    def _walk_k1(self, pattern: bytes, piece: bytes, role: int, blob: bytes,
-                 results: set, stats: QueryStats) -> None:
+    def _walk(self, pattern: bytes, piece: bytes, split_at: int, role: int,
+              blob: bytes, results: set, stats: QueryStats) -> None:
+        """Verify the entries of group `role` of `blob`, the list keyed by
+        `piece`, which sits at `split_at` in the pattern."""
         sub = self.config.substitution
-        boundary = int.from_bytes(blob[:2], "little")
-        at = 2
-        rest = pattern[len(piece):] if role == 0 else pattern[:len(pattern) - len(piece)]
-        want = len(pattern) - len(piece)
-        ordinal = 0
-        group_size = 0
-        while True:
-            counter = blob[at]
-            if counter == 0:
-                break
-            at += 1
-            ordinal += 1
-            decoded_len = counter
-            if sub is not None:
-                decoded_len = blob[at]
-                at += 1
-            payload_at = at
-            at += counter
-            if role == 0:
-                # Leading-piece group: entries before the boundary.
-                if boundary and ordinal >= boundary:
-                    break
-            else:
-                # Trailing-piece group: starts at the boundary ordinal.
-                if boundary == 0:
-                    break
-                if ordinal < boundary:
-                    continue
-            group_size += 1
-            stats.entries_inspected += 1
-            if decoded_len != want:
-                continue
-            stats.length_matches += 1
-            missing = blob[payload_at:payload_at + counter]
-            if sub is not None:
-                missing = sub.decode(missing)
-            stats.verifications += 1
-            if _hamming_within(missing, rest, self.k):
-                word = piece + missing if role == 0 else missing + piece
-                results.add(word)
-        stats.group_sizes.append(group_size)
-
-    def _walk_tagged(self, pattern: bytes, pieces: list[bytes], offsets: list[int],
-                     role: int, blob: bytes, results: set, stats: QueryStats) -> None:
-        sub = self.config.substitution
-        piece = pieces[role]
-        rest = pattern[:offsets[role]] + pattern[offsets[role] + len(piece):]
-        want = len(pattern) - len(piece)
         at = 0
-        group_size = 0
-        while True:
-            counter = blob[at]
-            if counter == 0:
-                break
-            at += 1
-            tag = blob[at]
-            at += 1
-            decoded_len = counter
-            if sub is not None:
-                decoded_len = blob[at]
+        for _ in range(role):
+            at = blob.index(0, at) + 1
+        end = blob.find(0, at)
+        if end < 0:
+            end = len(blob)
+        rest = pattern[:split_at] + pattern[split_at + len(piece):]
+        want = len(rest)
+        inspected = matches = 0
+        try:
+            while at < end:
+                counter = blob[at]
                 at += 1
-            payload_at = at
-            at += counter
-            if tag != role:
-                continue
-            group_size += 1
-            stats.entries_inspected += 1
-            if decoded_len != want:
-                continue
-            stats.length_matches += 1
-            missing = blob[payload_at:payload_at + counter]
-            if sub is not None:
-                missing = sub.decode(missing)
-            stats.verifications += 1
-            if _hamming_within(missing, rest, self.k):
-                split_at = offsets[role]
-                results.add(missing[:split_at] + piece + missing[split_at:])
-        stats.group_sizes.append(group_size)
+                decoded_len = counter
+                if sub is not None:
+                    decoded_len = blob[at]
+                    at += 1
+                payload_at = at
+                at += counter
+                inspected += 1
+                if decoded_len != want:
+                    continue
+                matches += 1
+                missing = blob[payload_at:at]
+                if sub is not None:
+                    missing = sub.decode(missing)
+                if _hamming_within(missing, rest, self.k):
+                    results.add(missing[:split_at] + piece + missing[split_at:])
+        except IndexError:  # a decoded length past the end of the list
+            at = end + 1
+        if at != end:
+            raise MalformedInputError("a list entry overruns its role group")
+        stats.entries_inspected += inspected
+        stats.length_matches += matches
+        stats.verifications += matches
 
     # -- reconstruction and accounting ---------------------------------------
 
@@ -464,36 +382,22 @@ class SplitIndex:
         piece that serves as a key.
         """
         sub = self.config.substitution
+        header = 1 if sub is None else 2
         out: list[bytes] = []
         for key, blob in self.table.items():
-            at = 0
-            boundary = 0
-            if self.k == 1:
-                boundary = int.from_bytes(blob[:2], "little")
-                at = 2
-            ordinal = 0
-            while True:
-                counter = blob[at]
-                if counter == 0:
-                    break
-                at += 1
-                tag = None
-                if self.k > 1:
-                    tag = blob[at]
-                    at += 1
-                if sub is not None:
-                    at += 1  # decoded length, not needed here
-                missing = blob[at:at + counter]
-                at += counter
-                ordinal += 1
-                if sub is not None:
-                    missing = sub.decode(missing)
-                if self.k == 1:
-                    trailing_group = boundary != 0 and ordinal >= boundary
-                    out.append(missing + key if trailing_group else key + missing)
-                else:
-                    sizes = piece_sizes(len(key) + len(missing), self.k)
-                    split_at = sum(sizes[:tag])
+            for role, group in enumerate(blob.split(b"\0")):
+                at = 0
+                while at < len(group):
+                    counter = group[at]
+                    at += header
+                    missing = group[at:at + counter]
+                    at += counter
+                    if sub is not None:
+                        missing = sub.decode(missing)
+                    length = len(key) + len(missing)
+                    if at > len(group) or length <= self.k:
+                        raise MalformedInputError("a list entry overruns its role group")
+                    split_at = sum(piece_sizes(length, self.k)[:role])
                     out.append(missing[:split_at] + key + missing[split_at:])
         return out
 

@@ -1,13 +1,18 @@
 import random
+import struct
+import zlib
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
 from textindex.fmgram import LinearIndex, SuperlinearIndex
 from textindex.harness import dna_like_text, english_like_text, random_word_dictionary
-from textindex.splitindex import SplitIndex, SplitIndexConfig, select_qgrams
+from textindex.splitindex import (Dictionary, SplitIndex, SplitIndexConfig, select_qgrams,
+                                  split_word)
 from textindex.textcore import Corpus
 
 
@@ -97,10 +102,11 @@ class TestRejection:
         with pytest.raises(MalformedInputError):
             deserialize_index(bytes(data))
 
-    def test_unknown_version(self, split_pair):
+    @pytest.mark.parametrize("version", [1, FORMAT_VERSION + 1])
+    def test_unknown_version(self, split_pair, version):
         _, index = split_pair
         data = bytearray(serialize_index(index))
-        data[4] = FORMAT_VERSION + 1
+        data[4] = version
         with pytest.raises(MalformedInputError):
             deserialize_index(bytes(data))
 
@@ -124,3 +130,130 @@ class TestRejection:
     def test_garbage(self):
         with pytest.raises(MalformedInputError):
             deserialize_index(b"not an index")
+
+
+def _resign(data: bytearray) -> bytes:
+    """The envelope with its CRC recomputed over the (altered) payload."""
+    data[5:9] = struct.pack("<I", zlib.crc32(bytes(data[9:])) & 0xFFFFFFFF)
+    return bytes(data)
+
+
+class TestDirectoryStructure:
+    """Files with a valid CRC but a wrong structure are refused at load."""
+
+    @staticmethod
+    def _entry_at(index) -> int:
+        # envelope, q_max, corpus blob, SA blob, load factor, hash name,
+        # bucket count, entry count
+        n = index.fm.corpus.n
+        return (9 + 4 + 4 + n + 4 + 4 * n + 8 + 1 + len(index.directory.hash_name)
+                + 4 + 4)
+
+    # Field order of an entry header: offset, length, first, count.
+    @pytest.mark.parametrize("field, value", [
+        (0, 1000),  # the gram runs past the text; it loaded as key b""
+        (0, 11),    # the gram covers the terminator
+        (1, 0),     # empty gram
+        (2, 12),    # first + count > n
+    ])
+    def test_gram_entry_out_of_range(self, field, value):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        at = self._entry_at(index) + 4 * field
+        data = bytearray(serialize_index(index))
+        data[at:at + 4] = struct.pack("<I", value)
+        with pytest.raises(MalformedInputError):
+            deserialize_index(_resign(data))
+
+    def test_repeated_gram(self):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        first = self._entry_at(index)
+        second = first + 16 + 4 * len(next(iter(index.directory.items()))[1].rows)
+        data = bytearray(serialize_index(index))
+        data[second:second + 8] = data[first:first + 8]
+        with pytest.raises(MalformedInputError):
+            deserialize_index(_resign(data))
+
+
+
+class TestSplitStructure:
+    def _refused(self, data: bytes):
+        with pytest.raises(MalformedInputError):
+            deserialize_index(data)
+
+    def test_undecodable_hash_name(self):
+        index = SplitIndex.build(random_word_dictionary(20, seed=25), 1)
+        data = bytearray(serialize_index(index))
+        data[bytes(data).index(index.config.hash_name.encode())] = 0xFF
+        self._refused(_resign(data))
+
+    def test_k_zero(self):
+        data = bytearray(serialize_index(SplitIndex.build(Dictionary([]), 1)))
+        data[9] = 0
+        self._refused(_resign(data))
+
+    def test_empty_key(self):
+        index = SplitIndex.build(Dictionary([b"ab"]), 1)
+        index.table.put(b"", b"\x01x\x00")
+        self._refused(serialize_index(index))
+
+    def test_repeated_key(self):
+        index = SplitIndex.build(Dictionary([b"ab", b"cd"]), 1)
+        data = bytearray(serialize_index(index))
+        # key "c" (u8 length, byte) and its 3-byte list (u32 length):
+        # make the key another "a"
+        data[bytes(data).index(b"\x01c\x03\x00\x00\x00") + 1] = ord("a")
+        self._refused(_resign(data))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_separator_count(self, k):
+        index = SplitIndex.build(Dictionary([b"abcd", b"bcde"]), k)
+        key, blob = next(iter(index.table.items()))
+        index.table.put(key, blob + b"\x00")
+        self._refused(serialize_index(index))
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_entry_overruns_its_group(self, coded):
+        # a counter with nothing after it at the very end of a list: the
+        # file loads, and the walk and the reconstruction refuse it
+        d = random_word_dictionary(50, seed=26)
+        config = SplitIndexConfig(
+            substitution=select_qgrams(d, budget=8, lengths=(2,)) if coded else None)
+        index = SplitIndex.build(d, 1, config)
+        word = d.words[0]
+        key = split_word(word, 1)[1]
+        index.table.put(key, index.table.get(key) + b"\x01")
+        clone = deserialize_index(serialize_index(index))
+        with pytest.raises(MalformedInputError):
+            clone.query(word)
+        with pytest.raises(MalformedInputError):
+            clone.reconstruct_words()
+
+
+@cache
+def _small_split_file(k: int, coded: bool):
+    d = random_word_dictionary(40, seed=30 + k)
+    config = SplitIndexConfig(
+        substitution=select_qgrams(d, budget=8, lengths=(2,)) if coded else None)
+    rng = random.Random(k)
+    queries = []
+    for w in d.words[:20]:
+        q = bytearray(w)
+        q[rng.randrange(len(q))] = rng.choice(b"abcdefghijklmnopqrstuvwxyz")
+        queries.append(bytes(q))
+    return serialize_index(SplitIndex.build(d, k, config)), queries
+
+
+@given(k=st.integers(1, 3), coded=st.booleans(), where=st.integers(min_value=0),
+       flip=st.integers(1, 255))
+@settings(max_examples=400, deadline=None)
+def test_flipped_split_byte_is_refused_or_harmless(k, coded, where, flip):
+    data, queries = _small_split_file(k, coded)
+    corrupted = bytearray(data)
+    corrupted[9 + where % (len(data) - 9)] ^= flip
+    try:
+        index = deserialize_index(_resign(corrupted))
+        index.reconstruct_words()
+        for q in queries:
+            index.query(q)
+    except MalformedInputError:
+        pass

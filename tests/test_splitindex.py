@@ -66,17 +66,28 @@ class TestSplitWord:
 
 class TestBuild:
     def test_worked_example_lists(self):
-        idx = SplitIndex.build(Dictionary([b"table", b"left", b"tablet"]), 1)
+        d = Dictionary([b"table", b"left", b"tablet"])
+        idx = SplitIndex.build(d, 1)
         # key "le": the leading-piece group holds "ft" (from left), the
-        # trailing-piece group holds "tab" (from table); boundary points at
-        # the first trailing entry, counted from 1.
-        blob = idx.table.get(b"le")
-        assert int.from_bytes(blob[:2], "little") == 2
-        assert blob[2:] == b"\x02ft\x03tab\x00"
-        # key "tab": only leading-piece entries, boundary 0
-        blob = idx.table.get(b"tab")
-        assert int.from_bytes(blob[:2], "little") == 0
-        assert blob[2:] == b"\x02le\x03let\x00"
+        # trailing-piece group holds "tab" (from table), one 0 between them.
+        assert idx.table.get(b"le") == b"\x02ft\x00\x03tab"
+        # key "tab": only leading-piece entries, then an empty trailing group
+        assert idx.table.get(b"tab") == b"\x02le\x03let\x00"
+        # k = 2: "e" is piece 1 of left (l|e|ft) and piece 2 of table
+        # (ta|bl|e); its group 0 is empty.
+        idx = SplitIndex.build(d, 2)
+        assert idx.table.get(b"e") == b"\x00\x03lft\x00\x04tabl"
+
+    def test_role_group_beyond_16_bits(self):
+        # 65,537 words share the leading piece "abcd"; one more has it as
+        # its trailing piece, so that entry follows 65,537 others.
+        letters = b"efghijklmnopqrstuvwxyz"
+        trails = (bytes([a, b, c, e]) for a in letters for b in letters
+                  for c in letters for e in letters)
+        words = [b"abcd" + next(trails) for _ in range(65537)] + [b"ABCDabcd"]
+        idx = SplitIndex.build(Dictionary(words), 1)
+        assert idx.query(b"ABCXabcd") == {b"ABCDabcd"}
+        assert idx.query(b"abcdeeeX") == {b"abcdeee" + bytes([c]) for c in letters}
 
     def test_empty_dictionary(self):
         idx = SplitIndex.build(Dictionary([]), 1)
@@ -154,33 +165,30 @@ class TestQuery:
                 continue
             assert idx.query(q) == naive_search(d.words, q, k)
 
-    def test_traversal_economy_k1(self):
-        # with the boundary, a lookup inspects at most its role group
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_traversal_economy(self, k):
+        # a lookup inspects exactly the role group of its piece
         rng = random.Random(7)
-        words = {bytes(rng.choice(b"abc") for _ in range(rng.randint(2, 8)))
+        words = {bytes(rng.choice(b"abc") for _ in range(rng.randint(k + 1, 9)))
                  for _ in range(300)}
-        d = Dictionary(sorted(words))
-        idx = SplitIndex.build(d, 1)
-        group_totals = {}
+        idx = SplitIndex.build(Dictionary(sorted(words)), k)
+        group_sizes = {}
         for key, blob in idx.table.items():
-            boundary = int.from_bytes(blob[:2], "little")
-            entries = 0
-            at = 2
-            while blob[at]:
-                entries += 1
-                at += 1 + blob[at]
-            lead = entries if boundary == 0 else boundary - 1
-            group_totals[key] = (lead, entries - lead)
+            sizes = []
+            for group in blob.split(b"\0"):
+                entries = at = 0
+                while at < len(group):
+                    entries += 1
+                    at += 1 + group[at]
+                sizes.append(entries)
+            group_sizes[key] = sizes
         for _ in range(200):
-            q = bytes(rng.choice(b"abc") for _ in range(rng.randint(2, 8)))
+            q = bytes(rng.choice(b"abc") for _ in range(rng.randint(k + 1, 9)))
             _, stats = idx.query_verbose(q)
-            pieces = split_word(q, 1)
-            expected_groups = []
-            for role, piece in enumerate(pieces):
-                if idx.table.get(piece) is not None:
-                    expected_groups.append(group_totals[piece][role])
-            assert stats.group_sizes == expected_groups
-            assert stats.entries_inspected == sum(expected_groups)
+            expected = sum(group_sizes[piece][role]
+                           for role, piece in enumerate(split_word(q, k))
+                           if piece in group_sizes)
+            assert stats.entries_inspected == expected
 
 
 class TestSubstitutionCoding:
