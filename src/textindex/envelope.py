@@ -30,6 +30,7 @@ MAGIC_LINEAR = b"FMLX"
 FORMAT_VERSION = 2
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
+_U32 = struct.Struct("<I")
 
 
 class _Writer:
@@ -159,14 +160,29 @@ def _load_split(payload: bytes) -> SplitIndex:
     if not max_lf > 0 or bucket_count < 1:
         raise MalformedInputError("bad load factor or bucket count")
     table = ChainedHashMap(hash_name, max_lf, initial_buckets=bucket_count)
+    # Each list is a 1-byte key length, the key, a u32 list length and the
+    # list.  They are read here rather than through `_Reader`, whose calls
+    # per field cost more than the data for tens of thousands of lists.
+    data, at, end = r.data, r.at, len(r.data)
     for _ in range(entry_count):
-        key = r.short_blob()
-        blob = r.blob()
+        if at >= end:
+            raise MalformedInputError("truncated index payload")
+        key_end = at + 1 + data[at]
+        if key_end + 4 > end:
+            raise MalformedInputError("truncated index payload")
+        list_start = key_end + 4
+        list_end = list_start + _U32.unpack_from(data, key_end)[0]
+        if list_end > end:
+            raise MalformedInputError("truncated index payload")
+        key = data[at + 1:key_end]
+        blob = data[list_start:list_end]
+        at = list_end
         # One zero byte between consecutive role groups, and no other: the
         # list walk relies on it to find its group without parsing entries.
         if not key or blob.count(0) != k:
             raise MalformedInputError("malformed split list")
         table.put(key, blob)
+    r.at = at
     if len(table) != entry_count:
         raise MalformedInputError("repeated key in split index")
     if not r.done():
@@ -186,7 +202,11 @@ def _fm_substrate_payload(w: _Writer, fm: FmIndex) -> None:
 
 
 def _read_fm_substrate(r: _Reader) -> FmIndex:
-    corpus = Corpus(r.blob())
+    data = r.blob()
+    try:
+        corpus = Corpus(data)
+    except ValueError as exc:  # no terminator at the end, or one before it
+        raise MalformedInputError(f"bad corpus: {exc}") from None
     sa = np.frombuffer(r.blob(), dtype="<u4").astype(np.int64)
     if len(sa) != corpus.n:
         raise MalformedInputError("suffix array length does not match corpus")

@@ -24,6 +24,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 
+import numpy as np
+
 from .errors import UnsupportedPatternError
 from .hashes import DEFAULT_HASH
 from .hashmap import ChainedHashMap
@@ -216,28 +218,24 @@ class LinearIndex:
             raise ValueError("prebuilt substrate belongs to a different corpus")
         directory = GramDirectory(corpus.data, hash_name, max_load_factor)
         mset = minimizers(text, alpha, q)
-        if len(mset.entries) > 1:
-            decomposition = phrases(text, mset)
-            seen: set[bytes] = set()
-            for start, end in decomposition.ranges:
-                content = text[start:end + 1]
-                if content in seen:
-                    continue
-                seen.add(content)
-                cls._fill_entry(fm, directory, start, end - start + 1)
+        if len(mset.starts) > 1:
+            starts = phrases(text, mset).starts.tolist()
+            contents = [text[a:b] for a, b in zip(starts, starts[1:])]
+            # Built backwards, each phrase keeps the offset of its first
+            # occurrence; sorting by that offset restores first-seen order,
+            # which is the order entries are written in.
+            firsts = dict(zip(reversed(contents), reversed(starts[:-1])))
+            sa = fm.sa
+            inv = fm.inverse_sa
+            for content, offset in sorted(firsts.items(), key=lambda item: item[1]):
+                # The rows of every occurrence, found through the
+                # suffix-array range of the phrase.
+                lo, hi = _sa_range(fm, content)
+                entry = directory.entry_for(offset, len(content))
+                entry.first = lo
+                entry.rows.frombytes(
+                    inv[sa[lo:hi + 1] + len(content)].astype(np.uint32).tobytes())
         return cls(fm, alpha, q, directory)
-
-    @staticmethod
-    def _fill_entry(fm: FmIndex, directory: GramDirectory, offset: int, length: int) -> None:
-        """Create the directory entry for one phrase with the rows of every
-        occurrence of its content, found through the suffix-array range."""
-        lo, hi = _sa_range(fm, fm.corpus.data[offset:offset + length])
-        entry = directory.entry_for(offset, length)
-        entry.first = lo
-        inv = fm.inverse_sa
-        sa = fm.sa
-        for row in range(lo, hi + 1):
-            entry.rows.append(int(inv[int(sa[row]) + length]))
 
     def count(self, pattern: bytes) -> int:
         _validate_pattern(pattern)

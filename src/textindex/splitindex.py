@@ -124,7 +124,11 @@ def encode_word(word: bytes, pairs) -> bytes:
 
 def decode_word(coded: bytes, pairs) -> bytes:
     """Inverse of `encode_word`; raises on code bytes absent from `pairs`."""
-    grams = {code: gram for gram, code in pairs}
+    return _decode(coded, {code: gram for gram, code in pairs})
+
+
+def _decode(coded: bytes, grams: dict[int, bytes]) -> bytes:
+    """`coded` with each code byte replaced by its gram from `grams`."""
     out = bytearray()
     for b in coded:
         gram = grams.get(b)
@@ -160,6 +164,7 @@ class SubstitutionTable:
         # Encode order: longer grams first, then table order.
         self.pairs: tuple[tuple[bytes, int], ...] = tuple(
             sorted(pairs, key=lambda item: -len(item[0])))
+        self._grams = {code: gram for gram, code in self.pairs}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -168,7 +173,7 @@ class SubstitutionTable:
         return encode_word(word, self.pairs)
 
     def decode(self, coded: bytes) -> bytes:
-        return decode_word(coded, self.pairs)
+        return _decode(coded, self._grams)
 
 
 def _candidate_table(counts: Counter, budget: int) -> list[tuple[bytes, int]]:

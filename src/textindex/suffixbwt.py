@@ -13,40 +13,41 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MalformedInputError
-from .textcore import TERMINATOR, Corpus
+from .textcore import TERMINATOR, Corpus, dense_ranks, packed_words
 
-_NAIVE_LIMIT = 1024
+# Suffix-array rows and positions are stored as u32, and a doubling round's
+# sort key rank * (n + 1) + second + 1 must stay below 2**63.
+SA_LIMIT = 1 << 31
 
 
 def build_suffix_array(corpus: Corpus) -> np.ndarray:
     """Indexes of the corpus suffixes in lexicographic order.
 
-    Small inputs are sorted directly on suffix slices; larger ones go through
-    rank doubling, where suffixes are compared by (rank of first half, rank
-    of second half) pairs whose span doubles each round.  The terminator is
-    the unique smallest symbol, so no suffix is a prefix of another and the
-    order is strict.
+    Vectorised prefix doubling, one path for every n.  Suffixes are first
+    ranked by their next 8 symbols, packed big-endian into one integer
+    (`packed_words`).  Each round then sorts one int64 key,
+    rank * (n + 1) + (rank of the suffix `span` further on) + 1, with 0 for
+    a suffix that runs out, and re-ranks by it (`dense_ranks`): the ranks
+    then order the first 2 * span symbols.  The terminator is the unique
+    smallest symbol, so no suffix is a prefix of another, the final ranks
+    are distinct and the order is unique.  Raises `ValueError` for
+    n >= SA_LIMIT.
     """
-    data = corpus.data
-    n = len(data)
-    if n <= _NAIVE_LIMIT:
-        order = sorted(range(n), key=lambda i: data[i:])
-        return np.asarray(order, dtype=np.int64)
-    rank = np.frombuffer(data, dtype=np.uint8).astype(np.int64)
-    span = 1
+    n = corpus.n
+    if n >= SA_LIMIT:
+        raise ValueError(
+            f"corpus of {n} symbols exceeds the suffix-array limit of "
+            f"{SA_LIMIT - 1} symbols")
+    keys = packed_words(corpus.data)
+    span = 8
     while True:
-        second = np.full(n, -1, dtype=np.int64)
-        second[:n - span] = rank[span:]
-        order = np.lexsort((second, rank))
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        prev, curr = order[:-1], order[1:]
-        changed[1:] = (rank[curr] != rank[prev]) | (second[curr] != second[prev])
-        fresh = np.empty(n, dtype=np.int64)
-        fresh[order] = np.cumsum(changed)
-        rank = fresh
+        order, rank = dense_ranks(keys)
         if rank[order[-1]] == n - 1:
-            return order.astype(np.int64)
+            return order.astype(np.int64, copy=False)
+        # Ranks still tie, so some prefixes of `span` symbols are equal and
+        # span < n.
+        keys = rank * (n + 1)
+        keys[:n - span] += rank[span:] + 1
         span *= 2
 
 

@@ -9,8 +9,10 @@ the suffix-sorting machinery relies on.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 TERMINATOR = 0
 
@@ -96,27 +98,96 @@ def extract_qgrams(text: bytes, q: int) -> list[QGramRef]:
     return [QGramRef(i, q) for i in range(len(text) - q + 1)]
 
 
-@dataclass(frozen=True)
+def packed_words(data: bytes) -> np.ndarray:
+    """For each position i, data[i:i+8] as a big-endian uint64, zero-padded
+    past the end.  Comparing two words compares the 8-byte strings."""
+    # An unaligned view with a stride of one byte reads the eight bytes at
+    # every position; `astype` copies them out in native order.
+    return np.ndarray((len(data),), dtype=">u8", buffer=bytes(data) + bytes(7),
+                      strides=(1,)).astype(np.uint64)
+
+
+def _runs(values: np.ndarray, width: int) -> np.ndarray:
+    """Read-only view with one row per run of `width` consecutive values.
+
+    Built with the bare constructor: `sliding_window_view` costs several
+    times more per call, which short query patterns would pay."""
+    values = np.ascontiguousarray(values)
+    step = values.itemsize
+    return np.ndarray((len(values) - width + 1, width), dtype=values.dtype,
+                      buffer=values, strides=(step, step))
+
+
+def dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts `keys`, and for each key the number of distinct
+    keys smaller than it.  Equal keys get equal ranks, so the sort need not
+    be stable."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    changed = np.empty(len(keys), dtype=bool)
+    changed[:1] = False
+    np.not_equal(ordered[1:], ordered[:-1], out=changed[1:])
+    ranks = np.empty(len(keys), dtype=np.int64)
+    ranks[order] = np.cumsum(changed)
+    return order, ranks
+
+
+def _gram_keys(text: bytes, q: int) -> np.ndarray:
+    """One integer per q-gram start, ordered as the q-grams compare.
+
+    Up to 8 symbols the key is the gram's packed word with the symbols
+    after the gram masked off.  Longer grams are ranked by doubling, as in
+    suffix sorting: 8-symbol words are ranked, pairs of ranks `span` apart
+    give the ranks of 2 * span symbols, and once two spans cover q symbols
+    a gram compares as its pair (rank at i, rank at i + q - span).  Time is
+    O(n log q) and memory O(n) for any q.
+    """
+    n = len(text)
+    count = n - q + 1
+    words = packed_words(text)
+    if q <= 8:
+        shift = np.uint64(8 * (8 - q))
+        return words[:count] >> shift << shift
+    # Ranks at positions whose span runs past the text are padded; no
+    # gram that fits the text reads them.
+    ranks = dense_ranks(words)[1]
+    span = 8
+    while 2 * span < q:
+        ranks = dense_ranks(ranks[:-span] * (n + 1) + ranks[span:])[1]
+        span *= 2
+    return ranks[:count] * (n + 1) + ranks[q - span:q - span + count]
+
+
+@dataclass(frozen=True, eq=False)
 class MinimizerSet:
     """Selected (alpha, q)-minimizers of a text.
 
-    `entries` holds (position, gram) pairs, strictly increasing by position,
-    one entry per distinct winning position.  `n` is the length of the text
-    the set was computed over.
+    `starts` holds the winning gram positions, strictly increasing.
+    `positions`, `grams` and `entries` ((position, gram) pairs) are derived
+    from it on request.
     """
 
     alpha: int
     q: int
-    n: int
-    entries: tuple[tuple[int, bytes], ...]
+    text: bytes
+    starts: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.text)
 
     @property
     def positions(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
+        return tuple(self.starts.tolist())
 
     @property
     def grams(self) -> tuple[bytes, ...]:
-        return tuple(g for _, g in self.entries)
+        q, text = self.q, self.text
+        return tuple(text[p:p + q] for p in self.starts.tolist())
+
+    @property
+    def entries(self) -> tuple[tuple[int, bytes], ...]:
+        return tuple(zip(self.positions, self.grams))
 
 
 def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
@@ -126,6 +197,11 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     the text one symbol at a time; each window contributes its
     lexicographically smallest q-gram, the leftmost one on ties.  Winning
     positions are recorded once each.
+
+    Vectorised: grams are compared as integer keys (`_gram_keys`), every
+    window's winner is an `argmin` over a sliding view (which returns the
+    first, so leftmost, minimum), and repeated winners of neighbouring
+    windows are dropped.  The build and every query use this one path.
     """
     n = len(text)
     if alpha < 1 or q < 1:
@@ -133,36 +209,34 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     if n < q + alpha - 1:
         raise ValueError(
             f"text of length {n} is shorter than one window ({q + alpha - 1})")
-    last_gram = n - q
-    picks: list[int] = []
-    # Monotone queue of gram start positions; strict pops keep the leftmost
-    # of equal grams at the front.
-    window: deque[int] = deque()
-    for pos in range(last_gram + 1):
-        gram = text[pos:pos + q]
-        while window and text[window[-1]:window[-1] + q] > gram:
-            window.pop()
-        window.append(pos)
-        first_in_window = pos - alpha + 1
-        if first_in_window >= 0:
-            while window[0] < first_in_window:
-                window.popleft()
-            if not picks or picks[-1] != window[0]:
-                picks.append(window[0])
-    entries = tuple((p, text[p:p + q]) for p in picks)
-    return MinimizerSet(alpha=alpha, q=q, n=n, entries=entries)
+    keys = _gram_keys(text, q)
+    windows = _runs(keys, alpha)
+    winners = windows.argmin(axis=1) + np.arange(len(windows))
+    # Winners never move left, so repeats are adjacent.
+    fresh = np.empty(len(winners), dtype=bool)
+    fresh[0] = True
+    np.not_equal(winners[1:], winners[:-1], out=fresh[1:])
+    return MinimizerSet(alpha=alpha, q=q, text=text, starts=winners[fresh])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhraseDecomposition:
     """Phrases of a text: the substrings between consecutive minimizers.
 
-    Phrase i covers positions [positions[i], positions[i+1] - 1], inclusive,
-    so there is one phrase fewer than there are minimizer positions.
+    Phrase i covers positions [starts[i], starts[i+1] - 1], inclusive, so
+    there is one phrase fewer than there are minimizer positions.
     """
 
-    positions: tuple[int, ...]
-    ranges: tuple[tuple[int, int], ...]
+    starts: np.ndarray
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        return tuple(self.starts.tolist())
+
+    @property
+    def ranges(self) -> tuple[tuple[int, int], ...]:
+        pos = self.starts.tolist()
+        return tuple(zip(pos[:-1], (p - 1 for p in pos[1:])))
 
     def extract(self, text: bytes) -> list[bytes]:
         return [text[a:b + 1] for a, b in self.ranges]
@@ -172,11 +246,9 @@ def phrases(text: bytes, minimizer_set: MinimizerSet) -> PhraseDecomposition:
     """Decompose `text` into phrases between consecutive minimizer positions."""
     if minimizer_set.n != len(text):
         raise ValueError("minimizer set was computed over a different text")
-    if not minimizer_set.entries:
+    if not len(minimizer_set.starts):
         raise ValueError("minimizer set is empty")
-    pos = minimizer_set.positions
-    ranges = tuple((pos[i], pos[i + 1] - 1) for i in range(len(pos) - 1))
-    return PhraseDecomposition(positions=pos, ranges=ranges)
+    return PhraseDecomposition(starts=minimizer_set.starts)
 
 
 @dataclass(frozen=True)

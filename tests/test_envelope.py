@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import zlib
@@ -164,6 +165,15 @@ class TestDirectoryStructure:
         with pytest.raises(MalformedInputError):
             deserialize_index(_resign(data))
 
+    def test_terminator_inside_corpus(self):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        # envelope, q_max, corpus blob length, then corpus byte 2
+        at = 9 + 4 + 4 + 2
+        data = bytearray(serialize_index(index))
+        data[at] = 0
+        with pytest.raises(MalformedInputError):
+            deserialize_index(_resign(data))
+
     def test_repeated_gram(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
         first = self._entry_at(index)
@@ -185,6 +195,20 @@ class TestSplitStructure:
         data = bytearray(serialize_index(index))
         data[bytes(data).index(index.config.hash_name.encode())] = 0xFF
         self._refused(_resign(data))
+
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_truncated_lists(self, compress):
+        d = random_word_dictionary(20, seed=26)
+        config = SplitIndexConfig(
+            substitution=select_qgrams(d, budget=10) if compress else None)
+        data = serialize_index(SplitIndex.build(d, 2, config))
+        lists_from = len(data) - sum(
+            1 + len(key) + 4 + len(blob)
+            for key, blob in deserialize_index(data).table.items())
+        # a cut inside any key length, key, list length or list
+        for end in range(lists_from, len(data)):
+            with pytest.raises(MalformedInputError, match="truncated"):
+                deserialize_index(_resign(bytearray(data[:end])))
 
     def test_k_zero(self):
         data = bytearray(serialize_index(SplitIndex.build(Dictionary([]), 1)))
@@ -257,3 +281,12 @@ def test_flipped_split_byte_is_refused_or_harmless(k, coded, where, flip):
             index.query(q)
     except MalformedInputError:
         pass
+
+
+def test_linear_file_digest():
+    # Golden digest of a linear index file: the vectorised build must write
+    # the same bytes as the per-element build it replaced.
+    corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
+    data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
+    assert hashlib.sha256(data).hexdigest() == (
+        "c7f93c01b3caff1d0a93868599a502aaac226929977c4b0762bc887bc835e4ea")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from textindex import suffixbwt
 from textindex.errors import MalformedInputError
 from textindex.textcore import Corpus, printable
 from textindex.suffixbwt import (FmIndex, RankIndex, build_count_table,
@@ -47,11 +48,33 @@ class TestSuffixArray:
                 assert c.data[sa[i]:] < c.data[sa[i + 1]:]
 
     def test_doubling_path_matches_naive(self):
-        # force the doubling branch with a corpus beyond the naive cutoff
+        # a long binary text needs several doubling rounds
         rng = random.Random(6)
         raw = bytes(rng.choice(b"ab") for _ in range(2000))
         c = Corpus.from_bytes(raw)
         assert list(build_suffix_array(c)) == naive_suffix_array(c)
+
+    @pytest.mark.parametrize("alphabet", [b"a", b"ab", b"acgt", bytes(range(1, 256)),
+                                          bytes(range(128, 256))])
+    def test_random_texts_match_naive(self, alphabet):
+        # n from 1 to 3,000: one symbol repeated, small alphabets with long
+        # shared prefixes, and bytes 128-255, whose packed words set the
+        # top bit
+        rng = random.Random(len(alphabet))
+        for n in [1, 2, 7, 8, 9, 15, 16, 17, 100, 1000, 3000] + [
+                rng.randint(1, 3000) for _ in range(4)]:
+            raw = bytes(rng.choice(alphabet) for _ in range(n - 1))
+            c = Corpus.from_bytes(raw)
+            assert list(build_suffix_array(c)) == naive_suffix_array(c)
+
+    def test_size_limit(self, monkeypatch):
+        # SA entries are stored as u32 and the doubling key must fit int64;
+        # the limit is lowered so no 2 GiB corpus is needed
+        monkeypatch.setattr(suffixbwt, "SA_LIMIT", 10)
+        assert list(build_suffix_array(Corpus.from_bytes(b"abracada"))) == \
+            naive_suffix_array(Corpus.from_bytes(b"abracada"))
+        with pytest.raises(ValueError, match="limit of 9 symbols"):
+            build_suffix_array(Corpus.from_bytes(b"abracadab"))
 
 
 class TestBwt:

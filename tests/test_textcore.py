@@ -62,6 +62,9 @@ def brute_force_minimizers(text, alpha, q):
     return picks
 
 
+SYMBOLS = st.one_of(st.integers(1, 4), st.integers(1, 255))
+
+
 class TestMinimizers:
     def test_texting_3_2(self):
         mset = minimizers(b"texting", 3, 2)
@@ -79,9 +82,16 @@ class TestMinimizers:
         with pytest.raises(ValueError):
             minimizers(b"abc", 3, 2)
 
-    @given(st.lists(st.integers(1, 4), min_size=1, max_size=40).map(bytes),
-           st.integers(1, 5), st.integers(1, 4))
-    @settings(max_examples=300)
+    # Symbols 1-4, so equal grams are common, mixed with any byte 1-255; a
+    # repeated unit makes long grams tie, or differ in a single symbol.  q
+    # above 8 ranks the grams by doubling.
+    @given(st.one_of(
+               st.lists(SYMBOLS, min_size=1, max_size=60).map(bytes),
+               st.builds(lambda unit, reps, tail: bytes(unit) * reps + bytes(tail),
+                         st.lists(SYMBOLS, min_size=1, max_size=10),
+                         st.integers(2, 12), st.lists(SYMBOLS, max_size=10))),
+           st.integers(1, 5), st.integers(1, 20))
+    @settings(max_examples=500)
     def test_window_law(self, text, alpha, q):
         if len(text) < q + alpha - 1:
             return
@@ -93,6 +103,20 @@ class TestMinimizers:
             assert inside, f"window {w} has no minimizer"
             winner = min(range(w, w + alpha), key=lambda p: (text[p:p + q], p))
             assert winner in inside
+
+    def test_long_grams_on_repeats(self):
+        # Grams over 8 symbols that tie, or differ only in their last or
+        # ninth symbol, within one window: repeated units with one changed
+        # symbol.
+        rng = random.Random(77)
+        for _ in range(400):
+            unit = bytes(rng.randint(1, 3) for _ in range(rng.randint(1, 9)))
+            text = bytearray(unit * (40 // len(unit) + 1))
+            text[rng.randrange(len(text))] = rng.randint(1, 3)
+            text = bytes(text)
+            alpha, q = rng.randint(1, 5), rng.randint(9, 20)
+            assert list(minimizers(text, alpha, q).positions) == \
+                brute_force_minimizers(text, alpha, q)
 
     def test_shared_minimizer_guarantee(self):
         # two strings sharing a window-length substring share a minimizer gram
