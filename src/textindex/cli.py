@@ -185,7 +185,7 @@ def _cmd_verify(args, parser) -> int:
             if index.query(pattern) != oracle.search(pattern, index.k):
                 discrepancies += 1
     else:
-        corpus = index.fm.corpus
+        corpus = index.corpus
         if args.queries:
             patterns = load_queries(args.queries)
         else:

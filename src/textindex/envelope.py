@@ -1,18 +1,17 @@
 """Binary index files: a tagged envelope around a structure-specific payload.
 
 Layout: 4-byte magic (per structure kind), 1-byte format version, 4-byte
-CRC32 of the payload, payload.  All integers are little-endian fixed width
-and byte sequences are length-prefixed, so a file is bit-identical across
-runs given the same build inputs.  Unknown magic, unknown version and
-checksum mismatches are rejected before any payload parsing.
+CRC32 of the payload, payload.  All integers are little-endian fixed width,
+byte sequences are length-prefixed and the u32 arrays of a gram directory
+follow their counts, so a file is bit-identical across runs given the same
+build inputs.  Unknown magic, unknown version and checksum mismatches are
+rejected before any payload parsing.
 """
 
 from __future__ import annotations
 
 import struct
-import sys
 import zlib
-from array import array
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 _U32 = struct.Struct("<I")
@@ -41,6 +40,7 @@ class _Writer:
     def u16(self, v): self.parts.append(struct.pack("<H", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
     def f64(self, v): self.parts.append(struct.pack("<d", v))
+    def u32s(self, v): self.parts.append(np.asarray(v, dtype="<u4").tobytes())
 
     def blob(self, data: bytes):
         self.u32(len(data))
@@ -72,7 +72,13 @@ class _Reader:
     def f64(self): return struct.unpack("<d", self._take(8))[0]
     def blob(self): return self._take(self.u32())
     def short_blob(self): return self._take(self.u8())
-    def raw(self, size: int): return self._take(size)
+
+    def u32s(self, count):
+        """`count` u32s, as a view into the payload rather than a copy."""
+        if self.at + 4 * count > len(self.data):
+            raise MalformedInputError("truncated index payload")
+        self.at += 4 * count
+        return np.frombuffer(self.data, dtype="<u4", count=count, offset=self.at - 4 * count)
 
     def done(self) -> bool:
         return self.at == len(self.data)
@@ -196,66 +202,81 @@ def _load_split(payload: bytes) -> SplitIndex:
 # gram-augmented FM indexes
 # ---------------------------------------------------------------------------
 
-def _fm_substrate_payload(w: _Writer, fm: FmIndex) -> None:
-    w.blob(fm.corpus.data)
-    w.blob(np.asarray(fm.sa, dtype="<u4").tobytes())
+def _read_corpus(r: _Reader) -> Corpus:
+    try:
+        return Corpus(r.blob())
+    except ValueError as exc:  # no terminator at the end, or one before it
+        raise MalformedInputError(f"bad corpus: {exc}") from None
 
 
 def _read_fm_substrate(r: _Reader) -> FmIndex:
-    data = r.blob()
-    try:
-        corpus = Corpus(data)
-    except ValueError as exc:  # no terminator at the end, or one before it
-        raise MalformedInputError(f"bad corpus: {exc}") from None
-    sa = np.frombuffer(r.blob(), dtype="<u4").astype(np.int64)
-    if len(sa) != corpus.n:
+    corpus = _read_corpus(r)
+    n = corpus.n
+    if r.u32() != 4 * n:
         raise MalformedInputError("suffix array length does not match corpus")
+    sa = r.u32s(n).astype(np.int64)
     l = bwt_forward(corpus, sa)
-    return FmIndex(corpus, sa, l, build_count_table(corpus), RankIndex(l))
-
-
-# Per directory entry: key offset, key length, first row, row count.
-_ENTRY_HEADER = struct.Struct("<4I")
+    table = build_count_table(corpus)
+    # With the corpus's symbol counts in the BWT, ranks never pass the count
+    # table's ranges, so every backward step stays inside the n rows.
+    bwt = np.frombuffer(l, dtype=np.uint8)
+    bounds = [*table.values(), n]
+    if any(np.count_nonzero(bwt == symbol) != end - start
+           for symbol, start, end in zip(table, bounds, bounds[1:])):
+        raise MalformedInputError("suffix array does not order the corpus")
+    return FmIndex(corpus, sa, l, table, RankIndex(l))
 
 
 def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
     w.f64(directory.max_load_factor)
     w.short_blob(directory.hash_name.encode())
     w.u32(directory.bucket_count)
-    w.u32(len(directory))
-    swap = sys.byteorder == "big"
-    for key, entry in directory.items():
-        rows = entry.rows
-        if swap:
-            rows = array("I", rows)
-            rows.byteswap()
-        w.parts.append(_ENTRY_HEADER.pack(entry.offset, len(key), entry.first, len(rows)))
-        w.parts.append(rows.tobytes())
+    w.u32(len(directory.offsets))
+    w.u32(len(directory.rows))
+    for column in (directory.offsets, directory.lengths, directory.firsts,
+                   directory.starts, directory.rows):
+        w.u32s(column)
+
+
+def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
+    """Refuse a directory whose grams or rows fall outside the n rows and
+    the text, or whose row runs are not strictly increasing."""
+    starts = starts.astype(np.int64)
+    counts = np.diff(starts)
+    if starts[0] != 0 or starts[-1] != len(rows) or (counts < 0).any():
+        raise MalformedInputError("gram row starts do not frame the rows")
+    # A gram lies inside the text (the terminator is never part of one)
+    # and its row range inside the n rows.
+    ends = offsets.astype(np.int64) + lengths
+    if ((lengths == 0) | (ends > n - 1) | (firsts.astype(np.int64) + counts > n)).any():
+        raise MalformedInputError("gram directory entry out of range")
+    if len(rows) and rows.max() >= n:
+        raise MalformedInputError("gram row out of range")
+    # Rows must rise inside each gram, not from one gram to the next.
+    falls = rows[1:] <= rows[:-1]
+    inner = starts[1:-1]
+    falls[inner[(inner > 0) & (inner < len(rows))] - 1] = False
+    if falls.any():
+        raise MalformedInputError("gram rows not strictly increasing")
 
 
 def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
     max_lf = r.f64()
     hash_name = _read_hash_name(r)
     bucket_count = r.u32()
-    entry_count = r.u32()
+    grams = r.u32()
+    row_count = r.u32()
     if not max_lf > 0 or bucket_count < 1:
         raise MalformedInputError("bad load factor or bucket count")
-    directory = GramDirectory(buffer, hash_name, max_lf, initial_buckets=bucket_count)
-    n = len(buffer)
-    for _ in range(entry_count):
-        offset, length, first, count = _ENTRY_HEADER.unpack(r.raw(_ENTRY_HEADER.size))
-        # A gram lies inside the text (the terminator is never part of one)
-        # and its row range inside the n rows.
-        if length == 0 or offset + length > n - 1 or first + count > n:
-            raise MalformedInputError("gram directory entry out of range")
-        rows = array("I")
-        rows.frombytes(r.raw(4 * count))
-        if sys.byteorder == "big":
-            rows.byteswap()
-        entry = directory.entry_for(offset, length)
-        entry.first = first
-        entry.rows = rows
-    if len(directory) != entry_count:
+    offsets, lengths, firsts = (r.u32s(grams) for _ in range(3))
+    starts = r.u32s(grams + 1)
+    # An aligned copy: vectorised checks and the directory's memoryview
+    # need one, and the payload may place the rows at any offset.
+    rows = r.u32s(row_count).astype(np.uint32)
+    _check_directory(len(buffer), offsets, lengths, firsts, starts, rows)
+    directory = GramDirectory(buffer, offsets, lengths, firsts, starts, rows,
+                              hash_name, max_lf, initial_buckets=bucket_count)
+    if len(directory) != grams:
         raise MalformedInputError("repeated gram in directory")
     return directory
 
@@ -263,7 +284,7 @@ def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
 def _superlinear_payload(index: SuperlinearIndex) -> bytes:
     w = _Writer()
     w.u32(index.q_max)
-    _fm_substrate_payload(w, index.fm)
+    w.blob(index.corpus.data)
     _directory_payload(w, index.directory)
     return w.getvalue()
 
@@ -271,18 +292,20 @@ def _superlinear_payload(index: SuperlinearIndex) -> bytes:
 def _load_superlinear(payload: bytes) -> SuperlinearIndex:
     r = _Reader(payload)
     q_max = r.u32()
-    fm = _read_fm_substrate(r)
-    directory = _read_directory(r, fm.corpus.data)
+    corpus = _read_corpus(r)
+    directory = _read_directory(r, corpus.data)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    return SuperlinearIndex(fm, q_max, directory)
+    return SuperlinearIndex(corpus, q_max, directory)
 
 
 def _linear_payload(index: LinearIndex) -> bytes:
     w = _Writer()
     w.u32(index.alpha)
     w.u32(index.q)
-    _fm_substrate_payload(w, index.fm)
+    w.blob(index.corpus.data)
+    w.u32(4 * index.corpus.n)
+    w.u32s(index.fm.sa)
     _directory_payload(w, index.directory)
     return w.getvalue()
 
@@ -291,6 +314,8 @@ def _load_linear(payload: bytes) -> LinearIndex:
     r = _Reader(payload)
     alpha = r.u32()
     q = r.u32()
+    if alpha < 1 or q < 1:
+        raise MalformedInputError("minimizer alpha and q must be positive")
     fm = _read_fm_substrate(r)
     directory = _read_directory(r, fm.corpus.data)
     if not r.done():

@@ -6,7 +6,7 @@ Two variants trade space for fewer backward-search steps:
   power-of-two length ending just before that position (up to `q_max`).
   A pattern is consumed in greedy power-of-two suffix chunks, so a count
   query takes as many steps as there are ones in the binary representation
-  of the pattern length.
+  of the pattern length.  The index keeps only the corpus and directory.
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
   between consecutive (alpha, q)-minimizer positions.  A query runs plain
@@ -14,79 +14,65 @@ Two variants trade space for fewer backward-search steps:
   in between; minimizers guarantee that a pattern long enough to contain
   one full window chooses the same interior phrases as the text.
 
-Each directory entry keeps the occurrence rows of the gram in sorted-suffix
-order plus the first row of the suffix range starting with the gram, so one
-backward step costs two predecessor queries on the entry's list.
+Both keep a columnar `GramDirectory`: per gram, the first row of the
+suffix range starting with it and its occurrence rows in sorted-suffix
+order, so one backward step costs two predecessor queries on those rows.
 """
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 
 import numpy as np
 
+from . import suffixbwt
 from .errors import UnsupportedPatternError
 from .hashes import DEFAULT_HASH
 from .hashmap import ChainedHashMap
-from .textcore import TERMINATOR, Corpus, minimizers, phrases
+from .textcore import TERMINATOR, Corpus, _gram_keys, dense_ranks, minimizers, phrases
 from .suffixbwt import FmIndex, RankIndex
-
-# Below this length a linear scan beats binary search on the short lists.
-_BINARY_SEARCH_MIN = 16
 
 DEFAULT_Q_MAX = 128
 DEFAULT_DIRECTORY_LOAD_FACTOR = 2.81
 
 
-def list_rank(lst, row: int) -> int:
-    """Number of list entries <= row, for a strictly increasing list."""
-    if len(lst) >= _BINARY_SEARCH_MIN:
-        return bisect_right(lst, row)
-    count = 0
-    for value in lst:
-        if value > row:
-            break
-        count += 1
-    return count
-
-
-class GramEntry:
-    """Directory payload: occurrence rows in suffix order plus range start.
-
-    `offset` locates one occurrence of the gram in the corpus buffer, so
-    files store the key as an (offset, length) reference."""
-
-    __slots__ = ("offset", "first", "rows")
-
-    def __init__(self, offset: int):
-        self.offset = offset
-        self.first = -1
-        self.rows = array("I")
-
-    @property
-    def count(self) -> int:
-        return len(self.rows)
+def list_rank(rows, lo: int, hi: int, row: int) -> int:
+    """Number of entries <= row in rows[lo:hi], a strictly increasing run."""
+    return bisect_right(rows, row, lo, hi) - lo
 
 
 class GramDirectory(ChainedHashMap):
-    """Map from gram content to a GramEntry, over one corpus buffer."""
+    """Map from gram content to (first, lo, hi), built from u32 columns.
 
-    def __init__(self, buffer: bytes, hash_name: str = DEFAULT_HASH,
+    Gram g is buffer[offsets[g]:offsets[g] + lengths[g]], firsts[g] is the
+    first row of the suffix range starting with it, and its rows, in
+    sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
+    """
+
+    def __init__(self, buffer: bytes, offsets, lengths, firsts, starts, rows,
+                 hash_name: str = DEFAULT_HASH,
                  max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
                  initial_buckets: int = 64):
         super().__init__(hash_name, max_load_factor, initial_buckets)
         self.buffer = buffer
+        # Copies, so that no view keeps a loaded file's payload alive.
+        self.offsets, self.lengths, self.firsts, self.starts = (
+            np.array(column, dtype=np.uint32) for column in (offsets, lengths, firsts, starts))
+        # A memoryview yields its items as Python ints, which `bisect`
+        # compares several times faster than numpy scalars.
+        self.rows = memoryview(np.require(rows, np.uint32, "CA"))
+        starts = self.starts.tolist()
+        for offset, length, entry in zip(
+                self.offsets.tolist(), self.lengths.tolist(),
+                zip(self.firsts.tolist(), starts[:-1], starts[1:])):
+            self.entry_for(offset, length, entry)
 
-    def entry_for(self, offset: int, length: int) -> GramEntry:
-        """The entry for the gram at buffer[offset:offset+length], created if new."""
-        content = self.buffer[offset:offset + length]
-        entry = self._entries.get(content)
-        if entry is None:
-            entry = self._entries[content] = GramEntry(offset)
-        return entry
+    def entry_for(self, offset: int, length: int, entry: tuple[int, int, int]) -> None:
+        """Key the gram at buffer[offset:offset+length] to `entry`; a
+        repeated gram keeps its first entry and leaves the map shorter."""
+        self._entries.setdefault(self.buffer[offset:offset + length], entry)
 
-    def get(self, content: bytes) -> GramEntry | None:
+    def get(self, content: bytes) -> tuple[int, int, int] | None:
         # Defined here rather than inherited, so that traced benchmark runs
         # time gram lookups apart from split-table lookups.
         return self._entries.get(content)
@@ -116,8 +102,8 @@ def _validate_pattern(pattern: bytes) -> None:
 class SuperlinearIndex:
     """FM index with occurrence lists for every power-of-two gram length."""
 
-    def __init__(self, fm: FmIndex, q_max: int, directory: GramDirectory):
-        self.fm = fm
+    def __init__(self, corpus: Corpus, q_max: int, directory: GramDirectory):
+        self.corpus = corpus
         self.q_max = q_max
         self.directory = directory
 
@@ -126,48 +112,60 @@ class SuperlinearIndex:
               hash_name: str = DEFAULT_HASH,
               max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
               fm: FmIndex | None = None) -> "SuperlinearIndex":
+        """`fm`, if given, supplies the suffix array."""
         if q_max < 1 or q_max & (q_max - 1):
             raise ValueError("q_max must be a power of two")
         if fm is None:
-            fm = FmIndex.build(corpus)
+            # Called through the module, where traced runs wrap it.
+            sa = suffixbwt.build_suffix_array(corpus)
+            inv = suffixbwt.inverse_permutation(sa)
         elif fm.corpus.data != corpus.data:
             raise ValueError("prebuilt substrate belongs to a different corpus")
-        sa = fm.sa
-        inv = fm.inverse_sa
-        n = corpus.n
+        else:
+            sa, inv = fm.sa, fm.inverse_sa
+        text, n = corpus.text, corpus.n
+        empty = np.empty(0, dtype=np.int64)
+        offsets, lengths, firsts, counts, rows = ([empty] for _ in range(5))
+        # The q-gram at p ends just before suffix p + q and is listed in that
+        # suffix's row.  Grams lie inside the text, so none wraps past its
+        # start or contains the terminator.
+        q = 1
+        while q <= q_max and q <= n - 1:
+            # Gram ids are dense and ordered as the grams compare.
+            gids = dense_ranks(_gram_keys(text, q))[1]
+            order = np.lexsort((inv[q:], gids))
+            gram_counts = np.bincount(gids)
+            gram_firsts = np.minimum.reduceat(inv[:n - q][order],
+                                              np.cumsum(gram_counts) - gram_counts)
+            offsets.append(sa[gram_firsts])
+            lengths.append(np.full(len(gram_counts), q))
+            firsts.append(gram_firsts)
+            counts.append(gram_counts)
+            rows.append(inv[q:][order])
+            q <<= 1
         directory = GramDirectory(
-            corpus.data, hash_name, max_load_factor,
+            corpus.data, np.concatenate(offsets), np.concatenate(lengths),
+            np.concatenate(firsts), np.cumsum(np.concatenate([[0], *counts])),
+            np.concatenate(rows), hash_name, max_load_factor,
             initial_buckets=max(64, 1 << (max(n, 2) - 1).bit_length()))
-        # Walking rows in order appends occurrence rows already sorted.  A
-        # gram of length q ending before suffix position i exists when q <= i;
-        # grams that would wrap past the text start are discarded, and no gram
-        # can contain the terminator because it is the final symbol.
-        for row in range(n):
-            i = int(sa[row])
-            q = 1
-            while q <= q_max and q <= i:
-                entry = directory.entry_for(i - q, q)
-                entry.rows.append(row)
-                start_row = int(inv[i - q])
-                if entry.first < 0 or start_row < entry.first:
-                    entry.first = start_row
-                q <<= 1
-        return cls(fm, q_max, directory)
+        return cls(corpus, q_max, directory)
 
     def _search(self, pattern: bytes) -> tuple[int, int]:
         """Return (count, LF steps)."""
         _validate_pattern(pattern)
         m = len(pattern)
-        if m > self.fm.corpus.n - 1:
+        if m > self.corpus.n - 1:
             return 0, 0
         chunks = _greedy_chunks(m, self.q_max)
         pos = m - chunks[0]
         entry = self.directory.get(pattern[pos:m])
         if entry is None:
             return 0, 1
-        s = entry.first
-        e = entry.first + entry.count - 1
+        first, lo, hi = entry
+        s = first
+        e = first + hi - lo - 1
         steps = 1
+        rows = self.directory.rows
         for size in chunks[1:]:
             gram = pattern[pos - size:pos]
             pos -= size
@@ -175,9 +173,9 @@ class SuperlinearIndex:
             steps += 1
             if entry is None:
                 return 0, steps
-            rows = entry.rows
-            s = entry.first + list_rank(rows, s - 1)
-            e = entry.first + list_rank(rows, e) - 1
+            first, lo, hi = entry
+            s = first + list_rank(rows, lo, hi, s - 1)
+            e = first + list_rank(rows, lo, hi, e) - 1
             if s > e:
                 return 0, steps
         return e - s + 1, steps
@@ -191,8 +189,8 @@ class SuperlinearIndex:
 
     def size_in_bytes(self) -> int:
         """Deterministic size accounting: the gram directory plus the
-        character-level substrate."""
-        return _directory_bytes(self.directory) + _substrate_bytes(self.fm)
+        corpus, n bytes."""
+        return _directory_bytes(self.directory) + self.corpus.n
 
 
 class LinearIndex:
@@ -200,6 +198,7 @@ class LinearIndex:
 
     def __init__(self, fm: FmIndex, alpha: int, q: int, directory: GramDirectory):
         self.fm = fm
+        self.corpus = fm.corpus
         self.alpha = alpha
         self.q = q
         self.directory = directory
@@ -216,25 +215,28 @@ class LinearIndex:
             fm = FmIndex.build(corpus)
         elif fm.corpus.data != corpus.data:
             raise ValueError("prebuilt substrate belongs to a different corpus")
-        directory = GramDirectory(corpus.data, hash_name, max_load_factor)
+        offsets, lengths, firsts, rows = [], [], [], []
         mset = minimizers(text, alpha, q)
         if len(mset.starts) > 1:
             starts = phrases(text, mset).starts.tolist()
             contents = [text[a:b] for a, b in zip(starts, starts[1:])]
             # Built backwards, each phrase keeps the offset of its first
             # occurrence; sorting by that offset restores first-seen order,
-            # which is the order entries are written in.
-            firsts = dict(zip(reversed(contents), reversed(starts[:-1])))
+            # which is the order grams are written in.
+            seen = dict(zip(reversed(contents), reversed(starts[:-1])))
             sa = fm.sa
             inv = fm.inverse_sa
-            for content, offset in sorted(firsts.items(), key=lambda item: item[1]):
+            for content, offset in sorted(seen.items(), key=lambda item: item[1]):
                 # The rows of every occurrence, found through the
                 # suffix-array range of the phrase.
                 lo, hi = _sa_range(fm, content)
-                entry = directory.entry_for(offset, len(content))
-                entry.first = lo
-                entry.rows.frombytes(
-                    inv[sa[lo:hi + 1] + len(content)].astype(np.uint32).tobytes())
+                offsets.append(offset)
+                lengths.append(len(content))
+                firsts.append(lo)
+                rows.append(inv[sa[lo:hi + 1] + len(content)].astype(np.uint32))
+        directory = GramDirectory(
+            corpus.data, offsets, lengths, firsts, np.cumsum([0, *map(len, rows)]),
+            np.concatenate(rows) if rows else [], hash_name, max_load_factor)
         return cls(fm, alpha, q, directory)
 
     def count(self, pattern: bytes) -> int:
@@ -245,11 +247,12 @@ class LinearIndex:
             raise UnsupportedPatternError(
                 f"pattern of length {m} is below the minimizer window {window}; "
                 "use a plain character-level count instead")
-        if m > self.fm.corpus.n - 1:
+        if m > self.corpus.n - 1:
             return 0
         marks = minimizers(pattern, self.alpha, self.q).positions
-        n = self.fm.corpus.n
+        n = self.corpus.n
         count_table = self.fm.count_table
+        rows = self.directory.rows
 
         def char_steps(segment: bytes, s: int, e: int) -> tuple[int, int] | None:
             for symbol in reversed(segment):
@@ -275,9 +278,9 @@ class LinearIndex:
                 entry = self.directory.get(phrase)
                 if entry is None:
                     return 0
-                rows = entry.rows
-                s = entry.first + list_rank(rows, s - 1)
-                e = entry.first + list_rank(rows, e) - 1
+                first, lo, hi = entry
+                s = first + list_rank(rows, lo, hi, s - 1)
+                e = first + list_rank(rows, lo, hi, e) - 1
             if s > e:
                 return 0
         narrowed = char_steps(pattern[:marks[0]], s, e)
@@ -293,10 +296,9 @@ class LinearIndex:
 
 
 def _directory_bytes(directory: GramDirectory) -> int:
-    """4-byte rows, 4-byte range starts, 8-byte (offset, length) key refs and
-    4-byte bucket slots."""
-    return (sum(8 + 4 + 4 + 4 * entry.count for _, entry in directory.items())
-            + 4 * directory.bucket_count)
+    """4-byte rows, 4-byte range starts and row-list starts, 8-byte
+    (offset, length) key refs and 4-byte bucket slots."""
+    return 16 * len(directory) + 4 * len(directory.rows) + 4 * directory.bucket_count
 
 
 def _substrate_bytes(fm: FmIndex) -> int:

@@ -11,7 +11,8 @@ from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
 from textindex.fmgram import LinearIndex, SuperlinearIndex
-from textindex.harness import dna_like_text, english_like_text, random_word_dictionary
+from textindex.harness import (count_with_fallback, dna_like_text, english_like_text,
+                               random_word_dictionary)
 from textindex.splitindex import (Dictionary, SplitIndex, SplitIndexConfig, select_qgrams,
                                   split_word)
 from textindex.textcore import Corpus
@@ -94,6 +95,17 @@ class TestRoundTrip:
         _, index = split_pair
         assert serialize_index(index) == serialize_index(index)
 
+    @pytest.mark.parametrize("build", [
+        lambda: SuperlinearIndex.build(Corpus.from_bytes(english_like_text(3000, seed=23)),
+                                       q_max=16),
+        lambda: LinearIndex.build(Corpus.from_bytes(dna_like_text(2000, seed=24)),
+                                  alpha=3, q=4),
+        lambda: LinearIndex.build(Corpus.from_bytes(b"ab"), alpha=1, q=2),
+    ], ids=["superlinear", "linear", "linear-empty-directory"])
+    def test_fm_bytes_round_trip(self, build):
+        data = serialize_index(build())
+        assert serialize_index(deserialize_index(data)) == data
+
 
 class TestRejection:
     def test_unknown_magic(self, split_pair):
@@ -103,7 +115,7 @@ class TestRejection:
         with pytest.raises(MalformedInputError):
             deserialize_index(bytes(data))
 
-    @pytest.mark.parametrize("version", [1, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION + 1])
     def test_unknown_version(self, split_pair, version):
         _, index = split_pair
         data = bytearray(serialize_index(index))
@@ -143,27 +155,36 @@ class TestDirectoryStructure:
     """Files with a valid CRC but a wrong structure are refused at load."""
 
     @staticmethod
-    def _entry_at(index) -> int:
-        # envelope, q_max, corpus blob, SA blob, load factor, hash name,
-        # bucket count, entry count
-        n = index.fm.corpus.n
-        return (9 + 4 + 4 + n + 4 + 4 * n + 8 + 1 + len(index.directory.hash_name)
-                + 4 + 4)
+    def _columns_at(index) -> int:
+        # envelope, q_max, corpus blob, load factor, hash name, bucket
+        # count, gram count, row count; then the offsets, lengths, firsts,
+        # starts and rows columns, 4 bytes an item
+        n = index.corpus.n
+        return 9 + 4 + 4 + n + 8 + 1 + len(index.directory.hash_name) + 4 + 4 + 4
 
-    # Field order of an entry header: offset, length, first, count.
-    @pytest.mark.parametrize("field, value", [
+    @classmethod
+    def _item_at(cls, index, column: int, item: int) -> int:
+        # `starts`, column 3, has one item more than there are grams
+        before = column * len(index.directory) + (column == 4)
+        return cls._columns_at(index) + 4 * (before + item)
+
+    def _refused(self, index, column: int, item: int, value: int):
+        at = self._item_at(index, column, item)
+        data = bytearray(serialize_index(index))
+        data[at:at + 4] = struct.pack("<I", value)
+        with pytest.raises(MalformedInputError):
+            deserialize_index(_resign(data))
+
+    # Column order: offsets, lengths, firsts, starts, rows.
+    @pytest.mark.parametrize("column, value", [
         (0, 1000),  # the gram runs past the text; it loaded as key b""
         (0, 11),    # the gram covers the terminator
         (1, 0),     # empty gram
         (2, 12),    # first + count > n
     ])
-    def test_gram_entry_out_of_range(self, field, value):
+    def test_gram_entry_out_of_range(self, column, value):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
-        at = self._entry_at(index) + 4 * field
-        data = bytearray(serialize_index(index))
-        data[at:at + 4] = struct.pack("<I", value)
-        with pytest.raises(MalformedInputError):
-            deserialize_index(_resign(data))
+        self._refused(index, column, 0, value)
 
     def test_terminator_inside_corpus(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
@@ -176,13 +197,37 @@ class TestDirectoryStructure:
 
     def test_repeated_gram(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
-        first = self._entry_at(index)
-        second = first + 16 + 4 * len(next(iter(index.directory.items()))[1].rows)
         data = bytearray(serialize_index(index))
-        data[second:second + 8] = data[first:first + 8]
+        # the second gram's key (offset, length) becomes the first's
+        for column in (0, 1):
+            first = self._item_at(index, column, 0)
+            data[first + 4:first + 8] = data[first:first + 4]
         with pytest.raises(MalformedInputError):
             deserialize_index(_resign(data))
 
+    def test_row_past_the_end(self):
+        # the last row of the last gram, raised to n, still increases
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        self._refused(index, 4, len(index.directory.rows) - 1, index.corpus.n)
+
+    def test_repeated_row_in_a_gram(self):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        _, lo, hi = index.directory.get(b"a")
+        assert hi - lo == 5
+        self._refused(index, 4, lo + 1, index.directory.rows[lo])
+
+    def test_starts_do_not_end_at_the_rows_length(self):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        self._refused(index, 3, len(index.directory), len(index.directory.rows) - 1)
+
+    def test_suffix_array_not_a_permutation(self):
+        index = LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
+        # envelope, alpha, q, corpus blob, SA blob length, then SA item 1
+        at = 9 + 4 + 4 + 4 + index.corpus.n + 4 + 4
+        data = bytearray(serialize_index(index))
+        data[at:at + 4] = data[at - 4:at]
+        with pytest.raises(MalformedInputError):
+            deserialize_index(_resign(data))
 
 
 class TestSplitStructure:
@@ -283,10 +328,52 @@ def test_flipped_split_byte_is_refused_or_harmless(k, coded, where, flip):
         pass
 
 
+@cache
+def _small_fm_file(kind: str):
+    if kind == "superlinear":
+        corpus = Corpus.from_bytes(english_like_text(300, seed=40))
+        index = SuperlinearIndex.build(corpus, q_max=16)
+    else:
+        corpus = Corpus.from_bytes(dna_like_text(300, seed=41))
+        index = LinearIndex.build(corpus, alpha=3, q=4)
+    rng = random.Random(42)
+    patterns = []
+    for _ in range(20):
+        m = rng.randint(1, 24)
+        s = rng.randrange(corpus.n - m)
+        patterns.append(corpus.text[s:s + m])
+    return serialize_index(index), patterns
+
+
+@given(kind=st.sampled_from(["superlinear", "linear"]), where=st.integers(min_value=0),
+       flip=st.integers(1, 255))
+@settings(max_examples=400, deadline=None)
+def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
+    data, patterns = _small_fm_file(kind)
+    corrupted = bytearray(data)
+    corrupted[9 + where % (len(data) - 9)] ^= flip
+    try:
+        index = deserialize_index(_resign(corrupted))
+        for pattern in patterns:
+            count_with_fallback(index, pattern)
+    except MalformedInputError:
+        pass
+
+
 def test_linear_file_digest():
-    # Golden digest of a linear index file: the vectorised build must write
-    # the same bytes as the per-element build it replaced.
+    # Golden digest of a linear index file (format 3): its grams, first rows
+    # and row lists equal those of the per-element build and the per-entry
+    # format that came before.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "c7f93c01b3caff1d0a93868599a502aaac226929977c4b0762bc887bc835e4ea")
+        "3d0a8472603e1a1e07a0ae37984285f3ff8c5e8997aaa0202062a0680f3d6aab")
+
+
+def test_superlinear_file_digest():
+    # Golden digest of a superlinear index file (format 3), whose directory
+    # equals that of the per-row build it replaced.
+    corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
+    data = serialize_index(SuperlinearIndex.build(corpus))
+    assert hashlib.sha256(data).hexdigest() == (
+        "f2dbc7a7221bf1ef4c91b371905457f1ab248bd80952ed40a21c31ca2290640e")

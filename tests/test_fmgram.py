@@ -4,6 +4,7 @@ from array import array
 import pytest
 
 from textindex.errors import UnsupportedPatternError
+from textindex.suffixbwt import FmIndex, build_suffix_array
 from textindex.textcore import Corpus
 from textindex.fmgram import LinearIndex, SuperlinearIndex, _greedy_chunks, list_rank
 
@@ -11,6 +12,17 @@ from textindex.fmgram import LinearIndex, SuperlinearIndex, _greedy_chunks, list
 def naive_count(text, pattern):
     return sum(1 for s in range(len(text) - len(pattern) + 1)
                if text[s:s + len(pattern)] == pattern)
+
+
+def directory_entries(directory):
+    """{gram: (rows, first)} read off the directory's columns."""
+    return {gram: (list(directory.rows[lo:hi]), first)
+            for gram, (first, lo, hi) in directory.items()}
+
+
+def gram_rows(directory, gram):
+    _, lo, hi = directory.get(gram)
+    return list(directory.rows[lo:hi])
 
 
 def extract_row_grams(corpus, sa, q_max):
@@ -41,15 +53,14 @@ class TestSuperlinearBuild:
 
     def test_pattern_t_occurrence_rows(self):
         idx = SuperlinearIndex.build(Corpus.from_bytes(b"pattern"), q_max=4)
-        entry = idx.directory.get(b"t")
-        assert [r + 1 for r in entry.rows] == [3, 7]  # rows counted from 1
+        assert [r + 1 for r in gram_rows(idx.directory, b"t")] == [3, 7]  # rows counted from 1
 
     def test_first_row_grams(self):
         # the row of the terminator-first rotation contributes the grams
         # ending at the last text symbol: n, rn, tern
         idx = SuperlinearIndex.build(Corpus.from_bytes(b"pattern"), q_max=4)
         for gram in (b"n", b"rn", b"tern"):
-            assert 0 in idx.directory.get(gram).rows
+            assert 0 in gram_rows(idx.directory, gram)
 
     def test_terminator_only_corpus(self):
         idx = SuperlinearIndex.build(Corpus.from_bytes(b""), q_max=1)
@@ -65,31 +76,28 @@ class TestSuperlinearBuild:
             raw = bytes(rng.choice(b"ab") for _ in range(rng.randint(2, 200)))
             corpus = Corpus.from_bytes(raw)
             idx = SuperlinearIndex.build(corpus, q_max=8)
-            expected = extract_row_grams(corpus, idx.fm.sa, 8)
-            got = {gram: (list(entry.rows), entry.first)
-                   for gram, entry in idx.directory.items()}
-            assert got == expected
+            expected = extract_row_grams(corpus, build_suffix_array(corpus), 8)
+            assert directory_entries(idx.directory) == expected
 
 
 class TestListRank:
     def test_small_list(self):
-        assert list_rank(array("I", [3, 7]), 5) == 1
+        assert list_rank(array("I", [3, 7]), 0, 2, 5) == 1
 
     def test_empty(self):
-        assert list_rank(array("I", []), 10) == 0
+        assert list_rank(array("I", []), 0, 0, 10) == 0
 
-    def test_binary_and_linear_agree(self):
+    def test_sub_ranges_match_naive(self):
         rng = random.Random(17)
         for _ in range(200):
-            size = rng.randint(0, 60)
-            values = sorted(rng.sample(range(500), size))
-            lst = array("I", values)
+            values = sorted(rng.sample(range(500), rng.randint(0, 60)))
+            rows = array("I", values)
             for _ in range(20):
+                lo = rng.randint(0, len(values))
+                hi = rng.randint(lo, len(values))
                 row = rng.randint(-1, 510)
-                expected = sum(1 for v in values if v <= row)
-                assert list_rank(lst, row) == expected
-                # both code paths, regardless of the length threshold
-                assert list_rank(list(values), row) == expected
+                expected = sum(1 for v in values[lo:hi] if v <= row)
+                assert list_rank(rows, lo, hi, row) == expected
 
 
 class TestSuperlinearCount:
@@ -146,12 +154,14 @@ class TestSuperlinearCount:
     def test_qmax_one_degenerates_to_fm(self):
         rng = random.Random(31)
         raw = bytes(rng.choice(b"ab") for _ in range(200))
-        idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=1)
+        corpus = Corpus.from_bytes(raw)
+        idx = SuperlinearIndex.build(corpus, q_max=1)
+        fm = FmIndex.build(corpus)
         for _ in range(100):
             m = rng.randint(1, 6)
             s = rng.randrange(len(raw) - m)
             pattern = raw[s:s + m]
-            assert idx.count(pattern) == idx.fm.count(pattern)
+            assert idx.count(pattern) == fm.count(pattern)
 
 
 class TestLinearIndex:
@@ -185,12 +195,12 @@ class TestLinearIndex:
         corpus = Corpus.from_bytes(raw)
         idx = LinearIndex.build(corpus, alpha=3, q=3)
         inv = {int(p): r for r, p in enumerate(idx.fm.sa)}
-        for gram, entry in idx.directory.items():
+        for gram, (rows, first) in directory_entries(idx.directory).items():
             starts = [s for s in range(len(raw) - len(gram) + 1)
                       if raw[s:s + len(gram)] == gram]
             expected_rows = sorted(inv[s + len(gram)] for s in starts)
-            assert list(entry.rows) == expected_rows
-            assert entry.first == min(inv[s] for s in starts)
+            assert rows == expected_rows
+            assert first == min(inv[s] for s in starts)
 
     def test_matches_naive(self):
         rng = random.Random(43)
