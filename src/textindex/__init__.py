@@ -9,8 +9,7 @@ CLI workbench for building, querying, verifying and benchmarking all of it.
 
 from .errors import MalformedInputError, UnsupportedPatternError
 from .textcore import (Corpus, FrequencyTable, MinimizerSet, PhraseDecomposition,
-                       QGramRef, entropy, extract_qgrams, minimizers, phrases,
-                       printable)
+                       entropy, minimizers, phrases, printable)
 from .suffixbwt import (FmIndex, RankIndex, build_count_table, build_suffix_array,
                         bwt_forward, bwt_inverse)
 from .fmgram import LinearIndex, SuperlinearIndex, list_rank
@@ -25,12 +24,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "Dictionary", "FmIndex", "FrequencyTable", "LinearIndex",
     "MalformedInputError", "MinimizerSet", "PhraseDecomposition",
-    "QGramRef", "RankIndex", "Sketch", "SketchConfig", "SplitIndex",
+    "RankIndex", "Sketch", "SketchConfig", "SplitIndex",
     "SplitIndexConfig", "SubstitutionTable", "SuperlinearIndex",
     "UnsupportedPatternError", "build_count_table", "build_sketch",
     "build_suffix_array", "bwt_forward", "bwt_inverse",
     "decode_word", "deserialize_index",
-    "encode_word", "entropy", "extract_qgrams", "filtered_compare",
+    "encode_word", "entropy", "filtered_compare",
     "hamming_lower_bound", "list_rank", "load_index", "minimizers", "phrases",
     "printable", "save_index", "select_qgrams", "serialize_index",
     "sketch_distance", "split_word",

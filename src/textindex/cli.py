@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # last resort: one line, never a traceback
+        print(f"error: unexpected {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -5,7 +5,14 @@ CRC32 of the payload, payload.  All integers are little-endian fixed width,
 byte sequences are length-prefixed and the u32 arrays of a gram directory
 follow their counts, so a file is bit-identical across runs given the same
 build inputs.  Unknown magic, unknown version and checksum mismatches are
-rejected before any payload parsing.
+rejected before any payload parsing, and the payload is parsed in place in
+the file's bytes, not copied out first.
+
+Format 4 stores only what queries read.  A superlinear file is `q_max`, the
+corpus and the gram directory.  A linear file is alpha, q, the corpus, the
+n-byte BWT and the directory of its multi-symbol phrases; load rebuilds the
+count table and rank samples from the BWT and refuses one whose symbol
+counts differ from the corpus's.
 """
 
 from __future__ import annotations
@@ -19,16 +26,21 @@ from .errors import MalformedInputError
 from .hashes import get_hash
 from .hashmap import ChainedHashMap
 from .splitindex import BuildStats, SplitIndex, SplitIndexConfig, SubstitutionTable
-from .suffixbwt import FmIndex, RankIndex, build_count_table, bwt_forward
+from .suffixbwt import FmIndex, RankIndex, build_count_table
+# Not called here; kept importable under this module's name because
+# perfbench/tracer.py wraps `envelope.bwt_forward`.
+from .suffixbwt import bwt_forward  # noqa: F401
 from .fmgram import GramDirectory, LinearIndex, SuperlinearIndex
 from .textcore import Corpus
 
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
+# Magic, version byte and CRC32 come before the payload.
+_HEADER = 9
 _U32 = struct.Struct("<I")
 
 
@@ -37,7 +49,6 @@ class _Writer:
         self.parts = []
 
     def u8(self, v): self.parts.append(struct.pack("<B", v))
-    def u16(self, v): self.parts.append(struct.pack("<H", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
     def f64(self, v): self.parts.append(struct.pack("<d", v))
     def u32s(self, v): self.parts.append(np.asarray(v, dtype="<u4").tobytes())
@@ -55,9 +66,11 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    """Parses `data` from offset `at` on; byte fields are `bytes` slices."""
+
+    def __init__(self, data: bytes, at: int):
         self.data = data
-        self.at = 0
+        self.at = at
 
     def _take(self, size: int) -> bytes:
         if self.at + size > len(self.data):
@@ -67,14 +80,13 @@ class _Reader:
         return out
 
     def u8(self): return struct.unpack("<B", self._take(1))[0]
-    def u16(self): return struct.unpack("<H", self._take(2))[0]
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def f64(self): return struct.unpack("<d", self._take(8))[0]
     def blob(self): return self._take(self.u32())
     def short_blob(self): return self._take(self.u8())
 
     def u32s(self, count):
-        """`count` u32s, as a view into the payload rather than a copy."""
+        """`count` u32s, as a view into the file bytes rather than a copy."""
         if self.at + 4 * count > len(self.data):
             raise MalformedInputError("truncated index payload")
         self.at += 4 * count
@@ -99,19 +111,20 @@ def _wrap(magic: bytes, payload: bytes) -> bytes:
         "<I", zlib.crc32(payload) & 0xFFFFFFFF) + payload
 
 
-def _unwrap(data: bytes) -> tuple[bytes, bytes]:
-    if len(data) < 9:
+def _unwrap(data: bytes) -> bytes:
+    """The magic of a file whose header and payload checksum are sound."""
+    if len(data) < _HEADER:
         raise MalformedInputError("file too short to be an index envelope")
     magic, version = data[:4], data[4]
     if magic not in _MAGICS:
         raise MalformedInputError(f"unknown index magic {magic!r}")
     if version != FORMAT_VERSION:
         raise MalformedInputError(f"unsupported format version {version}")
-    (crc,) = struct.unpack("<I", data[5:9])
-    payload = data[9:]
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise MalformedInputError("payload checksum mismatch")
-    return magic, payload
+    (crc,) = struct.unpack_from("<I", data, 5)
+    with memoryview(data) as view:
+        if zlib.crc32(view[_HEADER:]) & 0xFFFFFFFF != crc:
+            raise MalformedInputError("payload checksum mismatch")
+    return magic
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +154,7 @@ def _split_payload(index: SplitIndex) -> bytes:
     return w.getvalue()
 
 
-def _load_split(payload: bytes) -> SplitIndex:
-    r = _Reader(payload)
+def _load_split(r: _Reader) -> SplitIndex:
     k = r.u8()
     if k < 1:
         raise MalformedInputError("split index k must be at least 1")
@@ -211,20 +223,19 @@ def _read_corpus(r: _Reader) -> Corpus:
 
 def _read_fm_substrate(r: _Reader) -> FmIndex:
     corpus = _read_corpus(r)
-    n = corpus.n
-    if r.u32() != 4 * n:
-        raise MalformedInputError("suffix array length does not match corpus")
-    sa = r.u32s(n).astype(np.int64)
-    l = bwt_forward(corpus, sa)
-    table = build_count_table(corpus)
+    l = r.blob()
+    if len(l) != corpus.n:
+        raise MalformedInputError("BWT length does not match the corpus")
     # With the corpus's symbol counts in the BWT, ranks never pass the count
-    # table's ranges, so every backward step stays inside the n rows.
-    bwt = np.frombuffer(l, dtype=np.uint8)
-    bounds = [*table.values(), n]
-    if any(np.count_nonzero(bwt == symbol) != end - start
-           for symbol, start, end in zip(table, bounds, bounds[1:])):
-        raise MalformedInputError("suffix array does not order the corpus")
-    return FmIndex(corpus, sa, l, table, RankIndex(l))
+    # table's ranges, so every backward step stays inside the n rows.  The
+    # corpus's counts are read off its count table.
+    table = build_count_table(corpus)
+    corpus_counts = np.zeros(256, dtype=np.int64)
+    corpus_counts[list(table)] = np.diff([*table.values(), corpus.n])
+    if not np.array_equal(np.bincount(np.frombuffer(l, dtype=np.uint8), minlength=256),
+                          corpus_counts):
+        raise MalformedInputError("BWT symbol counts differ from the corpus's")
+    return FmIndex(corpus, l, table, RankIndex(l))
 
 
 def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
@@ -289,8 +300,7 @@ def _superlinear_payload(index: SuperlinearIndex) -> bytes:
     return w.getvalue()
 
 
-def _load_superlinear(payload: bytes) -> SuperlinearIndex:
-    r = _Reader(payload)
+def _load_superlinear(r: _Reader) -> SuperlinearIndex:
     q_max = r.u32()
     corpus = _read_corpus(r)
     directory = _read_directory(r, corpus.data)
@@ -304,14 +314,12 @@ def _linear_payload(index: LinearIndex) -> bytes:
     w.u32(index.alpha)
     w.u32(index.q)
     w.blob(index.corpus.data)
-    w.u32(4 * index.corpus.n)
-    w.u32s(index.fm.sa)
+    w.blob(index.fm.l)
     _directory_payload(w, index.directory)
     return w.getvalue()
 
 
-def _load_linear(payload: bytes) -> LinearIndex:
-    r = _Reader(payload)
+def _load_linear(r: _Reader) -> LinearIndex:
     alpha = r.u32()
     q = r.u32()
     if alpha < 1 or q < 1:
@@ -338,12 +346,13 @@ def serialize_index(index) -> bytes:
 
 
 def deserialize_index(data: bytes):
-    magic, payload = _unwrap(data)
+    magic = _unwrap(data)
+    r = _Reader(data, _HEADER)
     if magic == MAGIC_SPLIT:
-        return _load_split(payload)
+        return _load_split(r)
     if magic == MAGIC_SUPERLINEAR:
-        return _load_superlinear(payload)
-    return _load_linear(payload)
+        return _load_superlinear(r)
+    return _load_linear(r)
 
 
 def save_index(index, path) -> None:

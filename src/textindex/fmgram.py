@@ -9,10 +9,13 @@ Two variants trade space for fewer backward-search steps:
   of the pattern length.  The index keeps only the corpus and directory.
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
-  between consecutive (alpha, q)-minimizer positions.  A query runs plain
-  per-character steps on the pattern tail and head and phrase-sized steps
-  in between; minimizers guarantee that a pattern long enough to contain
-  one full window chooses the same interior phrases as the text.
+  between consecutive (alpha, q)-minimizer positions, of two or more
+  symbols.  A query runs plain per-character steps on the pattern tail and
+  head and on one-symbol phrases, and phrase-sized steps on the others;
+  minimizers guarantee that a pattern long enough to contain one full
+  window chooses the same interior phrases as the text.  Its character
+  steps read the BWT, count table and rank samples of an `FmIndex`, which
+  keeps no suffix array once the lists are built.
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -29,7 +32,8 @@ from . import suffixbwt
 from .errors import UnsupportedPatternError
 from .hashes import DEFAULT_HASH
 from .hashmap import ChainedHashMap
-from .textcore import TERMINATOR, Corpus, _gram_keys, dense_ranks, minimizers, phrases
+from .textcore import (TERMINATOR, Corpus, _gram_keys, dense_ranks, minimizers,
+                       packed_words, phrases)
 from .suffixbwt import FmIndex, RankIndex
 
 DEFAULT_Q_MAX = 128
@@ -115,14 +119,9 @@ class SuperlinearIndex:
         """`fm`, if given, supplies the suffix array."""
         if q_max < 1 or q_max & (q_max - 1):
             raise ValueError("q_max must be a power of two")
-        if fm is None:
-            # Called through the module, where traced runs wrap it.
-            sa = suffixbwt.build_suffix_array(corpus)
-            inv = suffixbwt.inverse_permutation(sa)
-        elif fm.corpus.data != corpus.data:
-            raise ValueError("prebuilt substrate belongs to a different corpus")
-        else:
-            sa, inv = fm.sa, fm.inverse_sa
+        # Called through the module, where traced runs wrap it.
+        sa = suffixbwt.build_suffix_array(corpus) if fm is None else _prebuilt_sa(fm, corpus)
+        inv = suffixbwt.inverse_permutation(sa)
         text, n = corpus.text, corpus.n
         empty = np.empty(0, dtype=np.int64)
         offsets, lengths, firsts, counts, rows = ([empty] for _ in range(5))
@@ -208,36 +207,35 @@ class LinearIndex:
               hash_name: str = DEFAULT_HASH,
               max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
               fm: FmIndex | None = None) -> "LinearIndex":
+        """`fm`, if given, supplies the suffix array and the character-level
+        substrate; it is not changed."""
         text = corpus.text
         if len(text) < q + alpha - 1:
             raise ValueError("corpus shorter than one minimizer window")
         if fm is None:
             fm = FmIndex.build(corpus)
-        elif fm.corpus.data != corpus.data:
-            raise ValueError("prebuilt substrate belongs to a different corpus")
+        sa = _prebuilt_sa(fm, corpus)
         offsets, lengths, firsts, rows = [], [], [], []
         mset = minimizers(text, alpha, q)
         if len(mset.starts) > 1:
-            starts = phrases(text, mset).starts.tolist()
-            contents = [text[a:b] for a, b in zip(starts, starts[1:])]
-            # Built backwards, each phrase keeps the offset of its first
-            # occurrence; sorting by that offset restores first-seen order,
-            # which is the order grams are written in.
-            seen = dict(zip(reversed(contents), reversed(starts[:-1])))
-            sa = fm.sa
-            inv = fm.inverse_sa
-            for content, offset in sorted(seen.items(), key=lambda item: item[1]):
+            inv = suffixbwt.inverse_permutation(sa)
+            # Single-symbol phrases are counted with a character step, so
+            # they get no list.
+            for offset, length in _distinct_phrases(text, phrases(text, mset).starts, alpha):
+                if length == 1:
+                    continue
                 # The rows of every occurrence, found through the
                 # suffix-array range of the phrase.
-                lo, hi = _sa_range(fm, content)
+                lo, hi = _sa_range(corpus.data, sa, text[offset:offset + length])
                 offsets.append(offset)
-                lengths.append(len(content))
+                lengths.append(length)
                 firsts.append(lo)
-                rows.append(inv[sa[lo:hi + 1] + len(content)].astype(np.uint32))
+                rows.append(inv[sa[lo:hi + 1] + length].astype(np.uint32))
         directory = GramDirectory(
             corpus.data, offsets, lengths, firsts, np.cumsum([0, *map(len, rows)]),
             np.concatenate(rows) if rows else [], hash_name, max_load_factor)
-        return cls(fm, alpha, q, directory)
+        # Queries read no suffix array: keep the count-only substrate.
+        return cls(FmIndex(corpus, fm.l, fm.count_table, fm.ranks), alpha, q, directory)
 
     def count(self, pattern: bytes) -> int:
         _validate_pattern(pattern)
@@ -308,10 +306,38 @@ def _substrate_bytes(fm: FmIndex) -> int:
     return n + 8 * len(fm.count_table) + 8 * sample_blocks * len(fm.count_table)
 
 
-def _sa_range(fm: FmIndex, content: bytes) -> tuple[int, int]:
-    """Rows [lo, hi] of the suffixes starting with `content` (hi < lo if none)."""
-    data = fm.corpus.data
-    sa = fm.sa
+def _prebuilt_sa(fm: FmIndex, corpus: Corpus) -> np.ndarray:
+    """The suffix array of an FM index given to a build, which only reads it."""
+    if fm.corpus.data != corpus.data:
+        raise ValueError("prebuilt substrate belongs to a different corpus")
+    if fm.sa is None:
+        raise ValueError("prebuilt substrate has no suffix array")
+    return fm.sa
+
+
+def _distinct_phrases(text: bytes, starts: np.ndarray, alpha: int) -> list[tuple[int, int]]:
+    """(offset, length) of the first occurrence of each distinct phrase,
+    in first-seen order; phrase i is text[starts[i]:starts[i + 1]]."""
+    lengths = np.diff(starts)
+    if alpha <= 8:
+        # A phrase is at most alpha symbols, so its packed word with the
+        # symbols after it masked off is a key of its own: the text holds
+        # no 0 byte, so phrases of different lengths never share one.
+        shift = (8 * (8 - lengths)).astype(np.uint64)
+        keys = packed_words(text)[starts[:-1]] >> shift << shift
+        first = np.sort(np.unique(keys, return_index=True)[1])
+        return list(zip(starts[first].tolist(), lengths[first].tolist()))
+    bounds = starts.tolist()
+    contents = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    # Built backwards, each phrase keeps the offset of its first
+    # occurrence; sorting by that offset restores first-seen order.
+    seen = dict(zip(reversed(contents), reversed(bounds[:-1])))
+    return sorted((offset, len(content)) for content, offset in seen.items())
+
+
+def _sa_range(data: bytes, sa: np.ndarray, content: bytes) -> tuple[int, int]:
+    """Rows [lo, hi] of the suffixes of `data` starting with `content`
+    (hi < lo if none)."""
     n = len(sa)
     length = len(content)
     lo, hi = 0, n
@@ -332,4 +358,3 @@ def _sa_range(fm: FmIndex, content: bytes) -> tuple[int, int]:
         else:
             hi = mid
     return first, lo - 1
-

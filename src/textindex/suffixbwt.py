@@ -1,14 +1,14 @@
 """Suffix array, Burrows-Wheeler transform, count table and rank support.
 
 The suffix array orders the suffixes of a corpus lexicographically; the BWT
-string is read off it one symbol to the left of each suffix.  Together with
-the count table and a sampled rank structure they support the backward
-search that answers substring count queries.
+string is read off it one symbol to the left of each suffix.  Counting needs
+only the BWT, the count table and a sampled rank structure over the BWT
+(backward search, Ferragina and Manzini 2000); the suffix array is build
+state, kept by a built `FmIndex` for the gram directories built from it and
+absent from a loaded one.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -120,15 +120,19 @@ class RankIndex:
         self.l = l
         self.n = len(l)
         arr = np.frombuffer(l, dtype=np.uint8)
-        blocks = np.arange(0, self.n, self.STRIDE)
-        self._samples: dict[int, np.ndarray] = {}
-        for sym in np.unique(arr):
-            cum = np.cumsum(arr == sym)
-            sampled = np.empty(len(blocks), dtype=np.int64)
-            sampled[0] = 0
-            if len(blocks) > 1:
-                sampled[1:] = cum[blocks[1:] - 1]
-            self._samples[int(sym)] = sampled
+        present = np.flatnonzero(np.bincount(arr, minlength=256))
+        # Occurrences per (block, symbol) from one bincount over
+        # block * sigma + dense symbol id; sample b counts blocks 0..b-1.
+        sigma = len(present)
+        dense = np.zeros(256, dtype=np.uint8)
+        dense[present] = np.arange(sigma)
+        blocks = (self.n + self.STRIDE - 1) // self.STRIDE
+        cells = np.arange(self.n, dtype=np.int64) // self.STRIDE * sigma
+        cells += dense[arr]
+        counts = np.bincount(cells, minlength=blocks * sigma).reshape(blocks, sigma)
+        samples = np.zeros((sigma, blocks), dtype=np.int64)
+        np.cumsum(counts[:-1].T, axis=1, out=samples[:, 1:])
+        self._samples: dict[int, np.ndarray] = dict(zip(present.tolist(), samples))
 
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""
@@ -144,26 +148,26 @@ class RankIndex:
 
 
 class FmIndex:
-    """Count-only FM index: BWT string, count table and sampled ranks."""
+    """Count-only FM index: BWT string, count table and sampled ranks.
 
-    def __init__(self, corpus: Corpus, sa: np.ndarray, l: bytes,
-                 count_table: dict[int, int], ranks: RankIndex):
+    `sa` is the suffix array of a built index, which gram-directory builds
+    read; a loaded index has none, as counting never reads it.
+    """
+
+    def __init__(self, corpus: Corpus, l: bytes, count_table: dict[int, int],
+                 ranks: RankIndex, sa: np.ndarray | None = None):
         self.corpus = corpus
-        self.sa = sa
         self.l = l
         self.count_table = count_table
         self.ranks = ranks
+        self.sa = sa
 
     @classmethod
     def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
         if sa is None:
             sa = build_suffix_array(corpus)
         l = bwt_forward(corpus, sa)
-        return cls(corpus, sa, l, build_count_table(corpus), RankIndex(l))
-
-    @cached_property
-    def inverse_sa(self) -> np.ndarray:
-        return inverse_permutation(self.sa)
+        return cls(corpus, l, build_count_table(corpus), RankIndex(l), sa)
 
     def step(self, s: int, e: int, symbol: int) -> tuple[int, int]:
         """One backward-search step: narrow [s, e] to suffixes preceded by `symbol`."""

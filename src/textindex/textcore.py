@@ -80,24 +80,6 @@ def printable(data: bytes, terminator_char: str = "$") -> str:
     return "".join(terminator_char if b == TERMINATOR else chr(b) for b in data)
 
 
-@dataclass(frozen=True)
-class QGramRef:
-    """A q-gram described by position rather than by a copied substring."""
-
-    start: int
-    q: int
-
-    def extract(self, text: bytes) -> bytes:
-        return text[self.start:self.start + self.q]
-
-
-def extract_qgrams(text: bytes, q: int) -> list[QGramRef]:
-    """All overlapping q-grams of `text`, shifted by one symbol at a time."""
-    if q < 1 or q > len(text):
-        raise ValueError(f"q must satisfy 1 <= q <= {len(text)}, got {q}")
-    return [QGramRef(i, q) for i in range(len(text) - q + 1)]
-
-
 def packed_words(data: bytes) -> np.ndarray:
     """For each position i, data[i:i+8] as a big-endian uint64, zero-padded
     past the end.  Comparing two words compares the 8-byte strings."""

@@ -1,5 +1,6 @@
 import pytest
 
+from textindex import cli
 from textindex.cli import main
 from textindex.harness import english_like_text, random_word_dictionary
 
@@ -187,6 +188,19 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--index", str(out), "--random", "10"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_unexpected_error_is_one_line(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli, "_cmd_stats", broken)
+    path = tmp_path / "data.txt"
+    path.write_bytes(b"abab")
+    assert main(["stats", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unexpected RuntimeError: internal fault\n"
 
 
 class TestStatsCommand:

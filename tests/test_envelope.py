@@ -1,6 +1,7 @@
 import hashlib
 import random
 import struct
+import sys
 import zlib
 from functools import cache
 
@@ -107,6 +108,21 @@ class TestRoundTrip:
         assert serialize_index(deserialize_index(data)) == data
 
 
+    @pytest.mark.parametrize("build", [
+        lambda: SplitIndex.build(random_word_dictionary(50, seed=27), 2),
+        lambda: SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=4),
+        lambda: LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2),
+    ], ids=["split", "superlinear", "linear"])
+    def test_load_keeps_no_view_of_the_file(self, build):
+        # the payload is parsed in place; nothing loaded may keep the
+        # file's bytes alive
+        data = serialize_index(build())
+        before = sys.getrefcount(data)
+        index = deserialize_index(data)
+        assert sys.getrefcount(data) == before
+        assert serialize_index(index) == data
+
+
 class TestRejection:
     def test_unknown_magic(self, split_pair):
         _, index = split_pair
@@ -115,7 +131,7 @@ class TestRejection:
         with pytest.raises(MalformedInputError):
             deserialize_index(bytes(data))
 
-    @pytest.mark.parametrize("version", [1, 2, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, FORMAT_VERSION + 1])
     def test_unknown_version(self, split_pair, version):
         _, index = split_pair
         data = bytearray(serialize_index(index))
@@ -220,13 +236,34 @@ class TestDirectoryStructure:
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
         self._refused(index, 3, len(index.directory), len(index.directory.rows) - 1)
 
-    def test_suffix_array_not_a_permutation(self):
+    @staticmethod
+    def _bwt_at(index) -> int:
+        # envelope, alpha, q, corpus blob, BWT blob length, then the BWT
+        return 9 + 4 + 4 + 4 + index.corpus.n + 4
+
+    @pytest.mark.parametrize("symbol", [b"r", b"z"])
+    def test_bwt_symbol_counts_differ(self, symbol):
+        # two BWT bytes become a symbol they were not: one the corpus holds,
+        # or one it lacks
         index = LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
-        # envelope, alpha, q, corpus blob, SA blob length, then SA item 1
-        at = 9 + 4 + 4 + 4 + index.corpus.n + 4 + 4
+        at = self._bwt_at(index)
         data = bytearray(serialize_index(index))
-        data[at:at + 4] = data[at - 4:at]
-        with pytest.raises(MalformedInputError):
+        changed = [i for i, b in enumerate(index.fm.l) if b != symbol[0]][:2]
+        for i in changed:
+            data[at + i] = symbol[0]
+        with pytest.raises(MalformedInputError, match="symbol counts"):
+            deserialize_index(_resign(data))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_bwt_length_differs_from_corpus(self, delta):
+        index = LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
+        at = self._bwt_at(index)
+        n = index.corpus.n
+        data = bytearray(serialize_index(index))
+        bwt = data[at:at + n]
+        bwt = bwt[:n - 1] if delta < 0 else bwt + b"a"
+        data[at - 4:at + n] = struct.pack("<I", n + delta) + bwt
+        with pytest.raises(MalformedInputError, match="BWT length"):
             deserialize_index(_resign(data))
 
 
@@ -361,19 +398,20 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 3): its grams, first rows
-    # and row lists equal those of the per-element build and the per-entry
-    # format that came before.
+    # Golden digest of a linear index file (format 4): its 31 multi-symbol
+    # grams, first rows and row lists equal those of the format 3 file,
+    # which also listed the 4 single-symbol phrases.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "3d0a8472603e1a1e07a0ae37984285f3ff8c5e8997aaa0202062a0680f3d6aab")
+        "1f009f90459d0840f2a4e4c1732e9e63b479f7173398761cd2a87fcacddec6de")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 3), whose directory
-    # equals that of the per-row build it replaced.
+    # Golden digest of a superlinear index file (format 4), whose directory
+    # equals that of the per-row build it replaced; its payload equals the
+    # format 3 file's, only the version byte differs.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert hashlib.sha256(data).hexdigest() == (
-        "f2dbc7a7221bf1ef4c91b371905457f1ab248bd80952ed40a21c31ca2290640e")
+        "8cd1a0066d93869a581cd6ac1d8d2ad36fa9f4138479a5b28aecd4ceb6ec4b76")

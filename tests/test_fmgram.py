@@ -3,9 +3,11 @@ from array import array
 
 import pytest
 
+from textindex.envelope import deserialize_index, serialize_index
 from textindex.errors import UnsupportedPatternError
+from textindex.harness import dna_like_text
 from textindex.suffixbwt import FmIndex, build_suffix_array
-from textindex.textcore import Corpus
+from textindex.textcore import Corpus, minimizers, phrases
 from textindex.fmgram import LinearIndex, SuperlinearIndex, _greedy_chunks, list_rank
 
 
@@ -193,14 +195,53 @@ class TestLinearIndex:
         rng = random.Random(41)
         raw = bytes(rng.choice(b"ACGT") for _ in range(400))
         corpus = Corpus.from_bytes(raw)
-        idx = LinearIndex.build(corpus, alpha=3, q=3)
-        inv = {int(p): r for r, p in enumerate(idx.fm.sa)}
-        for gram, (rows, first) in directory_entries(idx.directory).items():
-            starts = [s for s in range(len(raw) - len(gram) + 1)
-                      if raw[s:s + len(gram)] == gram]
-            expected_rows = sorted(inv[s + len(gram)] for s in starts)
-            assert rows == expected_rows
-            assert first == min(inv[s] for s in starts)
+        inv = {int(p): r for r, p in enumerate(build_suffix_array(corpus))}
+        # alpha <= 8 finds distinct phrases by packed keys, larger alpha by
+        # slicing; both list every phrase of two or more symbols once, in
+        # first-seen order
+        for alpha, q in [(3, 3), (9, 2)]:
+            idx = LinearIndex.build(corpus, alpha=alpha, q=q)
+            pieces = phrases(raw, minimizers(raw, alpha, q)).extract(raw)
+            assert [gram for gram, _ in idx.directory.items()] == [
+                p for p in dict.fromkeys(pieces) if len(p) > 1]
+            for gram, (rows, first) in directory_entries(idx.directory).items():
+                starts = [s for s in range(len(raw) - len(gram) + 1)
+                          if raw[s:s + len(gram)] == gram]
+                expected_rows = sorted(inv[s + len(gram)] for s in starts)
+                assert rows == expected_rows
+                assert first == min(inv[s] for s in starts)
+
+    def test_no_single_symbol_grams(self):
+        # one-symbol phrases are counted with a character step, so the
+        # directory lists none of them
+        raw = dna_like_text(5000, seed=3)
+        pieces = phrases(raw, minimizers(raw, 3, 4)).extract(raw)
+        assert any(len(p) == 1 for p in pieces)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
+        assert len(idx.directory) > 0
+        assert all(len(gram) > 1 for gram, _ in idx.directory.items())
+        for s in range(0, len(raw) - 40, 97):
+            assert idx.count(raw[s:s + 40]) == naive_count(raw, raw[s:s + 40])
+
+    def test_built_index_keeps_no_suffix_array(self):
+        corpus = Corpus.from_bytes(dna_like_text(2000, seed=4))
+        fm = FmIndex.build(corpus)
+        before = dict(vars(fm))
+        for idx in (LinearIndex.build(corpus, alpha=3, q=4),
+                    LinearIndex.build(corpus, alpha=3, q=4, fm=fm)):
+            assert idx.fm.sa is None
+        SuperlinearIndex.build(corpus, q_max=8, fm=fm)
+        # the caller's substrate is read, never changed
+        assert vars(fm).keys() == before.keys()
+        assert all(vars(fm)[name] is value for name, value in before.items())
+
+    def test_substrate_without_suffix_array_refused(self):
+        corpus = Corpus.from_bytes(dna_like_text(2000, seed=4))
+        loaded = deserialize_index(serialize_index(LinearIndex.build(corpus, alpha=3, q=4)))
+        with pytest.raises(ValueError, match="no suffix array"):
+            LinearIndex.build(corpus, alpha=3, q=4, fm=loaded.fm)
+        with pytest.raises(ValueError, match="no suffix array"):
+            SuperlinearIndex.build(corpus, q_max=8, fm=loaded.fm)
 
     def test_matches_naive(self):
         rng = random.Random(43)

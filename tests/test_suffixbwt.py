@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -173,6 +174,24 @@ class TestRank:
                 sym = rng.choice(b"abcde")
                 i = rng.randrange(-1, len(l))
                 assert idx.rank(sym, i) == l[:i + 1].count(sym)
+
+
+    def test_samples_match_per_symbol_cumsum(self):
+        # the one-pass sample build against one cumsum per symbol, for n
+        # below, at and off multiples of the stride, and up to 255 symbols
+        rng = random.Random(19)
+        alphabets = [b"a", b"\x00ab", b"acgt", bytes(range(1, 27)), bytes(range(255))]
+        texts = [bytes(rng.choice(alphabets[n % 5]) for _ in range(n)) for n in range(1, 1001)]
+        texts.append(bytes(rng.sample(range(256), 256) * 3)[:700])
+        for l in texts:
+            arr = np.frombuffer(l, dtype=np.uint8)
+            block_starts = np.arange(0, len(l), RankIndex.STRIDE)
+            expected = {}
+            for sym in set(l):
+                cum = np.concatenate([[0], np.cumsum(arr == sym)])
+                expected[sym] = cum[block_starts].tolist()
+            samples = RankIndex(l)._samples
+            assert {sym: sampled.tolist() for sym, sampled in samples.items()} == expected
 
 
 class TestFmCount:

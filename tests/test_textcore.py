@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textindex.textcore import (Corpus, FrequencyTable, entropy, extract_qgrams,
-                                minimizers, phrases, printable)
+from textindex.textcore import (Corpus, FrequencyTable, entropy, minimizers, phrases,
+                                printable)
 
 
 class TestCorpus:
@@ -24,32 +24,6 @@ class TestCorpus:
 
     def test_printable(self):
         assert printable(b"nptr\x00eta") == "nptr$eta"
-
-
-class TestQGrams:
-    def test_2grams_of_texting(self):
-        grams = [r.extract(b"texting") for r in extract_qgrams(b"texting", 2)]
-        assert grams == [b"te", b"ex", b"xt", b"ti", b"in", b"ng"]
-
-    def test_3grams_of_texting(self):
-        grams = [r.extract(b"texting") for r in extract_qgrams(b"texting", 3)]
-        assert grams == [b"tex", b"ext", b"xti", b"tin", b"ing"]
-
-    def test_q_equal_to_length(self):
-        grams = [r.extract(b"texting") for r in extract_qgrams(b"texting", 7)]
-        assert grams == [b"texting"]
-
-    @pytest.mark.parametrize("q", [0, 8])
-    def test_out_of_range_q(self, q):
-        with pytest.raises(ValueError):
-            extract_qgrams(b"texting", q)
-
-    @given(st.binary(min_size=1, max_size=64), st.data())
-    def test_count_law(self, text, data):
-        q = data.draw(st.integers(min_value=1, max_value=len(text)))
-        refs = extract_qgrams(text, q)
-        assert len(refs) == len(text) - q + 1
-        assert [r.start for r in refs] == list(range(len(text) - q + 1))
 
 
 def brute_force_minimizers(text, alpha, q):
