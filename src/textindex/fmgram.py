@@ -19,7 +19,8 @@ Two variants trade space for fewer backward-search steps:
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
-order, so one backward step costs two predecessor queries on those rows.
+order, so one backward step costs two predecessor queries on those rows
+(in `LinearIndex`, the second is bounded by the width of the interval).
 """
 
 from __future__ import annotations
@@ -248,49 +249,37 @@ class LinearIndex:
         if m > self.corpus.n - 1:
             return 0
         marks = minimizers(pattern, self.alpha, self.q).positions
-        n = self.corpus.n
-        count_table = self.fm.count_table
+        fm = self.fm
+        step = fm.step
+        lookup = self.directory.get
         rows = self.directory.rows
-
-        def char_steps(segment: bytes, s: int, e: int) -> tuple[int, int] | None:
-            for symbol in reversed(segment):
-                if symbol not in count_table:
-                    return None
-                s, e = self.fm.step(s, e, symbol)
-                if s > e:
-                    return None
-            return s, e
-
-        narrowed = char_steps(pattern[marks[-1]:], 0, n - 1)
-        if narrowed is None:
+        s, e = fm.extend(pattern[marks[-1]:], 0, self.corpus.n - 1)
+        if s > e:
             return 0
-        s, e = narrowed
         for i in range(len(marks) - 1, 0, -1):
             phrase = pattern[marks[i - 1]:marks[i]]
             if len(phrase) == 1:
                 # Single-symbol phrase: the character-level step is cheaper.
-                if phrase[0] not in count_table:
-                    return 0
-                s, e = self.fm.step(s, e, phrase[0])
+                s, e = step(s, e, phrase[0])
             else:
-                entry = self.directory.get(phrase)
+                entry = lookup(phrase)
                 if entry is None:
                     return 0
                 first, lo, hi = entry
-                s = first + list_rank(rows, lo, hi, s - 1)
-                e = first + list_rank(rows, lo, hi, e) - 1
+                # At most e - s + 1 of the gram's rows lie in [s, e], so the
+                # second search only looks that far past the first.
+                r = bisect_right(rows, s - 1, lo, hi)
+                upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
+                s, e = first + r - lo, first + upto - lo - 1
             if s > e:
                 return 0
-        narrowed = char_steps(pattern[:marks[0]], s, e)
-        if narrowed is None:
-            return 0
-        s, e = narrowed
-        return e - s + 1
+        s, e = fm.extend(pattern[:marks[0]], s, e)
+        return max(e - s + 1, 0)
 
     def size_in_bytes(self) -> int:
-        """Deterministic size accounting: the gram directory plus the
-        character-level substrate."""
-        return _directory_bytes(self.directory) + _substrate_bytes(self.fm)
+        """Deterministic size accounting: the gram directory, the corpus
+        (n bytes) and the character-level substrate."""
+        return _directory_bytes(self.directory) + self.corpus.n + _substrate_bytes(self.fm)
 
 
 def _directory_bytes(directory: GramDirectory) -> int:

@@ -315,19 +315,19 @@ class SplitIndex:
 
     def query(self, pattern: bytes, k: int | None = None) -> set[bytes]:
         """All dictionary words of the pattern's length within k mismatches."""
-        results, _ = self._query(pattern, k)
-        return results
+        return self._query(pattern, k, None)
 
     def query_verbose(self, pattern: bytes, k: int | None = None) -> tuple[set[bytes], QueryStats]:
-        return self._query(pattern, k)
+        """`query` plus the counts of the list entries the walk inspected."""
+        stats = QueryStats()
+        return self._query(pattern, k, stats), stats
 
-    def _query(self, pattern: bytes, k: int | None) -> tuple[set[bytes], QueryStats]:
+    def _query(self, pattern: bytes, k: int | None, stats: QueryStats | None) -> set[bytes]:
         if k is not None and k != self.k:
             raise ValueError(f"index was built for k={self.k}, queried with k={k}")
         k = self.k
         if len(pattern) < k + 1:
             raise ValueError(f"pattern must have at least {k + 1} symbols")
-        stats = QueryStats()
         results: set[bytes] = set()
         split_at = 0
         for role, piece in enumerate(split_word(pattern, k)):
@@ -335,12 +335,13 @@ class SplitIndex:
             if blob is not None:
                 self._walk(pattern, piece, split_at, role, blob, results, stats)
             split_at += len(piece)
-        return results, stats
+        return results
 
     def _walk(self, pattern: bytes, piece: bytes, split_at: int, role: int,
-              blob: bytes, results: set, stats: QueryStats) -> None:
+              blob: bytes, results: set, stats: QueryStats | None) -> None:
         """Verify the entries of group `role` of `blob`, the list keyed by
-        `piece`, which sits at `split_at` in the pattern."""
+        `piece`, which sits at `split_at` in the pattern; add to `stats`, if
+        given, the entries inspected and matched."""
         sub = self.config.substitution
         at = 0
         for _ in range(role):
@@ -374,9 +375,10 @@ class SplitIndex:
             at = end + 1
         if at != end:
             raise MalformedInputError("a list entry overruns its role group")
-        stats.entries_inspected += inspected
-        stats.length_matches += matches
-        stats.verifications += matches
+        if stats is not None:
+            stats.entries_inspected += inspected
+            stats.length_matches += matches
+            stats.verifications += matches
 
     # -- reconstruction and accounting ---------------------------------------
 

@@ -109,7 +109,7 @@ def build_count_table(corpus: Corpus) -> dict[int, int]:
 class RankIndex:
     """Sampled symbol ranks over a BWT string.
 
-    Cumulative counts are stored every `stride` positions; a query adds the
+    Cumulative counts are stored every `STRIDE` positions; a query adds the
     residual count inside the block, scanned at C speed by bytes.count.
     rank(c, i) is inclusive of position i, and rank(c, -1) = 0.
     """
@@ -132,7 +132,10 @@ class RankIndex:
         counts = np.bincount(cells, minlength=blocks * sigma).reshape(blocks, sigma)
         samples = np.zeros((sigma, blocks), dtype=np.int64)
         np.cumsum(counts[:-1].T, axis=1, out=samples[:, 1:])
-        self._samples: dict[int, np.ndarray] = dict(zip(present.tolist(), samples))
+        # A memoryview yields its items as Python ints, several times
+        # faster to read and add than numpy scalars.
+        self._samples: dict[int, memoryview] = {
+            sym: memoryview(row) for sym, row in zip(present.tolist(), samples)}
 
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""
@@ -144,7 +147,7 @@ class RankIndex:
         if sampled is None:
             return 0
         block = i // self.STRIDE
-        return int(sampled[block]) + self.l.count(symbol, block * self.STRIDE, i + 1)
+        return sampled[block] + self.l.count(symbol, block * self.STRIDE, i + 1)
 
 
 class FmIndex:
@@ -170,10 +173,38 @@ class FmIndex:
         return cls(corpus, l, build_count_table(corpus), RankIndex(l), sa)
 
     def step(self, s: int, e: int, symbol: int) -> tuple[int, int]:
-        """One backward-search step: narrow [s, e] to suffixes preceded by `symbol`."""
-        base = self.count_table[symbol]
-        return (base + self.ranks.rank(symbol, s - 1),
-                base + self.ranks.rank(symbol, e) - 1)
+        """One backward-search step: narrow [s, e] (0 <= s <= e < n) to the
+        suffixes preceded by `symbol`.  The result is empty (s > e) if none
+        is, and (0, -1) for a symbol absent from the corpus.
+
+        The occurrences of `symbol` before row s are one rank sample plus a
+        count inside its block.  Those up to row e add a count over l[s:e+1]
+        when the interval is narrower than a block, and are read off their
+        own sample otherwise, so no count scans more than STRIDE bytes.
+        """
+        base = self.count_table.get(symbol)
+        if base is None:
+            return 0, -1
+        sampled = self.ranks._samples[symbol]
+        l = self.l
+        block = s // RankIndex.STRIDE
+        below = sampled[block] + l.count(symbol, block * RankIndex.STRIDE, s)
+        if e - s < RankIndex.STRIDE:
+            upto = below + l.count(symbol, s, e + 1)
+        else:
+            block = e // RankIndex.STRIDE
+            upto = sampled[block] + l.count(symbol, block * RankIndex.STRIDE, e + 1)
+        return base + below, base + upto - 1
+
+    def extend(self, segment: bytes, s: int, e: int) -> tuple[int, int]:
+        """Narrow [s, e] by `segment`, one step per symbol from its end;
+        stops at the first empty interval (s > e) and returns it."""
+        step = self.step
+        for symbol in reversed(segment):
+            s, e = step(s, e, symbol)
+            if s > e:
+                break
+        return s, e
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included."""
@@ -184,11 +215,5 @@ class FmIndex:
         n = self.corpus.n
         if len(pattern) > n - 1:
             return 0
-        s, e = 0, n - 1
-        for symbol in reversed(pattern):
-            if symbol not in self.count_table:
-                return 0
-            s, e = self.step(s, e, symbol)
-            if s > e:
-                return 0
-        return e - s + 1
+        s, e = self.extend(pattern, 0, n - 1)
+        return max(e - s + 1, 0)

@@ -282,3 +282,47 @@ class TestLinearIndex:
             else:
                 pattern = bytes(rng.choice(b"ab") for _ in range(m))
             assert idx.count(pattern) == naive_count(raw, pattern)
+
+    @pytest.mark.parametrize("alpha, q", [(3, 4), (8, 4), (16, 6), (2, 17)])
+    def test_bounded_phrase_search(self, alpha, q):
+        # a phrase step searches for e only among the e - s + 1 rows after
+        # the one found for s: wide intervals come from patterns inside a
+        # repeated unit, width-1 intervals from long unique substrings
+        rng = random.Random(alpha * 100 + q)
+        unit = bytes(rng.choice(b"ACGT") for _ in range(53))
+        unique = bytes(rng.choice(b"ACGT") for _ in range(1500))
+        raw = unique[:700] + unit * 30 + unique[700:]
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=alpha, q=q)
+        window = q + alpha - 1
+        repeats_at = 700 + 53 * 5
+        patterns = []
+        for _ in range(60):
+            m = rng.randint(window, window + 40)
+            s = rng.randrange(repeats_at, repeats_at + 53 * 20)
+            patterns.append(raw[s:s + m])
+        for _ in range(60):
+            m = rng.randint(max(window, 40), 120)
+            s = rng.choice([rng.randrange(0, 700 - m), rng.randrange(2290, len(raw) - m)])
+            patterns.append(raw[s:s + m])
+        for pattern in patterns[:]:
+            mutated = bytearray(pattern)
+            mutated[len(mutated) // 2] = ord("N")
+            patterns.append(bytes(mutated))
+            patterns.append(bytes(rng.choice(b"ACGT") for _ in range(len(pattern))))
+        counts = [idx.count(pattern) for pattern in patterns]
+        assert counts == [naive_count(raw, pattern) for pattern in patterns]
+        assert max(counts) >= 20 and counts.count(1) >= 40 and counts.count(0) >= 60
+
+    def test_size_model_terms(self):
+        # directory, corpus (n), BWT (n), count table and rank samples,
+        # read off a built index and a loaded one
+        corpus = Corpus.from_bytes(dna_like_text(3000, seed=5))
+        built = LinearIndex.build(corpus, alpha=3, q=4)
+        loaded = deserialize_index(serialize_index(built))
+        for idx in (built, loaded):
+            directory, fm = idx.directory, idx.fm
+            directory_bytes = (16 * len(directory) + 4 * len(directory.rows)
+                               + 4 * directory.bucket_count)
+            sample_bytes = 8 * sum(len(samples) for samples in fm.ranks._samples.values())
+            assert idx.size_in_bytes() == (directory_bytes + corpus.n + len(fm.l)
+                                           + 8 * len(fm.count_table) + sample_bytes)

@@ -190,6 +190,24 @@ class TestQuery:
                            if piece in group_sizes)
             assert stats.entries_inspected == expected
 
+    def test_counters_are_opt_in(self, monkeypatch):
+        # a plain query allocates no counters; query_verbose returns the
+        # same words with them
+        from textindex import splitindex
+        rng = random.Random(9)
+        words = sorted({bytes(rng.choice(b"abc") for _ in range(rng.randint(3, 8)))
+                        for _ in range(300)})
+        idx = SplitIndex.build(Dictionary(words), 2)
+        queries = [bytes(rng.choice(b"abc") for _ in range(rng.randint(3, 8)))
+                   for _ in range(100)]
+        verbose = [idx.query_verbose(q) for q in queries]
+        assert sum(stats.entries_inspected for _, stats in verbose) > 0
+
+        def refuse():
+            raise AssertionError("QueryStats allocated by a plain query")
+        monkeypatch.setattr(splitindex, "QueryStats", refuse)
+        assert [idx.query(q) for q in queries] == [results for results, _ in verbose]
+
 
 class TestSubstitutionCoding:
     DEMO_PAIRS = [(b"com", ord("#")), (b"re", ord("*")), (b"co", ord("$")),

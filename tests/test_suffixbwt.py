@@ -154,6 +154,13 @@ class TestRank:
         idx = RankIndex(b"abc")
         with pytest.raises(IndexError):
             idx.rank(ord("a"), 3)
+        # positions outside [-1, n) on both sides of the sample stride
+        for n in (1, 63, 64, 65, 200):
+            idx = RankIndex(b"a" * n)
+            assert idx.rank(ord("a"), n - 1) == n
+            for i in (-2, -65, n, n + 1, n + 64):
+                with pytest.raises(IndexError):
+                    idx.rank(ord("a"), i)
 
     def test_absent_symbol(self):
         idx = RankIndex(b"abc")
@@ -192,6 +199,50 @@ class TestRank:
                 expected[sym] = cum[block_starts].tolist()
             samples = RankIndex(l)._samples
             assert {sym: sampled.tolist() for sym, sampled in samples.items()} == expected
+
+
+class TestFmStep:
+    WIDTHS = (0, 1, 62, 63, 64, 65)
+
+    @staticmethod
+    def intervals(n):
+        """Every (s, e) of the widths around the rank stride, plus the
+        intervals that start at row 0 or end at row n - 1."""
+        for width in TestFmStep.WIDTHS:
+            for s in range(n - width):
+                yield s, s + width
+        for e in range(n):
+            yield 0, e
+        for s in range(n):
+            yield s, n - 1
+
+    @pytest.mark.parametrize("alphabet", [b"a", b"acgt", bytes(range(1, 256))])
+    @pytest.mark.parametrize("n", [1, 2, 33, 63, 64, 65, 2500])
+    def test_matches_prefix_counts(self, alphabet, n):
+        # a step reads one rank sample for s and either a count over
+        # l[s:e+1] or a second sample for e; both must equal the prefix
+        # counts, on both sides of the stride
+        rng = random.Random(n * 7 + len(alphabet))
+        fm = FmIndex.build(Corpus.from_bytes(
+            bytes(rng.choice(alphabet) for _ in range(n - 1))))
+        l, table = fm.l, fm.count_table
+        assert len(l) == n
+        arr = np.frombuffer(l, dtype=np.uint8)
+        prefix = {c: np.concatenate([[0], np.cumsum(arr == c)]).tolist() for c in table}
+        symbols = sorted(table)
+        for s, e in self.intervals(n):
+            # every symbol of a small alphabet; for 255 symbols, the ones at
+            # both ends of the interval and one that rotates with s
+            checked = symbols if len(symbols) <= 5 else {
+                l[s], l[e], symbols[s % len(symbols)]}
+            for c in checked:
+                assert fm.step(s, e, c) == (table[c] + prefix[c][s],
+                                            table[c] + prefix[c][e + 1] - 1)
+
+    def test_absent_symbol_gives_empty_interval(self):
+        fm = FmIndex.build(Corpus.from_bytes(b"acgt" * 40))
+        assert fm.step(0, fm.corpus.n - 1, ord("x")) == (0, -1)
+        assert fm.extend(b"gxa", 0, fm.corpus.n - 1) == (0, -1)
 
 
 class TestFmCount:
