@@ -8,11 +8,13 @@ build inputs.  Unknown magic, unknown version and checksum mismatches are
 rejected before any payload parsing, and the payload is parsed in place in
 the file's bytes, not copied out first.
 
-Format 4 stores only what queries read.  A superlinear file is `q_max`, the
+FM files store only what queries read.  A superlinear file is `q_max`, the
 corpus and the gram directory.  A linear file is alpha, q, the corpus, the
 n-byte BWT and the directory of its multi-symbol phrases; load rebuilds the
 count table and rank samples from the BWT and refuses one whose symbol
-counts differ from the corpus's.
+counts differ from the corpus's.  Format 5 orders each split role group by
+missing length, which the split walk relies on; its FM payloads equal
+format 4's.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.

@@ -7,11 +7,13 @@ packed byte list next to the key.  Verification recombines the key with a
 stored missing piece and runs a plain Hamming check against the pattern.
 
 List layout, the same for every k: ``group_0 0x00 group_1 0x00 ... group_k``.
-Group i holds, in dictionary order, the entries whose key is piece i of
-their word.  An entry is an 8-bit counter (the payload length), then the
-payload: the missing bytes.  There is no header and no final terminator.
-A lookup for piece i skips i separators with ``bytes.index`` and parses
-group i only.
+Group i holds the entries whose key is piece i of their word, by decoded
+missing length, dictionary order within a length.  An entry is an 8-bit
+counter (the payload length), then the payload: the missing bytes.  There
+is no header and no final terminator.  A lookup for piece i skips i
+separators with ``bytes.index`` and reads group i only.  In a plain list a
+run of equal counters is a block of fixed-width entries, so the walk hops
+from run to run and verifies only the run whose length matches.
 
 Separator invariant: a 0 byte in a list is always a separator, because
 counters, decoded lengths, word bytes (1..127) and substitution codes
@@ -28,12 +30,18 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import MalformedInputError
 from .hashes import DEFAULT_HASH
 from .hashmap import ChainedHashMap
 
 MAX_WORD_LENGTH = 255
 CODE_FLOOR = 128
+# Length-matched runs of at least this many entries are verified with one
+# numpy comparison; shorter ones with the early-exit loop, which costs less
+# than numpy's fixed overhead on a few entries.
+MIN_VECTOR_RUN = 64
 
 
 class Dictionary:
@@ -276,8 +284,10 @@ class SplitIndex:
     @classmethod
     def build(cls, dictionary: Dictionary, k: int,
               config: SplitIndexConfig | None = None) -> "SplitIndex":
-        """Deterministic build: keys enter the table in first-seen order and
-        every role group lists its entries in dictionary order."""
+        """Deterministic build: words are taken shortest first, dictionary
+        order within a length, so every role group lists its entries by
+        missing length (a key's missing length is the word's length minus
+        the key's), and keys enter the table in first-seen order."""
         if k < 1:
             raise ValueError("k must be at least 1")
         config = config or SplitIndexConfig()
@@ -285,7 +295,7 @@ class SplitIndex:
         stats = BuildStats()
         # The k+1 role groups of each key, in key-first-seen order.
         lists: dict[bytes, list[bytearray]] = {}
-        for word in dictionary:
+        for word in sorted(dictionary, key=len):
             if len(word) <= k:
                 stats.words_skipped += 1
                 continue
@@ -341,8 +351,9 @@ class SplitIndex:
               blob: bytes, results: set, stats: QueryStats | None) -> None:
         """Verify the entries of group `role` of `blob`, the list keyed by
         `piece`, which sits at `split_at` in the pattern; add to `stats`, if
-        given, the entries inspected and matched."""
-        sub = self.config.substitution
+        given, the entries inspected and matched.  The walk reaches the end
+        of the group, so it refuses a group that overruns its separator or
+        whose missing lengths decrease."""
         at = 0
         for _ in range(role):
             at = blob.index(0, at) + 1
@@ -350,35 +361,88 @@ class SplitIndex:
         if end < 0:
             end = len(blob)
         rest = pattern[:split_at] + pattern[split_at + len(piece):]
+        walk = self._walk_runs if self.config.substitution is None else self._walk_entries
+        inspected, matches = walk(blob, at, end, rest, piece, split_at, results)
+        if stats is not None:
+            stats.entries_inspected += inspected
+            stats.length_matches += matches
+            stats.verifications += matches
+
+    def _walk_runs(self, blob: bytes, at: int, end: int, rest: bytes, piece: bytes,
+                   split_at: int, results: set) -> tuple[int, int]:
+        """Walk the plain group `blob[at:end]` one run of equal counters at
+        a time, add the words within k mismatches of the pattern to
+        `results`, and return the entries inspected and length-matched."""
+        k = self.k
         want = len(rest)
-        inspected = matches = 0
+        inspected = matches = last = 0
+        while at < end:
+            counter = blob[at]
+            if counter <= last:
+                raise MalformedInputError("a role group is not sorted by missing length")
+            last = counter
+            step = counter + 1
+            run_end = at + step
+            if run_end < end and blob[run_end] == counter:
+                # The counters of a run sit `step` bytes apart; the first
+                # byte at that stride that differs is the next run's counter.
+                strided = blob[at:end:step]
+                size = len(strided) - len(strided.lstrip(strided[:1]))
+                run_end = at + size * step
+            else:
+                size = 1
+            if run_end > end:
+                raise MalformedInputError("a list entry overruns its role group")
+            inspected += size
+            if counter == want:
+                matches += size
+                if size >= MIN_VECTOR_RUN:
+                    block = np.frombuffer(blob, np.uint8, run_end - at, at).reshape(size, step)
+                    close = np.count_nonzero(
+                        block[:, 1:] != np.frombuffer(rest, np.uint8), axis=1) <= k
+                    for i in np.flatnonzero(close).tolist():
+                        payload_at = at + i * step + 1
+                        missing = blob[payload_at:payload_at + counter]
+                        results.add(missing[:split_at] + piece + missing[split_at:])
+                else:
+                    for payload_at in range(at + 1, run_end, step):
+                        missing = blob[payload_at:payload_at + counter]
+                        if _hamming_within(missing, rest, k):
+                            results.add(missing[:split_at] + piece + missing[split_at:])
+            at = run_end
+        return inspected, matches
+
+    def _walk_entries(self, blob: bytes, at: int, end: int, rest: bytes, piece: bytes,
+                      split_at: int, results: set) -> tuple[int, int]:
+        """`_walk_runs` for a substitution-coded group, whose payload widths
+        vary, so it is walked one entry at a time."""
+        k = self.k
+        decode = self.config.substitution.decode
+        want = len(rest)
+        inspected = matches = last = 0
         try:
             while at < end:
                 counter = blob[at]
-                at += 1
-                decoded_len = counter
-                if sub is not None:
-                    decoded_len = blob[at]
-                    at += 1
-                payload_at = at
-                at += counter
+                decoded_len = blob[at + 1]
+                if decoded_len < last:
+                    raise MalformedInputError("a role group is not sorted by missing length")
+                last = decoded_len
+                payload_at = at + 2
+                at = payload_at + counter
                 inspected += 1
                 if decoded_len != want:
                     continue
                 matches += 1
-                missing = blob[payload_at:at]
-                if sub is not None:
-                    missing = sub.decode(missing)
-                if _hamming_within(missing, rest, self.k):
+                missing = decode(blob[payload_at:at])
+                if len(missing) != want:
+                    raise MalformedInputError("a payload does not decode to its stored length")
+                if _hamming_within(missing, rest, k):
                     results.add(missing[:split_at] + piece + missing[split_at:])
         except IndexError:  # a decoded length past the end of the list
             at = end + 1
         if at != end:
             raise MalformedInputError("a list entry overruns its role group")
-        if stats is not None:
-            stats.entries_inspected += inspected
-            stats.length_matches += matches
-            stats.verifications += matches
+        return inspected, matches
 
     # -- reconstruction and accounting ---------------------------------------
 
@@ -386,27 +450,49 @@ class SplitIndex:
         """Recombine every (key, missing piece) pair back into its word.
 
         The multiset holds each indexed word exactly k+1 times, once per
-        piece that serves as a key.
+        piece that serves as a key.  Lists that break what the walk relies
+        on are refused with `MalformedInputError`: an entry that overruns
+        its group, decreasing decoded lengths within a group, a payload
+        that does not decode to its stored length, a key that is not piece
+        `role` of its word, and role groups that do not hold the same words.
         """
+        k = self.k
         sub = self.config.substitution
         header = 1 if sub is None else 2
-        out: list[bytes] = []
+        # Piece sizes of every length a key (255) plus a missing piece (255)
+        # can give, None where the k+1 pieces do not fit.
+        sizes_of = [piece_sizes(length, k) if length > k else None
+                    for length in range(2 * MAX_WORD_LENGTH + 1)]
+        by_role: list[list[bytes]] = [[] for _ in range(k + 1)]
         for key, blob in self.table.items():
             for role, group in enumerate(blob.split(b"\0")):
-                at = 0
+                words = by_role[role]
+                at = last = 0
                 while at < len(group):
-                    counter = group[at]
-                    at += header
-                    missing = group[at:at + counter]
-                    at += counter
+                    payload_at = at + header
+                    at = payload_at + group[at]
+                    if at > len(group):
+                        raise MalformedInputError("a list entry overruns its role group")
+                    decoded_len = group[payload_at - 1]
+                    missing = group[payload_at:at]
                     if sub is not None:
                         missing = sub.decode(missing)
-                    length = len(key) + len(missing)
-                    if at > len(group) or length <= self.k:
-                        raise MalformedInputError("a list entry overruns its role group")
-                    split_at = sum(piece_sizes(length, self.k)[:role])
-                    out.append(missing[:split_at] + key + missing[split_at:])
-        return out
+                        if len(missing) != decoded_len:
+                            raise MalformedInputError(
+                                "a payload does not decode to its stored length")
+                    if decoded_len < last:
+                        raise MalformedInputError(
+                            "a role group is not sorted by missing length")
+                    last = decoded_len
+                    sizes = sizes_of[len(key) + decoded_len]
+                    if sizes is None or sizes[role] != len(key):
+                        raise MalformedInputError(f"a key is not piece {role} of its word")
+                    split_at = sum(sizes[:role])
+                    words.append(missing[:split_at] + key + missing[split_at:])
+        first = Counter(by_role[0])
+        if any(Counter(words) != first for words in by_role[1:]):
+            raise MalformedInputError("the role groups do not hold the same words")
+        return [word for words in by_role for word in words]
 
     def size_in_bytes(self) -> int:
         """Bucket slots (4 bytes each) plus per key: one length byte, the key

@@ -12,8 +12,8 @@ from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
 from textindex.fmgram import LinearIndex, SuperlinearIndex
-from textindex.harness import (count_with_fallback, dna_like_text, english_like_text,
-                               random_word_dictionary)
+from textindex.harness import (NaiveHammingSearcher, count_with_fallback, dna_like_text,
+                               english_like_text, random_word_dictionary)
 from textindex.splitindex import (Dictionary, SplitIndex, SplitIndexConfig, select_qgrams,
                                   split_word)
 from textindex.textcore import Corpus
@@ -131,7 +131,7 @@ class TestRejection:
         with pytest.raises(MalformedInputError):
             deserialize_index(bytes(data))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, FORMAT_VERSION + 1])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, FORMAT_VERSION + 1])
     def test_unknown_version(self, split_pair, version):
         _, index = split_pair
         data = bytearray(serialize_index(index))
@@ -358,11 +358,13 @@ def test_flipped_split_byte_is_refused_or_harmless(k, coded, where, flip):
     corrupted[9 + where % (len(data) - 9)] ^= flip
     try:
         index = deserialize_index(_resign(corrupted))
-        index.reconstruct_words()
-        for q in queries:
-            index.query(q)
+        words = index.reconstruct_words()
     except MalformedInputError:
-        pass
+        return
+    # A file that loads and reconstructs answers as a scan of its words.
+    oracle = NaiveHammingSearcher(set(words))
+    for q in queries:
+        assert index.query(q) == oracle.search(q, index.k)
 
 
 @cache
@@ -398,20 +400,21 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 4): its 31 multi-symbol
+    # Golden digest of a linear index file (format 5): its 31 multi-symbol
     # grams, first rows and row lists equal those of the format 3 file,
-    # which also listed the 4 single-symbol phrases.
+    # which also listed the 4 single-symbol phrases; its payload equals the
+    # format 4 file's, only the version byte differs.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "1f009f90459d0840f2a4e4c1732e9e63b479f7173398761cd2a87fcacddec6de")
+        "5d51b41052d31bd1ab174bca838ff02c803de4f193844756ed9ae9adc6b0087a")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 4), whose directory
+    # Golden digest of a superlinear index file (format 5), whose directory
     # equals that of the per-row build it replaced; its payload equals the
-    # format 3 file's, only the version byte differs.
+    # format 3 and 4 files', only the version byte differs.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert hashlib.sha256(data).hexdigest() == (
-        "8cd1a0066d93869a581cd6ac1d8d2ad36fa9f4138479a5b28aecd4ceb6ec4b76")
+        "93e8692068bfa7b6a75ab873885da0f7e7633c03f2f9d9a003140cdc5f59561b")

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textindex.errors import MalformedInputError
-from textindex.splitindex import (Dictionary, SplitIndex, SplitIndexConfig,
+from textindex.harness import NaiveHammingSearcher
+from textindex.splitindex import (MIN_VECTOR_RUN, Dictionary, SplitIndex, SplitIndexConfig,
                                   SubstitutionTable, decode_word, encode_word,
                                   piece_sizes, select_qgrams, split_word)
 
@@ -16,6 +17,19 @@ def naive_search(words, pattern, k):
         if len(w) == len(pattern):
             if sum(1 for a, b in zip(w, pattern) if a != b) <= k:
                 out.add(w)
+    return out
+
+
+def group_entries(group, table=None):
+    """The missing pieces of a role group, decoded, in list order."""
+    header = 1 if table is None else 2
+    out = []
+    at = 0
+    while at < len(group):
+        payload_at = at + header
+        at = payload_at + group[at]
+        payload = group[payload_at:at]
+        out.append(payload if table is None else table.decode(payload))
     return out
 
 
@@ -124,6 +138,28 @@ class TestBuild:
         b = SplitIndex.build(d, 1)
         assert list(a.table.items()) == list(b.table.items())
 
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_groups_sorted_by_missing_length(self, coded):
+        # every role group lists its entries by decoded missing length, and
+        # in dictionary order within a length
+        rng = random.Random(4)
+        words = sorted({bytes(rng.choice(b"abcd") for _ in range(rng.randint(2, 12)))
+                        for _ in range(800)})
+        rng.shuffle(words)
+        d = Dictionary(words)
+        position = {w: i for i, w in enumerate(d.words)}
+        table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
+        for k in (1, 2, 3):
+            idx = SplitIndex.build(d, k, SplitIndexConfig(substitution=table))
+            for key, blob in idx.table.items():
+                for role, group in enumerate(blob.split(b"\0")):
+                    order = []
+                    for missing in group_entries(group, table):
+                        split_at = sum(piece_sizes(len(key) + len(missing), k)[:role])
+                        word = missing[:split_at] + key + missing[split_at:]
+                        order.append((len(missing), position[word]))
+                    assert order == sorted(order)
+
 
 class TestQuery:
     def test_one_mismatch_in_prefix(self):
@@ -164,6 +200,44 @@ class TestQuery:
             if len(q) < k + 1:
                 continue
             assert idx.query(q) == naive_search(d.words, q, k)
+
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_exactness_around_vector_run(self, extra, k, coded):
+        # One role-0 group holds a run of MIN_VECTOR_RUN + extra entries of
+        # one missing length between shorter runs of other lengths, so a
+        # plain walk verifies it with numpy from MIN_VECTOR_RUN entries on
+        # and with the loop below that.
+        rng = random.Random(200 + 10 * k + extra)
+        length = 10
+        head = b"a" * piece_sizes(length, k)[0]
+        words = set()
+        for n in range(len(head) + 1, 16):
+            if piece_sizes(n, k)[0] != len(head):
+                continue
+            same_head = set()
+            while len(same_head) < (MIN_VECTOR_RUN + extra if n == length else 3):
+                same_head.add(head + bytes(rng.choice(b"bcde") for _ in range(n - len(head))))
+            words |= same_head
+        while len(words) < 3 * MIN_VECTOR_RUN:
+            words.add(bytes(rng.choice(b"bcde") for _ in range(rng.randint(k + 1, 15))))
+        d = Dictionary(sorted(words))
+        table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
+        idx = SplitIndex.build(d, k, SplitIndexConfig(substitution=table))
+        run = Counter(len(m) for m in group_entries(idx.table.get(head).split(b"\0")[0], table))
+        assert run[length - len(head)] == MIN_VECTOR_RUN + extra
+        assert len(run) > 1
+        oracle = NaiveHammingSearcher(d)
+        for w in d.words:
+            # keep the head of a run word in half of its queries, so the
+            # walk reaches the run
+            for lo in {0, len(head) if w.startswith(head) else 0}:
+                q = bytearray(w)
+                for _ in range(rng.randint(0, k + 1)):
+                    q[rng.randrange(lo, len(q))] = rng.choice(b"abcde")
+                q = bytes(q)
+                assert idx.query(q) == oracle.search(q, k)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_traversal_economy(self, k):
@@ -207,6 +281,60 @@ class TestQuery:
             raise AssertionError("QueryStats allocated by a plain query")
         monkeypatch.setattr(splitindex, "QueryStats", refuse)
         assert [idx.query(q) for q in queries] == [results for results, _ in verbose]
+
+
+class TestListChecks:
+    """Lists that load but break what the walk and the reconstruction rely
+    on are refused when they are read."""
+
+    @pytest.mark.parametrize("coded", [False, True])
+    def test_descending_group_refused(self, coded):
+        table = SubstitutionTable([(b"xy", 128)]) if coded else None
+        idx = SplitIndex.build(Dictionary([b"xyzab", b"xyab"]), 1,
+                               SplitIndexConfig(substitution=table))
+        # key "ab" is the trailing piece of both words: "xy" comes first
+        ascending, descending = (
+            (b"\x00\x01\x02\x80\x02\x03\x80z", b"\x00\x02\x03\x80z\x01\x02\x80") if coded
+            else (b"\x00\x02xy\x03xyz", b"\x00\x03xyz\x02xy"))
+        assert idx.table.get(b"ab") == ascending
+        idx.table.put(b"ab", descending)
+        for pattern in (b"xyab", b"xyzab"):
+            with pytest.raises(MalformedInputError, match="sorted"):
+                idx.query(pattern)
+        with pytest.raises(MalformedInputError, match="sorted"):
+            idx.reconstruct_words()
+
+    def test_descending_after_a_run_refused(self):
+        # runs of missing length 2, 3, then 2 again
+        idx = SplitIndex.build(Dictionary([b"aaab", b"bbab", b"cccab"]), 1)
+        assert idx.table.get(b"ab") == b"\x00\x02aa\x02bb\x03ccc"
+        idx.table.put(b"ab", b"\x00\x02aa\x02bb\x03ccc\x02dd")
+        with pytest.raises(MalformedInputError, match="sorted"):
+            idx.query(b"aaab")
+
+    def test_key_that_is_not_its_piece_refused(self):
+        idx = SplitIndex.build(Dictionary([b"abcd"]), 1)
+        # "a" + "cd" is a 3-symbol word, whose leading piece has 2 symbols
+        idx.table.put(b"a", idx.table.get(b"ab"))
+        with pytest.raises(MalformedInputError, match="not piece 0"):
+            idx.reconstruct_words()
+
+    def test_role_groups_with_different_words_refused(self):
+        idx = SplitIndex.build(Dictionary([b"abcd", b"efgh"]), 1)
+        assert idx.table.get(b"ab") == b"\x02cd\x00"
+        idx.table.put(b"ab", b"\x02cx\x00")
+        with pytest.raises(MalformedInputError, match="same words"):
+            idx.reconstruct_words()
+
+    def test_payload_longer_than_its_decoded_length_refused(self):
+        table = SubstitutionTable([(b"cd", 128)])
+        idx = SplitIndex.build(Dictionary([b"abcd"]), 1, SplitIndexConfig(substitution=table))
+        assert idx.table.get(b"ab") == b"\x01\x02\x80\x00"
+        idx.table.put(b"ab", b"\x02\x02\x80x\x00")
+        with pytest.raises(MalformedInputError, match="decode"):
+            idx.query(b"abcd")
+        with pytest.raises(MalformedInputError, match="decode"):
+            idx.reconstruct_words()
 
 
 class TestSubstitutionCoding:
