@@ -13,7 +13,7 @@ from .textcore import (Corpus, FrequencyTable, MinimizerSet, PhraseDecomposition
 from .suffixbwt import (FmIndex, RankIndex, build_count_table, build_suffix_array,
                         bwt_forward, bwt_inverse)
 from .fmgram import LinearIndex, SuperlinearIndex, list_rank
-from .splitindex import (Dictionary, SplitIndex, SplitIndexConfig, SubstitutionTable,
+from .splitindex import (Dictionary, SplitIndex, SubstitutionTable,
                          decode_word, encode_word, select_qgrams, split_word)
 from .sketches import (Sketch, SketchConfig, build_sketch, filtered_compare,
                        hamming_lower_bound, sketch_distance)
@@ -25,7 +25,7 @@ __all__ = [
     "Corpus", "Dictionary", "FmIndex", "FrequencyTable", "LinearIndex",
     "MalformedInputError", "MinimizerSet", "PhraseDecomposition",
     "RankIndex", "Sketch", "SketchConfig", "SplitIndex",
-    "SplitIndexConfig", "SubstitutionTable", "SuperlinearIndex",
+    "SubstitutionTable", "SuperlinearIndex",
     "UnsupportedPatternError", "build_count_table", "build_sketch",
     "build_suffix_array", "bwt_forward", "bwt_inverse",
     "decode_word", "deserialize_index",

@@ -11,13 +11,11 @@ import argparse
 import sys
 
 from .envelope import load_index, save_index
-from .errors import MalformedInputError
 from .fmgram import LinearIndex, SuperlinearIndex
 from .harness import (BenchConfig, NaiveHammingSearcher, count_with_fallback,
                       generate_noisy_queries, load_corpus, load_dictionary,
                       load_queries, naive_count, run_bench, sample_patterns)
-from .hashes import DEFAULT_HASH, HASH_FUNCTIONS
-from .splitindex import Dictionary, SplitIndex, SplitIndexConfig, select_qgrams
+from .splitindex import Dictionary, SplitIndex, select_qgrams
 from .textcore import FrequencyTable, entropy, printable
 
 
@@ -37,8 +35,6 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--q", type=int, default=4, help="minimizer gram length (fm-linear)")
     build.add_argument("--compress", action="store_true",
                        help="substitution-code the stored pieces (split)")
-    build.add_argument("--max-load-factor", type=float, default=None)
-    build.add_argument("--hash", default=DEFAULT_HASH, choices=sorted(HASH_FUNCTIONS))
 
     query = sub.add_parser("query", help="run queries against an index file")
     query.add_argument("--index", required=True)
@@ -75,8 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--alpha", type=int, default=3)
     bench.add_argument("--q", type=int, default=4)
     bench.add_argument("--compress", action="store_true")
-    bench.add_argument("--max-load-factor", type=float, default=None)
-    bench.add_argument("--hash", default=DEFAULT_HASH, choices=sorted(HASH_FUNCTIONS))
     bench.add_argument("--lengths", default="8,16,32",
                        help="comma-separated pattern lengths, one row each (fm kinds)")
     return parser
@@ -89,11 +83,7 @@ def _cmd_build(args) -> int:
             return 2
         dictionary, load_stats = load_dictionary(args.input)
         substitution = select_qgrams(dictionary) if args.compress else None
-        config = SplitIndexConfig(
-            hash_name=args.hash,
-            max_load_factor=args.max_load_factor or 2.0,
-            substitution=substitution)
-        index = SplitIndex.build(dictionary, args.k, config)
+        index = SplitIndex.build(dictionary, args.k, substitution)
         save_index(index, args.out)
         print(f"split index: k={args.k} words={index.stats.words_indexed} "
               f"skipped={index.stats.words_skipped} entries={index.stats.entries}")
@@ -104,14 +94,10 @@ def _cmd_build(args) -> int:
         return 0
     corpus = load_corpus(args.input)
     if args.type == "fm-super":
-        index = SuperlinearIndex.build(
-            corpus, args.qmax, hash_name=args.hash,
-            max_load_factor=args.max_load_factor or 2.81)
+        index = SuperlinearIndex.build(corpus, args.qmax)
         extra = f"q_max={index.q_max}"
     else:
-        index = LinearIndex.build(
-            corpus, args.alpha, args.q, hash_name=args.hash,
-            max_load_factor=args.max_load_factor or 2.81)
+        index = LinearIndex.build(corpus, args.alpha, args.q)
         extra = f"alpha={index.alpha} q={index.q}"
     save_index(index, args.out)
     directory = index.directory
@@ -232,8 +218,6 @@ def _cmd_bench(args) -> int:
         q_max=args.qmax,
         alpha=args.alpha,
         q=args.q,
-        hash_name=args.hash,
-        max_load_factor=args.max_load_factor,
         compress=args.compress,
         pattern_lengths=lengths)
     report = run_bench(config)
@@ -256,9 +240,6 @@ def main(argv=None) -> int:
         if args.command == "bench":
             return _cmd_bench(args)
         parser.error(f"unknown command {args.command!r}")
-    except MalformedInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,9 +12,12 @@ FM files store only what queries read.  A superlinear file is `q_max`, the
 corpus and the gram directory.  A linear file is alpha, q, the corpus, the
 n-byte BWT and the directory of its multi-symbol phrases; load rebuilds the
 count table and rank samples from the BWT and refuses one whose symbol
-counts differ from the corpus's.  Format 5 orders each split role group by
-missing length, which the split walk relies on; its FM payloads equal
-format 4's.
+counts differ from the corpus's.  A split file is k, the substitution
+table if any, and the keys with their lists, each role group ordered by
+missing length, which the split walk relies on.  No file holds a hash-map
+setting or build statistics: the reported bucket layout is fixed by class
+constants and follows from the entry count.  Format 6 differs from format 5
+only by dropping those fields.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ import zlib
 import numpy as np
 
 from .errors import MalformedInputError
-from .hashes import get_hash
 from .hashmap import ChainedHashMap
-from .splitindex import BuildStats, SplitIndex, SplitIndexConfig, SubstitutionTable
+from .splitindex import SplitIndex, SubstitutionTable
 from .suffixbwt import FmIndex, RankIndex, build_count_table
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
@@ -38,7 +40,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -52,7 +54,6 @@ class _Writer:
 
     def u8(self, v): self.parts.append(struct.pack("<B", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
-    def f64(self, v): self.parts.append(struct.pack("<d", v))
     def u32s(self, v): self.parts.append(np.asarray(v, dtype="<u4").tobytes())
 
     def blob(self, data: bytes):
@@ -83,7 +84,6 @@ class _Reader:
 
     def u8(self): return struct.unpack("<B", self._take(1))[0]
     def u32(self): return struct.unpack("<I", self._take(4))[0]
-    def f64(self): return struct.unpack("<d", self._take(8))[0]
     def blob(self): return self._take(self.u32())
     def short_blob(self): return self._take(self.u8())
 
@@ -96,16 +96,6 @@ class _Reader:
 
     def done(self) -> bool:
         return self.at == len(self.data)
-
-
-def _read_hash_name(r: _Reader) -> str:
-    raw = r.short_blob()
-    try:
-        name = raw.decode()
-        get_hash(name)
-    except ValueError:  # UnicodeDecodeError included
-        raise MalformedInputError(f"unknown hash function {raw!r}") from None
-    return name
 
 
 def _wrap(magic: bytes, payload: bytes) -> bytes:
@@ -136,19 +126,13 @@ def _unwrap(data: bytes) -> bytes:
 def _split_payload(index: SplitIndex) -> bytes:
     w = _Writer()
     w.u8(index.k)
-    sub = index.config.substitution
+    sub = index.substitution
     w.u8(1 if sub is not None else 0)
-    w.f64(index.config.max_load_factor)
-    w.short_blob(index.config.hash_name.encode())
     if sub is not None:
         w.u8(len(sub.pairs))
         for gram, code in sub.pairs:
             w.short_blob(gram)
             w.u8(code)
-    w.u32(index.stats.words_indexed)
-    w.u32(index.stats.words_skipped)
-    w.u32(index.stats.entries)
-    w.u32(index.table.bucket_count)
     w.u32(len(index.table))
     for key, blob in index.table.items():
         w.short_blob(key)
@@ -161,8 +145,6 @@ def _load_split(r: _Reader) -> SplitIndex:
     if k < 1:
         raise MalformedInputError("split index k must be at least 1")
     compressed = r.u8()
-    max_lf = r.f64()
-    hash_name = _read_hash_name(r)
     substitution = None
     if compressed:
         pairs = []
@@ -173,13 +155,8 @@ def _load_split(r: _Reader) -> SplitIndex:
             substitution = SubstitutionTable(pairs)
         except ValueError as exc:
             raise MalformedInputError(f"bad substitution table: {exc}") from None
-    stats = BuildStats(words_indexed=r.u32(), words_skipped=r.u32(),
-                       entries=r.u32())
-    bucket_count = r.u32()
     entry_count = r.u32()
-    if not max_lf > 0 or bucket_count < 1:
-        raise MalformedInputError("bad load factor or bucket count")
-    table = ChainedHashMap(hash_name, max_lf, initial_buckets=bucket_count)
+    table = ChainedHashMap()
     # Each list is a 1-byte key length, the key, a u32 list length and the
     # list.  They are read here rather than through `_Reader`, whose calls
     # per field cost more than the data for tens of thousands of lists.
@@ -207,9 +184,7 @@ def _load_split(r: _Reader) -> SplitIndex:
         raise MalformedInputError("repeated key in split index")
     if not r.done():
         raise MalformedInputError("trailing bytes after split index payload")
-    config = SplitIndexConfig(hash_name=hash_name, max_load_factor=max_lf,
-                              substitution=substitution)
-    return SplitIndex(k, table, config, stats)
+    return SplitIndex(k, table, substitution)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +216,6 @@ def _read_fm_substrate(r: _Reader) -> FmIndex:
 
 
 def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
-    w.f64(directory.max_load_factor)
-    w.short_blob(directory.hash_name.encode())
-    w.u32(directory.bucket_count)
     w.u32(len(directory.offsets))
     w.u32(len(directory.rows))
     for column in (directory.offsets, directory.lengths, directory.firsts,
@@ -274,21 +246,15 @@ def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
 
 
 def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
-    max_lf = r.f64()
-    hash_name = _read_hash_name(r)
-    bucket_count = r.u32()
     grams = r.u32()
     row_count = r.u32()
-    if not max_lf > 0 or bucket_count < 1:
-        raise MalformedInputError("bad load factor or bucket count")
     offsets, lengths, firsts = (r.u32s(grams) for _ in range(3))
     starts = r.u32s(grams + 1)
     # An aligned copy: vectorised checks and the directory's memoryview
     # need one, and the payload may place the rows at any offset.
     rows = r.u32s(row_count).astype(np.uint32)
     _check_directory(len(buffer), offsets, lengths, firsts, starts, rows)
-    directory = GramDirectory(buffer, offsets, lengths, firsts, starts, rows,
-                              hash_name, max_lf, initial_buckets=bucket_count)
+    directory = GramDirectory(buffer, offsets, lengths, firsts, starts, rows)
     if len(directory) != grams:
         raise MalformedInputError("repeated gram in directory")
     return directory

@@ -31,14 +31,12 @@ import numpy as np
 
 from . import suffixbwt
 from .errors import UnsupportedPatternError
-from .hashes import DEFAULT_HASH
 from .hashmap import ChainedHashMap
 from .textcore import (TERMINATOR, Corpus, _gram_keys, dense_ranks, minimizers,
                        packed_words, phrases)
 from .suffixbwt import FmIndex, RankIndex
 
 DEFAULT_Q_MAX = 128
-DEFAULT_DIRECTORY_LOAD_FACTOR = 2.81
 
 
 def list_rank(rows, lo: int, hi: int, row: int) -> int:
@@ -54,11 +52,11 @@ class GramDirectory(ChainedHashMap):
     sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
     """
 
-    def __init__(self, buffer: bytes, offsets, lengths, firsts, starts, rows,
-                 hash_name: str = DEFAULT_HASH,
-                 max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
-                 initial_buckets: int = 64):
-        super().__init__(hash_name, max_load_factor, initial_buckets)
+    MAX_LOAD_FACTOR = 2.81
+    INITIAL_BUCKETS = 64
+
+    def __init__(self, buffer: bytes, offsets, lengths, firsts, starts, rows):
+        super().__init__()
         self.buffer = buffer
         # Copies, so that no view keeps a loaded file's payload alive.
         self.offsets, self.lengths, self.firsts, self.starts = (
@@ -114,8 +112,6 @@ class SuperlinearIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, q_max: int = DEFAULT_Q_MAX,
-              hash_name: str = DEFAULT_HASH,
-              max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
               fm: FmIndex | None = None) -> "SuperlinearIndex":
         """`fm`, if given, supplies the suffix array."""
         if q_max < 1 or q_max & (q_max - 1):
@@ -146,8 +142,7 @@ class SuperlinearIndex:
         directory = GramDirectory(
             corpus.data, np.concatenate(offsets), np.concatenate(lengths),
             np.concatenate(firsts), np.cumsum(np.concatenate([[0], *counts])),
-            np.concatenate(rows), hash_name, max_load_factor,
-            initial_buckets=max(64, 1 << (max(n, 2) - 1).bit_length()))
+            np.concatenate(rows))
         return cls(corpus, q_max, directory)
 
     def _search(self, pattern: bytes) -> tuple[int, int]:
@@ -205,8 +200,6 @@ class LinearIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, alpha: int, q: int,
-              hash_name: str = DEFAULT_HASH,
-              max_load_factor: float = DEFAULT_DIRECTORY_LOAD_FACTOR,
               fm: FmIndex | None = None) -> "LinearIndex":
         """`fm`, if given, supplies the suffix array and the character-level
         substrate; it is not changed."""
@@ -234,7 +227,7 @@ class LinearIndex:
                 rows.append(inv[sa[lo:hi + 1] + length].astype(np.uint32))
         directory = GramDirectory(
             corpus.data, offsets, lengths, firsts, np.cumsum([0, *map(len, rows)]),
-            np.concatenate(rows) if rows else [], hash_name, max_load_factor)
+            np.concatenate(rows) if rows else [])
         # Queries read no suffix array: keep the count-only substrate.
         return cls(FmIndex(corpus, fm.l, fm.count_table, fm.ranks), alpha, q, directory)
 

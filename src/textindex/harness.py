@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import UnsupportedPatternError
 from .textcore import ENGLISH_LETTER_FREQUENCIES, Corpus
-from .splitindex import (Dictionary, MAX_WORD_LENGTH, SplitIndex,
-                         SplitIndexConfig, select_qgrams)
+from .splitindex import Dictionary, MAX_WORD_LENGTH, SplitIndex, select_qgrams
 from .fmgram import LinearIndex, SuperlinearIndex
 
 
@@ -346,8 +345,6 @@ class BenchConfig:
     q_max: int = 128
     alpha: int = 3
     q: int = 4
-    hash_name: str = "xxhash32"
-    max_load_factor: float | None = None
     compress: bool = False
     pattern_lengths: tuple[int, ...] = (8, 16, 32)
 
@@ -394,12 +391,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
                 dictionary, config.random_queries, seed=config.seed).queries)
         substitution = select_qgrams(dictionary) if config.compress else None
         for k in config.k_values:
-            split_config = SplitIndexConfig(
-                hash_name=config.hash_name,
-                max_load_factor=config.max_load_factor or 2.0,
-                substitution=substitution)
             start = time.perf_counter()
-            index = SplitIndex.build(dictionary, k, split_config)
+            index = SplitIndex.build(dictionary, k, substitution)
             build_seconds = time.perf_counter() - start
             usable = [q for q in queries if len(q) >= k + 1]
             if not usable:
@@ -427,17 +420,13 @@ def run_bench(config: BenchConfig) -> BenchReport:
     corpus = load_corpus(config.input_path)
     if config.structure == "fm-super":
         start = time.perf_counter()
-        index = SuperlinearIndex.build(
-            corpus, config.q_max, hash_name=config.hash_name,
-            max_load_factor=config.max_load_factor or 2.81)
+        index = SuperlinearIndex.build(corpus, config.q_max)
         build_seconds = time.perf_counter() - start
         run = index.count
         base_params = f"q_max={config.q_max}"
     elif config.structure == "fm-linear":
         start = time.perf_counter()
-        index = LinearIndex.build(
-            corpus, config.alpha, config.q, hash_name=config.hash_name,
-            max_load_factor=config.max_load_factor or 2.81)
+        index = LinearIndex.build(corpus, config.alpha, config.q)
         build_seconds = time.perf_counter() - start
         run = partial(count_with_fallback, index)
         base_params = f"alpha={config.alpha};q={config.q}"

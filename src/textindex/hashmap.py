@@ -1,13 +1,15 @@
 """The lookup map shared by the indexes, plus a report on its bucket layout.
 
 Lookups are served by a plain dict keyed by bytes, so no Python-level hash
-runs on a query path.  The chained-bucket layout that the hash function and
-the load factor describe is kept only as a measurement: `bucket_count` and
-`load_factor` follow the doubling rule of a chained map that grows whenever
-entries / buckets passes `max_load_factor`, and `stats()` hashes every key
-once to report the chain lengths that map would have.  Chain lengths depend
-only on the final key set and the final bucket count, so the report equals
-what a map grown one insertion at a time would show.
+runs on a query path.  The chained-bucket layout of a map is kept only as a
+measurement, fixed by class constants: `bucket_count` and `load_factor`
+follow the doubling rule of a chained map that starts with
+`INITIAL_BUCKETS` buckets and doubles whenever entries / buckets passes
+`MAX_LOAD_FACTOR`, and `stats()` hashes every key once with `DEFAULT_HASH`
+to report the chain lengths that map would have.  Chain lengths depend only
+on the final key set and the final bucket count, so the report equals what
+a map grown one insertion at a time would show.  `bucket_report` gives the
+same report for any hash function and bucket count.
 """
 
 from __future__ import annotations
@@ -35,21 +37,14 @@ def bucket_report(keys, hash_name: str, buckets: int) -> dict:
 class ChainedHashMap:
     """Map from byte keys to arbitrary values.
 
-    `hash_name`, `max_load_factor` and `initial_buckets` shape only the
-    reported bucket layout.  Iteration follows insertion order, so it is
-    deterministic for a fixed insertion sequence.
+    Iteration follows insertion order, so it is deterministic for a fixed
+    insertion sequence.
     """
 
-    def __init__(self, hash_name: str = DEFAULT_HASH, max_load_factor: float = 2.0,
-                 initial_buckets: int = 8):
-        if max_load_factor <= 0:
-            raise ValueError("max_load_factor must be positive")
-        if initial_buckets < 1:
-            raise ValueError("initial_buckets must be positive")
-        get_hash(hash_name)  # reject an unknown name here, not at the first stats()
-        self.hash_name = hash_name
-        self.max_load_factor = max_load_factor
-        self.initial_buckets = initial_buckets
+    MAX_LOAD_FACTOR = 2.0
+    INITIAL_BUCKETS = 8
+
+    def __init__(self):
         self._entries: dict = {}
 
     def __len__(self) -> int:
@@ -58,9 +53,9 @@ class ChainedHashMap:
     @property
     def bucket_count(self) -> int:
         """Buckets of a chained map that doubles whenever an insertion takes
-        entries / buckets past `max_load_factor`."""
-        buckets = self.initial_buckets
-        while len(self._entries) / buckets > self.max_load_factor:
+        entries / buckets past `MAX_LOAD_FACTOR`."""
+        buckets = self.INITIAL_BUCKETS
+        while len(self._entries) / buckets > self.MAX_LOAD_FACTOR:
             buckets *= 2
         return buckets
 
@@ -80,4 +75,4 @@ class ChainedHashMap:
         return self._entries.items()
 
     def stats(self) -> dict:
-        return bucket_report(self._entries, self.hash_name, self.bucket_count)
+        return bucket_report(self._entries, DEFAULT_HASH, self.bucket_count)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MalformedInputError
-from .hashes import DEFAULT_HASH
 from .hashmap import ChainedHashMap
 
 MAX_WORD_LENGTH = 255
@@ -241,13 +240,6 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SplitIndexConfig:
-    hash_name: str = DEFAULT_HASH
-    max_load_factor: float = 2.0
-    substitution: SubstitutionTable | None = None
-
-
-@dataclass
 class BuildStats:
     words_indexed: int = 0
     words_skipped: int = 0
@@ -272,26 +264,29 @@ def _hamming_within(a: bytes, b: bytes, k: int) -> bool:
 
 
 class SplitIndex:
-    """The piece-keyed k-mismatch index over a dictionary."""
+    """The piece-keyed k-mismatch index over a dictionary.
 
-    def __init__(self, k: int, table: ChainedHashMap, config: SplitIndexConfig,
-                 stats: BuildStats):
+    `substitution`, if set, is the table the stored pieces are coded with.
+    `stats` describes the build; an index loaded from a file has none.
+    """
+
+    def __init__(self, k: int, table: ChainedHashMap,
+                 substitution: SubstitutionTable | None = None,
+                 stats: BuildStats | None = None):
         self.k = k
         self.table = table
-        self.config = config
+        self.substitution = substitution
         self.stats = stats
 
     @classmethod
     def build(cls, dictionary: Dictionary, k: int,
-              config: SplitIndexConfig | None = None) -> "SplitIndex":
+              substitution: SubstitutionTable | None = None) -> "SplitIndex":
         """Deterministic build: words are taken shortest first, dictionary
         order within a length, so every role group lists its entries by
         missing length (a key's missing length is the word's length minus
         the key's), and keys enter the table in first-seen order."""
         if k < 1:
             raise ValueError("k must be at least 1")
-        config = config or SplitIndexConfig()
-        sub = config.substitution
         stats = BuildStats()
         # The k+1 role groups of each key, in key-first-seen order.
         lists: dict[bytes, list[bytearray]] = {}
@@ -309,17 +304,17 @@ class SplitIndex:
                 if groups is None:
                     groups = lists[piece] = [bytearray() for _ in range(k + 1)]
                 group = groups[role]
-                payload = missing if sub is None else sub.encode(missing)
+                payload = missing if substitution is None else substitution.encode(missing)
                 group.append(len(payload))
-                if sub is not None:
+                if substitution is not None:
                     group.append(len(missing))
                 group += payload
         stats.entries = (k + 1) * stats.words_indexed
 
-        table = ChainedHashMap(config.hash_name, config.max_load_factor)
+        table = ChainedHashMap()
         for key, groups in lists.items():
             table.put(key, b"\0".join(groups))
-        return cls(k, table, config, stats)
+        return cls(k, table, substitution, stats)
 
     # -- queries ------------------------------------------------------------
 
@@ -361,7 +356,7 @@ class SplitIndex:
         if end < 0:
             end = len(blob)
         rest = pattern[:split_at] + pattern[split_at + len(piece):]
-        walk = self._walk_runs if self.config.substitution is None else self._walk_entries
+        walk = self._walk_runs if self.substitution is None else self._walk_entries
         inspected, matches = walk(blob, at, end, rest, piece, split_at, results)
         if stats is not None:
             stats.entries_inspected += inspected
@@ -417,7 +412,7 @@ class SplitIndex:
         """`_walk_runs` for a substitution-coded group, whose payload widths
         vary, so it is walked one entry at a time."""
         k = self.k
-        decode = self.config.substitution.decode
+        decode = self.substitution.decode
         want = len(rest)
         inspected = matches = last = 0
         try:
@@ -457,7 +452,7 @@ class SplitIndex:
         `role` of its word, and role groups that do not hold the same words.
         """
         k = self.k
-        sub = self.config.substitution
+        sub = self.substitution
         header = 1 if sub is None else 2
         # Piece sizes of every length a key (255) plus a missing piece (255)
         # can give, None where the k+1 pieces do not fit.

@@ -22,8 +22,7 @@ from textindex.harness import (NaiveHammingSearcher, avg_comparison_experiment,
 from textindex.sketches import (OCCURRENCE, SketchConfig, build_sketch,
                                 filtered_compare, hamming, hamming_lower_bound,
                                 sketch_distance)
-from textindex.splitindex import (Dictionary, SplitIndex, SplitIndexConfig,
-                                  encode_word, select_qgrams)
+from textindex.splitindex import Dictionary, SplitIndex, encode_word, select_qgrams
 from textindex.suffixbwt import (FmIndex, build_count_table, build_suffix_array,
                                  bwt_forward, bwt_inverse)
 from textindex.textcore import Corpus, minimizers, phrases, printable
@@ -125,13 +124,12 @@ def test_criterion_3_fm_count_oracle_equivalence(desk_corpora):
             assert fm.count(p) == expected[p]
             checked["fm"] += 1
         for q_max in (1, 4, 128):
-            idx = SuperlinearIndex.build(corpus, q_max, hash_name="crc32", fm=fm)
+            idx = SuperlinearIndex.build(corpus, q_max, fm=fm)
             for p in patterns:
                 assert idx.count(p) == expected[p]
                 checked[f"superlinear q_max={q_max}"] += 1
             del idx
-        linear = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q,
-                                   hash_name="crc32", fm=fm)
+        linear = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q, fm=fm)
         for p in patterns:
             if len(p) >= window:
                 assert linear.count(p) == expected[p]
@@ -146,7 +144,7 @@ def test_criterion_3_fm_count_oracle_equivalence(desk_corpora):
 def test_criterion_4_lf_step_law():
     rng = random.Random(404)
     corpus = Corpus.from_bytes(english_like_text(32768, seed=401))
-    idx = SuperlinearIndex.build(corpus, q_max=128, hash_name="crc32")
+    idx = SuperlinearIndex.build(corpus, q_max=128)
     text = corpus.text
     pinned = [16, 31, 32, 127, 128]
     assorted = [rng.randint(1, 128) for _ in range(1000 - 5 * 40)]
@@ -165,7 +163,7 @@ def test_criterion_4_lf_step_law():
 
 def test_criterion_5_per_character_time_trend():
     corpus = Corpus.from_bytes(english_like_text(65536, seed=501))
-    idx = SuperlinearIndex.build(corpus, q_max=128, hash_name="crc32")
+    idx = SuperlinearIndex.build(corpus, q_max=128)
     rng = random.Random(502)
     times = {}
     for m in (31, 32, 127, 128):
@@ -225,7 +223,7 @@ def test_criterion_8_compression_soundness_and_benefit():
     dictionary = dna_kmer_dictionary(12_000, k=20, seed=801)
     table = select_qgrams(dictionary, budget=100, lengths=(2, 3, 4))
     plain = SplitIndex.build(dictionary, 1)
-    packed = SplitIndex.build(dictionary, 1, SplitIndexConfig(substitution=table))
+    packed = SplitIndex.build(dictionary, 1, table)
 
     workload = generate_noisy_queries(dictionary, 2000, seed=802)
     for pattern in workload.queries:
@@ -302,8 +300,7 @@ def test_criterion_11_serialization_round_trip():
     linear_idx = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q, fm=fm)
     dictionary = random_word_dictionary(2000, seed=1103)
     split_plain = SplitIndex.build(dictionary, 1)
-    split_packed = SplitIndex.build(
-        dictionary, 2, SplitIndexConfig(substitution=select_qgrams(dictionary, 40, (2,))))
+    split_packed = SplitIndex.build(dictionary, 2, select_qgrams(dictionary, 40, (2,)))
     queries = generate_noisy_queries(dictionary, 500, seed=1104).queries
 
     def fm_outputs(index):

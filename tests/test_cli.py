@@ -2,6 +2,7 @@ import pytest
 
 from textindex import cli
 from textindex.cli import main
+from textindex.envelope import FORMAT_VERSION
 from textindex.harness import english_like_text, random_word_dictionary
 
 
@@ -188,6 +189,17 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--index", str(out), "--random", "10"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_previous_format_version_rejected(self, tmp_path, dict_file, capsys):
+        out = tmp_path / "s.idx"
+        main(["build", "--type", "split", "--input", str(dict_file), "--out", str(out)])
+        data = bytearray(out.read_bytes())
+        data[4] = FORMAT_VERSION - 1
+        out.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["query", "--index", str(out), "--pattern", "word"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: unsupported format version {FORMAT_VERSION - 1}\n"
 
 
 def test_unexpected_error_is_one_line(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from textindex.errors import MalformedInputError
 from textindex.harness import NaiveHammingSearcher
-from textindex.splitindex import (MIN_VECTOR_RUN, Dictionary, SplitIndex, SplitIndexConfig,
+from textindex.splitindex import (MIN_VECTOR_RUN, Dictionary, SplitIndex,
                                   SubstitutionTable, decode_word, encode_word,
                                   piece_sizes, select_qgrams, split_word)
 
@@ -150,7 +150,7 @@ class TestBuild:
         position = {w: i for i, w in enumerate(d.words)}
         table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
         for k in (1, 2, 3):
-            idx = SplitIndex.build(d, k, SplitIndexConfig(substitution=table))
+            idx = SplitIndex.build(d, k, table)
             for key, blob in idx.table.items():
                 for role, group in enumerate(blob.split(b"\0")):
                     order = []
@@ -224,7 +224,7 @@ class TestQuery:
             words.add(bytes(rng.choice(b"bcde") for _ in range(rng.randint(k + 1, 15))))
         d = Dictionary(sorted(words))
         table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
-        idx = SplitIndex.build(d, k, SplitIndexConfig(substitution=table))
+        idx = SplitIndex.build(d, k, table)
         run = Counter(len(m) for m in group_entries(idx.table.get(head).split(b"\0")[0], table))
         assert run[length - len(head)] == MIN_VECTOR_RUN + extra
         assert len(run) > 1
@@ -290,8 +290,7 @@ class TestListChecks:
     @pytest.mark.parametrize("coded", [False, True])
     def test_descending_group_refused(self, coded):
         table = SubstitutionTable([(b"xy", 128)]) if coded else None
-        idx = SplitIndex.build(Dictionary([b"xyzab", b"xyab"]), 1,
-                               SplitIndexConfig(substitution=table))
+        idx = SplitIndex.build(Dictionary([b"xyzab", b"xyab"]), 1, table)
         # key "ab" is the trailing piece of both words: "xy" comes first
         ascending, descending = (
             (b"\x00\x01\x02\x80\x02\x03\x80z", b"\x00\x02\x03\x80z\x01\x02\x80") if coded
@@ -328,7 +327,7 @@ class TestListChecks:
 
     def test_payload_longer_than_its_decoded_length_refused(self):
         table = SubstitutionTable([(b"cd", 128)])
-        idx = SplitIndex.build(Dictionary([b"abcd"]), 1, SplitIndexConfig(substitution=table))
+        idx = SplitIndex.build(Dictionary([b"abcd"]), 1, table)
         assert idx.table.get(b"ab") == b"\x01\x02\x80\x00"
         idx.table.put(b"ab", b"\x02\x02\x80x\x00")
         with pytest.raises(MalformedInputError, match="decode"):
@@ -421,7 +420,7 @@ class TestCompressedIndex:
         d = Dictionary(sorted(words))
         table = select_qgrams(d, budget=40, lengths=(2, 3))
         plain = SplitIndex.build(d, k)
-        packed = SplitIndex.build(d, k, SplitIndexConfig(substitution=table))
+        packed = SplitIndex.build(d, k, table)
         assert packed.list_bytes() < plain.list_bytes()
         for _ in range(300):
             w = rng.choice(d.words)
@@ -436,7 +435,7 @@ class TestCompressedIndex:
     def test_reconstruction_decodes(self):
         d = Dictionary([b"banana", b"bandana"])
         table = select_qgrams(d, budget=10, lengths=(2,))
-        idx = SplitIndex.build(d, 1, SplitIndexConfig(substitution=table))
+        idx = SplitIndex.build(d, 1, table)
         assert Counter(idx.reconstruct_words()) == Counter(
             {b"banana": 2, b"bandana": 2})
 
