@@ -12,7 +12,7 @@ import sys
 
 from .envelope import load_index, save_index
 from .fmgram import LinearIndex, SuperlinearIndex
-from .harness import (BenchConfig, NaiveHammingSearcher, count_with_fallback,
+from .harness import (BENCH_CSV_COLUMNS, BenchConfig, NaiveHammingSearcher,
                       generate_noisy_queries, load_corpus, load_dictionary,
                       load_queries, naive_count, run_bench, sample_patterns)
 from .splitindex import Dictionary, SplitIndex, select_qgrams
@@ -54,9 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="benchmark a structure, CSV on stdout",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=("CSV columns: structure, params, dataset, index_bytes, "
-                "build_seconds, queries, repeats, mean_query_us, p50_query_us, "
-                "p95_query_us, counters, load_factor, buckets, entries.\n"
+        epilog=(f"CSV columns: {', '.join(BENCH_CSV_COLUMNS)}.\n"
                 "Query timings cover everything from pattern bytes to the "
                 "result set, including pattern splitting and hashing; a "
                 "warm-up pass runs first and is excluded from the averages."))
@@ -139,7 +137,7 @@ def _cmd_query(args, parser) -> int:
         parser.error("--op words is only supported by split indexes")
     for pattern in patterns:
         try:
-            count = count_with_fallback(index, pattern)
+            count = index.count(pattern)
         except ValueError as exc:
             print(f"error: {exc}")
             failed = True
@@ -171,17 +169,15 @@ def _cmd_verify(args, parser) -> int:
             if index.query(pattern) != oracle.search(pattern, index.k):
                 discrepancies += 1
     else:
-        corpus = index.corpus
+        text = index.corpus.text
         if args.queries:
             patterns = load_queries(args.queries)
         else:
-            lengths = [2, 3, 5, 8, 13, 21, 34]
-            if isinstance(index, LinearIndex):
-                lengths = [max(ln, index.q + index.alpha - 1) for ln in lengths]
-            patterns = sample_patterns(corpus.text, args.random, lengths, seed=args.seed)
+            patterns = sample_patterns(text, args.random, [2, 3, 5, 8, 13, 21, 34],
+                                       seed=args.seed)
         for pattern in patterns:
             total += 1
-            if count_with_fallback(index, pattern) != naive_count(corpus.text, pattern):
+            if index.count(pattern) != naive_count(text, pattern):
                 discrepancies += 1
 
     print(f"{discrepancies} discrepancies over {total} queries")

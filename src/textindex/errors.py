@@ -6,5 +6,6 @@ class MalformedInputError(ValueError):
 
 
 class UnsupportedPatternError(ValueError):
-    """Pattern outside the shape an index supports (e.g. shorter than one
-    minimizer window); callers may fall back to a plain character-level search."""
+    """Pattern outside the shape an index supports.  No package code raises
+    it any more: every index counts every nonempty pattern without the
+    terminator.  It stays importable for code that still catches it."""

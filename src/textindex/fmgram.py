@@ -13,9 +13,12 @@ Two variants trade space for fewer backward-search steps:
   symbols.  A query runs plain per-character steps on the pattern tail and
   head and on one-symbol phrases, and phrase-sized steps on the others;
   minimizers guarantee that a pattern long enough to contain one full
-  window chooses the same interior phrases as the text.  Its character
-  steps read the BWT, count table and rank samples of an `FmIndex`, which
-  keeps no suffix array once the lists are built.
+  window chooses the same interior phrases as the text.  A shorter pattern
+  is counted by character steps alone.  Its character steps read the BWT,
+  count table and rank samples of an `FmIndex`.
+
+Each build makes its own suffix array, reads it while building the
+directory and keeps none; queries never read one.
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -30,11 +33,9 @@ from bisect import bisect_right
 import numpy as np
 
 from . import suffixbwt
-from .errors import UnsupportedPatternError
 from .hashmap import ChainedHashMap
-from .textcore import (TERMINATOR, Corpus, _gram_keys, dense_ranks, minimizers,
-                       packed_words, phrases)
-from .suffixbwt import FmIndex, RankIndex
+from .textcore import Corpus, _gram_keys, dense_ranks, minimizers, packed_words, phrases
+from .suffixbwt import FmIndex, RankIndex, countable
 
 DEFAULT_Q_MAX = 128
 
@@ -95,13 +96,6 @@ def _greedy_chunks(m: int, q_max: int) -> list[int]:
     return chunks
 
 
-def _validate_pattern(pattern: bytes) -> None:
-    if not pattern:
-        raise ValueError("pattern must be nonempty")
-    if TERMINATOR in pattern:
-        raise ValueError("pattern must not contain the terminator symbol")
-
-
 class SuperlinearIndex:
     """FM index with occurrence lists for every power-of-two gram length."""
 
@@ -111,13 +105,11 @@ class SuperlinearIndex:
         self.directory = directory
 
     @classmethod
-    def build(cls, corpus: Corpus, q_max: int = DEFAULT_Q_MAX,
-              fm: FmIndex | None = None) -> "SuperlinearIndex":
-        """`fm`, if given, supplies the suffix array."""
+    def build(cls, corpus: Corpus, q_max: int = DEFAULT_Q_MAX) -> "SuperlinearIndex":
         if q_max < 1 or q_max & (q_max - 1):
             raise ValueError("q_max must be a power of two")
         # Called through the module, where traced runs wrap it.
-        sa = suffixbwt.build_suffix_array(corpus) if fm is None else _prebuilt_sa(fm, corpus)
+        sa = suffixbwt.build_suffix_array(corpus)
         inv = suffixbwt.inverse_permutation(sa)
         text, n = corpus.text, corpus.n
         empty = np.empty(0, dtype=np.int64)
@@ -145,12 +137,14 @@ class SuperlinearIndex:
             np.concatenate(rows))
         return cls(corpus, q_max, directory)
 
-    def _search(self, pattern: bytes) -> tuple[int, int]:
-        """Return (count, LF steps)."""
-        _validate_pattern(pattern)
-        m = len(pattern)
-        if m > self.corpus.n - 1:
+    def count(self, pattern: bytes) -> int:
+        return self.count_with_steps(pattern)[0]
+
+    def count_with_steps(self, pattern: bytes) -> tuple[int, int]:
+        """Count plus the number of LF steps the query performed."""
+        if not countable(pattern, self.corpus.n):
             return 0, 0
+        m = len(pattern)
         chunks = _greedy_chunks(m, self.q_max)
         pos = m - chunks[0]
         entry = self.directory.get(pattern[pos:m])
@@ -175,13 +169,6 @@ class SuperlinearIndex:
                 return 0, steps
         return e - s + 1, steps
 
-    def count(self, pattern: bytes) -> int:
-        return self._search(pattern)[0]
-
-    def count_with_steps(self, pattern: bytes) -> tuple[int, int]:
-        """Count plus the number of LF steps the query performed."""
-        return self._search(pattern)
-
     def size_in_bytes(self) -> int:
         """Deterministic size accounting: the gram directory plus the
         corpus, n bytes."""
@@ -199,16 +186,13 @@ class LinearIndex:
         self.directory = directory
 
     @classmethod
-    def build(cls, corpus: Corpus, alpha: int, q: int,
-              fm: FmIndex | None = None) -> "LinearIndex":
-        """`fm`, if given, supplies the suffix array and the character-level
-        substrate; it is not changed."""
+    def build(cls, corpus: Corpus, alpha: int, q: int) -> "LinearIndex":
         text = corpus.text
         if len(text) < q + alpha - 1:
             raise ValueError("corpus shorter than one minimizer window")
-        if fm is None:
-            fm = FmIndex.build(corpus)
-        sa = _prebuilt_sa(fm, corpus)
+        # Called through the module, where traced runs wrap it.
+        sa = suffixbwt.build_suffix_array(corpus)
+        fm = FmIndex.build(corpus, sa)
         offsets, lengths, firsts, rows = [], [], [], []
         mset = minimizers(text, alpha, q)
         if len(mset.starts) > 1:
@@ -218,9 +202,9 @@ class LinearIndex:
             for offset, length in _distinct_phrases(text, phrases(text, mset).starts, alpha):
                 if length == 1:
                     continue
-                # The rows of every occurrence, found through the
-                # suffix-array range of the phrase.
-                lo, hi = _sa_range(corpus.data, sa, text[offset:offset + length])
+                # The phrase's suffix-array range, by backward search, and
+                # through it the rows of every occurrence.
+                lo, hi = fm.extend(text[offset:offset + length], 0, corpus.n - 1)
                 offsets.append(offset)
                 lengths.append(length)
                 firsts.append(lo)
@@ -228,18 +212,15 @@ class LinearIndex:
         directory = GramDirectory(
             corpus.data, offsets, lengths, firsts, np.cumsum([0, *map(len, rows)]),
             np.concatenate(rows) if rows else [])
-        # Queries read no suffix array: keep the count-only substrate.
-        return cls(FmIndex(corpus, fm.l, fm.count_table, fm.ranks), alpha, q, directory)
+        return cls(fm, alpha, q, directory)
 
     def count(self, pattern: bytes) -> int:
-        _validate_pattern(pattern)
-        m = len(pattern)
-        window = self.q + self.alpha - 1
-        if m < window:
-            raise UnsupportedPatternError(
-                f"pattern of length {m} is below the minimizer window {window}; "
-                "use a plain character-level count instead")
-        if m > self.corpus.n - 1:
+        """Occurrences of `pattern` in the corpus text, overlaps included.
+        A pattern shorter than one minimizer window holds no full window, so
+        its phrases need not be the text's: it takes character steps alone."""
+        if len(pattern) < self.q + self.alpha - 1:
+            return self.fm.count(pattern)
+        if not countable(pattern, self.corpus.n):
             return 0
         marks = minimizers(pattern, self.alpha, self.q).positions
         fm = self.fm
@@ -288,15 +269,6 @@ def _substrate_bytes(fm: FmIndex) -> int:
     return n + 8 * len(fm.count_table) + 8 * sample_blocks * len(fm.count_table)
 
 
-def _prebuilt_sa(fm: FmIndex, corpus: Corpus) -> np.ndarray:
-    """The suffix array of an FM index given to a build, which only reads it."""
-    if fm.corpus.data != corpus.data:
-        raise ValueError("prebuilt substrate belongs to a different corpus")
-    if fm.sa is None:
-        raise ValueError("prebuilt substrate has no suffix array")
-    return fm.sa
-
-
 def _distinct_phrases(text: bytes, starts: np.ndarray, alpha: int) -> list[tuple[int, int]]:
     """(offset, length) of the first occurrence of each distinct phrase,
     in first-seen order; phrase i is text[starts[i]:starts[i + 1]]."""
@@ -315,28 +287,3 @@ def _distinct_phrases(text: bytes, starts: np.ndarray, alpha: int) -> list[tuple
     # occurrence; sorting by that offset restores first-seen order.
     seen = dict(zip(reversed(contents), reversed(bounds[:-1])))
     return sorted((offset, len(content)) for content, offset in seen.items())
-
-
-def _sa_range(data: bytes, sa: np.ndarray, content: bytes) -> tuple[int, int]:
-    """Rows [lo, hi] of the suffixes of `data` starting with `content`
-    (hi < lo if none)."""
-    n = len(sa)
-    length = len(content)
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        p = int(sa[mid])
-        if data[p:p + length] < content:
-            lo = mid + 1
-        else:
-            hi = mid
-    first = lo
-    hi = n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        p = int(sa[mid])
-        if data[p:p + length] <= content:
-            lo = mid + 1
-        else:
-            hi = mid
-    return first, lo - 1

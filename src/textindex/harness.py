@@ -14,12 +14,10 @@ import io
 import random
 import statistics
 import time
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import UnsupportedPatternError
 from .textcore import ENGLISH_LETTER_FREQUENCIES, Corpus
 from .splitindex import Dictionary, MAX_WORD_LENGTH, SplitIndex, select_qgrams
 from .fmgram import LinearIndex, SuperlinearIndex
@@ -291,12 +289,6 @@ def english_frequency_vector() -> np.ndarray:
 # benchmark layer
 # ---------------------------------------------------------------------------
 
-BENCH_CSV_COLUMNS = [
-    "structure", "params", "dataset", "index_bytes", "build_seconds",
-    "queries", "repeats", "mean_query_us", "p50_query_us", "p95_query_us",
-    "counters", "load_factor", "buckets", "entries",
-]
-
 # Timing covers everything from pattern bytes to the final result set,
 # including pattern splitting and hashing.
 
@@ -317,6 +309,10 @@ class BenchRow:
     load_factor: float
     buckets: int
     entries: int
+
+
+# The CSV header, also listed by `textindex bench --help`.
+BENCH_CSV_COLUMNS = [column.name for column in fields(BenchRow)]
 
 
 @dataclass
@@ -347,15 +343,6 @@ class BenchConfig:
     q: int = 4
     compress: bool = False
     pattern_lengths: tuple[int, ...] = (8, 16, 32)
-
-
-def count_with_fallback(index, pattern: bytes) -> int:
-    """`index.count(pattern)`, except that a pattern a LinearIndex refuses as
-    shorter than its minimizer window is counted by its plain FM index."""
-    try:
-        return index.count(pattern)
-    except UnsupportedPatternError:
-        return index.fm.count(pattern)
 
 
 def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, float]:
@@ -422,13 +409,11 @@ def run_bench(config: BenchConfig) -> BenchReport:
         start = time.perf_counter()
         index = SuperlinearIndex.build(corpus, config.q_max)
         build_seconds = time.perf_counter() - start
-        run = index.count
         base_params = f"q_max={config.q_max}"
     elif config.structure == "fm-linear":
         start = time.perf_counter()
         index = LinearIndex.build(corpus, config.alpha, config.q)
         build_seconds = time.perf_counter() - start
-        run = partial(count_with_fallback, index)
         base_params = f"alpha={config.alpha};q={config.q}"
     else:
         raise ValueError(f"unknown structure {config.structure!r}")
@@ -447,7 +432,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
         ]
     for tag, queries in workloads:
         if queries:
-            mean, p50, p95 = _time_workload(run, queries, config.repeats)
+            mean, p50, p95 = _time_workload(index.count, queries, config.repeats)
         else:
             mean = p50 = p95 = 0.0
         counters = ""

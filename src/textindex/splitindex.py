@@ -109,16 +109,25 @@ def split_word(word: bytes, k: int) -> list[bytes]:
 def encode_word(word: bytes, pairs) -> bytes:
     """Greedy left-to-right substitution; longer grams are tried first at
     each position.  `pairs` is an ordered sequence of (gram, code) items."""
+    return _encode(word, _codes_by_length(pairs))
+
+
+def _codes_by_length(pairs) -> list[tuple[int, dict[bytes, int]]]:
+    """(length, {gram: code}) for each gram length in `pairs`, longest first."""
     by_length: dict[int, dict[bytes, int]] = {}
     for gram, code in pairs:
         by_length.setdefault(len(gram), {})[gram] = code
-    lengths = sorted(by_length, reverse=True)
+    return sorted(by_length.items(), key=lambda item: -item[0])
+
+
+def _encode(word: bytes, by_length: list[tuple[int, dict[bytes, int]]]) -> bytes:
+    """`word` with the grams of `by_length` greedily replaced by their codes."""
     out = bytearray()
     at = 0
     n = len(word)
     while at < n:
-        for ln in lengths:
-            code = by_length[ln].get(word[at:at + ln])
+        for ln, codes in by_length:
+            code = codes.get(word[at:at + ln])
             if code is not None:
                 out.append(code)
                 at += ln
@@ -172,12 +181,13 @@ class SubstitutionTable:
         self.pairs: tuple[tuple[bytes, int], ...] = tuple(
             sorted(pairs, key=lambda item: -len(item[0])))
         self._grams = {code: gram for gram, code in self.pairs}
+        self._codes = _codes_by_length(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def encode(self, word: bytes) -> bytes:
-        return encode_word(word, self.pairs)
+        return _encode(word, self._codes)
 
     def decode(self, coded: bytes) -> bytes:
         return _decode(coded, self._grams)

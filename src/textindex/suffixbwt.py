@@ -3,9 +3,9 @@
 The suffix array orders the suffixes of a corpus lexicographically; the BWT
 string is read off it one symbol to the left of each suffix.  Counting needs
 only the BWT, the count table and a sampled rank structure over the BWT
-(backward search, Ferragina and Manzini 2000); the suffix array is build
-state, kept by a built `FmIndex` for the gram directories built from it and
-absent from a loaded one.
+(backward search, Ferragina and Manzini 2000).  The suffix array is build
+state: each index build makes its own, reads it and drops it, and no index
+keeps one.
 """
 
 from __future__ import annotations
@@ -150,27 +150,33 @@ class RankIndex:
         return sampled[block] + self.l.count(symbol, block * self.STRIDE, i + 1)
 
 
-class FmIndex:
-    """Count-only FM index: BWT string, count table and sampled ranks.
+def countable(pattern: bytes, n: int) -> bool:
+    """Whether `pattern` can occur in a text of n - 1 symbols (a corpus of
+    n with its terminator); raises `ValueError` for an empty pattern or one
+    holding the terminator, which no count accepts."""
+    if not pattern:
+        raise ValueError("pattern must be nonempty")
+    if TERMINATOR in pattern:
+        raise ValueError("pattern must not contain the terminator symbol")
+    return len(pattern) < n
 
-    `sa` is the suffix array of a built index, which gram-directory builds
-    read; a loaded index has none, as counting never reads it.
-    """
+
+class FmIndex:
+    """Count-only FM index: BWT string, count table and sampled ranks."""
 
     def __init__(self, corpus: Corpus, l: bytes, count_table: dict[int, int],
-                 ranks: RankIndex, sa: np.ndarray | None = None):
+                 ranks: RankIndex):
         self.corpus = corpus
         self.l = l
         self.count_table = count_table
         self.ranks = ranks
-        self.sa = sa
 
     @classmethod
     def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
-        if sa is None:
-            sa = build_suffix_array(corpus)
+        """`sa`, if given, is the corpus's suffix array, already built by a
+        caller that also reads it; the index does not keep it."""
         l = bwt_forward(corpus, sa)
-        return cls(corpus, l, build_count_table(corpus), RankIndex(l), sa)
+        return cls(corpus, l, build_count_table(corpus), RankIndex(l))
 
     def step(self, s: int, e: int, symbol: int) -> tuple[int, int]:
         """One backward-search step: narrow [s, e] (0 <= s <= e < n) to the
@@ -208,12 +214,8 @@ class FmIndex:
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included."""
-        if not pattern:
-            raise ValueError("pattern must be nonempty")
-        if TERMINATOR in pattern:
-            raise ValueError("pattern must not contain the terminator symbol")
         n = self.corpus.n
-        if len(pattern) > n - 1:
+        if not countable(pattern, n):
             return 0
         s, e = self.extend(pattern, 0, n - 1)
         return max(e - s + 1, 0)

@@ -114,7 +114,6 @@ def test_criterion_2_bwt_round_trip():
 def test_criterion_3_fm_count_oracle_equivalence(desk_corpora):
     started = time.perf_counter()
     lengths = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64]
-    window = WINDOW_Q + WINDOW_ALPHA - 1
     checked = Counter()
     for name, corpus in desk_corpora.items():
         patterns = sample_patterns(corpus.text, 5000, lengths, seed=301)
@@ -124,16 +123,15 @@ def test_criterion_3_fm_count_oracle_equivalence(desk_corpora):
             assert fm.count(p) == expected[p]
             checked["fm"] += 1
         for q_max in (1, 4, 128):
-            idx = SuperlinearIndex.build(corpus, q_max, fm=fm)
+            idx = SuperlinearIndex.build(corpus, q_max)
             for p in patterns:
                 assert idx.count(p) == expected[p]
                 checked[f"superlinear q_max={q_max}"] += 1
             del idx
-        linear = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q, fm=fm)
+        linear = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q)
         for p in patterns:
-            if len(p) >= window:
-                assert linear.count(p) == expected[p]
-                checked["linear"] += 1
+            assert linear.count(p) == expected[p]
+            checked["linear"] += 1
         del linear, fm
     elapsed = time.perf_counter() - started
     assert elapsed < 300.0
@@ -293,24 +291,16 @@ def test_criterion_10_average_comparisons():
 def test_criterion_11_serialization_round_trip():
     corpus = Corpus.from_bytes(english_like_text(8192, seed=1101))
     patterns = sample_patterns(corpus.text, 500, [2, 4, 6, 8, 16, 32], seed=1102)
-    window = WINDOW_Q + WINDOW_ALPHA - 1
 
-    fm = FmIndex.build(corpus)
-    super_idx = SuperlinearIndex.build(corpus, q_max=16, fm=fm)
-    linear_idx = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q, fm=fm)
+    super_idx = SuperlinearIndex.build(corpus, q_max=16)
+    linear_idx = LinearIndex.build(corpus, WINDOW_ALPHA, WINDOW_Q)
     dictionary = random_word_dictionary(2000, seed=1103)
     split_plain = SplitIndex.build(dictionary, 1)
     split_packed = SplitIndex.build(dictionary, 2, select_qgrams(dictionary, 40, (2,)))
     queries = generate_noisy_queries(dictionary, 500, seed=1104).queries
 
     def fm_outputs(index):
-        out = []
-        for p in patterns:
-            if isinstance(index, LinearIndex) and len(p) < window:
-                out.append(index.fm.count(p))
-            else:
-                out.append(index.count(p))
-        return out
+        return [index.count(p) for p in patterns]
 
     for index, replay in (
         (super_idx, fm_outputs),

@@ -119,7 +119,7 @@ class TestQueryCommand:
         main(["build", "--type", "fm-linear", "--alpha", "3", "--q", "4",
               "--input", str(corpus), "--out", str(out)])
         capsys.readouterr()
-        # below the minimizer window; answered by the character-level substrate
+        # below the minimizer window, so counted by character steps alone
         assert main(["query", "--index", str(out), "--pattern", "ana"]) == 0
         assert capsys.readouterr().out == "4\n"  # two occurrences in each banana
 
@@ -247,3 +247,12 @@ class TestBenchCommand:
         assert lines[0].startswith("structure,params,dataset,index_bytes")
         assert len(lines) == 3
         assert lines[1].startswith("split,")
+
+    def test_header_matches_help(self, dict_file, capsys):
+        with pytest.raises(SystemExit):
+            main(["bench", "--help"])
+        listed = capsys.readouterr().out.split("CSV columns: ", 1)[1].split(".\n", 1)[0]
+        assert main(["bench", "--type", "split", "--input", str(dict_file),
+                     "--random", "5", "--repeats", "1"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split(",") == listed.split(", ")

@@ -4,7 +4,6 @@ from array import array
 import pytest
 
 from textindex.envelope import deserialize_index, serialize_index
-from textindex.errors import UnsupportedPatternError
 from textindex.harness import dna_like_text
 from textindex.suffixbwt import FmIndex, build_suffix_array
 from textindex.textcore import Corpus, minimizers, phrases
@@ -182,10 +181,27 @@ class TestLinearIndex:
         with pytest.raises(ValueError):
             LinearIndex.build(Corpus.from_bytes(b"ab"), alpha=3, q=2)
 
-    def test_short_pattern_unsupported(self):
-        idx = LinearIndex.build(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
-        with pytest.raises(UnsupportedPatternError):
-            idx.count(b"app")
+    @pytest.mark.parametrize("alpha, q", [(1, 2), (3, 2), (4, 2), (3, 4), (4, 1), (8, 4)])
+    def test_short_patterns_match_naive(self, alpha, q):
+        # a pattern below one window is counted by character steps alone;
+        # the smallest buildable corpus, one window long, also gets patterns
+        # longer than itself
+        rng = random.Random(alpha * 100 + q)
+        raw = bytes(rng.choice(b"abc") for _ in range(300))
+        window = q + alpha - 1
+        for text in (raw, raw[:window]):
+            idx = LinearIndex.build(Corpus.from_bytes(text), alpha=alpha, q=q)
+            for m in range(1, window + 3):
+                patterns = [bytes(rng.choice(b"abc") for _ in range(m)) for _ in range(8)]
+                patterns += [b"d" * m, b"a" * (m - 1) + b"d"]
+                if m <= len(text):
+                    patterns += [text[s:s + m] for s in
+                                 rng.sample(range(len(text) - m + 1), min(5, len(text) - m + 1))]
+                for pattern in patterns:
+                    assert idx.count(pattern) == naive_count(text, pattern), pattern
+            for bad in (b"", b"\x00", b"a\x00", b"a" * window + b"\x00"):
+                with pytest.raises(ValueError):
+                    idx.count(bad)
 
     def test_whole_text_pattern(self):
         idx = LinearIndex.build(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
@@ -225,23 +241,8 @@ class TestLinearIndex:
 
     def test_built_index_keeps_no_suffix_array(self):
         corpus = Corpus.from_bytes(dna_like_text(2000, seed=4))
-        fm = FmIndex.build(corpus)
-        before = dict(vars(fm))
-        for idx in (LinearIndex.build(corpus, alpha=3, q=4),
-                    LinearIndex.build(corpus, alpha=3, q=4, fm=fm)):
-            assert idx.fm.sa is None
-        SuperlinearIndex.build(corpus, q_max=8, fm=fm)
-        # the caller's substrate is read, never changed
-        assert vars(fm).keys() == before.keys()
-        assert all(vars(fm)[name] is value for name, value in before.items())
-
-    def test_substrate_without_suffix_array_refused(self):
-        corpus = Corpus.from_bytes(dna_like_text(2000, seed=4))
-        loaded = deserialize_index(serialize_index(LinearIndex.build(corpus, alpha=3, q=4)))
-        with pytest.raises(ValueError, match="no suffix array"):
-            LinearIndex.build(corpus, alpha=3, q=4, fm=loaded.fm)
-        with pytest.raises(ValueError, match="no suffix array"):
-            SuperlinearIndex.build(corpus, q_max=8, fm=loaded.fm)
+        idx = LinearIndex.build(corpus, alpha=3, q=4)
+        assert not hasattr(idx.fm, "sa")
 
     def test_matches_naive(self):
         rng = random.Random(43)
