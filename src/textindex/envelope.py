@@ -2,22 +2,39 @@
 
 Layout: 4-byte magic (per structure kind), 1-byte format version, 4-byte
 CRC32 of the payload, payload.  All integers are little-endian fixed width,
-byte sequences are length-prefixed and the u32 arrays of a gram directory
-follow their counts, so a file is bit-identical across runs given the same
-build inputs.  Unknown magic, unknown version and checksum mismatches are
-rejected before any payload parsing, and the payload is parsed in place in
-the file's bytes, not copied out first.
+byte sequences are length-prefixed and arrays follow their counts, so a
+file is bit-identical across runs given the same build inputs.  Unknown
+magic, unknown version and checksum mismatches are rejected before any
+payload parsing, and the payload is parsed in place in the file's bytes,
+not copied out first; nothing loaded keeps a view of them.
 
 FM files store only what queries read.  A superlinear file is `q_max`, the
 corpus and the gram directory.  A linear file is alpha, q, the corpus, the
 n-byte BWT and the directory of its multi-symbol phrases; load rebuilds the
 count table and rank samples from the BWT and refuses one whose symbol
-counts differ from the corpus's.  A split file is k, the substitution
-table if any, and the keys with their lists, each role group ordered by
-missing length, which the split walk relies on.  No file holds a hash-map
-setting or build statistics: the reported bucket layout is fixed by class
-constants and follows from the entry count.  Format 6 differs from format 5
-only by dropping those fields.
+counts differ from the corpus's.  A directory is five u32 columns, and load
+keys every gram to its id in one bulk pass over them.  A split file is k,
+the substitution table if any, and four flat columns: the key count, then
+u8 key lengths, the key bytes, u32 list lengths and the list bytes, each
+role group of a list ordered by missing length, which the split walk
+relies on.  Load frames the keys and lists with cumulative sums and checks
+them in bulk.  No file holds a hash-map setting or build statistics: the
+reported bucket layout is fixed by class constants and follows from the
+entry count.
+
+Format 7 differs from format 6 only in the split payload, whose per-key
+fields (key length, key, list length, list) became the four columns, so a
+split file keeps its size and an FM file differs only in its version byte.
+Format 6 dropped the hash-map settings and build statistics of format 5.
+
+Load refuses, with `MalformedInputError`: a truncated payload or trailing
+bytes; a split file with k below 1, a bad substitution table, an empty or
+repeated key, or a list without exactly k zero bytes; a corpus whose
+terminator is missing or not only at its end; a directory whose `starts`
+do not frame its rows, whose grams are empty, reach the terminator or
+repeat, whose first row plus count passes n, or whose rows reach n or do
+not rise inside a gram; and a linear file with alpha or q below 1, or
+whose BWT length or symbol counts differ from the corpus's.
 """
 
 from __future__ import annotations
@@ -40,12 +57,11 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
 _HEADER = 9
-_U32 = struct.Struct("<I")
 
 
 class _Writer:
@@ -54,15 +70,17 @@ class _Writer:
 
     def u8(self, v): self.parts.append(struct.pack("<B", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
+    def u8s(self, v): self.parts.append(bytes(v))
     def u32s(self, v): self.parts.append(np.asarray(v, dtype="<u4").tobytes())
+    def raw(self, data: bytes): self.parts.append(bytes(data))
 
     def blob(self, data: bytes):
         self.u32(len(data))
-        self.parts.append(bytes(data))
+        self.raw(data)
 
     def short_blob(self, data: bytes):
         self.u8(len(data))
-        self.parts.append(bytes(data))
+        self.raw(data)
 
     def getvalue(self) -> bytes:
         return b"".join(self.parts)
@@ -75,24 +93,29 @@ class _Reader:
         self.data = data
         self.at = at
 
-    def _take(self, size: int) -> bytes:
+    def span(self, size: int) -> int:
+        """Offset of the next `size` bytes, which the reader moves past."""
         if self.at + size > len(self.data):
             raise MalformedInputError("truncated index payload")
-        out = self.data[self.at:self.at + size]
         self.at += size
-        return out
+        return self.at - size
+
+    def _take(self, size: int) -> bytes:
+        at = self.span(size)
+        return self.data[at:at + size]
 
     def u8(self): return struct.unpack("<B", self._take(1))[0]
     def u32(self): return struct.unpack("<I", self._take(4))[0]
     def blob(self): return self._take(self.u32())
     def short_blob(self): return self._take(self.u8())
 
+    def u8s(self, count):
+        """`count` u8s, as a view into the file bytes rather than a copy."""
+        return np.frombuffer(self.data, dtype=np.uint8, count=count, offset=self.span(count))
+
     def u32s(self, count):
         """`count` u32s, as a view into the file bytes rather than a copy."""
-        if self.at + 4 * count > len(self.data):
-            raise MalformedInputError("truncated index payload")
-        self.at += 4 * count
-        return np.frombuffer(self.data, dtype="<u4", count=count, offset=self.at - 4 * count)
+        return np.frombuffer(self.data, dtype="<u4", count=count, offset=self.span(4 * count))
 
     def done(self) -> bool:
         return self.at == len(self.data)
@@ -133,11 +156,28 @@ def _split_payload(index: SplitIndex) -> bytes:
         for gram, code in sub.pairs:
             w.short_blob(gram)
             w.u8(code)
-    w.u32(len(index.table))
-    for key, blob in index.table.items():
-        w.short_blob(key)
-        w.blob(blob)
+    keys = [key for key, _ in index.table.items()]
+    lists = [blob for _, blob in index.table.items()]
+    w.u32(len(keys))
+    w.u8s(map(len, keys))
+    w.raw(b"".join(keys))
+    w.u32s(list(map(len, lists)))
+    w.raw(b"".join(lists))
     return w.getvalue()
+
+
+def _bounds(lengths: np.ndarray, at: int) -> np.ndarray:
+    """Offsets of consecutive fields of these lengths from `at` on: the
+    start of each, then the end of the last."""
+    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    return bounds + at
+
+
+def _slices(data: bytes, bounds: np.ndarray):
+    """The fields of `data` that `bounds` frames, as `bytes`."""
+    bounds = bounds.tolist()
+    return map(data.__getitem__, map(slice, bounds[:-1], bounds[1:]))
 
 
 def _load_split(r: _Reader) -> SplitIndex:
@@ -155,32 +195,23 @@ def _load_split(r: _Reader) -> SplitIndex:
             substitution = SubstitutionTable(pairs)
         except ValueError as exc:
             raise MalformedInputError(f"bad substitution table: {exc}") from None
-    entry_count = r.u32()
-    table = ChainedHashMap()
-    # Each list is a 1-byte key length, the key, a u32 list length and the
-    # list.  They are read here rather than through `_Reader`, whose calls
-    # per field cost more than the data for tens of thousands of lists.
-    data, at, end = r.data, r.at, len(r.data)
-    for _ in range(entry_count):
-        if at >= end:
-            raise MalformedInputError("truncated index payload")
-        key_end = at + 1 + data[at]
-        if key_end + 4 > end:
-            raise MalformedInputError("truncated index payload")
-        list_start = key_end + 4
-        list_end = list_start + _U32.unpack_from(data, key_end)[0]
-        if list_end > end:
-            raise MalformedInputError("truncated index payload")
-        key = data[at + 1:key_end]
-        blob = data[list_start:list_end]
-        at = list_end
-        # One zero byte between consecutive role groups, and no other: the
-        # list walk relies on it to find its group without parsing entries.
-        if not key or blob.count(0) != k:
-            raise MalformedInputError("malformed split list")
-        table.put(key, blob)
-    r.at = at
-    if len(table) != entry_count:
+    # Four columns: the key lengths (u8), the keys, the list lengths (u32)
+    # and the lists.
+    count = r.u32()
+    key_lengths = r.u8s(count)
+    key_bounds = _bounds(key_lengths, r.span(int(key_lengths.sum())))
+    list_lengths = r.u32s(count)
+    lists_at = r.span(int(list_lengths.sum(dtype=np.int64)))
+    list_bounds = _bounds(list_lengths, lists_at)
+    data = r.data
+    # One zero byte between consecutive role groups, and no other: the list
+    # walk relies on it to find its group without parsing entries.
+    zeros = lists_at + np.flatnonzero(
+        np.frombuffer(data, np.uint8, r.at - lists_at, lists_at) == 0)
+    if (key_lengths == 0).any() or (np.diff(np.searchsorted(zeros, list_bounds)) != k).any():
+        raise MalformedInputError("malformed split list")
+    table = ChainedHashMap(dict(zip(_slices(data, key_bounds), _slices(data, list_bounds))))
+    if len(table) != count:
         raise MalformedInputError("repeated key in split index")
     if not r.done():
         raise MalformedInputError("trailing bytes after split index payload")

@@ -46,37 +46,39 @@ def list_rank(rows, lo: int, hi: int, row: int) -> int:
 
 
 class GramDirectory(ChainedHashMap):
-    """Map from gram content to (first, lo, hi), built from u32 columns.
+    """Map from gram content to its int id g, over u32 columns.
 
     Gram g is buffer[offsets[g]:offsets[g] + lengths[g]], firsts[g] is the
     first row of the suffix range starting with it, and its rows, in
     sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
+    `firsts`, `starts` and `rows` are memoryviews, whose items read as
+    Python ints, which `bisect` compares several times faster than numpy
+    scalars.
     """
 
     MAX_LOAD_FACTOR = 2.81
     INITIAL_BUCKETS = 64
 
     def __init__(self, buffer: bytes, offsets, lengths, firsts, starts, rows):
-        super().__init__()
         self.buffer = buffer
         # Copies, so that no view keeps a loaded file's payload alive.
-        self.offsets, self.lengths, self.firsts, self.starts = (
-            np.array(column, dtype=np.uint32) for column in (offsets, lengths, firsts, starts))
-        # A memoryview yields its items as Python ints, which `bisect`
-        # compares several times faster than numpy scalars.
+        self.offsets, self.lengths = (
+            np.array(column, dtype=np.uint32) for column in (offsets, lengths))
+        self.firsts, self.starts = (
+            memoryview(np.array(column, dtype=np.uint32)) for column in (firsts, starts))
         self.rows = memoryview(np.require(rows, np.uint32, "CA"))
-        starts = self.starts.tolist()
-        for offset, length, entry in zip(
-                self.offsets.tolist(), self.lengths.tolist(),
-                zip(self.firsts.tolist(), starts[:-1], starts[1:])):
-            self.entry_for(offset, length, entry)
+        super().__init__(self.entry_for())
 
-    def entry_for(self, offset: int, length: int, entry: tuple[int, int, int]) -> None:
-        """Key the gram at buffer[offset:offset+length] to `entry`; a
-        repeated gram keeps its first entry and leaves the map shorter."""
-        self._entries.setdefault(self.buffer[offset:offset + length], entry)
+    def entry_for(self) -> dict[bytes, int]:
+        """Every gram of the directory keyed to its id, in one bulk call
+        (traced runs wrap this name, so each call is one directory, not one
+        gram).  A repeated gram keeps one id and leaves the map shorter."""
+        offsets = self.offsets.tolist()
+        ends = np.add(self.offsets, self.lengths, dtype=np.int64).tolist()
+        keys = map(self.buffer.__getitem__, map(slice, offsets, ends))
+        return dict(zip(keys, range(len(offsets))))
 
-    def get(self, content: bytes) -> tuple[int, int, int] | None:
+    def get(self, content: bytes) -> int | None:
         # Defined here rather than inherited, so that traced benchmark runs
         # time gram lookups apart from split-table lookups.
         return self._entries.get(content)
@@ -84,15 +86,15 @@ class GramDirectory(ChainedHashMap):
 
 def _greedy_chunks(m: int, q_max: int) -> list[int]:
     """Chunk lengths consumed right to left: the largest power of two that
-    fits in the remaining prefix, capped at q_max."""
-    chunks = []
-    remaining = m
-    while remaining > 0:
-        size = 1
-        while size * 2 <= remaining and size * 2 <= q_max:
-            size *= 2
-        chunks.append(size)
-        remaining -= size
+    fits in the remaining prefix, capped at q_max.  With q_max a power of
+    two, that is q_max for each whole q_max in m, then the set bits of the
+    rest from the highest down."""
+    chunks = [q_max] * (m // q_max)
+    rest = m % q_max
+    while rest:
+        top = 1 << (rest.bit_length() - 1)
+        chunks.append(top)
+        rest -= top
     return chunks
 
 
@@ -147,22 +149,23 @@ class SuperlinearIndex:
         m = len(pattern)
         chunks = _greedy_chunks(m, self.q_max)
         pos = m - chunks[0]
-        entry = self.directory.get(pattern[pos:m])
-        if entry is None:
+        directory = self.directory
+        lookup = directory.get
+        firsts, starts, rows = directory.firsts, directory.starts, directory.rows
+        g = lookup(pattern[pos:m])
+        if g is None:
             return 0, 1
-        first, lo, hi = entry
-        s = first
-        e = first + hi - lo - 1
+        s = firsts[g]
+        e = s + starts[g + 1] - starts[g] - 1
         steps = 1
-        rows = self.directory.rows
         for size in chunks[1:]:
             gram = pattern[pos - size:pos]
             pos -= size
-            entry = self.directory.get(gram)
+            g = lookup(gram)
             steps += 1
-            if entry is None:
+            if g is None:
                 return 0, steps
-            first, lo, hi = entry
+            first, lo, hi = firsts[g], starts[g], starts[g + 1]
             s = first + list_rank(rows, lo, hi, s - 1)
             e = first + list_rank(rows, lo, hi, e) - 1
             if s > e:
@@ -225,8 +228,9 @@ class LinearIndex:
         marks = minimizers(pattern, self.alpha, self.q).positions
         fm = self.fm
         step = fm.step
-        lookup = self.directory.get
-        rows = self.directory.rows
+        directory = self.directory
+        lookup = directory.get
+        firsts, starts, rows = directory.firsts, directory.starts, directory.rows
         s, e = fm.extend(pattern[marks[-1]:], 0, self.corpus.n - 1)
         if s > e:
             return 0
@@ -236,10 +240,10 @@ class LinearIndex:
                 # Single-symbol phrase: the character-level step is cheaper.
                 s, e = step(s, e, phrase[0])
             else:
-                entry = lookup(phrase)
-                if entry is None:
+                g = lookup(phrase)
+                if g is None:
                     return 0
-                first, lo, hi = entry
+                first, lo, hi = firsts[g], starts[g], starts[g + 1]
                 # At most e - s + 1 of the gram's rows lie in [s, e], so the
                 # second search only looks that far past the first.
                 r = bisect_right(rows, s - 1, lo, hi)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .textcore import ENGLISH_LETTER_FREQUENCIES, Corpus
 from .splitindex import Dictionary, MAX_WORD_LENGTH, SplitIndex, select_qgrams
+from .envelope import deserialize_index, serialize_index
 from .fmgram import LinearIndex, SuperlinearIndex
 
 
@@ -300,6 +301,7 @@ class BenchRow:
     dataset: str
     index_bytes: int
     build_seconds: float
+    load_seconds: float
     queries: int
     repeats: int
     mean_query_us: float
@@ -365,6 +367,17 @@ def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, floa
     return mean, p50, p95
 
 
+def _load_seconds(index, repeats: int) -> float:
+    """Best of `repeats` timed loads of the index's file bytes."""
+    data = serialize_index(index)
+    best = float("inf")
+    for _ in range(max(repeats, 1)):
+        start = time.perf_counter()
+        deserialize_index(data)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def run_bench(config: BenchConfig) -> BenchReport:
     """Build the requested structures, replay the workload and report."""
     report = BenchReport()
@@ -397,7 +410,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
             report.rows.append(BenchRow(
                 structure="split", params=f"k={k};compress={config.compress}",
                 dataset=label, index_bytes=index.size_in_bytes(),
-                build_seconds=build_seconds, queries=len(usable),
+                build_seconds=build_seconds,
+                load_seconds=_load_seconds(index, config.repeats), queries=len(usable),
                 repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
                 p95_query_us=p95, counters=counters,
                 load_factor=index.table.load_factor,
@@ -418,6 +432,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     else:
         raise ValueError(f"unknown structure {config.structure!r}")
     directory = index.directory
+    load_seconds = _load_seconds(index, config.repeats)
 
     # One row per pattern length so per-character trends can be read off;
     # a query file, if given, contributes a single mixed-length row instead.
@@ -442,7 +457,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
         report.rows.append(BenchRow(
             structure=config.structure, params=f"{base_params};{tag}",
             dataset=label, index_bytes=index.size_in_bytes(),
-            build_seconds=build_seconds, queries=len(queries),
+            build_seconds=build_seconds, load_seconds=load_seconds,
+            queries=len(queries),
             repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
             p95_query_us=p95, counters=counters,
             load_factor=directory.load_factor, buckets=directory.bucket_count,

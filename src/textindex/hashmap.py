@@ -38,14 +38,15 @@ class ChainedHashMap:
     """Map from byte keys to arbitrary values.
 
     Iteration follows insertion order, so it is deterministic for a fixed
-    insertion sequence.
+    insertion sequence.  `entries`, if given, is a prebuilt dict that the
+    map adopts as it is, without a copy.
     """
 
     MAX_LOAD_FACTOR = 2.0
     INITIAL_BUCKETS = 8
 
-    def __init__(self):
-        self._entries: dict = {}
+    def __init__(self, entries: dict | None = None):
+        self._entries: dict = {} if entries is None else entries
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -27,6 +27,7 @@ decoding.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -194,11 +195,10 @@ class SubstitutionTable:
 
 
 def _candidate_table(counts: Counter, budget: int) -> list[tuple[bytes, int]]:
-    """Top grams by estimated saving, deterministically tie-broken."""
-    scored = sorted(
-        ((-(len(gram) - 1) * occ, gram) for gram, occ in counts.items()),
-        key=lambda item: (item[0], item[1]))
-    chosen = [gram for _, gram in scored[:budget]]
+    """Top grams by estimated saving, ties broken by the gram itself.
+    Grams are distinct, so the order is total and equals a full sort's."""
+    chosen = heapq.nsmallest(
+        budget, counts, key=lambda gram: (-(len(gram) - 1) * counts[gram], gram))
     return [(gram, CODE_FLOOR + i) for i, gram in enumerate(chosen)]
 
 

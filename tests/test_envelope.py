@@ -239,7 +239,9 @@ class TestDirectoryStructure:
 
     def test_repeated_row_in_a_gram(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
-        _, lo, hi = index.directory.get(b"a")
+        directory = index.directory
+        g = directory.get(b"a")
+        lo, hi = directory.starts[g], directory.starts[g + 1]
         assert hi - lo == 5
         self._refused(index, 4, lo + 1, index.directory.rows[lo])
 
@@ -288,11 +290,15 @@ class TestSplitStructure:
         d = random_word_dictionary(20, seed=26)
         substitution = select_qgrams(d, budget=10) if compress else None
         data = serialize_index(SplitIndex.build(d, 2, substitution))
-        lists_from = len(data) - sum(
-            1 + len(key) + 4 + len(blob)
-            for key, blob in deserialize_index(data).table.items())
+        keys = [key for key, _ in deserialize_index(data).table.items()]
+        lists = [blob for _, blob in deserialize_index(data).table.items()]
+        # the key count, then the columns of key lengths, keys, list lengths
+        # and lists end the file
+        columns_from = len(data) - (len(keys) + sum(map(len, keys))
+                                    + 4 * len(lists) + sum(map(len, lists)))
+        assert data[columns_from - 4:columns_from] == struct.pack("<I", len(keys))
         # a cut inside any key length, key, list length or list
-        for end in range(lists_from, len(data)):
+        for end in range(columns_from, len(data)):
             with pytest.raises(MalformedInputError, match="truncated"):
                 deserialize_index(_resign(bytearray(data[:end])))
 
@@ -309,9 +315,11 @@ class TestSplitStructure:
     def test_repeated_key(self):
         index = SplitIndex.build(Dictionary([b"ab", b"cd"]), 1)
         data = bytearray(serialize_index(index))
-        # key "c" (u8 length, byte) and its 3-byte list (u32 length):
-        # make the key another "a"
-        data[bytes(data).index(b"\x01c\x03\x00\x00\x00") + 1] = ord("a")
+        # envelope, k, no substitution table, key count, four 1-byte key
+        # lengths, then the keys "abcd": make key "c" another "a"
+        keys_at = 9 + 1 + 1 + 4 + 4
+        assert data[keys_at - 4:keys_at + 4] == b"\x01\x01\x01\x01abcd"
+        data[keys_at + 2] = ord("a")
         self._refused(_resign(data))
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -319,6 +327,13 @@ class TestSplitStructure:
         index = SplitIndex.build(Dictionary([b"abcd", b"bcde"]), k)
         key, blob = next(iter(index.table.items()))
         index.table.put(key, blob + b"\x00")
+        self._refused(serialize_index(index))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_missing_separator(self, k):
+        index = SplitIndex.build(Dictionary([b"abcd", b"bcde"]), k)
+        key, blob = next(iter(index.table.items()))
+        index.table.put(key, blob.replace(b"\x00", b"", 1))
         self._refused(serialize_index(index))
 
     @pytest.mark.parametrize("coded", [False, True])
@@ -402,23 +417,23 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 6): its 31 multi-symbol
+    # Golden digest of a linear index file (format 7): its 31 multi-symbol
     # grams, first rows and row lists equal those of the format 3 file,
-    # which also listed the 4 single-symbol phrases; it equals the format 5
-    # file with the version byte changed and the directory's load factor,
-    # hash name and bucket count cut out.
+    # which also listed the 4 single-symbol phrases; it equals the format 6
+    # file with the version byte changed, and the format 5 file with the
+    # directory's load factor, hash name and bucket count cut out.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "7157e91fecdd84062ae9b3d208f30a57c67330d293653563a26ab1fb0ef6503a")
+        "717beaf58cd4fbf52d3fa2b81097ab012db74e9a66a1bcb450fba8517b97718a")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 6), whose directory
-    # equals that of the per-row build it replaced; it equals the format 5
-    # file with the version byte changed and the directory's load factor,
-    # hash name and bucket count cut out.
+    # Golden digest of a superlinear index file (format 7), whose directory
+    # equals that of the per-row build it replaced; it equals the format 6
+    # file with the version byte changed, and the format 5 file with the
+    # directory's load factor, hash name and bucket count cut out.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert hashlib.sha256(data).hexdigest() == (
-        "960292dcafb17c4a5bac96fdbf303d0c138e1775e57fb5657d08ff9012159d04")
+        "16a8a5438b75807da9d03eead82a8444c1fed726890df587ca76fa8edf4f475c")

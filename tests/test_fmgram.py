@@ -4,7 +4,7 @@ from array import array
 import pytest
 
 from textindex.envelope import deserialize_index, serialize_index
-from textindex.harness import dna_like_text
+from textindex.harness import dna_like_text, english_like_text
 from textindex.suffixbwt import FmIndex, build_suffix_array
 from textindex.textcore import Corpus, minimizers, phrases
 from textindex.fmgram import LinearIndex, SuperlinearIndex, _greedy_chunks, list_rank
@@ -15,14 +15,22 @@ def naive_count(text, pattern):
                if text[s:s + len(pattern)] == pattern)
 
 
+def gram_entry(directory, g):
+    """(first, lo, hi) of gram id g, read off the directory's columns."""
+    return directory.firsts[g], directory.starts[g], directory.starts[g + 1]
+
+
 def directory_entries(directory):
     """{gram: (rows, first)} read off the directory's columns."""
-    return {gram: (list(directory.rows[lo:hi]), first)
-            for gram, (first, lo, hi) in directory.items()}
+    entries = {}
+    for gram, g in directory.items():
+        first, lo, hi = gram_entry(directory, g)
+        entries[gram] = (list(directory.rows[lo:hi]), first)
+    return entries
 
 
 def gram_rows(directory, gram):
-    _, lo, hi = directory.get(gram)
+    _, lo, hi = gram_entry(directory, directory.get(gram))
     return list(directory.rows[lo:hi])
 
 
@@ -126,6 +134,21 @@ class TestSuperlinearCount:
         assert _greedy_chunks(12, 4) == [4, 4, 4]
         assert _greedy_chunks(1, 1) == [1]
         assert _greedy_chunks(31, 128) == [16, 8, 4, 2, 1]
+
+    def test_chunks_match_the_greedy_loop(self):
+        def greedy(m, q_max):
+            chunks = []
+            while m > 0:
+                size = 1
+                while size * 2 <= m and size * 2 <= q_max:
+                    size *= 2
+                chunks.append(size)
+                m -= size
+            return chunks
+
+        for q_max in (1, 2, 8, 128):
+            for m in range(1, 600):
+                assert _greedy_chunks(m, q_max) == greedy(m, q_max), (m, q_max)
 
     def test_step_count_is_popcount(self):
         rng = random.Random(23)
@@ -327,3 +350,54 @@ class TestLinearIndex:
             sample_bytes = 8 * sum(len(samples) for samples in fm.ranks._samples.values())
             assert idx.size_in_bytes() == (directory_bytes + corpus.n + len(fm.l)
                                            + 8 * len(fm.count_table) + sample_bytes)
+
+
+def stored_columns(data: bytes, at: int):
+    """The offsets, lengths, firsts and starts columns of the gram directory
+    whose gram count sits at `at` in the file bytes `data`."""
+    grams = int.from_bytes(data[at:at + 4], "little")
+    at += 8
+    columns = []
+    for size in (grams, grams, grams, grams + 1):
+        columns.append([int.from_bytes(data[i:i + 4], "little")
+                        for i in range(at, at + 4 * size, 4)])
+        at += 4 * size
+    return columns
+
+
+class TestDirectoryIds:
+    """`get` maps each gram to its id, and the id reads the gram's first
+    row and row range off the columns, in a built index and a loaded one."""
+
+    @pytest.mark.parametrize("kind", ["superlinear", "linear"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_ids_read_the_stored_columns(self, kind, loaded):
+        if kind == "superlinear":
+            raw = english_like_text(3000, seed=61)
+            idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=16)
+            # envelope, q_max, corpus blob
+            at = 9 + 4 + 4 + idx.corpus.n
+        else:
+            raw = dna_like_text(3000, seed=62)
+            idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
+            # envelope, alpha, q, corpus blob, BWT blob
+            at = 9 + 4 + 4 + 4 + idx.corpus.n + 4 + idx.corpus.n
+        data = serialize_index(idx)
+        if loaded:
+            idx = deserialize_index(data)
+        directory = idx.directory
+        offsets, lengths, firsts, starts = stored_columns(data, at)
+        assert len(directory) == len(offsets) > 0
+        for g, (offset, length) in enumerate(zip(offsets, lengths)):
+            assert directory.get(raw[offset:offset + length]) == g
+            entry = gram_entry(directory, g)
+            assert all(type(item) is int for item in entry)
+            assert entry == (firsts[g], starts[g], starts[g + 1])
+        rng = random.Random(63)
+        for _ in range(200):
+            m = rng.randint(1, 40)
+            s = rng.randrange(len(raw) - m + 1)
+            pattern = raw[s:s + m]
+            if rng.random() < 0.3:
+                pattern = pattern[:-1] + b"#"
+            assert idx.count(pattern) == naive_count(raw, pattern)

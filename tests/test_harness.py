@@ -204,6 +204,23 @@ class TestBench:
             assert row.mean_query_us > 0
             assert row.counters.startswith("lf_steps=")
 
+    @pytest.mark.parametrize("structure", ["split", "fm-super", "fm-linear"])
+    def test_load_seconds_column(self, tmp_path, structure):
+        # each row times loads of its index's file bytes, next to the build
+        path = tmp_path / "input.txt"
+        if structure == "split":
+            path.write_bytes(b"\n".join(random_word_dictionary(200, seed=12).words) + b"\n")
+        else:
+            path.write_bytes(dna_like_text(4000, seed=12))
+        config = BenchConfig(structure=structure, input_path=str(path),
+                             random_queries=20, repeats=2, k_values=(1, 2), q_max=16,
+                             pattern_lengths=(8, 16))
+        report = run_bench(config)
+        header = report.to_csv().splitlines()[0].split(",")
+        assert header.index("load_seconds") == header.index("build_seconds") + 1
+        assert len(report.rows) == 2
+        assert all(row.load_seconds > 0 for row in report.rows)
+
     def test_zero_queries(self, tmp_path):
         d = random_word_dictionary(50, seed=9)
         path = tmp_path / "dict.txt"
@@ -220,7 +237,8 @@ class TestBench:
         d = random_word_dictionary(200, seed=10)
         path = tmp_path / "dict.txt"
         path.write_bytes(b"\n".join(d.words) + b"\n")
-        timing = {"build_seconds", "mean_query_us", "p50_query_us", "p95_query_us"}
+        timing = {"build_seconds", "load_seconds", "mean_query_us", "p50_query_us",
+                  "p95_query_us"}
 
         def stable_fields():
             config = BenchConfig(structure="split", input_path=str(path),

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textindex.errors import MalformedInputError
-from textindex.harness import NaiveHammingSearcher
+from textindex.harness import NaiveHammingSearcher, random_word_dictionary
 from textindex.splitindex import (MIN_VECTOR_RUN, Dictionary, SplitIndex,
-                                  SubstitutionTable, decode_word, encode_word,
-                                  piece_sizes, select_qgrams, split_word)
+                                  SubstitutionTable, _candidate_table, decode_word,
+                                  encode_word, piece_sizes, select_qgrams, split_word)
 
 
 def naive_search(words, pattern, k):
@@ -394,6 +394,23 @@ class TestSelectQgrams:
         raw = sum(len(w) for w in d)
         encoded = sum(len(table.encode(w)) for w in d)
         assert encoded < raw
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_candidate_tables_equal_a_full_sort(self, seed):
+        # the grams kept by the top-`budget` selection are the head of a
+        # full sort by (-saving, gram), for the mixed table and for each
+        # per-length one; equal savings are common, so ties are broken too
+        d = random_word_dictionary(500, seed=seed)
+        per_length = [Counter(w[i:i + ln] for w in d for i in range(len(w) - ln + 1))
+                      for ln in (2, 3, 4)]
+        mixed = sum(per_length, Counter())
+        for counts in (mixed, *per_length):
+            ranked = sorted(counts, key=lambda g: (-(len(g) - 1) * counts[g], g))
+            savings = [(len(g) - 1) * counts[g] for g in ranked[:129]]
+            assert len(set(savings)) < len(savings)
+            for budget in (1, 50, 128):
+                assert _candidate_table(counts, budget) == [
+                    (gram, 128 + i) for i, gram in enumerate(ranked[:budget])]
 
     def test_deterministic(self):
         d = Dictionary([b"banana", b"bandana", b"cabana"])
