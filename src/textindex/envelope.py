@@ -28,7 +28,9 @@ split file keeps its size and an FM file differs only in its version byte.
 Format 6 dropped the hash-map settings and build statistics of format 5.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
-bytes; a split file with k below 1, a bad substitution table, an empty or
+bytes; a superlinear file whose q_max is not a power of two or whose
+longest gram is not the longest power of two up to q_max that fits in the
+text; a split file with k below 1, a bad substitution table, an empty or
 repeated key, or a list without exactly k zero bytes; a corpus whose
 terminator is missing or not only at its end; a directory whose `starts`
 do not frame its rows, whose grams are empty, reach the terminator or
@@ -70,7 +72,6 @@ class _Writer:
 
     def u8(self, v): self.parts.append(struct.pack("<B", v))
     def u32(self, v): self.parts.append(struct.pack("<I", v))
-    def u8s(self, v): self.parts.append(bytes(v))
     def u32s(self, v): self.parts.append(np.asarray(v, dtype="<u4").tobytes())
     def raw(self, data: bytes): self.parts.append(bytes(data))
 
@@ -159,7 +160,7 @@ def _split_payload(index: SplitIndex) -> bytes:
     keys = [key for key, _ in index.table.items()]
     lists = [blob for _, blob in index.table.items()]
     w.u32(len(keys))
-    w.u8s(map(len, keys))
+    w.raw(map(len, keys))
     w.raw(b"".join(keys))
     w.u32s(list(map(len, lists)))
     w.raw(b"".join(lists))
@@ -301,10 +302,19 @@ def _superlinear_payload(index: SuperlinearIndex) -> bytes:
 
 def _load_superlinear(r: _Reader) -> SuperlinearIndex:
     q_max = r.u32()
+    if q_max < 1 or q_max & (q_max - 1):
+        raise MalformedInputError("superlinear q_max must be a power of two")
     corpus = _read_corpus(r)
     directory = _read_directory(r, corpus.data)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
+    # A query splits its pattern into grams of up to q_max symbols, so the
+    # directory must list every power-of-two length up to q_max that fits in
+    # the text; otherwise a long pattern would silently count 0.
+    text_length = corpus.n - 1
+    longest = min(q_max, 1 << (text_length.bit_length() - 1)) if text_length else 0
+    if int(directory.lengths.max(initial=0)) != longest:
+        raise MalformedInputError("superlinear q_max does not match its longest gram")
     return SuperlinearIndex(corpus, q_max, directory)
 
 

@@ -222,6 +222,29 @@ class TestDirectoryStructure:
         with pytest.raises(MalformedInputError):
             deserialize_index(_resign(data))
 
+    @pytest.mark.parametrize("q_max, value", [
+        (16, 0),   # no chunk length at all
+        (16, 17),  # not a power of two: 17-symbol chunks find no gram
+        (4, 8),    # longer than the grams listed: 8-symbol patterns count 0
+        (8, 4),    # shorter than the grams listed
+    ])
+    def test_bad_q_max(self, q_max, value):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=q_max)
+        data = bytearray(serialize_index(index))
+        # envelope, then q_max
+        data[9:13] = struct.pack("<I", value)
+        with pytest.raises(MalformedInputError):
+            deserialize_index(_resign(data))
+
+    def test_q_max_past_the_text_loads(self):
+        # the text holds 11 symbols, so 8 is the longest gram any q_max >= 8
+        # lists; such a file answers as its build did
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=64)
+        assert max(index.directory.lengths) == 8
+        loaded = deserialize_index(serialize_index(index))
+        assert loaded.q_max == 64
+        assert loaded.count(b"abracadabra") == 1
+
     def test_repeated_gram(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
         data = bytearray(serialize_index(index))
