@@ -8,35 +8,31 @@ magic, unknown version and checksum mismatches are rejected before any
 payload parsing, and the payload is parsed in place in the file's bytes,
 not copied out first; nothing loaded keeps a view of them.
 
-FM files store only what queries read.  A superlinear file is `q_max`, the
-corpus and the gram directory.  A linear file is alpha, q, the corpus, the
-n-byte BWT and the directory of its multi-symbol phrases; load rebuilds the
-count table and rank samples from the BWT and refuses one whose symbol
-counts differ from the corpus's.  A directory is five u32 columns, and load
-keys every gram to its id in one bulk pass over them.  A split file is k,
-the substitution table if any, and four flat columns: the key count, then
-u8 key lengths, the key bytes, u32 list lengths and the list bytes, each
-role group of a list ordered by missing length, which the split walk
-relies on.  Load frames the keys and lists with cumulative sums and checks
-them in bulk.  No file holds a hash-map setting or build statistics: the
-reported bucket layout is fixed by class constants and follows from the
-entry count.
-
-Format 7 differs from format 6 only in the split payload, whose per-key
-fields (key length, key, list length, list) became the four columns, so a
-split file keeps its size and an FM file differs only in its version byte.
-Format 6 dropped the hash-map settings and build statistics of format 5.
+FM files store only what queries read.  A superlinear file is the corpus
+and the gram directory; the longest gram length is the index's `q_max`.
+A linear file is alpha, q, the corpus, the n-byte BWT and the directory of
+its multi-symbol phrases; load builds the count table and rank samples
+from the BWT in one pass and refuses one whose count table differs from
+the corpus's.  A directory is five u32 columns, and load keys every gram
+to its id in one bulk pass over them.  A split file is k, the substitution
+table if any, and four flat columns: the key count, then u8 key lengths,
+the key bytes, u32 list lengths and the list bytes, each role group of a
+list ordered by missing length, which the split walk relies on.  Load
+frames the keys and lists with cumulative sums and checks them in bulk.
+No file holds a hash-map setting or build statistics: the reported bucket
+layout is fixed by class constants and follows from the entry count.
+CHANGES.md records how each format version differs from the one before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
-bytes; a superlinear file whose q_max is not a power of two or whose
-longest gram is not the longest power of two up to q_max that fits in the
-text; a split file with k below 1, a bad substitution table, an empty or
-repeated key, or a list without exactly k zero bytes; a corpus whose
-terminator is missing or not only at its end; a directory whose `starts`
-do not frame its rows, whose grams are empty, reach the terminator or
-repeat, whose first row plus count passes n, or whose rows reach n or do
-not rise inside a gram; and a linear file with alpha or q below 1, or
-whose BWT length or symbol counts differ from the corpus's.
+bytes; a superlinear file whose distinct gram lengths are not exactly 1,
+2, 4, ... up to the longest (none for an empty text); a split file with k
+below 1, a bad substitution table, an empty or repeated key, or a list
+without exactly k zero bytes; a corpus whose terminator is missing or not
+only at its end; a directory whose `starts` do not frame its rows, whose
+grams are empty, reach the terminator or repeat, whose first row plus
+count passes n, or whose rows reach n or do not rise inside a gram; and a
+linear file with alpha or q below 1, or whose BWT length or symbol counts
+differ from the corpus's.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import numpy as np
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
 from .splitindex import SplitIndex, SubstitutionTable
-from .suffixbwt import FmIndex, RankIndex, build_count_table
+from .suffixbwt import FmIndex, build_count_table
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
 from .suffixbwt import bwt_forward  # noqa: F401
@@ -59,7 +55,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -236,15 +232,13 @@ def _read_fm_substrate(r: _Reader) -> FmIndex:
     if len(l) != corpus.n:
         raise MalformedInputError("BWT length does not match the corpus")
     # With the corpus's symbol counts in the BWT, ranks never pass the count
-    # table's ranges, so every backward step stays inside the n rows.  The
-    # corpus's counts are read off its count table.
-    table = build_count_table(corpus)
-    corpus_counts = np.zeros(256, dtype=np.int64)
-    corpus_counts[list(table)] = np.diff([*table.values(), corpus.n])
-    if not np.array_equal(np.bincount(np.frombuffer(l, dtype=np.uint8), minlength=256),
-                          corpus_counts):
+    # table's ranges, so every backward step stays inside the n rows.  Two
+    # strings of one length have equal symbol counts exactly when their
+    # count tables are equal.
+    fm = FmIndex(corpus, l)
+    if fm.count_table != build_count_table(corpus):
         raise MalformedInputError("BWT symbol counts differ from the corpus's")
-    return FmIndex(corpus, l, table, RankIndex(l))
+    return fm
 
 
 def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
@@ -294,28 +288,25 @@ def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
 
 def _superlinear_payload(index: SuperlinearIndex) -> bytes:
     w = _Writer()
-    w.u32(index.q_max)
     w.blob(index.corpus.data)
     _directory_payload(w, index.directory)
     return w.getvalue()
 
 
 def _load_superlinear(r: _Reader) -> SuperlinearIndex:
-    q_max = r.u32()
-    if q_max < 1 or q_max & (q_max - 1):
-        raise MalformedInputError("superlinear q_max must be a power of two")
     corpus = _read_corpus(r)
     directory = _read_directory(r, corpus.data)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    # A query splits its pattern into grams of up to q_max symbols, so the
-    # directory must list every power-of-two length up to q_max that fits in
-    # the text; otherwise a long pattern would silently count 0.
-    text_length = corpus.n - 1
-    longest = min(q_max, 1 << (text_length.bit_length() - 1)) if text_length else 0
-    if int(directory.lengths.max(initial=0)) != longest:
-        raise MalformedInputError("superlinear q_max does not match its longest gram")
-    return SuperlinearIndex(corpus, q_max, directory)
+    # A query splits its pattern into power-of-two chunks of up to the
+    # longest gram length, so the directory must list every power of two up
+    # to it; otherwise some chunk would silently count 0.  The directory
+    # check has bounded the lengths by the text length.
+    present = np.flatnonzero(np.bincount(directory.lengths))
+    if not np.array_equal(present, 1 << np.arange(len(present))) or (
+            corpus.n > 1 and not len(present)):
+        raise MalformedInputError("superlinear gram lengths are not 1, 2, 4, ...")
+    return SuperlinearIndex(corpus, directory)
 
 
 def _linear_payload(index: LinearIndex) -> bytes:

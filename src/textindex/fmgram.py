@@ -3,7 +3,8 @@
 Two variants trade space for fewer backward-search steps:
 
 * `SuperlinearIndex` stores, for every text position, the grams of each
-  power-of-two length ending just before that position (up to `q_max`).
+  power-of-two length ending just before that position (up to `q_max`
+  and the text length).
   A pattern is consumed in greedy power-of-two suffix chunks, so a count
   query takes as many steps as there are ones in the binary representation
   of the pattern length.  The index keeps only the corpus and directory.
@@ -35,7 +36,7 @@ import numpy as np
 from . import suffixbwt
 from .hashmap import ChainedHashMap
 from .textcore import Corpus, _gram_keys, dense_ranks, minimizers, packed_words, phrases
-from .suffixbwt import FmIndex, RankIndex, countable
+from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
 
@@ -99,12 +100,16 @@ def _greedy_chunks(m: int, q_max: int) -> list[int]:
 
 
 class SuperlinearIndex:
-    """FM index with occurrence lists for every power-of-two gram length."""
+    """FM index with occurrence lists for every power-of-two gram length.
 
-    def __init__(self, corpus: Corpus, q_max: int, directory: GramDirectory):
+    `q_max`, the longest chunk a query looks up, is the longest gram the
+    directory lists (0 for an empty text, where no pattern is countable).
+    """
+
+    def __init__(self, corpus: Corpus, directory: GramDirectory):
         self.corpus = corpus
-        self.q_max = q_max
         self.directory = directory
+        self.q_max = int(directory.lengths.max(initial=0))
 
     @classmethod
     def build(cls, corpus: Corpus, q_max: int = DEFAULT_Q_MAX) -> "SuperlinearIndex":
@@ -137,7 +142,7 @@ class SuperlinearIndex:
             corpus.data, np.concatenate(offsets), np.concatenate(lengths),
             np.concatenate(firsts), np.cumsum(np.concatenate([[0], *counts])),
             np.concatenate(rows))
-        return cls(corpus, q_max, directory)
+        return cls(corpus, directory)
 
     def count(self, pattern: bytes) -> int:
         return self.count_with_steps(pattern)[0]
@@ -257,20 +262,13 @@ class LinearIndex:
     def size_in_bytes(self) -> int:
         """Deterministic size accounting: the gram directory, the corpus
         (n bytes) and the character-level substrate."""
-        return _directory_bytes(self.directory) + self.corpus.n + _substrate_bytes(self.fm)
+        return _directory_bytes(self.directory) + self.corpus.n + self.fm.size_in_bytes()
 
 
 def _directory_bytes(directory: GramDirectory) -> int:
     """4-byte rows, 4-byte range starts and row-list starts, 8-byte
     (offset, length) key refs and 4-byte bucket slots."""
     return 16 * len(directory) + 4 * len(directory.rows) + 4 * directory.bucket_count
-
-
-def _substrate_bytes(fm: FmIndex) -> int:
-    """BWT string + count table + rank samples, in bytes."""
-    n = fm.corpus.n
-    sample_blocks = (n + RankIndex.STRIDE - 1) // RankIndex.STRIDE
-    return n + 8 * len(fm.count_table) + 8 * sample_blocks * len(fm.count_table)
 
 
 def _distinct_phrases(text: bytes, starts: np.ndarray, alpha: int) -> list[tuple[int, int]]:

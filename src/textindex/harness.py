@@ -90,8 +90,6 @@ def naive_count(text, pattern: bytes) -> int:
 @dataclass(frozen=True)
 class QueryWorkload:
     queries: tuple[bytes, ...]
-    provenance: str
-    seed: int | None = None
 
 
 def generate_noisy_queries(dictionary: Dictionary, count: int, max_errors: int = 3,
@@ -119,7 +117,7 @@ def generate_noisy_queries(dictionary: Dictionary, count: int, max_errors: int =
                     replacement = rng.choice(alphabet)
                 word[pos] = replacement
         queries.append(bytes(word))
-    return QueryWorkload(tuple(queries), provenance="generated", seed=seed)
+    return QueryWorkload(tuple(queries))
 
 
 @dataclass
@@ -334,7 +332,6 @@ class BenchReport:
 class BenchConfig:
     structure: str                      # split | fm-super | fm-linear
     input_path: str
-    dataset_label: str = ""
     queries_path: str | None = None
     random_queries: int = 1000
     seed: int = 0
@@ -381,7 +378,7 @@ def _load_seconds(index, repeats: int) -> float:
 def run_bench(config: BenchConfig) -> BenchReport:
     """Build the requested structures, replay the workload and report."""
     report = BenchReport()
-    label = config.dataset_label or str(config.input_path)
+    label = str(config.input_path)
     if config.structure == "split":
         dictionary, _ = load_dictionary(config.input_path)
         if config.queries_path:

@@ -67,10 +67,6 @@ class SketchConfig:
                              "least-common, mixed or an explicit gram list")
         return cls.from_letters(letters, mode=mode, width=width)
 
-    @classmethod
-    def common_english(cls, mode: str = OCCURRENCE, width: int = 2) -> "SketchConfig":
-        return cls.from_policy("most-common", mode=mode, width=width)
-
 
 @dataclass(frozen=True)
 class Sketch:

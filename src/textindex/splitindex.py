@@ -328,50 +328,45 @@ class SplitIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def query(self, pattern: bytes, k: int | None = None) -> set[bytes]:
+    def query(self, pattern: bytes) -> set[bytes]:
         """All dictionary words of the pattern's length within k mismatches."""
-        return self._query(pattern, k, None)
+        return self._query(pattern, None)
 
-    def query_verbose(self, pattern: bytes, k: int | None = None) -> tuple[set[bytes], QueryStats]:
+    def query_verbose(self, pattern: bytes) -> tuple[set[bytes], QueryStats]:
         """`query` plus the counts of the list entries the walk inspected."""
         stats = QueryStats()
-        return self._query(pattern, k, stats), stats
+        return self._query(pattern, stats), stats
 
-    def _query(self, pattern: bytes, k: int | None, stats: QueryStats | None) -> set[bytes]:
-        if k is not None and k != self.k:
-            raise ValueError(f"index was built for k={self.k}, queried with k={k}")
+    def _query(self, pattern: bytes, stats: QueryStats | None) -> set[bytes]:
+        """For each piece of the pattern that keys a list, verify the
+        entries of the list's group for the piece's role, and add to
+        `stats`, if given, the entries inspected and matched.  The walk
+        reaches the end of the group, so it refuses a group that overruns
+        its separator or whose missing lengths decrease."""
         k = self.k
         if len(pattern) < k + 1:
             raise ValueError(f"pattern must have at least {k + 1} symbols")
+        walk = self._walk_runs if self.substitution is None else self._walk_entries
         results: set[bytes] = set()
         split_at = 0
         for role, piece in enumerate(split_word(pattern, k)):
             blob = self.table.get(piece)
+            end_at = split_at + len(piece)
             if blob is not None:
-                self._walk(pattern, piece, split_at, role, blob, results, stats)
-            split_at += len(piece)
+                at = 0
+                for _ in range(role):
+                    at = blob.index(0, at) + 1
+                end = blob.find(0, at)
+                if end < 0:
+                    end = len(blob)
+                rest = pattern[:split_at] + pattern[end_at:]
+                inspected, matches = walk(blob, at, end, rest, piece, split_at, results)
+                if stats is not None:
+                    stats.entries_inspected += inspected
+                    stats.length_matches += matches
+                    stats.verifications += matches
+            split_at = end_at
         return results
-
-    def _walk(self, pattern: bytes, piece: bytes, split_at: int, role: int,
-              blob: bytes, results: set, stats: QueryStats | None) -> None:
-        """Verify the entries of group `role` of `blob`, the list keyed by
-        `piece`, which sits at `split_at` in the pattern; add to `stats`, if
-        given, the entries inspected and matched.  The walk reaches the end
-        of the group, so it refuses a group that overruns its separator or
-        whose missing lengths decrease."""
-        at = 0
-        for _ in range(role):
-            at = blob.index(0, at) + 1
-        end = blob.find(0, at)
-        if end < 0:
-            end = len(blob)
-        rest = pattern[:split_at] + pattern[split_at + len(piece):]
-        walk = self._walk_runs if self.substitution is None else self._walk_entries
-        inspected, matches = walk(blob, at, end, rest, piece, split_at, results)
-        if stats is not None:
-            stats.entries_inspected += inspected
-            stats.length_matches += matches
-            stats.verifications += matches
 
     def _walk_runs(self, blob: bytes, at: int, end: int, rest: bytes, piece: bytes,
                    split_at: int, results: set) -> tuple[int, int]:

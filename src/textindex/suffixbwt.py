@@ -94,16 +94,18 @@ def bwt_inverse(l: bytes) -> Corpus:
     return Corpus(bytes(out))
 
 
+def _count_table(totals: np.ndarray) -> dict[int, int]:
+    """From the occurrences of each of the 256 symbols, the count table:
+    for each symbol present, the number of strictly smaller symbols."""
+    present = np.flatnonzero(totals)
+    smaller = np.cumsum(totals) - totals
+    return dict(zip(present.tolist(), smaller[present].tolist()))
+
+
 def build_count_table(corpus: Corpus) -> dict[int, int]:
     """For each symbol present, the number of strictly smaller corpus symbols."""
-    counts = np.bincount(np.frombuffer(corpus.data, dtype=np.uint8), minlength=256)
-    table: dict[int, int] = {}
-    running = 0
-    for sym in range(256):
-        if counts[sym]:
-            table[sym] = running
-            running += int(counts[sym])
-    return table
+    return _count_table(np.bincount(np.frombuffer(corpus.data, dtype=np.uint8),
+                                    minlength=256))
 
 
 class RankIndex:
@@ -111,7 +113,8 @@ class RankIndex:
 
     Cumulative counts are stored every `STRIDE` positions; a query adds the
     residual count inside the block, scanned at C speed by bytes.count.
-    rank(c, i) is inclusive of position i, and rank(c, -1) = 0.
+    rank(c, i) is inclusive of position i, and rank(c, -1) = 0.  `totals`
+    holds the occurrences of each of the 256 symbols in the whole string.
     """
 
     STRIDE = 64
@@ -120,7 +123,8 @@ class RankIndex:
         self.l = l
         self.n = len(l)
         arr = np.frombuffer(l, dtype=np.uint8)
-        present = np.flatnonzero(np.bincount(arr, minlength=256))
+        self.totals = np.bincount(arr, minlength=256)
+        present = np.flatnonzero(self.totals)
         # Occurrences per (block, symbol) from one bincount over
         # block * sigma + dense symbol id; sample b counts blocks 0..b-1.
         sigma = len(present)
@@ -162,21 +166,25 @@ def countable(pattern: bytes, n: int) -> bool:
 
 
 class FmIndex:
-    """Count-only FM index: BWT string, count table and sampled ranks."""
+    """Count-only FM index over the BWT string `l` of `corpus`: the rank
+    samples and the count table both come from one pass over `l`."""
 
-    def __init__(self, corpus: Corpus, l: bytes, count_table: dict[int, int],
-                 ranks: RankIndex):
+    def __init__(self, corpus: Corpus, l: bytes):
         self.corpus = corpus
         self.l = l
-        self.count_table = count_table
-        self.ranks = ranks
+        self.ranks = RankIndex(l)
+        self.count_table = _count_table(self.ranks.totals)
 
     @classmethod
     def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
         """`sa`, if given, is the corpus's suffix array, already built by a
         caller that also reads it; the index does not keep it."""
-        l = bwt_forward(corpus, sa)
-        return cls(corpus, l, build_count_table(corpus), RankIndex(l))
+        return cls(corpus, bwt_forward(corpus, sa))
+
+    def size_in_bytes(self) -> int:
+        """BWT string + count table + rank samples, in bytes."""
+        blocks = (len(self.l) + RankIndex.STRIDE - 1) // RankIndex.STRIDE
+        return len(self.l) + 8 * len(self.count_table) * (1 + blocks)
 
     def step(self, s: int, e: int, symbol: int) -> tuple[int, int]:
         """One backward-search step: narrow [s, e] (0 <= s <= e < n) to the

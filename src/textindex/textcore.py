@@ -75,9 +75,9 @@ class Corpus:
         return self.data[:-1]
 
 
-def printable(data: bytes, terminator_char: str = "$") -> str:
+def printable(data: bytes) -> str:
     """Render a byte string for display, showing the terminator as `$`."""
-    return "".join(terminator_char if b == TERMINATOR else chr(b) for b in data)
+    return "".join("$" if b == TERMINATOR else chr(b) for b in data)
 
 
 def packed_words(data: bytes) -> np.ndarray:

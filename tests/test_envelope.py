@@ -5,13 +5,14 @@ import sys
 import zlib
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
-from textindex.fmgram import LinearIndex, SuperlinearIndex
+from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
 from textindex.harness import (NaiveHammingSearcher, dna_like_text,
                                english_like_text, random_word_dictionary)
 from textindex.splitindex import Dictionary, SplitIndex, select_qgrams, split_word
@@ -185,9 +186,9 @@ class TestDirectoryStructure:
 
     @staticmethod
     def _columns_at(index) -> int:
-        # envelope, q_max, corpus blob, gram count, row count; then the
-        # offsets, lengths, firsts, starts and rows columns, 4 bytes an item
-        return 9 + 4 + 4 + index.corpus.n + 4 + 4
+        # envelope, corpus blob, gram count, row count; then the offsets,
+        # lengths, firsts, starts and rows columns, 4 bytes an item
+        return 9 + 4 + index.corpus.n + 4 + 4
 
     @classmethod
     def _item_at(cls, index, column: int, item: int) -> int:
@@ -195,11 +196,11 @@ class TestDirectoryStructure:
         before = column * len(index.directory) + (column == 4)
         return cls._columns_at(index) + 4 * (before + item)
 
-    def _refused(self, index, column: int, item: int, value: int):
+    def _refused(self, index, column: int, item: int, value: int, match=None):
         at = self._item_at(index, column, item)
         data = bytearray(serialize_index(index))
         data[at:at + 4] = struct.pack("<I", value)
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match=match):
             deserialize_index(_resign(data))
 
     # Column order: offsets, lengths, firsts, starts, rows.
@@ -215,34 +216,54 @@ class TestDirectoryStructure:
 
     def test_terminator_inside_corpus(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
-        # envelope, q_max, corpus blob length, then corpus byte 2
-        at = 9 + 4 + 4 + 2
+        # envelope, corpus blob length, then corpus byte 2
+        at = 9 + 4 + 2
         data = bytearray(serialize_index(index))
         data[at] = 0
         with pytest.raises(MalformedInputError):
             deserialize_index(_resign(data))
 
-    @pytest.mark.parametrize("q_max, value", [
-        (16, 0),   # no chunk length at all
-        (16, 17),  # not a power of two: 17-symbol chunks find no gram
-        (4, 8),    # longer than the grams listed: 8-symbol patterns count 0
-        (8, 4),    # shorter than the grams listed
-    ])
-    def test_bad_q_max(self, q_max, value):
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=q_max)
-        data = bytearray(serialize_index(index))
-        # envelope, then q_max
-        data[9:13] = struct.pack("<I", value)
-        with pytest.raises(MalformedInputError):
-            deserialize_index(_resign(data))
+    def test_gram_length_not_a_power_of_two(self):
+        # a 2-gram becomes a 3-gram that lies inside the text and repeats no
+        # gram, so only the length check refuses it: 3-symbol chunks are
+        # never looked up
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=8)
+        directory = index.directory
+        g = next(g for g in range(len(directory))
+                 if directory.lengths[g] == 2 and directory.offsets[g] + 3 <= 11)
+        self._refused(index, 1, g, 3, match="gram lengths")
+
+    @staticmethod
+    def _keeping(index, keep) -> bytes:
+        """The file of `index` with only its grams of the lengths in `keep`:
+        the lengths column then lacks the others."""
+        directory = index.directory
+        kept = [g for g in range(len(directory)) if directory.lengths[g] in keep]
+        rows = [np.asarray(directory.rows)[directory.starts[g]:directory.starts[g + 1]]
+                for g in kept]
+        directory = GramDirectory(
+            index.corpus.data, directory.offsets[kept], directory.lengths[kept],
+            [directory.firsts[g] for g in kept], np.cumsum([0, *map(len, rows)]),
+            np.concatenate(rows) if rows else [])
+        return serialize_index(SuperlinearIndex(index.corpus, directory))
+
+    @pytest.mark.parametrize("keep", [
+        (1, 4, 8),  # 2 is missing: 2-symbol chunks count 0
+        (2, 4, 8),  # 1 is missing: odd-length patterns count 0
+        (),         # no grams left in a nonempty text: every pattern counts 0
+    ], ids=["no-2", "no-1", "none"])
+    def test_gram_length_missing(self, keep):
+        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=8)
+        with pytest.raises(MalformedInputError, match="gram lengths"):
+            deserialize_index(self._keeping(index, keep))
 
     def test_q_max_past_the_text_loads(self):
         # the text holds 11 symbols, so 8 is the longest gram any q_max >= 8
-        # lists; such a file answers as its build did
+        # lists, and the index's q_max; such a file answers as its build did
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=64)
         assert max(index.directory.lengths) == 8
         loaded = deserialize_index(serialize_index(index))
-        assert loaded.q_max == 64
+        assert index.q_max == loaded.q_max == 8
         assert loaded.count(b"abracadabra") == 1
 
     def test_repeated_gram(self):
@@ -440,23 +461,26 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 7): its 31 multi-symbol
+    # Golden digest of a linear index file (format 8): its 31 multi-symbol
     # grams, first rows and row lists equal those of the format 3 file,
-    # which also listed the 4 single-symbol phrases; it equals the format 6
-    # file with the version byte changed, and the format 5 file with the
-    # directory's load factor, hash name and bucket count cut out.
+    # which also listed the 4 single-symbol phrases.  It equals the format 7
+    # file with the version byte changed, since format 8 changed only the
+    # superlinear payload, and the format 5 file with the directory's load
+    # factor, hash name and bucket count cut out.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "717beaf58cd4fbf52d3fa2b81097ab012db74e9a66a1bcb450fba8517b97718a")
+        "8c7721a2a038db892761c13828d3bcc22442e8299e685cacaf2d9fa2de267f7f")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 7), whose directory
-    # equals that of the per-row build it replaced; it equals the format 6
-    # file with the version byte changed, and the format 5 file with the
-    # directory's load factor, hash name and bucket count cut out.
+    # Golden digest of a superlinear index file (format 8), whose directory
+    # equals that of the per-row build it replaced.  It equals the format 7
+    # file with the version byte changed and the u32 q_max (bytes 9:13) cut
+    # out, so its CRC changed too; the format 7 file equals the format 5
+    # file with the directory's load factor, hash name and bucket count cut
+    # out.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert hashlib.sha256(data).hexdigest() == (
-        "16a8a5438b75807da9d03eead82a8444c1fed726890df587ca76fa8edf4f475c")
+        "8d91e31473bc844b7cf254b321974483c7278cdf36f3044ee2a721eae330dbc5")

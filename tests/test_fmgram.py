@@ -375,8 +375,8 @@ class TestDirectoryIds:
         if kind == "superlinear":
             raw = english_like_text(3000, seed=61)
             idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=16)
-            # envelope, q_max, corpus blob
-            at = 9 + 4 + 4 + idx.corpus.n
+            # envelope, corpus blob
+            at = 9 + 4 + idx.corpus.n
         else:
             raw = dna_like_text(3000, seed=62)
             idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)

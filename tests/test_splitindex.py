@@ -174,11 +174,6 @@ class TestQuery:
         idx = SplitIndex.build(Dictionary([b"table", b"left", b"tablet"]), 1)
         assert idx.query(b"taXleX") == set()
 
-    def test_k_mismatch_rejected(self):
-        idx = SplitIndex.build(Dictionary([b"table"]), 1)
-        with pytest.raises(ValueError):
-            idx.query(b"table", k=2)
-
     def test_short_pattern_rejected(self):
         idx = SplitIndex.build(Dictionary([b"table"]), 2)
         with pytest.raises(ValueError):

@@ -141,6 +141,15 @@ class TestCountTable:
             assert table[hi] - table[lo] == c.data.count(lo)
 
 
+@given(st.binary(max_size=300).map(lambda raw: raw.replace(b"\0", b"")))
+@settings(max_examples=200, deadline=None)
+def test_fm_count_table_from_the_rank_pass(raw):
+    # the FM index reads its count table off the BWT's symbol totals, which
+    # must give the corpus's own count table
+    c = Corpus.from_bytes(raw)
+    assert FmIndex.build(c).count_table == build_count_table(c)
+
+
 class TestRank:
     def test_empty_prefix(self):
         idx = RankIndex(b"nptr\x00eta")
