@@ -19,6 +19,12 @@ from .splitindex import Dictionary, SplitIndex, select_qgrams
 from .textcore import FrequencyTable, entropy, printable
 
 
+# Pattern lengths that `verify --random` samples for FM indexes: Fibonacci
+# numbers up to 233, so that long patterns, which spend most of their steps
+# on one row, are checked too.  Lengths past the text are dropped.
+VERIFY_LENGTHS = (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="textindex",
@@ -173,8 +179,7 @@ def _cmd_verify(args, parser) -> int:
         if args.queries:
             patterns = load_queries(args.queries)
         else:
-            patterns = sample_patterns(text, args.random, [2, 3, 5, 8, 13, 21, 34],
-                                       seed=args.seed)
+            patterns = sample_patterns(text, args.random, VERIFY_LENGTHS, seed=args.seed)
         for pattern in patterns:
             total += 1
             if index.count(pattern) != naive_count(text, pattern):

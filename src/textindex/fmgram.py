@@ -15,7 +15,10 @@ Two variants trade space for fewer backward-search steps:
   head and on one-symbol phrases, and phrase-sized steps on the others;
   minimizers guarantee that a pattern long enough to contain one full
   window chooses the same interior phrases as the text.  A shorter pattern
-  is counted by character steps alone.  Its character steps read the BWT,
+  is counted by character steps alone.  Phrase steps run only while the
+  backward-search interval holds several rows: once it holds one, the
+  rest of the pattern goes to `FmIndex.extend`, which follows that row
+  with one rank per symbol.  Character steps and that walk read the BWT,
   count table and rank samples of an `FmIndex`.
 
 Each build makes its own suffix array, reads it while building the
@@ -225,7 +228,13 @@ class LinearIndex:
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.
         A pattern shorter than one minimizer window holds no full window, so
-        its phrases need not be the text's: it takes character steps alone."""
+        its phrases need not be the text's: it takes character steps alone.
+
+        Phrase steps run only while the interval holds several rows.  Once
+        it holds one, the untouched prefix goes to `FmIndex.extend`, whose
+        single-row walk checks that one occurrence symbol by symbol, each
+        for less than a gram lookup costs.  Backward search reaches the
+        same rows whatever the step sizes, so the answer does not change."""
         if len(pattern) < self.q + self.alpha - 1:
             return self.fm.count(pattern)
         if not countable(pattern, self.corpus.n):
@@ -237,10 +246,11 @@ class LinearIndex:
         lookup = directory.get
         firsts, starts, rows = directory.firsts, directory.starts, directory.rows
         s, e = fm.extend(pattern[marks[-1]:], 0, self.corpus.n - 1)
-        if s > e:
-            return 0
-        for i in range(len(marks) - 1, 0, -1):
+        i = len(marks) - 1
+        # Each pass consumes phrase pattern[marks[i - 1]:marks[i]].
+        while s < e and i:
             phrase = pattern[marks[i - 1]:marks[i]]
+            i -= 1
             if len(phrase) == 1:
                 # Single-symbol phrase: the character-level step is cheaper.
                 s, e = step(s, e, phrase[0])
@@ -254,9 +264,9 @@ class LinearIndex:
                 r = bisect_right(rows, s - 1, lo, hi)
                 upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
                 s, e = first + r - lo, first + upto - lo - 1
-            if s > e:
-                return 0
-        s, e = fm.extend(pattern[:marks[0]], s, e)
+        if s > e:
+            return 0
+        s, e = fm.extend(pattern[:marks[i]], s, e)
         return max(e - s + 1, 0)
 
     def size_in_bytes(self) -> int:

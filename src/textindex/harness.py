@@ -447,10 +447,16 @@ def run_bench(config: BenchConfig) -> BenchReport:
             mean, p50, p95 = _time_workload(index.count, queries, config.repeats)
         else:
             mean = p50 = p95 = 0.0
-        counters = ""
         if config.structure == "fm-super":
             steps = sum(index.count_with_steps(q)[1] for q in queries)
             counters = f"lf_steps={steps}"
+        else:
+            # The linear index's own plain FM index, timed on the same
+            # queries, so that one row compares the two.
+            fm_mean = 0.0
+            if queries:
+                fm_mean = _time_workload(index.fm.count, queries, config.repeats)[0]
+            counters = f"fm_mean_us={fm_mean:.3f}"
         report.rows.append(BenchRow(
             structure=config.structure, params=f"{base_params};{tag}",
             dataset=label, index_bytes=index.size_in_bytes(),

@@ -174,6 +174,11 @@ class FmIndex:
         self.l = l
         self.ranks = RankIndex(l)
         self.count_table = _count_table(self.ranks.totals)
+        # Indexed by symbol byte: (count-table base, rank samples) for a
+        # symbol present in `l`, None for an absent one.
+        self._lf: list[tuple[int, memoryview] | None] = [None] * 256
+        for symbol, base in self.count_table.items():
+            self._lf[symbol] = base, self.ranks._samples[symbol]
 
     @classmethod
     def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
@@ -196,10 +201,10 @@ class FmIndex:
         when the interval is narrower than a block, and are read off their
         own sample otherwise, so no count scans more than STRIDE bytes.
         """
-        base = self.count_table.get(symbol)
-        if base is None:
+        entry = self._lf[symbol]
+        if entry is None:
             return 0, -1
-        sampled = self.ranks._samples[symbol]
+        base, sampled = entry
         l = self.l
         block = s // RankIndex.STRIDE
         below = sampled[block] + l.count(symbol, block * RankIndex.STRIDE, s)
@@ -211,14 +216,33 @@ class FmIndex:
         return base + below, base + upto - 1
 
     def extend(self, segment: bytes, s: int, e: int) -> tuple[int, int]:
-        """Narrow [s, e] by `segment`, one step per symbol from its end;
-        stops at the first empty interval (s > e) and returns it."""
+        """Narrow [s, e] by `segment`, one symbol at a time from its end;
+        stops at the first empty interval (s > e) and returns it.
+
+        While the interval holds several rows, each symbol takes a `step`.
+        Once it holds one row s, the rest of the segment only follows that
+        row's suffix: symbol c extends it only if c == l[s], and then its
+        new row is the LF mapping of s, one rank sample plus a count inside
+        its block.  Those symbols take no call each, and one rank instead
+        of two.  A mismatch returns (0, -1).
+        """
         step = self.step
-        for symbol in reversed(segment):
-            s, e = step(s, e, symbol)
-            if s > e:
-                break
-        return s, e
+        i = len(segment)
+        while s < e:
+            if not i:
+                return s, e
+            i -= 1
+            s, e = step(s, e, segment[i])
+        if s > e or not i:
+            return s, e
+        l, lf, stride = self.l, self._lf, RankIndex.STRIDE
+        for c in segment[i - 1::-1]:
+            if l[s] != c:
+                return 0, -1
+            base, sampled = lf[c]
+            block = s // stride
+            s = base + sampled[block] + l.count(c, block * stride, s)
+        return s, s
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included."""

@@ -158,6 +158,32 @@ class TestVerifyCommand:
                      "--seed", "7"]) == 0
         assert "0 discrepancies" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("build_args", [
+        ["--type", "fm-super", "--qmax", "8"],
+        ["--type", "fm-linear", "--alpha", "3", "--q", "4"],
+    ])
+    def test_random_reaches_long_patterns(self, tmp_path, capsys, monkeypatch,
+                                          build_args):
+        # on a text of 200 bytes, the sampled lengths reach 55 and beyond,
+        # and 233, longer than the text, is dropped
+        source = tmp_path / "corpus.txt"
+        source.write_bytes(english_like_text(200, seed=33))
+        out = tmp_path / "index.idx"
+        assert main(["build", *build_args, "--input", str(source), "--out", str(out)]) == 0
+        sample, sampled = cli.sample_patterns, []
+
+        def spy(*args, **kwargs):
+            patterns = sample(*args, **kwargs)
+            sampled.extend(patterns)
+            return patterns
+
+        monkeypatch.setattr(cli, "sample_patterns", spy)
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--random", "200", "--seed", "7"]) == 0
+        assert "0 discrepancies over 200 queries" in capsys.readouterr().out
+        lengths = {len(pattern) for pattern in sampled}
+        assert max(lengths) >= 55 and lengths <= set(cli.VERIFY_LENGTHS) - {233}
+
     def test_verify_deterministic(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"
         main(["build", "--type", "split", "--input", str(dict_file), "--out", str(out)])

@@ -7,7 +7,8 @@ from textindex.envelope import deserialize_index, serialize_index
 from textindex.harness import dna_like_text, english_like_text
 from textindex.suffixbwt import FmIndex, build_suffix_array
 from textindex.textcore import Corpus, minimizers, phrases
-from textindex.fmgram import LinearIndex, SuperlinearIndex, _greedy_chunks, list_rank
+from textindex.fmgram import (GramDirectory, LinearIndex, SuperlinearIndex, _greedy_chunks,
+                              list_rank)
 
 
 def naive_count(text, pattern):
@@ -401,3 +402,76 @@ class TestDirectoryIds:
             if rng.random() < 0.3:
                 pattern = pattern[:-1] + b"#"
             assert idx.count(pattern) == naive_count(raw, pattern)
+
+
+def occurs_twice(text, pattern):
+    """Whether `pattern` occurs at least twice in `text`, overlaps included."""
+    first = text.find(pattern)
+    return first >= 0 and text.find(pattern, first + 1) >= 0
+
+
+class TestOneRowHandOff:
+    """`LinearIndex.count` takes phrase steps only while the interval holds
+    several rows, and hands the rest of the pattern to `FmIndex.extend`."""
+
+    @staticmethod
+    def spy_lookups(monkeypatch):
+        looked_up = []
+        get = GramDirectory.get
+
+        def spy(self, content):
+            looked_up.append(content)
+            return get(self, content)
+
+        monkeypatch.setattr(GramDirectory, "get", spy)
+        return looked_up
+
+    def test_wide_intervals_take_phrase_steps(self, monkeypatch):
+        # tandem repeats and the binary tie-pressure text keep intervals wide
+        # for many symbols; in a * n every phrase is one symbol, so it has
+        # no grams and its patterns take character steps throughout
+        rng = random.Random(59)
+        unit = bytes(rng.choice(b"ACGT") for _ in range(41))
+        binary = bytes(rng.choice(b"ab") for _ in range(500))
+        looked_up = self.spy_lookups(monkeypatch)
+        for raw, alpha, q in [(unit * 25, 3, 4), (b"a" * 700, 3, 4), (binary, 4, 1)]:
+            idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=alpha, q=q)
+            looked_up.clear()
+            for _ in range(150):
+                m = rng.randint(q + alpha - 1, 120)
+                s = rng.randrange(len(raw) - m + 1)
+                pattern = raw[s:s + m]
+                mutated = pattern[:m // 2] + bytes([pattern[m // 2] ^ 3]) + pattern[m // 2 + 1:]
+                for p in (pattern, mutated):
+                    assert idx.count(p) == naive_count(raw, p), p
+            if raw == b"a" * 700:
+                assert len(idx.directory) == 0
+            else:
+                assert len(idx.directory) > 0 and len(looked_up) > 100
+
+    def test_no_gram_lookup_once_one_row(self, monkeypatch):
+        # on a DNA-like text the interval holds one row after a few symbols;
+        # from then on the pattern's phrases are walked, not looked up
+        raw = dna_like_text(20000, seed=61)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
+        looked_up = self.spy_lookups(monkeypatch)
+        rng = random.Random(61)
+        saved = 0
+        for _ in range(200):
+            m = rng.randint(6, 200)
+            s = rng.randrange(len(raw) - m + 1)
+            pattern = raw[s:s + m]
+            looked_up.clear()
+            assert idx.count(pattern) == naive_count(raw, pattern)
+            marks = minimizers(pattern, 3, 4).positions
+            expected = []
+            for i in range(len(marks) - 1, 0, -1):
+                phrase = pattern[marks[i - 1]:marks[i]]
+                if len(phrase) == 1:
+                    continue
+                if occurs_twice(raw, pattern[marks[i]:]):
+                    expected.append(phrase)
+                else:
+                    saved += 1
+            assert looked_up == expected, pattern
+        assert saved > 100

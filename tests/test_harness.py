@@ -204,6 +204,19 @@ class TestBench:
             assert row.mean_query_us > 0
             assert row.counters.startswith("lf_steps=")
 
+    def test_fm_linear_rows_time_the_plain_fm_index(self, tmp_path):
+        # each fm-linear row carries the mean time of the plain FM index
+        # over the same queries
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(dna_like_text(4000, seed=13))
+        config = BenchConfig(structure="fm-linear", input_path=str(path),
+                             random_queries=20, repeats=2, pattern_lengths=(8, 64))
+        report = run_bench(config)
+        assert len(report.rows) == 2
+        for row in report.rows:
+            name, _, value = row.counters.partition("=")
+            assert name == "fm_mean_us" and float(value) > 0
+
     @pytest.mark.parametrize("structure", ["split", "fm-super", "fm-linear"])
     def test_load_seconds_column(self, tmp_path, structure):
         # each row times loads of its index's file bytes, next to the build

@@ -254,6 +254,72 @@ class TestFmStep:
         assert fm.extend(b"gxa", 0, fm.corpus.n - 1) == (0, -1)
 
 
+class TestFmExtend:
+    DEPTH = 7
+
+    @staticmethod
+    def folded(fm, segment, s, e):
+        """`step` over the segment from its end, up to the first empty
+        interval."""
+        for symbol in reversed(segment):
+            s, e = fm.step(s, e, symbol)
+            if s > e:
+                break
+        return s, e
+
+    @staticmethod
+    def segments(fm, sa, s, absent):
+        """The DEPTH symbols that precede row s's suffix, cyclically (so a
+        row whose BWT symbol is the terminator gets it), then the same with
+        the first, middle or last symbol consumed swapped for another
+        symbol of the text, and with an absent symbol in the middle."""
+        data, n = fm.corpus.data, fm.corpus.n
+        p = int(sa[s])
+        preceding = bytes(data[(p - k) % n] for k in range(TestFmExtend.DEPTH, 0, -1))
+        segments = [preceding]
+        symbols = sorted(fm.count_table)
+        for at in (len(preceding) - 1, len(preceding) // 2, 0):
+            mutated = bytearray(preceding)
+            mutated[at] = symbols[(symbols.index(mutated[at]) + 1) % len(symbols)]
+            segments.append(bytes(mutated))
+        if absent is not None:
+            segments.append(preceding[:3] + bytes([absent]) + preceding[3:])
+        return segments
+
+    @pytest.mark.parametrize("alphabet", [b"a", b"acgt", bytes(range(1, 256))])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2500])
+    def test_matches_folded_steps(self, alphabet, n):
+        # every interval for small n; every one-row start and the widths
+        # around the rank stride for n = 2500
+        rng = random.Random(n * 11 + len(alphabet))
+        corpus = Corpus.from_bytes(bytes(rng.choice(alphabet) for _ in range(n - 1)))
+        fm = FmIndex.build(corpus)
+        sa = build_suffix_array(corpus)
+        inv = suffixbwt.inverse_permutation(sa)
+        missing = sorted(set(range(256)) - set(fm.count_table))
+        absent = missing[0] if missing else None
+        if n <= 65:
+            intervals = [(s, e) for s in range(n) for e in range(s, n)]
+        else:
+            intervals = sorted(set(TestFmStep.intervals(n)))
+        one_row = 0
+        for s, e in intervals:
+            segments = self.segments(fm, sa, s, absent)
+            for segment in segments:
+                got = fm.extend(segment, s, e)
+                want = self.folded(fm, segment, s, e)
+                assert (got[0] > got[1]) == (want[0] > want[1]), (s, e, segment)
+                if want[0] <= want[1]:
+                    assert got == want, (s, e, segment)
+            if s == e:
+                # the unmutated segment leads to the row of the suffix that
+                # starts DEPTH symbols earlier
+                row = inv[(int(sa[s]) - self.DEPTH) % n]
+                assert fm.extend(segments[0], s, s) == (row, row)
+                one_row += 1
+        assert one_row == n
+
+
 class TestFmCount:
     def test_banana_single_symbol(self):
         fm = FmIndex.build(Corpus.from_bytes(b"banana"))
