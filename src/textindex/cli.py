@@ -21,7 +21,9 @@ from .textcore import FrequencyTable, entropy, printable
 
 # Pattern lengths that `verify --random` samples for FM indexes: Fibonacci
 # numbers up to 233, so that long patterns, which spend most of their steps
-# on one row, are checked too.  Lengths past the text are dropped.
+# on one row, are checked too.  A linear index also gets the lengths of one
+# minimizer window and one more, which hold one and up to two minimizer
+# positions.  Lengths past the text are dropped.
 VERIFY_LENGTHS = (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
 
 
@@ -179,7 +181,11 @@ def _cmd_verify(args, parser) -> int:
         if args.queries:
             patterns = load_queries(args.queries)
         else:
-            patterns = sample_patterns(text, args.random, VERIFY_LENGTHS, seed=args.seed)
+            lengths = VERIFY_LENGTHS
+            if isinstance(index, LinearIndex):
+                window = index.q + index.alpha - 1
+                lengths = sorted({*lengths, window, window + 1})
+            patterns = sample_patterns(text, args.random, lengths, seed=args.seed)
         for pattern in patterns:
             total += 1
             if index.count(pattern) != naive_count(text, pattern):
@@ -205,9 +211,31 @@ def _cmd_stats(args) -> int:
     return 0
 
 
+def _positive_ints(flag: str, text: str) -> tuple[int, ...] | None:
+    """The comma-separated positive integers of `text`, or None, after one
+    `error:` line naming `flag`, if it holds anything else or none."""
+    try:
+        values = tuple(int(item) for item in text.split(","))
+    except ValueError:
+        values = ()
+    if values and min(values) > 0:
+        return values
+    print(f"error: {flag} takes comma-separated positive integers, not {text!r}",
+          file=sys.stderr)
+    return None
+
+
 def _cmd_bench(args) -> int:
-    k_values = tuple(int(v) for v in str(args.k).split(",") if v)
-    lengths = tuple(int(v) for v in str(args.lengths).split(",") if v)
+    if args.repeats < 1:
+        print("error: --repeats must be at least 1", file=sys.stderr)
+        return 2
+    if args.random < 0:
+        print("error: --random must not be negative", file=sys.stderr)
+        return 2
+    k_values = _positive_ints("--k", args.k)
+    lengths = _positive_ints("--lengths", args.lengths)
+    if k_values is None or lengths is None:
+        return 2
     config = BenchConfig(
         structure=args.type,
         input_path=args.input,

@@ -18,8 +18,11 @@ Two variants trade space for fewer backward-search steps:
   is counted by character steps alone.  Phrase steps run only while the
   backward-search interval holds several rows: once it holds one, the
   rest of the pattern goes to `FmIndex.extend`, which follows that row
-  with one rank per symbol.  Character steps and that walk read the BWT,
-  count table and rank samples of an `FmIndex`.
+  with one rank per symbol.  So a query finds the pattern's minimizers
+  from the right, one phrase at a time, and stops with the phrase steps;
+  only the build selects a whole text's minimizers at once.  Character
+  steps and that walk read the BWT, count table and rank samples of an
+  `FmIndex`.
 
 Each build makes its own suffix array, reads it while building the
 directory and keeps none; queries never read one.
@@ -38,7 +41,8 @@ import numpy as np
 
 from . import suffixbwt
 from .hashmap import ChainedHashMap
-from .textcore import Corpus, _gram_keys, dense_ranks, minimizers, packed_words, phrases
+from .textcore import (Corpus, _gram_keys, dense_ranks, minimizers, minimizers_from_right,
+                       packed_words, phrases)
 from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
@@ -230,32 +234,35 @@ class LinearIndex:
         A pattern shorter than one minimizer window holds no full window, so
         its phrases need not be the text's: it takes character steps alone.
 
-        Phrase steps run only while the interval holds several rows.  Once
+        Minimizer positions come from the right, one per phrase step, and
+        phrase steps run only while the interval holds several rows.  Once
         it holds one, the untouched prefix goes to `FmIndex.extend`, whose
         single-row walk checks that one occurrence symbol by symbol, each
-        for less than a gram lookup costs.  Backward search reaches the
-        same rows whatever the step sizes, so the answer does not change."""
+        for less than a gram lookup costs, and no further minimizer is
+        found.  Backward search reaches the same rows whatever the step
+        sizes, so the answer does not change."""
         if len(pattern) < self.q + self.alpha - 1:
             return self.fm.count(pattern)
         if not countable(pattern, self.corpus.n):
             return 0
-        marks = minimizers(pattern, self.alpha, self.q).positions
+        marks = minimizers_from_right(pattern, self.alpha, self.q)
         fm = self.fm
         step = fm.step
         directory = self.directory
         lookup = directory.get
         firsts, starts, rows = directory.firsts, directory.starts, directory.rows
-        s, e = fm.extend(pattern[marks[-1]:], 0, self.corpus.n - 1)
-        i = len(marks) - 1
-        # Each pass consumes phrase pattern[marks[i - 1]:marks[i]].
-        while s < e and i:
-            phrase = pattern[marks[i - 1]:marks[i]]
-            i -= 1
-            if len(phrase) == 1:
+        right = next(marks)
+        s, e = fm.extend(pattern[right:], 0, self.corpus.n - 1)
+        # Each pass consumes phrase pattern[left:right].
+        while s < e:
+            left = next(marks, None)
+            if left is None:
+                break
+            if right - left == 1:
                 # Single-symbol phrase: the character-level step is cheaper.
-                s, e = step(s, e, phrase[0])
+                s, e = step(s, e, pattern[left])
             else:
-                g = lookup(phrase)
+                g = lookup(pattern[left:right])
                 if g is None:
                     return 0
                 first, lo, hi = firsts[g], starts[g], starts[g + 1]
@@ -264,9 +271,10 @@ class LinearIndex:
                 r = bisect_right(rows, s - 1, lo, hi)
                 upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
                 s, e = first + r - lo, first + upto - lo - 1
+            right = left
         if s > e:
             return 0
-        s, e = fm.extend(pattern[:marks[i]], s, e)
+        s, e = fm.extend(pattern[:right], s, e)
         return max(e - s + 1, 0)
 
     def size_in_bytes(self) -> int:

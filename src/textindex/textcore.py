@@ -9,7 +9,8 @@ the suffix-sorting machinery relies on.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +94,7 @@ def _runs(values: np.ndarray, width: int) -> np.ndarray:
     """Read-only view with one row per run of `width` consecutive values.
 
     Built with the bare constructor: `sliding_window_view` costs several
-    times more per call, which short query patterns would pay."""
+    times more per call."""
     values = np.ascontiguousarray(values)
     step = values.itemsize
     return np.ndarray((len(values) - width + 1, width), dtype=values.dtype,
@@ -183,7 +184,8 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     Vectorised: grams are compared as integer keys (`_gram_keys`), every
     window's winner is an `argmin` over a sliding view (which returns the
     first, so leftmost, minimum), and repeated winners of neighbouring
-    windows are dropped.  The build and every query use this one path.
+    windows are dropped.  This is the build's path; a query, which reads
+    only the rightmost few positions, takes `minimizers_from_right`.
     """
     n = len(text)
     if alpha < 1 or q < 1:
@@ -199,6 +201,43 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     fresh[0] = True
     np.not_equal(winners[1:], winners[:-1], out=fresh[1:])
     return MinimizerSet(alpha=alpha, q=q, text=text, starts=winners[fresh])
+
+
+def minimizers_from_right(text: bytes, alpha: int, q: int) -> Iterator[int]:
+    """The positions of `minimizers(text, alpha, q)`, largest first, found
+    lazily: each one costs only the grams up to it, so a caller that stops
+    early never scans the rest of the text.
+
+    Windows are taken right to left.  Grams compare as byte slices, which
+    order as `_gram_keys` does for any q.  `candidates` holds (position,
+    gram) pairs, leftmost first, whose grams strictly decrease: a gram
+    added on the left evicts every candidate it ties or beats, so the
+    leftmost of equal grams wins, and the rightmost candidate drops off
+    once the window has moved past it.  The rightmost candidate left is
+    the window's winner, and a winner shared by neighbouring windows is
+    yielded once.
+    """
+    if alpha < 1 or q < 1:
+        raise ValueError("alpha and q must be positive")
+    if len(text) < q + alpha - 1:
+        raise ValueError(
+            f"text of length {len(text)} is shorter than one window ({q + alpha - 1})")
+    candidates = deque()
+    last = None
+    last_window = len(text) - q - alpha + 1
+    for p in range(len(text) - q, -1, -1):
+        gram = text[p:p + q]
+        while candidates and candidates[0][1] >= gram:
+            candidates.popleft()
+        candidates.appendleft((p, gram))
+        if p <= last_window:
+            # Window p holds the grams at p .. p + alpha - 1.
+            if candidates[-1][0] == p + alpha:
+                candidates.pop()
+            winner = candidates[-1][0]
+            if winner != last:
+                last = winner
+                yield winner
 
 
 @dataclass(frozen=True, eq=False)

@@ -182,7 +182,11 @@ class TestVerifyCommand:
         assert main(["verify", "--index", str(out), "--random", "200", "--seed", "7"]) == 0
         assert "0 discrepancies over 200 queries" in capsys.readouterr().out
         lengths = {len(pattern) for pattern in sampled}
-        assert max(lengths) >= 55 and lengths <= set(cli.VERIFY_LENGTHS) - {233}
+        # a linear index (alpha 3, q 4) also samples one window, 6 symbols,
+        # and one more
+        edges = {6, 7} if build_args[1] == "fm-linear" else set()
+        assert max(lengths) >= 55 and edges <= lengths
+        assert lengths <= (set(cli.VERIFY_LENGTHS) | edges) - {233}
 
     def test_verify_deterministic(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"
@@ -282,3 +286,16 @@ class TestBenchCommand:
                      "--random", "5", "--repeats", "1"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.split(",") == listed.split(", ")
+
+    @pytest.mark.parametrize("bad", [
+        ["--repeats", "0"], ["--repeats", "-2"], ["--random", "-1"],
+        ["--lengths", "0"], ["--lengths=-3"], ["--lengths", "8,x"], ["--lengths", ""],
+        ["--k", "0"], ["--k", "1,-1"], ["--k", "two"],
+    ])
+    def test_bad_values_are_usage_errors(self, dict_file, corpus_file, capsys, bad):
+        for kind, source in (("split", dict_file), ("fm-linear", corpus_file)):
+            assert main(["bench", "--type", kind, "--input", str(source),
+                         "--random", "5", "--repeats", "1", *bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1

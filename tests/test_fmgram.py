@@ -3,6 +3,7 @@ from array import array
 
 import pytest
 
+from textindex import fmgram, textcore
 from textindex.envelope import deserialize_index, serialize_index
 from textindex.harness import dna_like_text, english_like_text
 from textindex.suffixbwt import FmIndex, build_suffix_array
@@ -205,11 +206,13 @@ class TestLinearIndex:
         with pytest.raises(ValueError):
             LinearIndex.build(Corpus.from_bytes(b"ab"), alpha=3, q=2)
 
-    @pytest.mark.parametrize("alpha, q", [(1, 2), (3, 2), (4, 2), (3, 4), (4, 1), (8, 4)])
+    @pytest.mark.parametrize("alpha, q", [(1, 2), (3, 2), (4, 2), (3, 4), (4, 1), (8, 4),
+                                          (1, 1), (16, 6), (2, 17)])
     def test_short_patterns_match_naive(self, alpha, q):
-        # a pattern below one window is counted by character steps alone;
-        # the smallest buildable corpus, one window long, also gets patterns
-        # longer than itself
+        # a pattern below one window is counted by character steps alone,
+        # one window long holds one minimizer position and one longer up to
+        # two; the smallest buildable corpus, one window long, also gets
+        # patterns longer than itself
         rng = random.Random(alpha * 100 + q)
         raw = bytes(rng.choice(b"abc") for _ in range(300))
         window = q + alpha - 1
@@ -402,6 +405,34 @@ class TestDirectoryIds:
             if rng.random() < 0.3:
                 pattern = pattern[:-1] + b"#"
             assert idx.count(pattern) == naive_count(raw, pattern)
+
+
+class TestLazyMinimizers:
+    """`LinearIndex.count` finds its pattern's minimizers from the right,
+    lazily; only the build selects minimizers with numpy."""
+
+    def test_no_query_calls_the_numpy_path(self, monkeypatch):
+        calls = []
+        select = textcore.minimizers
+
+        def spy(text, alpha, q):
+            calls.append(len(text))
+            return select(text, alpha, q)
+
+        monkeypatch.setattr(fmgram, "minimizers", spy)
+        monkeypatch.setattr(textcore, "minimizers", spy)
+        raw = dna_like_text(5000, seed=67)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
+        assert calls == [len(raw)]
+        rng = random.Random(67)
+        for _ in range(300):
+            m = rng.randint(1, 120)
+            s = rng.randrange(len(raw) - m + 1)
+            pattern = raw[s:s + m]
+            if rng.random() < 0.3:
+                pattern = bytes(rng.choice(b"ACGT") for _ in range(m))
+            assert idx.count(pattern) == naive_count(raw, pattern)
+        assert calls == [len(raw)]
 
 
 def occurs_twice(text, pattern):

@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textindex.textcore import (Corpus, FrequencyTable, entropy, minimizers, phrases,
-                                printable)
+from textindex.textcore import (Corpus, FrequencyTable, entropy, minimizers,
+                                minimizers_from_right, phrases, printable)
 
 
 class TestCorpus:
@@ -109,6 +109,72 @@ class TestMinimizers:
             if not g1 & g2:
                 failures += 1
         assert failures == 0
+
+
+ALPHABETS = [b"a", b"ab", b"acgt", bytes(range(1, 256))]
+
+
+@st.composite
+def windowed_texts(draw):
+    """(text, alpha, q) with the text at least one window long: random
+    symbols of one alphabet, or a repeated unit of them, from one window
+    (a single position) up to 300 symbols."""
+    alpha, q = draw(st.integers(1, 16)), draw(st.integers(1, 20))
+    symbols = st.sampled_from(draw(st.sampled_from(ALPHABETS)))
+    window = q + alpha - 1
+    m = draw(st.one_of(st.just(window), st.just(window + 1),
+                       st.integers(window, 300)))
+    if draw(st.booleans()):
+        unit = bytes(draw(st.lists(symbols, min_size=1, max_size=12)))
+        text = (unit * (m // len(unit) + 1))[:m]
+    else:
+        text = bytes(draw(st.lists(symbols, min_size=m, max_size=m)))
+    return text, alpha, q
+
+
+class TestMinimizersFromRight:
+    def test_texting_3_2(self):
+        assert list(minimizers_from_right(b"texting", 3, 2)) == [4, 1]
+
+    def test_single_window(self):
+        assert list(minimizers_from_right(b"acg", 2, 2)) == [0]
+
+    def test_bad_arguments_rejected(self):
+        for text, alpha, q in [(b"abc", 3, 2), (b"abc", 0, 2), (b"abc", 1, 0)]:
+            with pytest.raises(ValueError):
+                next(minimizers_from_right(text, alpha, q))
+
+    # q above 8 is where `minimizers` ranks grams by doubling, so the byte
+    # comparisons here are checked against both of its key paths.
+    @given(windowed_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_reverses_minimizers(self, case):
+        text, alpha, q = case
+        from_right = list(minimizers_from_right(text, alpha, q))[::-1]
+        assert from_right == list(minimizers(text, alpha, q).positions)
+        assert from_right == brute_force_minimizers(text, alpha, q)
+
+    def test_scan_stops_at_the_window_it_yields_from(self):
+        # A winner yielded from window p lies in p .. p + alpha - 1, and no
+        # gram left of p has been read yet.
+        class Recorded(bytes):
+            def __getitem__(self, key):
+                read.append(key.start)
+                return bytes.__getitem__(self, key)
+
+        rng = random.Random(71)
+        for alpha, q in [(1, 1), (3, 4), (8, 4), (2, 17)]:
+            read = []
+            text = Recorded(bytes(rng.choice(b"acgt") for _ in range(120)))
+            marks = minimizers_from_right(text, alpha, q)
+            assert read == []
+            first = next(marks)
+            assert min(read) == len(text) - q - alpha + 1
+            pulled = [first]
+            for winner in marks:
+                assert min(read) >= winner - alpha + 1
+                pulled.append(winner)
+            assert pulled == list(minimizers(bytes(text), alpha, q).positions)[::-1]
 
 
 class TestPhrases:
