@@ -11,9 +11,9 @@ not copied out first; nothing loaded keeps a view of them.
 FM files store only what queries read.  A superlinear file is the corpus
 and the gram directory; the longest gram length is the index's `q_max`.
 A linear file is alpha, q, the corpus, the n-byte BWT and the directory of
-its multi-symbol phrases; load builds the count table and rank samples
-from the BWT in one pass and refuses one whose count table differs from
-the corpus's.  A directory is five u32 columns, and load keys every gram
+its multi-symbol phrases; load builds the count table and LF mapping
+from the BWT and refuses one whose count table differs from the
+corpus's.  A directory is five u32 columns, and load keys every gram
 to its id in one bulk pass over them.  A split file is k, the substitution
 table if any, and four flat columns: the key count, then u8 key lengths,
 the key bytes, u32 list lengths and the list bytes, each role group of a

@@ -18,10 +18,10 @@ Two variants trade space for fewer backward-search steps:
   is counted by character steps alone.  Phrase steps run only while the
   backward-search interval holds several rows: once it holds one, the
   rest of the pattern goes to `FmIndex.extend`, which follows that row
-  with one rank per symbol.  So a query finds the pattern's minimizers
+  with one LF read per symbol.  So a query finds the pattern's minimizers
   from the right, one phrase at a time, and stops with the phrase steps;
   only the build selects a whole text's minimizers at once.  Character
-  steps and that walk read the BWT, count table and rank samples of an
+  steps and that walk read the BWT, count table and LF mapping of an
   `FmIndex`.
 
 Each build makes its own suffix array, reads it while building the

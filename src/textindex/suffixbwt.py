@@ -2,10 +2,10 @@
 
 The suffix array orders the suffixes of a corpus lexicographically; the BWT
 string is read off it one symbol to the left of each suffix.  Counting needs
-only the BWT, the count table and a sampled rank structure over the BWT
-(backward search, Ferragina and Manzini 2000).  The suffix array is build
-state: each index build makes its own, reads it and drops it, and no index
-keeps one.
+only the BWT, the count table and the BWT's LF mapping (Burrows and Wheeler
+1994; backward search, Ferragina and Manzini 2000).  The suffix array is
+build state: each index build makes its own, reads it and drops it, and no
+index keeps one.
 """
 
 from __future__ import annotations
@@ -67,24 +67,28 @@ def bwt_forward(corpus: Corpus, sa: np.ndarray | None = None) -> bytes:
     return arr[(np.asarray(sa) - 1) % corpus.n].tobytes()
 
 
+def lf_mapping(l: bytes) -> np.ndarray:
+    """The LF mapping of the BWT string `l` as n u32 entries: LF[i] is the
+    row of the suffix one symbol to the left of row i's, that is
+    C[l[i]] + (occurrences of l[i] in l[:i]).  That is i's place in a
+    stable sort of `l`, so LF is the inverse of one stable argsort."""
+    n = len(l)
+    lf = np.empty(n, dtype=np.uint32)
+    lf[np.argsort(np.frombuffer(l, dtype=np.uint8), kind="stable")] = np.arange(
+        n, dtype=np.uint32)
+    return lf
+
+
 def bwt_inverse(l: bytes) -> Corpus:
     """Reconstruct the corpus whose BWT is `l`.
 
-    Walks the last-to-first mapping backwards from row 0, which is the row of
-    the rotation starting with the terminator.
+    Walks the LF mapping backwards from row 0, which is the row of the
+    rotation starting with the terminator.
     """
     n = len(l)
     if l.count(TERMINATOR) != 1:
         raise MalformedInputError("BWT string must contain exactly one terminator")
-    arr = np.frombuffer(l, dtype=np.uint8).astype(np.int64)
-    counts = np.bincount(arr, minlength=256)
-    smaller = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    # occ[i] = occurrences of l[i] in l[:i]; computed by stably grouping
-    # positions per symbol and numbering within each group.
-    order = np.argsort(arr, kind="stable")
-    occ = np.empty(n, dtype=np.int64)
-    occ[order] = np.arange(n, dtype=np.int64) - np.repeat(smaller, counts)
-    lf = smaller[arr] + occ
+    lf = memoryview(lf_mapping(l))
     out = bytearray(n)
     out[n - 1] = TERMINATOR
     row = 0
@@ -109,37 +113,19 @@ def build_count_table(corpus: Corpus) -> dict[int, int]:
 
 
 class RankIndex:
-    """Sampled symbol ranks over a BWT string.
+    """Symbol ranks over a BWT string, read off its LF mapping.
 
-    Cumulative counts are stored every `STRIDE` positions; a query adds the
-    residual count inside the block, scanned at C speed by bytes.count.
-    rank(c, i) is inclusive of position i, and rank(c, -1) = 0.  `totals`
-    holds the occurrences of each of the 256 symbols in the whole string.
+    `totals` holds the occurrences of each of the 256 symbols in the whole
+    string and `lf` the LF mapping (`lf_mapping`), served as a u32
+    memoryview whose items read as Python ints.  rank(c, i) is inclusive
+    of position i, and rank(c, -1) = 0.
     """
-
-    STRIDE = 64
 
     def __init__(self, l: bytes):
         self.l = l
         self.n = len(l)
-        arr = np.frombuffer(l, dtype=np.uint8)
-        self.totals = np.bincount(arr, minlength=256)
-        present = np.flatnonzero(self.totals)
-        # Occurrences per (block, symbol) from one bincount over
-        # block * sigma + dense symbol id; sample b counts blocks 0..b-1.
-        sigma = len(present)
-        dense = np.zeros(256, dtype=np.uint8)
-        dense[present] = np.arange(sigma)
-        blocks = (self.n + self.STRIDE - 1) // self.STRIDE
-        cells = np.arange(self.n, dtype=np.int64) // self.STRIDE * sigma
-        cells += dense[arr]
-        counts = np.bincount(cells, minlength=blocks * sigma).reshape(blocks, sigma)
-        samples = np.zeros((sigma, blocks), dtype=np.int64)
-        np.cumsum(counts[:-1].T, axis=1, out=samples[:, 1:])
-        # A memoryview yields its items as Python ints, several times
-        # faster to read and add than numpy scalars.
-        self._samples: dict[int, memoryview] = {
-            sym: memoryview(row) for sym, row in zip(present.tolist(), samples)}
+        self.totals = np.bincount(np.frombuffer(l, dtype=np.uint8), minlength=256)
+        self.lf = memoryview(lf_mapping(l))
 
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""
@@ -147,11 +133,12 @@ class RankIndex:
             return 0
         if i < -1 or i >= self.n:
             raise IndexError(f"rank position {i} outside [-1, {self.n})")
-        sampled = self._samples.get(symbol)
-        if sampled is None:
+        # The last occurrence j <= i is the rank-th of its symbol, so
+        # LF[j] = C[symbol] + rank - 1.
+        j = self.l.rfind(symbol, 0, i + 1)
+        if j == -1:
             return 0
-        block = i // self.STRIDE
-        return sampled[block] + self.l.count(symbol, block * self.STRIDE, i + 1)
+        return self.lf[j] + 1 - int(self.totals[:symbol].sum())
 
 
 def countable(pattern: bytes, n: int) -> bool:
@@ -166,19 +153,16 @@ def countable(pattern: bytes, n: int) -> bool:
 
 
 class FmIndex:
-    """Count-only FM index over the BWT string `l` of `corpus`: the rank
-    samples and the count table both come from one pass over `l`."""
+    """Count-only FM index over the BWT string `l` of `corpus`: the LF
+    mapping and the count table both come from `RankIndex(l)`."""
 
     def __init__(self, corpus: Corpus, l: bytes):
         self.corpus = corpus
         self.l = l
         self.ranks = RankIndex(l)
         self.count_table = _count_table(self.ranks.totals)
-        # Indexed by symbol byte: (count-table base, rank samples) for a
-        # symbol present in `l`, None for an absent one.
-        self._lf: list[tuple[int, memoryview] | None] = [None] * 256
-        for symbol, base in self.count_table.items():
-            self._lf[symbol] = base, self.ranks._samples[symbol]
+        # ends[c] = C[c] + occurrences of c: one past the rows starting with c.
+        self._ends: list[int] = np.cumsum(self.ranks.totals).tolist()
 
     @classmethod
     def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
@@ -187,33 +171,39 @@ class FmIndex:
         return cls(corpus, bwt_forward(corpus, sa))
 
     def size_in_bytes(self) -> int:
-        """BWT string + count table + rank samples, in bytes."""
-        blocks = (len(self.l) + RankIndex.STRIDE - 1) // RankIndex.STRIDE
-        return len(self.l) + 8 * len(self.count_table) * (1 + blocks)
+        """BWT string (n bytes) + count table (8 bytes a symbol) + LF
+        mapping (4n bytes)."""
+        return 5 * len(self.l) + 8 * len(self.count_table)
 
     def step(self, s: int, e: int, symbol: int) -> tuple[int, int]:
         """One backward-search step: narrow [s, e] (0 <= s <= e < n) to the
         suffixes preceded by `symbol`.  The result is empty (s > e) if none
         is, and (0, -1) for a symbol absent from the corpus.
 
-        The occurrences of `symbol` before row s are one rank sample plus a
-        count inside its block.  Those up to row e add a count over l[s:e+1]
-        when the interval is narrower than a block, and are read off their
-        own sample otherwise, so no count scans more than STRIDE bytes.
+        Over all n rows the result is the symbol's count-table range.
+        Otherwise it is the LF values of the first and last `symbol` in
+        l[s:e+1], found with `bytes.find` and `bytes.rfind`.  Without one
+        there, the find runs on to the next `symbol` after e, whose LF value
+        (or ends[symbol] if there is none) is the start of the empty result.
+        So only a step that ends the search scans past e.
         """
-        entry = self._lf[symbol]
-        if entry is None:
-            return 0, -1
-        base, sampled = entry
+        if e - s == len(self.l) - 1:
+            base = self.count_table.get(symbol)
+            if base is None:
+                return 0, -1
+            return base, self._ends[symbol] - 1
         l = self.l
-        block = s // RankIndex.STRIDE
-        below = sampled[block] + l.count(symbol, block * RankIndex.STRIDE, s)
-        if e - s < RankIndex.STRIDE:
-            upto = below + l.count(symbol, s, e + 1)
-        else:
-            block = e // RankIndex.STRIDE
-            upto = sampled[block] + l.count(symbol, block * RankIndex.STRIDE, e + 1)
-        return base + below, base + upto - 1
+        first = l.find(symbol, s)
+        if first == -1:
+            if symbol not in self.count_table:
+                return 0, -1
+            start = self._ends[symbol]
+            return start, start - 1
+        lf = self.ranks.lf
+        if first > e:
+            start = lf[first]
+            return start, start - 1
+        return lf[first], lf[l.rfind(symbol, first, e + 1)]
 
     def extend(self, segment: bytes, s: int, e: int) -> tuple[int, int]:
         """Narrow [s, e] by `segment`, one symbol at a time from its end;
@@ -222,9 +212,8 @@ class FmIndex:
         While the interval holds several rows, each symbol takes a `step`.
         Once it holds one row s, the rest of the segment only follows that
         row's suffix: symbol c extends it only if c == l[s], and then its
-        new row is the LF mapping of s, one rank sample plus a count inside
-        its block.  Those symbols take no call each, and one rank instead
-        of two.  A mismatch returns (0, -1).
+        new row is LF[s], one memoryview read with no call.  A mismatch
+        returns (0, -1).
         """
         step = self.step
         i = len(segment)
@@ -235,13 +224,11 @@ class FmIndex:
             s, e = step(s, e, segment[i])
         if s > e or not i:
             return s, e
-        l, lf, stride = self.l, self._lf, RankIndex.STRIDE
+        l, lf = self.l, self.ranks.lf
         for c in segment[i - 1::-1]:
             if l[s] != c:
                 return 0, -1
-            base, sampled = lf[c]
-            block = s // stride
-            s = base + sampled[block] + l.count(c, block * stride, s)
+            s = lf[s]
         return s, s
 
     def count(self, pattern: bytes) -> int:

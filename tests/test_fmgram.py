@@ -2,10 +2,12 @@ import random
 from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from textindex import fmgram, textcore
 from textindex.envelope import deserialize_index, serialize_index
 from textindex.harness import dna_like_text, english_like_text
+from textindex.harness import naive_count as harness_naive_count
 from textindex.suffixbwt import FmIndex, build_suffix_array
 from textindex.textcore import Corpus, minimizers, phrases
 from textindex.fmgram import (GramDirectory, LinearIndex, SuperlinearIndex, _greedy_chunks,
@@ -342,8 +344,8 @@ class TestLinearIndex:
         assert max(counts) >= 20 and counts.count(1) >= 40 and counts.count(0) >= 60
 
     def test_size_model_terms(self):
-        # directory, corpus (n), BWT (n), count table and rank samples,
-        # read off a built index and a loaded one
+        # directory, corpus (n), BWT (n), count table (8 bytes a symbol)
+        # and LF mapping (4n), read off a built index and a loaded one
         corpus = Corpus.from_bytes(dna_like_text(3000, seed=5))
         built = LinearIndex.build(corpus, alpha=3, q=4)
         loaded = deserialize_index(serialize_index(built))
@@ -351,9 +353,9 @@ class TestLinearIndex:
             directory, fm = idx.directory, idx.fm
             directory_bytes = (16 * len(directory) + 4 * len(directory.rows)
                                + 4 * directory.bucket_count)
-            sample_bytes = 8 * sum(len(samples) for samples in fm.ranks._samples.values())
+            assert len(fm.ranks.lf) == len(fm.l) == corpus.n
             assert idx.size_in_bytes() == (directory_bytes + corpus.n + len(fm.l)
-                                           + 8 * len(fm.count_table) + sample_bytes)
+                                           + 8 * len(fm.count_table) + 4 * len(fm.ranks.lf))
 
 
 def stored_columns(data: bytes, at: int):
@@ -506,3 +508,43 @@ class TestOneRowHandOff:
                     saved += 1
             assert looked_up == expected, pattern
         assert saved > 100
+
+
+@st.composite
+def skewed_texts(draw):
+    """A long run of one symbol, or English-like text, with a few rare
+    bytes dropped in: texts where a step's find scans far."""
+    n = draw(st.integers(6, 3000))
+    if draw(st.booleans()):
+        raw = bytearray(draw(st.sampled_from(b"aT ")) for _ in range(n))
+    else:
+        raw = bytearray(english_like_text(n, seed=draw(st.integers(0, 1000))))
+    rare = draw(st.lists(st.integers(1, 255), min_size=1, max_size=3))
+    for symbol in rare:
+        raw[draw(st.integers(0, n - 1))] = symbol
+    return bytes(raw), bytes(rare)
+
+
+@given(skewed_texts(), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_counts_on_skewed_texts_match_naive(text_and_rare, rng):
+    # slices of the text, runs of its commonest symbol with a rare byte on
+    # either side, and slices with a rare byte swapped in
+    raw, rare = text_and_rare
+    fm = FmIndex.build(Corpus.from_bytes(raw))
+    linear = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
+    common = max(set(raw), key=raw.count)
+    patterns = []
+    for _ in range(30):
+        m = rng.randint(1, min(80, len(raw)))
+        s = rng.randrange(len(raw) - m + 1)
+        patterns.append(raw[s:s + m])
+        mutated = bytearray(raw[s:s + m])
+        mutated[rng.randrange(m)] = rng.choice(rare)
+        patterns.append(bytes(mutated))
+        run = bytes([common]) * rng.randint(1, 60)
+        patterns += [run, run + rare[:1], rare[-1:] + run]
+    for pattern in patterns:
+        want = harness_naive_count(raw, pattern)
+        assert fm.count(pattern) == want, pattern
+        assert linear.count(pattern) == want, pattern

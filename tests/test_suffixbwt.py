@@ -192,22 +192,19 @@ class TestRank:
                 assert idx.rank(sym, i) == l[:i + 1].count(sym)
 
 
-    def test_samples_match_per_symbol_cumsum(self):
-        # the one-pass sample build against one cumsum per symbol, for n
-        # below, at and off multiples of the stride, and up to 255 symbols
+    def test_lf_matches_prefix_counts(self):
+        # LF against its definition, C[l[i]] + l[:i].count(l[i]), for n
+        # from 1 to 1,000 and up to 255 symbols; it is a permutation of
+        # range(n), since each row is reached from exactly one other
         rng = random.Random(19)
         alphabets = [b"a", b"\x00ab", b"acgt", bytes(range(1, 27)), bytes(range(255))]
         texts = [bytes(rng.choice(alphabets[n % 5]) for _ in range(n)) for n in range(1, 1001)]
         texts.append(bytes(rng.sample(range(256), 256) * 3)[:700])
         for l in texts:
-            arr = np.frombuffer(l, dtype=np.uint8)
-            block_starts = np.arange(0, len(l), RankIndex.STRIDE)
-            expected = {}
-            for sym in set(l):
-                cum = np.concatenate([[0], np.cumsum(arr == sym)])
-                expected[sym] = cum[block_starts].tolist()
-            samples = RankIndex(l)._samples
-            assert {sym: sampled.tolist() for sym, sampled in samples.items()} == expected
+            lf = RankIndex(l).lf.tolist()
+            assert sorted(lf) == list(range(len(l)))
+            smaller = {c: sum(x < c for x in l) for c in set(l)}
+            assert lf == [smaller[c] + l[:i].count(c) for i, c in enumerate(l)]
 
 
 class TestFmStep:
@@ -247,6 +244,21 @@ class TestFmStep:
             for c in checked:
                 assert fm.step(s, e, c) == (table[c] + prefix[c][s],
                                             table[c] + prefix[c][e + 1] - 1)
+
+    @pytest.mark.parametrize("where", ["before", "after", "at_s", "at_e"])
+    def test_symbol_only_outside_or_at_the_ends(self, where):
+        # 'b' occurs once in the BWT, at row p: only before s, only after e,
+        # only at s or only at e.  The empty results start at C[b] plus the
+        # 'b's before s, and the find that starts at s may run past e.
+        fm = FmIndex.build(Corpus.from_bytes(b"a" * 150 + b"b" + b"a" * 149))
+        l, table = fm.l, fm.count_table
+        p = l.index(b"b")
+        s, e = {"before": (p + 1, p + 20), "after": (p - 20, p - 1),
+                "at_s": (p, p + 20), "at_e": (p - 20, p)}[where]
+        assert 0 <= s <= e < len(l)
+        for c in b"\x00ab":
+            assert fm.step(s, e, c) == (table[c] + l[:s].count(c),
+                                        table[c] + l[:e + 1].count(c) - 1)
 
     def test_absent_symbol_gives_empty_interval(self):
         fm = FmIndex.build(Corpus.from_bytes(b"acgt" * 40))
