@@ -8,6 +8,7 @@ so runs are reproducible; environment variables are deliberately ignored.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .envelope import load_index, save_index
@@ -108,8 +109,8 @@ def _cmd_build(args) -> int:
     save_index(index, args.out)
     directory = index.directory
     print(f"{args.type} index: n={corpus.n} {extra} grams={len(directory)}")
-    print(f"size={index.size_in_bytes()} bytes load-factor={directory.load_factor:.3f} "
-          f"buckets={directory.bucket_count}")
+    print(f"size={index.size_in_bytes()} bytes file={os.path.getsize(args.out)} bytes "
+          f"load-factor={directory.load_factor:.3f} buckets={directory.bucket_count}")
     return 0
 
 

@@ -8,13 +8,13 @@ magic, unknown version and checksum mismatches are rejected before any
 payload parsing, and the payload is parsed in place in the file's bytes,
 not copied out first; nothing loaded keeps a view of them.
 
-FM files store only what queries read.  A superlinear file is the corpus
-and the gram directory; the longest gram length is the index's `q_max`.
-A linear file is alpha, q, the corpus, the n-byte BWT and the directory of
-its multi-symbol phrases; load builds the count table and LF mapping
-from the BWT and refuses one whose count table differs from the
-corpus's.  A directory is five u32 columns, and load keys every gram
-to its id in one bulk pass over them.  A split file is k, the substitution
+A superlinear file is the corpus, u32 `q_max` and the u32 suffix array;
+load checks the array in O(n) and derives the gram directory as the build
+does.  A linear file is alpha, q, the corpus, the n-byte BWT and the
+directory of its multi-symbol phrases in five u32 columns; load builds
+the count table and LF mapping from the BWT, refuses one whose count
+table differs from the corpus's, and keys every gram to its id in one
+bulk pass.  A split file is k, the substitution
 table if any, and four flat columns: the key count, then u8 key lengths,
 the key bytes, u32 list lengths and the list bytes, each role group of a
 list ordered by missing length, which the split walk relies on.  Load
@@ -24,15 +24,15 @@ layout is fixed by class constants and follows from the entry count.
 CHANGES.md records how each format version differs from the one before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
-bytes; a superlinear file whose distinct gram lengths are not exactly 1,
-2, 4, ... up to the longest (none for an empty text); a split file with k
-below 1, a bad substitution table, an empty or repeated key, or a list
-without exactly k zero bytes; a corpus whose terminator is missing or not
-only at its end; a directory whose `starts` do not frame its rows, whose
-grams are empty, reach the terminator or repeat, whose first row plus
-count passes n, or whose rows reach n or do not rise inside a gram; and a
-linear file with alpha or q below 1, or whose BWT length or symbol counts
-differ from the corpus's.
+bytes; a superlinear file whose `q_max` is not a power of two up to n - 1
+(0 for an empty text), or whose suffix array does not sort the corpus's
+suffixes; a split file with k below 1, a bad substitution table, an empty
+or repeated key, or a list without exactly k zero bytes; a corpus whose
+terminator is missing or not only at its end; a linear directory whose
+`starts` do not frame its rows, whose grams are empty, reach the
+terminator or repeat, whose first row plus count passes n, or whose rows
+reach n or do not rise inside a gram; and a linear file with alpha or q
+below 1, or whose BWT length or symbol counts differ from the corpus's.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -241,14 +241,6 @@ def _read_fm_substrate(r: _Reader) -> FmIndex:
     return fm
 
 
-def _directory_payload(w: _Writer, directory: GramDirectory) -> None:
-    w.u32(len(directory.offsets))
-    w.u32(len(directory.rows))
-    for column in (directory.offsets, directory.lengths, directory.firsts,
-                   directory.starts, directory.rows):
-        w.u32s(column)
-
-
 def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
     """Refuse a directory whose grams or rows fall outside the n rows and
     the text, or whose row runs are not strictly increasing."""
@@ -271,42 +263,42 @@ def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
         raise MalformedInputError("gram rows not strictly increasing")
 
 
-def _read_directory(r: _Reader, buffer: bytes) -> GramDirectory:
-    grams = r.u32()
-    row_count = r.u32()
-    offsets, lengths, firsts = (r.u32s(grams) for _ in range(3))
-    starts = r.u32s(grams + 1)
-    # An aligned copy: vectorised checks and the directory's memoryview
-    # need one, and the payload may place the rows at any offset.
-    rows = r.u32s(row_count).astype(np.uint32)
-    _check_directory(len(buffer), offsets, lengths, firsts, starts, rows)
-    directory = GramDirectory(buffer, offsets, lengths, firsts, starts, rows)
-    if len(directory) != grams:
-        raise MalformedInputError("repeated gram in directory")
-    return directory
-
-
 def _superlinear_payload(index: SuperlinearIndex) -> bytes:
     w = _Writer()
     w.blob(index.corpus.data)
-    _directory_payload(w, index.directory)
+    w.u32(index.q_max)
+    w.u32s(index.sa)
     return w.getvalue()
+
+
+def _check_suffix_array(corpus: Corpus, sa: np.ndarray) -> None:
+    """Refuse `sa` unless it is the corpus's suffix array: a permutation of
+    range(n) whose adjacent rows rise by (first symbol, ISA of the next
+    suffix), the empty suffix past the end ranking lowest (Burkhardt and
+    Karkkainen, CPM 2003).  O(n)."""
+    n = corpus.n
+    if sa.max() >= n or np.bincount(sa, minlength=n).max() > 1:
+        raise MalformedInputError("suffix array is not a permutation of the text positions")
+    isa = np.full(n + 1, -1, dtype=np.int64)
+    isa[sa] = np.arange(n)
+    symbols = np.frombuffer(corpus.data, dtype=np.uint8)[sa].astype(np.int64)
+    keys = symbols * (n + 1) + isa[sa + 1]
+    if (keys[1:] <= keys[:-1]).any():
+        raise MalformedInputError("suffix array does not sort the corpus suffixes")
 
 
 def _load_superlinear(r: _Reader) -> SuperlinearIndex:
     corpus = _read_corpus(r)
-    directory = _read_directory(r, corpus.data)
+    q_max = r.u32()
+    sa = r.u32s(corpus.n).astype(np.int64)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    # A query splits its pattern into power-of-two chunks of up to the
-    # longest gram length, so the directory must list every power of two up
-    # to it; otherwise some chunk would silently count 0.  The directory
-    # check has bounded the lengths by the text length.
-    present = np.flatnonzero(np.bincount(directory.lengths))
-    if not np.array_equal(present, 1 << np.arange(len(present))) or (
-            corpus.n > 1 and not len(present)):
-        raise MalformedInputError("superlinear gram lengths are not 1, 2, 4, ...")
-    return SuperlinearIndex(corpus, directory)
+    # The longest gram listed: a power of two that fits in the text, or 0
+    # for an empty one.
+    if q_max & (q_max - 1) or q_max > corpus.n - 1 or q_max == 0 < corpus.n - 1:
+        raise MalformedInputError(f"superlinear q_max {q_max} does not fit the text")
+    _check_suffix_array(corpus, sa)
+    return SuperlinearIndex(corpus, sa, q_max)
 
 
 def _linear_payload(index: LinearIndex) -> bytes:
@@ -315,7 +307,12 @@ def _linear_payload(index: LinearIndex) -> bytes:
     w.u32(index.q)
     w.blob(index.corpus.data)
     w.blob(index.fm.l)
-    _directory_payload(w, index.directory)
+    directory = index.directory
+    w.u32(len(directory.offsets))
+    w.u32(len(directory.rows))
+    for column in (directory.offsets, directory.lengths, directory.firsts,
+                   directory.starts, directory.rows):
+        w.u32s(column)
     return w.getvalue()
 
 
@@ -325,9 +322,19 @@ def _load_linear(r: _Reader) -> LinearIndex:
     if alpha < 1 or q < 1:
         raise MalformedInputError("minimizer alpha and q must be positive")
     fm = _read_fm_substrate(r)
-    directory = _read_directory(r, fm.corpus.data)
+    grams = r.u32()
+    row_count = r.u32()
+    offsets, lengths, firsts = (r.u32s(grams) for _ in range(3))
+    starts = r.u32s(grams + 1)
+    # An aligned copy: vectorised checks and the directory's memoryview
+    # need one, and the payload may place the rows at any offset.
+    rows = r.u32s(row_count).astype(np.uint32)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
+    _check_directory(fm.corpus.n, offsets, lengths, firsts, starts, rows)
+    directory = GramDirectory(fm.corpus.data, offsets, lengths, firsts, starts, rows)
+    if len(directory) != grams:
+        raise MalformedInputError("repeated gram in directory")
     return LinearIndex(fm, alpha, q, directory)
 
 

@@ -7,7 +7,8 @@ Two variants trade space for fewer backward-search steps:
   and the text length).
   A pattern is consumed in greedy power-of-two suffix chunks, so a count
   query takes as many steps as there are ones in the binary representation
-  of the pattern length.  The index keeps only the corpus and directory.
+  of the pattern length.  Build and load derive the directory from the
+  corpus and suffix array (`directory_from_suffix_array`), which it keeps.
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
   between consecutive (alpha, q)-minimizer positions, of two or more
@@ -24,8 +25,8 @@ Two variants trade space for fewer backward-search steps:
   steps and that walk read the BWT, count table and LF mapping of an
   `FmIndex`.
 
-Each build makes its own suffix array, reads it while building the
-directory and keeps none; queries never read one.
+Each build makes its own suffix array and reads it while building the
+directory; only `SuperlinearIndex` keeps it, and queries never read it.
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -41,8 +42,7 @@ import numpy as np
 
 from . import suffixbwt
 from .hashmap import ChainedHashMap
-from .textcore import (Corpus, _gram_keys, dense_ranks, minimizers, minimizers_from_right,
-                       packed_words, phrases)
+from .textcore import Corpus, minimizers, minimizers_from_right, packed_words, phrases
 from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
@@ -106,50 +106,58 @@ def _greedy_chunks(m: int, q_max: int) -> list[int]:
     return chunks
 
 
+def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory:
+    """The superlinear gram directory, read off the suffix array.  For q = 1,
+    2, 4, ... up to q_max and n - 1, a gram is a maximal run of rows whose
+    suffixes share q symbols without the terminator; its key starts at
+    sa[first] and its rows, isa[sa[run] + q], already rise.  Rows r and
+    r + 1 share 2q symbols when they share q and so do their suffixes q on
+    (prefix doubling, Manber and Myers 1993)."""
+    n = corpus.n
+    sa = np.asarray(sa, dtype=np.int64)
+    isa = suffixbwt.inverse_permutation(sa)
+    lengths = [1 << i for i in range(min(q_max, n - 1).bit_length())]
+    # new[r]: row r starts a run of rows whose suffixes share q symbols.
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.diff(np.frombuffer(corpus.data, dtype=np.uint8)[sa]) != 0
+    follow = np.zeros(n, dtype=np.int64)
+    rows = np.empty(sum(n - q for q in lengths), dtype=np.uint32)
+    firsts, starts, at = [np.empty(0, dtype=np.int64)], [], 0
+    for q in lengths:
+        # Suffixes that hold the terminator are runs of one row, and no gram.
+        room = sa <= n - 1 - q
+        grams = np.flatnonzero(new & room)
+        firsts.append(grams)
+        starts.append(at - 1 + np.cumsum(room)[grams])
+        after = isa[q:][sa[room]]
+        rows[at:at + n - q] = after
+        at += n - q
+        # Rows left out keep stale labels, but are runs of one row already.
+        follow[room] = np.cumsum(new)[after]
+        new[1:] |= follow[1:] != follow[:-1]
+    firsts = np.concatenate(firsts)
+    return GramDirectory(corpus.data, sa[firsts], np.repeat(lengths, list(map(len, starts))),
+                         firsts, np.concatenate([*starts, [at]]), rows)
+
+
 class SuperlinearIndex:
-    """FM index with occurrence lists for every power-of-two gram length.
+    """FM index with occurrence lists for every power-of-two gram length,
+    derived from the u32 suffix array it keeps.  `q_max`, the longest chunk
+    a query looks up, is the longest gram listed (0 for an empty text)."""
 
-    `q_max`, the longest chunk a query looks up, is the longest gram the
-    directory lists (0 for an empty text, where no pattern is countable).
-    """
-
-    def __init__(self, corpus: Corpus, directory: GramDirectory):
+    def __init__(self, corpus: Corpus, sa, q_max: int):
         self.corpus = corpus
-        self.directory = directory
-        self.q_max = int(directory.lengths.max(initial=0))
+        # A copy, so that no view keeps a loaded file's payload alive.
+        self.sa = np.array(sa, dtype=np.uint32)
+        self.directory = directory_from_suffix_array(corpus, sa, q_max)
+        self.q_max = int(self.directory.lengths.max(initial=0))
 
     @classmethod
     def build(cls, corpus: Corpus, q_max: int = DEFAULT_Q_MAX) -> "SuperlinearIndex":
         if q_max < 1 or q_max & (q_max - 1):
             raise ValueError("q_max must be a power of two")
         # Called through the module, where traced runs wrap it.
-        sa = suffixbwt.build_suffix_array(corpus)
-        inv = suffixbwt.inverse_permutation(sa)
-        text, n = corpus.text, corpus.n
-        empty = np.empty(0, dtype=np.int64)
-        offsets, lengths, firsts, counts, rows = ([empty] for _ in range(5))
-        # The q-gram at p ends just before suffix p + q and is listed in that
-        # suffix's row.  Grams lie inside the text, so none wraps past its
-        # start or contains the terminator.
-        q = 1
-        while q <= q_max and q <= n - 1:
-            # Gram ids are dense and ordered as the grams compare.
-            gids = dense_ranks(_gram_keys(text, q))[1]
-            order = np.lexsort((inv[q:], gids))
-            gram_counts = np.bincount(gids)
-            gram_firsts = np.minimum.reduceat(inv[:n - q][order],
-                                              np.cumsum(gram_counts) - gram_counts)
-            offsets.append(sa[gram_firsts])
-            lengths.append(np.full(len(gram_counts), q))
-            firsts.append(gram_firsts)
-            counts.append(gram_counts)
-            rows.append(inv[q:][order])
-            q <<= 1
-        directory = GramDirectory(
-            corpus.data, np.concatenate(offsets), np.concatenate(lengths),
-            np.concatenate(firsts), np.cumsum(np.concatenate([[0], *counts])),
-            np.concatenate(rows))
-        return cls(corpus, directory)
+        return cls(corpus, suffixbwt.build_suffix_array(corpus), q_max)
 
     def count(self, pattern: bytes) -> int:
         return self.count_with_steps(pattern)[0]
@@ -185,9 +193,9 @@ class SuperlinearIndex:
         return e - s + 1, steps
 
     def size_in_bytes(self) -> int:
-        """Deterministic size accounting: the gram directory plus the
-        corpus, n bytes."""
-        return _directory_bytes(self.directory) + self.corpus.n
+        """Deterministic size accounting: the gram directory, the corpus
+        (n bytes) and its suffix array (4n bytes)."""
+        return _directory_bytes(self.directory) + 5 * self.corpus.n
 
 
 class LinearIndex:

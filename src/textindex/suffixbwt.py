@@ -4,8 +4,8 @@ The suffix array orders the suffixes of a corpus lexicographically; the BWT
 string is read off it one symbol to the left of each suffix.  Counting needs
 only the BWT, the count table and the BWT's LF mapping (Burrows and Wheeler
 1994; backward search, Ferragina and Manzini 2000).  The suffix array is
-build state: each index build makes its own, reads it and drops it, and no
-index keeps one.
+build state for the FM indexes, which keep none; the superlinear q-gram
+index keeps its own to derive its gram directory from on load.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from textindex import cli
@@ -153,6 +155,9 @@ class TestVerifyCommand:
         source = dict_file if build_args[1] == "split" else corpus_file
         assert main(["build", *build_args, "--input", str(source),
                      "--out", str(out)]) == 0
+        if build_args[1] != "split":
+            # the file's byte count is printed next to the size model
+            assert f" file={os.path.getsize(out)} bytes " in capsys.readouterr().out
         capsys.readouterr()
         assert main(["verify", "--index", str(out), "--random", "300",
                      "--seed", "7"]) == 0

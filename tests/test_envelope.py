@@ -5,16 +5,15 @@ import sys
 import zlib
 from functools import cache
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
-from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
+from textindex.fmgram import LinearIndex, SuperlinearIndex
 from textindex.harness import (NaiveHammingSearcher, dna_like_text,
-                               english_like_text, random_word_dictionary)
+                               english_like_text, naive_count, random_word_dictionary)
 from textindex.splitindex import Dictionary, SplitIndex, select_qgrams, split_word
 from textindex.textcore import Corpus
 
@@ -182,13 +181,20 @@ def _resign(data: bytearray) -> bytes:
 
 
 class TestDirectoryStructure:
-    """Files with a valid CRC but a wrong structure are refused at load."""
+    """Files with a valid CRC but a wrong structure are refused at load.
+    Only linear files store a gram directory."""
+
+    @staticmethod
+    def _linear():
+        # grams "br" (rows 1 and 4), "ac" and "ad"
+        return LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
 
     @staticmethod
     def _columns_at(index) -> int:
-        # envelope, corpus blob, gram count, row count; then the offsets,
-        # lengths, firsts, starts and rows columns, 4 bytes an item
-        return 9 + 4 + index.corpus.n + 4 + 4
+        # envelope, alpha, q, corpus blob, BWT blob, gram count, row count;
+        # then the offsets, lengths, firsts, starts and rows columns, 4
+        # bytes an item
+        return 9 + 4 + 4 + 4 + index.corpus.n + 4 + index.corpus.n + 4 + 4
 
     @classmethod
     def _item_at(cls, index, column: int, item: int) -> int:
@@ -211,8 +217,7 @@ class TestDirectoryStructure:
         (2, 12),    # first + count > n
     ])
     def test_gram_entry_out_of_range(self, column, value):
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
-        self._refused(index, column, 0, value)
+        self._refused(self._linear(), column, 0, value)
 
     def test_terminator_inside_corpus(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
@@ -223,39 +228,19 @@ class TestDirectoryStructure:
         with pytest.raises(MalformedInputError):
             deserialize_index(_resign(data))
 
-    def test_gram_length_not_a_power_of_two(self):
-        # a 2-gram becomes a 3-gram that lies inside the text and repeats no
-        # gram, so only the length check refuses it: 3-symbol chunks are
-        # never looked up
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=8)
-        directory = index.directory
-        g = next(g for g in range(len(directory))
-                 if directory.lengths[g] == 2 and directory.offsets[g] + 3 <= 11)
-        self._refused(index, 1, g, 3, match="gram lengths")
-
-    @staticmethod
-    def _keeping(index, keep) -> bytes:
-        """The file of `index` with only its grams of the lengths in `keep`:
-        the lengths column then lacks the others."""
-        directory = index.directory
-        kept = [g for g in range(len(directory)) if directory.lengths[g] in keep]
-        rows = [np.asarray(directory.rows)[directory.starts[g]:directory.starts[g + 1]]
-                for g in kept]
-        directory = GramDirectory(
-            index.corpus.data, directory.offsets[kept], directory.lengths[kept],
-            [directory.firsts[g] for g in kept], np.cumsum([0, *map(len, rows)]),
-            np.concatenate(rows) if rows else [])
-        return serialize_index(SuperlinearIndex(index.corpus, directory))
-
-    @pytest.mark.parametrize("keep", [
-        (1, 4, 8),  # 2 is missing: 2-symbol chunks count 0
-        (2, 4, 8),  # 1 is missing: odd-length patterns count 0
-        (),         # no grams left in a nonempty text: every pattern counts 0
-    ], ids=["no-2", "no-1", "none"])
-    def test_gram_length_missing(self, keep):
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"), q_max=8)
-        with pytest.raises(MalformedInputError, match="gram lengths"):
-            deserialize_index(self._keeping(index, keep))
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.binary(max_size=80).map(lambda b: b.replace(b"\0", b"a")),
+           q_max=st.sampled_from([1, 2, 8, 128]))
+    def test_derived_gram_lengths(self, text, q_max):
+        # a query splits its pattern into power-of-two chunks up to q_max,
+        # so a built and a loaded directory list every one of them that
+        # fits in the text
+        index = SuperlinearIndex.build(Corpus.from_bytes(text), q_max=q_max)
+        top = min(q_max, len(text))
+        expected = [1 << i for i in range(top.bit_length())]
+        for directory in (index.directory,
+                          deserialize_index(serialize_index(index)).directory):
+            assert sorted(set(directory.lengths.tolist())) == expected
 
     def test_q_max_past_the_text_loads(self):
         # the text holds 11 symbols, so 8 is the longest gram any q_max >= 8
@@ -267,7 +252,7 @@ class TestDirectoryStructure:
         assert loaded.count(b"abracadabra") == 1
 
     def test_repeated_gram(self):
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        index = self._linear()
         data = bytearray(serialize_index(index))
         # the second gram's key (offset, length) becomes the first's
         for column in (0, 1):
@@ -278,19 +263,19 @@ class TestDirectoryStructure:
 
     def test_row_past_the_end(self):
         # the last row of the last gram, raised to n, still increases
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        index = self._linear()
         self._refused(index, 4, len(index.directory.rows) - 1, index.corpus.n)
 
     def test_repeated_row_in_a_gram(self):
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        index = self._linear()
         directory = index.directory
-        g = directory.get(b"a")
+        g = directory.get(b"br")
         lo, hi = directory.starts[g], directory.starts[g + 1]
-        assert hi - lo == 5
+        assert hi - lo == 2
         self._refused(index, 4, lo + 1, index.directory.rows[lo])
 
     def test_starts_do_not_end_at_the_rows_length(self):
-        index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
+        index = self._linear()
         self._refused(index, 3, len(index.directory), len(index.directory.rows) - 1)
 
     @staticmethod
@@ -321,6 +306,86 @@ class TestDirectoryStructure:
         bwt = bwt[:n - 1] if delta < 0 else bwt + b"a"
         data[at - 4:at + n] = struct.pack("<I", n + delta) + bwt
         with pytest.raises(MalformedInputError, match="BWT length"):
+            deserialize_index(_resign(data))
+
+
+class TestSuffixArrayCheck:
+    """A superlinear file stores its corpus, q_max and suffix array; load
+    refuses a suffix array that does not sort the corpus's suffixes and a
+    q_max that no build writes."""
+
+    TEXT = b"abracadabra"
+
+    @classmethod
+    def _file(cls) -> tuple[SuperlinearIndex, bytearray]:
+        index = SuperlinearIndex.build(Corpus.from_bytes(cls.TEXT), q_max=4)
+        return index, bytearray(serialize_index(index))
+
+    @staticmethod
+    def _sa_at(index) -> int:
+        # envelope, corpus blob, q_max; then n u32 entries
+        return 9 + 4 + index.corpus.n + 4
+
+    def _with_sa(self, change) -> bytes:
+        index, data = self._file()
+        sa = index.sa.tolist()
+        change(sa)
+        at = self._sa_at(index)
+        data[at:at + 4 * len(sa)] = struct.pack(f"<{len(sa)}I", *sa)
+        return _resign(data)
+
+    def test_stored_file_loads(self):
+        index, data = self._file()
+        at = self._sa_at(index)
+        assert struct.unpack_from("<I", data, at - 4) == (4,)
+        assert list(struct.unpack_from(f"<{index.corpus.n}I", data, at)) == (
+            sorted(range(index.corpus.n), key=lambda i: index.corpus.data[i:]))
+        assert deserialize_index(bytes(data)).count(b"abra") == 2
+
+    @pytest.mark.parametrize("row", [0, 5, 10])
+    def test_adjacent_entries_swapped(self, row):
+        def swap(sa):
+            sa[row], sa[row + 1] = sa[row + 1], sa[row]
+        with pytest.raises(MalformedInputError, match="suffix array"):
+            deserialize_index(self._with_sa(swap))
+
+    def test_repeated_entry(self):
+        def repeat(sa):
+            sa[3] = sa[4]
+        with pytest.raises(MalformedInputError, match="permutation"):
+            deserialize_index(self._with_sa(repeat))
+
+    def test_entry_equal_to_n(self):
+        def past_the_end(sa):
+            sa[sa.index(max(sa))] = len(sa)
+        with pytest.raises(MalformedInputError, match="permutation"):
+            deserialize_index(self._with_sa(past_the_end))
+
+    def test_corpus_byte_changed(self):
+        # "abracadabra" -> "abracadzbra": the stored suffix array no longer
+        # sorts the suffixes
+        _, data = self._file()
+        data[9 + 4 + 7] = ord("z")
+        with pytest.raises(MalformedInputError, match="does not sort"):
+            deserialize_index(_resign(data))
+
+    @pytest.mark.parametrize("q_max", [0, 3, 16])
+    def test_bad_q_max(self, q_max):
+        # 0 is only an empty text's; 3 is no power of two; 16 would claim
+        # grams longer than the 11-symbol text
+        index, data = self._file()
+        at = self._sa_at(index) - 4
+        data[at:at + 4] = struct.pack("<I", q_max)
+        with pytest.raises(MalformedInputError, match="q_max"):
+            deserialize_index(_resign(data))
+
+    def test_empty_text(self):
+        # an empty text's q_max is 0, and only 0
+        data = bytearray(serialize_index(SuperlinearIndex.build(Corpus.from_bytes(b""))))
+        assert deserialize_index(bytes(data)).q_max == 0
+        at = 9 + 4 + 1
+        data[at:at + 4] = struct.pack("<I", 1)
+        with pytest.raises(MalformedInputError, match="q_max"):
             deserialize_index(_resign(data))
 
 
@@ -449,38 +514,39 @@ def _small_fm_file(kind: str):
        flip=st.integers(1, 255))
 @settings(max_examples=400, deadline=None)
 def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
+    # A superlinear file that loads counts exactly over the corpus it
+    # stores, since load checks its suffix array; a linear one can still
+    # miscount (README), so it need only raise no other exception.
     data, patterns = _small_fm_file(kind)
     corrupted = bytearray(data)
     corrupted[9 + where % (len(data) - 9)] ^= flip
     try:
         index = deserialize_index(_resign(corrupted))
-        for pattern in patterns:
-            index.count(pattern)
+        counts = [index.count(pattern) for pattern in patterns]
     except MalformedInputError:
-        pass
+        return
+    if kind == "superlinear":
+        assert counts == [naive_count(index.corpus, pattern) for pattern in patterns]
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 8): its 31 multi-symbol
-    # grams, first rows and row lists equal those of the format 3 file,
-    # which also listed the 4 single-symbol phrases.  It equals the format 7
-    # file with the version byte changed, since format 8 changed only the
-    # superlinear payload, and the format 5 file with the directory's load
-    # factor, hash name and bucket count cut out.
+    # Golden digest of a linear index file (format 9).  It is the format 8
+    # file with only the version byte changed: format 9 changed only the
+    # superlinear payload, so the linear payload and its CRC are the same.
+    # Its 31 multi-symbol grams, first rows and row lists equal those of
+    # the format 3 file, which also listed the 4 single-symbol phrases.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "8c7721a2a038db892761c13828d3bcc22442e8299e685cacaf2d9fa2de267f7f")
+        "1f030653f31cd3c455d4c17dbde3aa0098de40e61f673b02757837711b6a0660")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 8), whose directory
-    # equals that of the per-row build it replaced.  It equals the format 7
-    # file with the version byte changed and the u32 q_max (bytes 9:13) cut
-    # out, so its CRC changed too; the format 7 file equals the format 5
-    # file with the directory's load factor, hash name and bucket count cut
-    # out.
+    # Golden digest of a superlinear index file (format 9): the corpus blob
+    # of the format 8 file, then u32 q_max (128) and the u32 suffix array,
+    # in place of the gram directory the format 8 file stored.  The
+    # directory its load derives equals the one the format 8 file stored.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert hashlib.sha256(data).hexdigest() == (
-        "8d91e31473bc844b7cf254b321974483c7278cdf36f3044ee2a721eae330dbc5")
+        "ded9141ecba2a6a604e58c1ece5f0e5b0d0733e69eed16ec7efde5b8da7ac2e1")

@@ -84,13 +84,21 @@ class TestSuperlinearBuild:
             SuperlinearIndex.build(Corpus.from_bytes(b"abc"), q_max=3)
 
     def test_directory_completeness(self):
+        # The directory a build derives, and the one a load derives, equal
+        # the grams read off each row of a suffix array sorted by slices.
         rng = random.Random(3)
-        for _ in range(10):
-            raw = bytes(rng.choice(b"ab") for _ in range(rng.randint(2, 200)))
-            corpus = Corpus.from_bytes(raw)
-            idx = SuperlinearIndex.build(corpus, q_max=8)
-            expected = extract_row_grams(corpus, build_suffix_array(corpus), 8)
-            assert directory_entries(idx.directory) == expected
+        for alphabet in (b"a", b"ab", b"acgt", bytes(range(1, 256))):
+            for _ in range(8):
+                raw = bytes(rng.choice(alphabet) for _ in range(rng.randint(0, 199)))
+                corpus = Corpus.from_bytes(raw)
+                data = corpus.data
+                sa = sorted(range(corpus.n), key=lambda i: data[i:])
+                q_max = rng.choice([1, 2, 8, 128])
+                expected = extract_row_grams(corpus, sa, q_max)
+                idx = SuperlinearIndex.build(corpus, q_max=q_max)
+                loaded = deserialize_index(serialize_index(idx))
+                assert directory_entries(idx.directory) == expected
+                assert directory_entries(loaded.directory) == expected
 
 
 class TestListRank:
@@ -373,7 +381,9 @@ def stored_columns(data: bytes, at: int):
 
 class TestDirectoryIds:
     """`get` maps each gram to its id, and the id reads the gram's first
-    row and row range off the columns, in a built index and a loaded one."""
+    row and row range off the columns, in a built index and a loaded one.
+    The columns are those a linear file stores, and those a superlinear
+    build derives (its file stores the suffix array instead)."""
 
     @pytest.mark.parametrize("kind", ["superlinear", "linear"])
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
@@ -381,18 +391,20 @@ class TestDirectoryIds:
         if kind == "superlinear":
             raw = english_like_text(3000, seed=61)
             idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=16)
-            # envelope, corpus blob
-            at = 9 + 4 + idx.corpus.n
+            built = idx.directory
+            columns = (built.offsets.tolist(), built.lengths.tolist(),
+                       list(built.firsts), list(built.starts))
         else:
             raw = dna_like_text(3000, seed=62)
             idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
-            # envelope, alpha, q, corpus blob, BWT blob
-            at = 9 + 4 + 4 + 4 + idx.corpus.n + 4 + idx.corpus.n
         data = serialize_index(idx)
+        if kind == "linear":
+            # envelope, alpha, q, corpus blob, BWT blob
+            columns = stored_columns(data, 9 + 4 + 4 + 4 + idx.corpus.n + 4 + idx.corpus.n)
         if loaded:
             idx = deserialize_index(data)
         directory = idx.directory
-        offsets, lengths, firsts, starts = stored_columns(data, at)
+        offsets, lengths, firsts, starts = columns
         assert len(directory) == len(offsets) > 0
         for g, (offset, length) in enumerate(zip(offsets, lengths)):
             assert directory.get(raw[offset:offset + length]) == g
