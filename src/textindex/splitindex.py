@@ -15,6 +15,17 @@ separators with ``bytes.index`` and reads group i only.  In a plain list a
 run of equal counters is a block of fixed-width entries, so the walk hops
 from run to run and verifies only the run whose length matches.
 
+A matched run of more than one entry is verified with one big-integer
+Hamming check.  The run, read as one little-endian integer, is XORed with
+the pattern's entry (counter, then the rest of the pattern) repeated once
+per entry; an OR cascade folds each byte of the difference into its low
+bit; and a multiplication by the integer of `counter + 1` one-bytes sums
+each entry's mismatch flags into the byte under its last payload byte.
+The multiplication carries nothing: any `counter + 1` consecutive bytes
+hold exactly one counter byte, whose flag is 0, so no byte of the product
+exceeds `counter`, which is at most 255.  A run of one entry is checked
+with the early-exit loop.
+
 Separator invariant: a 0 byte in a list is always a separator, because
 counters, decoded lengths, word bytes (1..127) and substitution codes
 (128..255) are all nonzero.  A list therefore holds exactly k zero bytes.
@@ -31,17 +42,14 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
 
 MAX_WORD_LENGTH = 255
 CODE_FLOOR = 128
-# Length-matched runs of at least this many entries are verified with one
-# numpy comparison; shorter ones with the early-exit loop, which costs less
-# than numpy's fixed overhead on a few entries.
-MIN_VECTOR_RUN = 64
+# _ONES[w]: the integer whose w little-endian bytes are all 1, for every
+# plain entry width w = counter + 1.
+_ONES = [int.from_bytes(b"\1" * w, "little") for w in range(MAX_WORD_LENGTH + 2)]
 
 
 class Dictionary:
@@ -101,6 +109,23 @@ def split_word(word: bytes, k: int) -> list[bytes]:
         pieces.append(word[at:at + size])
         at += size
     return pieces
+
+
+def _piece_bounds(k: int) -> list[tuple[tuple[int, int], ...] | None]:
+    """For each word length 0..MAX_WORD_LENGTH, the (start, end) offsets of
+    its k+1 pieces, or None where they do not fit."""
+    table: list[tuple[tuple[int, int], ...] | None] = []
+    for length in range(MAX_WORD_LENGTH + 1):
+        if length <= k:
+            table.append(None)
+            continue
+        bounds = []
+        at = 0
+        for size in piece_sizes(length, k):
+            bounds.append((at, at + size))
+            at += size
+        table.append(tuple(bounds))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +312,9 @@ class SplitIndex:
         self.table = table
         self.substitution = substitution
         self.stats = stats
+        self._bounds = _piece_bounds(k)
+        # 1 at every mismatch count within k, for `bytes.translate`.
+        self._within = bytes(count <= k for count in range(256))
 
     @classmethod
     def build(cls, dictionary: Dictionary, k: int,
@@ -342,80 +370,92 @@ class SplitIndex:
         entries of the list's group for the piece's role, and add to
         `stats`, if given, the entries inspected and matched.  The walk
         reaches the end of the group, so it refuses a group that overruns
-        its separator or whose missing lengths decrease."""
+        its separator or whose missing lengths decrease.
+
+        A plain group is walked here, one run of equal counters at a time
+        (module docstring); a coded one by `_walk_entries`."""
         k = self.k
         if len(pattern) < k + 1:
             raise ValueError(f"pattern must have at least {k + 1} symbols")
-        walk = self._walk_runs if self.substitution is None else self._walk_entries
         results: set[bytes] = set()
-        split_at = 0
-        for role, piece in enumerate(split_word(pattern, k)):
-            blob = self.table.get(piece)
-            end_at = split_at + len(piece)
-            if blob is not None:
-                at = 0
-                for _ in range(role):
-                    at = blob.index(0, at) + 1
-                end = blob.find(0, at)
-                if end < 0:
-                    end = len(blob)
-                rest = pattern[:split_at] + pattern[end_at:]
-                inspected, matches = walk(blob, at, end, rest, piece, split_at, results)
-                if stats is not None:
-                    stats.entries_inspected += inspected
-                    stats.length_matches += matches
-                    stats.verifications += matches
-            split_at = end_at
-        return results
-
-    def _walk_runs(self, blob: bytes, at: int, end: int, rest: bytes, piece: bytes,
-                   split_at: int, results: set) -> tuple[int, int]:
-        """Walk the plain group `blob[at:end]` one run of equal counters at
-        a time, add the words within k mismatches of the pattern to
-        `results`, and return the entries inspected and length-matched."""
-        k = self.k
-        want = len(rest)
-        inspected = matches = last = 0
-        while at < end:
-            counter = blob[at]
-            if counter <= last:
-                raise MalformedInputError("a role group is not sorted by missing length")
-            last = counter
-            step = counter + 1
-            run_end = at + step
-            if run_end < end and blob[run_end] == counter:
-                # The counters of a run sit `step` bytes apart; the first
-                # byte at that stride that differs is the next run's counter.
-                strided = blob[at:end:step]
-                size = len(strided) - len(strided.lstrip(strided[:1]))
-                run_end = at + size * step
+        if len(pattern) > MAX_WORD_LENGTH:
+            return results
+        get = self.table.get
+        coded = self.substitution is not None
+        for role, (split_at, end_at) in enumerate(self._bounds[len(pattern)]):
+            piece = pattern[split_at:end_at]
+            blob = get(piece)
+            if blob is None:
+                continue
+            at = 0
+            for _ in range(role):
+                at = blob.index(0, at) + 1
+            end = blob.find(0, at)
+            if end < 0:
+                end = len(blob)
+            rest = pattern[:split_at] + pattern[end_at:]
+            if coded:
+                inspected, matches = self._walk_entries(
+                    blob, at, end, rest, piece, split_at, results)
             else:
-                size = 1
-            if run_end > end:
-                raise MalformedInputError("a list entry overruns its role group")
-            inspected += size
-            if counter == want:
-                matches += size
-                if size >= MIN_VECTOR_RUN:
-                    block = np.frombuffer(blob, np.uint8, run_end - at, at).reshape(size, step)
-                    close = np.count_nonzero(
-                        block[:, 1:] != np.frombuffer(rest, np.uint8), axis=1) <= k
-                    for i in np.flatnonzero(close).tolist():
-                        payload_at = at + i * step + 1
-                        missing = blob[payload_at:payload_at + counter]
-                        results.add(missing[:split_at] + piece + missing[split_at:])
-                else:
-                    for payload_at in range(at + 1, run_end, step):
-                        missing = blob[payload_at:payload_at + counter]
-                        if _hamming_within(missing, rest, k):
-                            results.add(missing[:split_at] + piece + missing[split_at:])
-            at = run_end
-        return inspected, matches
+                want = len(rest)
+                inspected = matches = last = 0
+                while at < end:
+                    counter = blob[at]
+                    if counter <= last:
+                        raise MalformedInputError("a role group is not sorted by missing length")
+                    last = counter
+                    step = counter + 1
+                    run_end = at + step
+                    if run_end < end and blob[run_end] == counter:
+                        # The counters of a run sit `step` bytes apart; the
+                        # first byte at that stride that differs is the next
+                        # run's counter.
+                        strided = blob[at:end:step]
+                        size = len(strided) - len(strided.lstrip(strided[:1]))
+                        run_end = at + size * step
+                    else:
+                        size = 1
+                    if run_end > end:
+                        raise MalformedInputError("a list entry overruns its role group")
+                    inspected += size
+                    if counter == want:
+                        matches += size
+                        if size == 1:
+                            missing = blob[at + 1:run_end]
+                            if _hamming_within(missing, rest, k):
+                                results.add(missing[:split_at] + piece + missing[split_at:])
+                        else:
+                            width = run_end - at
+                            x = (int.from_bytes(blob[at:run_end], "little")
+                                 ^ int.from_bytes((bytes((counter,)) + rest) * size, "little"))
+                            x |= x >> 4
+                            x |= x >> 2
+                            x |= x >> 1
+                            x &= int.from_bytes(b"\1" * width, "little")
+                            # Byte e * step + counter of the product counts
+                            # the mismatches of entry e (module docstring).
+                            product = (x * _ONES[step]).to_bytes(width + step, "little")
+                            close = product[counter:width:step].translate(self._within)
+                            e = close.find(1)
+                            while e >= 0:
+                                p = at + e * step + 1
+                                m = p + split_at
+                                results.add(blob[p:m] + piece + blob[m:p + counter])
+                                e = close.find(1, e + 1)
+                    at = run_end
+            if stats is not None:
+                stats.entries_inspected += inspected
+                stats.length_matches += matches
+                stats.verifications += matches
+        return results
 
     def _walk_entries(self, blob: bytes, at: int, end: int, rest: bytes, piece: bytes,
                       split_at: int, results: set) -> tuple[int, int]:
-        """`_walk_runs` for a substitution-coded group, whose payload widths
-        vary, so it is walked one entry at a time."""
+        """Walk the substitution-coded group `blob[at:end]` one entry at a
+        time, since its payload widths vary, add the words within k
+        mismatches of the pattern to `results`, and return the entries
+        inspected and length-matched."""
         k = self.k
         decode = self.substitution.decode
         want = len(rest)
@@ -454,16 +494,13 @@ class SplitIndex:
         on are refused with `MalformedInputError`: an entry that overruns
         its group, decreasing decoded lengths within a group, a payload
         that does not decode to its stored length, a key that is not piece
-        `role` of its word, and role groups that do not hold the same words.
+        `role` of its word (no word longer than `MAX_WORD_LENGTH` has
+        pieces), and role groups that do not hold the same words.
         """
-        k = self.k
         sub = self.substitution
         header = 1 if sub is None else 2
-        # Piece sizes of every length a key (255) plus a missing piece (255)
-        # can give, None where the k+1 pieces do not fit.
-        sizes_of = [piece_sizes(length, k) if length > k else None
-                    for length in range(2 * MAX_WORD_LENGTH + 1)]
-        by_role: list[list[bytes]] = [[] for _ in range(k + 1)]
+        bounds_of = self._bounds
+        by_role: list[list[bytes]] = [[] for _ in range(self.k + 1)]
         for key, blob in self.table.items():
             for role, group in enumerate(blob.split(b"\0")):
                 words = by_role[role]
@@ -484,10 +521,11 @@ class SplitIndex:
                         raise MalformedInputError(
                             "a role group is not sorted by missing length")
                     last = decoded_len
-                    sizes = sizes_of[len(key) + decoded_len]
-                    if sizes is None or sizes[role] != len(key):
+                    length = len(key) + decoded_len
+                    bounds = bounds_of[length] if length <= MAX_WORD_LENGTH else None
+                    if bounds is None or bounds[role][1] - bounds[role][0] != len(key):
                         raise MalformedInputError(f"a key is not piece {role} of its word")
-                    split_at = sum(sizes[:role])
+                    split_at = bounds[role][0]
                     words.append(missing[:split_at] + key + missing[split_at:])
         first = Counter(by_role[0])
         if any(Counter(words) != first for words in by_role[1:]):

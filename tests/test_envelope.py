@@ -550,3 +550,15 @@ def test_superlinear_file_digest():
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert hashlib.sha256(data).hexdigest() == (
         "ded9141ecba2a6a604e58c1ece5f0e5b0d0733e69eed16ec7efde5b8da7ac2e1")
+
+
+def test_split_file_digest():
+    # Golden digests of split index files (format 9): k = 2 over 2,000
+    # generated words, plain and coded with a 100-code substitution table.
+    d = random_word_dictionary(2000, seed=7)
+    plain = serialize_index(SplitIndex.build(d, 2))
+    coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
+    assert hashlib.sha256(plain).hexdigest() == (
+        "b27fce4974b8fbc9ef43ee8c6653d0aa3d309062841004202f341d77b9e0bae5")
+    assert hashlib.sha256(coded).hexdigest() == (
+        "5090d22da6c7250891b113d8c1c2d6d30dccdf28825f84d49902e2e088928b52")

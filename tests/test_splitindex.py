@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from textindex.errors import MalformedInputError
 from textindex.harness import NaiveHammingSearcher, random_word_dictionary
-from textindex.splitindex import (MIN_VECTOR_RUN, Dictionary, SplitIndex,
-                                  SubstitutionTable, _candidate_table, decode_word,
-                                  encode_word, piece_sizes, select_qgrams, split_word)
+from textindex.envelope import deserialize_index, serialize_index
+from textindex.splitindex import (Dictionary, SplitIndex, SubstitutionTable,
+                                  _candidate_table, decode_word, encode_word,
+                                  piece_sizes, select_qgrams, split_word)
 
 
 def naive_search(words, pattern, k):
@@ -198,13 +199,14 @@ class TestQuery:
 
     @pytest.mark.parametrize("coded", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3])
-    @pytest.mark.parametrize("extra", [-1, 0, 1])
-    def test_exactness_around_vector_run(self, extra, k, coded):
-        # One role-0 group holds a run of MIN_VECTOR_RUN + extra entries of
-        # one missing length between shorter runs of other lengths, so a
-        # plain walk verifies it with numpy from MIN_VECTOR_RUN entries on
-        # and with the loop below that.
-        rng = random.Random(200 + 10 * k + extra)
+    # The ids are the run sizes' offsets from 64, as the suite has long
+    # reported them.
+    @pytest.mark.parametrize("size", [63, 64, 65], ids=["-1", "0", "1"])
+    def test_exactness_around_vector_run(self, size, k, coded):
+        # One role-0 group holds a run of `size` entries of one missing
+        # length between shorter runs of other lengths, so a plain walk
+        # verifies it with one big-integer check over the whole run.
+        rng = random.Random(200 + 10 * k + size - 64)
         length = 10
         head = b"a" * piece_sizes(length, k)[0]
         words = set()
@@ -212,16 +214,16 @@ class TestQuery:
             if piece_sizes(n, k)[0] != len(head):
                 continue
             same_head = set()
-            while len(same_head) < (MIN_VECTOR_RUN + extra if n == length else 3):
+            while len(same_head) < (size if n == length else 3):
                 same_head.add(head + bytes(rng.choice(b"bcde") for _ in range(n - len(head))))
             words |= same_head
-        while len(words) < 3 * MIN_VECTOR_RUN:
+        while len(words) < 192:
             words.add(bytes(rng.choice(b"bcde") for _ in range(rng.randint(k + 1, 15))))
         d = Dictionary(sorted(words))
         table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
         idx = SplitIndex.build(d, k, table)
         run = Counter(len(m) for m in group_entries(idx.table.get(head).split(b"\0")[0], table))
-        assert run[length - len(head)] == MIN_VECTOR_RUN + extra
+        assert run[length - len(head)] == size
         assert len(run) > 1
         oracle = NaiveHammingSearcher(d)
         for w in d.words:
@@ -233,6 +235,68 @@ class TestQuery:
                     q[rng.randrange(lo, len(q))] = rng.choice(b"abcde")
                 q = bytes(q)
                 assert idx.query(q) == oracle.search(q, k)
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_high_and_zero_byte_patterns(self, k, coded, loaded):
+        # Patterns may hold any byte (the CLI reads them as latin-1), words
+        # only 1..127.  Bytes 0, 128, 200 and 255 in a pattern differ from
+        # every stored byte; the run check must count each as one mismatch
+        # whatever the bytes around it, over runs of 1, 2, 63, 64, 65 and
+        # 240 entries, each in the role-0 group of its own key.
+        rng = random.Random(300 + k)
+        length = 12
+        h = piece_sizes(length, k)[0]
+        assert piece_sizes(length - 1, k)[0] == h
+        runs = (1, 2, 63, 64, 65, 240)
+        words = set()
+        for i, size in enumerate(runs):
+            # Role 0 of key `head`: a run of 3 shorter words, then the run.
+            head = bytes([ord("d") + i]) * h
+            for n, count in ((length - 1, 3), (length, size)):
+                same_head = set()
+                while len(same_head) < count:
+                    same_head.add(head + bytes(rng.choice(b"bc\x01\x7f") for _ in range(n - h)))
+                words |= same_head
+        d = Dictionary(sorted(words))
+        table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
+        idx = SplitIndex.build(d, k, table)
+        if loaded:
+            idx = deserialize_index(serialize_index(idx))
+        for i, size in enumerate(runs):
+            group = idx.table.get(bytes([ord("d") + i]) * h).split(b"\0")[0]
+            assert Counter(len(m) for m in group_entries(group, table)) == {
+                length - 1 - h: 3, length - h: size}
+        oracle = NaiveHammingSearcher(d)
+        odd = b"\x00\x80\xc8\xff"
+        for w in d.words:
+            for _ in range(2):
+                q = bytearray(w)
+                for _ in range(rng.randint(0, k + 1)):
+                    q[rng.randrange(h, len(q))] = rng.choice(odd + b"bc")
+                q = bytes(q)
+                assert idx.query(q) == oracle.search(q, k)
+            q = w[:h] + bytes(rng.choice(odd) for _ in range(len(w) - h))
+            assert idx.query(q) == oracle.search(q, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_patterns_longer_than_any_word(self, k):
+        # Words hold at most 255 symbols, so a longer pattern matches none,
+        # even where its pieces key lists.
+        rng = random.Random(400 + k)
+        words = {bytes(rng.choice(b"ab") for _ in range(n)) for n in (250, 254, 255)
+                 for _ in range(20)}
+        d = Dictionary(sorted(words))
+        idx = SplitIndex.build(d, k)
+        oracle = NaiveHammingSearcher(d)
+        for w in d.words:
+            for pattern in (w, w + w[:1], w + w[-1:], (w * 2)[:400]):
+                assert idx.query(pattern) == oracle.search(pattern, k)
+        for m in (256, 400):
+            pattern = bytes(rng.choice(b"ab") for _ in range(m))
+            assert idx.query(pattern) == oracle.search(pattern, k) == set()
+            assert idx.query_verbose(pattern)[1].entries_inspected == 0
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_traversal_economy(self, k):
