@@ -8,31 +8,32 @@ magic, unknown version and checksum mismatches are rejected before any
 payload parsing, and the payload is parsed in place in the file's bytes,
 not copied out first; nothing loaded keeps a view of them.
 
-A superlinear file is the corpus, u32 `q_max` and the u32 suffix array;
-load checks the array in O(n) and derives the gram directory as the build
-does.  A linear file is alpha, q, the corpus, the n-byte BWT and the
-directory of its multi-symbol phrases in five u32 columns; load builds
-the count table and LF mapping from the BWT, refuses one whose count
-table differs from the corpus's, and keys every gram to its id in one
-bulk pass.  A split file is k, the substitution
-table if any, and four flat columns: the key count, then u8 key lengths,
-the key bytes, u32 list lengths and the list bytes, each role group of a
-list ordered by missing length, which the split walk relies on.  Load
-frames the keys and lists with cumulative sums and checks them in bulk.
-No file holds a hash-map setting or build statistics: the reported bucket
-layout is fixed by class constants and follows from the entry count.
-CHANGES.md records how each format version differs from the one before.
+A superlinear file is the corpus and u32 `q_max`; load sorts the corpus's
+suffixes and derives the gram directory as the build does, so a file that
+loads is the index a build over its corpus gives.  A linear file is alpha,
+q, the corpus, the n-byte BWT and the directory of its multi-symbol
+phrases in five u32 columns; load builds the count table and LF mapping
+from the BWT, refuses one whose count table differs from the corpus's, and
+keys every gram to its id in one bulk pass.  A split file is k, the
+substitution table if any, and four flat columns: the key count, then u8
+key lengths, the key bytes, u32 list lengths and the list bytes, each role
+group of a list ordered by missing length, which the split walk relies on.
+Load frames the keys and lists with cumulative sums and checks them in
+bulk.  No file holds a hash-map setting or build statistics: the reported
+bucket layout is fixed by class constants and follows from the entry
+count.  CHANGES.md records how each format version differs from the one
+before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
 bytes; a superlinear file whose `q_max` is not a power of two up to n - 1
-(0 for an empty text), or whose suffix array does not sort the corpus's
-suffixes; a split file with k below 1, a bad substitution table, an empty
-or repeated key, or a list without exactly k zero bytes; a corpus whose
-terminator is missing or not only at its end; a linear directory whose
-`starts` do not frame its rows, whose grams are empty, reach the
-terminator or repeat, whose first row plus count passes n, or whose rows
-reach n or do not rise inside a gram; and a linear file with alpha or q
-below 1, or whose BWT length or symbol counts differ from the corpus's.
+(0 for an empty text); a split file with k below 1, a bad substitution
+table, an empty or repeated key, or a list without exactly k zero bytes; a
+corpus whose terminator is missing or not only at its end; a linear
+directory whose `starts` do not frame its rows, whose grams are empty,
+reach the terminator or repeat, whose first row plus count passes n, or
+whose rows reach n or do not rise inside a gram; and a linear file with
+alpha or q below 1, or whose BWT length or symbol counts differ from the
+corpus's.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 9
+FORMAT_VERSION = 10
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -267,38 +268,19 @@ def _superlinear_payload(index: SuperlinearIndex) -> bytes:
     w = _Writer()
     w.blob(index.corpus.data)
     w.u32(index.q_max)
-    w.u32s(index.sa)
     return w.getvalue()
-
-
-def _check_suffix_array(corpus: Corpus, sa: np.ndarray) -> None:
-    """Refuse `sa` unless it is the corpus's suffix array: a permutation of
-    range(n) whose adjacent rows rise by (first symbol, ISA of the next
-    suffix), the empty suffix past the end ranking lowest (Burkhardt and
-    Karkkainen, CPM 2003).  O(n)."""
-    n = corpus.n
-    if sa.max() >= n or np.bincount(sa, minlength=n).max() > 1:
-        raise MalformedInputError("suffix array is not a permutation of the text positions")
-    isa = np.full(n + 1, -1, dtype=np.int64)
-    isa[sa] = np.arange(n)
-    symbols = np.frombuffer(corpus.data, dtype=np.uint8)[sa].astype(np.int64)
-    keys = symbols * (n + 1) + isa[sa + 1]
-    if (keys[1:] <= keys[:-1]).any():
-        raise MalformedInputError("suffix array does not sort the corpus suffixes")
 
 
 def _load_superlinear(r: _Reader) -> SuperlinearIndex:
     corpus = _read_corpus(r)
     q_max = r.u32()
-    sa = r.u32s(corpus.n).astype(np.int64)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
     # The longest gram listed: a power of two that fits in the text, or 0
     # for an empty one.
     if q_max & (q_max - 1) or q_max > corpus.n - 1 or q_max == 0 < corpus.n - 1:
         raise MalformedInputError(f"superlinear q_max {q_max} does not fit the text")
-    _check_suffix_array(corpus, sa)
-    return SuperlinearIndex(corpus, sa, q_max)
+    return SuperlinearIndex(corpus, q_max)
 
 
 def _linear_payload(index: LinearIndex) -> bytes:

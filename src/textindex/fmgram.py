@@ -7,8 +7,9 @@ Two variants trade space for fewer backward-search steps:
   and the text length).
   A pattern is consumed in greedy power-of-two suffix chunks, so a count
   query takes as many steps as there are ones in the binary representation
-  of the pattern length.  Build and load derive the directory from the
-  corpus and suffix array (`directory_from_suffix_array`), which it keeps.
+  of the pattern length.  Build and load alike sort the corpus's suffixes
+  and derive the directory from them (`directory_from_suffix_array`); the
+  suffix array is not kept.
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
   between consecutive (alpha, q)-minimizer positions, of two or more
@@ -26,7 +27,7 @@ Two variants trade space for fewer backward-search steps:
   `FmIndex`.
 
 Each build makes its own suffix array and reads it while building the
-directory; only `SuperlinearIndex` keeps it, and queries never read it.
+directory; neither index keeps it, and queries never read it.
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -142,13 +143,14 @@ def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory
 
 class SuperlinearIndex:
     """FM index with occurrence lists for every power-of-two gram length,
-    derived from the u32 suffix array it keeps.  `q_max`, the longest chunk
-    a query looks up, is the longest gram listed (0 for an empty text)."""
+    read off the corpus's suffix array, which it does not keep.  `q_max`,
+    the longest chunk a query looks up, is the longest gram listed (0 for
+    an empty text)."""
 
-    def __init__(self, corpus: Corpus, sa, q_max: int):
+    def __init__(self, corpus: Corpus, q_max: int):
         self.corpus = corpus
-        # A copy, so that no view keeps a loaded file's payload alive.
-        self.sa = np.array(sa, dtype=np.uint32)
+        # Called through the module, where traced runs wrap it.
+        sa = suffixbwt.build_suffix_array(corpus)
         self.directory = directory_from_suffix_array(corpus, sa, q_max)
         self.q_max = int(self.directory.lengths.max(initial=0))
 
@@ -156,8 +158,7 @@ class SuperlinearIndex:
     def build(cls, corpus: Corpus, q_max: int = DEFAULT_Q_MAX) -> "SuperlinearIndex":
         if q_max < 1 or q_max & (q_max - 1):
             raise ValueError("q_max must be a power of two")
-        # Called through the module, where traced runs wrap it.
-        return cls(corpus, suffixbwt.build_suffix_array(corpus), q_max)
+        return cls(corpus, q_max)
 
     def count(self, pattern: bytes) -> int:
         return self.count_with_steps(pattern)[0]
@@ -193,9 +194,9 @@ class SuperlinearIndex:
         return e - s + 1, steps
 
     def size_in_bytes(self) -> int:
-        """Deterministic size accounting: the gram directory, the corpus
-        (n bytes) and its suffix array (4n bytes)."""
-        return _directory_bytes(self.directory) + 5 * self.corpus.n
+        """Deterministic size accounting: the gram directory and the corpus
+        (n bytes)."""
+        return _directory_bytes(self.directory) + self.corpus.n
 
 
 class LinearIndex:

@@ -100,16 +100,18 @@ def generate_noisy_queries(dictionary: Dictionary, count: int, max_errors: int =
     with the given probability one uniformly chosen position is replaced by a
     different symbol from the dictionary alphabet.  Rounds may hit the same
     position, so a query carries between 0 and `max_errors` mismatches
-    against its source word.
+    against its source word.  A one-symbol alphabet has no different
+    symbol, so its queries are the sampled words unchanged.
     """
     if not len(dictionary):
         raise ValueError("dictionary is empty")
     rng = random.Random(seed)
     alphabet = dictionary.alphabet()
+    rounds = max_errors if len(alphabet) > 1 else 0
     queries = []
     for _ in range(count):
         word = bytearray(rng.choice(dictionary.words))
-        for _ in range(max_errors):
+        for _ in range(rounds):
             if rng.random() < per_error_probability:
                 pos = rng.randrange(len(word))
                 replacement = rng.choice(alphabet)

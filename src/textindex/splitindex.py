@@ -38,6 +38,7 @@ decoding.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from collections import Counter
 from dataclasses import dataclass
@@ -46,6 +47,8 @@ from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
 
 MAX_WORD_LENGTH = 255
+# An index file stores k in one byte.
+MAX_K = 255
 CODE_FLOOR = 128
 # _ONES[w]: the integer whose w little-endian bytes are all 1, for every
 # plain entry width w = counter + 1.
@@ -111,9 +114,11 @@ def split_word(word: bytes, k: int) -> list[bytes]:
     return pieces
 
 
-def _piece_bounds(k: int) -> list[tuple[tuple[int, int], ...] | None]:
+@functools.cache
+def _piece_bounds(k: int) -> tuple[tuple[tuple[int, int], ...] | None, ...]:
     """For each word length 0..MAX_WORD_LENGTH, the (start, end) offsets of
-    its k+1 pieces, or None where they do not fit."""
+    its k+1 pieces, or None where they do not fit.  One table per k, which
+    every index of that k shares."""
     table: list[tuple[tuple[int, int], ...] | None] = []
     for length in range(MAX_WORD_LENGTH + 1):
         if length <= k:
@@ -125,7 +130,7 @@ def _piece_bounds(k: int) -> list[tuple[tuple[int, int], ...] | None]:
             bounds.append((at, at + size))
             at += size
         table.append(tuple(bounds))
-    return table
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,8 @@ class SplitIndex:
         order within a length, so every role group lists its entries by
         missing length (a key's missing length is the word's length minus
         the key's), and keys enter the table in first-seen order."""
-        if k < 1:
-            raise ValueError("k must be at least 1")
+        if not 1 <= k <= MAX_K:
+            raise ValueError(f"k must lie in 1..{MAX_K}")
         stats = BuildStats()
         # The k+1 role groups of each key, in key-first-seen order.
         lists: dict[bytes, list[bytearray]] = {}

@@ -4,8 +4,8 @@ The suffix array orders the suffixes of a corpus lexicographically; the BWT
 string is read off it one symbol to the left of each suffix.  Counting needs
 only the BWT, the count table and the BWT's LF mapping (Burrows and Wheeler
 1994; backward search, Ferragina and Manzini 2000).  The suffix array is
-build state for the FM indexes, which keep none; the superlinear q-gram
-index keeps its own to derive its gram directory from on load.
+build state that no index keeps: the superlinear q-gram index sorts its
+corpus's suffixes again on load to derive its gram directory.
 """
 
 from __future__ import annotations

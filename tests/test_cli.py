@@ -47,6 +47,13 @@ class TestBuildCommand:
         assert main(["build", "--type", "fm-super", "--qmax", "3",
                      "--input", str(corpus_file), "--out", str(out)]) == 1
 
+    def test_k_past_one_byte_rejected(self, tmp_path, dict_file, capsys):
+        out = tmp_path / "split.idx"
+        assert main(["build", "--type", "split", "--k", "300",
+                     "--input", str(dict_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: k must lie in 1..255\n"
+        assert not out.exists()
+
     def test_missing_input(self, tmp_path):
         assert main(["build", "--type", "split", "--input",
                      str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]) == 1
@@ -202,6 +209,17 @@ class TestVerifyCommand:
         main(["verify", "--index", str(out), "--random", "500", "--seed", "7"])
         assert capsys.readouterr().out == first
 
+    def test_random_on_one_symbol_words(self, tmp_path, capsys):
+        # no symbol is left to substitute, so the queries are the words
+        source = tmp_path / "words.txt"
+        source.write_bytes(b"aaa\naaaa\n")
+        out = tmp_path / "s.idx"
+        assert main(["build", "--type", "split", "--input", str(source),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--random", "5"]) == 0
+        assert "0 discrepancies over 5 queries" in capsys.readouterr().out
+
     @pytest.mark.parametrize("text", [b"", b"a"])
     def test_random_on_tiny_corpus_is_refused(self, tmp_path, capsys, text):
         # Every sampled length (2 and up) is longer than the corpus.
@@ -282,6 +300,14 @@ class TestBenchCommand:
         assert lines[0].startswith("structure,params,dataset,index_bytes")
         assert len(lines) == 3
         assert lines[1].startswith("split,")
+
+    def test_one_symbol_words(self, tmp_path, capsys):
+        # noisy queries over a one-symbol alphabet are the words themselves
+        source = tmp_path / "words.txt"
+        source.write_bytes(b"aaa\naaaa\n")
+        assert main(["bench", "--type", "split", "--input", str(source),
+                     "--random", "5", "--repeats", "1"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
 
     def test_header_matches_help(self, dict_file, capsys):
         with pytest.raises(SystemExit):

@@ -310,8 +310,9 @@ class TestDirectoryStructure:
 
 
 class TestSuffixArrayCheck:
-    """A superlinear file stores its corpus, q_max and suffix array; load
-    refuses a suffix array that does not sort the corpus's suffixes and a
+    """A superlinear file stores its corpus and q_max, and no suffix array
+    to check: load sorts the corpus's suffixes as a build does, so a file
+    that loads is the index a build over its corpus gives.  Load refuses a
     q_max that no build writes."""
 
     TEXT = b"abracadabra"
@@ -322,59 +323,47 @@ class TestSuffixArrayCheck:
         return index, bytearray(serialize_index(index))
 
     @staticmethod
-    def _sa_at(index) -> int:
-        # envelope, corpus blob, q_max; then n u32 entries
-        return 9 + 4 + index.corpus.n + 4
-
-    def _with_sa(self, change) -> bytes:
-        index, data = self._file()
-        sa = index.sa.tolist()
-        change(sa)
-        at = self._sa_at(index)
-        data[at:at + 4 * len(sa)] = struct.pack(f"<{len(sa)}I", *sa)
-        return _resign(data)
+    def _q_max_at(index) -> int:
+        # envelope, corpus blob; then u32 q_max, the last field
+        return 9 + 4 + index.corpus.n
 
     def test_stored_file_loads(self):
         index, data = self._file()
-        at = self._sa_at(index)
-        assert struct.unpack_from("<I", data, at - 4) == (4,)
-        assert list(struct.unpack_from(f"<{index.corpus.n}I", data, at)) == (
-            sorted(range(index.corpus.n), key=lambda i: index.corpus.data[i:]))
-        assert deserialize_index(bytes(data)).count(b"abra") == 2
+        at = self._q_max_at(index)
+        assert len(data) == at + 4
+        assert struct.unpack_from("<I", data, at) == (4,)
+        loaded = deserialize_index(bytes(data))
+        assert loaded.count(b"abra") == 2
+        assert serialize_index(loaded) == data
 
-    @pytest.mark.parametrize("row", [0, 5, 10])
-    def test_adjacent_entries_swapped(self, row):
-        def swap(sa):
-            sa[row], sa[row + 1] = sa[row + 1], sa[row]
-        with pytest.raises(MalformedInputError, match="suffix array"):
-            deserialize_index(self._with_sa(swap))
-
-    def test_repeated_entry(self):
-        def repeat(sa):
-            sa[3] = sa[4]
-        with pytest.raises(MalformedInputError, match="permutation"):
-            deserialize_index(self._with_sa(repeat))
-
-    def test_entry_equal_to_n(self):
-        def past_the_end(sa):
-            sa[sa.index(max(sa))] = len(sa)
-        with pytest.raises(MalformedInputError, match="permutation"):
-            deserialize_index(self._with_sa(past_the_end))
+    def test_format_9_file_refused(self):
+        # format 9 stored the u32 suffix array after q_max
+        index, data = self._file()
+        data += struct.pack(f"<{index.corpus.n}I", *sorted(
+            range(index.corpus.n), key=lambda i: index.corpus.data[i:]))
+        data[4] = 9
+        with pytest.raises(MalformedInputError, match="unsupported format version 9"):
+            deserialize_index(_resign(data))
+        data[4] = FORMAT_VERSION
+        with pytest.raises(MalformedInputError, match="trailing bytes"):
+            deserialize_index(_resign(data))
 
     def test_corpus_byte_changed(self):
-        # "abracadabra" -> "abracadzbra": the stored suffix array no longer
-        # sorts the suffixes
+        # "abracadabra" -> "abracadzbra": a re-signed changed corpus loads
+        # as the index of the changed text
         _, data = self._file()
         data[9 + 4 + 7] = ord("z")
-        with pytest.raises(MalformedInputError, match="does not sort"):
-            deserialize_index(_resign(data))
+        index = deserialize_index(_resign(data))
+        assert index.corpus.text == b"abracadzbra"
+        for pattern in (b"a", b"abra", b"adz", b"dab", b"zbra", b"abracadzbra"):
+            assert index.count(pattern) == naive_count(index.corpus, pattern)
 
     @pytest.mark.parametrize("q_max", [0, 3, 16])
     def test_bad_q_max(self, q_max):
         # 0 is only an empty text's; 3 is no power of two; 16 would claim
         # grams longer than the 11-symbol text
         index, data = self._file()
-        at = self._sa_at(index) - 4
+        at = self._q_max_at(index)
         data[at:at + 4] = struct.pack("<I", q_max)
         with pytest.raises(MalformedInputError, match="q_max"):
             deserialize_index(_resign(data))
@@ -515,8 +504,8 @@ def _small_fm_file(kind: str):
 @settings(max_examples=400, deadline=None)
 def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
     # A superlinear file that loads counts exactly over the corpus it
-    # stores, since load checks its suffix array; a linear one can still
-    # miscount (README), so it need only raise no other exception.
+    # stores, since load builds the index from that corpus; a linear one can
+    # still miscount (README), so it need only raise no other exception.
     data, patterns = _small_fm_file(kind)
     corrupted = bytearray(data)
     corrupted[9 + where % (len(data) - 9)] ^= flip
@@ -530,35 +519,38 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 9).  It is the format 8
-    # file with only the version byte changed: format 9 changed only the
-    # superlinear payload, so the linear payload and its CRC are the same.
-    # Its 31 multi-symbol grams, first rows and row lists equal those of
-    # the format 3 file, which also listed the 4 single-symbol phrases.
+    # Golden digest of a linear index file (format 10).  It is the format 8
+    # and 9 file with only the version byte changed: formats 9 and 10
+    # changed only the superlinear payload, and the CRC covers the payload
+    # alone.  Its 31 multi-symbol grams, first rows and row lists equal
+    # those of the format 3 file, which also listed the 4 single-symbol
+    # phrases.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "1f030653f31cd3c455d4c17dbde3aa0098de40e61f673b02757837711b6a0660")
+        "478c265430278190a1d8b42c757bb69cd57aafc28464530ca800cd222a5951c3")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 9): the corpus blob
-    # of the format 8 file, then u32 q_max (128) and the u32 suffix array,
-    # in place of the gram directory the format 8 file stored.  The
-    # directory its load derives equals the one the format 8 file stored.
+    # Golden digest of a superlinear index file (format 10): the corpus blob
+    # and u32 q_max (128) of the format 9 file, without the suffix array
+    # that followed them.  The directory its load derives equals the one
+    # the format 8 file stored.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
+    assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "ded9141ecba2a6a604e58c1ece5f0e5b0d0733e69eed16ec7efde5b8da7ac2e1")
+        "7c58f6f6b6cc014f270b6fe4b6d25469543d9284a7eee3a4928f47995517bbdd")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 9): k = 2 over 2,000
+    # Golden digests of split index files (format 10): k = 2 over 2,000
     # generated words, plain and coded with a 100-code substitution table.
+    # They are the format 9 files with only the version byte changed.
     d = random_word_dictionary(2000, seed=7)
     plain = serialize_index(SplitIndex.build(d, 2))
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
     assert hashlib.sha256(plain).hexdigest() == (
-        "b27fce4974b8fbc9ef43ee8c6653d0aa3d309062841004202f341d77b9e0bae5")
+        "c7cdc1b48462f072a1a9747201ae6a3a61312d2051289c16652034c1d6106220")
     assert hashlib.sha256(coded).hexdigest() == (
-        "5090d22da6c7250891b113d8c1c2d6d30dccdf28825f84d49902e2e088928b52")
+        "6cb914cacc297fc30155cbf05d9ba265fbea73fed0cccea826f94a6c6d38e3c3")

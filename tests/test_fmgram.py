@@ -383,7 +383,7 @@ class TestDirectoryIds:
     """`get` maps each gram to its id, and the id reads the gram's first
     row and row range off the columns, in a built index and a loaded one.
     The columns are those a linear file stores, and those a superlinear
-    build derives (its file stores the suffix array instead)."""
+    build derives (its file stores only the corpus and q_max)."""
 
     @pytest.mark.parametrize("kind", ["superlinear", "linear"])
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])

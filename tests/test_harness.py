@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from textindex.harness import (BenchConfig, NaiveHammingSearcher,
@@ -90,6 +92,32 @@ class TestWorkloads:
     def test_empty_dictionary_rejected(self):
         with pytest.raises(ValueError):
             generate_noisy_queries(Dictionary([]), 5)
+
+    def test_one_symbol_alphabet_returns_words(self):
+        # no other symbol can be substituted, so every round is skipped
+        d = Dictionary([b"aaa", b"aaaa"])
+        wl = generate_noisy_queries(d, 40, per_error_probability=1.0, seed=7)
+        assert set(wl.queries) == {b"aaa", b"aaaa"}
+
+    @pytest.mark.parametrize("words", [[b"ab", b"ba"], [b"table", b"left", b"stable"]])
+    def test_draws_follow_the_substitution_loop(self, words):
+        # the same draws as a plain loop that redraws a replacement equal to
+        # the symbol it replaces
+        d = Dictionary(words)
+        rng = random.Random(8)
+        alphabet = d.alphabet()
+        expected = []
+        for _ in range(100):
+            word = bytearray(rng.choice(d.words))
+            for _ in range(3):
+                if rng.random() < 0.5:
+                    pos = rng.randrange(len(word))
+                    replacement = rng.choice(alphabet)
+                    while replacement == word[pos]:
+                        replacement = rng.choice(alphabet)
+                    word[pos] = replacement
+            expected.append(bytes(word))
+        assert list(generate_noisy_queries(d, 100, seed=8).queries) == expected
 
 
 class TestLoaders:

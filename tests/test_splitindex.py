@@ -133,6 +133,22 @@ class TestBuild:
         with pytest.raises(ValueError):
             SplitIndex.build(Dictionary([b"ab"]), 0)
 
+    def test_k_past_one_byte_rejected(self):
+        # a file stores k in one byte, so 255 is the largest k a build takes
+        d = Dictionary([b"ab"])
+        with pytest.raises(ValueError, match="k must lie in 1..255"):
+            SplitIndex.build(d, 256)
+        idx = SplitIndex.build(d, 255)
+        assert deserialize_index(serialize_index(idx)).k == 255
+
+    def test_built_and_loaded_share_piece_bounds(self):
+        # one piece-bound table per k, made once
+        d = random_word_dictionary(50, seed=4)
+        built = SplitIndex.build(d, 2)
+        loaded = deserialize_index(serialize_index(built))
+        assert loaded._bounds is built._bounds
+        assert SplitIndex.build(d, 3)._bounds is not built._bounds
+
     def test_deterministic(self):
         d = Dictionary([b"table", b"left", b"tablet", b"stable"])
         a = SplitIndex.build(d, 1)

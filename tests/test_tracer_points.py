@@ -5,6 +5,7 @@ suite, not only a traced benchmark run."""
 import importlib.util
 from pathlib import Path
 
+from textindex import envelope
 from textindex.fmgram import GramDirectory, SuperlinearIndex
 from textindex.hashmap import ChainedHashMap
 from textindex.splitindex import Dictionary, SplitIndex
@@ -37,3 +38,19 @@ def test_every_wrap_point_installs_and_uninstalls():
         assert tracer.total(layer, field=0) > 0, layer
     assert (vars(GramDirectory)["get"], vars(GramDirectory)["entry_for"],
             vars(ChainedHashMap)["get"], vars(ChainedHashMap)["put"]) == originals
+
+
+def test_superlinear_load_sorts_suffixes_through_the_wrap_point():
+    # a load sorts the corpus's suffixes as a build does; traced runs time
+    # that apart from the rest of `envelope.deserialize`
+    data = envelope.serialize_index(SuperlinearIndex.build(Corpus.from_bytes(b"banana"), q_max=4))
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with tracer.span("load"):
+            # looked up through the module, where the tracer wraps it
+            assert envelope.deserialize_index(data).count(b"ana") == 2
+    finally:
+        tracer.uninstall()
+    assert tracer.total("suffixbwt.sa", field=0, phase="load",
+                        owner="envelope.deserialize") == 1
