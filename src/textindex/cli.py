@@ -258,6 +258,11 @@ def _cmd_bench(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("build", "bench") and (
+            args.qmax < 1 or args.qmax & (args.qmax - 1) or min(args.alpha, args.q) < 1):
+        print("error: --qmax must be a positive power of two, and --alpha and --q "
+              "at least 1", file=sys.stderr)
+        return 2
     try:
         if args.command == "build":
             return _cmd_build(args)

@@ -211,6 +211,8 @@ class LinearIndex:
 
     @classmethod
     def build(cls, corpus: Corpus, alpha: int, q: int) -> "LinearIndex":
+        if alpha < 1 or q < 1:
+            raise ValueError("alpha and q must be positive")
         text = corpus.text
         if len(text) < q + alpha - 1:
             raise ValueError("corpus shorter than one minimizer window")
@@ -284,7 +286,7 @@ class LinearIndex:
         if s > e:
             return 0
         s, e = fm.extend(pattern[:right], s, e)
-        return max(e - s + 1, 0)
+        return e - s + 1
 
     def size_in_bytes(self) -> int:
         """Deterministic size accounting: the gram directory, the corpus

@@ -3,7 +3,9 @@
 The suffix array orders the suffixes of a corpus lexicographically; the BWT
 string is read off it one symbol to the left of each suffix.  Counting needs
 only the BWT, the count table and the BWT's LF mapping (Burrows and Wheeler
-1994; backward search, Ferragina and Manzini 2000).  The suffix array is
+1994; backward search, Ferragina and Manzini 2000).  A count reads only the
+width of its final interval, so every empty interval is (0, -1) and no
+backward step scans outside the interval it narrows.  The suffix array is
 build state that no index keeps: the superlinear q-gram index sorts its
 corpus's suffixes again on load to derive its gram directory.
 """
@@ -177,15 +179,12 @@ class FmIndex:
 
     def step(self, s: int, e: int, symbol: int) -> tuple[int, int]:
         """One backward-search step: narrow [s, e] (0 <= s <= e < n) to the
-        suffixes preceded by `symbol`.  The result is empty (s > e) if none
-        is, and (0, -1) for a symbol absent from the corpus.
+        suffixes preceded by `symbol`, or (0, -1) if none is.
 
-        Over all n rows the result is the symbol's count-table range.
-        Otherwise it is the LF values of the first and last `symbol` in
-        l[s:e+1], found with `bytes.find` and `bytes.rfind`.  Without one
-        there, the find runs on to the next `symbol` after e, whose LF value
-        (or ends[symbol] if there is none) is the start of the empty result.
-        So only a step that ends the search scans past e.
+        Over all n rows the result is the symbol's count-table range, with
+        no scan.  Otherwise it is the LF values of the first and last
+        `symbol` in l[s:e+1], found with `bytes.find` and `bytes.rfind`, so
+        no step scans outside [s, e].
         """
         if e - s == len(self.l) - 1:
             base = self.count_table.get(symbol)
@@ -193,27 +192,20 @@ class FmIndex:
                 return 0, -1
             return base, self._ends[symbol] - 1
         l = self.l
-        first = l.find(symbol, s)
+        first = l.find(symbol, s, e + 1)
         if first == -1:
-            if symbol not in self.count_table:
-                return 0, -1
-            start = self._ends[symbol]
-            return start, start - 1
+            return 0, -1
         lf = self.ranks.lf
-        if first > e:
-            start = lf[first]
-            return start, start - 1
         return lf[first], lf[l.rfind(symbol, first, e + 1)]
 
     def extend(self, segment: bytes, s: int, e: int) -> tuple[int, int]:
-        """Narrow [s, e] by `segment`, one symbol at a time from its end;
-        stops at the first empty interval (s > e) and returns it.
+        """Narrow a nonempty [s, e] by `segment`, one symbol at a time from
+        its end; the first symbol that empties it ends the walk with (0, -1).
 
         While the interval holds several rows, each symbol takes a `step`.
         Once it holds one row s, the rest of the segment only follows that
         row's suffix: symbol c extends it only if c == l[s], and then its
-        new row is LF[s], one memoryview read with no call.  A mismatch
-        returns (0, -1).
+        new row is LF[s], one memoryview read with no call.
         """
         step = self.step
         i = len(segment)
@@ -237,4 +229,4 @@ class FmIndex:
         if not countable(pattern, n):
             return 0
         s, e = self.extend(pattern, 0, n - 1)
-        return max(e - s + 1, 0)
+        return e - s + 1

@@ -45,7 +45,23 @@ class TestBuildCommand:
     def test_fm_super_bad_qmax(self, tmp_path, corpus_file):
         out = tmp_path / "fm.idx"
         assert main(["build", "--type", "fm-super", "--qmax", "3",
-                     "--input", str(corpus_file), "--out", str(out)]) == 1
+                     "--input", str(corpus_file), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        ["--qmax", "6"], ["--qmax", "0"], ["--qmax=-4"],
+        ["--alpha", "0"], ["--q", "0"], ["--q=-1"],
+    ])
+    def test_bad_fm_values_are_usage_errors(self, tmp_path, corpus_file, capsys, bad):
+        # refused before the corpus is read or sorted, with one line
+        out = tmp_path / "fm.idx"
+        for kind in ("fm-super", "fm-linear"):
+            assert main(["build", "--type", kind, "--input", str(corpus_file),
+                         "--out", str(out), *bad]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+            assert not out.exists()
 
     def test_k_past_one_byte_rejected(self, tmp_path, dict_file, capsys):
         out = tmp_path / "split.idx"
@@ -322,6 +338,7 @@ class TestBenchCommand:
         ["--repeats", "0"], ["--repeats", "-2"], ["--random", "-1"],
         ["--lengths", "0"], ["--lengths=-3"], ["--lengths", "8,x"], ["--lengths", ""],
         ["--k", "0"], ["--k", "1,-1"], ["--k", "two"],
+        ["--qmax", "3"], ["--qmax", "0"], ["--alpha", "0"], ["--q", "0"],
     ])
     def test_bad_values_are_usage_errors(self, dict_file, corpus_file, capsys, bad):
         for kind, source in (("split", dict_file), ("fm-linear", corpus_file)):

@@ -4,7 +4,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textindex import fmgram, textcore
+from textindex import fmgram, suffixbwt, textcore
 from textindex.envelope import deserialize_index, serialize_index
 from textindex.harness import dna_like_text, english_like_text
 from textindex.harness import naive_count as harness_naive_count
@@ -215,6 +215,14 @@ class TestLinearIndex:
     def test_corpus_too_short(self):
         with pytest.raises(ValueError):
             LinearIndex.build(Corpus.from_bytes(b"ab"), alpha=3, q=2)
+
+    @pytest.mark.parametrize("alpha, q", [(0, 4), (3, 0), (-1, 4), (3, -2)])
+    def test_nonpositive_alpha_or_q_refused_before_sorting(self, monkeypatch, alpha, q):
+        def unreachable(corpus):
+            raise AssertionError("suffix sort reached")
+        monkeypatch.setattr(suffixbwt, "build_suffix_array", unreachable)
+        with pytest.raises(ValueError, match="alpha and q must be positive"):
+            LinearIndex.build(Corpus.from_bytes(b"acgt" * 50), alpha, q)
 
     @pytest.mark.parametrize("alpha, q", [(1, 2), (3, 2), (4, 2), (3, 4), (4, 1), (8, 4),
                                           (1, 1), (16, 6), (2, 17)])

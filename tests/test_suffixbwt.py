@@ -163,7 +163,7 @@ class TestRank:
         idx = RankIndex(b"abc")
         with pytest.raises(IndexError):
             idx.rank(ord("a"), 3)
-        # positions outside [-1, n) on both sides of the sample stride
+        # positions outside [-1, n), near and far from both ends
         for n in (1, 63, 64, 65, 200):
             idx = RankIndex(b"a" * n)
             assert idx.rank(ord("a"), n - 1) == n
@@ -212,7 +212,7 @@ class TestFmStep:
 
     @staticmethod
     def intervals(n):
-        """Every (s, e) of the widths around the rank stride, plus the
+        """Every (s, e) of a few short and medium widths, plus the
         intervals that start at row 0 or end at row n - 1."""
         for width in TestFmStep.WIDTHS:
             for s in range(n - width):
@@ -222,12 +222,18 @@ class TestFmStep:
         for s in range(n):
             yield s, n - 1
 
+    @staticmethod
+    def expected(l, table, s, e, c):
+        """The prefix-count interval if c occurs in l[s:e+1], else (0, -1)."""
+        if c not in l[s:e + 1]:
+            return 0, -1
+        return table[c] + l[:s].count(c), table[c] + l[:e + 1].count(c) - 1
+
     @pytest.mark.parametrize("alphabet", [b"a", b"acgt", bytes(range(1, 256))])
     @pytest.mark.parametrize("n", [1, 2, 33, 63, 64, 65, 2500])
     def test_matches_prefix_counts(self, alphabet, n):
-        # a step reads one rank sample for s and either a count over
-        # l[s:e+1] or a second sample for e; both must equal the prefix
-        # counts, on both sides of the stride
+        # a symbol of l[s:e+1] gets the interval that prefix counts give;
+        # any other symbol, present elsewhere in the BWT or not, gets (0, -1)
         rng = random.Random(n * 7 + len(alphabet))
         fm = FmIndex.build(Corpus.from_bytes(
             bytes(rng.choice(alphabet) for _ in range(n - 1))))
@@ -242,14 +248,16 @@ class TestFmStep:
             checked = symbols if len(symbols) <= 5 else {
                 l[s], l[e], symbols[s % len(symbols)]}
             for c in checked:
-                assert fm.step(s, e, c) == (table[c] + prefix[c][s],
-                                            table[c] + prefix[c][e + 1] - 1)
+                if prefix[c][e + 1] > prefix[c][s]:
+                    want = (table[c] + prefix[c][s], table[c] + prefix[c][e + 1] - 1)
+                else:
+                    want = (0, -1)
+                assert fm.step(s, e, c) == want
 
     @pytest.mark.parametrize("where", ["before", "after", "at_s", "at_e"])
     def test_symbol_only_outside_or_at_the_ends(self, where):
         # 'b' occurs once in the BWT, at row p: only before s, only after e,
-        # only at s or only at e.  The empty results start at C[b] plus the
-        # 'b's before s, and the find that starts at s may run past e.
+        # only at s or only at e.  Outside [s, e] it gives (0, -1).
         fm = FmIndex.build(Corpus.from_bytes(b"a" * 150 + b"b" + b"a" * 149))
         l, table = fm.l, fm.count_table
         p = l.index(b"b")
@@ -257,12 +265,51 @@ class TestFmStep:
                 "at_s": (p, p + 20), "at_e": (p - 20, p)}[where]
         assert 0 <= s <= e < len(l)
         for c in b"\x00ab":
-            assert fm.step(s, e, c) == (table[c] + l[:s].count(c),
-                                        table[c] + l[:e + 1].count(c) - 1)
+            assert fm.step(s, e, c) == self.expected(l, table, s, e, c)
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_scans_stay_inside_the_interval(self, where):
+        # Every find and rfind of a step that does not span all n rows
+        # reads only l[s:e+1], even when its symbol occurs only far before
+        # s or far after e, or not at all.
+        fm = FmIndex.build(Corpus.from_bytes(b"a" * 1500 + b"b" + b"a" * 1500))
+        l = fm.l
+        p = l.index(b"b")
+        calls = []
+
+        class Recording:
+            def __len__(self):
+                return len(l)
+
+            def find(self, *args):
+                calls.append(args[1:])
+                return l.find(*args)
+
+            def rfind(self, *args):
+                calls.append(args[1:])
+                return l.rfind(*args)
+
+        fm.l = Recording()
+        n = len(l)
+        s, e = (p + 1000, p + 1100) if where == "before" else (p - 1100, p - 1000)
+        assert 0 <= s <= e < n
+        intervals = [(s, e), (0, n - 2), (1, n - 1), (s, s)]
+        for s, e in intervals:
+            for c in b"\x00abz":
+                calls.clear()
+                assert fm.step(s, e, c) == self.expected(l, fm.count_table, s, e, c)
+                assert calls, (s, e, c)
+                for bounds in calls:
+                    assert len(bounds) == 2, (s, e, c, bounds)
+                    assert s <= bounds[0] <= bounds[1] <= e + 1, (s, e, c, bounds)
+        calls.clear()
+        assert fm.step(0, n - 1, ord("b")) == (fm.count_table[ord("b")],) * 2
+        assert not calls
 
     def test_absent_symbol_gives_empty_interval(self):
         fm = FmIndex.build(Corpus.from_bytes(b"acgt" * 40))
         assert fm.step(0, fm.corpus.n - 1, ord("x")) == (0, -1)
+        assert fm.step(3, 50, ord("x")) == (0, -1)
         assert fm.extend(b"gxa", 0, fm.corpus.n - 1) == (0, -1)
 
 
@@ -302,7 +349,7 @@ class TestFmExtend:
     @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 2500])
     def test_matches_folded_steps(self, alphabet, n):
         # every interval for small n; every one-row start and the widths
-        # around the rank stride for n = 2500
+        # of TestFmStep.intervals for n = 2500
         rng = random.Random(n * 11 + len(alphabet))
         corpus = Corpus.from_bytes(bytes(rng.choice(alphabet) for _ in range(n - 1)))
         fm = FmIndex.build(corpus)
@@ -318,11 +365,9 @@ class TestFmExtend:
         for s, e in intervals:
             segments = self.segments(fm, sa, s, absent)
             for segment in segments:
-                got = fm.extend(segment, s, e)
+                # an empty result is (0, -1) on both paths
                 want = self.folded(fm, segment, s, e)
-                assert (got[0] > got[1]) == (want[0] > want[1]), (s, e, segment)
-                if want[0] <= want[1]:
-                    assert got == want, (s, e, segment)
+                assert fm.extend(segment, s, e) == want, (s, e, segment)
             if s == e:
                 # the unmutated segment leads to the row of the suffix that
                 # starts DEPTH symbols earlier
