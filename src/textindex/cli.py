@@ -21,11 +21,11 @@ from .textcore import FrequencyTable, entropy, printable
 
 
 # Pattern lengths that `verify --random` samples for FM indexes: Fibonacci
-# numbers up to 233, so that long patterns, which spend most of their steps
-# on one row, are checked too.  A linear index also gets the lengths of one
-# minimizer window and one more, which hold one and up to two minimizer
-# positions.  Lengths past the text are dropped.
-VERIFY_LENGTHS = (2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
+# numbers from 1, which fits a one-symbol text, up to 233, which checks long
+# patterns that spend most of their steps on one row.  A linear index also
+# gets the lengths of one minimizer window and one more, which hold one and
+# up to two minimizer positions.  Lengths past the text are dropped.
+VERIFY_LENGTHS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -158,6 +158,9 @@ def _cmd_query(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if (args.queries is None) == (args.random is None):
         parser.error("provide exactly one of --queries or --random N")
+    if args.random is not None and args.random < 1:
+        print("error: --random must be at least 1", file=sys.stderr)
+        return 2
     index = load_index(args.index)
     discrepancies = 0
     total = 0

@@ -12,9 +12,10 @@ A superlinear file is the corpus and u32 `q_max`; load sorts the corpus's
 suffixes and derives the gram directory as the build does, so a file that
 loads is the index a build over its corpus gives.  A linear file is alpha,
 q, the corpus, the n-byte BWT and the directory of its multi-symbol
-phrases in five u32 columns; load builds the count table and LF mapping
-from the BWT, refuses one whose count table differs from the corpus's, and
-keys every gram to its id in one bulk pass.  A split file is k, the
+phrases in five u32 columns; load builds the FM index (LF mapping and
+count table) from the BWT alone, refuses a BWT whose count table differs
+from the corpus's, which the linear index keeps and its FM index does not,
+and keys every gram to its id in one bulk pass.  A split file is k, the
 substitution table if any, and four flat columns: the key count, then u8
 key lengths, the key bytes, u32 list lengths and the list bytes, each role
 group of a list ordered by missing length, which the split walk relies on.
@@ -227,7 +228,7 @@ def _read_corpus(r: _Reader) -> Corpus:
         raise MalformedInputError(f"bad corpus: {exc}") from None
 
 
-def _read_fm_substrate(r: _Reader) -> FmIndex:
+def _read_fm_substrate(r: _Reader) -> tuple[Corpus, FmIndex]:
     corpus = _read_corpus(r)
     l = r.blob()
     if len(l) != corpus.n:
@@ -236,10 +237,10 @@ def _read_fm_substrate(r: _Reader) -> FmIndex:
     # table's ranges, so every backward step stays inside the n rows.  Two
     # strings of one length have equal symbol counts exactly when their
     # count tables are equal.
-    fm = FmIndex(corpus, l)
+    fm = FmIndex(l)
     if fm.count_table != build_count_table(corpus):
         raise MalformedInputError("BWT symbol counts differ from the corpus's")
-    return fm
+    return corpus, fm
 
 
 def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
@@ -303,7 +304,7 @@ def _load_linear(r: _Reader) -> LinearIndex:
     q = r.u32()
     if alpha < 1 or q < 1:
         raise MalformedInputError("minimizer alpha and q must be positive")
-    fm = _read_fm_substrate(r)
+    corpus, fm = _read_fm_substrate(r)
     grams = r.u32()
     row_count = r.u32()
     offsets, lengths, firsts = (r.u32s(grams) for _ in range(3))
@@ -313,11 +314,11 @@ def _load_linear(r: _Reader) -> LinearIndex:
     rows = r.u32s(row_count).astype(np.uint32)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    _check_directory(fm.corpus.n, offsets, lengths, firsts, starts, rows)
-    directory = GramDirectory(fm.corpus.data, offsets, lengths, firsts, starts, rows)
+    _check_directory(corpus.n, offsets, lengths, firsts, starts, rows)
+    directory = GramDirectory(corpus.data, offsets, lengths, firsts, starts, rows)
     if len(directory) != grams:
         raise MalformedInputError("repeated gram in directory")
-    return LinearIndex(fm, alpha, q, directory)
+    return LinearIndex(corpus, fm, alpha, q, directory)
 
 
 # ---------------------------------------------------------------------------

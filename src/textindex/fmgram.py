@@ -202,9 +202,10 @@ class SuperlinearIndex:
 class LinearIndex:
     """FM index with occurrence lists for the corpus phrases only."""
 
-    def __init__(self, fm: FmIndex, alpha: int, q: int, directory: GramDirectory):
+    def __init__(self, corpus: Corpus, fm: FmIndex, alpha: int, q: int,
+                 directory: GramDirectory):
+        self.corpus = corpus
         self.fm = fm
-        self.corpus = fm.corpus
         self.alpha = alpha
         self.q = q
         self.directory = directory
@@ -238,7 +239,7 @@ class LinearIndex:
         directory = GramDirectory(
             corpus.data, offsets, lengths, firsts, np.cumsum([0, *map(len, rows)]),
             np.concatenate(rows) if rows else [])
-        return cls(fm, alpha, q, directory)
+        return cls(corpus, fm, alpha, q, directory)
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.

@@ -333,16 +333,15 @@ class SplitIndex:
         stats = BuildStats()
         # The k+1 role groups of each key, in key-first-seen order.
         lists: dict[bytes, list[bytearray]] = {}
+        bounds_of = _piece_bounds(k)
         for word in sorted(dictionary, key=len):
             if len(word) <= k:
                 stats.words_skipped += 1
                 continue
             stats.words_indexed += 1
-            offset = 0
-            for role, piece in enumerate(split_word(word, k)):
-                end = offset + len(piece)
-                missing = word[:offset] + word[end:]
-                offset = end
+            for role, (split_at, end_at) in enumerate(bounds_of[len(word)]):
+                piece = word[split_at:end_at]
+                missing = word[:split_at] + word[end_at:]
                 groups = lists.get(piece)
                 if groups is None:
                     groups = lists[piece] = [bytearray() for _ in range(k + 1)]

@@ -100,47 +100,47 @@ def bwt_inverse(l: bytes) -> Corpus:
     return Corpus(bytes(out))
 
 
-def _count_table(totals: np.ndarray) -> dict[int, int]:
-    """From the occurrences of each of the 256 symbols, the count table:
-    for each symbol present, the number of strictly smaller symbols."""
-    present = np.flatnonzero(totals)
-    smaller = np.cumsum(totals) - totals
-    return dict(zip(present.tolist(), smaller[present].tolist()))
+def _count_table(data: bytes) -> list[int]:
+    """The count table C of `data` as 257 entries: C[c] is the number of
+    symbols smaller than c and C[256] = len(data), so symbol c occurs
+    exactly when C[c] < C[c + 1], and then rows C[c] to C[c + 1] - 1 are
+    the suffixes that start with it."""
+    table = np.zeros(257, dtype=np.int64)
+    np.cumsum(np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256), out=table[1:])
+    return table.tolist()
 
 
-def build_count_table(corpus: Corpus) -> dict[int, int]:
-    """For each symbol present, the number of strictly smaller corpus symbols."""
-    return _count_table(np.bincount(np.frombuffer(corpus.data, dtype=np.uint8),
-                                    minlength=256))
+def build_count_table(corpus: Corpus) -> list[int]:
+    """The count table C of the corpus symbols (`_count_table`)."""
+    return _count_table(corpus.data)
 
 
 class RankIndex:
-    """Symbol ranks over a BWT string, read off its LF mapping.
+    """Symbol ranks over a BWT string `l`, read off its LF mapping.
 
-    `totals` holds the occurrences of each of the 256 symbols in the whole
-    string and `lf` the LF mapping (`lf_mapping`), served as a u32
-    memoryview whose items read as Python ints.  rank(c, i) is inclusive
-    of position i, and rank(c, -1) = 0.
+    `lf` is the LF mapping (`lf_mapping`), served as a u32 memoryview whose
+    items read as Python ints, and `count_table` the 257-entry count table
+    C of `l` (`_count_table`).  rank(c, i) is inclusive of position i, and
+    rank(c, -1) = 0.
     """
 
     def __init__(self, l: bytes):
         self.l = l
-        self.n = len(l)
-        self.totals = np.bincount(np.frombuffer(l, dtype=np.uint8), minlength=256)
         self.lf = memoryview(lf_mapping(l))
+        self.count_table = _count_table(l)
 
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""
         if i == -1:
             return 0
-        if i < -1 or i >= self.n:
-            raise IndexError(f"rank position {i} outside [-1, {self.n})")
+        if not 0 <= i < len(self.l):
+            raise IndexError(f"rank position {i} outside [-1, {len(self.l)})")
         # The last occurrence j <= i is the rank-th of its symbol, so
         # LF[j] = C[symbol] + rank - 1.
         j = self.l.rfind(symbol, 0, i + 1)
         if j == -1:
             return 0
-        return self.lf[j] + 1 - int(self.totals[:symbol].sum())
+        return self.lf[j] + 1 - self.count_table[symbol]
 
 
 def countable(pattern: bytes, n: int) -> bool:
@@ -154,26 +154,19 @@ def countable(pattern: bytes, n: int) -> bool:
     return len(pattern) < n
 
 
-class FmIndex:
-    """Count-only FM index over the BWT string `l` of `corpus`: the LF
-    mapping and the count table both come from `RankIndex(l)`."""
-
-    def __init__(self, corpus: Corpus, l: bytes):
-        self.corpus = corpus
-        self.l = l
-        self.ranks = RankIndex(l)
-        self.count_table = _count_table(self.ranks.totals)
-        # ends[c] = C[c] + occurrences of c: one past the rows starting with c.
-        self._ends: list[int] = np.cumsum(self.ranks.totals).tolist()
+class FmIndex(RankIndex):
+    """Count-only FM index over a BWT string `l`: the BWT, its LF mapping
+    and its count table, which `RankIndex(l)` builds.  It holds no corpus;
+    n is len(l)."""
 
     @classmethod
     def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
         """`sa`, if given, is the corpus's suffix array, already built by a
         caller that also reads it; the index does not keep it."""
-        return cls(corpus, bwt_forward(corpus, sa))
+        return cls(bwt_forward(corpus, sa))
 
     def size_in_bytes(self) -> int:
-        """BWT string (n bytes) + count table (8 bytes a symbol) + LF
+        """BWT string (n bytes) + count table (257 entries of 8 bytes) + LF
         mapping (4n bytes)."""
         return 5 * len(self.l) + 8 * len(self.count_table)
 
@@ -187,15 +180,14 @@ class FmIndex:
         no step scans outside [s, e].
         """
         if e - s == len(self.l) - 1:
-            base = self.count_table.get(symbol)
-            if base is None:
-                return 0, -1
-            return base, self._ends[symbol] - 1
+            table = self.count_table
+            first, last = table[symbol], table[symbol + 1] - 1
+            return (first, last) if first <= last else (0, -1)
         l = self.l
         first = l.find(symbol, s, e + 1)
         if first == -1:
             return 0, -1
-        lf = self.ranks.lf
+        lf = self.lf
         return lf[first], lf[l.rfind(symbol, first, e + 1)]
 
     def extend(self, segment: bytes, s: int, e: int) -> tuple[int, int]:
@@ -216,7 +208,7 @@ class FmIndex:
             s, e = step(s, e, segment[i])
         if s > e or not i:
             return s, e
-        l, lf = self.l, self.ranks.lf
+        l, lf = self.l, self.lf
         for c in segment[i - 1::-1]:
             if l[s] != c:
                 return 0, -1
@@ -225,7 +217,7 @@ class FmIndex:
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included."""
-        n = self.corpus.n
+        n = len(self.l)
         if not countable(pattern, n):
             return 0
         s, e = self.extend(pattern, 0, n - 1)

@@ -236,9 +236,9 @@ class TestVerifyCommand:
         assert main(["verify", "--index", str(out), "--random", "5"]) == 0
         assert "0 discrepancies over 5 queries" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("text", [b"", b"a"])
+    @pytest.mark.parametrize("text", [b""])
     def test_random_on_tiny_corpus_is_refused(self, tmp_path, capsys, text):
-        # Every sampled length (2 and up) is longer than the corpus.
+        # Every sampled length (1 and up) is longer than the empty text.
         source = tmp_path / "tiny.txt"
         source.write_bytes(text)
         out = tmp_path / "tiny.idx"
@@ -248,6 +248,34 @@ class TestVerifyCommand:
         assert main(["verify", "--index", str(out), "--random", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("build_args", [
+        ["--type", "fm-super"],
+        ["--type", "fm-linear", "--alpha", "1", "--q", "1"],
+    ])
+    def test_random_on_one_symbol_text_verifies(self, tmp_path, capsys, build_args):
+        # the sampled lengths start at 1, which fits a text of one symbol
+        source = tmp_path / "one.txt"
+        source.write_bytes(b"a")
+        out = tmp_path / "one.idx"
+        assert main(["build", *build_args, "--input", str(source), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--random", "5"]) == 0
+        assert "0 discrepancies over 5 queries" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("random", ["0", "-2"])
+    @pytest.mark.parametrize("kind", ["split", "fm-super", "fm-linear"])
+    def test_random_below_one_is_a_usage_error(self, tmp_path, dict_file, corpus_file,
+                                               capsys, kind, random):
+        # a verify that would check nothing is refused before the file is read
+        out = tmp_path / "index.idx"
+        source = dict_file if kind == "split" else corpus_file
+        assert main(["build", "--type", kind, "--input", str(source), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--random", random]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --random must be at least 1\n"
 
     def test_corrupted_file_rejected(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"

@@ -4,7 +4,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textindex import fmgram, suffixbwt, textcore
+from textindex import envelope, fmgram, suffixbwt, textcore
 from textindex.envelope import deserialize_index, serialize_index
 from textindex.harness import dna_like_text, english_like_text
 from textindex.harness import naive_count as harness_naive_count
@@ -360,8 +360,8 @@ class TestLinearIndex:
         assert max(counts) >= 20 and counts.count(1) >= 40 and counts.count(0) >= 60
 
     def test_size_model_terms(self):
-        # directory, corpus (n), BWT (n), count table (8 bytes a symbol)
-        # and LF mapping (4n), read off a built index and a loaded one
+        # directory, corpus (n), BWT (n), count table (257 entries of 8
+        # bytes) and LF mapping (4n), read off a built index and a loaded one
         corpus = Corpus.from_bytes(dna_like_text(3000, seed=5))
         built = LinearIndex.build(corpus, alpha=3, q=4)
         loaded = deserialize_index(serialize_index(built))
@@ -369,9 +369,31 @@ class TestLinearIndex:
             directory, fm = idx.directory, idx.fm
             directory_bytes = (16 * len(directory) + 4 * len(directory.rows)
                                + 4 * directory.bucket_count)
-            assert len(fm.ranks.lf) == len(fm.l) == corpus.n
+            assert len(fm.lf) == len(fm.l) == corpus.n
             assert idx.size_in_bytes() == (directory_bytes + corpus.n + len(fm.l)
-                                           + 8 * len(fm.count_table) + 4 * len(fm.ranks.lf))
+                                           + 8 * len(fm.count_table) + 4 * len(fm.lf))
+
+    def test_traced_load_builds_the_fm_index_through_rank_index(self):
+        # a load builds the LF mapping and count table once, in
+        # `RankIndex.__init__`, which traced runs time as
+        # `suffixbwt.rank_build`; `FmIndex` inherits that constructor
+        from test_tracer_points import load_tracer_module
+        corpus = Corpus.from_bytes(dna_like_text(600, seed=7))
+        data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
+        tracer = load_tracer_module().Tracer()
+        tracer.install()
+        try:
+            with tracer.span("load"):
+                # looked up through the module, where the tracer wraps it
+                index = envelope.deserialize_index(data)
+        finally:
+            tracer.uninstall()
+        assert isinstance(index.fm, suffixbwt.RankIndex)
+        assert index.count(corpus.text[100:110]) == naive_count(corpus.text, corpus.text[100:110])
+        assert tracer.total("suffixbwt.rank_build", field=0, phase="load",
+                            owner="envelope.deserialize") == 1
+        assert tracer.total("suffixbwt.rank_build", field=0) == 1
+        assert not hasattr(index.fm, "corpus")
 
 
 def stored_columns(data: bytes, at: int):

@@ -21,6 +21,13 @@ def rotation_sort_bwt(corpus):
     return bytes(r[-1] for r in rotations)
 
 
+def present(table):
+    """The symbols that a 257-entry count table C holds, each keyed to C[c]:
+    c occurs exactly when C[c] < C[c + 1]."""
+    assert len(table) == 257
+    return {c: table[c] for c in range(256) if table[c] < table[c + 1]}
+
+
 def naive_count(text, pattern):
     return sum(1 for s in range(len(text) - len(pattern) + 1)
                if text[s:s + len(pattern)] == pattern)
@@ -123,22 +130,31 @@ class TestBwt:
 
 class TestCountTable:
     def test_mississippi(self):
-        table = build_count_table(Corpus.from_bytes(b"mississippi"))
+        table = present(build_count_table(Corpus.from_bytes(b"mississippi")))
         assert table == {0: 0, ord("i"): 1, ord("m"): 5, ord("p"): 6, ord("s"): 8}
 
     def test_uniform(self):
-        assert build_count_table(Corpus.from_bytes(b"aaaa")) == {0: 0, ord("a"): 1}
+        assert present(build_count_table(Corpus.from_bytes(b"aaaa"))) == {0: 0, ord("a"): 1}
 
     def test_banana(self):
-        table = build_count_table(Corpus.from_bytes(b"banana"))
+        table = present(build_count_table(Corpus.from_bytes(b"banana")))
         assert table == {0: 0, ord("a"): 1, ord("b"): 4, ord("n"): 5}
 
     def test_adjacency_law(self):
         c = Corpus.from_bytes(b"abracadabra")
-        table = build_count_table(c)
+        table = present(build_count_table(c))
         symbols = sorted(table)
         for lo, hi in zip(symbols, symbols[1:]):
             assert table[hi] - table[lo] == c.data.count(lo)
+
+    def test_list_form(self):
+        # C[c + 1] - C[c] occurrences of every byte c, and C[256] = n
+        raw = bytes(range(1, 256)) + b"abracadabra"
+        c = Corpus.from_bytes(raw)
+        table = build_count_table(c)
+        assert len(table) == 257 and table[0] == 0 and table[256] == c.n
+        assert [hi - lo for lo, hi in zip(table, table[1:])] == [
+            c.data.count(symbol) for symbol in range(256)]
 
 
 @given(st.binary(max_size=300).map(lambda raw: raw.replace(b"\0", b"")))
@@ -206,6 +222,21 @@ class TestRank:
             smaller = {c: sum(x < c for x in l) for c in set(l)}
             assert lf == [smaller[c] + l[:i].count(c) for i, c in enumerate(l)]
 
+    def test_fm_index_ranks_match_prefix_counts(self):
+        # the FM index is a RankIndex and ranks through C[c], on the texts
+        # and symbols that test_matches_linear_scan walks
+        rng = random.Random(11)
+        for _ in range(30):
+            l = bytes(rng.choice(b"abcd") for _ in range(rng.randint(1, 400)))
+            fm, idx = FmIndex(l), RankIndex(l)
+            assert isinstance(fm, RankIndex)
+            assert fm.lf.tolist() == idx.lf.tolist()
+            assert fm.count_table == idx.count_table
+            for _ in range(200):
+                sym = rng.choice(b"abcde")
+                i = rng.randrange(-1, len(l))
+                assert fm.rank(sym, i) == idx.rank(sym, i) == l[:i + 1].count(sym)
+
 
 class TestFmStep:
     WIDTHS = (0, 1, 62, 63, 64, 65)
@@ -237,7 +268,7 @@ class TestFmStep:
         rng = random.Random(n * 7 + len(alphabet))
         fm = FmIndex.build(Corpus.from_bytes(
             bytes(rng.choice(alphabet) for _ in range(n - 1))))
-        l, table = fm.l, fm.count_table
+        l, table = fm.l, present(fm.count_table)
         assert len(l) == n
         arr = np.frombuffer(l, dtype=np.uint8)
         prefix = {c: np.concatenate([[0], np.cumsum(arr == c)]).tolist() for c in table}
@@ -259,7 +290,7 @@ class TestFmStep:
         # 'b' occurs once in the BWT, at row p: only before s, only after e,
         # only at s or only at e.  Outside [s, e] it gives (0, -1).
         fm = FmIndex.build(Corpus.from_bytes(b"a" * 150 + b"b" + b"a" * 149))
-        l, table = fm.l, fm.count_table
+        l, table = fm.l, present(fm.count_table)
         p = l.index(b"b")
         s, e = {"before": (p + 1, p + 20), "after": (p - 20, p - 1),
                 "at_s": (p, p + 20), "at_e": (p - 20, p)}[where]
@@ -308,9 +339,9 @@ class TestFmStep:
 
     def test_absent_symbol_gives_empty_interval(self):
         fm = FmIndex.build(Corpus.from_bytes(b"acgt" * 40))
-        assert fm.step(0, fm.corpus.n - 1, ord("x")) == (0, -1)
+        assert fm.step(0, len(fm.l) - 1, ord("x")) == (0, -1)
         assert fm.step(3, 50, ord("x")) == (0, -1)
-        assert fm.extend(b"gxa", 0, fm.corpus.n - 1) == (0, -1)
+        assert fm.extend(b"gxa", 0, len(fm.l) - 1) == (0, -1)
 
 
 class TestFmExtend:
@@ -327,16 +358,16 @@ class TestFmExtend:
         return s, e
 
     @staticmethod
-    def segments(fm, sa, s, absent):
+    def segments(fm, corpus, sa, s, absent):
         """The DEPTH symbols that precede row s's suffix, cyclically (so a
         row whose BWT symbol is the terminator gets it), then the same with
         the first, middle or last symbol consumed swapped for another
         symbol of the text, and with an absent symbol in the middle."""
-        data, n = fm.corpus.data, fm.corpus.n
+        data, n = corpus.data, corpus.n
         p = int(sa[s])
         preceding = bytes(data[(p - k) % n] for k in range(TestFmExtend.DEPTH, 0, -1))
         segments = [preceding]
-        symbols = sorted(fm.count_table)
+        symbols = sorted(present(fm.count_table))
         for at in (len(preceding) - 1, len(preceding) // 2, 0):
             mutated = bytearray(preceding)
             mutated[at] = symbols[(symbols.index(mutated[at]) + 1) % len(symbols)]
@@ -355,7 +386,7 @@ class TestFmExtend:
         fm = FmIndex.build(corpus)
         sa = build_suffix_array(corpus)
         inv = suffixbwt.inverse_permutation(sa)
-        missing = sorted(set(range(256)) - set(fm.count_table))
+        missing = sorted(set(range(256)) - set(present(fm.count_table)))
         absent = missing[0] if missing else None
         if n <= 65:
             intervals = [(s, e) for s in range(n) for e in range(s, n)]
@@ -363,7 +394,7 @@ class TestFmExtend:
             intervals = sorted(set(TestFmStep.intervals(n)))
         one_row = 0
         for s, e in intervals:
-            segments = self.segments(fm, sa, s, absent)
+            segments = self.segments(fm, corpus, sa, s, absent)
             for segment in segments:
                 # an empty result is (0, -1) on both paths
                 want = self.folded(fm, segment, s, e)
