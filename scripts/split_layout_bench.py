@@ -1,0 +1,99 @@
+"""Time split-index queries and loads, and measure file bytes, for one or
+more checkouts of the package, as a markdown table.
+
+    python3 scripts/split_layout_bench.py --src OLD/src --src src --rounds 5
+
+Each (checkout, configuration) cell runs in its own process, the cells of
+one round in turn, so two checkouts share the host's slow and fast spells.
+A configuration is k = 1, 2 or 3 over plain runs, or k = 1 or 2 coded with
+the default `select_qgrams` table, on `random_word_dictionary(--words,
+seed)` and the 2,000 `generate_noisy_queries` (up to 3 substitutions, seed
++ 1) that the `split-words` benchmark uses.  A cell reports its fastest
+pass over the query set, per query, its fastest of --loads loads of the
+file bytes, and the file size; the table shows each cell's fastest over
+the rounds, since other tenants of a shared host only ever slow a pass
+down.  Times are raw, not scaled to a reference host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import time
+
+CONFIGS = [(1, False), (2, False), (3, False), (1, True), (2, True)]
+
+
+def worker(args) -> None:
+    sys.path.insert(0, args.src)
+    from textindex.envelope import deserialize_index, serialize_index
+    from textindex.harness import generate_noisy_queries, random_word_dictionary
+    from textindex.splitindex import SplitIndex, select_qgrams
+
+    words = random_word_dictionary(args.words, seed=args.seed)
+    queries = [q for q in generate_noisy_queries(words, 2000, max_errors=3,
+                                                 seed=args.seed + 1).queries
+               if len(q) > args.k]
+    substitution = select_qgrams(words) if args.coded else None
+    data = serialize_index(SplitIndex.build(words, args.k, substitution))
+    loads = []
+    for _ in range(args.loads):
+        t0 = time.perf_counter()
+        index = deserialize_index(data)
+        loads.append(time.perf_counter() - t0)
+    query = index.query
+    passes = []
+    for _ in range(args.passes):
+        t0 = time.perf_counter()
+        for q in queries:
+            query(q)
+        passes.append((time.perf_counter() - t0) / len(queries))
+    print(json.dumps({"us": 1e6 * min(passes), "load_ms": 1e3 * min(loads),
+                      "bytes": len(data)}))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", action="append", required=True,
+                        help="a checkout's src directory; repeat to compare")
+    parser.add_argument("--words", type=int, default=50_000)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--passes", type=int, default=7)
+    parser.add_argument("--loads", type=int, default=15)
+    parser.add_argument("--k", type=int, help=argparse.SUPPRESS)
+    parser.add_argument("--coded", type=int, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.k is not None:
+        args.src = args.src[0]
+        worker(args)
+        return
+    cells: dict[tuple, list[dict]] = {}
+    for _ in range(args.rounds):
+        for k, coded in CONFIGS:
+            for src in args.src:
+                out = subprocess.run(
+                    [sys.executable, __file__, "--src", src, "--k", str(k),
+                     "--coded", str(int(coded)), "--words", str(args.words),
+                     "--seed", str(args.seed), "--passes", str(args.passes),
+                     "--loads", str(args.loads)],
+                    check=True, capture_output=True, text=True).stdout
+                cells.setdefault((k, coded, src), []).append(json.loads(out))
+    print("| runs | k | " + " | ".join(f"{name} {src}" for src in args.src
+                                        for name in ("µs/query", "load ms", "file bytes"))
+          + " |")
+    print("|---|---|" + "---|" * (3 * len(args.src)))
+    for k, coded in CONFIGS:
+        row = []
+        for src in args.src:
+            runs = cells[k, coded, src]
+            row += [f"{min(r['us'] for r in runs):.1f}",
+                    f"{min(r['load_ms'] for r in runs):.1f}",
+                    f"{runs[0]['bytes']:,}"]
+        print(f"| {'coded' if coded else 'plain'} | {k} | " + " | ".join(row) + " |")
+
+
+if __name__ == "__main__":
+    main()

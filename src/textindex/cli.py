@@ -96,8 +96,9 @@ def _cmd_build(args) -> int:
               f"skipped={index.stats.words_skipped} entries={index.stats.entries}")
         print(f"rejected lines: overlong={load_stats.rejected_overlong} "
               f"bad-bytes={load_stats.rejected_bad_bytes} empty={load_stats.rejected_empty}")
-        print(f"size={index.size_in_bytes()} bytes load-factor={index.table.load_factor:.3f} "
-              f"buckets={index.table.bucket_count} compressed={substitution is not None}")
+        layout = index.piece_layout()
+        print(f"size={index.size_in_bytes()} bytes load-factor={layout['load_factor']:.3f} "
+              f"buckets={layout['buckets']} compressed={substitution is not None}")
         return 0
     corpus = load_corpus(args.input)
     if args.type == "fm-super":
@@ -195,6 +196,11 @@ def _cmd_verify(args, parser) -> int:
             if index.count(pattern) != naive_count(text, pattern):
                 discrepancies += 1
 
+    if total == 0:
+        # Only a split index skips patterns: those shorter than k + 1.
+        need = f" with at least {index.k + 1} symbols" if patterns else ""
+        print(f"error: no query{need} to check", file=sys.stderr)
+        return 1
     print(f"{discrepancies} discrepancies over {total} queries")
     return 0 if discrepancies == 0 else 1
 

@@ -16,10 +16,11 @@ phrases in five u32 columns; load builds the FM index (LF mapping and
 count table) from the BWT alone, refuses a BWT whose count table differs
 from the corpus's, which the linear index keeps and its FM index does not,
 and keys every gram to its id in one bulk pass.  A split file is k, the
-substitution table if any, and four flat columns: the key count, then u8
-key lengths, the key bytes, u32 list lengths and the list bytes, each role
-group of a list ordered by missing length, which the split walk relies on.
-Load frames the keys and lists with cumulative sums and checks them in
+substitution table if any, the u32 group count and, for each (m, role)
+group: m and the role (u8 each), the u32 key count, the keys (each as long
+as piece `role` of an m-symbol word), the u32 run lengths and the runs.
+Load slices a group's keys out of the file in one `map`, frames its runs
+with a cumulative sum over one bytes object, and checks the run lengths in
 bulk.  No file holds a hash-map setting or build statistics: the reported
 bucket layout is fixed by class constants and follows from the entry
 count.  CHANGES.md records how each format version differs from the one
@@ -28,8 +29,10 @@ before.
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
 bytes; a superlinear file whose `q_max` is not a power of two up to n - 1
 (0 for an empty text); a split file with k below 1, a bad substitution
-table, an empty or repeated key, or a list without exactly k zero bytes; a
-corpus whose terminator is missing or not only at its end; a linear
+table, a group whose role is above k or whose m is at most k, a repeated
+group, a repeated key within a group, or a run whose length (decoded, if
+coded) is not a positive multiple of its width m - len(key), or that holds
+an unknown code; a corpus whose terminator is missing or not only at its end; a linear
 directory whose `starts` do not frame its rows, whose grams are empty,
 reach the terminator or repeat, whose first row plus count passes n, or
 whose rows reach n or do not rise inside a gram; and a linear file with
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
-from .splitindex import SplitIndex, SubstitutionTable
+from .splitindex import CODE_FLOOR, PieceRuns, SplitIndex, SubstitutionTable, piece_bounds
 from .suffixbwt import FmIndex, build_count_table
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
@@ -57,7 +60,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 10
+FORMAT_VERSION = 11
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -99,14 +102,14 @@ class _Reader:
         self.at += size
         return self.at - size
 
-    def _take(self, size: int) -> bytes:
+    def take(self, size: int) -> bytes:
         at = self.span(size)
         return self.data[at:at + size]
 
-    def u8(self): return struct.unpack("<B", self._take(1))[0]
-    def u32(self): return struct.unpack("<I", self._take(4))[0]
-    def blob(self): return self._take(self.u32())
-    def short_blob(self): return self._take(self.u8())
+    def u8(self): return struct.unpack("<B", self.take(1))[0]
+    def u32(self): return struct.unpack("<I", self.take(4))[0]
+    def blob(self): return self.take(self.u32())
+    def short_blob(self): return self.take(self.u8())
 
     def u8s(self, count):
         """`count` u8s, as a view into the file bytes rather than a copy."""
@@ -155,28 +158,14 @@ def _split_payload(index: SplitIndex) -> bytes:
         for gram, code in sub.pairs:
             w.short_blob(gram)
             w.u8(code)
-    keys = [key for key, _ in index.table.items()]
-    lists = [blob for _, blob in index.table.items()]
-    w.u32(len(keys))
-    w.raw(map(len, keys))
-    w.raw(b"".join(keys))
-    w.u32s(list(map(len, lists)))
-    w.raw(b"".join(lists))
+    w.u32(len(index.table))
+    for key, group in index.table.items():
+        w.raw(key)
+        w.u32(len(group.ids))
+        w.raw(b"".join(group.ids))
+        w.u32s(np.diff(group.starts))
+        w.raw(group.runs)
     return w.getvalue()
-
-
-def _bounds(lengths: np.ndarray, at: int) -> np.ndarray:
-    """Offsets of consecutive fields of these lengths from `at` on: the
-    start of each, then the end of the last."""
-    bounds = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=bounds[1:])
-    return bounds + at
-
-
-def _slices(data: bytes, bounds: np.ndarray):
-    """The fields of `data` that `bounds` frames, as `bytes`."""
-    bounds = bounds.tolist()
-    return map(data.__getitem__, map(slice, bounds[:-1], bounds[1:]))
 
 
 def _load_split(r: _Reader) -> SplitIndex:
@@ -194,24 +183,45 @@ def _load_split(r: _Reader) -> SplitIndex:
             substitution = SubstitutionTable(pairs)
         except ValueError as exc:
             raise MalformedInputError(f"bad substitution table: {exc}") from None
-    # Four columns: the key lengths (u8), the keys, the list lengths (u32)
-    # and the lists.
-    count = r.u32()
-    key_lengths = r.u8s(count)
-    key_bounds = _bounds(key_lengths, r.span(int(key_lengths.sum())))
-    list_lengths = r.u32s(count)
-    lists_at = r.span(int(list_lengths.sum(dtype=np.int64)))
-    list_bounds = _bounds(list_lengths, lists_at)
-    data = r.data
-    # One zero byte between consecutive role groups, and no other: the list
-    # walk relies on it to find its group without parsing entries.
-    zeros = lists_at + np.flatnonzero(
-        np.frombuffer(data, np.uint8, r.at - lists_at, lists_at) == 0)
-    if (key_lengths == 0).any() or (np.diff(np.searchsorted(zeros, list_bounds)) != k).any():
-        raise MalformedInputError("malformed split list")
-    table = ChainedHashMap(dict(zip(_slices(data, key_bounds), _slices(data, list_bounds))))
-    if len(table) != count:
-        raise MalformedInputError("repeated key in split index")
+        # The bytes each stored byte decodes to; 0 for an unknown code.
+        decoded_width = np.array([1] * CODE_FLOOR + [0] * (256 - CODE_FLOOR))
+        for gram, code in substitution.pairs:
+            decoded_width[code] = len(gram)
+    bounds = piece_bounds(k)
+    table = ChainedHashMap()
+    groups = r.u32()
+    for _ in range(groups):
+        # A group: its key (m, role), the key count, the fixed-width keys,
+        # the u32 run lengths and the runs.
+        m, role = key = r.take(2)
+        if role > k or bounds[m] is None:
+            raise MalformedInputError(f"split group m={m}, role={role} does not fit k={k}")
+        split_at, end_at, _ = bounds[m][role]
+        size = end_at - split_at
+        count = r.u32()
+        keys = r.u8s(count * size)
+        # Word bytes are nonzero, and with none in a key, numpy's fixed-width
+        # strings, which drop trailing zero bytes, read back every key whole.
+        if not keys.all():
+            raise MalformedInputError("a split key holds a zero byte")
+        lengths = r.u32s(count)
+        group = PieceRuns(keys.view(f"S{size}").tolist(), lengths,
+                          r.take(int(lengths.sum(dtype=np.int64))))
+        if len(group.ids) != count:
+            raise MalformedInputError("repeated piece in a split group")
+        if substitution is not None:
+            # Decoded run lengths: cumulative decoded widths of the bytes,
+            # taken at the run starts.
+            widths = decoded_width[np.frombuffer(group.runs, np.uint8)]
+            if not widths.all():
+                raise MalformedInputError("unknown substitution code in a split run")
+            ends = np.concatenate([[0], np.cumsum(widths)])
+            lengths = np.diff(ends[np.asarray(group.starts)])
+        if ((lengths == 0) | (lengths % (m - size) != 0)).any():
+            raise MalformedInputError("a split run is not a positive multiple of its width")
+        table.put(key, group)
+    if len(table) != groups:
+        raise MalformedInputError("repeated group in split index")
     if not r.done():
         raise MalformedInputError("trailing bytes after split index payload")
     return SplitIndex(k, table, substitution)

@@ -406,6 +406,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
                     inspected += qs.entries_inspected
                 counters = f"verifications={verifications};entries_inspected={inspected}"
                 mean, p50, p95 = _time_workload(index.query, usable, config.repeats)
+            layout = index.piece_layout()
             report.rows.append(BenchRow(
                 structure="split", params=f"k={k};compress={config.compress}",
                 dataset=label, index_bytes=index.size_in_bytes(),
@@ -413,8 +414,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
                 load_seconds=_load_seconds(index, config.repeats), queries=len(usable),
                 repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
                 p95_query_us=p95, counters=counters,
-                load_factor=index.table.load_factor,
-                buckets=index.table.bucket_count, entries=len(index.table)))
+                load_factor=layout["load_factor"], buckets=layout["buckets"],
+                entries=layout["entries"]))
         return report
 
     corpus = load_corpus(config.input_path)

@@ -51,14 +51,18 @@ class ChainedHashMap:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @property
-    def bucket_count(self) -> int:
-        """Buckets of a chained map that doubles whenever an insertion takes
-        entries / buckets past `MAX_LOAD_FACTOR`."""
-        buckets = self.INITIAL_BUCKETS
-        while len(self._entries) / buckets > self.MAX_LOAD_FACTOR:
+    @classmethod
+    def buckets_for(cls, entries: int) -> int:
+        """Buckets of a chained map of `entries` keys that doubles whenever
+        an insertion takes entries / buckets past `MAX_LOAD_FACTOR`."""
+        buckets = cls.INITIAL_BUCKETS
+        while entries / buckets > cls.MAX_LOAD_FACTOR:
             buckets *= 2
         return buckets
+
+    @property
+    def bucket_count(self) -> int:
+        return self.buckets_for(len(self._entries))
 
     @property
     def load_factor(self) -> float:

@@ -2,46 +2,42 @@
 
 Every word is cut into k+1 disjoint pieces.  A query with at most k
 mismatches must leave at least one piece untouched, so each piece acts as a
-key in a map and the rest of the word (the "missing" piece) is stored in a
-packed byte list next to the key.  Verification recombines the key with a
-stored missing piece and runs a plain Hamming check against the pattern.
+key and the rest of the word (the "missing" part) is stored next to it.
+Verification recombines the key with a stored missing part and checks the
+Hamming distance to the pattern.
 
-List layout, the same for every k: ``group_0 0x00 group_1 0x00 ... group_k``.
-Group i holds the entries whose key is piece i of their word, by decoded
-missing length, dictionary order within a length.  An entry is an 8-bit
-counter (the payload length), then the payload: the missing bytes.  There
-is no header and no final terminator.  A lookup for piece i skips i
-separators with ``bytes.index`` and reads group i only.  In a plain list a
-run of equal counters is a block of fixed-width entries, so the walk hops
-from run to run and verifies only the run whose length matches.
+Lists are keyed by (m, role, piece): m is the word length and the role is
+the index of the piece among the word's k+1 pieces.  m and the role fix
+where the piece sits and its length, so every missing part of one list has
+the same width w = m - len(piece), and a list is one run: its words'
+missing parts concatenated in dictionary order, with no counter, separator
+or sort order to read.  A query of length m looks up, for each role, the
+(m, role) group in `SplitIndex.table` and its piece in the group, and
+verifies the whole run.
 
-A matched run of more than one entry is verified with one big-integer
-Hamming check.  The run, read as one little-endian integer, is XORed with
-the pattern's entry (counter, then the rest of the pattern) repeated once
-per entry; an OR cascade folds each byte of the difference into its low
-bit; and a multiplication by the integer of `counter + 1` one-bytes sums
-each entry's mismatch flags into the byte under its last payload byte.
-The multiplication carries nothing: any `counter + 1` consecutive bytes
-hold exactly one counter byte, whose flag is 0, so no byte of the product
-exceeds `counter`, which is at most 255.  A run of one entry is checked
-with the early-exit loop.
-
-Separator invariant: a 0 byte in a list is always a separator, because
-counters, decoded lengths, word bytes (1..127) and substitution codes
-(128..255) are all nonzero.  A list therefore holds exactly k zero bytes.
+The run is verified with one big-integer Hamming check.  Read as one
+little-endian integer, it is XORed with the rest of the pattern repeated
+once per entry; an OR cascade folds each byte of the difference into its
+low bit; and a multiplication by the integer of w one-bytes sums each
+entry's mismatch flags into the byte under its last missing byte: byte
+e * w + w - 1 of the product sums exactly the w flags of entry e.  No byte
+of the product exceeds w <= 254, so the multiplication carries nothing.
 
 Lists can be compressed by substituting frequent word q-grams with byte
-codes 128..255; in that case each entry stores its decoded length between
-the counter and the payload, so the length pre-filter can run before any
-decoding.
+codes 128..255.  A coded run is its entries' coded missing parts
+concatenated; codes map one byte to one gram, so decoding the whole run
+once gives the plain run, which is verified in the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
@@ -51,8 +47,8 @@ MAX_WORD_LENGTH = 255
 MAX_K = 255
 CODE_FLOOR = 128
 # _ONES[w]: the integer whose w little-endian bytes are all 1, for every
-# plain entry width w = counter + 1.
-_ONES = [int.from_bytes(b"\1" * w, "little") for w in range(MAX_WORD_LENGTH + 2)]
+# missing width w.
+_ONES = [int.from_bytes(b"\1" * w, "little") for w in range(MAX_WORD_LENGTH + 1)]
 
 
 class Dictionary:
@@ -115,19 +111,20 @@ def split_word(word: bytes, k: int) -> list[bytes]:
 
 
 @functools.cache
-def _piece_bounds(k: int) -> tuple[tuple[tuple[int, int], ...] | None, ...]:
-    """For each word length 0..MAX_WORD_LENGTH, the (start, end) offsets of
-    its k+1 pieces, or None where they do not fit.  One table per k, which
-    every index of that k shares."""
-    table: list[tuple[tuple[int, int], ...] | None] = []
+def piece_bounds(k: int) -> tuple[tuple[tuple[int, int, bytes], ...] | None, ...]:
+    """For each word length m in 0..MAX_WORD_LENGTH, the start and end
+    offsets of its k+1 pieces and the key of their (m, role) group, or None
+    where the pieces do not fit.  One table per k, which every index of
+    that k shares."""
+    table: list[tuple[tuple[int, int, bytes], ...] | None] = []
     for length in range(MAX_WORD_LENGTH + 1):
         if length <= k:
             table.append(None)
             continue
         bounds = []
         at = 0
-        for size in piece_sizes(length, k):
-            bounds.append((at, at + size))
+        for role, size in enumerate(piece_sizes(length, k)):
+            bounds.append((at, at + size, bytes((length, role))))
             at += size
         table.append(tuple(bounds))
     return tuple(table)
@@ -171,21 +168,25 @@ def _encode(word: bytes, by_length: list[tuple[int, dict[bytes, int]]]) -> bytes
 
 def decode_word(coded: bytes, pairs) -> bytes:
     """Inverse of `encode_word`; raises on code bytes absent from `pairs`."""
-    return _decode(coded, {code: gram for gram, code in pairs})
+    grams = {bytes((code,)): gram for gram, code in pairs}
+    return _decode(coded, grams, _code_split(grams))
 
 
-def _decode(coded: bytes, grams: dict[int, bytes]) -> bytes:
-    """`coded` with each code byte replaced by its gram from `grams`."""
-    out = bytearray()
-    for b in coded:
-        gram = grams.get(b)
-        if gram is not None:
-            out.extend(gram)
-        elif b >= CODE_FLOOR:
-            raise MalformedInputError(f"unknown substitution code {b}")
-        else:
-            out.append(b)
-    return bytes(out)
+def _code_split(grams: dict[bytes, bytes]):
+    """A `split` that cuts coded bytes around every byte that is a code of
+    `grams` or at least CODE_FLOOR, and keeps those bytes."""
+    return re.compile(b"([" + re.escape(b"".join(grams)) + rb"\x80-\xff])").split
+
+
+def _decode(coded: bytes, grams: dict[bytes, bytes], split) -> bytes:
+    """`coded` with each code byte replaced by its gram from `grams`, cut
+    by `split` from `_code_split(grams)`."""
+    parts = split(coded)
+    try:
+        parts[1::2] = map(grams.__getitem__, parts[1::2])
+    except KeyError as exc:
+        raise MalformedInputError(f"unknown substitution code {exc.args[0][0]}") from None
+    return b"".join(parts)
 
 
 class SubstitutionTable:
@@ -211,7 +212,8 @@ class SubstitutionTable:
         # Encode order: longer grams first, then table order.
         self.pairs: tuple[tuple[bytes, int], ...] = tuple(
             sorted(pairs, key=lambda item: -len(item[0])))
-        self._grams = {code: gram for gram, code in self.pairs}
+        self._grams = {bytes((code,)): gram for gram, code in self.pairs}
+        self._split = _code_split(self._grams)
         self._codes = _codes_by_length(self.pairs)
 
     def __len__(self) -> int:
@@ -221,7 +223,7 @@ class SubstitutionTable:
         return _encode(word, self._codes)
 
     def decode(self, coded: bytes) -> bytes:
-        return _decode(coded, self._grams)
+        return _decode(coded, self._grams, self._split)
 
 
 def _candidate_table(counts: Counter, budget: int) -> list[tuple[bytes, int]]:
@@ -293,21 +295,36 @@ class QueryStats:
     verifications: int = 0
 
 
-def _hamming_within(a: bytes, b: bytes, k: int) -> bool:
-    budget = k
-    for x, y in zip(a, b):
-        if x != y:
-            budget -= 1
-            if budget < 0:
-                return False
-    return True
+class PieceRuns:
+    """The lists of one (m, role) group: `ids` maps each piece to its id,
+    and run `id` is runs[starts[id]:starts[id + 1]].  `starts` is u32, read
+    through a memoryview, whose items are Python ints."""
+
+    __slots__ = ("ids", "starts", "runs")
+
+    def __init__(self, pieces, lengths, runs: bytes):
+        """`pieces` and the byte `lengths` of their runs, in id order; a
+        repeated piece keeps one id and leaves `ids` shorter."""
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=starts[1:])
+        if starts[-1] >> 32:
+            raise ValueError("one group's runs pass 4 GiB")
+        self.ids = dict(zip(pieces, range(len(lengths))))
+        self.starts = memoryview(starts.astype(np.uint32))
+        self.runs = runs
+
+    def items(self):
+        """(piece, run) pairs in id order."""
+        starts, runs = self.starts, self.runs
+        return ((piece, runs[starts[i]:starts[i + 1]]) for piece, i in self.ids.items())
 
 
 class SplitIndex:
     """The piece-keyed k-mismatch index over a dictionary.
 
-    `substitution`, if set, is the table the stored pieces are coded with.
-    `stats` describes the build; an index loaded from a file has none.
+    `table` maps the 2-byte key (m, role) of each group to its `PieceRuns`.
+    `substitution`, if set, is the table the runs are coded with.  `stats`
+    describes the build; an index loaded from a file has none.
     """
 
     def __init__(self, k: int, table: ChainedHashMap,
@@ -317,45 +334,40 @@ class SplitIndex:
         self.table = table
         self.substitution = substitution
         self.stats = stats
-        self._bounds = _piece_bounds(k)
+        self._bounds = piece_bounds(k)
         # 1 at every mismatch count within k, for `bytes.translate`.
         self._within = bytes(count <= k for count in range(256))
 
     @classmethod
     def build(cls, dictionary: Dictionary, k: int,
               substitution: SubstitutionTable | None = None) -> "SplitIndex":
-        """Deterministic build: words are taken shortest first, dictionary
-        order within a length, so every role group lists its entries by
-        missing length (a key's missing length is the word's length minus
-        the key's), and keys enter the table in first-seen order."""
+        """Deterministic build: groups enter the table by (m, role), pieces
+        enter a group in first-seen order, and each run lists its words in
+        dictionary order."""
         if not 1 <= k <= MAX_K:
             raise ValueError(f"k must lie in 1..{MAX_K}")
         stats = BuildStats()
-        # The k+1 role groups of each key, in key-first-seen order.
-        lists: dict[bytes, list[bytearray]] = {}
-        bounds_of = _piece_bounds(k)
+        groups: dict[bytes, dict[bytes, bytearray]] = {}
+        bounds_of = piece_bounds(k)
         for word in sorted(dictionary, key=len):
             if len(word) <= k:
                 stats.words_skipped += 1
                 continue
             stats.words_indexed += 1
-            for role, (split_at, end_at) in enumerate(bounds_of[len(word)]):
+            for split_at, end_at, key in bounds_of[len(word)]:
+                runs = groups.setdefault(key, {})
                 piece = word[split_at:end_at]
                 missing = word[:split_at] + word[end_at:]
-                groups = lists.get(piece)
-                if groups is None:
-                    groups = lists[piece] = [bytearray() for _ in range(k + 1)]
-                group = groups[role]
-                payload = missing if substitution is None else substitution.encode(missing)
-                group.append(len(payload))
-                if substitution is not None:
-                    group.append(len(missing))
-                group += payload
+                run = runs.get(piece)
+                if run is None:
+                    run = runs[piece] = bytearray()
+                run += missing if substitution is None else substitution.encode(missing)
         stats.entries = (k + 1) * stats.words_indexed
 
         table = ChainedHashMap()
-        for key, groups in lists.items():
-            table.put(key, b"\0".join(groups))
+        for key, runs in groups.items():
+            table.put(key, PieceRuns(runs, list(map(len, runs.values())),
+                                     b"".join(runs.values())))
         return cls(k, table, substitution, stats)
 
     # -- queries ------------------------------------------------------------
@@ -365,184 +377,100 @@ class SplitIndex:
         return self._query(pattern, None)
 
     def query_verbose(self, pattern: bytes) -> tuple[set[bytes], QueryStats]:
-        """`query` plus the counts of the list entries the walk inspected."""
+        """`query` plus the counts of the list entries the lookups verified."""
         stats = QueryStats()
         return self._query(pattern, stats), stats
 
     def _query(self, pattern: bytes, stats: QueryStats | None) -> set[bytes]:
-        """For each piece of the pattern that keys a list, verify the
-        entries of the list's group for the piece's role, and add to
-        `stats`, if given, the entries inspected and matched.  The walk
-        reaches the end of the group, so it refuses a group that overruns
-        its separator or whose missing lengths decrease.
-
-        A plain group is walked here, one run of equal counters at a time
-        (module docstring); a coded one by `_walk_entries`."""
+        """For each piece of the pattern that keys a run, verify the whole
+        run with one big-integer check (module docstring), and add to
+        `stats`, if given, the entries the run holds."""
         k = self.k
-        if len(pattern) < k + 1:
+        m = len(pattern)
+        if m < k + 1:
             raise ValueError(f"pattern must have at least {k + 1} symbols")
         results: set[bytes] = set()
-        if len(pattern) > MAX_WORD_LENGTH:
+        if m > MAX_WORD_LENGTH:
             return results
         get = self.table.get
-        coded = self.substitution is not None
-        for role, (split_at, end_at) in enumerate(self._bounds[len(pattern)]):
-            piece = pattern[split_at:end_at]
-            blob = get(piece)
-            if blob is None:
+        sub = self.substitution
+        for split_at, end_at, key in self._bounds[m]:
+            group = get(key)
+            if group is None:
                 continue
-            at = 0
-            for _ in range(role):
-                at = blob.index(0, at) + 1
-            end = blob.find(0, at)
-            if end < 0:
-                end = len(blob)
+            piece = pattern[split_at:end_at]
+            i = group.ids.get(piece)
+            if i is None:
+                continue
+            starts = group.starts
+            run = group.runs[starts[i]:starts[i + 1]]
+            if sub is not None:
+                run = sub.decode(run)
             rest = pattern[:split_at] + pattern[end_at:]
-            if coded:
-                inspected, matches = self._walk_entries(
-                    blob, at, end, rest, piece, split_at, results)
-            else:
-                want = len(rest)
-                inspected = matches = last = 0
-                while at < end:
-                    counter = blob[at]
-                    if counter <= last:
-                        raise MalformedInputError("a role group is not sorted by missing length")
-                    last = counter
-                    step = counter + 1
-                    run_end = at + step
-                    if run_end < end and blob[run_end] == counter:
-                        # The counters of a run sit `step` bytes apart; the
-                        # first byte at that stride that differs is the next
-                        # run's counter.
-                        strided = blob[at:end:step]
-                        size = len(strided) - len(strided.lstrip(strided[:1]))
-                        run_end = at + size * step
-                    else:
-                        size = 1
-                    if run_end > end:
-                        raise MalformedInputError("a list entry overruns its role group")
-                    inspected += size
-                    if counter == want:
-                        matches += size
-                        if size == 1:
-                            missing = blob[at + 1:run_end]
-                            if _hamming_within(missing, rest, k):
-                                results.add(missing[:split_at] + piece + missing[split_at:])
-                        else:
-                            width = run_end - at
-                            x = (int.from_bytes(blob[at:run_end], "little")
-                                 ^ int.from_bytes((bytes((counter,)) + rest) * size, "little"))
-                            x |= x >> 4
-                            x |= x >> 2
-                            x |= x >> 1
-                            x &= int.from_bytes(b"\1" * width, "little")
-                            # Byte e * step + counter of the product counts
-                            # the mismatches of entry e (module docstring).
-                            product = (x * _ONES[step]).to_bytes(width + step, "little")
-                            close = product[counter:width:step].translate(self._within)
-                            e = close.find(1)
-                            while e >= 0:
-                                p = at + e * step + 1
-                                m = p + split_at
-                                results.add(blob[p:m] + piece + blob[m:p + counter])
-                                e = close.find(1, e + 1)
-                    at = run_end
+            width = len(run)
+            w = len(rest)
+            count = width // w
+            x = int.from_bytes(run, "little") ^ int.from_bytes(rest * count, "little")
+            x |= x >> 4
+            x |= x >> 2
+            x |= x >> 1
+            x &= int.from_bytes(b"\1" * width, "little")
+            product = (x * _ONES[w]).to_bytes(width + w, "little")
+            close = product[w - 1:width:w].translate(self._within)
+            e = close.find(1)
+            while e >= 0:
+                at = e * w
+                cut = at + split_at
+                results.add(run[at:cut] + piece + run[cut:at + w])
+                e = close.find(1, e + 1)
             if stats is not None:
-                stats.entries_inspected += inspected
-                stats.length_matches += matches
-                stats.verifications += matches
+                stats.entries_inspected += count
+                stats.length_matches += count
+                stats.verifications += count
         return results
-
-    def _walk_entries(self, blob: bytes, at: int, end: int, rest: bytes, piece: bytes,
-                      split_at: int, results: set) -> tuple[int, int]:
-        """Walk the substitution-coded group `blob[at:end]` one entry at a
-        time, since its payload widths vary, add the words within k
-        mismatches of the pattern to `results`, and return the entries
-        inspected and length-matched."""
-        k = self.k
-        decode = self.substitution.decode
-        want = len(rest)
-        inspected = matches = last = 0
-        try:
-            while at < end:
-                counter = blob[at]
-                decoded_len = blob[at + 1]
-                if decoded_len < last:
-                    raise MalformedInputError("a role group is not sorted by missing length")
-                last = decoded_len
-                payload_at = at + 2
-                at = payload_at + counter
-                inspected += 1
-                if decoded_len != want:
-                    continue
-                matches += 1
-                missing = decode(blob[payload_at:at])
-                if len(missing) != want:
-                    raise MalformedInputError("a payload does not decode to its stored length")
-                if _hamming_within(missing, rest, k):
-                    results.add(missing[:split_at] + piece + missing[split_at:])
-        except IndexError:  # a decoded length past the end of the list
-            at = end + 1
-        if at != end:
-            raise MalformedInputError("a list entry overruns its role group")
-        return inspected, matches
 
     # -- reconstruction and accounting ---------------------------------------
 
     def reconstruct_words(self) -> list[bytes]:
-        """Recombine every (key, missing piece) pair back into its word.
+        """Recombine every (key, missing part) pair back into its word.
 
         The multiset holds each indexed word exactly k+1 times, once per
-        piece that serves as a key.  Lists that break what the walk relies
-        on are refused with `MalformedInputError`: an entry that overruns
-        its group, decreasing decoded lengths within a group, a payload
-        that does not decode to its stored length, a key that is not piece
-        `role` of its word (no word longer than `MAX_WORD_LENGTH` has
-        pieces), and role groups that do not hold the same words.
+        piece that serves as a key.  Role groups that do not hold the same
+        words are refused with `MalformedInputError`.
         """
         sub = self.substitution
-        header = 1 if sub is None else 2
-        bounds_of = self._bounds
         by_role: list[list[bytes]] = [[] for _ in range(self.k + 1)]
-        for key, blob in self.table.items():
-            for role, group in enumerate(blob.split(b"\0")):
-                words = by_role[role]
-                at = last = 0
-                while at < len(group):
-                    payload_at = at + header
-                    at = payload_at + group[at]
-                    if at > len(group):
-                        raise MalformedInputError("a list entry overruns its role group")
-                    decoded_len = group[payload_at - 1]
-                    missing = group[payload_at:at]
-                    if sub is not None:
-                        missing = sub.decode(missing)
-                        if len(missing) != decoded_len:
-                            raise MalformedInputError(
-                                "a payload does not decode to its stored length")
-                    if decoded_len < last:
-                        raise MalformedInputError(
-                            "a role group is not sorted by missing length")
-                    last = decoded_len
-                    length = len(key) + decoded_len
-                    bounds = bounds_of[length] if length <= MAX_WORD_LENGTH else None
-                    if bounds is None or bounds[role][1] - bounds[role][0] != len(key):
-                        raise MalformedInputError(f"a key is not piece {role} of its word")
-                    split_at = bounds[role][0]
-                    words.append(missing[:split_at] + key + missing[split_at:])
+        for (m, role), group in self.table.items():
+            split_at, end_at, _ = self._bounds[m][role]
+            w = m - (end_at - split_at)
+            words = by_role[role]
+            for piece, run in group.items():
+                if sub is not None:
+                    run = sub.decode(run)
+                for at in range(0, len(run), w):
+                    cut = at + split_at
+                    words.append(run[at:cut] + piece + run[cut:at + w])
         first = Counter(by_role[0])
         if any(Counter(words) != first for words in by_role[1:]):
             raise MalformedInputError("the role groups do not hold the same words")
         return [word for words in by_role for word in words]
 
+    def piece_layout(self) -> dict:
+        """The piece-key count, and the buckets and load factor a chained
+        map of that many keys would have (`ChainedHashMap`'s doubling rule)."""
+        keys = sum(len(group.ids) for _, group in self.table.items())
+        buckets = ChainedHashMap.buckets_for(keys)
+        return {"entries": keys, "buckets": buckets, "load_factor": keys / buckets}
+
     def size_in_bytes(self) -> int:
-        """Bucket slots (4 bytes each) plus per key: one length byte, the key
-        bytes, a 4-byte list pointer and the packed list itself."""
-        total = 4 * self.table.bucket_count
-        for key, blob in self.table.items():
-            total += 1 + len(key) + 4 + len(blob)
+        """The bucket slots (4 bytes each) of a chained map over the piece
+        keys, 6 bytes per (m, role) group (the group key and its key count),
+        and per piece key: the key bytes, a 4-byte run length and the run."""
+        total = 4 * self.piece_layout()["buckets"]
+        for _, group in self.table.items():
+            total += 6 + 4 * len(group.ids) + len(group.runs)
+            total += sum(map(len, group.ids))
         return total
 
     def list_bytes(self) -> int:
-        return sum(len(blob) for _, blob in self.table.items())
+        return sum(len(group.runs) for _, group in self.table.items())

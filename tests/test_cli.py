@@ -277,6 +277,35 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: --random must be at least 1\n"
 
+    @pytest.mark.parametrize("kind", ["split", "fm-super", "fm-linear"])
+    def test_empty_queries_file_is_a_failure(self, tmp_path, dict_file, corpus_file,
+                                             capsys, kind):
+        # a verify that checked no query fails, with one line that says so
+        out = tmp_path / "index.idx"
+        source = dict_file if kind == "split" else corpus_file
+        assert main(["build", "--type", kind, "--input", str(source), "--out", str(out)]) == 0
+        queries = tmp_path / "queries.txt"
+        queries.write_bytes(b"\n\n")
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--queries", str(queries)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no query to check\n"
+
+    def test_split_patterns_below_k_plus_one_are_a_failure(self, tmp_path, dict_file,
+                                                           capsys):
+        # a split index takes patterns of k + 1 symbols and more
+        out = tmp_path / "index.idx"
+        assert main(["build", "--type", "split", "--k", "2", "--input", str(dict_file),
+                     "--out", str(out)]) == 0
+        queries = tmp_path / "queries.txt"
+        queries.write_bytes(b"ab\nx\nxy->xyz\n")
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--queries", str(queries)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no query with at least 3 symbols to check\n"
+
     def test_corrupted_file_rejected(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"
         main(["build", "--type", "split", "--input", str(dict_file), "--out", str(out)])

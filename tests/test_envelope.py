@@ -14,7 +14,7 @@ from textindex.errors import MalformedInputError
 from textindex.fmgram import LinearIndex, SuperlinearIndex
 from textindex.harness import (NaiveHammingSearcher, dna_like_text,
                                english_like_text, naive_count, random_word_dictionary)
-from textindex.splitindex import Dictionary, SplitIndex, select_qgrams, split_word
+from textindex.splitindex import Dictionary, PieceRuns, SplitIndex, select_qgrams
 from textindex.textcore import Corpus
 
 
@@ -89,7 +89,8 @@ class TestRoundTrip:
         path = tmp_path / "index.bin"
         save_index(index, path)
         clone = load_index(path)
-        assert list(clone.table.items()) == list(index.table.items())
+        assert [(key, list(group.items())) for key, group in clone.table.items()] == [
+            (key, list(group.items())) for key, group in index.table.items()]
 
     def test_serialization_is_deterministic(self, split_pair):
         _, index = split_pair
@@ -379,8 +380,8 @@ class TestSuffixArrayCheck:
 
 
 class TestSplitStructure:
-    def _refused(self, data: bytes):
-        with pytest.raises(MalformedInputError):
+    def _refused(self, data: bytes, match: str):
+        with pytest.raises(MalformedInputError, match=match):
             deserialize_index(data)
 
     @pytest.mark.parametrize("compress", [False, True])
@@ -388,67 +389,71 @@ class TestSplitStructure:
         d = random_word_dictionary(20, seed=26)
         substitution = select_qgrams(d, budget=10) if compress else None
         data = serialize_index(SplitIndex.build(d, 2, substitution))
-        keys = [key for key, _ in deserialize_index(data).table.items()]
-        lists = [blob for _, blob in deserialize_index(data).table.items()]
-        # the key count, then the columns of key lengths, keys, list lengths
-        # and lists end the file
-        columns_from = len(data) - (len(keys) + sum(map(len, keys))
-                                    + 4 * len(lists) + sum(map(len, lists)))
-        assert data[columns_from - 4:columns_from] == struct.pack("<I", len(keys))
-        # a cut inside any key length, key, list length or list
+        groups = list(deserialize_index(data).table.items())
+        # the group count, then each group's key, key count, keys, run
+        # lengths and runs end the file
+        columns_from = len(data) - sum(
+            2 + 4 + len(b"".join(group.ids)) + 4 * len(group.ids) + len(group.runs)
+            for _, group in groups)
+        assert data[columns_from - 4:columns_from] == struct.pack("<I", len(groups))
+        # a cut inside any group
         for end in range(columns_from, len(data)):
-            with pytest.raises(MalformedInputError, match="truncated"):
-                deserialize_index(_resign(bytearray(data[:end])))
+            self._refused(_resign(bytearray(data[:end])), "truncated")
 
     def test_k_zero(self):
         data = bytearray(serialize_index(SplitIndex.build(Dictionary([]), 1)))
         data[9] = 0
-        self._refused(_resign(data))
+        self._refused(_resign(data), "k must be at least 1")
 
-    def test_empty_key(self):
-        index = SplitIndex.build(Dictionary([b"ab"]), 1)
-        index.table.put(b"", b"\x01x\x00")
-        self._refused(serialize_index(index))
+    # Over "ab" and "cd" at k = 1: the envelope, k, no substitution table,
+    # two groups, then group (2, 0): its key, two keys "ac", run lengths 1
+    # and 1, runs "bd"; group (2, 1) follows.
+    _TWO_WORDS = 9 + 1 + 1 + 4
+
+    def _two_words(self) -> bytearray:
+        data = bytearray(serialize_index(SplitIndex.build(Dictionary([b"ab", b"cd"]), 1)))
+        at = self._TWO_WORDS
+        assert data[at - 4:at + 20] == (b"\x02\x00\x00\x00" + b"\x02\x00\x02\x00\x00\x00ac"
+                                        + b"\x01\x00\x00\x00" * 2 + b"bd\x02\x01")
+        return data
 
     def test_repeated_key(self):
-        index = SplitIndex.build(Dictionary([b"ab", b"cd"]), 1)
-        data = bytearray(serialize_index(index))
-        # envelope, k, no substitution table, key count, four 1-byte key
-        # lengths, then the keys "abcd": make key "c" another "a"
-        keys_at = 9 + 1 + 1 + 4 + 4
-        assert data[keys_at - 4:keys_at + 4] == b"\x01\x01\x01\x01abcd"
-        data[keys_at + 2] = ord("a")
-        self._refused(_resign(data))
+        # make key "c" another "a"
+        data = self._two_words()
+        data[self._TWO_WORDS + 7] = ord("a")
+        self._refused(_resign(data), "repeated piece")
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_separator_count(self, k):
-        index = SplitIndex.build(Dictionary([b"abcd", b"bcde"]), k)
-        key, blob = next(iter(index.table.items()))
-        index.table.put(key, blob + b"\x00")
-        self._refused(serialize_index(index))
+    def test_repeated_group(self):
+        # make group (2, 1) another (2, 0)
+        data = self._two_words()
+        data[self._TWO_WORDS + 19] = 0
+        self._refused(_resign(data), "repeated group")
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_missing_separator(self, k):
-        index = SplitIndex.build(Dictionary([b"abcd", b"bcde"]), k)
-        key, blob = next(iter(index.table.items()))
-        index.table.put(key, blob.replace(b"\x00", b"", 1))
-        self._refused(serialize_index(index))
+    def test_zero_byte_in_a_key(self):
+        # fixed-width keys are read as numpy strings, which drop trailing
+        # zero bytes; no word byte is 0
+        data = self._two_words()
+        data[self._TWO_WORDS + 7] = 0
+        self._refused(_resign(data), "zero byte")
+
+    @pytest.mark.parametrize("run", [b"", b"x", b"xyz"], ids=["empty", "short", "long"])
+    def test_run_not_whole_entries_refused(self, run):
+        # a run of "abcd"'s leading piece "ab" holds entries of width 2
+        index = SplitIndex.build(Dictionary([b"abcd"]), 1)
+        index.table.put(b"\x04\x00", PieceRuns([b"ab"], [len(run)], run))
+        self._refused(serialize_index(index), "positive multiple")
 
     @pytest.mark.parametrize("coded", [False, True])
     def test_entry_overruns_its_group(self, coded):
-        # a counter with nothing after it at the very end of a list: the
-        # file loads, and the walk and the reconstruction refuse it
+        # a byte more at the end of one run: the last entry overruns it
         d = random_word_dictionary(50, seed=26)
         substitution = select_qgrams(d, budget=8, lengths=(2,)) if coded else None
         index = SplitIndex.build(d, 1, substitution)
-        word = d.words[0]
-        key = split_word(word, 1)[1]
-        index.table.put(key, index.table.get(key) + b"\x01")
-        clone = deserialize_index(serialize_index(index))
-        with pytest.raises(MalformedInputError):
-            clone.query(word)
-        with pytest.raises(MalformedInputError):
-            clone.reconstruct_words()
+        key, group = next(iter(index.table.items()))
+        runs = [run for _, run in group.items()]
+        runs[-1] += b"a"
+        index.table.put(key, PieceRuns(group.ids, list(map(len, runs)), b"".join(runs)))
+        self._refused(serialize_index(index), "positive multiple")
 
 
 @cache
@@ -519,38 +524,39 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 10).  It is the format 8
-    # and 9 file with only the version byte changed: formats 9 and 10
-    # changed only the superlinear payload, and the CRC covers the payload
-    # alone.  Its 31 multi-symbol grams, first rows and row lists equal
+    # Golden digest of a linear index file (format 11).  It is the format 8
+    # to 10 file with only the version byte changed: formats 9 to 11
+    # changed only the superlinear and split payloads, and the CRC covers
+    # the payload alone.  Its 31 multi-symbol grams, first rows and row lists equal
     # those of the format 3 file, which also listed the 4 single-symbol
     # phrases.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
     assert hashlib.sha256(data).hexdigest() == (
-        "478c265430278190a1d8b42c757bb69cd57aafc28464530ca800cd222a5951c3")
+        "c21b3bab401e0ad5793164a0e9f418ce9a25a091c23807a6a5e75a3973af4525")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 10): the corpus blob
-    # and u32 q_max (128) of the format 9 file, without the suffix array
-    # that followed them.  The directory its load derives equals the one
+    # Golden digest of a superlinear index file (format 11, the format 10
+    # file with only the version byte changed): the corpus blob and u32
+    # q_max (128) of the format 9 file, without the suffix array that
+    # followed them.  The directory its load derives equals the one
     # the format 8 file stored.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "7c58f6f6b6cc014f270b6fe4b6d25469543d9284a7eee3a4928f47995517bbdd")
+        "52dd573f0cb8e17f98cca537c7e1b2e1ebb75c45e12ad696eed18c675045c49d")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 10): k = 2 over 2,000
-    # generated words, plain and coded with a 100-code substitution table.
-    # They are the format 9 files with only the version byte changed.
+    # Golden digests of split index files (format 11): k = 2 over 2,000
+    # generated words, plain and coded with a 100-code substitution table,
+    # one group per (m, role) with one fixed-width run per key.
     d = random_word_dictionary(2000, seed=7)
     plain = serialize_index(SplitIndex.build(d, 2))
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
     assert hashlib.sha256(plain).hexdigest() == (
-        "c7cdc1b48462f072a1a9747201ae6a3a61312d2051289c16652034c1d6106220")
+        "856bd2094c3a376838e82e0392f90f061a399544570fd3177efa808fae77d78c")
     assert hashlib.sha256(coded).hexdigest() == (
-        "6cb914cacc297fc30155cbf05d9ba265fbea73fed0cccea826f94a6c6d38e3c3")
+        "72c2a0fea9a664fe766787ee50bc43461f6c76a098fedec39132c0b61b1b64ce")

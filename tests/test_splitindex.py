@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from textindex.errors import MalformedInputError
 from textindex.harness import NaiveHammingSearcher, random_word_dictionary
 from textindex.envelope import deserialize_index, serialize_index
-from textindex.splitindex import (Dictionary, SplitIndex, SubstitutionTable,
+from textindex.splitindex import (Dictionary, PieceRuns, SplitIndex, SubstitutionTable,
                                   _candidate_table, decode_word, encode_word,
                                   piece_sizes, select_qgrams, split_word)
 
@@ -21,17 +21,29 @@ def naive_search(words, pattern, k):
     return out
 
 
-def group_entries(group, table=None):
-    """The missing pieces of a role group, decoded, in list order."""
-    header = 1 if table is None else 2
-    out = []
-    at = 0
-    while at < len(group):
-        payload_at = at + header
-        at = payload_at + group[at]
-        payload = group[payload_at:at]
-        out.append(payload if table is None else table.decode(payload))
+def layout(idx):
+    """Each group key of `idx` with its (piece, run) pairs, in table order."""
+    return [(key, list(group.items())) for key, group in idx.table.items()]
+
+
+def lists(idx):
+    """The missing parts of every run of `idx`, decoded, in run order,
+    keyed by (m, role, piece)."""
+    out = {}
+    for (m, role), group in idx.table.items():
+        for piece, run in group.items():
+            if idx.substitution is not None:
+                run = idx.substitution.decode(run)
+            w = m - len(piece)
+            out[m, role, piece] = [run[at:at + w] for at in range(0, len(run), w)]
     return out
+
+
+def with_run(idx, key, piece, run):
+    """Give `piece` the run `run` in group `key` of `idx`, in place."""
+    runs = dict(idx.table.get(key).items())
+    runs[piece] = run
+    idx.table.put(key, PieceRuns(runs, list(map(len, runs.values())), b"".join(runs.values())))
 
 
 class TestDictionary:
@@ -81,17 +93,27 @@ class TestSplitWord:
 
 class TestBuild:
     def test_worked_example_lists(self):
-        d = Dictionary([b"table", b"left", b"tablet"])
+        d = Dictionary([b"table", b"cable", b"left", b"tablet"])
         idx = SplitIndex.build(d, 1)
-        # key "le": the leading-piece group holds "ft" (from left), the
-        # trailing-piece group holds "tab" (from table), one 0 between them.
-        assert idx.table.get(b"le") == b"\x02ft\x00\x03tab"
-        # key "tab": only leading-piece entries, then an empty trailing group
-        assert idx.table.get(b"tab") == b"\x02le\x03let\x00"
+        # One group per (m, role), shortest words first.  A run is the
+        # missing parts of its piece's words, of width m - len(piece), in
+        # dictionary order: "le" is piece 1 of table (tab|le) and cable
+        # (cab|le), and piece 0 of left (le|ft), in another group.
+        assert layout(idx) == [
+            (b"\x04\x00", [(b"le", b"ft")]),
+            (b"\x04\x01", [(b"ft", b"le")]),
+            (b"\x05\x00", [(b"tab", b"le"), (b"cab", b"le")]),
+            (b"\x05\x01", [(b"le", b"tabcab")]),
+            (b"\x06\x00", [(b"tab", b"let")]),
+            (b"\x06\x01", [(b"let", b"tab")]),
+        ]
         # k = 2: "e" is piece 1 of left (l|e|ft) and piece 2 of table
-        # (ta|bl|e); its group 0 is empty.
+        # (ta|bl|e) and cable (ca|bl|e).
         idx = SplitIndex.build(d, 2)
-        assert idx.table.get(b"e") == b"\x00\x03lft\x00\x04tabl"
+        assert dict(idx.table.get(b"\x04\x01").items())[b"e"] == b"lft"
+        assert dict(idx.table.get(b"\x05\x02").items())[b"e"] == b"tablcabl"
+        # ten piece keys: l, e, ft; ta, ca, bl, e; ta, bl, et
+        assert idx.piece_layout() == {"entries": 10, "buckets": 8, "load_factor": 1.25}
 
     def test_role_group_beyond_16_bits(self):
         # 65,537 words share the leading piece "abcd"; one more has it as
@@ -153,12 +175,13 @@ class TestBuild:
         d = Dictionary([b"table", b"left", b"tablet", b"stable"])
         a = SplitIndex.build(d, 1)
         b = SplitIndex.build(d, 1)
-        assert list(a.table.items()) == list(b.table.items())
+        assert layout(a) == layout(b)
 
     @pytest.mark.parametrize("coded", [False, True])
     def test_groups_sorted_by_missing_length(self, coded):
-        # every role group lists its entries by decoded missing length, and
-        # in dictionary order within a length
+        # every run holds entries of one missing length, m - len(piece),
+        # with piece `role` of m-symbol words as its key, and lists its
+        # words in dictionary order
         rng = random.Random(4)
         words = sorted({bytes(rng.choice(b"abcd") for _ in range(rng.randint(2, 12)))
                         for _ in range(800)})
@@ -168,14 +191,14 @@ class TestBuild:
         table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
         for k in (1, 2, 3):
             idx = SplitIndex.build(d, k, table)
-            for key, blob in idx.table.items():
-                for role, group in enumerate(blob.split(b"\0")):
-                    order = []
-                    for missing in group_entries(group, table):
-                        split_at = sum(piece_sizes(len(key) + len(missing), k)[:role])
-                        word = missing[:split_at] + key + missing[split_at:]
-                        order.append((len(missing), position[word]))
-                    assert order == sorted(order)
+            for (m, role, piece), entries in lists(idx).items():
+                sizes = piece_sizes(m, k)
+                assert len(piece) == sizes[role]
+                assert {len(missing) for missing in entries} == {m - len(piece)}
+                split_at = sum(sizes[:role])
+                order = [position[missing[:split_at] + piece + missing[split_at:]]
+                         for missing in entries]
+                assert order == sorted(order)
 
 
 class TestQuery:
@@ -219,9 +242,9 @@ class TestQuery:
     # reported them.
     @pytest.mark.parametrize("size", [63, 64, 65], ids=["-1", "0", "1"])
     def test_exactness_around_vector_run(self, size, k, coded):
-        # One role-0 group holds a run of `size` entries of one missing
-        # length between shorter runs of other lengths, so a plain walk
-        # verifies it with one big-integer check over the whole run.
+        # The leading piece `head` keys a run of `size` entries of one word
+        # length, and runs of 3 at other lengths; a query verifies the run
+        # of its length with one big-integer check over the whole run.
         rng = random.Random(200 + 10 * k + size - 64)
         length = 10
         head = b"a" * piece_sizes(length, k)[0]
@@ -238,9 +261,10 @@ class TestQuery:
         d = Dictionary(sorted(words))
         table = select_qgrams(d, budget=20, lengths=(2,)) if coded else None
         idx = SplitIndex.build(d, k, table)
-        run = Counter(len(m) for m in group_entries(idx.table.get(head).split(b"\0")[0], table))
-        assert run[length - len(head)] == size
-        assert len(run) > 1
+        runs = {m: len(entries) for (m, role, piece), entries in lists(idx).items()
+                if role == 0 and piece == head}
+        assert runs[length] == size
+        assert len(runs) > 1
         oracle = NaiveHammingSearcher(d)
         for w in d.words:
             # keep the head of a run word in half of its queries, so the
@@ -260,7 +284,7 @@ class TestQuery:
         # only 1..127.  Bytes 0, 128, 200 and 255 in a pattern differ from
         # every stored byte; the run check must count each as one mismatch
         # whatever the bytes around it, over runs of 1, 2, 63, 64, 65 and
-        # 240 entries, each in the role-0 group of its own key.
+        # 240 entries, each keyed by its own leading piece.
         rng = random.Random(300 + k)
         length = 12
         h = piece_sizes(length, k)[0]
@@ -268,7 +292,7 @@ class TestQuery:
         runs = (1, 2, 63, 64, 65, 240)
         words = set()
         for i, size in enumerate(runs):
-            # Role 0 of key `head`: a run of 3 shorter words, then the run.
+            # Leading piece `head`: a run of 3 shorter words, and the run.
             head = bytes([ord("d") + i]) * h
             for n, count in ((length - 1, 3), (length, size)):
                 same_head = set()
@@ -280,10 +304,10 @@ class TestQuery:
         idx = SplitIndex.build(d, k, table)
         if loaded:
             idx = deserialize_index(serialize_index(idx))
+        entries = lists(idx)
         for i, size in enumerate(runs):
-            group = idx.table.get(bytes([ord("d") + i]) * h).split(b"\0")[0]
-            assert Counter(len(m) for m in group_entries(group, table)) == {
-                length - 1 - h: 3, length - h: size}
+            head = bytes([ord("d") + i]) * h
+            assert (len(entries[length - 1, 0, head]), len(entries[length, 0, head])) == (3, size)
         oracle = NaiveHammingSearcher(d)
         odd = b"\x00\x80\xc8\xff"
         for w in d.words:
@@ -316,28 +340,18 @@ class TestQuery:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_traversal_economy(self, k):
-        # a lookup inspects exactly the role group of its piece
+        # a lookup inspects exactly the run of its piece, role and length
         rng = random.Random(7)
         words = {bytes(rng.choice(b"abc") for _ in range(rng.randint(k + 1, 9)))
                  for _ in range(300)}
         idx = SplitIndex.build(Dictionary(sorted(words)), k)
-        group_sizes = {}
-        for key, blob in idx.table.items():
-            sizes = []
-            for group in blob.split(b"\0"):
-                entries = at = 0
-                while at < len(group):
-                    entries += 1
-                    at += 1 + group[at]
-                sizes.append(entries)
-            group_sizes[key] = sizes
+        run_sizes = {key: len(entries) for key, entries in lists(idx).items()}
         for _ in range(200):
             q = bytes(rng.choice(b"abc") for _ in range(rng.randint(k + 1, 9)))
             _, stats = idx.query_verbose(q)
-            expected = sum(group_sizes[piece][role]
-                           for role, piece in enumerate(split_word(q, k))
-                           if piece in group_sizes)
-            assert stats.entries_inspected == expected
+            expected = sum(run_sizes.get((len(q), role, piece), 0)
+                           for role, piece in enumerate(split_word(q, k)))
+            assert stats.entries_inspected == stats.length_matches == expected
 
     def test_counters_are_opt_in(self, monkeypatch):
         # a plain query allocates no counters; query_verbose returns the
@@ -359,56 +373,63 @@ class TestQuery:
 
 
 class TestListChecks:
-    """Lists that load but break what the walk and the reconstruction rely
-    on are refused when they are read."""
+    """Runs that break what the query and the reconstruction rely on are
+    refused: at load, a run that is not whole entries of its width or a
+    group that no word has; when read, role groups with different words."""
+
+    @staticmethod
+    def _refused_at_load(idx, match):
+        with pytest.raises(MalformedInputError, match=match):
+            deserialize_index(serialize_index(idx))
 
     @pytest.mark.parametrize("coded", [False, True])
     def test_descending_group_refused(self, coded):
+        # "ab" is the trailing piece of xyz|ab and xy|ab, in the groups of
+        # m = 5 and m = 4; entries of both widths in one run are refused
         table = SubstitutionTable([(b"xy", 128)]) if coded else None
         idx = SplitIndex.build(Dictionary([b"xyzab", b"xyab"]), 1, table)
-        # key "ab" is the trailing piece of both words: "xy" comes first
-        ascending, descending = (
-            (b"\x00\x01\x02\x80\x02\x03\x80z", b"\x00\x02\x03\x80z\x01\x02\x80") if coded
-            else (b"\x00\x02xy\x03xyz", b"\x00\x03xyz\x02xy"))
-        assert idx.table.get(b"ab") == ascending
-        idx.table.put(b"ab", descending)
-        for pattern in (b"xyab", b"xyzab"):
-            with pytest.raises(MalformedInputError, match="sorted"):
-                idx.query(pattern)
-        with pytest.raises(MalformedInputError, match="sorted"):
-            idx.reconstruct_words()
+        short, long = (b"\x80", b"\x80z") if coded else (b"xy", b"xyz")
+        assert [dict(idx.table.get(key).items()) for key in (b"\x04\x01", b"\x05\x01")] == [
+            {b"ab": short}, {b"ab": long}]
+        with_run(idx, b"\x04\x01", b"ab", long + short)
+        self._refused_at_load(idx, "multiple")
 
     def test_descending_after_a_run_refused(self):
-        # runs of missing length 2, 3, then 2 again
+        # a run of width-2 entries, then one of width 3 and one of width 2
         idx = SplitIndex.build(Dictionary([b"aaab", b"bbab", b"cccab"]), 1)
-        assert idx.table.get(b"ab") == b"\x00\x02aa\x02bb\x03ccc"
-        idx.table.put(b"ab", b"\x00\x02aa\x02bb\x03ccc\x02dd")
-        with pytest.raises(MalformedInputError, match="sorted"):
-            idx.query(b"aaab")
+        assert dict(idx.table.get(b"\x04\x01").items()) == {b"ab": b"aabb"}
+        with_run(idx, b"\x04\x01", b"ab", b"aabbcccdd")
+        self._refused_at_load(idx, "multiple")
 
     def test_key_that_is_not_its_piece_refused(self):
-        idx = SplitIndex.build(Dictionary([b"abcd"]), 1)
-        # "a" + "cd" is a 3-symbol word, whose leading piece has 2 symbols
-        idx.table.put(b"a", idx.table.get(b"ab"))
-        with pytest.raises(MalformedInputError, match="not piece 0"):
-            idx.reconstruct_words()
+        # a group key (m, role) names piece `role` of an m-symbol word: a
+        # role above k or an m of at most k symbols has no such piece
+        for key in (b"\x04\x02", b"\x01\x00"):
+            idx = SplitIndex.build(Dictionary([b"abcd"]), 1)
+            idx.table.put(key, idx.table.get(b"\x04\x00"))
+            self._refused_at_load(idx, "does not fit k=1")
 
     def test_role_groups_with_different_words_refused(self):
         idx = SplitIndex.build(Dictionary([b"abcd", b"efgh"]), 1)
-        assert idx.table.get(b"ab") == b"\x02cd\x00"
-        idx.table.put(b"ab", b"\x02cx\x00")
+        assert layout(idx)[0] == (b"\x04\x00", [(b"ab", b"cd"), (b"ef", b"gh")])
+        with_run(idx, b"\x04\x00", b"ab", b"cx")
+        idx = deserialize_index(serialize_index(idx))
         with pytest.raises(MalformedInputError, match="same words"):
             idx.reconstruct_words()
 
     def test_payload_longer_than_its_decoded_length_refused(self):
+        # a coded run must decode to whole entries of its width
         table = SubstitutionTable([(b"cd", 128)])
         idx = SplitIndex.build(Dictionary([b"abcd"]), 1, table)
-        assert idx.table.get(b"ab") == b"\x01\x02\x80\x00"
-        idx.table.put(b"ab", b"\x02\x02\x80x\x00")
-        with pytest.raises(MalformedInputError, match="decode"):
-            idx.query(b"abcd")
-        with pytest.raises(MalformedInputError, match="decode"):
-            idx.reconstruct_words()
+        assert dict(idx.table.get(b"\x04\x00").items()) == {b"ab": b"\x80"}
+        with_run(idx, b"\x04\x00", b"ab", b"\x80x")
+        self._refused_at_load(idx, "multiple")
+
+    def test_unknown_code_in_a_run_refused(self):
+        table = SubstitutionTable([(b"cd", 128)])
+        idx = SplitIndex.build(Dictionary([b"abcd"]), 1, table)
+        with_run(idx, b"\x04\x00", b"ab", b"\x81")
+        self._refused_at_load(idx, "unknown substitution code")
 
 
 class TestSubstitutionCoding:
