@@ -43,7 +43,8 @@ import numpy as np
 
 from . import suffixbwt
 from .hashmap import ChainedHashMap
-from .textcore import Corpus, minimizers, minimizers_from_right, packed_words, phrases
+from .textcore import (Corpus, byte_windows, minimizers, minimizers_from_right, packed_words,
+                       phrases)
 from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
@@ -57,7 +58,8 @@ def list_rank(rows, lo: int, hi: int, row: int) -> int:
 class GramDirectory(ChainedHashMap):
     """Map from gram content to its int id g, over u32 columns.
 
-    Gram g is buffer[offsets[g]:offsets[g] + lengths[g]], firsts[g] is the
+    Gram g is buffer[offsets[g]:offsets[g] + lengths[g]], and the map is
+    built from the columns in bulk (`entry_for`).  firsts[g] is the
     first row of the suffix range starting with it, and its rows, in
     sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
     `firsts`, `starts` and `rows` are memoryviews, whose items read as
@@ -81,11 +83,17 @@ class GramDirectory(ChainedHashMap):
     def entry_for(self) -> dict[bytes, int]:
         """Every gram of the directory keyed to its id, in one bulk call
         (traced runs wrap this name, so each call is one directory, not one
-        gram).  A repeated gram keeps one id and leaves the map shorter."""
-        offsets = self.offsets.tolist()
-        ends = np.add(self.offsets, self.lengths, dtype=np.int64).tolist()
-        keys = map(self.buffer.__getitem__, map(slice, offsets, ends))
-        return dict(zip(keys, range(len(offsets))))
+        gram).  For each gram length q, the buffer's q-byte windows
+        (`byte_windows`, a view) taken at that length's offsets make their
+        keys at C level, and an object array puts the keys back in id order,
+        so the map iterates in id order.  Keys may hold any byte, 0
+        included.  A repeated gram keeps its later id and leaves the map
+        shorter."""
+        keys = np.empty(len(self.offsets), dtype=object)
+        for q in np.unique(self.lengths).tolist():
+            ids = np.flatnonzero(self.lengths == q)
+            keys[ids] = byte_windows(self.buffer, q)[self.offsets[ids]]
+        return dict(zip(keys.tolist(), range(len(keys))))
 
     def get(self, content: bytes) -> int | None:
         # Defined here rather than inherited, so that traced benchmark runs

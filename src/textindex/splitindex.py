@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
+from .textcore import byte_windows
 
 MAX_WORD_LENGTH = 255
 # An index file stores k in one byte.
@@ -226,7 +227,7 @@ class SubstitutionTable:
         return _decode(coded, self._grams, self._split)
 
 
-def _candidate_table(counts: Counter, budget: int) -> list[tuple[bytes, int]]:
+def _candidate_table(counts: dict[bytes, int], budget: int) -> list[tuple[bytes, int]]:
     """Top grams by estimated saving, ties broken by the gram itself.
     Grams are distinct, so the order is total and equals a full sort's."""
     chosen = heapq.nsmallest(
@@ -249,20 +250,24 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
     lengths = tuple(sorted(set(lengths)))
     if not lengths or any(ln not in (2, 3, 4) for ln in lengths):
         raise ValueError("gram lengths must be drawn from {2, 3, 4}")
-    for word in dictionary:
-        if any(b >= CODE_FLOOR for b in word):
-            raise ValueError("alphabet already uses the reserved code bytes")
+    words = list(dictionary)
+    joined = b"\0".join(words)
+    if (np.frombuffer(joined, dtype=np.uint8) >= CODE_FLOOR).any():
+        raise ValueError("alphabet already uses the reserved code bytes")
 
-    per_length: dict[int, Counter] = {ln: Counter() for ln in lengths}
-    for word in dictionary:
-        for ln in lengths:
-            counter = per_length[ln]
-            for i in range(len(word) - ln + 1):
-                counter[word[i:i + ln]] += 1
+    # ends[i]: the end of the word that holds byte i of `joined`, so the
+    # window of ln bytes at i stays inside its word when i + ln <= ends[i].
+    sizes = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    ends = np.repeat(np.cumsum(sizes + 1) - 1, sizes + 1)
+    per_length: dict[int, dict[bytes, int]] = {}
+    for ln in lengths:
+        windows = byte_windows(joined, ln)
+        inside = np.arange(len(windows)) + ln <= ends[:len(windows)]
+        grams, counts = np.unique(windows[inside], return_counts=True)
+        per_length[ln] = dict(zip(grams.tolist(), counts.tolist()))
 
-    mixed = Counter()
-    for counter in per_length.values():
-        mixed.update(counter)
+    # Grams of different lengths differ, so the pools do not overlap.
+    mixed = {gram: count for counter in per_length.values() for gram, count in counter.items()}
     candidates = [_candidate_table(mixed, budget)]
     candidates.extend(_candidate_table(per_length[ln], budget) for ln in lengths)
 

@@ -90,6 +90,16 @@ def packed_words(data: bytes) -> np.ndarray:
                       strides=(1,)).astype(np.uint64)
 
 
+def byte_windows(data, q: int) -> np.ndarray:
+    """For each position i with q bytes from i on, data[i:i+q] as one q-byte
+    numpy void item, in a view with a stride of one byte: no copy.  `tolist`
+    makes each item a bytes object with every byte kept, where numpy's
+    `S{q}` strings would drop trailing 0 bytes."""
+    data = np.frombuffer(data, dtype=np.uint8)
+    return np.ndarray((max(len(data) - q + 1, 0),), dtype=f"V{q}", buffer=data,
+                      strides=(1,))
+
+
 def _runs(values: np.ndarray, width: int) -> np.ndarray:
     """Read-only view with one row per run of `width` consecutive values.
 

@@ -451,6 +451,83 @@ class TestDirectoryIds:
             assert idx.count(pattern) == naive_count(raw, pattern)
 
 
+def reference_keys(directory):
+    """The key map built slice by slice: a repeated gram keeps its later id
+    and its first place."""
+    buffer = directory.buffer
+    return {buffer[o:o + ln]: g for g, (o, ln) in
+            enumerate(zip(directory.offsets.tolist(), directory.lengths.tolist()))}
+
+
+def columns_directory(buffer, offsets, lengths):
+    """A directory over the given key columns, with one row per gram."""
+    grams = len(offsets)
+    return GramDirectory(buffer, offsets, lengths, [0] * grams, range(grams + 1), [0] * grams)
+
+
+class TestKeyMap:
+    """`entry_for` builds the same map as slicing each key out of the buffer,
+    in id order, for directories of any shape."""
+
+    @staticmethod
+    def check(directory):
+        reference = reference_keys(directory)
+        assert list(directory.items()) == list(reference.items())
+        assert len(directory) == len(reference)
+        for key, g in reference.items():
+            assert type(key) is bytes
+            got = directory.get(key)
+            assert type(got) is int and got == g
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unsorted_mixed_lengths_and_high_bytes(self, seed):
+        rng = random.Random(seed)
+        buffer = bytes(rng.randint(1, 255) for _ in range(600)) + b"\x80\xff\x01\0"
+        lengths = [rng.randint(1, 200) for _ in range(300)]
+        # the last gram ends at the last symbol before the terminator
+        lengths.append(3)
+        offsets = [rng.randrange(len(buffer) - ln) for ln in lengths[:-1]]
+        offsets.append(len(buffer) - 4)
+        directory = columns_directory(buffer, offsets, lengths)
+        self.check(directory)
+        assert directory.get(b"\x80\xff\x01") == 300
+
+    def test_repeated_grams_keep_the_later_id(self):
+        buffer = b"abcabcab\0"
+        offsets, lengths = [0, 3, 1, 4, 0, 6], [3, 3, 2, 2, 2, 2]
+        directory = columns_directory(buffer, offsets, lengths)
+        self.check(directory)
+        assert list(directory.items()) == [(b"abc", 1), (b"bc", 3), (b"ab", 5)]
+
+    def test_keys_keep_zero_bytes(self):
+        # void items keep trailing 0 bytes, where fixed-width strings drop them
+        buffer = b"a\0\0b\0"
+        directory = columns_directory(buffer, [0, 0, 1, 3], [1, 2, 2, 2])
+        self.check(directory)
+        assert [key for key, _ in directory.items()] == [b"a", b"a\0", b"\0\0", b"b\0"]
+
+    def test_empty_directory(self):
+        directory = SuperlinearIndex.build(Corpus.from_bytes(b""), q_max=8).directory
+        assert len(directory) == 0 and list(directory.items()) == []
+        self.check(columns_directory(b"\0", [], []))
+
+    @pytest.mark.parametrize("kind", ["superlinear", "linear"])
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+    def test_index_directories(self, kind, loaded):
+        raw = english_like_text(2000, seed=64) + bytes(range(128, 256))
+        if kind == "superlinear":
+            idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=256)
+        else:
+            idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
+        if loaded:
+            idx = deserialize_index(serialize_index(idx))
+        directory = idx.directory
+        assert directory.lengths.max() > (100 if kind == "superlinear" else 1)
+        self.check(directory)
+        # distinct grams, so the map iterates over every id in order
+        assert [g for _, g in directory.items()] == list(range(len(directory.offsets)))
+
+
 class TestLazyMinimizers:
     """`LinearIndex.count` finds its pattern's minimizers from the right,
     lazily; only the build selects minimizers with numpy."""

@@ -522,6 +522,41 @@ class TestSelectQgrams:
         # bypass Dictionary validation to reach the alphabet guard
         with pytest.raises(ValueError):
             select_qgrams([b"a\x80b"], budget=10)
+        with pytest.raises(ValueError):
+            select_qgrams([b"abc", b"de", b"fgh\xff"], budget=10)
+
+    @staticmethod
+    def reference_pairs(words, budget, lengths):
+        """select_qgrams by Counter loops over every word's windows, a full
+        sort per candidate table, and encoding every word."""
+        per_length = [Counter(w[i:i + ln] for w in words for i in range(len(w) - ln + 1))
+                      for ln in sorted(set(lengths))]
+        best = None
+        for counts in (sum(per_length, Counter()), *per_length):
+            ranked = sorted(counts, key=lambda g: (-(len(g) - 1) * counts[g], g))
+            pairs = [(gram, 128 + i) for i, gram in enumerate(ranked[:budget])]
+            table = SubstitutionTable(pairs)
+            size = sum(len(table.encode(w)) for w in words)
+            if best is None or size < best[0]:
+                best = size, pairs
+        return SubstitutionTable(best[1]).pairs
+
+    @pytest.mark.parametrize("seed", range(16, 24))
+    def test_pairs_equal_a_counter_loop_reference(self, seed):
+        # words shorter than some gram lengths, and some of length 1, so
+        # many windows would cross into the next word
+        rng = random.Random(seed)
+        alphabet = bytes(rng.sample(range(1, 128), rng.randint(2, 6)))
+        words = Dictionary(bytes(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
+                           for _ in range(rng.randint(1, 120)))
+        lengths = rng.choice([(2,), (3,), (4,), (2, 3), (2, 3, 4)])
+        budget = rng.choice([1, 5, 40, 128])
+        assert select_qgrams(words, budget, lengths).pairs == \
+            self.reference_pairs(list(words), budget, lengths)
+
+    def test_words_shorter_than_every_gram(self):
+        assert select_qgrams(Dictionary([b"a", b"b", b"c"]), lengths=(2, 3, 4)).pairs == ()
+        assert select_qgrams(Dictionary([])).pairs == ()
 
 
 class TestCompressedIndex:
