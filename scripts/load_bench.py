@@ -8,9 +8,9 @@ in turn, so two checkouts share the host's slow and fast spells.  The
 inputs are those of the `fm-super-english` and `fm-linear-dna` benchmark
 workloads: a `SuperlinearIndex` (q_max 128) over 8 KiB of
 `english_like_text(seed)` and a `LinearIndex` (alpha 3, q 4) over 1 MiB of
-`dna_like_text(seed)`.  A cell reports its fastest of --builds build +
-serialize passes, its fastest of --loads loads of the file bytes, and its
-fastest of --loads `GramDirectory.entry_for` calls on the loaded index's
+`dna_like_text(seed)`.  A cell reports its fastest of BUILDS build +
+serialize passes, its fastest of LOADS loads of the file bytes, and its
+fastest of LOADS `GramDirectory.entry_for` calls on the loaded index's
 directory, plus the file size and a digest of the file bytes; the table
 shows each cell's fastest over the rounds, since other tenants of a shared
 host only ever slow a pass down.  Times are raw, not scaled to a reference
@@ -29,6 +29,8 @@ import time
 from functools import partial
 
 INPUTS = ["fm-super-english", "fm-linear-dna"]
+BUILDS = 5
+LOADS = 15
 
 
 def fastest(passes: int, call) -> float:
@@ -55,10 +57,10 @@ def worker(args) -> None:
         corpus = Corpus.from_bytes(dna_like_text(1024 * 1024, seed=args.seed))
         build = partial(LinearIndex.build, corpus, 3, 4)
     data = serialize_index(build())
-    build_s = fastest(args.builds, lambda: serialize_index(build()))
-    load_s = fastest(args.loads, lambda: deserialize_index(data))
+    build_s = fastest(BUILDS, lambda: serialize_index(build()))
+    load_s = fastest(LOADS, lambda: deserialize_index(data))
     directory = deserialize_index(data).directory
-    entry_for_s = fastest(args.loads, directory.entry_for)
+    entry_for_s = fastest(LOADS, directory.entry_for)
     print(json.dumps({"build_ms": 1e3 * build_s, "load_ms": 1e3 * load_s,
                       "entry_for_ms": 1e3 * entry_for_s, "grams": len(directory),
                       "bytes": len(data), "digest": hashlib.sha256(data).hexdigest()}))
@@ -70,8 +72,6 @@ def main() -> None:
                         help="a checkout's src directory; repeat to compare")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--builds", type=int, default=3)
-    parser.add_argument("--loads", type=int, default=15)
     parser.add_argument("--input", choices=INPUTS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.input is not None:
@@ -84,8 +84,7 @@ def main() -> None:
             for src in args.src:
                 out = subprocess.run(
                     [sys.executable, __file__, "--src", src, "--input", name,
-                     "--seed", str(args.seed), "--builds", str(args.builds),
-                     "--loads", str(args.loads)],
+                     "--seed", str(args.seed)],
                     check=True, capture_output=True, text=True).stdout
                 cells.setdefault((name, src), []).append(json.loads(out))
     for name in INPUTS:
