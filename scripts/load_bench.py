@@ -1,21 +1,26 @@
-"""Time FM q-gram index builds, loads and gram-directory key maps for one
-or more checkouts of the package, as a markdown table.
+"""Time FM q-gram index builds, loads, gram-directory key maps and linear
+gram checks for one or more checkouts of the package, as a markdown table.
 
     python3 scripts/load_bench.py --src OLD/src --src src --rounds 5
 
 Each (checkout, input) cell runs in its own process, the cells of one round
 in turn, so two checkouts share the host's slow and fast spells.  The
 inputs are those of the `fm-super-english` and `fm-linear-dna` benchmark
-workloads: a `SuperlinearIndex` (q_max 128) over 8 KiB of
+workloads, a `SuperlinearIndex` (q_max 128) over 8 KiB of
 `english_like_text(seed)` and a `LinearIndex` (alpha 3, q 4) over 1 MiB of
-`dna_like_text(seed)`.  A cell reports its fastest of BUILDS build +
-serialize passes, its fastest of LOADS loads of the file bytes, and its
-fastest of LOADS `GramDirectory.entry_for` calls on the loaded index's
-directory, plus the file size and a digest of the file bytes; the table
+`dna_like_text(seed)`, and `fm-linear-english`, a `LinearIndex` (alpha 3,
+q 4) over 1 MiB of `english_like_text(seed)`, whose thousands of grams
+make it the costliest linear load to check.  A cell reports its fastest of
+BUILDS build + serialize passes, its fastest of LOADS loads of the file
+bytes, its fastest of LOADS `GramDirectory.entry_for` calls on the loaded
+index's directory and, for a linear index of a checkout that checks its
+grams at load, its fastest of LOADS `envelope._check_gram_rows` calls (the
+part of a load that reads each gram's rows off the BWT), plus the file
+size, the format version and a digest of the file bytes; the table
 shows each cell's fastest over the rounds, since other tenants of a shared
 host only ever slow a pass down.  Times are raw, not scaled to a reference
-host.  The command exits non-zero if a cell fails or if two checkouts
-write different bytes for one input.
+host.  The command exits non-zero if a cell fails or if two checkouts of
+one format version write different bytes for one input.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import sys
 import time
 from functools import partial
 
-INPUTS = ["fm-super-english", "fm-linear-dna"]
+INPUTS = ["fm-super-english", "fm-linear-dna", "fm-linear-english"]
 BUILDS = 5
 LOADS = 15
 
@@ -45,6 +50,7 @@ def fastest(passes: int, call) -> float:
 
 def worker(args) -> None:
     sys.path.insert(0, args.src)
+    from textindex import envelope, suffixbwt
     from textindex.envelope import deserialize_index, serialize_index
     from textindex.fmgram import LinearIndex, SuperlinearIndex
     from textindex.harness import dna_like_text, english_like_text
@@ -54,16 +60,25 @@ def worker(args) -> None:
         corpus = Corpus.from_bytes(english_like_text(8 * 1024, seed=args.seed))
         build = partial(SuperlinearIndex.build, corpus, 128)
     else:
-        corpus = Corpus.from_bytes(dna_like_text(1024 * 1024, seed=args.seed))
+        text = dna_like_text if args.input == "fm-linear-dna" else english_like_text
+        corpus = Corpus.from_bytes(text(1024 * 1024, seed=args.seed))
         build = partial(LinearIndex.build, corpus, 3, 4)
     data = serialize_index(build())
     build_s = fastest(BUILDS, lambda: serialize_index(build()))
     load_s = fastest(LOADS, lambda: deserialize_index(data))
-    directory = deserialize_index(data).directory
+    index = deserialize_index(data)
+    directory = index.directory
     entry_for_s = fastest(LOADS, directory.entry_for)
+    check = getattr(envelope, "_check_gram_rows", None)
+    check_ms = None
+    if check is not None and isinstance(index, LinearIndex):
+        psi = suffixbwt.psi_mapping(index.fm.l)
+        check_ms = 1e3 * fastest(LOADS, lambda: check(index.fm.l, psi, directory))
     print(json.dumps({"build_ms": 1e3 * build_s, "load_ms": 1e3 * load_s,
-                      "entry_for_ms": 1e3 * entry_for_s, "grams": len(directory),
-                      "bytes": len(data), "digest": hashlib.sha256(data).hexdigest()}))
+                      "entry_for_ms": 1e3 * entry_for_s, "check_ms": check_ms,
+                      "grams": len(directory), "bytes": len(data),
+                      "format": envelope.FORMAT_VERSION,
+                      "digest": hashlib.sha256(data).hexdigest()}))
 
 
 def main() -> None:
@@ -88,22 +103,27 @@ def main() -> None:
                     check=True, capture_output=True, text=True).stdout
                 cells.setdefault((name, src), []).append(json.loads(out))
     for name in INPUTS:
-        digests = {run["digest"] for src in args.src for run in cells[name, src]}
-        if len(digests) != 1:
-            sys.exit(f"{name}: the checkouts wrote {len(digests)} different files")
-    print("| input | " + " | ".join(f"{col} {src}" for src in args.src
-                                     for col in ("build ms", "load ms", "entry_for ms"))
-          + " | grams | file bytes |")
-    print("|---|" + "---|" * (3 * len(args.src) + 2))
+        runs = [run for src in args.src for run in cells[name, src]]
+        for version in {run["format"] for run in runs}:
+            digests = {run["digest"] for run in runs if run["format"] == version}
+            if len(digests) != 1:
+                sys.exit(f"{name}: the format {version} checkouts wrote "
+                         f"{len(digests)} different files")
+    timings = {"build_ms": "build ms", "load_ms": "load ms", "entry_for_ms": "entry_for ms",
+               "check_ms": "gram check ms"}
+    columns = [*timings.values(), "file bytes"]
+    print("| input | " + " | ".join(f"{col} {src}" for src in args.src for col in columns)
+          + " | grams |")
+    print("|---|" + "---|" * (len(columns) * len(args.src) + 1))
     for name in INPUTS:
         row = []
         for src in args.src:
             runs = cells[name, src]
-            row += [f"{min(r[key] for r in runs):.2f}"
-                    for key in ("build_ms", "load_ms", "entry_for_ms")]
-        first = cells[name, args.src[0]][0]
-        print(f"| {name} | " + " | ".join(row)
-              + f" | {first['grams']:,} | {first['bytes']:,} |")
+            for key in timings:
+                times = [run[key] for run in runs if run[key] is not None]
+                row.append(f"{min(times):.2f}" if times else "–")
+            row.append(f"{runs[0]['bytes']:,}")
+        print(f"| {name} | " + " | ".join(row) + f" | {cells[name, args.src[0]][0]['grams']:,} |")
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ from .harness import (BENCH_CSV_COLUMNS, BenchConfig, NaiveHammingSearcher,
                       generate_noisy_queries, load_corpus, load_dictionary,
                       load_queries, naive_count, run_bench, sample_patterns)
 from .splitindex import Dictionary, SplitIndex, select_qgrams
+from .suffixbwt import bwt_inverse
 from .textcore import FrequencyTable, entropy, printable
 
 
@@ -182,7 +183,10 @@ def _cmd_verify(args, parser) -> int:
             if index.query(pattern) != oracle.search(pattern, index.k):
                 discrepancies += 1
     else:
-        text = index.corpus.text
+        # A linear index keeps no corpus: its text comes back from its BWT,
+        # which `bwt_inverse` refuses if it is no text's.
+        corpus = index.corpus if isinstance(index, SuperlinearIndex) else bwt_inverse(index.fm.l)
+        text = corpus.text
         if args.queries:
             patterns = load_queries(args.queries)
         else:

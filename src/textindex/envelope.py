@@ -11,11 +11,13 @@ not copied out first; nothing loaded keeps a view of them.
 A superlinear file is the corpus and u32 `q_max`; load sorts the corpus's
 suffixes and derives the gram directory as the build does, so a file that
 loads is the index a build over its corpus gives.  A linear file is alpha,
-q, the corpus, the n-byte BWT and the directory of its multi-symbol
-phrases in five u32 columns; load builds the FM index (LF mapping and
-count table) from the BWT alone, refuses a BWT whose count table differs
-from the corpus's, which the linear index keeps and its FM index does not,
-and keys every gram to its id in one bulk pass.  A split file is k, the
+q, the n-byte BWT and the directory of its multi-symbol phrases: the u32
+gram and row counts, the gram keys as one buffer (concatenated in id
+order, so a key's offset is the sum of the lengths before it) and four u32
+columns, `lengths`, `firsts`, `starts` and `rows`.  It holds no corpus;
+load builds the FM index (LF mapping and count table) from the BWT alone,
+checks every gram against the BWT's rows (`_check_gram_rows`) and keys
+every gram to its id in one bulk pass.  A split file is k, the
 substitution table if any, the u32 group count and, for each (m, role)
 group: m and the role (u8 each), the u32 key count, the keys (each as long
 as piece `role` of an m-symbol word), the u32 run lengths and the runs.
@@ -27,17 +29,23 @@ count.  CHANGES.md records how each format version differs from the one
 before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
-bytes; a superlinear file whose `q_max` is not a power of two up to n - 1
-(0 for an empty text); a split file with k below 1, a bad substitution
-table, a group whose role is above k or whose m is at most k, a repeated
-group, a repeated key within a group, or a run whose length (decoded, if
-coded) is not a positive multiple of its width m - len(key), or that holds
-an unknown code; a corpus whose terminator is missing or not only at its end; a linear
-directory whose `starts` do not frame its rows, whose grams are empty,
-reach the terminator or repeat, whose first row plus count passes n, or
-whose rows reach n or do not rise inside a gram; and a linear file with
-alpha or q below 1, or whose BWT length or symbol counts differ from the
-corpus's.
+bytes; a superlinear corpus whose terminator is missing or not only at its
+end, or whose `q_max` is not a power of two up to n - 1 (0 for an empty
+text); a split file with k below 1, a bad substitution table, a group
+whose role is above k or whose m is at most k, a repeated group, a
+repeated key within a group, or a run whose length (decoded, if coded) is
+not a positive multiple of its width m - len(key), or that holds an
+unknown code; a linear file with alpha or q below 1, or whose BWT does not
+hold exactly one terminator; and a linear directory whose `starts` do not
+frame its rows, whose grams are empty, longer than alpha, hold a 0 byte,
+do not fill the key buffer or repeat, whose first row plus count passes n,
+whose rows reach n or do not rise inside a gram, or whose grams do not
+start exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the
+BWT or do not lead from the first and last of them to the gram's first and
+last rows.  A linear file that loads can still miscount: nothing short of
+rebuilding checks the rows between a gram's first and last, or that the
+BWT is some text's (`suffixbwt.bwt_inverse` checks that, in O(n) Python
+steps).
 """
 
 from __future__ import annotations
@@ -50,17 +58,17 @@ import numpy as np
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
 from .splitindex import CODE_FLOOR, PieceRuns, SplitIndex, SubstitutionTable, piece_bounds
-from .suffixbwt import FmIndex, build_count_table
+from .suffixbwt import FmIndex, psi_mapping
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
 from .suffixbwt import bwt_forward  # noqa: F401
 from .fmgram import GramDirectory, LinearIndex, SuperlinearIndex
-from .textcore import Corpus
+from .textcore import TERMINATOR, Corpus
 
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 11
+FORMAT_VERSION = 12
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -238,33 +246,22 @@ def _read_corpus(r: _Reader) -> Corpus:
         raise MalformedInputError(f"bad corpus: {exc}") from None
 
 
-def _read_fm_substrate(r: _Reader) -> tuple[Corpus, FmIndex]:
-    corpus = _read_corpus(r)
-    l = r.blob()
-    if len(l) != corpus.n:
-        raise MalformedInputError("BWT length does not match the corpus")
-    # With the corpus's symbol counts in the BWT, ranks never pass the count
-    # table's ranges, so every backward step stays inside the n rows.  Two
-    # strings of one length have equal symbol counts exactly when their
-    # count tables are equal.
-    fm = FmIndex(l)
-    if fm.count_table != build_count_table(corpus):
-        raise MalformedInputError("BWT symbol counts differ from the corpus's")
-    return corpus, fm
-
-
-def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
-    """Refuse a directory whose grams or rows fall outside the n rows and
-    the text, or whose row runs are not strictly increasing."""
+def _check_directory(n: int, alpha: int, keys: bytes, lengths, firsts, starts, rows) -> None:
+    """Refuse a directory whose grams or rows fall outside the key buffer
+    and the n rows, or whose row runs are not strictly increasing."""
     starts = starts.astype(np.int64)
     counts = np.diff(starts)
-    if starts[0] != 0 or starts[-1] != len(rows) or (counts < 0).any():
+    # Every gram occurs, so it has at least one row.
+    if starts[0] != 0 or starts[-1] != len(rows) or (counts < 1).any():
         raise MalformedInputError("gram row starts do not frame the rows")
-    # A gram lies inside the text (the terminator is never part of one)
-    # and its row range inside the n rows.
-    ends = offsets.astype(np.int64) + lengths
-    if ((lengths == 0) | (ends > n - 1) | (firsts.astype(np.int64) + counts > n)).any():
+    # A gram is a phrase between neighbouring minimizers, so it holds 1 to
+    # alpha symbols and never the terminator; the keys fill their buffer,
+    # and each gram's row range lies inside the n rows.
+    if ((lengths == 0) | (lengths > alpha) | (firsts.astype(np.int64) + counts > n)).any() \
+            or lengths.sum(dtype=np.int64) != len(keys):
         raise MalformedInputError("gram directory entry out of range")
+    if TERMINATOR in keys:
+        raise MalformedInputError("a gram key holds the terminator")
     if len(rows) and rows.max() >= n:
         raise MalformedInputError("gram row out of range")
     # Rows must rise inside each gram, not from one gram to the next.
@@ -273,6 +270,50 @@ def _check_directory(n: int, offsets, lengths, firsts, starts, rows) -> None:
     falls[inner[(inner > 0) & (inner < len(rows))] - 1] = False
     if falls.any():
         raise MalformedInputError("gram rows not strictly increasing")
+
+
+def _check_gram_rows(l: bytes, psi, directory: GramDirectory) -> None:
+    """Refuse a directory whose grams do not start exactly their rows of
+    the BWT `l`: rows firsts[g] and firsts[g] + count - 1 must start with
+    gram g, and the rows just before and after them must not.  The rows
+    are read forward: row r starts with symbol l[psi[r]] (`psi_mapping`),
+    and psi[r] is the row one symbol further on, so each pass reads one
+    more symbol of every gram still longer than that, in at most alpha
+    passes.  The walks from the first and last rows end at the gram's first
+    and last rows, which must be rows[starts[g]] and rows[starts[g+1] - 1].
+    Neighbours wrap around the n rows: past the last row comes row 0, the
+    terminator's, which starts no gram, and before row 0 comes row n - 1,
+    which does not matter, since a gram whose first row is 0 fails anyway."""
+    n = len(l)
+    grams = len(directory)
+    if not grams:
+        return
+    symbols = np.frombuffer(l, dtype=np.uint8)
+    lengths = np.tile(directory.lengths, 4)
+    longest, shortest = int(lengths.max()), int(lengths.min())
+    # Padded, so that a gram shorter than a pass reads a byte it then ignores.
+    keys = np.frombuffer(directory.buffer + bytes(longest), dtype=np.uint8)
+    key_at = np.tile(directory.offsets.astype(np.int64), 4)
+    starts = np.asarray(directory.starts, dtype=np.int64)
+    first = np.asarray(directory.firsts, dtype=np.int64)
+    last = first + np.diff(starts) - 1
+    # Per gram: its first row, its last row, the row before and the row after.
+    rows = np.concatenate([first, last, (first - 1) % n, (last + 1) % n])
+    match = np.ones(len(rows), dtype=bool)
+    for k in range(longest):
+        ahead = psi[rows]
+        hit = symbols[ahead] == keys[key_at + k]
+        if k >= shortest:
+            # A gram of k symbols or fewer is read whole: its rows stay.
+            live = lengths > k
+            ahead = np.where(live, ahead, rows)
+            hit |= ~live
+        rows = ahead
+        match &= hit
+    ends = np.asarray(directory.rows)[np.concatenate([starts[:-1], starts[1:] - 1])]
+    if not match[:2 * grams].all() or match[2 * grams:].any() \
+            or (rows[:2 * grams] != ends).any():
+        raise MalformedInputError("gram rows differ from the BWT's")
 
 
 def _superlinear_payload(index: SuperlinearIndex) -> bytes:
@@ -298,13 +339,12 @@ def _linear_payload(index: LinearIndex) -> bytes:
     w = _Writer()
     w.u32(index.alpha)
     w.u32(index.q)
-    w.blob(index.corpus.data)
     w.blob(index.fm.l)
     directory = index.directory
-    w.u32(len(directory.offsets))
+    w.u32(len(directory.lengths))
     w.u32(len(directory.rows))
-    for column in (directory.offsets, directory.lengths, directory.firsts,
-                   directory.starts, directory.rows):
+    w.blob(directory.buffer)
+    for column in (directory.lengths, directory.firsts, directory.starts, directory.rows):
         w.u32s(column)
     return w.getvalue()
 
@@ -314,21 +354,30 @@ def _load_linear(r: _Reader) -> LinearIndex:
     q = r.u32()
     if alpha < 1 or q < 1:
         raise MalformedInputError("minimizer alpha and q must be positive")
-    corpus, fm = _read_fm_substrate(r)
+    l = r.blob()
     grams = r.u32()
     row_count = r.u32()
-    offsets, lengths, firsts = (r.u32s(grams) for _ in range(3))
+    keys = r.blob()
+    lengths, firsts = r.u32s(grams), r.u32s(grams)
     starts = r.u32s(grams + 1)
     # An aligned copy: vectorised checks and the directory's memoryview
     # need one, and the payload may place the rows at any offset.
     rows = r.u32s(row_count).astype(np.uint32)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    _check_directory(corpus.n, offsets, lengths, firsts, starts, rows)
-    directory = GramDirectory(corpus.data, offsets, lengths, firsts, starts, rows)
+    psi = psi_mapping(l)
+    fm = FmIndex(l, psi)
+    # The count table is the BWT's own, so backward steps stay inside the n
+    # rows whatever its bytes are.  With one terminator, row 0 is the
+    # terminator's suffix.
+    if fm.count_table[TERMINATOR + 1] != 1:
+        raise MalformedInputError("BWT must hold exactly one terminator")
+    _check_directory(len(l), alpha, keys, lengths, firsts, starts, rows)
+    directory = GramDirectory.from_keys(keys, lengths, firsts, starts, rows)
     if len(directory) != grams:
         raise MalformedInputError("repeated gram in directory")
-    return LinearIndex(corpus, fm, alpha, q, directory)
+    _check_gram_rows(l, psi, directory)
+    return LinearIndex(fm, alpha, q, directory)
 
 
 # ---------------------------------------------------------------------------

@@ -58,8 +58,10 @@ def list_rank(rows, lo: int, hi: int, row: int) -> int:
 class GramDirectory(ChainedHashMap):
     """Map from gram content to its int id g, over u32 columns.
 
-    Gram g is buffer[offsets[g]:offsets[g] + lengths[g]], and the map is
-    built from the columns in bulk (`entry_for`).  firsts[g] is the
+    Gram g is buffer[offsets[g]:offsets[g] + lengths[g]]: a superlinear
+    directory slices its keys out of the corpus, a linear one out of its
+    keys concatenated in id order (`from_keys`).  The map is built from the
+    columns in bulk (`entry_for`).  firsts[g] is the
     first row of the suffix range starting with it, and its rows, in
     sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
     `firsts`, `starts` and `rows` are memoryviews, whose items read as
@@ -79,6 +81,13 @@ class GramDirectory(ChainedHashMap):
             memoryview(np.array(column, dtype=np.uint32)) for column in (firsts, starts))
         self.rows = memoryview(np.require(rows, np.uint32, "CA"))
         super().__init__(self.entry_for())
+
+    @classmethod
+    def from_keys(cls, keys: bytes, lengths, firsts, starts, rows) -> "GramDirectory":
+        """The directory whose gram keys are `keys` concatenated in id order:
+        gram g's offset is the sum of the lengths before it."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        return cls(keys, np.cumsum(lengths) - lengths, lengths, firsts, starts, rows)
 
     def entry_for(self) -> dict[bytes, int]:
         """Every gram of the directory keyed to its id, in one bulk call
@@ -202,17 +211,22 @@ class SuperlinearIndex:
         return e - s + 1, steps
 
     def size_in_bytes(self) -> int:
-        """Deterministic size accounting: the gram directory and the corpus
-        (n bytes)."""
-        return _directory_bytes(self.directory) + self.corpus.n
+        """Deterministic size accounting: the gram directory, whose keys are
+        8-byte (offset, length) refs into the corpus, and the corpus (n
+        bytes)."""
+        return _directory_bytes(self.directory, 8 * len(self.directory)) + self.corpus.n
 
 
 class LinearIndex:
-    """FM index with occurrence lists for the corpus phrases only."""
+    """FM index with occurrence lists for the corpus phrases only.
 
-    def __init__(self, corpus: Corpus, fm: FmIndex, alpha: int, q: int,
-                 directory: GramDirectory):
-        self.corpus = corpus
+    It holds the FM index, alpha, q and the gram directory, whose keys are
+    one buffer of the phrases concatenated, and no corpus: queries read only
+    n, which is len(fm.l), and the gram keys.  The text stays recoverable
+    from the BWT (`suffixbwt.bwt_inverse`), since an FM index is a
+    self-index."""
+
+    def __init__(self, fm: FmIndex, alpha: int, q: int, directory: GramDirectory):
         self.fm = fm
         self.alpha = alpha
         self.q = q
@@ -228,7 +242,7 @@ class LinearIndex:
         # Called through the module, where traced runs wrap it.
         sa = suffixbwt.build_suffix_array(corpus)
         fm = FmIndex.build(corpus, sa)
-        offsets, lengths, firsts, rows = [], [], [], []
+        keys, lengths, firsts, rows = [], [], [], []
         mset = minimizers(text, alpha, q)
         if len(mset.starts) > 1:
             inv = suffixbwt.inverse_permutation(sa)
@@ -239,15 +253,16 @@ class LinearIndex:
                     continue
                 # The phrase's suffix-array range, by backward search, and
                 # through it the rows of every occurrence.
-                lo, hi = fm.extend(text[offset:offset + length], 0, corpus.n - 1)
-                offsets.append(offset)
+                key = text[offset:offset + length]
+                lo, hi = fm.extend(key, 0, corpus.n - 1)
+                keys.append(key)
                 lengths.append(length)
                 firsts.append(lo)
                 rows.append(inv[sa[lo:hi + 1] + length].astype(np.uint32))
-        directory = GramDirectory(
-            corpus.data, offsets, lengths, firsts, np.cumsum([0, *map(len, rows)]),
+        directory = GramDirectory.from_keys(
+            b"".join(keys), lengths, firsts, np.cumsum([0, *map(len, rows)]),
             np.concatenate(rows) if rows else [])
-        return cls(corpus, fm, alpha, q, directory)
+        return cls(fm, alpha, q, directory)
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.
@@ -263,16 +278,17 @@ class LinearIndex:
         sizes, so the answer does not change."""
         if len(pattern) < self.q + self.alpha - 1:
             return self.fm.count(pattern)
-        if not countable(pattern, self.corpus.n):
+        fm = self.fm
+        n = len(fm.l)
+        if not countable(pattern, n):
             return 0
         marks = minimizers_from_right(pattern, self.alpha, self.q)
-        fm = self.fm
         step = fm.step
         directory = self.directory
         lookup = directory.get
         firsts, starts, rows = directory.firsts, directory.starts, directory.rows
         right = next(marks)
-        s, e = fm.extend(pattern[right:], 0, self.corpus.n - 1)
+        s, e = fm.extend(pattern[right:], 0, n - 1)
         # Each pass consumes phrase pattern[left:right].
         while s < e:
             left = next(marks, None)
@@ -298,15 +314,18 @@ class LinearIndex:
         return e - s + 1
 
     def size_in_bytes(self) -> int:
-        """Deterministic size accounting: the gram directory, the corpus
-        (n bytes) and the character-level substrate."""
-        return _directory_bytes(self.directory) + self.corpus.n + self.fm.size_in_bytes()
+        """Deterministic size accounting: the gram directory, whose keys are
+        the key buffer and a 4-byte length each, and the character-level
+        substrate; no corpus."""
+        directory = self.directory
+        return (_directory_bytes(directory, len(directory.buffer) + 4 * len(directory))
+                + self.fm.size_in_bytes())
 
 
-def _directory_bytes(directory: GramDirectory) -> int:
-    """4-byte rows, 4-byte range starts and row-list starts, 8-byte
-    (offset, length) key refs and 4-byte bucket slots."""
-    return 16 * len(directory) + 4 * len(directory.rows) + 4 * directory.bucket_count
+def _directory_bytes(directory: GramDirectory, key_bytes: int) -> int:
+    """`key_bytes` for the keys, 4-byte rows, 4-byte range starts and
+    row-list starts, and 4-byte bucket slots."""
+    return key_bytes + 8 * len(directory) + 4 * len(directory.rows) + 4 * directory.bucket_count
 
 
 def _distinct_phrases(text: bytes, starts: np.ndarray, alpha: int) -> list[tuple[int, int]]:

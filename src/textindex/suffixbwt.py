@@ -69,15 +69,25 @@ def bwt_forward(corpus: Corpus, sa: np.ndarray | None = None) -> bytes:
     return arr[(np.asarray(sa) - 1) % corpus.n].tobytes()
 
 
-def lf_mapping(l: bytes) -> np.ndarray:
+def psi_mapping(l: bytes) -> np.ndarray:
+    """Ψ of the BWT string `l`: one stable argsort of its bytes.  Ψ[r] is the
+    row of the suffix one symbol to the right of row r's, so l[Ψ[r]] is the
+    first symbol of row r's suffix (the F column), and Ψ inverts the LF
+    mapping."""
+    return np.argsort(np.frombuffer(l, dtype=np.uint8), kind="stable")
+
+
+def lf_mapping(l: bytes, psi: np.ndarray | None = None) -> np.ndarray:
     """The LF mapping of the BWT string `l` as n u32 entries: LF[i] is the
     row of the suffix one symbol to the left of row i's, that is
     C[l[i]] + (occurrences of l[i] in l[:i]).  That is i's place in a
-    stable sort of `l`, so LF is the inverse of one stable argsort."""
+    stable sort of `l`, so LF inverts Ψ (`psi_mapping`), which a caller
+    that also reads Ψ may pass in."""
+    if psi is None:
+        psi = psi_mapping(l)
     n = len(l)
     lf = np.empty(n, dtype=np.uint32)
-    lf[np.argsort(np.frombuffer(l, dtype=np.uint8), kind="stable")] = np.arange(
-        n, dtype=np.uint32)
+    lf[psi] = np.arange(n, dtype=np.uint32)
     return lf
 
 
@@ -85,18 +95,24 @@ def bwt_inverse(l: bytes) -> Corpus:
     """Reconstruct the corpus whose BWT is `l`.
 
     Walks the LF mapping backwards from row 0, which is the row of the
-    rotation starting with the terminator.
+    rotation starting with the terminator.  `l` is a BWT only if that walk
+    is one cycle through all n rows: it must write no terminator before the
+    end, and its last row must be the one whose byte is the terminator.
+    Any other string of one terminator is refused with
+    `MalformedInputError`, since it is no text's BWT.
     """
     n = len(l)
     if l.count(TERMINATOR) != 1:
         raise MalformedInputError("BWT string must contain exactly one terminator")
     lf = memoryview(lf_mapping(l))
     out = bytearray(n)
-    out[n - 1] = TERMINATOR
     row = 0
     for pos in range(n - 2, -1, -1):
         out[pos] = l[row]
         row = lf[row]
+    out[n - 1] = l[row]
+    if out.find(TERMINATOR) != n - 1:
+        raise MalformedInputError("BWT string's LF mapping is not one cycle through its rows")
     return Corpus(bytes(out))
 
 
@@ -120,13 +136,15 @@ class RankIndex:
 
     `lf` is the LF mapping (`lf_mapping`), served as a u32 memoryview whose
     items read as Python ints, and `count_table` the 257-entry count table
-    C of `l` (`_count_table`).  rank(c, i) is inclusive of position i, and
+    C of `l` (`_count_table`).  `psi`, if given, is Ψ of `l`
+    (`psi_mapping`), already computed by a caller that also reads it; the
+    index does not keep it.  rank(c, i) is inclusive of position i, and
     rank(c, -1) = 0.
     """
 
-    def __init__(self, l: bytes):
+    def __init__(self, l: bytes, psi: np.ndarray | None = None):
         self.l = l
-        self.lf = memoryview(lf_mapping(l))
+        self.lf = memoryview(lf_mapping(l, psi))
         self.count_table = _count_table(l)
 
     def rank(self, symbol: int, i: int) -> int:

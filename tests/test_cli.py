@@ -1,11 +1,16 @@
 import os
+import struct
+import zlib
 
 import pytest
 
 from textindex import cli
 from textindex.cli import main
-from textindex.envelope import FORMAT_VERSION
-from textindex.harness import english_like_text, random_word_dictionary
+from textindex.envelope import FORMAT_VERSION, deserialize_index, serialize_index
+from textindex.errors import MalformedInputError
+from textindex.fmgram import LinearIndex
+from textindex.harness import dna_like_text, english_like_text, random_word_dictionary
+from textindex.textcore import Corpus
 
 
 @pytest.fixture()
@@ -315,6 +320,36 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert main(["verify", "--index", str(out), "--random", "10"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_linear_bwt_of_no_text_is_one_error(self, tmp_path, capsys):
+        # two neighbouring BWT bytes swapped, in a re-signed file that still
+        # loads: the LF mapping is no longer one cycle, so no text comes
+        # back for the oracle
+        index = LinearIndex.build(Corpus.from_bytes(dna_like_text(500, seed=35)), 3, 4)
+        data, l = serialize_index(index), index.fm.l
+        # envelope, alpha, q, BWT blob length; then the BWT
+        at = 9 + 4 + 4 + 4
+        for i in range(len(l) - 1):
+            if l[i] == l[i + 1]:
+                continue
+            swapped = bytearray(data)
+            swapped[at + i], swapped[at + i + 1] = l[i + 1], l[i]
+            swapped[5:9] = struct.pack("<I", zlib.crc32(swapped[9:]))
+            try:
+                deserialize_index(bytes(swapped))
+            except MalformedInputError:
+                continue
+            break
+        else:
+            pytest.fail("no file with two BWT bytes swapped loads")
+        out = tmp_path / "linear.idx"
+        out.write_bytes(bytes(swapped))
+        capsys.readouterr()
+        assert main(["verify", "--index", str(out), "--random", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: BWT string's LF mapping is not one cycle through its rows\n")
 
     def test_previous_format_version_rejected(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"

@@ -11,10 +11,11 @@ from hypothesis import given, settings, strategies as st
 from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
-from textindex.fmgram import LinearIndex, SuperlinearIndex
+from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
 from textindex.harness import (NaiveHammingSearcher, dna_like_text,
                                english_like_text, naive_count, random_word_dictionary)
 from textindex.splitindex import Dictionary, PieceRuns, SplitIndex, select_qgrams
+from textindex.suffixbwt import bwt_inverse
 from textindex.textcore import Corpus
 
 
@@ -69,6 +70,9 @@ class TestRoundTrip:
         clone = deserialize_index(serialize_index(index))
         assert isinstance(clone, LinearIndex)
         assert (clone.alpha, clone.q) == (3, 4)
+        # no corpus is kept or stored; the BWT holds the text
+        assert not hasattr(index, "corpus") and not hasattr(clone, "corpus")
+        assert bwt_inverse(clone.fm.l).data == corpus.data
         rng = random.Random(4)
         for _ in range(200):
             m = rng.randint(6, 30)
@@ -187,20 +191,25 @@ class TestDirectoryStructure:
 
     @staticmethod
     def _linear():
-        # grams "br" (rows 1 and 4), "ac" and "ad"
+        # grams "br" (rows 1 and 4), "ac" and "ad"; BWT "ard$rcaaaabb"
         return LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
 
     @staticmethod
-    def _columns_at(index) -> int:
-        # envelope, alpha, q, corpus blob, BWT blob, gram count, row count;
-        # then the offsets, lengths, firsts, starts and rows columns, 4
+    def _keys_at(index) -> int:
+        # envelope, alpha, q, BWT blob, gram count, row count, key blob
+        # length; then the keys
+        return 9 + 4 + 4 + 4 + len(index.fm.l) + 4 + 4 + 4
+
+    @classmethod
+    def _columns_at(cls, index) -> int:
+        # the lengths, firsts, starts and rows columns follow the keys, 4
         # bytes an item
-        return 9 + 4 + 4 + 4 + index.corpus.n + 4 + index.corpus.n + 4 + 4
+        return cls._keys_at(index) + len(index.directory.buffer)
 
     @classmethod
     def _item_at(cls, index, column: int, item: int) -> int:
-        # `starts`, column 3, has one item more than there are grams
-        before = column * len(index.directory) + (column == 4)
+        # `starts`, column 2, has one item more than there are grams
+        before = column * len(index.directory) + (column == 3)
         return cls._columns_at(index) + 4 * (before + item)
 
     def _refused(self, index, column: int, item: int, value: int, match=None):
@@ -210,15 +219,94 @@ class TestDirectoryStructure:
         with pytest.raises(MalformedInputError, match=match):
             deserialize_index(_resign(data))
 
-    # Column order: offsets, lengths, firsts, starts, rows.
+    def test_layout(self):
+        # the keys are one buffer in id order, and their offsets follow
+        # from the lengths; no corpus is stored
+        index = self._linear()
+        data = serialize_index(index)
+        at = self._keys_at(index)
+        assert data[at - 4:at + 6] == struct.pack("<I", 6) + b"bracad"
+        assert len(data) == self._item_at(index, 3, len(index.directory.rows))
+        assert data[9 + 4 + 4 + 4:9 + 4 + 4 + 4 + 12] == index.fm.l == b"ard\0rcaaaabb"
+
+    # Column order: lengths, firsts, starts, rows.
     @pytest.mark.parametrize("column, value", [
-        (0, 1000),  # the gram runs past the text; it loaded as key b""
-        (0, 11),    # the gram covers the terminator
-        (1, 0),     # empty gram
-        (2, 12),    # first + count > n
+        (0, 1000),  # the key runs past the key buffer
+        (0, 0),     # empty gram
+        (1, 12),    # first + count > n
     ])
     def test_gram_entry_out_of_range(self, column, value):
-        self._refused(self._linear(), column, 0, value)
+        self._refused(self._linear(), column, 0, value, "out of range")
+
+    def test_gram_longer_than_alpha(self):
+        # lengths 3 and 1 still fill the key buffer, but a phrase holds at
+        # most alpha (2) symbols
+        index = self._linear()
+        data = bytearray(serialize_index(index))
+        at = self._item_at(index, 0, 0)
+        data[at:at + 8] = struct.pack("<2I", 3, 1)
+        with pytest.raises(MalformedInputError, match="out of range"):
+            deserialize_index(_resign(data))
+
+    def test_gram_key_holds_the_terminator(self):
+        index = self._linear()
+        data = bytearray(serialize_index(index))
+        data[self._keys_at(index) + 1] = 0
+        with pytest.raises(MalformedInputError, match="terminator"):
+            deserialize_index(_resign(data))
+
+    @pytest.mark.parametrize("key_byte, value", [(0, ord("c")), (1, ord("a")), (3, ord("b"))])
+    def test_gram_key_not_at_its_rows(self, key_byte, value):
+        # "br" -> "cr" or "ba", "ac" -> "ab": the rows from firsts[g] on no
+        # longer start with the key
+        index = self._linear()
+        data = bytearray(serialize_index(index))
+        data[self._keys_at(index) + key_byte] = value
+        with pytest.raises(MalformedInputError, match="rows differ"):
+            deserialize_index(_resign(data))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_first_row_moved(self, delta):
+        # "br" starts rows 6 and 7; one row off, the range loses its first
+        # or its last row, or takes in a neighbour that does not start with it
+        index = self._linear()
+        self._refused(index, 1, 0, index.directory.firsts[0] + delta, "rows differ")
+
+    @pytest.mark.parametrize("item", [0, 1])
+    def test_gram_end_rows_not_the_walks(self, item):
+        # "br" starts rows 6 and 7, which lead two symbols on to its rows 1
+        # and 4; a row between those keeps the rows increasing, but is not
+        # where the walk from the first or the last row ends
+        index = self._linear()
+        rows = index.directory.rows
+        self._refused(index, 3, item, (rows[0] + rows[1]) // 2 + item, "rows differ")
+
+    @pytest.mark.parametrize("kept", [0, 1], ids=["first-row", "last-row"])
+    def test_gram_range_one_row_short(self, kept):
+        # "br" keeps one of its two rows, 6 and 7, with the row it leads to
+        # (1 or 4): the kept row starts with the key and leads to its row,
+        # and only its neighbour, which starts with "br" too, shows that the
+        # range is short
+        built = self._linear()
+        directory = built.directory
+        assert directory.get(b"br") == 0 and directory.firsts[0] == 6
+        rows = list(directory.rows)
+        rows.pop(1 - kept)
+        short = GramDirectory.from_keys(
+            directory.buffer, directory.lengths, [6 + kept, *directory.firsts[1:]],
+            [0, *(start - 1 for start in directory.starts[1:])], rows)
+        data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, short))
+        with pytest.raises(MalformedInputError, match="rows differ"):
+            deserialize_index(data)
+
+    # BWT byte 3 is its terminator: overwrite it, or add a second one
+    @pytest.mark.parametrize("item, value", [(3, ord("a")), (0, 0)], ids=["none", "two"])
+    def test_bwt_without_one_terminator(self, item, value):
+        index = self._linear()
+        data = bytearray(serialize_index(index))
+        data[self._bwt_at(index) + item] = value
+        with pytest.raises(MalformedInputError, match="exactly one terminator"):
+            deserialize_index(_resign(data))
 
     def test_terminator_inside_corpus(self):
         index = SuperlinearIndex.build(Corpus.from_bytes(b"abracadabra"))
@@ -253,19 +341,18 @@ class TestDirectoryStructure:
         assert loaded.count(b"abracadabra") == 1
 
     def test_repeated_gram(self):
+        # the second gram's key becomes the first's
         index = self._linear()
         data = bytearray(serialize_index(index))
-        # the second gram's key (offset, length) becomes the first's
-        for column in (0, 1):
-            first = self._item_at(index, column, 0)
-            data[first + 4:first + 8] = data[first:first + 4]
-        with pytest.raises(MalformedInputError):
+        at = self._keys_at(index)
+        data[at + 2:at + 4] = data[at:at + 2]
+        with pytest.raises(MalformedInputError, match="repeated gram"):
             deserialize_index(_resign(data))
 
     def test_row_past_the_end(self):
         # the last row of the last gram, raised to n, still increases
         index = self._linear()
-        self._refused(index, 4, len(index.directory.rows) - 1, index.corpus.n)
+        self._refused(index, 3, len(index.directory.rows) - 1, len(index.fm.l))
 
     def test_repeated_row_in_a_gram(self):
         index = self._linear()
@@ -273,40 +360,48 @@ class TestDirectoryStructure:
         g = directory.get(b"br")
         lo, hi = directory.starts[g], directory.starts[g + 1]
         assert hi - lo == 2
-        self._refused(index, 4, lo + 1, index.directory.rows[lo])
+        self._refused(index, 3, lo + 1, index.directory.rows[lo])
 
     def test_starts_do_not_end_at_the_rows_length(self):
         index = self._linear()
-        self._refused(index, 3, len(index.directory), len(index.directory.rows) - 1)
+        self._refused(index, 2, len(index.directory), len(index.directory.rows) - 1)
+
+    def test_gram_without_rows(self):
+        # "br" keeps its rows and "ac" gets none: every gram occurs
+        index = self._linear()
+        self._refused(index, 2, 2, 2, "frame")
 
     @staticmethod
     def _bwt_at(index) -> int:
-        # envelope, alpha, q, corpus blob, BWT blob length, then the BWT
-        return 9 + 4 + 4 + 4 + index.corpus.n + 4
+        # envelope, alpha, q, BWT blob length, then the BWT
+        return 9 + 4 + 4 + 4
 
     @pytest.mark.parametrize("symbol", [b"r", b"z"])
     def test_bwt_symbol_counts_differ(self, symbol):
         # two BWT bytes become a symbol they were not: one the corpus holds,
-        # or one it lacks
-        index = LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
+        # or one it lacks.  With no corpus to compare, the symbol counts
+        # move the rows that start each gram, and the gram check refuses it
+        index = self._linear()
         at = self._bwt_at(index)
         data = bytearray(serialize_index(index))
         changed = [i for i, b in enumerate(index.fm.l) if b != symbol[0]][:2]
         for i in changed:
             data[at + i] = symbol[0]
-        with pytest.raises(MalformedInputError, match="symbol counts"):
+        with pytest.raises(MalformedInputError, match="rows differ"):
             deserialize_index(_resign(data))
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_bwt_length_differs_from_corpus(self, delta):
-        index = LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
+        # a BWT a byte shorter or longer than the built corpus's: its rows
+        # no longer start with the grams
+        index = self._linear()
         at = self._bwt_at(index)
-        n = index.corpus.n
+        n = len(index.fm.l)
         data = bytearray(serialize_index(index))
         bwt = data[at:at + n]
         bwt = bwt[:n - 1] if delta < 0 else bwt + b"a"
         data[at - 4:at + n] = struct.pack("<I", n + delta) + bwt
-        with pytest.raises(MalformedInputError, match="BWT length"):
+        with pytest.raises(MalformedInputError, match="rows differ"):
             deserialize_index(_resign(data))
 
 
@@ -510,7 +605,8 @@ def _small_fm_file(kind: str):
 def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
     # A superlinear file that loads counts exactly over the corpus it
     # stores, since load builds the index from that corpus; a linear one can
-    # still miscount (README), so it need only raise no other exception.
+    # still miscount after a flip in its rows or BWT (README), so it need
+    # only raise no other exception.
     data, patterns = _small_fm_file(kind)
     corrupted = bytearray(data)
     corrupted[9 + where % (len(data) - 9)] ^= flip
@@ -523,22 +619,46 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
         assert counts == [naive_count(index.corpus, pattern) for pattern in patterns]
 
 
+@pytest.mark.parametrize("flip", [0x01, 0x02, 0x10, 0x80, 0xFF])
+def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
+    # Every byte of the small linear file's key buffer, `lengths` and
+    # `firsts` columns, flipped and re-signed: the file is refused, or it
+    # loads and counts every pattern as a scan of the text its BWT holds.
+    # The keys must fill their buffer, and the load checks each key and
+    # first row against the BWT's rows, so none of these loads today.
+    data, patterns = _small_fm_file("linear")
+    index = deserialize_index(data)
+    # envelope, alpha, q, BWT blob, gram and row counts, key blob length;
+    # then the keys, `lengths` and `firsts`
+    keys_at = 9 + 4 + 4 + 4 + len(index.fm.l) + 4 + 4 + 4
+    for at in range(keys_at, keys_at + len(index.directory.buffer) + 8 * len(index.directory)):
+        corrupted = bytearray(data)
+        corrupted[at] ^= flip
+        try:
+            clone = deserialize_index(_resign(corrupted))
+        except MalformedInputError:
+            continue
+        text = bwt_inverse(clone.fm.l).text
+        assert [clone.count(p) for p in patterns] == [naive_count(text, p) for p in patterns]
+
+
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 11).  It is the format 8
-    # to 10 file with only the version byte changed: formats 9 to 11
-    # changed only the superlinear and split payloads, and the CRC covers
-    # the payload alone.  Its 31 multi-symbol grams, first rows and row lists equal
-    # those of the format 3 file, which also listed the 4 single-symbol
-    # phrases.
+    # Golden digest of a linear index file (format 12).  It is the format 11
+    # file without the corpus blob and the `offsets` column, with the 31
+    # gram keys (85 bytes) as one blob before the `lengths` column: 356,739
+    # bytes became 291,163.  Its 31 multi-symbol grams, first rows and row
+    # lists equal those of the format 3 file, which also listed the 4
+    # single-symbol phrases.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
+    assert len(data) == 291_163
     assert hashlib.sha256(data).hexdigest() == (
-        "c21b3bab401e0ad5793164a0e9f418ce9a25a091c23807a6a5e75a3973af4525")
+        "9a434c018dd4fdf4ee6cb4fae5db30fd42c08a8a4ea7d620fdfe628cb733056b")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 11, the format 10
-    # file with only the version byte changed): the corpus blob and u32
+    # Golden digest of a superlinear index file (format 12, the format 10
+    # and 11 file with only the version byte changed): the corpus blob and u32
     # q_max (128) of the format 9 file, without the suffix array that
     # followed them.  The directory its load derives equals the one
     # the format 8 file stored.
@@ -546,17 +666,18 @@ def test_superlinear_file_digest():
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "52dd573f0cb8e17f98cca537c7e1b2e1ebb75c45e12ad696eed18c675045c49d")
+        "24b5ba592c7bc5c512930f561621c32c5b36aeb9ab0bbd112f56513a2a0260e7")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 11): k = 2 over 2,000
-    # generated words, plain and coded with a 100-code substitution table,
-    # one group per (m, role) with one fixed-width run per key.
+    # Golden digests of split index files (format 12, the format 11 files
+    # with only the version byte changed): k = 2 over 2,000 generated
+    # words, plain and coded with a 100-code substitution table, one group
+    # per (m, role) with one fixed-width run per key.
     d = random_word_dictionary(2000, seed=7)
     plain = serialize_index(SplitIndex.build(d, 2))
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
     assert hashlib.sha256(plain).hexdigest() == (
-        "856bd2094c3a376838e82e0392f90f061a399544570fd3177efa808fae77d78c")
+        "81ca6e18973f3e9b9a21961d378ab84ab6979b0944debcf0da547286ee3c7fd1")
     assert hashlib.sha256(coded).hexdigest() == (
-        "72c2a0fea9a664fe766787ee50bc43461f6c76a098fedec39132c0b61b1b64ce")
+        "9ccd9ac1a6f436e846ce472aa35ca0e46287b4af73161d2967bfa97ee088a0db")

@@ -360,17 +360,21 @@ class TestLinearIndex:
         assert max(counts) >= 20 and counts.count(1) >= 40 and counts.count(0) >= 60
 
     def test_size_model_terms(self):
-        # directory, corpus (n), BWT (n), count table (257 entries of 8
-        # bytes) and LF mapping (4n), read off a built index and a loaded one
+        # directory (the key bytes, and 4 bytes a gram for each of its
+        # length, first row and row-list start), BWT (n), count table (257
+        # entries of 8 bytes) and LF mapping (4n), read off a built index
+        # and a loaded one; no corpus
         corpus = Corpus.from_bytes(dna_like_text(3000, seed=5))
         built = LinearIndex.build(corpus, alpha=3, q=4)
         loaded = deserialize_index(serialize_index(built))
         for idx in (built, loaded):
             directory, fm = idx.directory, idx.fm
-            directory_bytes = (16 * len(directory) + 4 * len(directory.rows)
+            key_bytes = sum(len(key) for key, _ in directory.items())
+            assert len(directory.buffer) == key_bytes
+            directory_bytes = (key_bytes + 12 * len(directory) + 4 * len(directory.rows)
                                + 4 * directory.bucket_count)
             assert len(fm.lf) == len(fm.l) == corpus.n
-            assert idx.size_in_bytes() == (directory_bytes + corpus.n + len(fm.l)
+            assert idx.size_in_bytes() == (directory_bytes + len(fm.l)
                                            + 8 * len(fm.count_table) + 4 * len(fm.lf))
 
     def test_traced_load_builds_the_fm_index_through_rank_index(self):
@@ -397,16 +401,24 @@ class TestLinearIndex:
 
 
 def stored_columns(data: bytes, at: int):
-    """The offsets, lengths, firsts and starts columns of the gram directory
-    whose gram count sits at `at` in the file bytes `data`."""
+    """The keys, firsts and starts of the gram directory whose gram count
+    sits at `at` in the file bytes `data`: the gram and row counts, the key
+    blob, then the lengths, firsts and starts columns."""
     grams = int.from_bytes(data[at:at + 4], "little")
-    at += 8
-    columns = []
-    for size in (grams, grams, grams, grams + 1):
-        columns.append([int.from_bytes(data[i:i + 4], "little")
-                        for i in range(at, at + 4 * size, 4)])
-        at += 4 * size
-    return columns
+    size = int.from_bytes(data[at + 8:at + 12], "little")
+    buffer = data[at + 12:at + 12 + size]
+    at += 12 + size
+    lengths, firsts, starts = [], [], []
+    for column, count in ((lengths, grams), (firsts, grams), (starts, grams + 1)):
+        column.extend(int.from_bytes(data[i:i + 4], "little")
+                      for i in range(at, at + 4 * count, 4))
+        at += 4 * count
+    keys = []
+    for length in lengths:
+        keys.append(buffer[:length])
+        buffer = buffer[length:]
+    assert not buffer
+    return keys, firsts, starts
 
 
 class TestDirectoryIds:
@@ -422,22 +434,23 @@ class TestDirectoryIds:
             raw = english_like_text(3000, seed=61)
             idx = SuperlinearIndex.build(Corpus.from_bytes(raw), q_max=16)
             built = idx.directory
-            columns = (built.offsets.tolist(), built.lengths.tolist(),
+            columns = ([raw[o:o + ln] for o, ln in zip(built.offsets.tolist(),
+                                                       built.lengths.tolist())],
                        list(built.firsts), list(built.starts))
         else:
             raw = dna_like_text(3000, seed=62)
             idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
         data = serialize_index(idx)
         if kind == "linear":
-            # envelope, alpha, q, corpus blob, BWT blob
-            columns = stored_columns(data, 9 + 4 + 4 + 4 + idx.corpus.n + 4 + idx.corpus.n)
+            # envelope, alpha, q, BWT blob; no corpus
+            columns = stored_columns(data, 9 + 4 + 4 + 4 + len(raw) + 1)
         if loaded:
             idx = deserialize_index(data)
         directory = idx.directory
-        offsets, lengths, firsts, starts = columns
-        assert len(directory) == len(offsets) > 0
-        for g, (offset, length) in enumerate(zip(offsets, lengths)):
-            assert directory.get(raw[offset:offset + length]) == g
+        keys, firsts, starts = columns
+        assert len(directory) == len(keys) > 0
+        for g, key in enumerate(keys):
+            assert directory.get(key) == g
             entry = gram_entry(directory, g)
             assert all(type(item) is int for item in entry)
             assert entry == (firsts[g], starts[g], starts[g + 1])

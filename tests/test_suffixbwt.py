@@ -114,6 +114,34 @@ class TestBwt:
         with pytest.raises(MalformedInputError):
             bwt_inverse(b"a\x00b\x00")
 
+    @pytest.mark.parametrize("l", [b"a\x00b", b"ba\x00", b"\x00ab", b"aab\x00b"])
+    def test_inverse_refuses_more_than_one_cycle(self, l):
+        # each holds one terminator, but its LF mapping splits the rows into
+        # more than one cycle ("a$b": rows 0 and 1, and row 2 alone), so it
+        # is no text's BWT, and the walk from row 0 meets the terminator
+        # before the end
+        with pytest.raises(MalformedInputError, match="one cycle"):
+            bwt_inverse(l)
+
+    def test_inverse_of_swapped_bytes_refuses_or_round_trips(self):
+        # every swap of two different bytes of a real BWT is either refused,
+        # or another text's BWT, which then comes back whole
+        l = bwt_forward(Corpus.from_bytes(b"mississippi"))
+        refused = 0
+        for i in range(len(l)):
+            for j in range(i + 1, len(l)):
+                if l[i] == l[j]:
+                    continue
+                swapped = bytearray(l)
+                swapped[i], swapped[j] = l[j], l[i]
+                try:
+                    corpus = bwt_inverse(bytes(swapped))
+                except MalformedInputError:
+                    refused += 1
+                    continue
+                assert bwt_forward(corpus) == swapped
+        assert refused == 41
+
     def test_bwt_sa_relation(self):
         c = Corpus.from_bytes(b"pattern")
         sa = build_suffix_array(c)
