@@ -44,8 +44,8 @@ start exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the
 BWT or do not lead from the first and last of them to the gram's first and
 last rows.  A linear file that loads can still miscount: nothing short of
 rebuilding checks the rows between a gram's first and last, or that the
-BWT is some text's (`suffixbwt.bwt_inverse` checks that, in O(n) Python
-steps).
+BWT is some text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its
+alpha and q, since a phrase the directory lacks takes character steps.
 """
 
 from __future__ import annotations

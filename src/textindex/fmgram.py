@@ -7,9 +7,8 @@ Two variants trade space for fewer backward-search steps:
   and the text length).
   A pattern is consumed in greedy power-of-two suffix chunks, so a count
   query takes as many steps as there are ones in the binary representation
-  of the pattern length.  Build and load alike sort the corpus's suffixes
-  and derive the directory from them (`directory_from_suffix_array`); the
-  suffix array is not kept.
+  of the pattern length.  Build and load alike derive the directory from
+  the corpus's suffix array.
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
   between consecutive (alpha, q)-minimizer positions, of two or more
@@ -17,17 +16,18 @@ Two variants trade space for fewer backward-search steps:
   head and on one-symbol phrases, and phrase-sized steps on the others;
   minimizers guarantee that a pattern long enough to contain one full
   window chooses the same interior phrases as the text.  A shorter pattern
-  is counted by character steps alone.  Phrase steps run only while the
-  backward-search interval holds several rows: once it holds one, the
-  rest of the pattern goes to `FmIndex.extend`, which follows that row
-  with one LF read per symbol.  So a query finds the pattern's minimizers
-  from the right, one phrase at a time, and stops with the phrase steps;
-  only the build selects a whole text's minimizers at once.  Character
-  steps and that walk read the BWT, count table and LF mapping of an
-  `FmIndex`.
+  is counted by character steps alone, and so is a phrase the directory
+  does not list.  Phrase steps run only while the backward-search
+  interval holds several rows: once it holds one, the rest of the pattern
+  goes to `FmIndex.extend`, which follows that row with one LF read per
+  symbol.  So a query finds the pattern's minimizers from the right, one
+  phrase at a time, and stops with the phrase steps; only the build
+  selects a whole text's minimizers at once.  Character steps and that
+  walk read the BWT, count table and LF mapping of an `FmIndex`.
 
-Each build makes its own suffix array and reads it while building the
-directory; neither index keeps it, and queries never read it.
+Both directories are read off runs of suffix-array rows whose suffixes share
+their first symbols (`directory_from_suffix_array`, `_phrase_directory`);
+neither index keeps the suffix array, and queries never read it.
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -43,8 +43,7 @@ import numpy as np
 
 from . import suffixbwt
 from .hashmap import ChainedHashMap
-from .textcore import (Corpus, byte_windows, minimizers, minimizers_from_right, packed_words,
-                       phrases)
+from .textcore import Corpus, byte_windows, minimizers, minimizers_from_right, phrases
 from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
@@ -158,6 +157,47 @@ def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory
                          firsts, np.concatenate([*starts, [at]]), rows)
 
 
+def _phrase_directory(corpus: Corpus, sa, count_table, starts) -> GramDirectory:
+    """The linear gram directory, read off the suffix array: each distinct
+    phrase data[starts[i]:starts[i + 1]] of two or more symbols, in
+    first-seen order.  Rows whose suffixes share L symbols form runs, which
+    the count table gives for L = 1 and data[sa + L - 1] splits for each
+    larger L.  A gram of L symbols is an L-run holding row isa[p] of an
+    L-symbol phrase at p, and its rows, isa[sa[run] + L], already rise."""
+    n, offsets, lengths = corpus.n, starts[:-1], np.diff(starts)
+    isa = np.empty(n, dtype=np.uint32)
+    isa[sa] = np.arange(n, dtype=np.uint32)
+    longest = int(lengths.max(initial=0))
+    # Zero-padded, so that data[L - 1:] holds a symbol for every sa.
+    data = np.frombuffer(corpus.data + bytes(longest), dtype=np.uint8)
+    new = np.zeros(n, dtype=bool)
+    new[[c for c in count_table if c < n]] = True
+    # Per gram: its first phrase, first row and row count.
+    found = [np.empty((3, 0), dtype=np.int64)]
+    for length in range(2, longest + 1):
+        symbols = data[length - 1:][sa]
+        new[1:] |= symbols[1:] != symbols[:-1]
+        mine = np.flatnonzero(lengths == length)
+        bounds = np.flatnonzero(new)
+        # Per run, its first phrase of this length, or len(offsets) if none.
+        earliest = np.full(n, len(offsets), dtype=np.uint32)
+        earliest[isa[offsets[mine]]] = mine
+        earliest = np.minimum.reduceat(earliest, bounds)
+        held = np.flatnonzero(earliest < len(offsets))
+        found.append([earliest[held], bounds[held], np.diff(bounds, append=n)[held]])
+    found = np.concatenate(found, axis=1)
+    phrase, first, size = found[:, np.argsort(found[0])]
+    lengths = lengths[phrase]
+    rows = sa[_ranges(first, size)] + np.repeat(lengths, size)
+    return GramDirectory.from_keys(data[_ranges(offsets[phrase], lengths)].tobytes(), lengths,
+                                   first, np.append(0, np.cumsum(size)), isa[rows])
+
+
+def _ranges(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """begins[i], begins[i] + 1, ..., begins[i] + sizes[i] - 1 for each i in turn."""
+    return np.repeat(begins - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+
+
 class SuperlinearIndex:
     """FM index with occurrence lists for every power-of-two gram length,
     read off the corpus's suffix array, which it does not keep.  `q_max`,
@@ -242,27 +282,8 @@ class LinearIndex:
         # Called through the module, where traced runs wrap it.
         sa = suffixbwt.build_suffix_array(corpus)
         fm = FmIndex.build(corpus, sa)
-        keys, lengths, firsts, rows = [], [], [], []
-        mset = minimizers(text, alpha, q)
-        if len(mset.starts) > 1:
-            inv = suffixbwt.inverse_permutation(sa)
-            # Single-symbol phrases are counted with a character step, so
-            # they get no list.
-            for offset, length in _distinct_phrases(text, phrases(text, mset).starts, alpha):
-                if length == 1:
-                    continue
-                # The phrase's suffix-array range, by backward search, and
-                # through it the rows of every occurrence.
-                key = text[offset:offset + length]
-                lo, hi = fm.extend(key, 0, corpus.n - 1)
-                keys.append(key)
-                lengths.append(length)
-                firsts.append(lo)
-                rows.append(inv[sa[lo:hi + 1] + length].astype(np.uint32))
-        directory = GramDirectory.from_keys(
-            b"".join(keys), lengths, firsts, np.cumsum([0, *map(len, rows)]),
-            np.concatenate(rows) if rows else [])
-        return cls(fm, alpha, q, directory)
+        starts = phrases(text, minimizers(text, alpha, q)).starts
+        return cls(fm, alpha, q, _phrase_directory(corpus, sa, fm.count_table, starts))
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.
@@ -275,7 +296,9 @@ class LinearIndex:
         single-row walk checks that one occurrence symbol by symbol, each
         for less than a gram lookup costs, and no further minimizer is
         found.  Backward search reaches the same rows whatever the step
-        sizes, so the answer does not change."""
+        sizes, so the answer does not change.  A phrase the directory does
+        not list takes character steps, so the count does not depend on
+        alpha and q being the build's."""
         if len(pattern) < self.q + self.alpha - 1:
             return self.fm.count(pattern)
         fm = self.fm
@@ -300,13 +323,15 @@ class LinearIndex:
             else:
                 g = lookup(pattern[left:right])
                 if g is None:
-                    return 0
-                first, lo, hi = firsts[g], starts[g], starts[g + 1]
-                # At most e - s + 1 of the gram's rows lie in [s, e], so the
-                # second search only looks that far past the first.
-                r = bisect_right(rows, s - 1, lo, hi)
-                upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
-                s, e = first + r - lo, first + upto - lo - 1
+                    # Unlisted, yet in the text if alpha or q are not the build's.
+                    s, e = fm.extend(pattern[left:right], s, e)
+                else:
+                    first, lo, hi = firsts[g], starts[g], starts[g + 1]
+                    # At most e - s + 1 of the gram's rows lie in [s, e], so
+                    # the second search only looks that far past the first.
+                    r = bisect_right(rows, s - 1, lo, hi)
+                    upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
+                    s, e = first + r - lo, first + upto - lo - 1
             right = left
         if s > e:
             return 0
@@ -326,23 +351,3 @@ def _directory_bytes(directory: GramDirectory, key_bytes: int) -> int:
     """`key_bytes` for the keys, 4-byte rows, 4-byte range starts and
     row-list starts, and 4-byte bucket slots."""
     return key_bytes + 8 * len(directory) + 4 * len(directory.rows) + 4 * directory.bucket_count
-
-
-def _distinct_phrases(text: bytes, starts: np.ndarray, alpha: int) -> list[tuple[int, int]]:
-    """(offset, length) of the first occurrence of each distinct phrase,
-    in first-seen order; phrase i is text[starts[i]:starts[i + 1]]."""
-    lengths = np.diff(starts)
-    if alpha <= 8:
-        # A phrase is at most alpha symbols, so its packed word with the
-        # symbols after it masked off is a key of its own: the text holds
-        # no 0 byte, so phrases of different lengths never share one.
-        shift = (8 * (8 - lengths)).astype(np.uint64)
-        keys = packed_words(text)[starts[:-1]] >> shift << shift
-        first = np.sort(np.unique(keys, return_index=True)[1])
-        return list(zip(starts[first].tolist(), lengths[first].tolist()))
-    bounds = starts.tolist()
-    contents = [text[a:b] for a, b in zip(bounds, bounds[1:])]
-    # Built backwards, each phrase keeps the offset of its first
-    # occurrence; sorting by that offset restores first-seen order.
-    seen = dict(zip(reversed(contents), reversed(bounds[:-1])))
-    return sorted((offset, len(content)) for content, offset in seen.items())

@@ -145,6 +145,8 @@ def _codes_by_length(pairs) -> list[tuple[int, dict[bytes, int]]]:
     """(length, {gram: code}) for each gram length in `pairs`, longest first."""
     by_length: dict[int, dict[bytes, int]] = {}
     for gram, code in pairs:
+        if not gram:
+            raise ValueError("substitution grams must be nonempty")
         by_length.setdefault(len(gram), {})[gram] = code
     return sorted(by_length.items(), key=lambda item: -item[0])
 
@@ -170,6 +172,8 @@ def _encode(word: bytes, by_length: list[tuple[int, dict[bytes, int]]]) -> bytes
 def decode_word(coded: bytes, pairs) -> bytes:
     """Inverse of `encode_word`; raises on code bytes absent from `pairs`."""
     grams = {bytes((code,)): gram for gram, code in pairs}
+    if b"" in grams.values():
+        raise ValueError("substitution grams must be nonempty")
     return _decode(coded, grams, _code_split(grams))
 
 

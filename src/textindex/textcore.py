@@ -100,17 +100,6 @@ def byte_windows(data, q: int) -> np.ndarray:
                       strides=(1,))
 
 
-def _runs(values: np.ndarray, width: int) -> np.ndarray:
-    """Read-only view with one row per run of `width` consecutive values.
-
-    Built with the bare constructor: `sliding_window_view` costs several
-    times more per call."""
-    values = np.ascontiguousarray(values)
-    step = values.itemsize
-    return np.ndarray((len(values) - width + 1, width), dtype=values.dtype,
-                      buffer=values, strides=(step, step))
-
-
 def dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The order that sorts `keys`, and for each key the number of distinct
     keys smaller than it.  Equal keys get equal ranks, so the sort need not
@@ -204,7 +193,7 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
         raise ValueError(
             f"text of length {n} is shorter than one window ({q + alpha - 1})")
     keys = _gram_keys(text, q)
-    windows = _runs(keys, alpha)
+    windows = np.lib.stride_tricks.sliding_window_view(keys, alpha)
     winners = windows.argmin(axis=1) + np.arange(len(windows))
     # Winners never move left, so repeats are adjacent.
     fresh = np.empty(len(winners), dtype=bool)

@@ -12,8 +12,9 @@ from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
 from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
-from textindex.harness import (NaiveHammingSearcher, dna_like_text,
-                               english_like_text, naive_count, random_word_dictionary)
+from textindex.cli import VERIFY_LENGTHS
+from textindex.harness import (NaiveHammingSearcher, dna_like_text, english_like_text,
+                               naive_count, random_word_dictionary, sample_patterns)
 from textindex.splitindex import Dictionary, PieceRuns, SplitIndex, select_qgrams
 from textindex.suffixbwt import bwt_inverse
 from textindex.textcore import Corpus
@@ -621,17 +622,23 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 @pytest.mark.parametrize("flip", [0x01, 0x02, 0x10, 0x80, 0xFF])
 def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
-    # Every byte of the small linear file's key buffer, `lengths` and
-    # `firsts` columns, flipped and re-signed: the file is refused, or it
-    # loads and counts every pattern as a scan of the text its BWT holds.
-    # The keys must fill their buffer, and the load checks each key and
-    # first row against the BWT's rows, so none of these loads today.
+    # Every byte of the small linear file's alpha and q, key buffer,
+    # `lengths` and `firsts` columns, flipped and re-signed: the file is
+    # refused, or it loads and counts every pattern as a scan of the text
+    # its BWT holds.  The keys must fill their buffer, and the load checks
+    # each key and first row against the BWT's rows, so none of those
+    # loads; another alpha or q picks other phrases, and one the directory
+    # does not list takes character steps.  The longer sampled patterns
+    # hold whole windows at a flipped alpha or q.
     data, patterns = _small_fm_file("linear")
     index = deserialize_index(data)
-    # envelope, alpha, q, BWT blob, gram and row counts, key blob length;
-    # then the keys, `lengths` and `firsts`
+    patterns = patterns + sample_patterns(bwt_inverse(index.fm.l).text, 200, VERIFY_LENGTHS)
+    # envelope; alpha and q; BWT blob, gram and row counts, key blob
+    # length; then the keys, `lengths` and `firsts`
     keys_at = 9 + 4 + 4 + 4 + len(index.fm.l) + 4 + 4 + 4
-    for at in range(keys_at, keys_at + len(index.directory.buffer) + 8 * len(index.directory)):
+    flipped = [*range(9, 9 + 8),
+               *range(keys_at, keys_at + len(index.directory.buffer) + 8 * len(index.directory))]
+    for at in flipped:
         corrupted = bytearray(data)
         corrupted[at] ^= flip
         try:
@@ -654,6 +661,17 @@ def test_linear_file_digest():
     assert len(data) == 291_163
     assert hashlib.sha256(data).hexdigest() == (
         "9a434c018dd4fdf4ee6cb4fae5db30fd42c08a8a4ea7d620fdfe628cb733056b")
+
+
+def test_linear_file_digest_above_alpha_8():
+    # Golden digest of a linear file at alpha 12 and q 3, taken when alpha
+    # above 8 found its distinct phrases by slicing and below by packed
+    # words: the one suffix-array build writes the same bytes for both.
+    corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
+    data = serialize_index(LinearIndex.build(corpus, alpha=12, q=3))
+    assert len(data) == 517_204
+    assert hashlib.sha256(data).hexdigest() == (
+        "d11269eb9841ef1d56ab4576d9357291132d5ad71ce7cef33c5a531b5b0add06")
 
 
 def test_superlinear_file_digest():

@@ -257,9 +257,8 @@ class TestLinearIndex:
         raw = bytes(rng.choice(b"ACGT") for _ in range(400))
         corpus = Corpus.from_bytes(raw)
         inv = {int(p): r for r, p in enumerate(build_suffix_array(corpus))}
-        # alpha <= 8 finds distinct phrases by packed keys, larger alpha by
-        # slicing; both list every phrase of two or more symbols once, in
-        # first-seen order
+        # alpha at most 8 and above it: the directory lists every phrase of
+        # two or more symbols once, in first-seen order
         for alpha, q in [(3, 3), (9, 2)]:
             idx = LinearIndex.build(corpus, alpha=alpha, q=q)
             pieces = phrases(raw, minimizers(raw, alpha, q)).extract(raw)

@@ -440,6 +440,15 @@ class TestSubstitutionCoding:
         assert encode_word(b"compression", self.DEMO_PAIRS) == b"#p*s\\"
         assert decode_word(b"#p*s\\", self.DEMO_PAIRS) == b"compression"
 
+    def test_empty_gram_refused(self):
+        # an empty gram consumes no symbol, so greedy encoding would never
+        # move past it
+        for pairs in ([(b"", 128)], [(b"ab", ord("#")), (b"", 128)]):
+            with pytest.raises(ValueError, match="nonempty"):
+                encode_word(b"ab", pairs)
+            with pytest.raises(ValueError, match="nonempty"):
+                decode_word(b"#", pairs)
+
     def test_word_without_table_grams(self):
         table = SubstitutionTable([(b"zz", 200)])
         assert table.encode(b"banana") == b"banana"
