@@ -2,7 +2,6 @@
 gram checks for one or more checkouts of the package, as a markdown table.
 
     python3 scripts/load_bench.py --src OLD/src --src src --rounds 5
-    python3 scripts/load_bench.py --src OLD/src --src src --alpha 3 --alpha 8 --alpha 16
 
 Each (checkout, input) cell runs in its own process, the cells of one round
 in turn, so two checkouts share the host's slow and fast spells.  The
@@ -11,8 +10,7 @@ workloads, a `SuperlinearIndex` (q_max 128) over 8 KiB of
 `english_like_text(seed)` and a `LinearIndex` (alpha 3, q 4) over 1 MiB of
 `dna_like_text(seed)`, and `fm-linear-english`, a `LinearIndex` (alpha 3,
 q 4) over 1 MiB of `english_like_text(seed)`, whose thousands of grams
-make it the costliest linear load to check.  Each `--alpha` (3 if none is
-given) adds a row for each linear input at that alpha.  A cell reports its fastest of
+make it the costliest linear load to check.  A cell reports its fastest of
 BUILDS build + serialize passes, its fastest of LOADS loads of the file
 bytes, its fastest of LOADS `GramDirectory.entry_for` calls on the loaded
 index's directory and, for a linear index of a checkout that checks its
@@ -64,7 +62,7 @@ def worker(args) -> None:
     else:
         text = dna_like_text if args.input == "fm-linear-dna" else english_like_text
         corpus = Corpus.from_bytes(text(1024 * 1024, seed=args.seed))
-        build = partial(LinearIndex.build, corpus, args.alpha, 4)
+        build = partial(LinearIndex.build, corpus, 3, 4)
     data = serialize_index(build())
     build_s = fastest(BUILDS, lambda: serialize_index(build()))
     load_s = fastest(LOADS, lambda: deserialize_index(data))
@@ -89,31 +87,27 @@ def main() -> None:
                         help="a checkout's src directory; repeat to compare")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--alpha", type=int, action="append",
-                        help="linear index alpha; repeat for a row per alpha (default 3)")
     parser.add_argument("--input", choices=INPUTS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.input is not None:
-        args.src, args.alpha = args.src[0], args.alpha[0]
+        args.src = args.src[0]
         worker(args)
         return
-    inputs = [(name, alpha) for name in INPUTS
-              for alpha in ([3] if name == "fm-super-english" else args.alpha or [3])]
     cells: dict[tuple, list[dict]] = {}
     for _ in range(args.rounds):
-        for name, alpha in inputs:
+        for name in INPUTS:
             for src in args.src:
                 out = subprocess.run(
                     [sys.executable, __file__, "--src", src, "--input", name,
-                     "--alpha", str(alpha), "--seed", str(args.seed)],
+                     "--seed", str(args.seed)],
                     check=True, capture_output=True, text=True).stdout
-                cells.setdefault((name, alpha, src), []).append(json.loads(out))
-    for name, alpha in inputs:
-        runs = [run for src in args.src for run in cells[name, alpha, src]]
+                cells.setdefault((name, src), []).append(json.loads(out))
+    for name in INPUTS:
+        runs = [run for src in args.src for run in cells[name, src]]
         for version in {run["format"] for run in runs}:
             digests = {run["digest"] for run in runs if run["format"] == version}
             if len(digests) != 1:
-                sys.exit(f"{name} alpha {alpha}: the format {version} checkouts wrote "
+                sys.exit(f"{name}: the format {version} checkouts wrote "
                          f"{len(digests)} different files")
     timings = {"build_ms": "build ms", "load_ms": "load ms", "entry_for_ms": "entry_for ms",
                "check_ms": "gram check ms"}
@@ -121,17 +115,15 @@ def main() -> None:
     print("| input | " + " | ".join(f"{col} {src}" for src in args.src for col in columns)
           + " | grams |")
     print("|---|" + "---|" * (len(columns) * len(args.src) + 1))
-    for name, alpha in inputs:
+    for name in INPUTS:
         row = []
         for src in args.src:
-            runs = cells[name, alpha, src]
+            runs = cells[name, src]
             for key in timings:
                 times = [run[key] for run in runs if run[key] is not None]
                 row.append(f"{min(times):.2f}" if times else "–")
             row.append(f"{runs[0]['bytes']:,}")
-        label = name if name == "fm-super-english" else f"{name} α{alpha}"
-        print(f"| {label} | " + " | ".join(row)
-              + f" | {cells[name, alpha, args.src[0]][0]['grams']:,} |")
+        print(f"| {name} | " + " | ".join(row) + f" | {cells[name, args.src[0]][0]['grams']:,} |")
 
 
 if __name__ == "__main__":

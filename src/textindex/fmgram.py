@@ -157,21 +157,20 @@ def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory
                          firsts, np.concatenate([*starts, [at]]), rows)
 
 
-def _phrase_directory(corpus: Corpus, sa, count_table, starts) -> GramDirectory:
+def _phrase_directory(corpus: Corpus, sa, starts) -> GramDirectory:
     """The linear gram directory, read off the suffix array: each distinct
     phrase data[starts[i]:starts[i + 1]] of two or more symbols, in
     first-seen order.  Rows whose suffixes share L symbols form runs, which
-    the count table gives for L = 1 and data[sa + L - 1] splits for each
-    larger L.  A gram of L symbols is an L-run holding row isa[p] of an
-    L-symbol phrase at p, and its rows, isa[sa[run] + L], already rise."""
+    data[sa] splits for L = 1 and data[sa + L - 1] for each larger L.  A
+    gram of L symbols is an L-run holding row isa[p] of an L-symbol phrase
+    at p, and its rows, isa[sa[run] + L], already rise."""
     n, offsets, lengths = corpus.n, starts[:-1], np.diff(starts)
-    isa = np.empty(n, dtype=np.uint32)
-    isa[sa] = np.arange(n, dtype=np.uint32)
+    isa = suffixbwt.inverse_permutation(sa)
     longest = int(lengths.max(initial=0))
     # Zero-padded, so that data[L - 1:] holds a symbol for every sa.
     data = np.frombuffer(corpus.data + bytes(longest), dtype=np.uint8)
-    new = np.zeros(n, dtype=bool)
-    new[[c for c in count_table if c < n]] = True
+    new = np.ones(n, dtype=bool)
+    new[1:] = np.diff(data[:n][sa]) != 0
     # Per gram: its first phrase, first row and row count.
     found = [np.empty((3, 0), dtype=np.int64)]
     for length in range(2, longest + 1):
@@ -187,10 +186,14 @@ def _phrase_directory(corpus: Corpus, sa, count_table, starts) -> GramDirectory:
         found.append([earliest[held], bounds[held], np.diff(bounds, append=n)[held]])
     found = np.concatenate(found, axis=1)
     phrase, first, size = found[:, np.argsort(found[0])]
-    lengths = lengths[phrase]
-    rows = sa[_ranges(first, size)] + np.repeat(lengths, size)
+    lengths, ends = lengths[phrase], np.cumsum(size)
+    rows = np.empty(size.sum(), dtype=np.uint32)
+    # One length at a time, so that no temporary spans every row.
+    for length in range(2, longest + 1):
+        g = lengths == length
+        rows[_ranges(ends[g] - size[g], size[g])] = isa[sa[_ranges(first[g], size[g])] + length]
     return GramDirectory.from_keys(data[_ranges(offsets[phrase], lengths)].tobytes(), lengths,
-                                   first, np.append(0, np.cumsum(size)), isa[rows])
+                                   first, np.append(0, ends), rows)
 
 
 def _ranges(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -283,7 +286,7 @@ class LinearIndex:
         sa = suffixbwt.build_suffix_array(corpus)
         fm = FmIndex.build(corpus, sa)
         starts = phrases(text, minimizers(text, alpha, q)).starts
-        return cls(fm, alpha, q, _phrase_directory(corpus, sa, fm.count_table, starts))
+        return cls(fm, alpha, q, _phrase_directory(corpus, sa, starts))
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.
@@ -320,18 +323,16 @@ class LinearIndex:
             if right - left == 1:
                 # Single-symbol phrase: the character-level step is cheaper.
                 s, e = step(s, e, pattern[left])
+            elif (g := lookup(pattern[left:right])) is None:
+                # Unlisted, yet in the text if alpha or q are not the build's.
+                s, e = fm.extend(pattern[left:right], s, e)
             else:
-                g = lookup(pattern[left:right])
-                if g is None:
-                    # Unlisted, yet in the text if alpha or q are not the build's.
-                    s, e = fm.extend(pattern[left:right], s, e)
-                else:
-                    first, lo, hi = firsts[g], starts[g], starts[g + 1]
-                    # At most e - s + 1 of the gram's rows lie in [s, e], so
-                    # the second search only looks that far past the first.
-                    r = bisect_right(rows, s - 1, lo, hi)
-                    upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
-                    s, e = first + r - lo, first + upto - lo - 1
+                first, lo, hi = firsts[g], starts[g], starts[g + 1]
+                # At most e - s + 1 of the gram's rows lie in [s, e], so the
+                # second search only looks that far past the first.
+                r = bisect_right(rows, s - 1, lo, hi)
+                upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
+                s, e = first + r - lo, first + upto - lo - 1
             right = left
         if s > e:
             return 0
