@@ -11,11 +11,12 @@ not copied out first; nothing loaded keeps a view of them.
 A superlinear file is the corpus and u32 `q_max`; load sorts the corpus's
 suffixes and derives the gram directory as the build does, so a file that
 loads is the index a build over its corpus gives.  A linear file is alpha,
-q, the n-byte BWT and the directory of its multi-symbol phrases: the u32
-gram and row counts, the gram keys as one buffer (concatenated in id
-order, so a key's offset is the sum of the lengths before it) and four u32
-columns, `lengths`, `firsts`, `starts` and `rows`.  It holds no corpus;
-load builds the FM index (LF mapping and count table) from the BWT alone,
+q, the n-byte BWT and what the BWT cannot give of the directory of its
+multi-symbol phrases: the u32 gram count and four u32 columns, `lengths`,
+`firsts`, `counts` and `rows` (gram g's rows follow those of the grams
+before it).  It holds no corpus and no gram keys; load builds the FM index
+(LF mapping and count table) from the BWT alone, reads each gram's key off
+the BWT from its first row, as the build does (`GramDirectory.from_bwt`),
 checks every gram against the BWT's rows (`_check_gram_rows`) and keys
 every gram to its id in one bulk pass.  A split file is k, the
 substitution table if any, the u32 group count and, for each (m, role)
@@ -36,13 +37,13 @@ whose role is above k or whose m is at most k, a repeated group, a
 repeated key within a group, or a run whose length (decoded, if coded) is
 not a positive multiple of its width m - len(key), or that holds an
 unknown code; a linear file with alpha or q below 1, or whose BWT does not
-hold exactly one terminator; and a linear directory whose `starts` do not
-frame its rows, whose grams are empty, longer than alpha, hold a 0 byte,
-do not fill the key buffer or repeat, whose first row plus count passes n,
-whose rows reach n or do not rise inside a gram, or whose grams do not
-start exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the
-BWT or do not lead from the first and last of them to the gram's first and
-last rows.  A linear file that loads can still miscount: nothing short of
+hold exactly one terminator; and a linear directory whose grams are empty,
+longer than alpha or than n - 1 (alone or together), hold the terminator
+or repeat, whose count is 0 or whose first row plus count passes n, whose
+rows reach n or do not rise inside a gram, or whose grams do not start
+exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or
+do not lead from the first and last of them to the gram's first and last
+rows.  A linear file that loads can still miscount: nothing short of
 rebuilding checks the rows between a gram's first and last, or that the
 BWT is some text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its
 alpha and q, since a phrase the directory lacks takes character steps.
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
 from .splitindex import CODE_FLOOR, PieceRuns, SplitIndex, SubstitutionTable, piece_bounds
-from .suffixbwt import FmIndex, psi_mapping
+from .suffixbwt import FmIndex, psi_mapping, row_prefixes
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
 from .suffixbwt import bwt_forward  # noqa: F401
@@ -68,7 +69,7 @@ from .textcore import TERMINATOR, Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 12
+FORMAT_VERSION = 13
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -246,73 +247,27 @@ def _read_corpus(r: _Reader) -> Corpus:
         raise MalformedInputError(f"bad corpus: {exc}") from None
 
 
-def _check_directory(n: int, alpha: int, keys: bytes, lengths, firsts, starts, rows) -> None:
-    """Refuse a directory whose grams or rows fall outside the key buffer
-    and the n rows, or whose row runs are not strictly increasing."""
-    starts = starts.astype(np.int64)
-    counts = np.diff(starts)
-    # Every gram occurs, so it has at least one row.
-    if starts[0] != 0 or starts[-1] != len(rows) or (counts < 1).any():
-        raise MalformedInputError("gram row starts do not frame the rows")
-    # A gram is a phrase between neighbouring minimizers, so it holds 1 to
-    # alpha symbols and never the terminator; the keys fill their buffer,
-    # and each gram's row range lies inside the n rows.
-    if ((lengths == 0) | (lengths > alpha) | (firsts.astype(np.int64) + counts > n)).any() \
-            or lengths.sum(dtype=np.int64) != len(keys):
-        raise MalformedInputError("gram directory entry out of range")
-    if TERMINATOR in keys:
-        raise MalformedInputError("a gram key holds the terminator")
-    if len(rows) and rows.max() >= n:
-        raise MalformedInputError("gram row out of range")
-    # Rows must rise inside each gram, not from one gram to the next.
-    falls = rows[1:] <= rows[:-1]
-    inner = starts[1:-1]
-    falls[inner[(inner > 0) & (inner < len(rows))] - 1] = False
-    if falls.any():
-        raise MalformedInputError("gram rows not strictly increasing")
-
-
 def _check_gram_rows(l: bytes, psi, directory: GramDirectory) -> None:
     """Refuse a directory whose grams do not start exactly their rows of
     the BWT `l`: rows firsts[g] and firsts[g] + count - 1 must start with
-    gram g, and the rows just before and after them must not.  The rows
-    are read forward: row r starts with symbol l[psi[r]] (`psi_mapping`),
-    and psi[r] is the row one symbol further on, so each pass reads one
-    more symbol of every gram still longer than that, in at most alpha
-    passes.  The walks from the first and last rows end at the gram's first
-    and last rows, which must be rows[starts[g]] and rows[starts[g+1] - 1].
+    gram g, the rows just before and after them must not, and the first
+    and last rows must lead lengths[g] symbols on to rows[starts[g]] and
+    rows[starts[g+1] - 1].  Each row's first symbols are read forward
+    through Ψ (`suffixbwt.row_prefixes`), in at most alpha passes.
     Neighbours wrap around the n rows: past the last row comes row 0, the
     terminator's, which starts no gram, and before row 0 comes row n - 1,
     which does not matter, since a gram whose first row is 0 fails anyway."""
     n = len(l)
-    grams = len(directory)
-    if not grams:
-        return
-    symbols = np.frombuffer(l, dtype=np.uint8)
-    lengths = np.tile(directory.lengths, 4)
-    longest, shortest = int(lengths.max()), int(lengths.min())
-    # Padded, so that a gram shorter than a pass reads a byte it then ignores.
-    keys = np.frombuffer(directory.buffer + bytes(longest), dtype=np.uint8)
-    key_at = np.tile(directory.offsets.astype(np.int64), 4)
     starts = np.asarray(directory.starts, dtype=np.int64)
     first = np.asarray(directory.firsts, dtype=np.int64)
     last = first + np.diff(starts) - 1
     # Per gram: its first row, its last row, the row before and the row after.
-    rows = np.concatenate([first, last, (first - 1) % n, (last + 1) % n])
-    match = np.ones(len(rows), dtype=bool)
-    for k in range(longest):
-        ahead = psi[rows]
-        hit = symbols[ahead] == keys[key_at + k]
-        if k >= shortest:
-            # A gram of k symbols or fewer is read whole: its rows stay.
-            live = lengths > k
-            ahead = np.where(live, ahead, rows)
-            hit |= ~live
-        rows = ahead
-        match &= hit
-    ends = np.asarray(directory.rows)[np.concatenate([starts[:-1], starts[1:] - 1])]
-    if not match[:2 * grams].all() or match[2 * grams:].any() \
-            or (rows[:2 * grams] != ends).any():
+    rows = np.stack([first, last, (first - 1) % n, (last + 1) % n], axis=1)
+    prefixes, ends = row_prefixes(l, psi, rows, directory.lengths)
+    differ = prefixes != np.frombuffer(directory.buffer, dtype=np.uint8)[:, None]
+    differ = np.logical_or.reduceat(differ, directory.offsets)
+    wanted = np.asarray(directory.rows)[np.stack([starts[:-1], starts[1:] - 1], axis=1)]
+    if differ[:, :2].any() or not differ[:, 2:].all() or (ends[:, :2] != wanted).any():
         raise MalformedInputError("gram rows differ from the BWT's")
 
 
@@ -342,9 +297,7 @@ def _linear_payload(index: LinearIndex) -> bytes:
     w.blob(index.fm.l)
     directory = index.directory
     w.u32(len(directory.lengths))
-    w.u32(len(directory.rows))
-    w.blob(directory.buffer)
-    for column in (directory.lengths, directory.firsts, directory.starts, directory.rows):
+    for column in (directory.lengths, directory.firsts, np.diff(directory.starts), directory.rows):
         w.u32s(column)
     return w.getvalue()
 
@@ -356,13 +309,10 @@ def _load_linear(r: _Reader) -> LinearIndex:
         raise MalformedInputError("minimizer alpha and q must be positive")
     l = r.blob()
     grams = r.u32()
-    row_count = r.u32()
-    keys = r.blob()
-    lengths, firsts = r.u32s(grams), r.u32s(grams)
-    starts = r.u32s(grams + 1)
+    lengths, firsts, counts = r.u32s(grams), r.u32s(grams), r.u32s(grams)
     # An aligned copy: vectorised checks and the directory's memoryview
     # need one, and the payload may place the rows at any offset.
-    rows = r.u32s(row_count).astype(np.uint32)
+    rows = r.u32s(counts.sum(dtype=np.int64)).astype(np.uint32)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
     psi = psi_mapping(l)
@@ -372,11 +322,28 @@ def _load_linear(r: _Reader) -> LinearIndex:
     # terminator's suffix.
     if fm.count_table[TERMINATOR + 1] != 1:
         raise MalformedInputError("BWT must hold exactly one terminator")
-    _check_directory(len(l), alpha, keys, lengths, firsts, starts, rows)
-    directory = GramDirectory.from_keys(keys, lengths, firsts, starts, rows)
+    # A gram, a phrase between neighbouring minimizers, holds 1 to
+    # min(alpha, n - 1) symbols and occurs at least once, at rising rows
+    # below n.  The grams are distinct phrases of one split of the text, so
+    # their lengths sum to at most n - 1: that bounds the passes and the
+    # bytes that reading the keys off the BWT takes.
+    n, counts = len(l), counts.astype(np.int64)
+    if ((lengths == 0) | (lengths > min(alpha, n - 1)) | (counts < 1)
+            | (firsts + counts > n)).any() or lengths.sum(dtype=np.int64) > n - 1:
+        raise MalformedInputError("gram directory entry out of range")
+    if len(rows) and rows.max() >= n:
+        raise MalformedInputError("gram row out of range")
+    # Rows must rise inside each gram, not from one gram to the next.
+    falls = rows[1:] <= rows[:-1]
+    falls[np.cumsum(counts)[:-1] - 1] = False
+    if falls.any():
+        raise MalformedInputError("gram rows not strictly increasing")
+    directory = GramDirectory.from_bwt(l, psi, lengths, firsts, counts, rows)
+    if TERMINATOR in directory.buffer:
+        raise MalformedInputError("a gram key holds the terminator")
+    _check_gram_rows(l, psi, directory)
     if len(directory) != grams:
         raise MalformedInputError("repeated gram in directory")
-    _check_gram_rows(l, psi, directory)
     return LinearIndex(fm, alpha, q, directory)
 
 

@@ -27,7 +27,8 @@ Two variants trade space for fewer backward-search steps:
 
 Both directories are read off runs of suffix-array rows whose suffixes share
 their first symbols (`directory_from_suffix_array`, `_phrase_directory`);
-neither index keeps the suffix array, and queries never read it.
+neither index keeps the suffix array, and queries never read it.  Build and
+load alike read linear gram keys off the BWT (`GramDirectory.from_bwt`).
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -59,8 +60,8 @@ class GramDirectory(ChainedHashMap):
 
     Gram g is buffer[offsets[g]:offsets[g] + lengths[g]]: a superlinear
     directory slices its keys out of the corpus, a linear one out of its
-    keys concatenated in id order (`from_keys`).  The map is built from the
-    columns in bulk (`entry_for`).  firsts[g] is the
+    keys read off the BWT and concatenated in id order (`from_bwt`).  The
+    map is built from the columns in bulk (`entry_for`).  firsts[g] is the
     first row of the suffix range starting with it, and its rows, in
     sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
     `firsts`, `starts` and `rows` are memoryviews, whose items read as
@@ -82,11 +83,15 @@ class GramDirectory(ChainedHashMap):
         super().__init__(self.entry_for())
 
     @classmethod
-    def from_keys(cls, keys: bytes, lengths, firsts, starts, rows) -> "GramDirectory":
-        """The directory whose gram keys are `keys` concatenated in id order:
-        gram g's offset is the sum of the lengths before it."""
+    def from_bwt(cls, l: bytes, psi, lengths, firsts, counts, rows) -> "GramDirectory":
+        """The linear directory whose gram g is the first lengths[g] symbols
+        of row firsts[g] of the BWT `l` (`suffixbwt.row_prefixes`, through Ψ
+        `psi`), with the next counts[g] of `rows`; the keys are concatenated
+        in id order."""
+        keys = suffixbwt.row_prefixes(l, psi, firsts, lengths)[0].tobytes()
         lengths = np.asarray(lengths, dtype=np.int64)
-        return cls(keys, np.cumsum(lengths) - lengths, lengths, firsts, starts, rows)
+        return cls(keys, np.cumsum(lengths) - lengths, lengths, firsts,
+                   np.append(0, np.cumsum(counts)), rows)
 
     def entry_for(self) -> dict[bytes, int]:
         """Every gram of the directory keyed to its id, in one bulk call
@@ -157,10 +162,11 @@ def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory
                          firsts, np.concatenate([*starts, [at]]), rows)
 
 
-def _phrase_directory(corpus: Corpus, sa, starts) -> GramDirectory:
-    """The linear gram directory, read off the suffix array: each distinct
-    phrase data[starts[i]:starts[i + 1]] of two or more symbols, in
-    first-seen order.  Rows whose suffixes share L symbols form runs, which
+def _phrase_directory(corpus: Corpus, sa, starts):
+    """The linear gram directory's columns `lengths`, `firsts`, `counts` and
+    `rows`, read off the suffix array: each distinct phrase
+    data[starts[i]:starts[i + 1]] of two or more symbols, in first-seen
+    order.  Rows whose suffixes share L symbols form runs, which
     data[sa] splits for L = 1 and data[sa + L - 1] for each larger L.  A
     gram of L symbols is an L-run holding row isa[p] of an L-symbol phrase
     at p, and its rows, isa[sa[run] + L], already rise."""
@@ -192,8 +198,7 @@ def _phrase_directory(corpus: Corpus, sa, starts) -> GramDirectory:
     for length in range(2, longest + 1):
         g = lengths == length
         rows[_ranges(ends[g] - size[g], size[g])] = isa[sa[_ranges(first[g], size[g])] + length]
-    return GramDirectory.from_keys(data[_ranges(offsets[phrase], lengths)].tobytes(), lengths,
-                                   first, np.append(0, ends), rows)
+    return lengths, first, size, rows
 
 
 def _ranges(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -264,10 +269,10 @@ class LinearIndex:
     """FM index with occurrence lists for the corpus phrases only.
 
     It holds the FM index, alpha, q and the gram directory, whose keys are
-    one buffer of the phrases concatenated, and no corpus: queries read only
-    n, which is len(fm.l), and the gram keys.  The text stays recoverable
-    from the BWT (`suffixbwt.bwt_inverse`), since an FM index is a
-    self-index."""
+    one buffer of the phrases read off the BWT, and no corpus: queries read
+    only n, which is len(fm.l), and the gram keys.  The text stays
+    recoverable from the BWT (`suffixbwt.bwt_inverse`), since an FM index
+    is a self-index."""
 
     def __init__(self, fm: FmIndex, alpha: int, q: int, directory: GramDirectory):
         self.fm = fm
@@ -282,11 +287,16 @@ class LinearIndex:
         text = corpus.text
         if len(text) < q + alpha - 1:
             raise ValueError("corpus shorter than one minimizer window")
-        # Called through the module, where traced runs wrap it.
+        # Called through the module, where traced runs wrap them.
         sa = suffixbwt.build_suffix_array(corpus)
-        fm = FmIndex.build(corpus, sa)
+        l = suffixbwt.bwt_forward(corpus, sa)
         starts = phrases(text, minimizers(text, alpha, q)).starts
-        return cls(fm, alpha, q, _phrase_directory(corpus, sa, starts))
+        columns = _phrase_directory(corpus, sa, starts)
+        # Freed before Ψ and the LF mapping are made: held past them, it
+        # raised the peak RSS of repeated 1 MiB builds by 6-12 MiB.
+        del sa
+        psi = suffixbwt.psi_mapping(l)
+        return cls(FmIndex(l, psi), alpha, q, GramDirectory.from_bwt(l, psi, *columns))
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.

@@ -77,6 +77,28 @@ def psi_mapping(l: bytes) -> np.ndarray:
     return np.argsort(np.frombuffer(l, dtype=np.uint8), kind="stable")
 
 
+def row_prefixes(l: bytes, psi: np.ndarray, rows, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """The first lengths[i] symbols of the BWT `l`'s row rows[i], for each
+    i in turn, as u8s, and the row lengths[i] symbols further on; rows[i]
+    may also be several rows, each read into its own column.  Row r starts
+    with l[psi[r]] and psi[r] is the row one symbol on (Ψ, `psi_mapping`),
+    so pass k reads symbol k of every row longer than k: with the rows
+    taken longest first, those are a prefix of them."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    order = np.argsort(-lengths)
+    at, size = (np.cumsum(lengths) - lengths)[order], lengths[order]
+    walk = np.asarray(rows, dtype=np.int64)[order]
+    symbols = np.frombuffer(l, dtype=np.uint8)
+    prefixes = np.empty((lengths.sum(), *walk.shape[1:]), dtype=np.uint8)
+    for k in range(int(lengths.max(initial=0))):
+        live = np.count_nonzero(size > k)
+        walk[:live] = psi[walk[:live]]
+        prefixes[at[:live] + k] = symbols[walk[:live]]
+    ends = np.empty_like(walk)
+    ends[order] = walk
+    return prefixes, ends
+
+
 def lf_mapping(l: bytes, psi: np.ndarray | None = None) -> np.ndarray:
     """The LF mapping of the BWT string `l` as n u32 entries: LF[i] is the
     row of the suffix one symbol to the left of row i's, that is
@@ -178,10 +200,8 @@ class FmIndex(RankIndex):
     n is len(l)."""
 
     @classmethod
-    def build(cls, corpus: Corpus, sa: np.ndarray | None = None) -> "FmIndex":
-        """`sa`, if given, is the corpus's suffix array, already built by a
-        caller that also reads it; the index does not keep it."""
-        return cls(bwt_forward(corpus, sa))
+    def build(cls, corpus: Corpus) -> "FmIndex":
+        return cls(bwt_forward(corpus))
 
     def size_in_bytes(self) -> int:
         """BWT string (n bytes) + count table (257 entries of 8 bytes) + LF

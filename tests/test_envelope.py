@@ -2,9 +2,11 @@ import hashlib
 import random
 import struct
 import sys
+import time
 import zlib
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from textindex.cli import VERIFY_LENGTHS
 from textindex.harness import (NaiveHammingSearcher, dna_like_text, english_like_text,
                                naive_count, random_word_dictionary, sample_patterns)
 from textindex.splitindex import Dictionary, PieceRuns, SplitIndex, select_qgrams
-from textindex.suffixbwt import bwt_inverse
+from textindex.suffixbwt import bwt_inverse, psi_mapping
 from textindex.textcore import Corpus
 
 
@@ -196,22 +198,14 @@ class TestDirectoryStructure:
         return LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
 
     @staticmethod
-    def _keys_at(index) -> int:
-        # envelope, alpha, q, BWT blob, gram count, row count, key blob
-        # length; then the keys
-        return 9 + 4 + 4 + 4 + len(index.fm.l) + 4 + 4 + 4
-
-    @classmethod
-    def _columns_at(cls, index) -> int:
-        # the lengths, firsts, starts and rows columns follow the keys, 4
-        # bytes an item
-        return cls._keys_at(index) + len(index.directory.buffer)
+    def _columns_at(index) -> int:
+        # envelope, alpha, q, BWT blob, gram count; then the lengths,
+        # firsts, counts and rows columns, 4 bytes an item
+        return 9 + 4 + 4 + 4 + len(index.fm.l) + 4
 
     @classmethod
     def _item_at(cls, index, column: int, item: int) -> int:
-        # `starts`, column 2, has one item more than there are grams
-        before = column * len(index.directory) + (column == 3)
-        return cls._columns_at(index) + 4 * (before + item)
+        return cls._columns_at(index) + 4 * (column * len(index.directory) + item)
 
     def _refused(self, index, column: int, item: int, value: int, match=None):
         at = self._item_at(index, column, item)
@@ -221,18 +215,19 @@ class TestDirectoryStructure:
             deserialize_index(_resign(data))
 
     def test_layout(self):
-        # the keys are one buffer in id order, and their offsets follow
-        # from the lengths; no corpus is stored
+        # no corpus and no gram keys: the gram count, then four columns,
+        # and each gram's rows follow those of the grams before it
         index = self._linear()
         data = serialize_index(index)
-        at = self._keys_at(index)
-        assert data[at - 4:at + 6] == struct.pack("<I", 6) + b"bracad"
-        assert len(data) == self._item_at(index, 3, len(index.directory.rows))
+        at = self._columns_at(index)
+        assert data[at - 4:at] == struct.pack("<I", 3)
+        assert data[at:] == struct.pack("<13I", 2, 2, 2, 6, 4, 5, 2, 1, 1, 1, 4, 5, 2)
         assert data[9 + 4 + 4 + 4:9 + 4 + 4 + 4 + 12] == index.fm.l == b"ard\0rcaaaabb"
+        assert index.directory.buffer == b"bracad"
 
-    # Column order: lengths, firsts, starts, rows.
+    # Column order: lengths, firsts, counts, rows.
     @pytest.mark.parametrize("column, value", [
-        (0, 1000),  # the key runs past the key buffer
+        (0, 1000),  # the key runs past the text
         (0, 0),     # empty gram
         (1, 12),    # first + count > n
     ])
@@ -240,36 +235,44 @@ class TestDirectoryStructure:
         self._refused(self._linear(), column, 0, value, "out of range")
 
     def test_gram_longer_than_alpha(self):
-        # lengths 3 and 1 still fill the key buffer, but a phrase holds at
-        # most alpha (2) symbols
+        # row 6 starts "bra$", but a phrase holds at most alpha (2) symbols
+        self._refused(self._linear(), 0, 0, 3, "out of range")
+
+    def test_gram_length_refused_before_reading_keys(self):
+        # alpha 2**32 - 1 and a gram of 2**31 symbols: the length is refused
+        # against the text before any pass reads a key symbol off the BWT
         index = self._linear()
         data = bytearray(serialize_index(index))
+        data[9:13] = struct.pack("<I", 2**32 - 1)
         at = self._item_at(index, 0, 0)
-        data[at:at + 8] = struct.pack("<2I", 3, 1)
+        data[at:at + 4] = struct.pack("<I", 2**31)
+        started = time.perf_counter()
+        with pytest.raises(MalformedInputError, match="out of range"):
+            deserialize_index(_resign(data))
+        assert time.perf_counter() - started < 0.5
+
+    def test_gram_lengths_sum_past_the_text(self):
+        # each of the three grams 10 symbols long, which fits in the text,
+        # but distinct phrases of one split of an 11-symbol text hold at
+        # most 11 symbols between them
+        index = self._linear()
+        data = bytearray(serialize_index(index))
+        data[9:13] = struct.pack("<I", 2**32 - 1)
+        at = self._item_at(index, 0, 0)
+        data[at:at + 12] = struct.pack("<3I", 10, 10, 10)
         with pytest.raises(MalformedInputError, match="out of range"):
             deserialize_index(_resign(data))
 
     def test_gram_key_holds_the_terminator(self):
-        index = self._linear()
-        data = bytearray(serialize_index(index))
-        data[self._keys_at(index) + 1] = 0
-        with pytest.raises(MalformedInputError, match="terminator"):
-            deserialize_index(_resign(data))
-
-    @pytest.mark.parametrize("key_byte, value", [(0, ord("c")), (1, ord("a")), (3, ord("b"))])
-    def test_gram_key_not_at_its_rows(self, key_byte, value):
-        # "br" -> "cr" or "ba", "ac" -> "ab": the rows from firsts[g] on no
-        # longer start with the key
-        index = self._linear()
-        data = bytearray(serialize_index(index))
-        data[self._keys_at(index) + key_byte] = value
-        with pytest.raises(MalformedInputError, match="rows differ"):
-            deserialize_index(_resign(data))
+        # "ac" (count 1) moved to row 1, "a$": its key, the first two
+        # symbols of that row, holds the terminator
+        self._refused(self._linear(), 1, 1, 1, "terminator")
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_first_row_moved(self, delta):
-        # "br" starts rows 6 and 7; one row off, the range loses its first
-        # or its last row, or takes in a neighbour that does not start with it
+        # "br" starts rows 6 and 7; the key is read off the first row, so a
+        # range one row off reads "ad" off row 5, which its last row 6 does
+        # not start with, or keeps "br" and takes in row 8, which does not
         index = self._linear()
         self._refused(index, 1, 0, index.directory.firsts[0] + delta, "rows differ")
 
@@ -293,10 +296,25 @@ class TestDirectoryStructure:
         assert directory.get(b"br") == 0 and directory.firsts[0] == 6
         rows = list(directory.rows)
         rows.pop(1 - kept)
-        short = GramDirectory.from_keys(
-            directory.buffer, directory.lengths, [6 + kept, *directory.firsts[1:]],
-            [0, *(start - 1 for start in directory.starts[1:])], rows)
+        short = GramDirectory.from_bwt(
+            built.fm.l, psi_mapping(built.fm.l), directory.lengths,
+            [6 + kept, *directory.firsts[1:]], [1, 1, 1], rows)
         data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, short))
+        with pytest.raises(MalformedInputError, match="rows differ"):
+            deserialize_index(data)
+
+    def test_gram_range_one_row_long(self):
+        # "br" (rows 6 and 7) takes in row 8, "ca...", and the row it leads
+        # to, 9: the walks from rows 6 and 8 end at the gram's first and
+        # last rows, and the neighbours 5 and 9 do not start with "br", so
+        # only the last row's key shows that the range is long
+        built = self._linear()
+        directory = built.directory
+        assert list(directory.rows) == [1, 4, 5, 2]
+        long = GramDirectory.from_bwt(
+            built.fm.l, psi_mapping(built.fm.l), directory.lengths, directory.firsts,
+            [3, 1, 1], [1, 4, 9, 5, 2])
+        data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, long))
         with pytest.raises(MalformedInputError, match="rows differ"):
             deserialize_index(data)
 
@@ -342,13 +360,16 @@ class TestDirectoryStructure:
         assert loaded.count(b"abracadabra") == 1
 
     def test_repeated_gram(self):
-        # the second gram's key becomes the first's
-        index = self._linear()
-        data = bytearray(serialize_index(index))
-        at = self._keys_at(index)
-        data[at + 2:at + 4] = data[at:at + 2]
+        # a fourth gram with the first one's length, first row and rows
+        built = self._linear()
+        directory = built.directory
+        rows = list(directory.rows)
+        twice = GramDirectory.from_bwt(
+            built.fm.l, psi_mapping(built.fm.l), [2, 2, 2, 2],
+            [*directory.firsts, 6], [2, 1, 1, 2], rows + rows[:2])
+        data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, twice))
         with pytest.raises(MalformedInputError, match="repeated gram"):
-            deserialize_index(_resign(data))
+            deserialize_index(data)
 
     def test_row_past_the_end(self):
         # the last row of the last gram, raised to n, still increases
@@ -363,14 +384,21 @@ class TestDirectoryStructure:
         assert hi - lo == 2
         self._refused(index, 3, lo + 1, index.directory.rows[lo])
 
-    def test_starts_do_not_end_at_the_rows_length(self):
-        index = self._linear()
-        self._refused(index, 2, len(index.directory), len(index.directory.rows) - 1)
+    @pytest.mark.parametrize("count", [1, 3], ids=["short", "long"])
+    def test_counts_do_not_sum_to_the_rows_length(self, count):
+        # "br" has two rows: with one, a row is left over after the last
+        # gram's; with three, the last gram's row runs past the payload
+        self._refused(self._linear(), 2, 0, count, "trailing|truncated")
 
     def test_gram_without_rows(self):
-        # "br" keeps its rows and "ac" gets none: every gram occurs
+        # "ac" gets no row and "ad" two, so the counts still sum to the
+        # rows: every gram occurs
         index = self._linear()
-        self._refused(index, 2, 2, 2, "frame")
+        data = bytearray(serialize_index(index))
+        at = self._item_at(index, 2, 1)
+        data[at:at + 8] = struct.pack("<2I", 0, 2)
+        with pytest.raises(MalformedInputError, match="out of range"):
+            deserialize_index(_resign(data))
 
     @staticmethod
     def _bwt_at(index) -> int:
@@ -622,22 +650,23 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 @pytest.mark.parametrize("flip", [0x01, 0x02, 0x10, 0x80, 0xFF])
 def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
-    # Every byte of the small linear file's alpha and q, key buffer,
-    # `lengths` and `firsts` columns, flipped and re-signed: the file is
-    # refused, or it loads and counts every pattern as a scan of the text
-    # its BWT holds.  The keys must fill their buffer, and the load checks
-    # each key and first row against the BWT's rows, so none of those
-    # loads; another alpha or q picks other phrases, and one the directory
-    # does not list takes character steps.  The longer sampled patterns
-    # hold whole windows at a flipped alpha or q.
+    # Every byte of the small linear file's alpha and q, gram count,
+    # `lengths`, `firsts` and `counts` columns, flipped and re-signed: the
+    # file is refused, or it loads and counts every pattern as a scan of the
+    # text its BWT holds.  Load reads each key off the BWT from its first
+    # row and checks it against the gram's last row and both neighbours, so
+    # a moved range or a changed length does not load; the counts must
+    # frame the rows to the end of the payload.  Another alpha or q picks
+    # other phrases, and one the directory does not list takes character
+    # steps.  The longer sampled patterns hold whole windows at a flipped
+    # alpha or q.
     data, patterns = _small_fm_file("linear")
     index = deserialize_index(data)
     patterns = patterns + sample_patterns(bwt_inverse(index.fm.l).text, 200, VERIFY_LENGTHS)
-    # envelope; alpha and q; BWT blob, gram and row counts, key blob
-    # length; then the keys, `lengths` and `firsts`
-    keys_at = 9 + 4 + 4 + 4 + len(index.fm.l) + 4 + 4 + 4
-    flipped = [*range(9, 9 + 8),
-               *range(keys_at, keys_at + len(index.directory.buffer) + 8 * len(index.directory))]
+    # envelope; alpha and q; BWT blob; then the gram count, `lengths`,
+    # `firsts` and `counts`
+    count_at = 9 + 4 + 4 + 4 + len(index.fm.l)
+    flipped = [*range(9, 9 + 8), *range(count_at, count_at + 4 + 12 * len(index.directory))]
     for at in flipped:
         corrupted = bytearray(data)
         corrupted[at] ^= flip
@@ -649,53 +678,72 @@ def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
         assert [clone.count(p) for p in patterns] == [naive_count(text, p) for p in patterns]
 
 
+def _directory_digest(directory) -> str:
+    """SHA-256 of a gram directory's key buffer and its `lengths`,
+    `firsts`, `starts` and `rows` columns as u32s."""
+    digest = hashlib.sha256(directory.buffer)
+    for column in (directory.lengths, directory.firsts, directory.starts, directory.rows):
+        digest.update(np.asarray(column, dtype="<u4").tobytes())
+    return digest.hexdigest()
+
+
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 12).  It is the format 11
-    # file without the corpus blob and the `offsets` column, with the 31
-    # gram keys (85 bytes) as one blob before the `lengths` column: 356,739
-    # bytes became 291,163.  Its 31 multi-symbol grams, first rows and row
-    # lists equal those of the format 3 file, which also listed the 4
-    # single-symbol phrases.
+    # Golden digest of a linear index file (format 13).  It is the format 12
+    # file without the key blob (85 bytes and its u32 length), the row count
+    # and the last `starts` entry, with `counts` in place of `starts`:
+    # 291,163 bytes became 291,066.  The directory it builds and loads, key
+    # buffer included, is the format 12 build's, whose 31 multi-symbol
+    # grams, first rows and row lists equal those of the format 3 file.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
-    data = serialize_index(LinearIndex.build(corpus, alpha=3, q=4))
-    assert len(data) == 291_163
+    index = LinearIndex.build(corpus, alpha=3, q=4)
+    data = serialize_index(index)
+    for directory in (index.directory, deserialize_index(data).directory):
+        assert _directory_digest(directory) == (
+            "32c263835b5278dd11e5fc5acd73ee4558ccf58bfd4b864f62dc4e3707db7b3c")
+    assert len(data) == 291_066
     assert hashlib.sha256(data).hexdigest() == (
-        "9a434c018dd4fdf4ee6cb4fae5db30fd42c08a8a4ea7d620fdfe628cb733056b")
+        "eebb350ac5fe99e77e5786acae38933602b1594c1808fbfaebb775b8d360a561")
 
 
 def test_linear_file_digest_above_alpha_8():
-    # Golden digest of a linear file at alpha 12 and q 3, taken when alpha
-    # above 8 found its distinct phrases by slicing and below by packed
-    # words: the one suffix-array build writes the same bytes for both.
+    # Golden digest of a linear file at alpha 12 and q 3 (format 13), whose
+    # 5,409 grams keep the format 12 build's keys and columns.  Those were
+    # taken when alpha above 8 found its distinct phrases by slicing and
+    # below by packed words: the one suffix-array build writes the same
+    # bytes for both.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
-    data = serialize_index(LinearIndex.build(corpus, alpha=12, q=3))
-    assert len(data) == 517_204
+    index = LinearIndex.build(corpus, alpha=12, q=3)
+    data = serialize_index(index)
+    for directory in (index.directory, deserialize_index(data).directory):
+        assert _directory_digest(directory) == (
+            "c6cf59b46f7eedcd46ac6ee1a265b849a2d1edcfb36601df7fefe1473145d6a8")
+    assert len(data) == 467_870
     assert hashlib.sha256(data).hexdigest() == (
-        "d11269eb9841ef1d56ab4576d9357291132d5ad71ce7cef33c5a531b5b0add06")
+        "0f3600f626bc84959a9d4fcccefa23be63b9a370d6c8674dad3d785d251a1687")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 12, the format 10
-    # and 11 file with only the version byte changed): the corpus blob and u32
-    # q_max (128) of the format 9 file, without the suffix array that
+    # Golden digest of a superlinear index file (format 13, the format 10
+    # to 12 file with only the version byte changed): the corpus blob and
+    # u32 q_max (128) of the format 9 file, without the suffix array that
     # followed them.  The directory its load derives equals the one
     # the format 8 file stored.
     corpus = Corpus.from_bytes(english_like_text(8192, seed=7))
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "24b5ba592c7bc5c512930f561621c32c5b36aeb9ab0bbd112f56513a2a0260e7")
+        "77a6410917175b4eae97597dc2316c99a4d3d4de81fbbb7ffbeb584d0660d50c")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 12, the format 11 files
-    # with only the version byte changed): k = 2 over 2,000 generated
+    # Golden digests of split index files (format 13, the format 11 and 12
+    # files with only the version byte changed): k = 2 over 2,000 generated
     # words, plain and coded with a 100-code substitution table, one group
     # per (m, role) with one fixed-width run per key.
     d = random_word_dictionary(2000, seed=7)
     plain = serialize_index(SplitIndex.build(d, 2))
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
     assert hashlib.sha256(plain).hexdigest() == (
-        "81ca6e18973f3e9b9a21961d378ab84ab6979b0944debcf0da547286ee3c7fd1")
+        "b91b5ce8953d8bf78e93511a437332f55cefe708c2a6ae71ac8fb0499ef6956f")
     assert hashlib.sha256(coded).hexdigest() == (
-        "9ccd9ac1a6f436e846ce472aa35ca0e46287b4af73161d2967bfa97ee088a0db")
+        "c0d2b495cd8c647eac7c0677840fe117019625891d12bf40933a31fb2b690700")

@@ -399,32 +399,33 @@ class TestLinearIndex:
         assert not hasattr(index.fm, "corpus")
 
 
-def stored_columns(data: bytes, at: int):
-    """The keys, firsts and starts of the gram directory whose gram count
-    sits at `at` in the file bytes `data`: the gram and row counts, the key
-    blob, then the lengths, firsts and starts columns."""
+def stored_columns(data: bytes, at: int, corpus: Corpus):
+    """The keys, firsts and starts of the linear gram directory whose gram
+    count sits at `at` in the file bytes `data`: the gram count, then the
+    lengths, firsts and counts columns.  No key is stored: gram g's is the
+    first lengths[g] symbols of the suffix at row firsts[g] of the corpus,
+    read here off its suffix array."""
     grams = int.from_bytes(data[at:at + 4], "little")
-    size = int.from_bytes(data[at + 8:at + 12], "little")
-    buffer = data[at + 12:at + 12 + size]
-    at += 12 + size
-    lengths, firsts, starts = [], [], []
-    for column, count in ((lengths, grams), (firsts, grams), (starts, grams + 1)):
+    at += 4
+    lengths, firsts, counts = [], [], []
+    for column in (lengths, firsts, counts):
         column.extend(int.from_bytes(data[i:i + 4], "little")
-                      for i in range(at, at + 4 * count, 4))
-        at += 4 * count
-    keys = []
-    for length in lengths:
-        keys.append(buffer[:length])
-        buffer = buffer[length:]
-    assert not buffer
+                      for i in range(at, at + 4 * grams, 4))
+        at += 4 * grams
+    sa = build_suffix_array(corpus).tolist()
+    keys = [corpus.data[sa[first]:sa[first] + length] for first, length in zip(firsts, lengths)]
+    starts = [0]
+    for count in counts:
+        starts.append(starts[-1] + count)
     return keys, firsts, starts
 
 
 class TestDirectoryIds:
     """`get` maps each gram to its id, and the id reads the gram's first
     row and row range off the columns, in a built index and a loaded one.
-    The columns are those a linear file stores, and those a superlinear
-    build derives (its file stores only the corpus and q_max)."""
+    The columns are those a linear file stores, with keys read off the
+    text's first rows, and those a superlinear build derives (its file
+    stores only the corpus and q_max)."""
 
     @pytest.mark.parametrize("kind", ["superlinear", "linear"])
     @pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
@@ -442,7 +443,7 @@ class TestDirectoryIds:
         data = serialize_index(idx)
         if kind == "linear":
             # envelope, alpha, q, BWT blob; no corpus
-            columns = stored_columns(data, 9 + 4 + 4 + 4 + len(raw) + 1)
+            columns = stored_columns(data, 9 + 4 + 4 + 4 + len(raw) + 1, Corpus.from_bytes(raw))
         if loaded:
             idx = deserialize_index(data)
         directory = idx.directory

@@ -6,7 +6,7 @@ import importlib.util
 from pathlib import Path
 
 from textindex import envelope
-from textindex.fmgram import GramDirectory, SuperlinearIndex
+from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
 from textindex.hashmap import ChainedHashMap
 from textindex.splitindex import Dictionary, SplitIndex
 from textindex.textcore import Corpus
@@ -53,4 +53,24 @@ def test_superlinear_load_sorts_suffixes_through_the_wrap_point():
     finally:
         tracer.uninstall()
     assert tracer.total("suffixbwt.sa", field=0, phase="load",
+                        owner="envelope.deserialize") == 1
+
+
+def test_linear_build_and_load_pass_the_bwt_wrap_points():
+    # a linear build sorts the suffixes, writes the BWT and builds the LF
+    # mapping and count table through the wrapped names, and a load builds
+    # the last two again from the stored BWT
+    corpus = Corpus.from_bytes(b"mississippi" * 4)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with tracer.span("setup"):
+            data = envelope.serialize_index(LinearIndex.build(corpus, alpha=2, q=2))
+        with tracer.span("load"):
+            assert envelope.deserialize_index(data).count(b"ssi") == 8
+    finally:
+        tracer.uninstall()
+    for layer in ("suffixbwt.sa", "suffixbwt.bwt", "suffixbwt.rank_build"):
+        assert tracer.total(layer, field=0, phase="setup", owner="fmgram.build") == 1, layer
+    assert tracer.total("suffixbwt.rank_build", field=0, phase="load",
                         owner="envelope.deserialize") == 1
