@@ -1,5 +1,5 @@
 """Time FM q-gram index builds, loads, gram-directory key maps and linear
-gram checks for one or more checkouts of the package, as a markdown table.
+gram walks for one or more checkouts of the package, as a markdown table.
 
     python3 scripts/load_bench.py --src OLD/src --src src --rounds 5
 
@@ -14,13 +14,17 @@ make it the costliest linear load to check.  A cell reports its fastest of
 BUILDS build + serialize passes, its fastest of LOADS loads of the file
 bytes, its fastest of LOADS `GramDirectory.entry_for` calls on the loaded
 index's directory and, for a linear index of a checkout that checks its
-grams at load, its fastest of LOADS `envelope._check_gram_rows` calls (the
-part of a load that reads each gram's rows off the BWT), plus the file
-size, the format version and a digest of the file bytes; the table
-shows each cell's fastest over the rounds, since other tenants of a shared
-host only ever slow a pass down.  Times are raw, not scaled to a reference
-host.  The command exits non-zero if a cell fails or if two checkouts of
-one format version write different bytes for one input.
+grams at load, its fastest of LOADS gram walks: the part of a load that
+reads each gram's key and rows off the BWT and checks them.  That is one
+`fmgram._gram_keys` call, or, in a checkout without it, the key read
+(`suffixbwt.row_prefixes` from `firsts`, where format 13 has it) and then
+`envelope._check_gram_rows`, so that the table compares the same work.
+It also reports the file size, the format version and a digest of the
+file bytes.  The table shows each cell's fastest over the rounds, since
+other tenants of a shared host only ever slow a pass down.  Times are raw,
+not scaled to a reference host.  The command exits non-zero if a cell
+fails or if two checkouts of one format version write different bytes for
+one input.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ def fastest(passes: int, call) -> float:
 
 def worker(args) -> None:
     sys.path.insert(0, args.src)
-    from textindex import envelope, suffixbwt
+    import numpy as np
+    from textindex import envelope, fmgram, suffixbwt
     from textindex.envelope import deserialize_index, serialize_index
     from textindex.fmgram import LinearIndex, SuperlinearIndex
     from textindex.harness import dna_like_text, english_like_text
@@ -69,13 +74,21 @@ def worker(args) -> None:
     index = deserialize_index(data)
     directory = index.directory
     entry_for_s = fastest(LOADS, directory.entry_for)
-    check = getattr(envelope, "_check_gram_rows", None)
-    check_ms = None
-    if check is not None and isinstance(index, LinearIndex):
-        psi = suffixbwt.psi_mapping(index.fm.l)
-        check_ms = 1e3 * fastest(LOADS, lambda: check(index.fm.l, psi, directory))
+    walk = None
+    if isinstance(index, LinearIndex):
+        l, psi = index.fm.l, suffixbwt.psi_mapping(index.fm.l)
+        if hasattr(fmgram, "_gram_keys"):
+            columns = [np.asarray(column, dtype=np.int64) for column in (
+                directory.lengths, directory.offsets, directory.firsts, directory.starts)]
+            walk = partial(fmgram._gram_keys, l, psi, *columns, np.asarray(directory.rows))
+        elif hasattr(envelope, "_check_gram_rows"):
+            def walk():
+                if hasattr(suffixbwt, "row_prefixes"):
+                    suffixbwt.row_prefixes(l, psi, directory.firsts, directory.lengths)
+                envelope._check_gram_rows(l, psi, directory)
+    walk_ms = None if walk is None else 1e3 * fastest(LOADS, walk)
     print(json.dumps({"build_ms": 1e3 * build_s, "load_ms": 1e3 * load_s,
-                      "entry_for_ms": 1e3 * entry_for_s, "check_ms": check_ms,
+                      "entry_for_ms": 1e3 * entry_for_s, "walk_ms": walk_ms,
                       "grams": len(directory), "bytes": len(data),
                       "format": envelope.FORMAT_VERSION,
                       "digest": hashlib.sha256(data).hexdigest()}))
@@ -110,7 +123,7 @@ def main() -> None:
                 sys.exit(f"{name}: the format {version} checkouts wrote "
                          f"{len(digests)} different files")
     timings = {"build_ms": "build ms", "load_ms": "load ms", "entry_for_ms": "entry_for ms",
-               "check_ms": "gram check ms"}
+               "walk_ms": "gram walk ms"}
     columns = [*timings.values(), "file bytes"]
     print("| input | " + " | ".join(f"{col} {src}" for src in args.src for col in columns)
           + " | grams |")

@@ -14,20 +14,19 @@ loads is the index a build over its corpus gives.  A linear file is alpha,
 q, the n-byte BWT and what the BWT cannot give of the directory of its
 multi-symbol phrases: the u32 gram count and four u32 columns, `lengths`,
 `firsts`, `counts` and `rows` (gram g's rows follow those of the grams
-before it).  It holds no corpus and no gram keys; load builds the FM index
-(LF mapping and count table) from the BWT alone, reads each gram's key off
-the BWT from its first row, as the build does (`GramDirectory.from_bwt`),
-checks every gram against the BWT's rows (`_check_gram_rows`) and keys
-every gram to its id in one bulk pass.  A split file is k, the
-substitution table if any, the u32 group count and, for each (m, role)
-group: m and the role (u8 each), the u32 key count, the keys (each as long
-as piece `role` of an m-symbol word), the u32 run lengths and the runs.
-Load slices a group's keys out of the file in one `map`, frames its runs
-with a cumulative sum over one bytes object, and checks the run lengths in
-bulk.  No file holds a hash-map setting or build statistics: the reported
-bucket layout is fixed by class constants and follows from the entry
-count.  CHANGES.md records how each format version differs from the one
-before.
+before it).  It holds no corpus and no gram keys: load only parses it for
+`LinearIndex.from_bwt`, the build's constructor too, which builds the FM
+index from the BWT alone, reads the keys off the BWT and checks every
+gram's rows in one walk, and keys each gram to its id in bulk.  A split
+file is k, the substitution table if any, the u32 group count and, for
+each (m, role) group: m and the role (u8 each), the u32 key count, the
+keys (each as long as piece `role` of an m-symbol word), the u32 run
+lengths and the runs.  Load slices a group's keys out of the file in one
+`map`, frames its runs with a cumulative sum over one bytes object, and
+checks the run lengths in bulk.  No file holds a hash-map setting or build
+statistics: the reported bucket layout is fixed by class constants and
+follows from the entry count.  CHANGES.md records how each format version
+differs from the one before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
 bytes; a superlinear corpus whose terminator is missing or not only at its
@@ -36,17 +35,18 @@ text); a split file with k below 1, a bad substitution table, a group
 whose role is above k or whose m is at most k, a repeated group, a
 repeated key within a group, or a run whose length (decoded, if coded) is
 not a positive multiple of its width m - len(key), or that holds an
-unknown code; a linear file with alpha or q below 1, or whose BWT does not
-hold exactly one terminator; and a linear directory whose grams are empty,
-longer than alpha or than n - 1 (alone or together), hold the terminator
-or repeat, whose count is 0 or whose first row plus count passes n, whose
-rows reach n or do not rise inside a gram, or whose grams do not start
-exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or
-do not lead from the first and last of them to the gram's first and last
-rows.  A linear file that loads can still miscount: nothing short of
-rebuilding checks the rows between a gram's first and last, or that the
-BWT is some text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its
-alpha and q, since a phrase the directory lacks takes character steps.
+unknown code.  `LinearIndex.from_bwt` refuses, with the same error, a
+linear file with alpha or q below 1, or whose BWT does not hold exactly
+one terminator; and a linear directory whose grams are empty, longer than
+alpha or than n - 1 (alone or together), hold the terminator or repeat,
+whose count is 0 or whose first row plus count passes n, whose rows reach
+n or do not rise inside a gram, or whose grams do not start exactly the
+rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or do not lead
+from the first and last of them to the gram's first and last rows.  A
+linear file that loads can still miscount: nothing short of rebuilding
+checks the rows between a gram's first and last, or that the BWT is some
+text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its alpha and q,
+since a phrase the directory lacks takes character steps.
 """
 
 from __future__ import annotations
@@ -59,12 +59,11 @@ import numpy as np
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
 from .splitindex import CODE_FLOOR, PieceRuns, SplitIndex, SubstitutionTable, piece_bounds
-from .suffixbwt import FmIndex, psi_mapping, row_prefixes
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
 from .suffixbwt import bwt_forward  # noqa: F401
-from .fmgram import GramDirectory, LinearIndex, SuperlinearIndex
-from .textcore import TERMINATOR, Corpus
+from .fmgram import LinearIndex, SuperlinearIndex
+from .textcore import Corpus
 
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
@@ -247,30 +246,6 @@ def _read_corpus(r: _Reader) -> Corpus:
         raise MalformedInputError(f"bad corpus: {exc}") from None
 
 
-def _check_gram_rows(l: bytes, psi, directory: GramDirectory) -> None:
-    """Refuse a directory whose grams do not start exactly their rows of
-    the BWT `l`: rows firsts[g] and firsts[g] + count - 1 must start with
-    gram g, the rows just before and after them must not, and the first
-    and last rows must lead lengths[g] symbols on to rows[starts[g]] and
-    rows[starts[g+1] - 1].  Each row's first symbols are read forward
-    through Ψ (`suffixbwt.row_prefixes`), in at most alpha passes.
-    Neighbours wrap around the n rows: past the last row comes row 0, the
-    terminator's, which starts no gram, and before row 0 comes row n - 1,
-    which does not matter, since a gram whose first row is 0 fails anyway."""
-    n = len(l)
-    starts = np.asarray(directory.starts, dtype=np.int64)
-    first = np.asarray(directory.firsts, dtype=np.int64)
-    last = first + np.diff(starts) - 1
-    # Per gram: its first row, its last row, the row before and the row after.
-    rows = np.stack([first, last, (first - 1) % n, (last + 1) % n], axis=1)
-    prefixes, ends = row_prefixes(l, psi, rows, directory.lengths)
-    differ = prefixes != np.frombuffer(directory.buffer, dtype=np.uint8)[:, None]
-    differ = np.logical_or.reduceat(differ, directory.offsets)
-    wanted = np.asarray(directory.rows)[np.stack([starts[:-1], starts[1:] - 1], axis=1)]
-    if differ[:, :2].any() or not differ[:, 2:].all() or (ends[:, :2] != wanted).any():
-        raise MalformedInputError("gram rows differ from the BWT's")
-
-
 def _superlinear_payload(index: SuperlinearIndex) -> bytes:
     w = _Writer()
     w.blob(index.corpus.data)
@@ -303,10 +278,7 @@ def _linear_payload(index: LinearIndex) -> bytes:
 
 
 def _load_linear(r: _Reader) -> LinearIndex:
-    alpha = r.u32()
-    q = r.u32()
-    if alpha < 1 or q < 1:
-        raise MalformedInputError("minimizer alpha and q must be positive")
+    alpha, q = r.u32(), r.u32()
     l = r.blob()
     grams = r.u32()
     lengths, firsts, counts = r.u32s(grams), r.u32s(grams), r.u32s(grams)
@@ -315,36 +287,7 @@ def _load_linear(r: _Reader) -> LinearIndex:
     rows = r.u32s(counts.sum(dtype=np.int64)).astype(np.uint32)
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    psi = psi_mapping(l)
-    fm = FmIndex(l, psi)
-    # The count table is the BWT's own, so backward steps stay inside the n
-    # rows whatever its bytes are.  With one terminator, row 0 is the
-    # terminator's suffix.
-    if fm.count_table[TERMINATOR + 1] != 1:
-        raise MalformedInputError("BWT must hold exactly one terminator")
-    # A gram, a phrase between neighbouring minimizers, holds 1 to
-    # min(alpha, n - 1) symbols and occurs at least once, at rising rows
-    # below n.  The grams are distinct phrases of one split of the text, so
-    # their lengths sum to at most n - 1: that bounds the passes and the
-    # bytes that reading the keys off the BWT takes.
-    n, counts = len(l), counts.astype(np.int64)
-    if ((lengths == 0) | (lengths > min(alpha, n - 1)) | (counts < 1)
-            | (firsts + counts > n)).any() or lengths.sum(dtype=np.int64) > n - 1:
-        raise MalformedInputError("gram directory entry out of range")
-    if len(rows) and rows.max() >= n:
-        raise MalformedInputError("gram row out of range")
-    # Rows must rise inside each gram, not from one gram to the next.
-    falls = rows[1:] <= rows[:-1]
-    falls[np.cumsum(counts)[:-1] - 1] = False
-    if falls.any():
-        raise MalformedInputError("gram rows not strictly increasing")
-    directory = GramDirectory.from_bwt(l, psi, lengths, firsts, counts, rows)
-    if TERMINATOR in directory.buffer:
-        raise MalformedInputError("a gram key holds the terminator")
-    _check_gram_rows(l, psi, directory)
-    if len(directory) != grams:
-        raise MalformedInputError("repeated gram in directory")
-    return LinearIndex(fm, alpha, q, directory)
+    return LinearIndex.from_bwt(l, alpha, q, lengths, firsts, counts, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ Two variants trade space for fewer backward-search steps:
 Both directories are read off runs of suffix-array rows whose suffixes share
 their first symbols (`directory_from_suffix_array`, `_phrase_directory`);
 neither index keeps the suffix array, and queries never read it.  Build and
-load alike read linear gram keys off the BWT (`GramDirectory.from_bwt`).
+load alike make a linear index through one checked constructor,
+`LinearIndex.from_bwt`: it reads the gram keys off the BWT and checks each
+gram's rows against it in the same walk (`_gram_keys`).
 
 Both keep a columnar `GramDirectory`: per gram, the first row of the
 suffix range starting with it and its occurrence rows in sorted-suffix
@@ -43,8 +45,9 @@ from bisect import bisect_right
 import numpy as np
 
 from . import suffixbwt
+from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
-from .textcore import Corpus, byte_windows, minimizers, minimizers_from_right, phrases
+from .textcore import TERMINATOR, Corpus, byte_windows, minimizers, minimizers_from_right, phrases
 from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
@@ -60,10 +63,10 @@ class GramDirectory(ChainedHashMap):
 
     Gram g is buffer[offsets[g]:offsets[g] + lengths[g]]: a superlinear
     directory slices its keys out of the corpus, a linear one out of its
-    keys read off the BWT and concatenated in id order (`from_bwt`).  The
-    map is built from the columns in bulk (`entry_for`).  firsts[g] is the
-    first row of the suffix range starting with it, and its rows, in
-    sorted-suffix order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
+    keys read off the BWT in id order (`LinearIndex.from_bwt`).  The map is
+    built from the columns in bulk (`entry_for`).  firsts[g] is the first
+    row of the suffix range starting with it, and its rows, in sorted-suffix
+    order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
     `firsts`, `starts` and `rows` are memoryviews, whose items read as
     Python ints, which `bisect` compares several times faster than numpy
     scalars.
@@ -81,17 +84,6 @@ class GramDirectory(ChainedHashMap):
             memoryview(np.array(column, dtype=np.uint32)) for column in (firsts, starts))
         self.rows = memoryview(np.require(rows, np.uint32, "CA"))
         super().__init__(self.entry_for())
-
-    @classmethod
-    def from_bwt(cls, l: bytes, psi, lengths, firsts, counts, rows) -> "GramDirectory":
-        """The linear directory whose gram g is the first lengths[g] symbols
-        of row firsts[g] of the BWT `l` (`suffixbwt.row_prefixes`, through Ψ
-        `psi`), with the next counts[g] of `rows`; the keys are concatenated
-        in id order."""
-        keys = suffixbwt.row_prefixes(l, psi, firsts, lengths)[0].tobytes()
-        lengths = np.asarray(lengths, dtype=np.int64)
-        return cls(keys, np.cumsum(lengths) - lengths, lengths, firsts,
-                   np.append(0, np.cumsum(counts)), rows)
 
     def entry_for(self) -> dict[bytes, int]:
         """Every gram of the directory keyed to its id, in one bulk call
@@ -206,6 +198,29 @@ def _ranges(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return np.repeat(begins - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
+def _gram_keys(l: bytes, psi, lengths, offsets, firsts, starts, rows) -> bytes:
+    """The keys, gram g's the first lengths[g] symbols of row firsts[g] of
+    the BWT `l`, at offsets[g], read through Ψ `psi` (`row_prefixes`) in the
+    one walk that checks each gram: its last row must start with the key
+    too, the rows before its first and after its last must not (rows wrap:
+    row 0, after row n - 1, starts no gram, and a first row 0 reads a key
+    holding the terminator), and its first and last rows must lead on to
+    rows[starts[g]] and rows[starts[g+1] - 1].  Refuses with
+    `MalformedInputError` a key holding the terminator, and rows that differ."""
+    n = len(l)
+    last = firsts + np.diff(starts) - 1
+    walk = np.stack([firsts, last, (firsts - 1) % n, (last + 1) % n], axis=1)
+    prefixes, ends = suffixbwt.row_prefixes(l, psi, walk, lengths)
+    keys = prefixes[:, 0].tobytes()
+    if TERMINATOR in keys:
+        raise MalformedInputError("a gram key holds the terminator")
+    differ = np.logical_or.reduceat(prefixes[:, 1:] != prefixes[:, :1], offsets)
+    wanted = rows[np.stack([starts[:-1], starts[1:] - 1], axis=1)]
+    if differ[:, 0].any() or not differ[:, 1:].all() or (ends[:, :2] != wanted).any():
+        raise MalformedInputError("gram rows differ from the BWT's")
+    return keys
+
+
 class SuperlinearIndex:
     """FM index with occurrence lists for every power-of-two gram length,
     read off the corpus's suffix array, which it does not keep.  `q_max`,
@@ -295,8 +310,45 @@ class LinearIndex:
         # Freed before Ψ and the LF mapping are made: held past them, it
         # raised the peak RSS of repeated 1 MiB builds by 6-12 MiB.
         del sa
+        return cls.from_bwt(l, alpha, q, *columns)
+
+    @classmethod
+    def from_bwt(cls, l: bytes, alpha: int, q: int, lengths, firsts, counts, rows) -> LinearIndex:
+        """The index over the BWT `l` whose gram g is the first lengths[g]
+        symbols of row firsts[g], with the next counts[g] of the u32 `rows`.
+        Build and load alike make it here, with Ψ, the FM index and every
+        check that the `envelope` docstring lists (`MalformedInputError`)."""
+        if alpha < 1 or q < 1:
+            raise MalformedInputError("minimizer alpha and q must be positive")
         psi = suffixbwt.psi_mapping(l)
-        return cls(FmIndex(l, psi), alpha, q, GramDirectory.from_bwt(l, psi, *columns))
+        fm = FmIndex(l, psi)
+        # The BWT's own count table keeps backward steps inside the n rows
+        # whatever its bytes are; with one terminator, row 0 is its suffix.
+        if fm.count_table[TERMINATOR + 1] != 1:
+            raise MalformedInputError("BWT must hold exactly one terminator")
+        # A gram, a phrase between neighbouring minimizers, holds 1 to
+        # min(alpha, n - 1) symbols and occurs at least once, at rising rows
+        # below n.  As distinct phrases of one split of the text, the grams
+        # hold at most n - 1 symbols, which bounds the passes of the key read.
+        n = len(l)
+        lengths, firsts, counts = (np.asarray(c, np.int64) for c in (lengths, firsts, counts))
+        if ((lengths == 0) | (lengths > min(alpha, n - 1)) | (counts < 1)
+                | (firsts + counts > n)).any() or lengths.sum() > n - 1:
+            raise MalformedInputError("gram directory entry out of range")
+        if len(rows) and rows.max() >= n:
+            raise MalformedInputError("gram row out of range")
+        starts = np.append(0, np.cumsum(counts))
+        # Rows must rise inside each gram, not from one gram to the next.
+        falls = rows[1:] <= rows[:-1]
+        falls[starts[1:-1] - 1] = False
+        if falls.any():
+            raise MalformedInputError("gram rows not strictly increasing")
+        offsets = np.cumsum(lengths) - lengths
+        directory = GramDirectory(_gram_keys(l, psi, lengths, offsets, firsts, starts, rows),
+                                  offsets, lengths, firsts, starts, rows)
+        if len(directory) != len(lengths):
+            raise MalformedInputError("repeated gram in directory")
+        return cls(fm, alpha, q, directory)
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.

@@ -83,8 +83,11 @@ def row_prefixes(l: bytes, psi: np.ndarray, rows, lengths) -> tuple[np.ndarray, 
     may also be several rows, each read into its own column.  Row r starts
     with l[psi[r]] and psi[r] is the row one symbol on (Ψ, `psi_mapping`),
     so pass k reads symbol k of every row longer than k: with the rows
-    taken longest first, those are a prefix of them."""
+    taken longest first, those are a prefix of them.  A length above len(l)
+    raises `ValueError` before any pass."""
     lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths > len(l)).any():
+        raise ValueError(f"a row prefix longer than the {len(l)} rows")
     order = np.argsort(-lengths)
     at, size = (np.cumsum(lengths) - lengths)[order], lengths[order]
     walk = np.asarray(rows, dtype=np.int64)[order]

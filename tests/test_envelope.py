@@ -10,15 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from textindex import envelope, fmgram, suffixbwt
 from textindex.envelope import (FORMAT_VERSION, deserialize_index, load_index,
                                 save_index, serialize_index)
 from textindex.errors import MalformedInputError
-from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
+from textindex.fmgram import LinearIndex, SuperlinearIndex
 from textindex.cli import VERIFY_LENGTHS
 from textindex.harness import (NaiveHammingSearcher, dna_like_text, english_like_text,
                                naive_count, random_word_dictionary, sample_patterns)
 from textindex.splitindex import Dictionary, PieceRuns, SplitIndex, select_qgrams
-from textindex.suffixbwt import bwt_inverse, psi_mapping
+from textindex.suffixbwt import bwt_inverse
 from textindex.textcore import Corpus
 
 
@@ -214,6 +215,15 @@ class TestDirectoryStructure:
         with pytest.raises(MalformedInputError, match=match):
             deserialize_index(_resign(data))
 
+    def _directory_refused(self, index, lengths, firsts, counts, rows, match):
+        # the file's alpha, q and BWT, then these columns in place of its own
+        at = self._columns_at(index)
+        data = bytearray(serialize_index(index)[:at - 4])
+        data += struct.pack(f"<{1 + 3 * len(lengths) + len(rows)}I",
+                            len(lengths), *lengths, *firsts, *counts, *rows)
+        with pytest.raises(MalformedInputError, match=match):
+            deserialize_index(_resign(data))
+
     def test_layout(self):
         # no corpus and no gram keys: the gram count, then four columns,
         # and each gram's rows follow those of the grams before it
@@ -296,12 +306,9 @@ class TestDirectoryStructure:
         assert directory.get(b"br") == 0 and directory.firsts[0] == 6
         rows = list(directory.rows)
         rows.pop(1 - kept)
-        short = GramDirectory.from_bwt(
-            built.fm.l, psi_mapping(built.fm.l), directory.lengths,
-            [6 + kept, *directory.firsts[1:]], [1, 1, 1], rows)
-        data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, short))
-        with pytest.raises(MalformedInputError, match="rows differ"):
-            deserialize_index(data)
+        self._directory_refused(built, directory.lengths.tolist(),
+                                [6 + kept, *directory.firsts[1:]], [1, 1, 1], rows,
+                                "rows differ")
 
     def test_gram_range_one_row_long(self):
         # "br" (rows 6 and 7) takes in row 8, "ca...", and the row it leads
@@ -311,12 +318,8 @@ class TestDirectoryStructure:
         built = self._linear()
         directory = built.directory
         assert list(directory.rows) == [1, 4, 5, 2]
-        long = GramDirectory.from_bwt(
-            built.fm.l, psi_mapping(built.fm.l), directory.lengths, directory.firsts,
-            [3, 1, 1], [1, 4, 9, 5, 2])
-        data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, long))
-        with pytest.raises(MalformedInputError, match="rows differ"):
-            deserialize_index(data)
+        self._directory_refused(built, directory.lengths.tolist(), list(directory.firsts),
+                                [3, 1, 1], [1, 4, 9, 5, 2], "rows differ")
 
     # BWT byte 3 is its terminator: overwrite it, or add a second one
     @pytest.mark.parametrize("item, value", [(3, ord("a")), (0, 0)], ids=["none", "two"])
@@ -364,12 +367,8 @@ class TestDirectoryStructure:
         built = self._linear()
         directory = built.directory
         rows = list(directory.rows)
-        twice = GramDirectory.from_bwt(
-            built.fm.l, psi_mapping(built.fm.l), [2, 2, 2, 2],
-            [*directory.firsts, 6], [2, 1, 1, 2], rows + rows[:2])
-        data = serialize_index(LinearIndex(built.fm, built.alpha, built.q, twice))
-        with pytest.raises(MalformedInputError, match="repeated gram"):
-            deserialize_index(data)
+        self._directory_refused(built, [2, 2, 2, 2], [*directory.firsts, 6], [2, 1, 1, 2],
+                                rows + rows[:2], "repeated gram")
 
     def test_row_past_the_end(self):
         # the last row of the last gram, raised to n, still increases
@@ -676,6 +675,24 @@ def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
             continue
         text = bwt_inverse(clone.fm.l).text
         assert [clone.count(p) for p in patterns] == [naive_count(text, p) for p in patterns]
+
+
+def test_one_bwt_walk_per_linear_build_and_load(monkeypatch):
+    # Build and load read the gram keys and check the gram rows in one
+    # walk; the calls are counted through every module's name for it
+    walks = []
+    walk = suffixbwt.row_prefixes
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    for module in (suffixbwt, fmgram, envelope):
+        monkeypatch.setattr(module, "row_prefixes", counted, raising=False)
+    index = LinearIndex.build(Corpus.from_bytes(dna_like_text(2000, seed=24)), alpha=3, q=4)
+    assert len(walks) == 1
+    deserialize_index(serialize_index(index))
+    assert len(walks) == 2
 
 
 def _directory_digest(directory) -> str:

@@ -156,6 +156,36 @@ class TestBwt:
         assert bwt_inverse(bwt_forward(c)).data == c.data
 
 
+class TestRowPrefixes:
+    def test_prefixes_and_end_rows(self):
+        # row r's first k symbols are its suffix's, wrapping past the
+        # terminator, and the walk ends at the row k symbols on
+        c = Corpus.from_bytes(b"abracadabra")
+        sa = build_suffix_array(c)
+        isa = suffixbwt.inverse_permutation(sa)
+        l = bwt_forward(c, sa)
+        rows, lengths = [6, 0, 11, 3], [4, 2, 12, 1]
+        prefixes, ends = suffixbwt.row_prefixes(l, suffixbwt.psi_mapping(l), rows, lengths)
+        text = c.data * 3
+        at = 0
+        for row, k, end in zip(rows, lengths, ends):
+            assert prefixes[at:at + k].tobytes() == text[sa[row]:sa[row] + k]
+            assert end == isa[(sa[row] + k) % c.n]
+            at += k
+
+    def test_length_past_the_rows_refused_before_any_pass(self):
+        # a Ψ that no pass may read: the length is refused first, so a huge
+        # one fails at once rather than after that many passes
+        class Unread:
+            def __getitem__(self, rows):
+                raise AssertionError("row_prefixes read a row")
+
+        l = bwt_forward(Corpus.from_bytes(b"abracadabra"))
+        for length in (len(l) + 1, 2**31):
+            with pytest.raises(ValueError, match="longer than"):
+                suffixbwt.row_prefixes(l, Unread(), [0, 1], [1, length])
+
+
 class TestCountTable:
     def test_mississippi(self):
         table = present(build_count_table(Corpus.from_bytes(b"mississippi")))
