@@ -11,14 +11,17 @@ workloads, a `SuperlinearIndex` (q_max 128) over 8 KiB of
 `dna_like_text(seed)`, and `fm-linear-english`, a `LinearIndex` (alpha 3,
 q 4) over 1 MiB of `english_like_text(seed)`, whose thousands of grams
 make it the costliest linear load to check.  A cell reports its fastest of
-BUILDS build + serialize passes, its fastest of LOADS loads of the file
-bytes, its fastest of LOADS `GramDirectory.entry_for` calls on the loaded
-index's directory and, for a linear index of a checkout that checks its
-grams at load, its fastest of LOADS gram walks: the part of a load that
-reads each gram's key and rows off the BWT and checks them.  That is one
-`fmgram._gram_keys` call, or, in a checkout without it, the key read
-(`suffixbwt.row_prefixes` from `firsts`, where format 13 has it) and then
-`envelope._check_gram_rows`, so that the table compares the same work.
+BUILDS build + serialize passes, its fastest of BUILDS suffix sorts of the
+input's corpus (`suffixbwt.build_suffix_array`, which a linear build and a
+superlinear build or load each run once), its fastest of LOADS loads of
+the file bytes, its fastest of LOADS `GramDirectory.entry_for` calls on
+the loaded index's directory and, for a linear index of a checkout that
+checks its grams at load, its fastest of LOADS gram walks: the part of a
+load that reads each gram's key and rows off the BWT and checks them.
+That is one `fmgram._gram_keys` call, or, in a checkout without it, the
+key read (`suffixbwt.row_prefixes` from `firsts`, where format 13 has it)
+and then `envelope._check_gram_rows`, so that the table compares the same
+work.
 It also reports the file size, the format version and a digest of the
 file bytes.  The table shows each cell's fastest over the rounds, since
 other tenants of a shared host only ever slow a pass down.  Times are raw,
@@ -70,6 +73,7 @@ def worker(args) -> None:
         build = partial(LinearIndex.build, corpus, 3, 4)
     data = serialize_index(build())
     build_s = fastest(BUILDS, lambda: serialize_index(build()))
+    sort_s = fastest(BUILDS, partial(suffixbwt.build_suffix_array, corpus))
     load_s = fastest(LOADS, lambda: deserialize_index(data))
     index = deserialize_index(data)
     directory = index.directory
@@ -87,7 +91,8 @@ def worker(args) -> None:
                     suffixbwt.row_prefixes(l, psi, directory.firsts, directory.lengths)
                 envelope._check_gram_rows(l, psi, directory)
     walk_ms = None if walk is None else 1e3 * fastest(LOADS, walk)
-    print(json.dumps({"build_ms": 1e3 * build_s, "load_ms": 1e3 * load_s,
+    print(json.dumps({"build_ms": 1e3 * build_s, "sort_ms": 1e3 * sort_s,
+                      "load_ms": 1e3 * load_s,
                       "entry_for_ms": 1e3 * entry_for_s, "walk_ms": walk_ms,
                       "grams": len(directory), "bytes": len(data),
                       "format": envelope.FORMAT_VERSION,
@@ -122,8 +127,8 @@ def main() -> None:
             if len(digests) != 1:
                 sys.exit(f"{name}: the format {version} checkouts wrote "
                          f"{len(digests)} different files")
-    timings = {"build_ms": "build ms", "load_ms": "load ms", "entry_for_ms": "entry_for ms",
-               "walk_ms": "gram walk ms"}
+    timings = {"build_ms": "build ms", "sort_ms": "sort ms", "load_ms": "load ms",
+               "entry_for_ms": "entry_for ms", "walk_ms": "gram walk ms"}
     columns = [*timings.values(), "file bytes"]
     print("| input | " + " | ".join(f"{col} {src}" for src in args.src for col in columns)
           + " | grams |")

@@ -15,42 +15,138 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MalformedInputError
-from .textcore import TERMINATOR, Corpus, dense_ranks, packed_words
+from .textcore import TERMINATOR, Corpus
 
-# Suffix-array rows and positions are stored as u32, and a doubling round's
-# sort key rank * (n + 1) + second + 1 must stay below 2**63.
+# Suffix-array rows and positions are stored as u32, and both sort keys
+# must fit int64: a first key is below 2**63 by the choice of its digit
+# count (`_first_sort`), and a refinement key, group head * n + (head of
+# the suffix `span` on), is below n * n.
 SA_LIMIT = 1 << 31
 
 
-def build_suffix_array(corpus: Corpus) -> np.ndarray:
-    """Indexes of the corpus suffixes in lexicographic order.
+def _first_sort(data: bytes) -> tuple[np.ndarray, np.ndarray, int]:
+    """The suffixes of `data` ordered by their first `span` symbols, as
+    int64, the keys of those symbols in that order, and `span`.
 
-    Vectorised prefix doubling, one path for every n.  Suffixes are first
-    ranked by their next 8 symbols, packed big-endian into one integer
-    (`packed_words`).  Each round then sorts one int64 key,
-    rank * (n + 1) + (rank of the suffix `span` further on) + 1, with 0 for
-    a suffix that runs out, and re-ranks by it (`dense_ranks`): the ranks
-    then order the first 2 * span symbols.  The terminator is the unique
-    smallest symbol, so no suffix is a prefix of another, the final ranks
-    are distinct and the order is unique.  Raises `ValueError` for
-    n >= SA_LIMIT.
+    The symbols that occur get dense codes in their own order, so the
+    terminator is code 0.  A suffix's key is its next `span` codes as
+    base-σ digits, zero-padded past the end, and it sorts above the
+    suffix's position, held in the low `width` bits: `span` is the most
+    digits for which σ**span << width still fits int64, so one in-place
+    sort orders the suffixes and carries each one's position along.  The
+    padding never decides an order, since the unique terminator differs
+    first.  Keys of m codes give those of 2m codes (and of 2m + 1 with one
+    more code), reading the bits of `span` from the top, in two buffers
+    that swap.
+    """
+    n = len(data)
+    table = np.cumsum(np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256) > 0) - 1
+    # At least 2, so that a lone terminator still bounds `span`.
+    sigma = max(int(table[-1]) + 1, 2)
+    width = (n - 1).bit_length()
+    span = 1
+    while sigma ** (span + 1) << width <= 1 << 63:
+        span += 1
+    # bytes() copies only a buffer that is not already bytes, such as the
+    # memoryview that a file load may hand over.
+    codes = np.frombuffer(bytes(data).translate(table.astype(np.uint8).tobytes())
+                          + bytes(span - 1), dtype=np.uint8)
+    keys = codes.astype(np.int64)
+    spare = np.empty_like(keys)
+    m, size = 1, len(keys)
+    for bit in bin(span)[3:]:
+        size -= m
+        np.multiply(keys[:size], sigma ** m, out=spare[:size])
+        spare[:size] += keys[m:m + size]
+        keys, spare = spare, keys
+        m *= 2
+        if bit == "1":
+            size -= 1
+            keys[:size] *= sigma
+            keys[:size] += codes[m:m + size]
+            m += 1
+    del spare
+    keys = keys[:n]
+    keys <<= width
+    keys += np.arange(n)
+    keys.sort()
+    sa = keys & ((1 << width) - 1)
+    keys >>= width
+    return sa, keys, span
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sorted `keys`, whether each starts a run of equal keys, and
+    whether its run holds more than one."""
+    size = len(keys)
+    first = np.empty(size + 1, dtype=bool)
+    first[0] = first[size] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:size])
+    return first[:size], ~(first[:size] & first[1:])
+
+
+def _heads(first: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For rising `rows`, the last row at or before each that starts a run."""
+    heads = np.where(first, rows, 0)
+    np.maximum.accumulate(heads, out=heads)
+    return heads
+
+
+def build_suffix_array(corpus: Corpus) -> np.ndarray:
+    """Indexes of the corpus suffixes in lexicographic order, as int64.
+
+    Prefix doubling (Manber and Myers) that re-sorts only the rows still
+    tied (Larsson and Sadakane, "Faster suffix sorting", 2007), one path
+    for every n and σ.  One in-place sort (`_first_sort`) orders the
+    suffixes by their first `span` symbols.  Rows with equal first symbols
+    form a group, and each suffix's head is its group's first row: its
+    own row once it is alone.  Each round then sorts only
+    the rows of groups that still tie, by group head * n + (head of the
+    suffix `span` on), splits their groups by it and doubles `span`.  A
+    tied suffix holds no terminator among its first `span` symbols, so
+    the suffix `span` on exists.  The terminator is the unique smallest
+    symbol, so no suffix is a prefix of another and every group ends
+    alone.  Raises `ValueError` for n >= SA_LIMIT.
     """
     n = corpus.n
     if n >= SA_LIMIT:
         raise ValueError(
             f"corpus of {n} symbols exceeds the suffix-array limit of "
             f"{SA_LIMIT - 1} symbols")
-    keys = packed_words(corpus.data)
-    span = 8
+    sa, keys, span = _first_sort(corpus.data)
+    first, tied = _runs(keys)
+    del keys
+    if not tied.any():
+        return sa
+    head = np.empty(n, dtype=np.uint32)
+    head[sa] = np.arange(n, dtype=np.uint32)
+    unsettled = tied
+    rows = np.flatnonzero(tied).astype(np.uint32)
+    suffixes = sa[rows]
+    group = _heads(first[rows], rows)
+    head[suffixes] = group
     while True:
-        order, rank = dense_ranks(keys)
-        if rank[order[-1]] == n - 1:
-            return order.astype(np.int64, copy=False)
-        # Ranks still tie, so some prefixes of `span` symbols are equal and
-        # span < n.
-        keys = rank * (n + 1)
-        keys[:n - span] += rank[span:] + 1
+        keys = np.multiply(group, n, dtype=np.int64)
+        del group
+        keys += head[suffixes + span]
+        # Stable: a group's rows often arrive with their keys in order, as
+        # on periodic text, and then the sort takes linear time.
+        order = np.argsort(keys, kind="stable")
+        suffixes, keys = suffixes[order], keys[order]
+        del order
         span *= 2
+        first, tied = _runs(keys)
+        del keys
+        if not tied.any():
+            break
+        group = _heads(first, rows)
+        head[suffixes] = group
+        rows, suffixes, group = rows[tied], suffixes[tied], group[tied]
+    head[suffixes] = rows
+    # Rows that were tied after the first sort take their suffixes' final rows.
+    suffixes = sa[unsettled]
+    sa[head[suffixes]] = suffixes
+    return sa
 
 
 def inverse_permutation(sa: np.ndarray) -> np.ndarray:
@@ -65,8 +161,10 @@ def bwt_forward(corpus: Corpus, sa: np.ndarray | None = None) -> bytes:
         sa = build_suffix_array(corpus)
     if len(sa) != corpus.n:
         raise ValueError("suffix array length does not match the corpus")
+    # Suffix 0 reads index -1, the terminator at the end.  sa is int64; on
+    # an unsigned array, 0 - 1 would wrap to an index past the end.
     arr = np.frombuffer(corpus.data, dtype=np.uint8)
-    return arr[(np.asarray(sa) - 1) % corpus.n].tobytes()
+    return arr[np.asarray(sa) - 1].tobytes()
 
 
 def psi_mapping(l: bytes) -> np.ndarray:

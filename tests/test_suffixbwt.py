@@ -15,6 +15,14 @@ def naive_suffix_array(corpus):
     return sorted(range(corpus.n), key=lambda i: corpus.data[i:])
 
 
+def fibonacci_word(n):
+    """The Fibonacci word over a and b, at least n symbols long."""
+    a, b = b"a", b"ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b
+
+
 def rotation_sort_bwt(corpus):
     data = corpus.data
     rotations = sorted(data[i:] + data[:i] for i in range(len(data)))
@@ -62,18 +70,42 @@ class TestSuffixArray:
         c = Corpus.from_bytes(raw)
         assert list(build_suffix_array(c)) == naive_suffix_array(c)
 
-    @pytest.mark.parametrize("alphabet", [b"a", b"ab", b"acgt", bytes(range(1, 256)),
-                                          bytes(range(128, 256))])
+    @pytest.mark.parametrize("alphabet", [
+        b"a", b"ab", b"acgt", bytes(range(1, 256)), bytes(range(128, 256)),
+        *(bytes(range(257 - sigma, 256)) for sigma in (3, 4, 5, 8, 9, 16, 17, 32, 33, 128))])
     def test_random_texts_match_naive(self, alphabet):
-        # n from 1 to 3,000: one symbol repeated, small alphabets with long
-        # shared prefixes, and bytes 128-255, whose packed words set the
-        # top bit
+        # n from 1 to 3,000, across powers of two: one symbol repeated,
+        # small alphabets with long shared prefixes, bytes 128-255, and
+        # the top sigma - 1 bytes for sigma (terminator included) on each
+        # side of a power of two (b"a" and the two byte ranges give sigma
+        # 2, 256 and 129); n and sigma set the digits per first key
         rng = random.Random(len(alphabet))
         for n in [1, 2, 7, 8, 9, 15, 16, 17, 100, 1000, 3000] + [
                 rng.randint(1, 3000) for _ in range(4)]:
             raw = bytes(rng.choice(alphabet) for _ in range(n - 1))
             c = Corpus.from_bytes(raw)
             assert list(build_suffix_array(c)) == naive_suffix_array(c)
+
+    def test_returns_int64(self):
+        # bwt_forward reads sa - 1, which wraps on an unsigned array
+        assert build_suffix_array(Corpus.from_bytes(b"banana")).dtype == np.int64
+
+    @pytest.mark.parametrize("buffer", [bytearray, memoryview])
+    def test_corpus_over_any_buffer(self, buffer):
+        # a superlinear load sorts a corpus sliced out of the file bytes,
+        # which the caller may pass as any buffer
+        data = b"mississippi\0"
+        assert list(build_suffix_array(Corpus(buffer(data)))) == \
+            naive_suffix_array(Corpus(data))
+
+    @pytest.mark.parametrize("raw", [
+        b"ab" * 1500, b"abc" * 1000, b"ab" * 1500 + b"c", fibonacci_word(3000),
+        *(b"a" * k + b"b" + b"a" * k for k in (1, 20, 21, 1000))])
+    def test_repetitive_texts_match_naive(self, raw):
+        # a suffix stays tied with the others of its period until the
+        # terminator is in reach: the most refinement rounds for n
+        c = Corpus.from_bytes(raw)
+        assert list(build_suffix_array(c)) == naive_suffix_array(c)
 
     def test_size_limit(self, monkeypatch):
         # SA entries are stored as u32 and the doubling key must fit int64;
