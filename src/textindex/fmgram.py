@@ -7,8 +7,9 @@ Two variants trade space for fewer backward-search steps:
   and the text length).
   A pattern is consumed in greedy power-of-two suffix chunks, so a count
   query takes as many steps as there are ones in the binary representation
-  of the pattern length.  Build and load alike derive the directory from
-  the corpus's suffix array.
+  of the pattern length m, while m is below 2 q_max, and
+  m // q_max + popcount(m % q_max) in general.  Build and load alike
+  derive the directory from the corpus's suffix array.
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
   between consecutive (alpha, q)-minimizer positions, of two or more
@@ -64,7 +65,7 @@ class GramDirectory(ChainedHashMap):
     Gram g is buffer[offsets[g]:offsets[g] + lengths[g]]: a superlinear
     directory slices its keys out of the corpus, a linear one out of its
     keys read off the BWT in id order (`LinearIndex.from_bwt`).  The map is
-    built from the columns in bulk (`entry_for`).  firsts[g] is the first
+    filled from the columns in bulk (`entry_for`).  firsts[g] is the first
     row of the suffix range starting with it, and its rows, in sorted-suffix
     order, are rows[lo:hi] with lo, hi = starts[g], starts[g+1].
     `firsts`, `starts` and `rows` are memoryviews, whose items read as
@@ -75,6 +76,10 @@ class GramDirectory(ChainedHashMap):
     MAX_LOAD_FACTOR = 2.81
     INITIAL_BUCKETS = 64
 
+    # Named here rather than inherited, so that traced benchmark runs time
+    # gram lookups apart from split-table lookups.
+    get = dict.get
+
     def __init__(self, buffer: bytes, offsets, lengths, firsts, starts, rows):
         self.buffer = buffer
         # Copies, so that no view keeps a loaded file's payload alive.
@@ -83,41 +88,23 @@ class GramDirectory(ChainedHashMap):
         self.firsts, self.starts = (
             memoryview(np.array(column, dtype=np.uint32)) for column in (firsts, starts))
         self.rows = memoryview(np.require(rows, np.uint32, "CA"))
-        super().__init__(self.entry_for())
+        self.entry_for()
 
-    def entry_for(self) -> dict[bytes, int]:
-        """Every gram of the directory keyed to its id, in one bulk call
-        (traced runs wrap this name, so each call is one directory, not one
-        gram).  For each gram length q, the buffer's q-byte windows
-        (`byte_windows`, a view) taken at that length's offsets make their
-        keys at C level, and an object array puts the keys back in id order,
-        so the map iterates in id order.  Keys may hold any byte, 0
-        included.  A repeated gram keeps its later id and leaves the map
-        shorter."""
+    def entry_for(self) -> None:
+        """Fill the map afresh with every gram of the directory keyed to its
+        id, in one bulk call (traced runs wrap this name, so each call is
+        one directory, not one gram).  For each gram length q, the buffer's
+        q-byte windows (`byte_windows`, a view) taken at that length's
+        offsets make their keys at C level, and an object array puts the
+        keys back in id order, so the map iterates in id order.  Keys may
+        hold any byte, 0 included.  A repeated gram keeps its later id and
+        leaves the map shorter."""
         keys = np.empty(len(self.offsets), dtype=object)
         for q in np.unique(self.lengths).tolist():
             ids = np.flatnonzero(self.lengths == q)
             keys[ids] = byte_windows(self.buffer, q)[self.offsets[ids]]
-        return dict(zip(keys.tolist(), range(len(keys))))
-
-    def get(self, content: bytes) -> int | None:
-        # Defined here rather than inherited, so that traced benchmark runs
-        # time gram lookups apart from split-table lookups.
-        return self._entries.get(content)
-
-
-def _greedy_chunks(m: int, q_max: int) -> list[int]:
-    """Chunk lengths consumed right to left: the largest power of two that
-    fits in the remaining prefix, capped at q_max.  With q_max a power of
-    two, that is q_max for each whole q_max in m, then the set bits of the
-    rest from the highest down."""
-    chunks = [q_max] * (m // q_max)
-    rest = m % q_max
-    while rest:
-        top = 1 << (rest.bit_length() - 1)
-        chunks.append(top)
-        rest -= top
-    return chunks
+        self.clear()
+        self.update(zip(keys.tolist(), range(len(keys))))
 
 
 def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory:
@@ -244,31 +231,35 @@ class SuperlinearIndex:
         return self.count_with_steps(pattern)[0]
 
     def count_with_steps(self, pattern: bytes) -> tuple[int, int]:
-        """Count plus the number of LF steps the query performed."""
+        """Count plus the number of LF steps the query performed.  Chunks
+        are consumed right to left, each the largest power of two that fits
+        in the unread prefix, capped at q_max: q_max for each whole q_max in
+        m, then the set bits of the rest from the highest down, so a query
+        that finds every chunk takes m // q_max + popcount(m % q_max) steps."""
         if not countable(pattern, self.corpus.n):
             return 0, 0
-        m = len(pattern)
-        chunks = _greedy_chunks(m, self.q_max)
-        pos = m - chunks[0]
+        q_max = self.q_max
         directory = self.directory
         lookup = directory.get
         firsts, starts, rows = directory.firsts, directory.starts, directory.rows
-        g = lookup(pattern[pos:m])
+        pos = len(pattern)
+        pos -= q_max if pos >= q_max else 1 << (pos.bit_length() - 1)
+        g = lookup(pattern[pos:])
         if g is None:
             return 0, 1
         s = firsts[g]
         e = s + starts[g + 1] - starts[g] - 1
         steps = 1
-        for size in chunks[1:]:
-            gram = pattern[pos - size:pos]
-            pos -= size
-            g = lookup(gram)
+        while pos:
+            end = pos
+            pos -= q_max if pos >= q_max else 1 << (pos.bit_length() - 1)
+            g = lookup(pattern[pos:end])
             steps += 1
             if g is None:
                 return 0, steps
             first, lo, hi = firsts[g], starts[g], starts[g + 1]
-            s = first + list_rank(rows, lo, hi, s - 1)
-            e = first + list_rank(rows, lo, hi, e) - 1
+            s = first + bisect_right(rows, s - 1, lo, hi) - lo
+            e = first + bisect_right(rows, e, lo, hi) - lo - 1
             if s > e:
                 return 0, steps
         return e - s + 1, steps

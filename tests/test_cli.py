@@ -47,6 +47,16 @@ class TestBuildCommand:
         assert main(["build", "--type", "fm-super", "--qmax", "1",
                      "--input", str(corpus_file), "--out", str(out)]) == 0
 
+    def test_fm_super_empty_text(self, tmp_path, capsys):
+        source = tmp_path / "empty.txt"
+        source.write_bytes(b"")
+        out = tmp_path / "fm.idx"
+        assert main(["build", "--type", "fm-super", "--input", str(source),
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "n=1 q_max=0 grams=0\n" in printed
+        assert "load-factor=0.000 buckets=64\n" in printed
+
     def test_fm_super_bad_qmax(self, tmp_path, corpus_file):
         out = tmp_path / "fm.idx"
         assert main(["build", "--type", "fm-super", "--qmax", "3",

@@ -10,8 +10,7 @@ from textindex.harness import dna_like_text, english_like_text
 from textindex.harness import naive_count as harness_naive_count
 from textindex.suffixbwt import FmIndex, build_suffix_array
 from textindex.textcore import Corpus, minimizers, phrases
-from textindex.fmgram import (GramDirectory, LinearIndex, SuperlinearIndex, _greedy_chunks,
-                              list_rank)
+from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex, list_rank
 
 
 def naive_count(text, pattern):
@@ -140,28 +139,6 @@ class TestSuperlinearCount:
         idx = SuperlinearIndex.build(Corpus.from_bytes(b"ab"), q_max=2)
         assert idx.count(b"ababab") == 0
 
-    def test_chunk_decomposition(self):
-        assert _greedy_chunks(3, 128) == [2, 1]
-        assert _greedy_chunks(12, 128) == [8, 4]
-        assert _greedy_chunks(12, 4) == [4, 4, 4]
-        assert _greedy_chunks(1, 1) == [1]
-        assert _greedy_chunks(31, 128) == [16, 8, 4, 2, 1]
-
-    def test_chunks_match_the_greedy_loop(self):
-        def greedy(m, q_max):
-            chunks = []
-            while m > 0:
-                size = 1
-                while size * 2 <= m and size * 2 <= q_max:
-                    size *= 2
-                chunks.append(size)
-                m -= size
-            return chunks
-
-        for q_max in (1, 2, 8, 128):
-            for m in range(1, 600):
-                assert _greedy_chunks(m, q_max) == greedy(m, q_max), (m, q_max)
-
     def test_step_count_is_popcount(self):
         rng = random.Random(23)
         raw = bytes(rng.choice(b"ab") for _ in range(600))
@@ -198,6 +175,55 @@ class TestSuperlinearCount:
             s = rng.randrange(len(raw) - m)
             pattern = raw[s:s + m]
             assert idx.count(pattern) == fm.count(pattern)
+
+    def test_empty_text(self):
+        # q_max 0 and no grams: an empty, so falsy, map that still counts
+        idx = SuperlinearIndex.build(Corpus.from_bytes(b""), q_max=8)
+        assert idx.q_max == 0 and len(idx.directory) == 0 and not idx.directory
+        assert idx.count_with_steps(b"a") == (0, 0)
+        assert idx.count(b"ab") == 0
+        assert idx.directory.stats() == {"entries": 0, "buckets": 64, "load_factor": 0.0,
+                                         "max_chain": 0, "mean_chain_nonempty": 0.0}
+        assert idx.size_in_bytes() == 4 * 64 + 1
+
+
+class TestSuperlinearSteps:
+    """`count_with_steps` consumes q_max for each whole q_max in m, then the
+    set bits of m % q_max from the highest down, right to left, and stops
+    at the first chunk that is no gram or leaves no rows."""
+
+    TEXT = bytes(random.Random(41).choice(b"abc") for _ in range(700))
+
+    @pytest.mark.parametrize("q_max", [1 << i for i in range(8)])
+    def test_step_law_on_occurring_patterns(self, q_max):
+        idx = SuperlinearIndex.build(Corpus.from_bytes(self.TEXT), q_max=q_max)
+        assert idx.q_max == q_max
+        rng = random.Random(q_max)
+        for m in range(1, 301):
+            s = rng.randrange(len(self.TEXT) - m + 1)
+            pattern = self.TEXT[s:s + m]
+            steps = m // q_max + bin(m % q_max).count("1")
+            assert idx.count_with_steps(pattern) == (
+                harness_naive_count(self.TEXT, pattern), steps), (m, q_max)
+
+    # Over (ab)^200 at q_max 4, m = 11 takes the chunks [7:11], [3:7], [1:3]
+    # and [0:1] in turn.  A chunk holding c is no gram; the others are
+    # grams that do not join up with the part already read.
+    @pytest.mark.parametrize("pattern, steps", [
+        (b"ababababcba", 1),  # first chunk: no gram
+        (b"abababacaba", 1),
+        (b"ababcbababa", 2),  # middle chunks: no gram
+        (b"abcbabababa", 3),
+        (b"cbababababa", 4),  # last chunk: no gram
+        (b"babababbaba", 2),  # middle chunks: no rows left
+        (b"bbaabababab", 3),
+        (b"aababababab", 4),  # last chunk: no rows left
+    ])
+    def test_absent_patterns_stop_at_the_failing_chunk(self, pattern, steps):
+        text = b"ab" * 200
+        idx = SuperlinearIndex.build(Corpus.from_bytes(text), q_max=4)
+        assert harness_naive_count(text, pattern) == 0
+        assert idx.count_with_steps(pattern) == (0, steps)
 
 
 class TestLinearIndex:

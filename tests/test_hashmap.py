@@ -112,6 +112,19 @@ class TestHashVectors:
 
 
 class TestChainedHashMap:
+    def test_lookups_are_the_dict_methods(self):
+        # C-level calls, named in each class body, where traced runs wrap them
+        assert vars(GramDirectory)["get"] is dict.get
+        assert vars(ChainedHashMap)["get"] is dict.get
+        assert vars(ChainedHashMap)["put"] is dict.__setitem__
+
+    def test_empty_map(self):
+        m = ChainedHashMap()
+        assert len(m) == 0 and not m and m.get(b"key") is None
+        assert (m.bucket_count, m.load_factor) == (8, 0.0)
+        assert m.stats() == {"entries": 0, "buckets": 8, "load_factor": 0.0,
+                             "max_chain": 0, "mean_chain_nonempty": 0.0}
+
     def test_put_get(self):
         m = ChainedHashMap()
         m.put(b"key", 1)
