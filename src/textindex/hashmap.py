@@ -5,33 +5,15 @@ call runs on a query path.  Its chained-bucket layout is kept only as a
 measurement, fixed by class constants: `bucket_count` and `load_factor`
 follow the doubling rule of a chained map that starts with
 `INITIAL_BUCKETS` buckets and doubles whenever entries / buckets passes
-`MAX_LOAD_FACTOR`, and `stats()` hashes every key once with `DEFAULT_HASH`
-to report the chain lengths that map would have.  Chain lengths depend only
+`MAX_LOAD_FACTOR`, and `stats()` hashes every key once with xxhash32 to
+report the chain lengths that map would have.  Chain lengths depend only
 on the final key set and the final bucket count, so the report equals what
-a map grown one insertion at a time would show.  `bucket_report` gives the
-same report for any hash function and bucket count.
+a map grown one insertion at a time would show.
 """
 
 from __future__ import annotations
 
-from .hashes import DEFAULT_HASH, get_hash
-
-
-def bucket_report(keys, hash_name: str, buckets: int) -> dict:
-    """Chain statistics of `keys` chained into `buckets` slots by `hash_name`."""
-    hash_fn = get_hash(hash_name)
-    lengths = [0] * buckets
-    for key in keys:
-        lengths[hash_fn(key) % buckets] += 1
-    entries = sum(lengths)
-    used = buckets - lengths.count(0)
-    return {
-        "entries": entries,
-        "buckets": buckets,
-        "load_factor": entries / buckets,
-        "max_chain": max(lengths, default=0),
-        "mean_chain_nonempty": (entries / used) if used else 0.0,
-    }
+from .hashes import xxhash32
 
 
 class ChainedHashMap(dict):
@@ -65,4 +47,18 @@ class ChainedHashMap(dict):
         return len(self) / self.bucket_count
 
     def stats(self) -> dict:
-        return bucket_report(self, DEFAULT_HASH, self.bucket_count)
+        """Chain lengths of this map's keys hashed by xxhash32 into
+        `bucket_count` chains."""
+        buckets = self.bucket_count
+        lengths = [0] * buckets
+        for key in self:
+            lengths[xxhash32(key) % buckets] += 1
+        entries = len(self)
+        used = buckets - lengths.count(0)
+        return {
+            "entries": entries,
+            "buckets": buckets,
+            "load_factor": entries / buckets,
+            "max_chain": max(lengths),
+            "mean_chain_nonempty": (entries / used) if used else 0.0,
+        }

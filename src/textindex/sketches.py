@@ -114,12 +114,6 @@ def hamming_lower_bound(sketch_diff: int) -> int:
     return _CEIL_HALF[sketch_diff]
 
 
-def hamming(w1: bytes, w2: bytes) -> int:
-    if len(w1) != len(w2):
-        raise ValueError("Hamming distance requires equal lengths")
-    return sum(1 for a, b in zip(w1, w2) if a != b)
-
-
 def filtered_compare(w1: bytes, w2: bytes, k: int, config: SketchConfig) -> bool:
     """Is Ham(w1, w2) <= k?  Sketches may reject early but never accept early,
     so the answer always equals the direct comparison."""

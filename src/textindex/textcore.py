@@ -114,7 +114,7 @@ def dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ranks
 
 
-def _gram_keys(text: bytes, q: int) -> np.ndarray:
+def _window_keys(text: bytes, q: int) -> np.ndarray:
     """One integer per q-gram start, ordered as the q-grams compare.
 
     Up to 8 symbols the key is the gram's packed word with the symbols
@@ -180,7 +180,7 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     lexicographically smallest q-gram, the leftmost one on ties.  Winning
     positions are recorded once each.
 
-    Vectorised: grams are compared as integer keys (`_gram_keys`), every
+    Vectorised: grams are compared as integer keys (`_window_keys`), every
     window's winner is an `argmin` over a sliding view (which returns the
     first, so leftmost, minimum), and repeated winners of neighbouring
     windows are dropped.  This is the build's path; a query, which reads
@@ -192,7 +192,7 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     if n < q + alpha - 1:
         raise ValueError(
             f"text of length {n} is shorter than one window ({q + alpha - 1})")
-    keys = _gram_keys(text, q)
+    keys = _window_keys(text, q)
     windows = np.lib.stride_tricks.sliding_window_view(keys, alpha)
     winners = windows.argmin(axis=1) + np.arange(len(windows))
     # Winners never move left, so repeats are adjacent.
@@ -208,7 +208,7 @@ def minimizers_from_right(text: bytes, alpha: int, q: int) -> Iterator[int]:
     early never scans the rest of the text.
 
     Windows are taken right to left.  Grams compare as byte slices, which
-    order as `_gram_keys` does for any q.  `candidates` holds (position,
+    order as `_window_keys` does for any q.  `candidates` holds (position,
     gram) pairs, leftmost first, whose grams strictly decrease: a gram
     added on the left evicts every candidate it ties or beats, so the
     leftmost of equal grams wins, and the rightmost candidate drops off

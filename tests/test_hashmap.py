@@ -3,21 +3,22 @@ import random
 import numpy as np
 import pytest
 
-from textindex.fmgram import GramDirectory
-from textindex.hashes import (DEFAULT_HASH, HASH_FUNCTIONS, fnv1_32, fnv1a_32, get_hash,
-                              murmur3_32, xxhash32)
-from textindex.hashmap import ChainedHashMap, bucket_report
+from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
+from textindex.harness import english_like_text, random_word_dictionary
+from textindex.hashes import xxhash32
+from textindex.hashmap import ChainedHashMap
+from textindex.splitindex import Dictionary, SplitIndex
+from textindex.textcore import Corpus
 
 
-def chained_layout(keys, hash_name, max_load_factor, initial_buckets):
+def chained_layout(keys, max_load_factor, initial_buckets):
     """Reference chained map: a list of buckets filled one insertion at a
-    time, doubled and rehashed whenever entries / buckets passes the load
-    factor.  Yields the bucket list after each insertion."""
-    hash_fn = HASH_FUNCTIONS[hash_name]
+    time by xxhash32, doubled and rehashed whenever entries / buckets passes
+    the load factor.  Yields the bucket list after each insertion."""
     buckets = [[] for _ in range(initial_buckets)]
     size = 0
     for key in keys:
-        bucket = buckets[hash_fn(key) % len(buckets)]
+        bucket = buckets[xxhash32(key) % len(buckets)]
         if key not in bucket:
             bucket.append(key)
             size += 1
@@ -28,22 +29,13 @@ def chained_layout(keys, hash_name, max_load_factor, initial_buckets):
                 fresh = [[] for _ in range(target)]
                 for old in buckets:
                     for k in old:
-                        fresh[hash_fn(k) % target].append(k)
+                        fresh[xxhash32(k) % target].append(k)
                 buckets = fresh
         yield buckets
 
 
-def doubled_buckets(entries, max_load_factor, initial_buckets):
-    """Buckets of a chained map that starts with `initial_buckets` and
-    doubles whenever entries / buckets passes `max_load_factor`."""
-    buckets = initial_buckets
-    while entries / buckets > max_load_factor:
-        buckets *= 2
-    return buckets
-
-
 def chain_report(buckets):
-    """What `bucket_report` should say about a reference bucket list."""
+    """What `stats()` should say about a reference bucket list."""
     lengths = [len(b) for b in buckets]
     used = sum(1 for n in lengths if n)
     return {
@@ -80,35 +72,12 @@ class TestHashVectors:
         b"Nobody inspects the spammish repetition": 0xE2293B2F,
         b"tablet": 0x302D31B8,
     }
-    MURMUR3 = {
-        b"": 0x00000000,
-        b"hello": 0x248BFA47,
-        b"The quick brown fox jumps over the lazy dog": 0x2E4FF723,
-    }
 
     def test_xxhash32(self):
         for data, want in self.XXHASH32.items():
             assert xxhash32(data) == want
-
-    def test_murmur3(self):
-        for data, want in self.MURMUR3.items():
-            assert murmur3_32(data) == want
-
-    def test_fnv(self):
-        assert fnv1a_32(b"") == 0x811C9DC5
-        assert fnv1a_32(b"a") == 0xE40C292C
-        assert fnv1_32(b"a") == 0x050C5D7E
-
-    def test_all_candidates_are_32_bit(self):
-        for name in HASH_FUNCTIONS:
-            fn = get_hash(name)
-            for data in (b"", b"a", b"some longer input string", bytes(range(256))):
-                value = fn(data)
-                assert 0 <= value <= 0xFFFFFFFF
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            get_hash("md5")
+        for data in (b"some longer input string", bytes(range(256))):
+            assert 0 <= xxhash32(data) <= 0xFFFFFFFF
 
 
 class TestChainedHashMap:
@@ -181,44 +150,29 @@ class TestChainedHashMap:
         assert stats["buckets"] == m.bucket_count
         assert stats["max_chain"] >= 1
 
-    @pytest.mark.parametrize("hash_name", sorted(HASH_FUNCTIONS))
-    def test_every_hash_candidate_plugs_in(self, hash_name):
-        # Any hash function can be compared on a map's own keys and bucket
-        # count through bucket_report; the default one gives stats().
-        m = ChainedHashMap()
-        for i, key in enumerate(random_keys(300, seed=1)):
-            m.put(key, i)
-        keys = [key for key, _ in m.items()]
-        report = bucket_report(keys, hash_name, m.bucket_count)
-        chains = [0] * m.bucket_count
-        for key in keys:
-            chains[HASH_FUNCTIONS[hash_name](key) % m.bucket_count] += 1
-        assert (report["entries"], report["buckets"]) == (len(m), m.bucket_count)
-        assert report["max_chain"] == max(chains)
-        if hash_name == DEFAULT_HASH:
-            assert report == m.stats()
-
-    @pytest.mark.parametrize("hash_name", sorted(HASH_FUNCTIONS))
     @pytest.mark.parametrize("max_load_factor, initial_buckets",
                              [(0.5, 1), (1.0, 8), (2.0, 3), (2.81, 64)])
-    def test_bucket_numbers_match_chained_layout(self, hash_name, max_load_factor,
-                                                 initial_buckets):
+    def test_bucket_numbers_match_chained_layout(self, max_load_factor, initial_buckets):
+        class Map(ChainedHashMap):
+            MAX_LOAD_FACTOR = max_load_factor
+            INITIAL_BUCKETS = initial_buckets
+
         keys = random_keys(600, seed=5)
-        layouts = chained_layout(keys, hash_name, max_load_factor, initial_buckets)
-        for i, buckets in enumerate(layouts):
+        m = Map()
+        for i, buckets in enumerate(chained_layout(keys, max_load_factor, initial_buckets)):
+            m.put(keys[i], i)
             if i % 50 and i != len(keys) - 1:
                 continue
-            seen = set(keys[:i + 1])
-            assert doubled_buckets(len(seen), max_load_factor, initial_buckets) == len(buckets)
-            assert bucket_report(seen, hash_name, len(buckets)) == chain_report(buckets)
+            assert m.bucket_count == len(buckets)
+            assert m.stats() == chain_report(buckets)
 
     @pytest.mark.parametrize("make, max_load_factor, initial_buckets", [
         (ChainedHashMap, 2.0, 8), (GramDirectory, 2.81, 64)])
     def test_map_reports_its_fixed_layout(self, make, max_load_factor, initial_buckets):
         # The map's report equals the reference map grown one insertion at a
-        # time under the class constants and the default hash.
+        # time under the class constants.
         keys = random_keys(600, seed=6)
-        layout = list(chained_layout(keys, DEFAULT_HASH, max_load_factor, initial_buckets))[-1]
+        layout = list(chained_layout(keys, max_load_factor, initial_buckets))[-1]
         if make is ChainedHashMap:
             m = ChainedHashMap()
             for i, key in enumerate(keys):
@@ -229,3 +183,17 @@ class TestChainedHashMap:
         assert m.bucket_count == len(layout)
         assert m.load_factor == len(m) / len(layout)
         assert m.stats() == chain_report(layout)
+
+    def test_benchmark_structure_calls(self):
+        # The benchmark's `structure` (perfbench/workloads.py) reports these
+        # maps' chains: a split index's table and a superlinear and a linear
+        # index's directory.
+        text = Corpus.from_bytes(english_like_text(2000, seed=1))
+        words = Dictionary(random_word_dictionary(500, seed=1))
+        for m in (SplitIndex.build(words, 2).table,
+                  SuperlinearIndex.build(text).directory,
+                  LinearIndex.build(text, 3, 4).directory):
+            layout = list(chained_layout(m, m.MAX_LOAD_FACTOR, m.INITIAL_BUCKETS))[-1]
+            stats = m.stats()
+            assert stats == chain_report(layout)
+            assert stats["entries"] == len(m) > 0 and stats["max_chain"] >= 1

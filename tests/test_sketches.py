@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from textindex.harness import hamming_distance
 from textindex.sketches import (COUNT, OCCURRENCE, SketchConfig, build_sketch,
-                                filtered_compare, hamming, hamming_lower_bound,
+                                filtered_compare, hamming_lower_bound,
                                 sketch_distance)
 
 
@@ -110,8 +111,8 @@ class TestFilteredCompare:
         # filter must fall through to verification and agree with the loop
         cfg = SketchConfig(mode=COUNT, grams=tuple(b"abnx"), width=1)
         w1, w2 = b"aaab", b"abbb"
-        assert filtered_compare(w1, w2, 2, cfg) == (hamming(w1, w2) <= 2)
-        assert filtered_compare(w1, w2, 1, cfg) == (hamming(w1, w2) <= 1)
+        assert filtered_compare(w1, w2, 2, cfg) == (hamming_distance(w1, w2) <= 2)
+        assert filtered_compare(w1, w2, 1, cfg) == (hamming_distance(w1, w2) <= 1)
 
     def test_count_mode_rejects_only_at_k0(self):
         cfg = SketchConfig(mode=COUNT, grams=tuple(b"abnx"), width=1)
@@ -130,7 +131,7 @@ class TestFilteredCompare:
         for group in by_length.values():
             for i, w1 in enumerate(group):
                 for w2 in group[i:]:
-                    h = hamming(w1, w2)
+                    h = hamming_distance(w1, w2)
                     d = sketch_distance(build_sketch(w1, cfg), build_sketch(w2, cfg))
                     assert hamming_lower_bound(d) <= h
                     for k in (0, 1, 2):
@@ -151,7 +152,7 @@ class TestFilteredCompare:
                 w2 = bytes(w2)
             else:
                 w2 = bytes(rng.choice(letters) for _ in range(length))
-            h = hamming(w1, w2)
+            h = hamming_distance(w1, w2)
             d = sketch_distance(build_sketch(w1, cfg), build_sketch(w2, cfg))
             assert hamming_lower_bound(d) <= h
             total += 1
