@@ -5,7 +5,7 @@ import pytest
 
 from textindex.fmgram import GramDirectory, LinearIndex, SuperlinearIndex
 from textindex.harness import english_like_text, random_word_dictionary
-from textindex.hashes import xxhash32
+from textindex.hashes import HASH_FUNCTIONS, xxhash32
 from textindex.hashmap import ChainedHashMap
 from textindex.splitindex import Dictionary, SplitIndex
 from textindex.textcore import Corpus
@@ -76,8 +76,11 @@ class TestHashVectors:
     def test_xxhash32(self):
         for data, want in self.XXHASH32.items():
             assert xxhash32(data) == want
-        for data in (b"some longer input string", bytes(range(256))):
-            assert 0 <= xxhash32(data) <= 0xFFFFFFFF
+
+    def test_all_candidates_are_32_bit(self):
+        for fn in HASH_FUNCTIONS.values():
+            for data in (b"", b"a", b"some longer input string", bytes(range(256))):
+                assert 0 <= fn(data) <= 0xFFFFFFFF
 
 
 class TestChainedHashMap:
