@@ -1,5 +1,5 @@
-"""Time split-index queries and loads, and measure file bytes, for one or
-more checkouts of the package, as a markdown table.
+"""Time split-index builds, queries and loads, and measure file bytes, for
+one or more checkouts of the package, as a markdown table.
 
     python3 scripts/split_layout_bench.py --src OLD/src --src src --rounds 5
 
@@ -9,10 +9,11 @@ A configuration is k = 1, 2 or 3 over plain runs, or k = 1 or 2 coded with
 the default `select_qgrams` table, on `random_word_dictionary(--words,
 seed)` and the 2,000 `generate_noisy_queries` (up to 3 substitutions, seed
 + 1) that the `split-words` benchmark uses.  A cell reports its fastest
-pass over the query set, per query, its fastest of --loads loads of the
-file bytes, and the file size; the table shows each cell's fastest over
-the rounds, since other tenants of a shared host only ever slow a pass
-down.  Times are raw, not scaled to a reference host.
+of --passes builds, its fastest of --passes passes over the query set,
+per query, its fastest of --loads loads of the file bytes, and the file
+size; the table shows each cell's fastest over the rounds, since other
+tenants of a shared host only ever slow a pass down.  Times are raw, not
+scaled to a reference host.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ def worker(args) -> None:
                                                  seed=args.seed + 1).queries
                if len(q) > args.k]
     substitution = select_qgrams(words) if args.coded else None
-    data = serialize_index(SplitIndex.build(words, args.k, substitution))
+    builds = []
+    for _ in range(args.passes):
+        t0 = time.perf_counter()
+        built = SplitIndex.build(words, args.k, substitution)
+        builds.append(time.perf_counter() - t0)
+    data = serialize_index(built)
     loads = []
     for _ in range(args.loads):
         t0 = time.perf_counter()
@@ -50,8 +56,8 @@ def worker(args) -> None:
         for q in queries:
             query(q)
         passes.append((time.perf_counter() - t0) / len(queries))
-    print(json.dumps({"us": 1e6 * min(passes), "load_ms": 1e3 * min(loads),
-                      "bytes": len(data)}))
+    print(json.dumps({"build_ms": 1e3 * min(builds), "us": 1e6 * min(passes),
+                      "load_ms": 1e3 * min(loads), "bytes": len(data)}))
 
 
 def main() -> None:
@@ -82,14 +88,16 @@ def main() -> None:
                     check=True, capture_output=True, text=True).stdout
                 cells.setdefault((k, coded, src), []).append(json.loads(out))
     print("| runs | k | " + " | ".join(f"{name} {src}" for src in args.src
-                                        for name in ("µs/query", "load ms", "file bytes"))
+                                        for name in ("build ms", "µs/query", "load ms",
+                                                     "file bytes"))
           + " |")
-    print("|---|---|" + "---|" * (3 * len(args.src)))
+    print("|---|---|" + "---|" * (4 * len(args.src)))
     for k, coded in CONFIGS:
         row = []
         for src in args.src:
             runs = cells[k, coded, src]
-            row += [f"{min(r['us'] for r in runs):.1f}",
+            row += [f"{min(r['build_ms'] for r in runs):.1f}",
+                    f"{min(r['us'] for r in runs):.1f}",
                     f"{min(r['load_ms'] for r in runs):.1f}",
                     f"{runs[0]['bytes']:,}"]
         print(f"| {'coded' if coded else 'plain'} | {k} | " + " | ".join(row) + " |")

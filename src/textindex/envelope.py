@@ -21,9 +21,10 @@ gram's rows in one walk, and keys each gram to its id in bulk.  A split
 file is k, the substitution table if any, the u32 group count and, for
 each (m, role) group: m and the role (u8 each), the u32 key count, the
 keys (each as long as piece `role` of an m-symbol word), the u32 run
-lengths and the runs.  Load slices a group's keys out of the file in one
-`map`, frames its runs with a cumulative sum over one bytes object, and
-checks the run lengths in bulk.  No file holds a hash-map setting or build
+lengths and the runs.  Load hands those columns to `PieceRuns`, the
+build's constructor too, which keys each piece to its id in bulk and
+frames the runs with a cumulative sum over one bytes object, and checks
+the run lengths in bulk.  No file holds a hash-map setting or build
 statistics: the reported bucket layout is fixed by class constants and
 follows from the entry count.  CHANGES.md records how each format version
 differs from the one before.
@@ -208,12 +209,12 @@ def _load_split(r: _Reader) -> SplitIndex:
         size = end_at - split_at
         count = r.u32()
         keys = r.u8s(count * size)
-        # Word bytes are nonzero, and with none in a key, numpy's fixed-width
-        # strings, which drop trailing zero bytes, read back every key whole.
+        # Word bytes are nonzero, and `PieceRuns` reads keys whole only
+        # when they hold none.
         if not keys.all():
             raise MalformedInputError("a split key holds a zero byte")
         lengths = r.u32s(count)
-        group = PieceRuns(keys.view(f"S{size}").tolist(), lengths,
+        group = PieceRuns(keys.reshape(count, size), lengths,
                           r.take(int(lengths.sum(dtype=np.int64))))
         if len(group.ids) != count:
             raise MalformedInputError("repeated piece in a split group")

@@ -23,10 +23,18 @@ entry's mismatch flags into the byte under its last missing byte: byte
 e * w + w - 1 of the product sums exactly the w flags of entry e.  No byte
 of the product exceeds w <= 254, so the multiplication carries nothing.
 
+The build works in bulk.  The words of one length m form a (count, m)
+byte block.  For each role, the block's piece columns are numbered by
+distinct piece in first-seen order, and the rows sorted stably by that
+number list each run's words in dictionary order, so the missing columns
+of the sorted block are the group's runs back to back.
+
 Lists can be compressed by substituting frequent word q-grams with byte
 codes 128..255.  A coded run is its entries' coded missing parts
 concatenated; codes map one byte to one gram, so decoding the whole run
-once gives the plain run, which is verified in the same way.
+once gives the plain run, which is verified in the same way.  A coded
+build groups the words as a plain one does and codes each missing part
+on its own.
 """
 
 from __future__ import annotations
@@ -50,24 +58,20 @@ CODE_FLOOR = 128
 # _ONES[w]: the integer whose w little-endian bytes are all 1, for every
 # missing width w.
 _ONES = [int.from_bytes(b"\1" * w, "little") for w in range(MAX_WORD_LENGTH + 1)]
+# Finds a byte that no word may hold: 0, or a code byte.
+_foreign_byte = re.compile(rb"[^\x01-\x7f]").search
 
 
 class Dictionary:
     """Deduplicated word list, first-occurrence order preserved."""
 
     def __init__(self, words):
-        seen = set()
-        kept: list[bytes] = []
-        for word in words:
-            word = bytes(word)
-            if word in seen:
-                continue
+        kept = dict.fromkeys(map(bytes, words))
+        for word in kept:
             if not 1 <= len(word) <= MAX_WORD_LENGTH:
                 raise ValueError(f"word length {len(word)} outside 1..{MAX_WORD_LENGTH}")
-            if any(b == 0 or b >= CODE_FLOOR for b in word):
+            if _foreign_byte(word):
                 raise ValueError("words must use byte values 1..127")
-            seen.add(word)
-            kept.append(word)
         self.words: tuple[bytes, ...] = tuple(kept)
 
     def __len__(self) -> int:
@@ -311,14 +315,21 @@ class PieceRuns:
 
     __slots__ = ("ids", "starts", "runs")
 
-    def __init__(self, pieces, lengths, runs: bytes):
-        """`pieces` and the byte `lengths` of their runs, in id order; a
-        repeated piece keeps one id and leaves `ids` shorter."""
+    def __init__(self, keys: np.ndarray, lengths, runs: bytes):
+        """The columns of a group in a file: `keys`, a (count, size) u8
+        array with one piece per row in id order, the byte `lengths` of
+        their runs and the runs.  A repeated piece keeps one id and leaves
+        `ids` shorter.
+
+        Pieces must hold no zero byte, as words do not: numpy's fixed-width
+        strings drop trailing zero bytes, and with none in a piece they read
+        back every piece whole."""
         starts = np.zeros(len(lengths) + 1, dtype=np.int64)
         np.cumsum(lengths, out=starts[1:])
         if starts[-1] >> 32:
             raise ValueError("one group's runs pass 4 GiB")
-        self.ids = dict(zip(pieces, range(len(lengths))))
+        pieces = keys.view(f"S{keys.shape[1]}").ravel()
+        self.ids = dict(zip(pieces.tolist(), range(len(lengths))))
         self.starts = memoryview(starts.astype(np.uint32))
         self.runs = runs
 
@@ -326,6 +337,39 @@ class PieceRuns:
         """(piece, run) pairs in id order."""
         starts, runs = self.starts, self.runs
         return ((piece, runs[starts[i]:starts[i + 1]]) for piece, i in self.ids.items())
+
+
+def _first_seen_ids(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the rows of `pieces`, a (count, size) u8 array of nonzero
+    bytes, by distinct value in first-seen order.  Returns each row's id and,
+    for each id, the row where it is first seen."""
+    values = pieces.view(f"S{pieces.shape[1]}").ravel()
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _group(block: np.ndarray, split_at: int, end_at: int,
+           substitution: SubstitutionTable | None) -> PieceRuns:
+    """The (m, role) group of `block`, the (count, m) u8 array of the words
+    of one length m in dictionary order, whose role's pieces are columns
+    split_at:end_at.  Sorting the rows stably by piece id lists each run's
+    words in dictionary order."""
+    pieces = block[:, split_at:end_at]
+    ids, first = _first_seen_ids(pieces)
+    counts = np.bincount(ids)
+    # Stable sorts of u8 and u16 keys are radix sorts.
+    rows = block[np.argsort(ids.astype(np.min_scalar_type(len(first))), kind="stable")]
+    missing = np.concatenate((rows[:, :split_at], rows[:, end_at:]), axis=1)
+    w = missing.shape[1]
+    if substitution is None:
+        return PieceRuns(pieces[first], counts * w, missing.tobytes())
+    coded = list(map(substitution.encode, missing.view(f"S{w}").ravel().tolist()))
+    sizes = np.fromiter(map(len, coded), dtype=np.int64, count=len(coded))
+    return PieceRuns(pieces[first], np.add.reduceat(sizes, np.cumsum(counts) - counts),
+                     b"".join(coded))
 
 
 class SplitIndex:
@@ -352,31 +396,31 @@ class SplitIndex:
               substitution: SubstitutionTable | None = None) -> "SplitIndex":
         """Deterministic build: groups enter the table by (m, role), pieces
         enter a group in first-seen order, and each run lists its words in
-        dictionary order."""
+        dictionary order.  The words of each length m > k are one (count, m)
+        byte block, and each role of the block is grouped in bulk
+        (`_group`), with no Python step per word or piece.  The grouping
+        compares pieces as numpy fixed-width strings, which ignore trailing
+        zero bytes, so it relies on `Dictionary` words holding none."""
         if not 1 <= k <= MAX_K:
             raise ValueError(f"k must lie in 1..{MAX_K}")
+        words = sorted(dictionary, key=len)
+        lengths, counts = np.unique(np.fromiter(map(len, words), dtype=np.int64,
+                                                count=len(words)), return_counts=True)
+        joined = np.frombuffer(b"".join(words), dtype=np.uint8)
         stats = BuildStats()
-        groups: dict[bytes, dict[bytes, bytearray]] = {}
-        bounds_of = piece_bounds(k)
-        for word in sorted(dictionary, key=len):
-            if len(word) <= k:
-                stats.words_skipped += 1
-                continue
-            stats.words_indexed += 1
-            for split_at, end_at, key in bounds_of[len(word)]:
-                runs = groups.setdefault(key, {})
-                piece = word[split_at:end_at]
-                missing = word[:split_at] + word[end_at:]
-                run = runs.get(piece)
-                if run is None:
-                    run = runs[piece] = bytearray()
-                run += missing if substitution is None else substitution.encode(missing)
-        stats.entries = (k + 1) * stats.words_indexed
-
         table = ChainedHashMap()
-        for key, runs in groups.items():
-            table.put(key, PieceRuns(runs, list(map(len, runs.values())),
-                                     b"".join(runs.values())))
+        bounds_of = piece_bounds(k)
+        at = 0
+        for m, count in zip(lengths.tolist(), counts.tolist()):
+            block = joined[at:at + m * count].reshape(count, m)
+            at += m * count
+            if m <= k:
+                stats.words_skipped += count
+                continue
+            stats.words_indexed += count
+            for split_at, end_at, key in bounds_of[m]:
+                table.put(key, _group(block, split_at, end_at, substitution))
+        stats.entries = (k + 1) * stats.words_indexed
         return cls(k, table, substitution, stats)
 
     # -- queries ------------------------------------------------------------

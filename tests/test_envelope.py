@@ -563,7 +563,8 @@ class TestSplitStructure:
     def test_run_not_whole_entries_refused(self, run):
         # a run of "abcd"'s leading piece "ab" holds entries of width 2
         index = SplitIndex.build(Dictionary([b"abcd"]), 1)
-        index.table.put(b"\x04\x00", PieceRuns([b"ab"], [len(run)], run))
+        index.table.put(b"\x04\x00", PieceRuns(np.frombuffer(b"ab", np.uint8).reshape(1, 2),
+                                                 [len(run)], run))
         self._refused(serialize_index(index), "positive multiple")
 
     @pytest.mark.parametrize("coded", [False, True])
@@ -575,7 +576,8 @@ class TestSplitStructure:
         key, group = next(iter(index.table.items()))
         runs = [run for _, run in group.items()]
         runs[-1] += b"a"
-        index.table.put(key, PieceRuns(group.ids, list(map(len, runs)), b"".join(runs)))
+        keys = np.frombuffer(b"".join(group.ids), np.uint8).reshape(len(runs), -1)
+        index.table.put(key, PieceRuns(keys, list(map(len, runs)), b"".join(runs)))
         self._refused(serialize_index(index), "positive multiple")
 
 

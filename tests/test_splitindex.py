@@ -1,15 +1,18 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from textindex.errors import MalformedInputError
 from textindex.harness import NaiveHammingSearcher, random_word_dictionary
 from textindex.envelope import deserialize_index, serialize_index
-from textindex.splitindex import (Dictionary, PieceRuns, SplitIndex, SubstitutionTable,
-                                  _candidate_table, decode_word, encode_word,
-                                  piece_sizes, select_qgrams, split_word)
+from textindex.hashmap import ChainedHashMap
+from textindex.splitindex import (MAX_WORD_LENGTH, BuildStats, Dictionary, PieceRuns,
+                                  SplitIndex, SubstitutionTable, _candidate_table,
+                                  decode_word, encode_word, piece_bounds, piece_sizes,
+                                  select_qgrams, split_word)
 
 
 def naive_search(words, pattern, k):
@@ -43,7 +46,58 @@ def with_run(idx, key, piece, run):
     """Give `piece` the run `run` in group `key` of `idx`, in place."""
     runs = dict(idx.table.get(key).items())
     runs[piece] = run
-    idx.table.put(key, PieceRuns(runs, list(map(len, runs.values())), b"".join(runs.values())))
+    keys = np.frombuffer(b"".join(runs), np.uint8).reshape(len(runs), -1)
+    idx.table.put(key, PieceRuns(keys, list(map(len, runs.values())), b"".join(runs.values())))
+
+
+def reference_build(dictionary, k, substitution=None):
+    """The per-word build that the bulk `SplitIndex.build` replaced: one
+    dict step per word and piece, runs grown entry by entry."""
+    stats = BuildStats()
+    groups = {}
+    bounds_of = piece_bounds(k)
+    for word in sorted(dictionary, key=len):
+        if len(word) <= k:
+            stats.words_skipped += 1
+            continue
+        stats.words_indexed += 1
+        for split_at, end_at, key in bounds_of[len(word)]:
+            run = groups.setdefault(key, {}).setdefault(word[split_at:end_at], bytearray())
+            missing = word[:split_at] + word[end_at:]
+            run += missing if substitution is None else substitution.encode(missing)
+    stats.entries = (k + 1) * stats.words_indexed
+    table = ChainedHashMap()
+    for key, runs in groups.items():
+        keys = np.frombuffer(b"".join(runs), np.uint8).reshape(len(runs), -1)
+        table.put(key, PieceRuns(keys, list(map(len, runs.values())), b"".join(runs.values())))
+    return SplitIndex(k, table, substitution, stats)
+
+
+def assert_same_build(d, k, substitution=None):
+    built = SplitIndex.build(d, k, substitution)
+    reference = reference_build(d, k, substitution)
+    assert layout(built) == layout(reference)
+    assert lists(built) == lists(reference)
+    assert built.stats == reference.stats
+    assert serialize_index(built) == serialize_index(reference)
+
+
+def mixed_words(seed):
+    """Words of every length 1..12, some of 13..40 symbols, and 255-symbol
+    words that share their leading or trailing pieces, in a shuffled order."""
+    rng = random.Random(seed)
+    words = {bytes(rng.choice(b"abc") for _ in range(length))
+             for length in range(1, 13) for _ in range(30)}
+    words |= {bytes(rng.choice(b"abcdefgh") for _ in range(rng.randint(13, 40)))
+              for _ in range(60)}
+    head = bytes(rng.choice(b"ab") for _ in range(128))
+    tail = bytes(rng.choice(b"ab") for _ in range(127))
+    for _ in range(4):
+        words.add(head + bytes(rng.choice(b"ab") for _ in range(127)))
+        words.add(bytes(rng.choice(b"ab") for _ in range(128)) + tail)
+    words = sorted(words)
+    rng.shuffle(words)
+    return Dictionary(words)
 
 
 class TestDictionary:
@@ -58,6 +112,23 @@ class TestDictionary:
     def test_rejects_overlong(self):
         with pytest.raises(ValueError):
             Dictionary([b"x" * 256])
+
+    def test_accepts_every_byte_from_1_to_127(self):
+        word = bytes(range(1, 128))
+        assert Dictionary([word, word[::-1]]).words == (word, word[::-1])
+
+    @pytest.mark.parametrize("words, message", [
+        ([b"ok", b"a\x00b", b"x" * 256, b""], "byte values 1..127"),
+        ([b"ok", b"ok", b"\x80a", b"\xff", b"\x00"], "byte values 1..127"),
+        ([b"ok", b"ab\xff", b"", b"c\x80"], "byte values 1..127"),
+        ([b"ok", b"", b"a\x80", b"x" * 256], "word length 0 outside 1..255"),
+        ([b"ok", b"x" * 256, b"\x00", b""], "word length 256 outside 1..255"),
+        # one word both too long and of foreign bytes: its length is named
+        ([b"ok", b"\xff" * 256, b"\x00"], "word length 256 outside 1..255"),
+    ], ids=["zero", "0x80-after-duplicate", "0xff", "empty", "overlong", "overlong-foreign"])
+    def test_first_bad_word_names_the_fault(self, words, message):
+        with pytest.raises(ValueError, match=message):
+            Dictionary(words)
 
 
 class TestSplitWord:
@@ -125,10 +196,12 @@ class TestBuild:
         idx = SplitIndex.build(Dictionary(words), 1)
         assert idx.query(b"ABCXabcd") == {b"ABCDabcd"}
         assert idx.query(b"abcdeeeX") == {b"abcdeee" + bytes([c]) for c in letters}
+        assert_same_build(Dictionary(words), 1)
 
     def test_empty_dictionary(self):
         idx = SplitIndex.build(Dictionary([]), 1)
         assert idx.query(b"ab") == set()
+        assert_same_build(Dictionary([]), 1)
 
     def test_entry_count_law(self):
         rng = random.Random(2)
@@ -199,6 +272,36 @@ class TestBuild:
                 order = [position[missing[:split_at] + piece + missing[split_at:]]
                          for missing in entries]
                 assert order == sorted(order)
+
+
+class TestBulkBuild:
+    """The bulk build makes the table, stats and file bytes of the
+    per-word reference build."""
+
+    @pytest.mark.parametrize("coded", [False, True], ids=["plain", "coded"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_as_per_word_build(self, seed, k, coded):
+        d = mixed_words(seed)
+        assert {len(w) for w in d} >= set(range(1, 13)) | {MAX_WORD_LENGTH}
+        assert_same_build(d, k, select_qgrams(d) if coded else None)
+
+    @pytest.mark.parametrize("coded", [False, True], ids=["plain", "coded"])
+    def test_piece_shared_across_roles(self, coded):
+        # "ab" is both pieces of abab, piece 0 of abcd and piece 1 of cdab
+        d = Dictionary([b"cdab", b"abab", b"abcd", b"a", b"ab"])
+        substitution = SubstitutionTable([(b"cd", 128)]) if coded else None
+        assert_same_build(d, 1, substitution)
+        idx = SplitIndex.build(d, 1, substitution)
+        assert dict(idx.table.get(b"\x04\x00").items())[b"ab"] == (
+            b"ab\x80" if coded else b"abcd")
+        assert idx.stats == BuildStats(words_indexed=4, words_skipped=1, entries=8)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_only_skipped_words(self, k):
+        d = Dictionary([b"a", b"bc", b"def"][:k])
+        assert_same_build(d, k)
+        assert len(SplitIndex.build(d, k).table) == 0
 
 
 class TestQuery:
