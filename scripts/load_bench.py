@@ -21,13 +21,17 @@ load that reads each gram's key and rows off the BWT and checks them.
 That is one `fmgram._gram_keys` call, or, in a checkout without it, the
 key read (`suffixbwt.row_prefixes` from `firsts`, where format 13 has it)
 and then `envelope._check_gram_rows`, so that the table compares the same
-work.
-It also reports the file size, the format version and a digest of the
-file bytes.  The table shows each cell's fastest over the rounds, since
-other tenants of a shared host only ever slow a pass down.  Times are raw,
-not scaled to a reference host.  The command exits non-zero if a cell
-fails or if two checkouts of one format version write different bytes for
-one input.
+work.  The sorts run before the builds, so that the loads follow the
+builds as in a benchmark run, and a cell counts the minor page faults per
+load over its timed loads (`ru_minflt`): 0 when a load reuses heap pages
+that the builds left.  Once the timing is done it traces (`tracemalloc`)
+the peak of one build + serialize and of one load.  It also reports the
+file size, the format version and a digest of the file bytes.  The table
+shows each cell's fastest time over the rounds, since other tenants of a
+shared host only ever slow a pass down, and its median faults and peaks.
+Times are raw, not scaled to a reference host.  The command exits non-zero
+if a cell fails or if two checkouts of one format version write different
+bytes for one input.
 """
 
 from __future__ import annotations
@@ -35,9 +39,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
+import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import partial
 
 INPUTS = ["fm-super-english", "fm-linear-dna", "fm-linear-english"]
@@ -53,6 +60,16 @@ def fastest(passes: int, call) -> float:
         call()
         times.append(time.perf_counter() - t0)
     return min(times)
+
+
+def traced_peak_mib(call) -> float:
+    """The traced peak of one call of `call`, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def worker(args) -> None:
@@ -71,10 +88,12 @@ def worker(args) -> None:
         text = dna_like_text if args.input == "fm-linear-dna" else english_like_text
         corpus = Corpus.from_bytes(text(1024 * 1024, seed=args.seed))
         build = partial(LinearIndex.build, corpus, 3, 4)
+    sort_s = fastest(BUILDS, partial(suffixbwt.build_suffix_array, corpus))
     data = serialize_index(build())
     build_s = fastest(BUILDS, lambda: serialize_index(build()))
-    sort_s = fastest(BUILDS, partial(suffixbwt.build_suffix_array, corpus))
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     load_s = fastest(LOADS, lambda: deserialize_index(data))
+    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / LOADS
     index = deserialize_index(data)
     directory = index.directory
     entry_for_s = fastest(LOADS, directory.entry_for)
@@ -91,8 +110,11 @@ def worker(args) -> None:
                     suffixbwt.row_prefixes(l, psi, directory.firsts, directory.lengths)
                 envelope._check_gram_rows(l, psi, directory)
     walk_ms = None if walk is None else 1e3 * fastest(LOADS, walk)
+    build_peak = traced_peak_mib(lambda: serialize_index(build()))
+    load_peak = traced_peak_mib(lambda: deserialize_index(data))
     print(json.dumps({"build_ms": 1e3 * build_s, "sort_ms": 1e3 * sort_s,
-                      "load_ms": 1e3 * load_s,
+                      "load_ms": 1e3 * load_s, "faults_per_load": faults,
+                      "build_peak_mib": build_peak, "load_peak_mib": load_peak,
                       "entry_for_ms": 1e3 * entry_for_s, "walk_ms": walk_ms,
                       "grams": len(directory), "bytes": len(data),
                       "format": envelope.FORMAT_VERSION,
@@ -129,7 +151,10 @@ def main() -> None:
                          f"{len(digests)} different files")
     timings = {"build_ms": "build ms", "sort_ms": "sort ms", "load_ms": "load ms",
                "entry_for_ms": "entry_for ms", "walk_ms": "gram walk ms"}
-    columns = [*timings.values(), "file bytes"]
+    medians = {"faults_per_load": ("faults per load", "{:,.0f}"),
+               "build_peak_mib": ("build peak MiB", "{:.1f}"),
+               "load_peak_mib": ("load peak MiB", "{:.1f}")}
+    columns = [*timings.values(), *(label for label, _ in medians.values()), "file bytes"]
     print("| input | " + " | ".join(f"{col} {src}" for src in args.src for col in columns)
           + " | grams |")
     print("|---|" + "---|" * (len(columns) * len(args.src) + 1))
@@ -140,6 +165,8 @@ def main() -> None:
             for key in timings:
                 times = [run[key] for run in runs if run[key] is not None]
                 row.append(f"{min(times):.2f}" if times else "–")
+            for key, (_, form) in medians.items():
+                row.append(form.format(statistics.median(run[key] for run in runs)))
             row.append(f"{runs[0]['bytes']:,}")
         print(f"| {name} | " + " | ".join(row) + f" | {cells[name, args.src[0]][0]['grams']:,} |")
 

@@ -283,9 +283,9 @@ def _load_linear(r: _Reader) -> LinearIndex:
     l = r.blob()
     grams = r.u32()
     lengths, firsts, counts = r.u32s(grams), r.u32s(grams), r.u32s(grams)
-    # An aligned copy: vectorised checks and the directory's memoryview
-    # need one, and the payload may place the rows at any offset.
-    rows = r.u32s(counts.sum(dtype=np.int64)).astype(np.uint32)
+    # A view into the payload, at any alignment: `GramDirectory` copies it
+    # once Ψ is freed, so that the copy reuses Ψ's memory.
+    rows = r.u32s(counts.sum(dtype=np.int64))
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
     return LinearIndex.from_bwt(l, alpha, q, lengths, firsts, counts, rows)

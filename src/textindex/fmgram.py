@@ -82,12 +82,13 @@ class GramDirectory(ChainedHashMap):
 
     def __init__(self, buffer: bytes, offsets, lengths, firsts, starts, rows):
         self.buffer = buffer
-        # Copies, so that no view keeps a loaded file's payload alive.
+        # Copies, so that no view keeps a loaded file's payload alive; the
+        # rows a build makes are already an aligned u32 array of their own.
         self.offsets, self.lengths = (
             np.array(column, dtype=np.uint32) for column in (offsets, lengths))
         self.firsts, self.starts = (
             memoryview(np.array(column, dtype=np.uint32)) for column in (firsts, starts))
-        self.rows = memoryview(np.require(rows, np.uint32, "CA"))
+        self.rows = memoryview(np.require(rows, np.uint32, "CAO"))
         self.entry_for()
 
     def entry_for(self) -> None:
@@ -145,18 +146,43 @@ def _phrase_directory(corpus: Corpus, sa, starts):
     """The linear gram directory's columns `lengths`, `firsts`, `counts` and
     `rows`, read off the suffix array: each distinct phrase
     data[starts[i]:starts[i + 1]] of two or more symbols, in first-seen
-    order.  Rows whose suffixes share L symbols form runs, which
-    data[sa] splits for L = 1 and data[sa + L - 1] for each larger L.  A
-    gram of L symbols is an L-run holding row isa[p] of an L-symbol phrase
-    at p, and its rows, isa[sa[run] + L], already rise."""
-    n, offsets, lengths = corpus.n, starts[:-1], np.diff(starts)
+    order (`_phrase_grams`).  A gram of L symbols whose rows start at row
+    r has rows isa[sa[r:r + count] + L], which already rise.  `isa` is u32
+    (`suffixbwt.inverse_permutation`), and the rows are gathered for about
+    suffixbwt.BLOCK of them at a time, whole grams in order, so that each
+    block fills one slice of `rows` and no temporary spans every row."""
     isa = suffixbwt.inverse_permutation(sa)
+    lengths = np.diff(starts)
+    lengths = lengths.astype(np.min_scalar_type(lengths.max(initial=0)))
+    phrase, first, size = _phrase_grams(corpus.data, sa, isa, starts[:-1], lengths)
+    lengths, ends = lengths[phrase], np.cumsum(size)
+    rows = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint32)
+    # Each block starts at the gram that holds row k * BLOCK.
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, len(rows), suffixbwt.BLOCK),
+                                     side="right")).tolist()
+    for lo, hi in zip(cuts, [*cuts[1:], len(ends)]):
+        after = sa[_ranges(first[lo:hi], size[lo:hi])]
+        after += np.repeat(lengths[lo:hi], size[lo:hi])
+        rows[ends[lo] - size[lo]:ends[hi - 1]] = isa[after]
+    return lengths, first, size, rows
+
+
+def _phrase_grams(data: bytes, sa, isa, offsets, lengths):
+    """The grams among the phrases data[offsets[i]:offsets[i] + lengths[i]]:
+    for each distinct phrase of two or more symbols, the first i that holds
+    it, the first row of the rows whose suffixes start with it and their
+    count, as three int64 rows ordered by that i.  Rows whose suffixes
+    share L symbols form runs, which data[sa] splits for L = 1 and
+    data[sa + L - 1] for each larger L; a gram of L symbols is the L-run
+    holding row isa[p] of an L-symbol phrase at p.  Its own function, so
+    that the n-sized arrays of its passes are freed before the rows are
+    gathered."""
+    n = len(data)
     longest = int(lengths.max(initial=0))
     # Zero-padded, so that data[L - 1:] holds a symbol for every sa.
-    data = np.frombuffer(corpus.data + bytes(longest), dtype=np.uint8)
+    data = np.frombuffer(data + bytes(longest), dtype=np.uint8)
     new = np.ones(n, dtype=bool)
     new[1:] = np.diff(data[:n][sa]) != 0
-    # Per gram: its first phrase, first row and row count.
     found = [np.empty((3, 0), dtype=np.int64)]
     for length in range(2, longest + 1):
         symbols = data[length - 1:][sa]
@@ -170,14 +196,7 @@ def _phrase_directory(corpus: Corpus, sa, starts):
         held = np.flatnonzero(earliest < len(offsets))
         found.append([earliest[held], bounds[held], np.diff(bounds, append=n)[held]])
     found = np.concatenate(found, axis=1)
-    phrase, first, size = found[:, np.argsort(found[0])]
-    lengths, ends = lengths[phrase], np.cumsum(size)
-    rows = np.empty(size.sum(), dtype=np.uint32)
-    # One length at a time, so that no temporary spans every row.
-    for length in range(2, longest + 1):
-        g = lengths == length
-        rows[_ranges(ends[g] - size[g], size[g])] = isa[sa[_ranges(first[g], size[g])] + length]
-    return lengths, first, size, rows
+    return found[:, np.argsort(found[0])]
 
 
 def _ranges(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -335,8 +354,11 @@ class LinearIndex:
         if falls.any():
             raise MalformedInputError("gram rows not strictly increasing")
         offsets = np.cumsum(lengths) - lengths
-        directory = GramDirectory(_gram_keys(l, psi, lengths, offsets, firsts, starts, rows),
-                                  offsets, lengths, firsts, starts, rows)
+        keys = _gram_keys(l, psi, lengths, offsets, firsts, starts, rows)
+        # Freed before the directory copies the rows that a load hands over
+        # as a view of its file, so that the copy can reuse Ψ's memory.
+        del psi
+        directory = GramDirectory(keys, offsets, lengths, firsts, starts, rows)
         if len(directory) != len(lengths):
             raise MalformedInputError("repeated gram in directory")
         return cls(fm, alpha, q, directory)

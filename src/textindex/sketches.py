@@ -46,6 +46,12 @@ class SketchConfig:
                 f"{expected} grams, got {len(self.grams)}")
         if len(set(self.grams)) != len(self.grams):
             raise ValueError("tracked grams must be unique")
+        # Each `build_sketch` cache lookup hashes its config, so the fields
+        # are hashed once, here, and `__hash__` reads the result back.
+        object.__setattr__(self, "_hash", hash((self.mode, self.grams, self.width)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_letters(cls, letters: bytes, mode: str = OCCURRENCE, width: int = 2) -> "SketchConfig":
@@ -128,10 +134,7 @@ def filtered_compare(w1: bytes, w2: bytes, k: int, config: SketchConfig) -> bool
         # signal is sound, which settles k = 0 rejections.
         if k == 0 and diff > 0:
             return False
-    budget = k
-    for a, b in zip(w1, w2):
-        if a != b:
-            budget -= 1
-            if budget < 0:
-                return False
-    return True
+    # The mismatches are the nonzero bytes of the words' XOR, counted at C
+    # level: the length less the zero bytes.
+    xor = int.from_bytes(w1, "big") ^ int.from_bytes(w2, "big")
+    return len(w1) - xor.to_bytes(len(w1), "big").count(0) <= k

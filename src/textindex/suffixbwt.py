@@ -22,6 +22,9 @@ from .textcore import TERMINATOR, Corpus
 # count (`_first_sort`), and a refinement key, group head * n + (head of
 # the suffix `span` on), is below n * n.
 SA_LIMIT = 1 << 31
+# Symbols counted, or rows scattered, per pass of the loops that would
+# otherwise make a temporary as long as the text.
+BLOCK = 1 << 16
 
 
 def _first_sort(data: bytes) -> tuple[np.ndarray, np.ndarray, int]:
@@ -40,7 +43,7 @@ def _first_sort(data: bytes) -> tuple[np.ndarray, np.ndarray, int]:
     that swap.
     """
     n = len(data)
-    table = np.cumsum(np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256) > 0) - 1
+    table = np.cumsum(_symbol_counts(data) > 0) - 1
     # At least 2, so that a lone terminator still bounds `span`.
     sigma = max(int(table[-1]) + 1, 2)
     width = (n - 1).bit_length()
@@ -149,9 +152,14 @@ def build_suffix_array(corpus: Corpus) -> np.ndarray:
     return sa
 
 
-def inverse_permutation(sa: np.ndarray) -> np.ndarray:
-    inv = np.empty(len(sa), dtype=np.int64)
-    inv[sa] = np.arange(len(sa), dtype=np.int64)
+def inverse_permutation(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of range(n), n <= 2**32, as u32:
+    inv[perm[i]] = i; for a suffix array, each suffix's row.  The scatter
+    takes BLOCK rows at a time, so no n-sized temporary is made."""
+    n = len(perm)
+    inv = np.empty(n, dtype=np.uint32)
+    for at in range(0, n, BLOCK):
+        inv[perm[at:at + BLOCK]] = np.arange(at, min(at + BLOCK, n), dtype=np.uint32)
     return inv
 
 
@@ -204,14 +212,12 @@ def lf_mapping(l: bytes, psi: np.ndarray | None = None) -> np.ndarray:
     """The LF mapping of the BWT string `l` as n u32 entries: LF[i] is the
     row of the suffix one symbol to the left of row i's, that is
     C[l[i]] + (occurrences of l[i] in l[:i]).  That is i's place in a
-    stable sort of `l`, so LF inverts Ψ (`psi_mapping`), which a caller
-    that also reads Ψ may pass in."""
+    stable sort of `l`, so LF is the inverse permutation of Ψ
+    (`psi_mapping`), which a caller that also reads Ψ may pass in; its
+    scatter makes no n-sized temporary (`inverse_permutation`)."""
     if psi is None:
         psi = psi_mapping(l)
-    n = len(l)
-    lf = np.empty(n, dtype=np.uint32)
-    lf[psi] = np.arange(n, dtype=np.uint32)
-    return lf
+    return inverse_permutation(psi)
 
 
 def bwt_inverse(l: bytes) -> Corpus:
@@ -239,13 +245,24 @@ def bwt_inverse(l: bytes) -> Corpus:
     return Corpus(bytes(out))
 
 
+def _symbol_counts(data) -> np.ndarray:
+    """Occurrences of each byte value in `data`, as 256 int64s.  `bincount`
+    widens what it counts to int64, so it takes BLOCK symbols at a time
+    rather than make a copy eight times the size of `data`."""
+    symbols = np.frombuffer(data, dtype=np.uint8)
+    counts = np.zeros(256, dtype=np.int64)
+    for at in range(0, len(symbols), BLOCK):
+        counts += np.bincount(symbols[at:at + BLOCK], minlength=256)
+    return counts
+
+
 def _count_table(data: bytes) -> list[int]:
     """The count table C of `data` as 257 entries: C[c] is the number of
     symbols smaller than c and C[256] = len(data), so symbol c occurs
     exactly when C[c] < C[c + 1], and then rows C[c] to C[c + 1] - 1 are
     the suffixes that start with it."""
     table = np.zeros(257, dtype=np.int64)
-    np.cumsum(np.bincount(np.frombuffer(data, dtype=np.uint8), minlength=256), out=table[1:])
+    np.cumsum(_symbol_counts(data), out=table[1:])
     return table.tolist()
 
 

@@ -117,19 +117,21 @@ def dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _window_keys(text: bytes, q: int) -> np.ndarray:
     """One integer per q-gram start, ordered as the q-grams compare.
 
-    Up to 8 symbols the key is the gram's packed word with the symbols
-    after the gram masked off.  Longer grams are ranked by doubling, as in
-    suffix sorting: 8-symbol words are ranked, pairs of ranks `span` apart
-    give the ranks of 2 * span symbols, and once two spans cover q symbols
-    a gram compares as its pair (rank at i, rank at i + q - span).  Time is
-    O(n log q) and memory O(n) for any q.
+    Up to 8 symbols the key is the gram's q bytes read as one big-endian
+    integer, below 2**(8q), shifted down in place in the packed words.
+    Longer grams are ranked by doubling, as in suffix sorting: 8-symbol
+    words are ranked, pairs of ranks `span` apart give the ranks of
+    2 * span symbols, and once two spans cover q symbols a gram compares as
+    its pair (rank at i, rank at i + q - span).  Time is O(n log q) and
+    memory O(n) for any q.
     """
     n = len(text)
     count = n - q + 1
     words = packed_words(text)
     if q <= 8:
-        shift = np.uint64(8 * (8 - q))
-        return words[:count] >> shift << shift
+        keys = words[:count]
+        keys >>= np.uint64(8 * (8 - q))
+        return keys
     # Ranks at positions whose span runs past the text are padded; no
     # gram that fits the text reads them.
     ranks = dense_ranks(words)[1]
@@ -180,11 +182,19 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     lexicographically smallest q-gram, the leftmost one on ties.  Winning
     positions are recorded once each.
 
-    Vectorised: grams are compared as integer keys (`_window_keys`), every
-    window's winner is an `argmin` over a sliding view (which returns the
-    first, so leftmost, minimum), and repeated winners of neighbouring
-    windows are dropped.  This is the build's path; a query, which reads
-    only the rightmost few positions, takes `minimizers_from_right`.
+    Vectorised, in O(n) memory whatever alpha is: grams are compared as
+    integer keys (`_window_keys`), and each window's winner comes from
+    ceil(log2 alpha) in-place passes over them.  A pass joins the windows
+    of `span` grams at i and i + step (step <= span) into one of span +
+    step grams at i, keeping the right one's winner only if its key is
+    smaller, so that the leftmost of equal grams wins.  Where 8q +
+    bit_length(count) <= 64 for the count of grams, each gram's key is
+    packed above its position in one u64, so a pass is one `np.minimum`
+    and a tie goes to the smaller position; otherwise the positions move in
+    their own array alongside the keys.  Winners never move left, so a
+    winner shared by neighbouring windows is a repeat next to itself and is
+    dropped.  This is the build's path; a query, which reads only the
+    rightmost few positions, takes `minimizers_from_right`.
     """
     n = len(text)
     if alpha < 1 or q < 1:
@@ -193,13 +203,41 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
         raise ValueError(
             f"text of length {n} is shorter than one window ({q + alpha - 1})")
     keys = _window_keys(text, q)
-    windows = np.lib.stride_tricks.sliding_window_view(keys, alpha)
-    winners = windows.argmin(axis=1) + np.arange(len(windows))
-    # Winners never move left, so repeats are adjacent.
-    fresh = np.empty(len(winners), dtype=bool)
+    count = len(keys)
+    width = count.bit_length()
+    positions = np.arange(count, dtype=np.min_scalar_type(count - 1))
+    packed = q <= 8 and 8 * q + width <= 64
+    if packed:
+        keys <<= np.uint64(width)
+        keys |= positions
+        del positions
+    size, span = count, 1
+    while span < alpha:
+        step = min(span, alpha - span)
+        size -= step
+        if not packed:
+            later = keys[step:step + size] < keys[:size]
+            # The right winner's position where its key is smaller, without
+            # a branch: unsigned differences wrap, and wrap back when added.
+            moved = positions[step:step + size] - positions[:size]
+            moved *= later
+            positions[:size] += moved
+            del later, moved
+        # In place: element i reads i + step before the pass writes it.
+        np.minimum(keys[:size], keys[step:step + size], out=keys[:size])
+        span += step
+    if packed:
+        # Positions are below 2**63, so the u64s read as int64s unchanged.
+        winners = keys[:size].view(np.int64)
+        winners &= (1 << width) - 1
+    else:
+        winners = positions[:size]
+    del keys
+    fresh = np.empty(size, dtype=bool)
     fresh[0] = True
     np.not_equal(winners[1:], winners[:-1], out=fresh[1:])
-    return MinimizerSet(alpha=alpha, q=q, text=text, starts=winners[fresh])
+    return MinimizerSet(alpha=alpha, q=q, text=text,
+                        starts=winners[fresh].astype(np.int64, copy=False))
 
 
 def minimizers_from_right(text: bytes, alpha: int, q: int) -> Iterator[int]:

@@ -697,6 +697,18 @@ def test_one_bwt_walk_per_linear_build_and_load(monkeypatch):
     assert len(walks) == 2
 
 
+@pytest.mark.parametrize("size", [2000, 2001, 2002, 2003])
+def test_loaded_linear_rows_are_a_copy(size):
+    # Load checks the rows as a view into the file bytes, aligned or not
+    # (the BWT's length moves their offset), and the directory keeps a copy
+    # of its own, so no loaded index holds a view of the file.
+    index = LinearIndex.build(Corpus.from_bytes(dna_like_text(size, seed=25)), alpha=3, q=4)
+    loaded = deserialize_index(serialize_index(index))
+    rows = loaded.directory.rows.obj
+    assert rows.flags.owndata and rows.flags.aligned and rows.dtype == np.uint32
+    assert list(loaded.directory.rows) == list(index.directory.rows)
+
+
 def _directory_digest(directory) -> str:
     """SHA-256 of a gram directory's key buffer and its `lengths`,
     `firsts`, `starts` and `rows` columns as u32s."""

@@ -30,6 +30,24 @@ class TestConfig:
         with pytest.raises(ValueError):
             SketchConfig.from_policy("alphabetical")
 
+    def test_fields_hashed_once(self):
+        # every `build_sketch` cache lookup hashes the config; the grams
+        # tuple is hashed when the config is made, never again
+        class Grams(tuple):
+            hashed = 0
+
+            def __hash__(self):
+                Grams.hashed += 1
+                return tuple.__hash__(self)
+
+        cfg = SketchConfig(mode=OCCURRENCE, grams=Grams(b"etaoinsh"), width=1)
+        for word in (b"one", b"two", b"one"):
+            build_sketch(word, cfg)
+        assert hash(cfg) == hash(cfg) and Grams.hashed == 1
+        same = SketchConfig(mode=OCCURRENCE, grams=tuple(b"etaoinsh"), width=1)
+        assert same == cfg and hash(same) == hash(cfg)
+        assert {cfg: 1}[same] == 1
+
 
 class TestBuildSketch:
     def test_worked_example(self):
@@ -113,6 +131,21 @@ class TestFilteredCompare:
         w1, w2 = b"aaab", b"abbb"
         assert filtered_compare(w1, w2, 2, cfg) == (hamming_distance(w1, w2) <= 2)
         assert filtered_compare(w1, w2, 1, cfg) == (hamming_distance(w1, w2) <= 1)
+
+    def test_any_bytes_match_the_hamming_distance(self):
+        # tracked letters that the words never hold, so no sketch rejects
+        # and every answer comes from the mismatch count; bytes 0 and 255
+        # and leading mismatches included
+        cfg = SketchConfig.from_policy("least-common", width=1)
+        rng = random.Random(255)
+        for length in range(0, 24):
+            for _ in range(40):
+                w1 = bytes(rng.choice(b"\x00\x01\x80\xff") for _ in range(length))
+                w2 = bytes(rng.choice((w1[i], rng.choice(b"\x00\x01\x80\xff")))
+                           for i in range(length))
+                h = hamming_distance(w1, w2)
+                for k in range(length + 1):
+                    assert filtered_compare(w1, w2, k, cfg) == (h <= k)
 
     def test_count_mode_rejects_only_at_k0(self):
         cfg = SketchConfig(mode=COUNT, grams=tuple(b"abnx"), width=1)

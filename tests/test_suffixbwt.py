@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,31 @@ class TestCountTable:
         assert len(table) == 257 and table[0] == 0 and table[256] == c.n
         assert [hi - lo for lo, hi in zip(table, table[1:])] == [
             c.data.count(symbol) for symbol in range(256)]
+
+    def test_counted_without_a_wide_copy(self):
+        # bincount widens what it counts to int64; over the whole text that
+        # would trace 8 bytes a symbol
+        rng = random.Random(5)
+        data = bytes(rng.randint(0, 255) for _ in range(1 << 20))
+        tracemalloc.start()
+        try:
+            table = suffixbwt._count_table(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(data)
+        assert [hi - lo for lo, hi in zip(table, table[1:])] == [
+            data.count(symbol) for symbol in range(256)]
+
+
+class TestInversePermutation:
+    @pytest.mark.parametrize("n", [0, 1, 2, suffixbwt.BLOCK - 1, suffixbwt.BLOCK,
+                                   3 * suffixbwt.BLOCK + 7])
+    def test_inverts_across_blocks(self, n):
+        perm = np.random.default_rng(n).permutation(n)
+        inv = suffixbwt.inverse_permutation(perm)
+        assert inv.dtype == np.uint32
+        assert (inv[perm] == np.arange(n)).all()
 
 
 @given(st.binary(max_size=300).map(lambda raw: raw.replace(b"\0", b"")))

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +110,66 @@ class TestMinimizers:
             if not g1 & g2:
                 failures += 1
         assert failures == 0
+
+
+class TestMinimizerKeyPaths:
+    """`minimizers` packs each gram above its position in one u64 while
+    8q + bit_length(count) <= 64, for count grams, and otherwise moves the
+    positions beside the keys; both must pick the brute-force winners."""
+
+    @staticmethod
+    def texts(n, seed):
+        rng = random.Random(seed)
+        yield bytes(rng.choice(b"ab") for _ in range(n))
+        yield bytes(rng.choice(b"\x01\xfe\xff") for _ in range(n))
+        yield bytes(rng.randint(1, 255) for _ in range(n))
+
+    # q = 7: count = n - 6 is 255 at n = 261, which packs (7 * 8 + 8 = 64),
+    # and 256 at n = 262, which does not (65).
+    @pytest.mark.parametrize("n", range(250, 263))
+    def test_across_the_packing_boundary(self, n):
+        for text in self.texts(n, seed=n):
+            for alpha in range(1, 17):
+                assert list(minimizers(text, alpha, 7).positions) == \
+                    brute_force_minimizers(text, alpha, 7)
+
+    @pytest.mark.parametrize("q", range(1, 10))
+    def test_grams_of_byte_255(self, q):
+        # Runs of 255, the largest key byte, next to 254 and 1, so that the
+        # top bits of a packed key decide and ties between 255-grams are
+        # broken by position alone.
+        rng = random.Random(q)
+        for _ in range(20):
+            text = b"".join(bytes([rng.choice(b"\x01\xfe\xff")]) * rng.randint(1, 12)
+                            for _ in range(12))
+            for alpha in (1, 2, 3, 5, 8, 16):
+                if len(text) >= q + alpha - 1:
+                    assert list(minimizers(text, alpha, q).positions) == \
+                        brute_force_minimizers(text, alpha, q)
+
+    @pytest.mark.parametrize("q", [2, 4, 8, 12])
+    def test_alpha_up_to_16(self, q):
+        rng = random.Random(16 + q)
+        text = bytes(rng.choice(b"acgt") for _ in range(400))
+        for alpha in range(1, 17):
+            assert list(minimizers(text, alpha, q).positions) == \
+                brute_force_minimizers(text, alpha, q)
+
+    @pytest.mark.parametrize("q", [4, 8])
+    def test_memory_does_not_grow_with_alpha(self, q):
+        # q 4 packs its keys at 64 KiB, q 8 does not; neither may copy the
+        # (n, alpha) windows, so the traced peak stays level across alpha.
+        rng = random.Random(64)
+        text = bytes(rng.choice(b"acgt") for _ in range(64 * 1024))
+        peaks = []
+        for alpha in range(2, 17):
+            tracemalloc.start()
+            try:
+                minimizers(text, alpha, q)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.5 * min(peaks)
 
 
 ALPHABETS = [b"a", b"ab", b"acgt", bytes(range(1, 256))]
