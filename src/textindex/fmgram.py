@@ -153,6 +153,9 @@ def _phrase_directory(corpus: Corpus, sa, starts):
     block fills one slice of `rows` and no temporary spans every row."""
     isa = suffixbwt.inverse_permutation(sa)
     lengths = np.diff(starts)
+    # Narrowed, since it lives through every pass of `_phrase_grams`: held
+    # as int64, it raised the traced build peak on 1 MiB of DNA-like text
+    # at alpha 3, q 4 from 29.3 to 33.0 MiB.
     lengths = lengths.astype(np.min_scalar_type(lengths.max(initial=0)))
     phrase, first, size = _phrase_grams(corpus.data, sa, isa, starts[:-1], lengths)
     lengths, ends = lengths[phrase], np.cumsum(size)

@@ -118,7 +118,7 @@ def _window_keys(text: bytes, q: int) -> np.ndarray:
     """One integer per q-gram start, ordered as the q-grams compare.
 
     Up to 8 symbols the key is the gram's q bytes read as one big-endian
-    integer, below 2**(8q), shifted down in place in the packed words.
+    integer, shifted down in place in the packed words.
     Longer grams are ranked by doubling, as in suffix sorting: 8-symbol
     words are ranked, pairs of ranks `span` apart give the ranks of
     2 * span symbols, and once two spans cover q symbols a gram compares as
@@ -186,15 +186,12 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
     integer keys (`_window_keys`), and each window's winner comes from
     ceil(log2 alpha) in-place passes over them.  A pass joins the windows
     of `span` grams at i and i + step (step <= span) into one of span +
-    step grams at i, keeping the right one's winner only if its key is
-    smaller, so that the leftmost of equal grams wins.  Where 8q +
-    bit_length(count) <= 64 for the count of grams, each gram's key is
-    packed above its position in one u64, so a pass is one `np.minimum`
-    and a tie goes to the smaller position; otherwise the positions move in
-    their own array alongside the keys.  Winners never move left, so a
-    winner shared by neighbouring windows is a repeat next to itself and is
-    dropped.  This is the build's path; a query, which reads only the
-    rightmost few positions, takes `minimizers_from_right`.
+    step grams at i, keeping the right one's winning position only if its
+    key is smaller, so that the leftmost of equal grams wins.  Winners
+    never move left, so a winner shared by neighbouring windows is a
+    repeat next to itself and is dropped.  This is the build's path; a
+    query, which reads only the rightmost few positions, takes
+    `minimizers_from_right`.
     """
     n = len(text)
     if alpha < 1 or q < 1:
@@ -204,34 +201,22 @@ def minimizers(text: bytes, alpha: int, q: int) -> MinimizerSet:
             f"text of length {n} is shorter than one window ({q + alpha - 1})")
     keys = _window_keys(text, q)
     count = len(keys)
-    width = count.bit_length()
     positions = np.arange(count, dtype=np.min_scalar_type(count - 1))
-    packed = q <= 8 and 8 * q + width <= 64
-    if packed:
-        keys <<= np.uint64(width)
-        keys |= positions
-        del positions
     size, span = count, 1
     while span < alpha:
         step = min(span, alpha - span)
         size -= step
-        if not packed:
-            later = keys[step:step + size] < keys[:size]
-            # The right winner's position where its key is smaller, without
-            # a branch: unsigned differences wrap, and wrap back when added.
-            moved = positions[step:step + size] - positions[:size]
-            moved *= later
-            positions[:size] += moved
-            del later, moved
+        later = keys[step:step + size] < keys[:size]
+        # The right winner's position where its key is smaller, without a
+        # branch: unsigned differences wrap, and wrap back when added.
+        moved = positions[step:step + size] - positions[:size]
+        moved *= later
+        positions[:size] += moved
+        del later, moved
         # In place: element i reads i + step before the pass writes it.
         np.minimum(keys[:size], keys[step:step + size], out=keys[:size])
         span += step
-    if packed:
-        # Positions are below 2**63, so the u64s read as int64s unchanged.
-        winners = keys[:size].view(np.int64)
-        winners &= (1 << width) - 1
-    else:
-        winners = positions[:size]
+    winners = positions[:size]
     del keys
     fresh = np.empty(size, dtype=bool)
     fresh[0] = True

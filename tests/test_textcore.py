@@ -112,10 +112,10 @@ class TestMinimizers:
         assert failures == 0
 
 
-class TestMinimizerKeyPaths:
-    """`minimizers` packs each gram above its position in one u64 while
-    8q + bit_length(count) <= 64, for count grams, and otherwise moves the
-    positions beside the keys; both must pick the brute-force winners."""
+class TestMinimizerPasses:
+    """`minimizers` moves each window's winning position beside the keys,
+    in the smallest unsigned dtype that holds every position, through
+    differences that wrap; it must pick the brute-force winners."""
 
     @staticmethod
     def texts(n, seed):
@@ -124,10 +124,10 @@ class TestMinimizerKeyPaths:
         yield bytes(rng.choice(b"\x01\xfe\xff") for _ in range(n))
         yield bytes(rng.randint(1, 255) for _ in range(n))
 
-    # q = 7: count = n - 6 is 255 at n = 261, which packs (7 * 8 + 8 = 64),
-    # and 256 at n = 262, which does not (65).
-    @pytest.mark.parametrize("n", range(250, 263))
-    def test_across_the_packing_boundary(self, n):
+    # q = 7: count = n - 6 grams, whose positions fit u8 up to n = 262
+    # and need u16 from n = 263 on.
+    @pytest.mark.parametrize("n", range(250, 266))
+    def test_across_the_u8_position_boundary(self, n):
         for text in self.texts(n, seed=n):
             for alpha in range(1, 17):
                 assert list(minimizers(text, alpha, 7).positions) == \
@@ -136,8 +136,8 @@ class TestMinimizerKeyPaths:
     @pytest.mark.parametrize("q", range(1, 10))
     def test_grams_of_byte_255(self, q):
         # Runs of 255, the largest key byte, next to 254 and 1, so that the
-        # top bits of a packed key decide and ties between 255-grams are
-        # broken by position alone.
+        # top bits of a key decide and ties between 255-grams are broken by
+        # position alone.
         rng = random.Random(q)
         for _ in range(20):
             text = b"".join(bytes([rng.choice(b"\x01\xfe\xff")]) * rng.randint(1, 12)
@@ -155,10 +155,22 @@ class TestMinimizerKeyPaths:
             assert list(minimizers(text, alpha, q).positions) == \
                 brute_force_minimizers(text, alpha, q)
 
+    @pytest.mark.parametrize("alpha", [2, 3, 8, 16])
+    def test_u32_positions(self, alpha):
+        # Over 65,536 grams, so the positions and their wrapping differences
+        # are u32.  The lazy right-to-left scan is the oracle here, since
+        # the brute-force scan is quadratic in the winners.
+        rng = random.Random(alpha)
+        n = 3 * 65536 + 1000
+        for symbols in (b"ab", b"acgt"):
+            text = bytes(rng.choice(symbols) for _ in range(n))
+            assert list(minimizers(text, alpha, 4).positions) == \
+                list(minimizers_from_right(text, alpha, 4))[::-1]
+
     @pytest.mark.parametrize("q", [4, 8])
     def test_memory_does_not_grow_with_alpha(self, q):
-        # q 4 packs its keys at 64 KiB, q 8 does not; neither may copy the
-        # (n, alpha) windows, so the traced peak stays level across alpha.
+        # No pass may copy the (n, alpha) windows, so the traced peak stays
+        # level across alpha, for keys of 4 bytes and of 8.
         rng = random.Random(64)
         text = bytes(rng.choice(b"acgt") for _ in range(64 * 1024))
         peaks = []
