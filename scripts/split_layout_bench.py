@@ -10,10 +10,11 @@ the default `select_qgrams` table, on `random_word_dictionary(--words,
 seed)` and the 2,000 `generate_noisy_queries` (up to 3 substitutions, seed
 + 1) that the `split-words` benchmark uses.  A cell reports its fastest
 of --passes builds, its fastest of --passes passes over the query set,
-per query, its fastest of --loads loads of the file bytes, and the file
-size; the table shows each cell's fastest over the rounds, since other
-tenants of a shared host only ever slow a pass down.  Times are raw, not
-scaled to a reference host.
+per query, its fastest of --loads loads of the file bytes, the file size
+and, if coded, its fastest of --passes `select_qgrams` calls; the table
+shows each cell's fastest over the rounds, since other tenants of a
+shared host only ever slow a pass down.  Times are raw, not scaled to a
+reference host.
 """
 
 from __future__ import annotations
@@ -37,7 +38,12 @@ def worker(args) -> None:
     queries = [q for q in generate_noisy_queries(words, 2000, max_errors=3,
                                                  seed=args.seed + 1).queries
                if len(q) > args.k]
-    substitution = select_qgrams(words) if args.coded else None
+    substitution = None
+    selects = []
+    for _ in range(args.passes if args.coded else 0):
+        t0 = time.perf_counter()
+        substitution = select_qgrams(words)
+        selects.append(time.perf_counter() - t0)
     builds = []
     for _ in range(args.passes):
         t0 = time.perf_counter()
@@ -56,7 +62,8 @@ def worker(args) -> None:
         for q in queries:
             query(q)
         passes.append((time.perf_counter() - t0) / len(queries))
-    print(json.dumps({"build_ms": 1e3 * min(builds), "us": 1e6 * min(passes),
+    print(json.dumps({"select_ms": 1e3 * min(selects, default=float("nan")),
+                      "build_ms": 1e3 * min(builds), "us": 1e6 * min(passes),
                       "load_ms": 1e3 * min(loads), "bytes": len(data)}))
 
 
@@ -88,15 +95,16 @@ def main() -> None:
                     check=True, capture_output=True, text=True).stdout
                 cells.setdefault((k, coded, src), []).append(json.loads(out))
     print("| runs | k | " + " | ".join(f"{name} {src}" for src in args.src
-                                        for name in ("build ms", "µs/query", "load ms",
-                                                     "file bytes"))
+                                        for name in ("select ms", "build ms", "µs/query",
+                                                     "load ms", "file bytes"))
           + " |")
-    print("|---|---|" + "---|" * (4 * len(args.src)))
+    print("|---|---|" + "---|" * (5 * len(args.src)))
     for k, coded in CONFIGS:
         row = []
         for src in args.src:
             runs = cells[k, coded, src]
-            row += [f"{min(r['build_ms'] for r in runs):.1f}",
+            row += [f"{min(r['select_ms'] for r in runs):.1f}" if coded else "–",
+                    f"{min(r['build_ms'] for r in runs):.1f}",
                     f"{min(r['us'] for r in runs):.1f}",
                     f"{min(r['load_ms'] for r in runs):.1f}",
                     f"{runs[0]['bytes']:,}"]

@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
-from .splitindex import CODE_FLOOR, PieceRuns, SplitIndex, SubstitutionTable, piece_bounds
+from .splitindex import PieceRuns, SplitIndex, SubstitutionTable, piece_bounds
 # Not called here; kept importable under this module's name because
 # perfbench/tracer.py wraps `envelope.bwt_forward`.
 from .suffixbwt import bwt_forward  # noqa: F401
@@ -192,10 +192,6 @@ def _load_split(r: _Reader) -> SplitIndex:
             substitution = SubstitutionTable(pairs)
         except ValueError as exc:
             raise MalformedInputError(f"bad substitution table: {exc}") from None
-        # The bytes each stored byte decodes to; 0 for an unknown code.
-        decoded_width = np.array([1] * CODE_FLOOR + [0] * (256 - CODE_FLOOR))
-        for gram, code in substitution.pairs:
-            decoded_width[code] = len(gram)
     bounds = piece_bounds(k)
     table = ChainedHashMap()
     groups = r.u32()
@@ -221,7 +217,7 @@ def _load_split(r: _Reader) -> SplitIndex:
         if substitution is not None:
             # Decoded run lengths: cumulative decoded widths of the bytes,
             # taken at the run starts.
-            widths = decoded_width[np.frombuffer(group.runs, np.uint8)]
+            widths = substitution.decoded_width[np.frombuffer(group.runs, np.uint8)]
             if not widths.all():
                 raise MalformedInputError("unknown substitution code in a split run")
             ends = np.concatenate([[0], np.cumsum(widths)])

@@ -32,9 +32,14 @@ of the sorted block are the group's runs back to back.
 Lists can be compressed by substituting frequent word q-grams with byte
 codes 128..255.  A coded run is its entries' coded missing parts
 concatenated; codes map one byte to one gram, so decoding the whole run
-once gives the plain run, which is verified in the same way.  A coded
-build groups the words as a plain one does and codes each missing part
-on its own.
+once gives the plain run, which is verified in the same way.  Encoding is
+decoding run the other way: one compiled `re` split keeps the longest
+gram at each position, left to right (decoding: each code byte), and one
+`map` swaps each kept part for its code (its gram).  A coded build groups
+the words as a plain one does, joins each group's missing parts with byte
+0, which no gram holds, codes them with one call and cuts the result at
+the 0 bytes; `select_qgrams` sizes each candidate table with one call over
+all the words, joined the same way.
 """
 
 from __future__ import annotations
@@ -141,36 +146,12 @@ def piece_bounds(k: int) -> tuple[tuple[tuple[int, int, bytes], ...] | None, ...
 
 def encode_word(word: bytes, pairs) -> bytes:
     """Greedy left-to-right substitution; longer grams are tried first at
-    each position.  `pairs` is an ordered sequence of (gram, code) items."""
-    return _encode(word, _codes_by_length(pairs))
-
-
-def _codes_by_length(pairs) -> list[tuple[int, dict[bytes, int]]]:
-    """(length, {gram: code}) for each gram length in `pairs`, longest first."""
-    by_length: dict[int, dict[bytes, int]] = {}
-    for gram, code in pairs:
-        if not gram:
-            raise ValueError("substitution grams must be nonempty")
-        by_length.setdefault(len(gram), {})[gram] = code
-    return sorted(by_length.items(), key=lambda item: -item[0])
-
-
-def _encode(word: bytes, by_length: list[tuple[int, dict[bytes, int]]]) -> bytes:
-    """`word` with the grams of `by_length` greedily replaced by their codes."""
-    out = bytearray()
-    at = 0
-    n = len(word)
-    while at < n:
-        for ln, codes in by_length:
-            code = codes.get(word[at:at + ln])
-            if code is not None:
-                out.append(code)
-                at += ln
-                break
-        else:
-            out.append(word[at])
-            at += 1
-    return bytes(out)
+    each position.  `pairs` is an ordered sequence of (gram, code) items;
+    of a gram listed twice, the later code wins."""
+    codes = {gram: bytes((code,)) for gram, code in pairs}
+    if b"" in codes:
+        raise ValueError("substitution grams must be nonempty")
+    return _substitute(word, codes, _split_around(codes))
 
 
 def decode_word(coded: bytes, pairs) -> bytes:
@@ -178,28 +159,43 @@ def decode_word(coded: bytes, pairs) -> bytes:
     grams = {bytes((code,)): gram for gram, code in pairs}
     if b"" in grams.values():
         raise ValueError("substitution grams must be nonempty")
-    return _decode(coded, grams, _code_split(grams))
+    return _substitute(coded, grams, _split_around(grams, rb"[\x80-\xff]"))
 
 
-def _code_split(grams: dict[bytes, bytes]):
-    """A `split` that cuts coded bytes around every byte that is a code of
-    `grams` or at least CODE_FLOOR, and keeps those bytes."""
-    return re.compile(b"([" + re.escape(b"".join(grams)) + rb"\x80-\xff])").split
+def _split_around(keys, other: bytes = b""):
+    """A `split` that cuts bytes around the longest of the nonempty `keys`
+    that starts at each position, left to right, and around each match of
+    the pattern `other`, and keeps the parts it cuts out; with neither, it
+    cuts nothing.  `re` takes the first alternative that matches, so the
+    keys are grouped by first byte, longest first in each group: one
+    alternative per first byte, which `re` rejects with one byte compare."""
+    tails: dict[bytes, list[bytes]] = {}
+    for key in sorted(keys, key=len, reverse=True):
+        tails.setdefault(re.escape(key[:1]), []).append(re.escape(key[1:]))
+    branches = [first + (rest[0] if len(rest) == 1 else b"(?:" + b"|".join(rest) + b")")
+                for first, rest in tails.items()]
+    branches += [other] if other else []
+    return re.compile(b"(" + (b"|".join(branches) or b"(?!)") + b")").split
 
 
-def _decode(coded: bytes, grams: dict[bytes, bytes], split) -> bytes:
-    """`coded` with each code byte replaced by its gram from `grams`, cut
-    by `split` from `_code_split(grams)`."""
-    parts = split(coded)
+def _substitute(data: bytes, table: dict[bytes, bytes], split) -> bytes:
+    """`data` with each part that `split` keeps replaced by its value in
+    `table`.  Decoding tables map code bytes to grams, and a code byte
+    absent from the table is refused."""
+    parts = split(data)
     try:
-        parts[1::2] = map(grams.__getitem__, parts[1::2])
+        parts[1::2] = map(table.__getitem__, parts[1::2])
     except KeyError as exc:
         raise MalformedInputError(f"unknown substitution code {exc.args[0][0]}") from None
     return b"".join(parts)
 
 
 class SubstitutionTable:
-    """Ordered (gram, code) pairs; codes are the reserved bytes 128..255."""
+    """Ordered (gram, code) pairs; codes are the reserved bytes 128..255.
+
+    `decoded_width[b]` is the number of bytes that byte b of a coded run
+    decodes to: 1 below 128, its gram's length for a code, and 0 for a
+    byte that is no code of the table."""
 
     def __init__(self, pairs):
         pairs = [(bytes(g), int(c)) for g, c in pairs]
@@ -216,23 +212,27 @@ class SubstitutionTable:
                 raise ValueError("grams must be 2 to 4 symbols long")
             if not CODE_FLOOR <= code <= 255:
                 raise ValueError("codes must lie in 128..255")
-            if any(b >= CODE_FLOOR for b in gram):
-                raise ValueError("grams must not contain code bytes")
-        # Encode order: longer grams first, then table order.
+            # Coded builds join entries with byte 0, which no gram may span.
+            if _foreign_byte(gram):
+                raise ValueError("grams must use byte values 1..127")
+        # Longer grams first, then table order: the order files store.
         self.pairs: tuple[tuple[bytes, int], ...] = tuple(
             sorted(pairs, key=lambda item: -len(item[0])))
+        self._codes = {gram: bytes((code,)) for gram, code in self.pairs}
+        self._encode_split = _split_around(self._codes)
         self._grams = {bytes((code,)): gram for gram, code in self.pairs}
-        self._split = _code_split(self._grams)
-        self._codes = _codes_by_length(self.pairs)
+        self._decode_split = _split_around(self._grams, rb"[\x80-\xff]")
+        self.decoded_width = np.array([1] * CODE_FLOOR + [0] * (256 - CODE_FLOOR))
+        self.decoded_width[codes] = list(map(len, grams))
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def encode(self, word: bytes) -> bytes:
-        return _encode(word, self._codes)
+        return _substitute(word, self._codes, self._encode_split)
 
     def decode(self, coded: bytes) -> bytes:
-        return _decode(coded, self._grams, self._split)
+        return _substitute(coded, self._grams, self._decode_split)
 
 
 def _candidate_table(counts: dict[bytes, int], budget: int) -> list[tuple[bytes, int]]:
@@ -259,9 +259,10 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
     if not lengths or any(ln not in (2, 3, 4) for ln in lengths):
         raise ValueError("gram lengths must be drawn from {2, 3, 4}")
     words = list(dictionary)
+    # Byte 0 separates the words, so no window or gram spans two of them.
+    if _foreign_byte(b"\1".join(words)):
+        raise ValueError("words must use byte values 1..127")
     joined = b"\0".join(words)
-    if (np.frombuffer(joined, dtype=np.uint8) >= CODE_FLOOR).any():
-        raise ValueError("alphabet already uses the reserved code bytes")
 
     # ends[i]: the end of the word that holds byte i of `joined`, so the
     # window of ln bytes at i stays inside its word when i + ln <= ends[i].
@@ -279,15 +280,9 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
     candidates = [_candidate_table(mixed, budget)]
     candidates.extend(_candidate_table(per_length[ln], budget) for ln in lengths)
 
-    best_pairs = None
-    best_size = None
-    for pairs in candidates:
-        table = SubstitutionTable(pairs)
-        size = sum(len(table.encode(word)) for word in dictionary)
-        if best_size is None or size < best_size:
-            best_size = size
-            best_pairs = pairs
-    return SubstitutionTable(best_pairs)
+    # Every candidate codes the same separators, so coding the joined words
+    # ranks the candidates as coding each word would.  Ties go to the first.
+    return min(map(SubstitutionTable, candidates), key=lambda table: len(table.encode(joined)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +361,13 @@ def _group(block: np.ndarray, split_at: int, end_at: int,
     w = missing.shape[1]
     if substitution is None:
         return PieceRuns(pieces[first], counts * w, missing.tobytes())
-    coded = list(map(substitution.encode, missing.view(f"S{w}").ravel().tolist()))
-    sizes = np.fromiter(map(len, coded), dtype=np.int64, count=len(coded))
-    return PieceRuns(pieces[first], np.add.reduceat(sizes, np.cumsum(counts) - counts),
-                     b"".join(coded))
+    # The missing parts, each ended by byte 0, which no gram holds, coded as
+    # one block: entry e ends where the block's e-th 0 byte does, less the
+    # e separators before it.
+    coded = substitution.encode(np.pad(missing, ((0, 0), (0, 1))).tobytes())
+    ends = np.flatnonzero(np.frombuffer(coded, dtype=np.uint8) == 0) - np.arange(len(missing))
+    return PieceRuns(pieces[first], np.diff(ends[np.cumsum(counts) - 1], prepend=0),
+                     coded.replace(b"\0", b""))
 
 
 class SplitIndex:

@@ -32,16 +32,17 @@ ENGLISH_LETTER_FREQUENCIES = {
 def most_common_letters(count: int) -> bytes:
     """The `count` most frequent English letters, most frequent first."""
     letters = list(ENGLISH_LETTER_FREQUENCIES)
-    if count > len(letters):
-        raise ValueError(f"only {len(letters)} letters available")
+    if not 0 <= count <= len(letters):
+        raise ValueError(f"letter count {count} outside 0..{len(letters)}")
     return "".join(letters[:count]).encode()
 
 
 def least_common_letters(count: int) -> bytes:
+    """The `count` least frequent English letters, most frequent first."""
     letters = list(ENGLISH_LETTER_FREQUENCIES)
-    if count > len(letters):
-        raise ValueError(f"only {len(letters)} letters available")
-    return "".join(letters[-count:]).encode()
+    if not 0 <= count <= len(letters):
+        raise ValueError(f"letter count {count} outside 0..{len(letters)}")
+    return "".join(letters[len(letters) - count:]).encode()
 
 
 @dataclass(frozen=True)

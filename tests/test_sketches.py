@@ -26,6 +26,10 @@ class TestConfig:
         mixed = SketchConfig.from_policy("mixed", width=1)
         assert bytes(mixed.grams) == b"etao" + b"jxqz"
 
+    @pytest.mark.parametrize("policy", ["most-common", "least-common", "mixed"])
+    def test_zero_width_tracks_no_letters(self, policy):
+        assert SketchConfig.from_policy(policy, width=0).grams == ()
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             SketchConfig.from_policy("alphabetical")

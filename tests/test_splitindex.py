@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from textindex.errors import MalformedInputError
 from textindex.harness import NaiveHammingSearcher, random_word_dictionary
@@ -80,6 +80,28 @@ def assert_same_build(d, k, substitution=None):
     assert lists(built) == lists(reference)
     assert built.stats == reference.stats
     assert serialize_index(built) == serialize_index(reference)
+
+
+def greedy_encode(word, pairs):
+    """The per-position loop that coded words before the regex split: at
+    each position the longest gram of `pairs` that starts there becomes its
+    code (of a gram listed twice, the later code), else the byte stays."""
+    by_length = {}
+    for gram, code in pairs:
+        by_length.setdefault(len(gram), {})[gram] = code
+    out = bytearray()
+    at = 0
+    while at < len(word):
+        for ln in sorted(by_length, reverse=True):
+            code = by_length[ln].get(word[at:at + ln])
+            if code is not None:
+                out.append(code)
+                at += ln
+                break
+        else:
+            out.append(word[at])
+            at += 1
+    return bytes(out)
 
 
 def mixed_words(seed):
@@ -576,6 +598,48 @@ class TestSubstitutionCoding:
         with pytest.raises(ValueError):
             SubstitutionTable([(b"ab", 128), (b"ab", 129)])
 
+    @pytest.mark.parametrize("gram", [b"a\0", b"\0ab", b"a\x80", b"\xffb"])
+    def test_gram_outside_word_bytes_refused(self, gram):
+        # coded builds join entries with byte 0, which a gram could span
+        with pytest.raises(ValueError, match="byte values 1..127"):
+            SubstitutionTable([(b"cd", 128), (gram, 129)])
+
+    def test_file_with_a_zero_byte_gram_refused(self):
+        idx = SplitIndex.build(Dictionary([b"abcd"]), 1, SubstitutionTable([(b"cd", 128)]))
+        idx.substitution.pairs = ((b"c\0", 128),)
+        with pytest.raises(MalformedInputError,
+                           match="bad substitution table: grams must use byte values 1..127"):
+            deserialize_index(serialize_index(idx))
+
+
+SYMBOLS = st.sampled_from(b"a.|\\")
+
+
+class TestGreedyOracle:
+    """Regex coding against the per-position greedy loop it replaced."""
+
+    @given(word=st.lists(SYMBOLS, max_size=60).map(bytes),
+           pairs=st.lists(st.tuples(st.lists(SYMBOLS, min_size=1, max_size=8).map(bytes),
+                                    st.integers(0, 255)), max_size=12))
+    @example(word=b"a.a.", pairs=[(b"a.", 1), (b".a", 2), (b"a.", 3)])
+    @example(word=b"a.|", pairs=[])
+    @example(word=b"a" * 2500, pairs=[(b"a" * 1000, 200), (b"a", ord("#"))])
+    @settings(max_examples=400)
+    def test_encode_word(self, word, pairs):
+        assert encode_word(word, pairs) == greedy_encode(word, pairs)
+
+    @given(words=st.lists(st.lists(SYMBOLS, max_size=20).map(bytes), max_size=8),
+           grams=st.lists(st.lists(SYMBOLS, min_size=2, max_size=4).map(bytes),
+                          max_size=30))
+    @example(words=[b"a.|"], grams=[])
+    @settings(max_examples=400)
+    def test_table_encode(self, words, grams):
+        table = SubstitutionTable((gram, 128 + i) for i, gram in enumerate(dict.fromkeys(grams)))
+        coded = [greedy_encode(word, table.pairs) for word in words]
+        assert list(map(table.encode, words)) == coded
+        # byte 0 holds no gram, so words joined with it code one by one
+        assert table.encode(b"\0".join(words)) == b"\0".join(coded)
+
 
 class TestSelectQgrams:
     def test_forced_optimum(self):
@@ -632,10 +696,15 @@ class TestSelectQgrams:
 
     def test_reserved_alphabet_rejected(self):
         # bypass Dictionary validation to reach the alphabet guard
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="byte values 1..127"):
             select_qgrams([b"a\x80b"], budget=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="byte values 1..127"):
             select_qgrams([b"abc", b"de", b"fgh\xff"], budget=10)
+
+    def test_zero_byte_rejected(self):
+        # byte 0 separates the words while they are counted and coded
+        with pytest.raises(ValueError, match="byte values 1..127"):
+            select_qgrams([b"abc", b"a\0b"], budget=10)
 
     @staticmethod
     def reference_pairs(words, budget, lengths):

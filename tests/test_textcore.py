@@ -5,8 +5,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from textindex.textcore import (Corpus, FrequencyTable, entropy, minimizers,
-                                minimizers_from_right, phrases, printable)
+from textindex.textcore import (Corpus, FrequencyTable, entropy, least_common_letters,
+                                minimizers, minimizers_from_right, most_common_letters,
+                                phrases, printable)
 
 
 class TestCorpus:
@@ -25,6 +26,23 @@ class TestCorpus:
 
     def test_printable(self):
         assert printable(b"nptr\x00eta") == "nptr$eta"
+
+
+class TestLetters:
+    @pytest.mark.parametrize("helper", [most_common_letters, least_common_letters])
+    def test_counts(self, helper):
+        assert helper(0) == b""
+        assert len(helper(26)) == 26
+        for count in (1, 8, 25):
+            assert len(helper(count)) == count
+        assert most_common_letters(3) == b"eta"
+        assert least_common_letters(3) == b"xqz"
+
+    @pytest.mark.parametrize("helper", [most_common_letters, least_common_letters])
+    @pytest.mark.parametrize("count", [-1, -26, 27])
+    def test_count_outside_the_alphabet_refused(self, helper, count):
+        with pytest.raises(ValueError, match="outside 0..26"):
+            helper(count)
 
 
 def brute_force_minimizers(text, alpha, q):
