@@ -15,11 +15,19 @@ and, if coded, its fastest of --passes `select_qgrams` calls; the table
 shows each cell's fastest over the rounds, since other tenants of a
 shared host only ever slow a pass down.  Times are raw, not scaled to a
 reference host.
+
+Once the timing is done, a cell checks the answers of the built and of the
+loaded index to every query against `NaiveHammingSearcher`, and it reports
+the format version and a SHA-256 of its file bytes, which a second table
+lists.  The command exits non-zero if a cell fails, if an answer differs,
+or if two checkouts of one format version write different bytes for one
+configuration.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,8 +38,9 @@ CONFIGS = [(1, False), (2, False), (3, False), (1, True), (2, True)]
 
 def worker(args) -> None:
     sys.path.insert(0, args.src)
-    from textindex.envelope import deserialize_index, serialize_index
-    from textindex.harness import generate_noisy_queries, random_word_dictionary
+    from textindex.envelope import FORMAT_VERSION, deserialize_index, serialize_index
+    from textindex.harness import (NaiveHammingSearcher, generate_noisy_queries,
+                                   random_word_dictionary)
     from textindex.splitindex import SplitIndex, select_qgrams
 
     words = random_word_dictionary(args.words, seed=args.seed)
@@ -62,9 +71,15 @@ def worker(args) -> None:
         for q in queries:
             query(q)
         passes.append((time.perf_counter() - t0) / len(queries))
+    oracle = NaiveHammingSearcher(words)
+    expected = [oracle.search(q, args.k) for q in queries]
+    for name, checked in (("built", built), ("loaded", index)):
+        if [checked.query(q) for q in queries] != expected:
+            sys.exit(f"k={args.k} coded={args.coded}: the {name} index answers wrongly")
     print(json.dumps({"select_ms": 1e3 * min(selects, default=float("nan")),
                       "build_ms": 1e3 * min(builds), "us": 1e6 * min(passes),
-                      "load_ms": 1e3 * min(loads), "bytes": len(data)}))
+                      "load_ms": 1e3 * min(loads), "bytes": len(data),
+                      "format": FORMAT_VERSION, "digest": hashlib.sha256(data).hexdigest()}))
 
 
 def main() -> None:
@@ -92,8 +107,15 @@ def main() -> None:
                      "--coded", str(int(coded)), "--words", str(args.words),
                      "--seed", str(args.seed), "--passes", str(args.passes),
                      "--loads", str(args.loads)],
-                    check=True, capture_output=True, text=True).stdout
+                    check=True, stdout=subprocess.PIPE, text=True).stdout
                 cells.setdefault((k, coded, src), []).append(json.loads(out))
+    for k, coded in CONFIGS:
+        runs = [run for src in args.src for run in cells[k, coded, src]]
+        for version in {run["format"] for run in runs}:
+            digests = {run["digest"] for run in runs if run["format"] == version}
+            if len(digests) != 1:
+                sys.exit(f"k={k} coded={coded}: the format {version} checkouts wrote "
+                         f"{len(digests)} different files")
     print("| runs | k | " + " | ".join(f"{name} {src}" for src in args.src
                                         for name in ("select ms", "build ms", "µs/query",
                                                      "load ms", "file bytes"))
@@ -109,6 +131,14 @@ def main() -> None:
                     f"{min(r['load_ms'] for r in runs):.1f}",
                     f"{runs[0]['bytes']:,}"]
         print(f"| {'coded' if coded else 'plain'} | {k} | " + " | ".join(row) + " |")
+    print()
+    print("| runs | k | checkout | format | file SHA-256 |")
+    print("|---|---|---|---|---|")
+    for k, coded in CONFIGS:
+        for src in args.src:
+            run = cells[k, coded, src][0]
+            print(f"| {'coded' if coded else 'plain'} | {k} | {src} | {run['format']} "
+                  f"| {run['digest']} |")
 
 
 if __name__ == "__main__":

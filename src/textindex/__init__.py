@@ -8,8 +8,7 @@ CLI workbench for building, querying, verifying and benchmarking all of it.
 """
 
 from .errors import MalformedInputError, UnsupportedPatternError
-from .textcore import (Corpus, FrequencyTable, MinimizerSet, PhraseDecomposition,
-                       entropy, minimizers, phrases, printable)
+from .textcore import Corpus, FrequencyTable, entropy, minimizers, phrases, printable
 from .suffixbwt import (FmIndex, RankIndex, build_count_table, build_suffix_array,
                         bwt_forward, bwt_inverse)
 from .fmgram import LinearIndex, SuperlinearIndex, list_rank
@@ -23,8 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Corpus", "Dictionary", "FmIndex", "FrequencyTable", "LinearIndex",
-    "MalformedInputError", "MinimizerSet", "PhraseDecomposition",
-    "RankIndex", "Sketch", "SketchConfig", "SplitIndex",
+    "MalformedInputError", "RankIndex", "Sketch", "SketchConfig", "SplitIndex",
     "SubstitutionTable", "SuperlinearIndex",
     "UnsupportedPatternError", "build_count_table", "build_sketch",
     "build_suffix_array", "bwt_forward", "bwt_inverse",

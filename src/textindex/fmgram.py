@@ -142,22 +142,18 @@ def directory_from_suffix_array(corpus: Corpus, sa, q_max: int) -> GramDirectory
                          firsts, np.concatenate([*starts, [at]]), rows)
 
 
-def _phrase_directory(corpus: Corpus, sa, starts):
+def _phrase_directory(corpus: Corpus, sa, offsets, lengths):
     """The linear gram directory's columns `lengths`, `firsts`, `counts` and
     `rows`, read off the suffix array: each distinct phrase
-    data[starts[i]:starts[i + 1]] of two or more symbols, in first-seen
-    order (`_phrase_grams`).  A gram of L symbols whose rows start at row
-    r has rows isa[sa[r:r + count] + L], which already rise.  `isa` is u32
-    (`suffixbwt.inverse_permutation`), and the rows are gathered for about
-    suffixbwt.BLOCK of them at a time, whole grams in order, so that each
-    block fills one slice of `rows` and no temporary spans every row."""
+    data[offsets[i]:offsets[i] + lengths[i]] (`textcore.phrases`) of two or
+    more symbols, in first-seen order (`_phrase_grams`).  A gram of L
+    symbols whose rows start at row r has rows isa[sa[r:r + count] + L],
+    which already rise.  `isa` is u32 (`suffixbwt.inverse_permutation`),
+    and the rows are gathered for about suffixbwt.BLOCK of them at a time,
+    whole grams in order, so that each block fills one slice of `rows` and
+    no temporary spans every row."""
     isa = suffixbwt.inverse_permutation(sa)
-    lengths = np.diff(starts)
-    # Narrowed, since it lives through every pass of `_phrase_grams`: held
-    # as int64, it raised the traced build peak on 1 MiB of DNA-like text
-    # at alpha 3, q 4 from 29.3 to 33.0 MiB.
-    lengths = lengths.astype(np.min_scalar_type(lengths.max(initial=0)))
-    phrase, first, size = _phrase_grams(corpus.data, sa, isa, starts[:-1], lengths)
+    phrase, first, size = _phrase_grams(corpus.data, sa, isa, offsets, lengths)
     lengths, ends = lengths[phrase], np.cumsum(size)
     rows = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint32)
     # Each block starts at the gram that holds row k * BLOCK.
@@ -318,8 +314,12 @@ class LinearIndex:
         # Called through the module, where traced runs wrap them.
         sa = suffixbwt.build_suffix_array(corpus)
         l = suffixbwt.bwt_forward(corpus, sa)
-        starts = phrases(text, minimizers(text, alpha, q)).starts
-        columns = _phrase_directory(corpus, sa, starts)
+        # `starts` is held to the end of the build: freed once the directory
+        # is made, it shifted where later allocations land, and on 1 MiB of
+        # DNA-like text each load after a build then faulted about 2,500
+        # pages (`load_s` 10.6 to 12.6 ms).
+        starts = minimizers(text, alpha, q)
+        columns = _phrase_directory(corpus, sa, *phrases(text, starts))
         # Freed before Ψ and the LF mapping are made: held past them, it
         # raised the peak RSS of repeated 1 MiB builds by 6-12 MiB.
         del sa

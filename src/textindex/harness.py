@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import re
 import statistics
 import time
 from dataclasses import dataclass, field, fields
@@ -122,6 +123,9 @@ def generate_noisy_queries(dictionary: Dictionary, count: int, max_errors: int =
     return QueryWorkload(tuple(queries))
 
 
+_printable_token = re.compile(rb"[\x21-\x7e]+").fullmatch
+
+
 @dataclass
 class LoadStats:
     accepted: int = 0
@@ -150,7 +154,7 @@ def load_dictionary(path) -> tuple[Dictionary, LoadStats]:
             if len(token) > MAX_WORD_LENGTH:
                 stats.rejected_overlong += 1
                 continue
-            if any(b < 0x21 or b > 0x7E for b in token):
+            if not _printable_token(token):
                 stats.rejected_bad_bytes += 1
                 continue
             if token in seen:

@@ -21,7 +21,6 @@ OCCURRENCE = "occurrence"
 COUNT = "count"
 
 _COUNT_SATURATION = 3
-_CEIL_HALF = tuple((v + 1) // 2 for v in range(513))
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,10 @@ def sketch_distance(s1: Sketch, s2: Sketch) -> int:
 
 def hamming_lower_bound(sketch_diff: int) -> int:
     """ceil(diff / 2): the least true Hamming distance an occurrence-sketch
-    difference of `diff` permits."""
-    return _CEIL_HALF[sketch_diff]
+    difference of `diff` permits.  A negative `diff` raises `ValueError`."""
+    if sketch_diff < 0:
+        raise ValueError(f"sketch difference {sketch_diff} is negative")
+    return (sketch_diff + 1) // 2
 
 
 def filtered_compare(w1: bytes, w2: bytes, k: int, config: SketchConfig) -> bool:

@@ -208,32 +208,20 @@ def row_prefixes(l: bytes, psi: np.ndarray, rows, lengths) -> tuple[np.ndarray, 
     return prefixes, ends
 
 
-def lf_mapping(l: bytes, psi: np.ndarray | None = None) -> np.ndarray:
-    """The LF mapping of the BWT string `l` as n u32 entries: LF[i] is the
-    row of the suffix one symbol to the left of row i's, that is
-    C[l[i]] + (occurrences of l[i] in l[:i]).  That is i's place in a
-    stable sort of `l`, so LF is the inverse permutation of Ψ
-    (`psi_mapping`), which a caller that also reads Ψ may pass in; its
-    scatter makes no n-sized temporary (`inverse_permutation`)."""
-    if psi is None:
-        psi = psi_mapping(l)
-    return inverse_permutation(psi)
-
-
 def bwt_inverse(l: bytes) -> Corpus:
     """Reconstruct the corpus whose BWT is `l`.
 
-    Walks the LF mapping backwards from row 0, which is the row of the
-    rotation starting with the terminator.  `l` is a BWT only if that walk
-    is one cycle through all n rows: it must write no terminator before the
-    end, and its last row must be the one whose byte is the terminator.
-    Any other string of one terminator is refused with
+    Walks the LF mapping (`RankIndex`) backwards from row 0, which is the
+    row of the rotation starting with the terminator.  `l` is a BWT only if
+    that walk is one cycle through all n rows: it must write no terminator
+    before the end, and its last row must be the one whose byte is the
+    terminator.  Any other string of one terminator is refused with
     `MalformedInputError`, since it is no text's BWT.
     """
     n = len(l)
     if l.count(TERMINATOR) != 1:
         raise MalformedInputError("BWT string must contain exactly one terminator")
-    lf = memoryview(lf_mapping(l))
+    lf = memoryview(inverse_permutation(psi_mapping(l)))
     out = bytearray(n)
     row = 0
     for pos in range(n - 2, -1, -1):
@@ -274,17 +262,20 @@ def build_count_table(corpus: Corpus) -> list[int]:
 class RankIndex:
     """Symbol ranks over a BWT string `l`, read off its LF mapping.
 
-    `lf` is the LF mapping (`lf_mapping`), served as a u32 memoryview whose
-    items read as Python ints, and `count_table` the 257-entry count table
-    C of `l` (`_count_table`).  `psi`, if given, is Ψ of `l`
-    (`psi_mapping`), already computed by a caller that also reads it; the
-    index does not keep it.  rank(c, i) is inclusive of position i, and
+    `lf` is the LF mapping as n u32 entries, served as a memoryview whose
+    items read as Python ints: LF[i] is the row of the suffix one symbol to
+    the left of row i's, that is C[l[i]] + (occurrences of l[i] in l[:i]).
+    That is i's place in a stable sort of `l`, so LF is the inverse
+    permutation of Ψ (`psi_mapping`, `inverse_permutation`).  `psi`, if
+    given, is Ψ of `l`, already computed by a caller that also reads it;
+    the index does not keep it.  `count_table` is the 257-entry count table
+    C of `l` (`_count_table`).  rank(c, i) is inclusive of position i, and
     rank(c, -1) = 0.
     """
 
     def __init__(self, l: bytes, psi: np.ndarray | None = None):
         self.l = l
-        self.lf = memoryview(lf_mapping(l, psi))
+        self.lf = memoryview(inverse_permutation(psi_mapping(l) if psi is None else psi))
         self.count_table = _count_table(l)
 
     def rank(self, symbol: int, i: int) -> int:

@@ -82,9 +82,11 @@ def test_criterion_1_worked_examples():
     assert {c: table[c] for c in range(256) if table[c] < table[c + 1]} == {
         0: 0, ord("i"): 1, ord("m"): 5, ord("p"): 6, ord("s"): 8}
     assert table[256] == 12
-    assert minimizers(b"texting", 3, 2).grams == (b"ex", b"in")
-    dec = phrases(b"appearance", minimizers(b"appearance", 4, 2))
-    assert dec.extract(b"appearance") == [b"appe", b"ar"]
+    assert tuple(b"texting"[p:p + 2] for p in minimizers(b"texting", 3, 2).tolist()) == \
+        (b"ex", b"in")
+    offsets, lengths = phrases(b"appearance", minimizers(b"appearance", 4, 2))
+    assert [b"appearance"[a:a + m] for a, m in zip(offsets.tolist(), lengths.tolist())] == \
+        [b"appe", b"ar"]
     sketch = build_sketch(b"instance", SketchConfig.from_policy("most-common", width=1))
     assert sketch.bitstring() == "11101110"
     pairs = [(b"com", ord("#")), (b"re", ord("*")), (b"co", ord("$")),

@@ -32,6 +32,12 @@ def directory_entries(directory):
     return entries
 
 
+def phrase_bytes(text, alpha, q):
+    """The phrases of `text` between its (alpha, q)-minimizers, as bytes."""
+    offsets, lengths = phrases(text, minimizers(text, alpha, q))
+    return [text[a:a + m] for a, m in zip(offsets.tolist(), lengths.tolist())]
+
+
 def gram_rows(directory, gram):
     _, lo, hi = gram_entry(directory, directory.get(gram))
     return list(directory.rows[lo:hi])
@@ -287,7 +293,7 @@ class TestLinearIndex:
         # two or more symbols once, in first-seen order
         for alpha, q in [(3, 3), (9, 2)]:
             idx = LinearIndex.build(corpus, alpha=alpha, q=q)
-            pieces = phrases(raw, minimizers(raw, alpha, q)).extract(raw)
+            pieces = phrase_bytes(raw, alpha, q)
             assert [gram for gram, _ in idx.directory.items()] == [
                 p for p in dict.fromkeys(pieces) if len(p) > 1]
             for gram, (rows, first) in directory_entries(idx.directory).items():
@@ -301,7 +307,7 @@ class TestLinearIndex:
         # one-symbol phrases are counted with a character step, so the
         # directory lists none of them
         raw = dna_like_text(5000, seed=3)
-        pieces = phrases(raw, minimizers(raw, 3, 4)).extract(raw)
+        pieces = phrase_bytes(raw, 3, 4)
         assert any(len(p) == 1 for p in pieces)
         idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
         assert len(idx.directory) > 0
@@ -654,7 +660,7 @@ class TestOneRowHandOff:
             pattern = raw[s:s + m]
             looked_up.clear()
             assert idx.count(pattern) == naive_count(raw, pattern)
-            marks = minimizers(pattern, 3, 4).positions
+            marks = minimizers(pattern, 3, 4).tolist()
             expected = []
             for i in range(len(marks) - 1, 0, -1):
                 phrase = pattern[marks[i - 1]:marks[i]]

@@ -138,6 +138,19 @@ class TestLoaders:
         assert stats.rejected_bad_bytes == 1  # the embedded space
         assert stats.rejected_empty == 1
 
+    @pytest.mark.parametrize("byte, printable", [
+        (0x09, False), (0x20, False), (0x21, True), (0x7E, True),
+        (0x7F, False), (0x80, False), (0xFF, False)])
+    def test_printable_boundary_bytes(self, tmp_path, byte, printable):
+        # alone, and inside a word
+        path = tmp_path / "words.txt"
+        path.write_bytes(bytes([byte]) + b"\nab" + bytes([byte]) + b"cd\n")
+        d, stats = load_dictionary(path)
+        expected = (bytes([byte]), b"ab" + bytes([byte]) + b"cd") if printable else ()
+        assert d.words == expected
+        assert stats.accepted == len(expected)
+        assert stats.rejected_bad_bytes == 2 - len(expected)
+
     def test_misspelling_convention(self, tmp_path):
         path = tmp_path / "queries.txt"
         path.write_bytes(b"teh->the\nplain\n")

@@ -117,6 +117,15 @@ class TestLowerBound:
     def test_ceiling(self):
         assert [hamming_lower_bound(v) for v in range(6)] == [0, 1, 1, 2, 2, 3]
 
+    def test_past_512(self):
+        # differences of sketches wider than 64 bytes have no upper limit
+        assert hamming_lower_bound(600) == 300
+        assert hamming_lower_bound(601) == 301
+
+    def test_negative_refused(self):
+        with pytest.raises(ValueError):
+            hamming_lower_bound(-1)
+
 
 class TestFilteredCompare:
     def test_equal_words(self):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +46,20 @@ class TestLetters:
             helper(count)
 
 
+def grams(text, starts, q):
+    """The q-grams at the minimizer positions `starts`."""
+    return tuple(text[p:p + q] for p in starts.tolist())
+
+
+def ranges(offsets, lengths):
+    """Each phrase's (first, last) position, inclusive."""
+    return tuple(zip(offsets.tolist(), (offsets + lengths - 1).tolist()))
+
+
+def extract(text, offsets, lengths):
+    return [text[a:a + m] for a, m in zip(offsets.tolist(), lengths.tolist())]
+
+
 def brute_force_minimizers(text, alpha, q):
     """Independent re-scan of every window."""
     picks = []
@@ -60,16 +75,19 @@ SYMBOLS = st.one_of(st.integers(1, 4), st.integers(1, 255))
 
 class TestMinimizers:
     def test_texting_3_2(self):
-        mset = minimizers(b"texting", 3, 2)
-        assert mset.entries == ((1, b"ex"), (4, b"in"))
+        starts = minimizers(b"texting", 3, 2)
+        assert starts.dtype == np.int64
+        assert tuple(zip(starts.tolist(), grams(b"texting", starts, 2))) == \
+            ((1, b"ex"), (4, b"in"))
 
     def test_appearance_4_2(self):
-        mset = minimizers(b"appearance", 4, 2)
-        assert mset.positions == (0, 4, 6)
-        assert mset.grams == (b"ap", b"ar", b"an")
+        starts = minimizers(b"appearance", 4, 2)
+        assert tuple(starts.tolist()) == (0, 4, 6)
+        assert grams(b"appearance", starts, 2) == (b"ap", b"ar", b"an")
 
     def test_single_window(self):
-        assert minimizers(b"ab", 1, 2).entries == ((0, b"ab"),)
+        starts = minimizers(b"ab", 1, 2)
+        assert tuple(zip(starts.tolist(), grams(b"ab", starts, 2))) == ((0, b"ab"),)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -88,11 +106,11 @@ class TestMinimizers:
     def test_window_law(self, text, alpha, q):
         if len(text) < q + alpha - 1:
             return
-        mset = minimizers(text, alpha, q)
-        assert list(mset.positions) == brute_force_minimizers(text, alpha, q)
+        positions = minimizers(text, alpha, q).tolist()
+        assert positions == brute_force_minimizers(text, alpha, q)
         # per-window minimality, leftmost on ties
         for w in range(len(text) - (q + alpha - 1) + 1):
-            inside = [p for p in mset.positions if w <= p <= w + alpha - 1]
+            inside = [p for p in positions if w <= p <= w + alpha - 1]
             assert inside, f"window {w} has no minimizer"
             winner = min(range(w, w + alpha), key=lambda p: (text[p:p + q], p))
             assert winner in inside
@@ -108,7 +126,7 @@ class TestMinimizers:
             text[rng.randrange(len(text))] = rng.randint(1, 3)
             text = bytes(text)
             alpha, q = rng.randint(1, 5), rng.randint(9, 20)
-            assert list(minimizers(text, alpha, q).positions) == \
+            assert minimizers(text, alpha, q).tolist() == \
                 brute_force_minimizers(text, alpha, q)
 
     def test_shared_minimizer_guarantee(self):
@@ -123,8 +141,8 @@ class TestMinimizers:
                 + bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 6)))
             s2 = bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 6))) + common \
                 + bytes(rng.choice(b"ab") for _ in range(rng.randint(0, 6)))
-            g1 = set(minimizers(s1, alpha, q).grams)
-            g2 = set(minimizers(s2, alpha, q).grams)
+            g1 = set(grams(s1, minimizers(s1, alpha, q), q))
+            g2 = set(grams(s2, minimizers(s2, alpha, q), q))
             if not g1 & g2:
                 failures += 1
         assert failures == 0
@@ -148,7 +166,7 @@ class TestMinimizerPasses:
     def test_across_the_u8_position_boundary(self, n):
         for text in self.texts(n, seed=n):
             for alpha in range(1, 17):
-                assert list(minimizers(text, alpha, 7).positions) == \
+                assert minimizers(text, alpha, 7).tolist() == \
                     brute_force_minimizers(text, alpha, 7)
 
     @pytest.mark.parametrize("q", range(1, 10))
@@ -162,7 +180,7 @@ class TestMinimizerPasses:
                             for _ in range(12))
             for alpha in (1, 2, 3, 5, 8, 16):
                 if len(text) >= q + alpha - 1:
-                    assert list(minimizers(text, alpha, q).positions) == \
+                    assert minimizers(text, alpha, q).tolist() == \
                         brute_force_minimizers(text, alpha, q)
 
     @pytest.mark.parametrize("q", [2, 4, 8, 12])
@@ -170,7 +188,7 @@ class TestMinimizerPasses:
         rng = random.Random(16 + q)
         text = bytes(rng.choice(b"acgt") for _ in range(400))
         for alpha in range(1, 17):
-            assert list(minimizers(text, alpha, q).positions) == \
+            assert minimizers(text, alpha, q).tolist() == \
                 brute_force_minimizers(text, alpha, q)
 
     @pytest.mark.parametrize("alpha", [2, 3, 8, 16])
@@ -182,7 +200,7 @@ class TestMinimizerPasses:
         n = 3 * 65536 + 1000
         for symbols in (b"ab", b"acgt"):
             text = bytes(rng.choice(symbols) for _ in range(n))
-            assert list(minimizers(text, alpha, 4).positions) == \
+            assert minimizers(text, alpha, 4).tolist() == \
                 list(minimizers_from_right(text, alpha, 4))[::-1]
 
     @pytest.mark.parametrize("q", [4, 8])
@@ -242,7 +260,7 @@ class TestMinimizersFromRight:
     def test_reverses_minimizers(self, case):
         text, alpha, q = case
         from_right = list(minimizers_from_right(text, alpha, q))[::-1]
-        assert from_right == list(minimizers(text, alpha, q).positions)
+        assert from_right == minimizers(text, alpha, q).tolist()
         assert from_right == brute_force_minimizers(text, alpha, q)
 
     def test_scan_stops_at_the_window_it_yields_from(self):
@@ -265,25 +283,36 @@ class TestMinimizersFromRight:
             for winner in marks:
                 assert min(read) >= winner - alpha + 1
                 pulled.append(winner)
-            assert pulled == list(minimizers(bytes(text), alpha, q).positions)[::-1]
+            assert pulled == minimizers(bytes(text), alpha, q).tolist()[::-1]
 
 
 class TestPhrases:
     def test_appearance(self):
         text = b"appearance"
-        dec = phrases(text, minimizers(text, 4, 2))
-        assert dec.ranges == ((0, 3), (4, 5))
-        assert dec.extract(text) == [b"appe", b"ar"]
+        offsets, lengths = phrases(text, minimizers(text, 4, 2))
+        assert ranges(offsets, lengths) == ((0, 3), (4, 5))
+        assert extract(text, offsets, lengths) == [b"appe", b"ar"]
 
     def test_single_minimizer_yields_no_phrases(self):
-        dec = phrases(b"ab", minimizers(b"ab", 1, 2))
-        assert dec.ranges == ()
+        assert ranges(*phrases(b"ab", minimizers(b"ab", 1, 2))) == ()
 
     def test_texting_phrases(self):
         text = b"texting"
-        dec = phrases(text, minimizers(text, 3, 2))
-        assert dec.ranges == ((1, 3),)
-        assert dec.extract(text) == [b"ext"]
+        offsets, lengths = phrases(text, minimizers(text, 3, 2))
+        assert ranges(offsets, lengths) == ((1, 3),)
+        assert extract(text, offsets, lengths) == [b"ext"]
+
+    def test_empty_positions_rejected(self):
+        with pytest.raises(ValueError):
+            phrases(b"text", np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("longest, dtype", [(255, np.uint8), (256, np.uint16),
+                                                (65536, np.uint32)])
+    def test_lengths_narrowed(self, longest, dtype):
+        starts = np.array([0, 1, 1 + longest], dtype=np.int64)
+        offsets, lengths = phrases(bytes(2 + longest), starts)
+        assert offsets.tolist() == [0, 1] and lengths.tolist() == [1, longest]
+        assert lengths.dtype == dtype
 
     def test_length_mismatch_rejected(self):
         mset = minimizers(b"texting", 3, 2)
@@ -293,10 +322,8 @@ class TestPhrases:
     @given(st.lists(st.integers(1, 3), min_size=6, max_size=60).map(bytes))
     @settings(max_examples=200)
     def test_coverage(self, text):
-        mset = minimizers(text, 3, 2)
-        dec = phrases(text, mset)
-        joined = b"".join(dec.extract(text))
-        pos = mset.positions
+        pos = minimizers(text, 3, 2)
+        joined = b"".join(extract(text, *phrases(text, pos)))
         assert joined == text[pos[0]:pos[-1]]
 
 

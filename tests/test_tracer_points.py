@@ -74,3 +74,19 @@ def test_linear_build_and_load_pass_the_bwt_wrap_points():
         assert tracer.total(layer, field=0, phase="setup", owner="fmgram.build") == 1, layer
     assert tracer.total("suffixbwt.rank_build", field=0, phase="load",
                         owner="envelope.deserialize") == 1
+
+
+def test_linear_build_selects_minimizers_and_phrases_once():
+    # the build's minimizer and phrase stages are each one call through the
+    # wrapped names, timed under the build
+    corpus = Corpus.from_bytes(b"mississippi" * 4)
+    tracer = load_tracer_module().Tracer()
+    tracer.install()
+    try:
+        with tracer.span("setup"):
+            assert LinearIndex.build(corpus, alpha=2, q=2).count(b"ssi") == 8
+    finally:
+        tracer.uninstall()
+    for layer in ("textcore.minimizers", "textcore.phrases"):
+        assert tracer.total(layer, field=0) == 1, layer
+        assert tracer.total(layer, field=0, phase="setup", owner="fmgram.build") == 1, layer
