@@ -28,7 +28,10 @@ that the builds left.  Once the timing is done it traces (`tracemalloc`)
 the peak of one build + serialize and of one load.  It also reports the
 file size, the format version and a digest of the file bytes.  The table
 shows each cell's fastest time over the rounds, since other tenants of a
-shared host only ever slow a pass down, and its median faults and peaks.
+shared host only ever slow a pass down, and its median faults and peaks,
+each followed by its least and greatest value over the cell's processes in
+brackets: a load's faults depend on the heap it starts on, so one process
+of a cell can read a hundred and the next thousands.
 Times are raw, not scaled to a reference host.  The command exits non-zero
 if a cell fails or if two checkouts of one format version write different
 bytes for one input.
@@ -166,7 +169,9 @@ def main() -> None:
                 times = [run[key] for run in runs if run[key] is not None]
                 row.append(f"{min(times):.2f}" if times else "–")
             for key, (_, form) in medians.items():
-                row.append(form.format(statistics.median(run[key] for run in runs)))
+                values = [run[key] for run in runs]
+                row.append(f"{form.format(statistics.median(values))} "
+                           f"({form.format(min(values))}–{form.format(max(values))})")
             row.append(f"{runs[0]['bytes']:,}")
         print(f"| {name} | " + " | ".join(row) + f" | {cells[name, args.src[0]][0]['grams']:,} |")
 

@@ -212,6 +212,13 @@ def dna_like_text(size: int, seed: int = 0) -> bytes:
 def random_word_dictionary(count: int, min_len: int = 4, max_len: int = 12,
                            alphabet: bytes = b"abcdefghijklmnopqrstuvwxyz",
                            seed: int = 0) -> Dictionary:
+    # The distinct words the draws can make.  A length below 1 draws b"",
+    # which the sum counts at length 0, or the next line if none reaches 0.
+    room = sum(len(set(alphabet)) ** ln for ln in range(max(min_len, 0), max_len + 1))
+    room += min_len <= max_len < 0
+    if count > room:
+        raise ValueError(f"count {count} exceeds the {room} distinct words of "
+                         f"lengths {min_len}..{max_len} over the alphabet")
     rng = random.Random(seed)
     words = set()
     while len(words) < count:
@@ -223,6 +230,9 @@ def random_word_dictionary(count: int, min_len: int = 4, max_len: int = 12,
 def dna_kmer_dictionary(count: int, k: int = 20, seed: int = 0) -> Dictionary:
     """k-mers sampled from one synthetic genome, so grams repeat realistically."""
     genome = dna_like_text(max(count * 4, 10 * k), seed=seed)
+    room = len({genome[at:at + k] for at in range(len(genome) - k)})
+    if count > room:
+        raise ValueError(f"count {count} exceeds the {room} distinct {k}-mers of the genome")
     rng = random.Random(seed + 1)
     words = set()
     while len(words) < count:
@@ -267,6 +277,10 @@ def avg_comparison_experiment(sigma: int, pairs: int, seed: int = 0,
     """
     if sigma < 2:
         raise ValueError("sigma must be at least 2")
+    if pairs < 1:
+        raise ValueError("pairs must be at least 1")
+    if length < 1:
+        raise ValueError("length must be at least 1")
     rng = np.random.default_rng(seed)
     symbols = np.arange(sigma)
     total = 0.0

@@ -45,7 +45,6 @@ all the words, joined the same way.
 from __future__ import annotations
 
 import functools
-import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -54,7 +53,7 @@ import numpy as np
 
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
-from .textcore import byte_windows
+from .textcore import packed_words
 
 MAX_WORD_LENGTH = 255
 # An index file stores k in one byte.
@@ -235,12 +234,12 @@ class SubstitutionTable:
         return _substitute(coded, self._grams, self._decode_split)
 
 
-def _candidate_table(counts: dict[bytes, int], budget: int) -> list[tuple[bytes, int]]:
-    """Top grams by estimated saving, ties broken by the gram itself.
-    Grams are distinct, so the order is total and equals a full sort's."""
-    chosen = heapq.nsmallest(
-        budget, counts, key=lambda gram: (-(len(gram) - 1) * counts[gram], gram))
-    return [(gram, CODE_FLOOR + i) for i, gram in enumerate(chosen)]
+def _candidate_table(grams, savings, budget: int) -> list[tuple[bytes, int]]:
+    """Top grams by estimated saving, ties broken by the gram itself.  A
+    gram is its bytes as a big-endian u32, padded on the right with byte 0,
+    which no gram holds, so keys order as the bytes do, across lengths too."""
+    chosen = grams[np.lexsort((grams, -savings))[:budget]].tolist()
+    return [(key.to_bytes(4, "big").rstrip(b"\0"), CODE_FLOOR + i) for i, key in enumerate(chosen)]
 
 
 def select_qgrams(dictionary: Dictionary, budget: int = 100,
@@ -267,18 +266,18 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
     # ends[i]: the end of the word that holds byte i of `joined`, so the
     # window of ln bytes at i stays inside its word when i + ln <= ends[i].
     sizes = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
-    ends = np.repeat(np.cumsum(sizes + 1) - 1, sizes + 1)
-    per_length: dict[int, dict[bytes, int]] = {}
+    ends = np.repeat(np.cumsum(sizes + 1) - 1, sizes + 1)[:len(joined)]
+    # A window's key: its first four bytes (see `_candidate_table`), cut to ln.
+    heads = (packed_words(joined) >> 32).astype(np.uint32)
+    pools = []
     for ln in lengths:
-        windows = byte_windows(joined, ln)
-        inside = np.arange(len(windows)) + ln <= ends[:len(windows)]
-        grams, counts = np.unique(windows[inside], return_counts=True)
-        per_length[ln] = dict(zip(grams.tolist(), counts.tolist()))
+        inside = np.arange(len(joined)) + ln <= ends
+        grams, counts = np.unique(heads[inside] >> 32 - 8 * ln << 32 - 8 * ln, return_counts=True)
+        pools.append((grams, (ln - 1) * counts))
 
     # Grams of different lengths differ, so the pools do not overlap.
-    mixed = {gram: count for counter in per_length.values() for gram, count in counter.items()}
-    candidates = [_candidate_table(mixed, budget)]
-    candidates.extend(_candidate_table(per_length[ln], budget) for ln in lengths)
+    mixed = tuple(map(np.concatenate, zip(*pools)))
+    candidates = [_candidate_table(*pool, budget) for pool in (mixed, *pools)]
 
     # Every candidate codes the same separators, so coding the joined words
     # ranks the candidates as coding each word would.  Ties go to the first.

@@ -192,6 +192,10 @@ class TestAverageComparisons:
     def test_sigma_below_two_rejected(self):
         with pytest.raises(ValueError):
             avg_comparison_experiment(1, 10)
+        with pytest.raises(ValueError, match="pairs"):
+            avg_comparison_experiment(4, 0)
+        with pytest.raises(ValueError, match="length"):
+            avg_comparison_experiment(4, 10, length=0)
 
 
 class TestGenerators:
@@ -208,6 +212,19 @@ class TestGenerators:
         d = dna_kmer_dictionary(500, k=20, seed=2)
         assert len(d) == 500
         assert all(len(w) == 20 for w in d)
+
+    def test_kmer_count_beyond_the_genome_refused(self):
+        # 80 bytes of genome hold at most 16 distinct 2-mers
+        with pytest.raises(ValueError, match="16 distinct 2-mers"):
+            dna_kmer_dictionary(20, k=2)
+        assert len(dna_kmer_dictionary(16, k=2)) == 16
+
+    def test_word_count_beyond_the_alphabet_refused(self):
+        # two distinct symbols (b"abba" has only two) make two 1-letter words
+        with pytest.raises(ValueError, match="2 distinct words"):
+            random_word_dictionary(3, min_len=1, max_len=1, alphabet=b"abba")
+        assert random_word_dictionary(2, min_len=1, max_len=1, alphabet=b"abba").words == (
+            b"a", b"b")
 
     def test_sample_patterns_reproducible(self):
         text = english_like_text(2000, seed=3)

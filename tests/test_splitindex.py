@@ -681,8 +681,31 @@ class TestSelectQgrams:
             savings = [(len(g) - 1) * counts[g] for g in ranked[:129]]
             assert len(set(savings)) < len(savings)
             for budget in (1, 50, 128):
-                assert _candidate_table(counts, budget) == [
+                assert _candidate_table(*self.pool(counts), budget) == [
                     (gram, 128 + i) for i, gram in enumerate(ranked[:budget])]
+
+    @staticmethod
+    def pool(counts):
+        """`counts` as `_candidate_table`'s arrays: each gram as a big-endian
+        u32 padded on the right with byte 0, and its saving."""
+        grams = np.array([int.from_bytes(g.ljust(4, b"\0"), "big") for g in counts],
+                         dtype=np.uint32)
+        savings = np.array([(len(g) - 1) * c for g, c in counts.items()], dtype=np.int64)
+        return grams, savings
+
+    def test_mixed_ties_break_by_bytes_not_right_aligned_value(self):
+        # b"aaa" sorts before b"zz" as bytes, but after it as right-aligned
+        # integers (0x616161 > 0x7a7a), so only left-aligned keys rank the
+        # tie between lengths as a full sort by (-saving, gram) does
+        counts = {b"zz": 2, b"aaa": 1, b"ab": 1, b"abcd": 1}
+        assert int.from_bytes(b"aaa", "big") > int.from_bytes(b"zz", "big")
+        assert _candidate_table(*self.pool(counts), 4) == [
+            (b"abcd", 128), (b"aaa", 129), (b"zz", 130), (b"ab", 131)]
+        # b"abc" and b"zz" both save 2 and head the mixed pool; the 2-gram
+        # pool's b"zz" codes as small, and ties go to the mixed table
+        words = [b"abc", b"qzz", b"zzq"]
+        assert select_qgrams(Dictionary(words), 1, (2, 3)).pairs == ((b"abc", 128),)
+        assert self.reference_pairs(words, 1, (2, 3)) == ((b"abc", 128),)
 
     def test_deterministic(self):
         d = Dictionary([b"banana", b"bandana", b"cabana"])
