@@ -194,9 +194,7 @@ def english_like_text(size: int, seed: int = 0) -> bytes:
     """Random text with English letter frequencies and space-separated words."""
     rng = np.random.default_rng(seed)
     letters = np.frombuffer("".join(ENGLISH_LETTER_FREQUENCIES).encode(), dtype=np.uint8)
-    probs = np.array(list(ENGLISH_LETTER_FREQUENCIES.values()))
-    probs /= probs.sum()
-    chars = rng.choice(letters, size=size, p=probs)
+    chars = rng.choice(letters, size=size, p=english_frequency_vector())
     word_lengths = rng.geometric(1 / 5.0, size=size // 3 + 1).clip(1, 16)
     spaces = np.cumsum(word_lengths + 1) - 1
     spaces = spaces[spaces < size]

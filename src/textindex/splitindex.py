@@ -280,8 +280,10 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
     candidates = [_candidate_table(*pool, budget) for pool in (mixed, *pools)]
 
     # Every candidate codes the same separators, so coding the joined words
-    # ranks the candidates as coding each word would.  Ties go to the first.
-    return min(map(SubstitutionTable, candidates), key=lambda table: len(table.encode(joined)))
+    # ranks the candidates as coding each word would.  Each distinct table is
+    # coded once, in order, so ties still go to the first.
+    return min(map(SubstitutionTable, dict.fromkeys(map(tuple, candidates))),
+               key=lambda table: len(table.encode(joined)))
 
 
 # ---------------------------------------------------------------------------

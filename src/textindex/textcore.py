@@ -101,20 +101,6 @@ def byte_windows(data, q: int) -> np.ndarray:
                       strides=(1,))
 
 
-def dense_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The order that sorts `keys`, and for each key the number of distinct
-    keys smaller than it.  Equal keys get equal ranks, so the sort need not
-    be stable."""
-    order = np.argsort(keys)
-    ordered = keys[order]
-    changed = np.empty(len(keys), dtype=bool)
-    changed[:1] = False
-    np.not_equal(ordered[1:], ordered[:-1], out=changed[1:])
-    ranks = np.empty(len(keys), dtype=np.int64)
-    ranks[order] = np.cumsum(changed)
-    return order, ranks
-
-
 def _window_keys(text: bytes, q: int) -> np.ndarray:
     """One integer per q-gram start, ordered as the q-grams compare.
 
@@ -135,10 +121,10 @@ def _window_keys(text: bytes, q: int) -> np.ndarray:
         return keys
     # Ranks at positions whose span runs past the text are padded; no
     # gram that fits the text reads them.
-    ranks = dense_ranks(words)[1]
+    ranks = np.unique(words, return_inverse=True)[1]
     span = 8
     while 2 * span < q:
-        ranks = dense_ranks(ranks[:-span] * (n + 1) + ranks[span:])[1]
+        ranks = np.unique(ranks[:-span] * (n + 1) + ranks[span:], return_inverse=True)[1]
         span *= 2
     return ranks[:count] * (n + 1) + ranks[q - span:q - span + count]
 

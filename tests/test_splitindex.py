@@ -729,6 +729,22 @@ class TestSelectQgrams:
         with pytest.raises(ValueError, match="byte values 1..127"):
             select_qgrams([b"abc", b"a\0b"], budget=10)
 
+    def test_each_distinct_candidate_coded_once(self, monkeypatch):
+        # on these words the mixed table is the 2-gram one, so three of the
+        # four candidates are distinct
+        calls = []
+        encode = SubstitutionTable.encode
+
+        def counted(table, data):
+            calls.append(table.pairs)
+            return encode(table, data)
+        monkeypatch.setattr(SubstitutionTable, "encode", counted)
+        words = random_word_dictionary(2000, seed=7)
+        table = select_qgrams(words)
+        assert len(calls) == len(set(calls)) == 3
+        monkeypatch.undo()
+        assert table.pairs == select_qgrams(words, lengths=(2,)).pairs
+
     @staticmethod
     def reference_pairs(words, budget, lengths):
         """select_qgrams by Counter loops over every word's windows, a full
