@@ -12,16 +12,20 @@ time over the rounds, since other tenants of a shared host only ever slow
 a pass down.  Times are raw, not scaled to a reference host.
 
 A result's `digest` fingerprints what the cell made (file bytes or a
-suffix array).  The command exits non-zero if a cell fails, or if two
-checkouts of one format version give different digests for a cell; the
-results without a `format` form one group.  Each checkout is named once:
-a repeated --src is refused, since its runs would merge into one column.
+suffix array).  The command exits non-zero if a cell fails, with one line
+that names the cell, the checkout and the last line the cell wrote to
+stderr, or if two checkouts of one format version give different digests
+for a cell; the results without a `format` form one group.  Each checkout
+is named once, and must be a directory: a repeated --src is refused,
+since its runs would merge into one column, and so is one that is no
+directory, with a usage error (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -46,6 +50,9 @@ def compare(doc: str, cells: list[str], worker, **int_options: int):
     args = parser.parse_args()
     if len(set(args.src)) != len(args.src):
         parser.error("each --src may be given once")
+    for src in args.src:
+        if not os.path.isdir(src):
+            parser.error(f"--src {src} is not a directory")
     if args.cell is not None:
         sys.path.insert(0, args.src[0])
         print(json.dumps(worker(args)))
@@ -55,10 +62,13 @@ def compare(doc: str, cells: list[str], worker, **int_options: int):
     for _ in range(args.rounds):
         for cell in cells:
             for src in args.src:
-                out = subprocess.run(
+                done = subprocess.run(
                     [sys.executable, sys.argv[0], "--src", src, "--cell", cell, *options],
-                    check=True, stdout=subprocess.PIPE, text=True).stdout
-                runs.setdefault((cell, src), []).append(json.loads(out))
+                    capture_output=True, text=True)
+                if done.returncode != 0:
+                    error = (done.stderr.strip().splitlines() or ["no error output"])[-1]
+                    sys.exit(f"{cell}: the checkout {src} failed: {error}")
+                runs.setdefault((cell, src), []).append(json.loads(done.stdout))
     for cell in cells:
         results = [run for src in args.src for run in runs[cell, src]]
         for version in {run.get("format") for run in results}:

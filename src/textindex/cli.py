@@ -93,8 +93,11 @@ def _cmd_build(args) -> int:
         substitution = select_qgrams(dictionary) if args.compress else None
         index = SplitIndex.build(dictionary, args.k, substitution)
         save_index(index, args.out)
-        print(f"split index: k={args.k} words={index.stats.words_indexed} "
-              f"skipped={index.stats.words_skipped} entries={index.stats.entries}")
+        # A word of k symbols or fewer has no k+1 pieces; the others are
+        # listed once per piece.
+        indexed = sum(len(word) > args.k for word in dictionary)
+        print(f"split index: k={args.k} words={indexed} "
+              f"skipped={len(dictionary) - indexed} entries={(args.k + 1) * indexed}")
         print(f"rejected lines: overlong={load_stats.rejected_overlong} "
               f"bad-bytes={load_stats.rejected_bad_bytes} empty={load_stats.rejected_empty}")
         layout = index.piece_layout()

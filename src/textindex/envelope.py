@@ -20,11 +20,12 @@ index from the BWT alone, reads the keys off the BWT and checks every
 gram's rows in one walk, and keys each gram to its id in bulk.  A split
 file is k, the substitution table if any, the u32 group count and, for
 each (m, role) group: m and the role (u8 each), the u32 key count, the
-keys (each as long as piece `role` of an m-symbol word), the u32 run
-lengths and the runs.  Load hands those columns to `PieceRuns`, the
-build's constructor too, which keys each piece to its id in bulk and
-frames the runs with a cumulative sum over one bytes object, and checks
-the run lengths in bulk.  No file holds a hash-map setting or build
+keys (each as long as piece `role` of an m-symbol word; a build writes
+them in byte order, which load does not check), the u32 run lengths and
+the runs.  Load hands those columns to `PieceRuns`, the build's
+constructor too, which keys each piece to its id in bulk and frames the
+runs with a cumulative sum over one bytes object, and checks the run
+lengths in bulk.  No file holds a hash-map setting or build
 statistics: the reported bucket layout is fixed by class constants and
 follows from the entry count.  CHANGES.md records how each format version
 differs from the one before.
@@ -69,7 +70,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 13
+FORMAT_VERSION = 14
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.

@@ -140,10 +140,10 @@ def load_dictionary(path) -> tuple[Dictionary, LoadStats]:
 
     Tokens must consist of printable ASCII (0x21..0x7E); lines with other
     bytes, empty lines and words longer than 255 symbols are rejected and
-    counted in the stats.
+    counted in the stats.  `accepted` counts the distinct words kept, and
+    `duplicates` the accepted tokens that repeat one of them.
     """
     stats = LoadStats()
-    seen = set()
     words = []
     with open(path, "rb") as handle:
         for line in handle:
@@ -157,13 +157,11 @@ def load_dictionary(path) -> tuple[Dictionary, LoadStats]:
             if not _printable_token(token):
                 stats.rejected_bad_bytes += 1
                 continue
-            if token in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(token)
             words.append(token)
-            stats.accepted += 1
-    return Dictionary(words), stats
+    dictionary = Dictionary(words)
+    stats.accepted = len(dictionary)
+    stats.duplicates = len(words) - len(dictionary)
+    return dictionary, stats
 
 
 def load_queries(path) -> list[bytes]:
@@ -362,20 +360,25 @@ class BenchConfig:
     pattern_lengths: tuple[int, ...] = (8, 16, 32)
 
 
-def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, float]:
-    """Per-query microseconds: mean over repetitions, plus 50th and 95th
-    percentiles of the per-repetition averages.  One warm-up pass runs first
-    and is excluded."""
+def _pass_seconds(run_query, queries, repeats: int) -> list[float]:
+    """Seconds of each of `repeats` timed passes over `queries`, after one
+    untimed warm-up pass."""
     for query in queries:
         run_query(query)
-    per_rep = []
+    seconds = []
     for _ in range(repeats):
         start = time.perf_counter()
         for query in queries:
             run_query(query)
-        elapsed = time.perf_counter() - start
-        per_rep.append(elapsed / len(queries) * 1e6)
-    per_rep.sort()
+        seconds.append(time.perf_counter() - start)
+    return seconds
+
+
+def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, float]:
+    """Per-query microseconds: mean over repetitions, plus 50th and 95th
+    percentiles of the per-repetition averages (`_pass_seconds`)."""
+    per_rep = sorted(elapsed / len(queries) * 1e6
+                     for elapsed in _pass_seconds(run_query, queries, repeats))
     mean = statistics.fmean(per_rep)
     p50 = per_rep[len(per_rep) // 2]
     p95 = per_rep[min(len(per_rep) - 1, int(len(per_rep) * 0.95))]
@@ -491,14 +494,11 @@ def run_bench(config: BenchConfig) -> BenchReport:
 def per_character_query_time(index: SuperlinearIndex, patterns: list[bytes],
                              repeats: int = 100) -> float:
     """Median over repetitions of (workload time / total pattern symbols),
-    in microseconds per character."""
-    total_chars = sum(len(p) for p in patterns)
-    for pattern in patterns:
-        index.count(pattern)
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for pattern in patterns:
-            index.count(pattern)
-        times.append((time.perf_counter() - start) / total_chars * 1e6)
-    return statistics.median(times)
+    in microseconds per character.  Refuses an empty `patterns` and
+    `repeats` below 1 with `ValueError`."""
+    if not patterns:
+        raise ValueError("patterns must not be empty")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, not {repeats}")
+    total_chars = sum(map(len, patterns))
+    return statistics.median(_pass_seconds(index.count, patterns, repeats)) / total_chars * 1e6

@@ -24,10 +24,11 @@ e * w + w - 1 of the product sums exactly the w flags of entry e.  No byte
 of the product exceeds w <= 254, so the multiplication carries nothing.
 
 The build works in bulk.  The words of one length m form a (count, m)
-byte block.  For each role, the block's piece columns are numbered by
-distinct piece in first-seen order, and the rows sorted stably by that
+byte block.  For each role, `np.unique` numbers the block's piece columns
+by distinct piece in byte order, and the rows sorted stably by that
 number list each run's words in dictionary order, so the missing columns
-of the sorted block are the group's runs back to back.
+of the sorted block are the group's runs back to back, keyed by pieces
+in byte order.
 
 Lists can be compressed by substituting frequent word q-grams with byte
 codes 128..255.  A coded run is its entries' coded missing parts
@@ -291,13 +292,6 @@ def select_qgrams(dictionary: Dictionary, budget: int = 100,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BuildStats:
-    words_indexed: int = 0
-    words_skipped: int = 0
-    entries: int = 0
-
-
-@dataclass
 class QueryStats:
     entries_inspected: int = 0
     length_matches: int = 0
@@ -335,39 +329,29 @@ class PieceRuns:
         return ((piece, runs[starts[i]:starts[i + 1]]) for piece, i in self.ids.items())
 
 
-def _first_seen_ids(pieces: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the rows of `pieces`, a (count, size) u8 array of nonzero
-    bytes, by distinct value in first-seen order.  Returns each row's id and,
-    for each id, the row where it is first seen."""
-    values = pieces.view(f"S{pieces.shape[1]}").ravel()
-    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return rank[inverse], first[order]
-
-
 def _group(block: np.ndarray, split_at: int, end_at: int,
            substitution: SubstitutionTable | None) -> PieceRuns:
     """The (m, role) group of `block`, the (count, m) u8 array of the words
     of one length m in dictionary order, whose role's pieces are columns
-    split_at:end_at.  Sorting the rows stably by piece id lists each run's
+    split_at:end_at.  `np.unique` numbers the distinct pieces in byte
+    order, and sorting the rows stably by that number lists each run's
     words in dictionary order."""
-    pieces = block[:, split_at:end_at]
-    ids, first = _first_seen_ids(pieces)
+    pieces, ids = np.unique(block[:, split_at:end_at].view(f"S{end_at - split_at}").ravel(),
+                            return_inverse=True)
+    keys = pieces.view(np.uint8).reshape(len(pieces), -1)
     counts = np.bincount(ids)
     # Stable sorts of u8 and u16 keys are radix sorts.
-    rows = block[np.argsort(ids.astype(np.min_scalar_type(len(first))), kind="stable")]
+    rows = block[np.argsort(ids.astype(np.min_scalar_type(len(pieces))), kind="stable")]
     missing = np.concatenate((rows[:, :split_at], rows[:, end_at:]), axis=1)
     w = missing.shape[1]
     if substitution is None:
-        return PieceRuns(pieces[first], counts * w, missing.tobytes())
+        return PieceRuns(keys, counts * w, missing.tobytes())
     # The missing parts, each ended by byte 0, which no gram holds, coded as
     # one block: entry e ends where the block's e-th 0 byte does, less the
     # e separators before it.
     coded = substitution.encode(np.pad(missing, ((0, 0), (0, 1))).tobytes())
     ends = np.flatnonzero(np.frombuffer(coded, dtype=np.uint8) == 0) - np.arange(len(missing))
-    return PieceRuns(pieces[first], np.diff(ends[np.cumsum(counts) - 1], prepend=0),
+    return PieceRuns(keys, np.diff(ends[np.cumsum(counts) - 1], prepend=0),
                      coded.replace(b"\0", b""))
 
 
@@ -375,17 +359,14 @@ class SplitIndex:
     """The piece-keyed k-mismatch index over a dictionary.
 
     `table` maps the 2-byte key (m, role) of each group to its `PieceRuns`.
-    `substitution`, if set, is the table the runs are coded with.  `stats`
-    describes the build; an index loaded from a file has none.
+    `substitution`, if set, is the table the runs are coded with.
     """
 
     def __init__(self, k: int, table: ChainedHashMap,
-                 substitution: SubstitutionTable | None = None,
-                 stats: BuildStats | None = None):
+                 substitution: SubstitutionTable | None = None):
         self.k = k
         self.table = table
         self.substitution = substitution
-        self.stats = stats
         self._bounds = piece_bounds(k)
         # 1 at every mismatch count within k, for `bytes.translate`.
         self._within = bytes(count <= k for count in range(256))
@@ -394,9 +375,10 @@ class SplitIndex:
     def build(cls, dictionary: Dictionary, k: int,
               substitution: SubstitutionTable | None = None) -> "SplitIndex":
         """Deterministic build: groups enter the table by (m, role), pieces
-        enter a group in first-seen order, and each run lists its words in
-        dictionary order.  The words of each length m > k are one (count, m)
-        byte block, and each role of the block is grouped in bulk
+        enter a group in byte order, and each run lists its words in
+        dictionary order.  Words of k symbols or fewer have no k+1 pieces
+        and are left out.  The words of each length m > k are one
+        (count, m) byte block, and each role of the block is grouped in bulk
         (`_group`), with no Python step per word or piece.  The grouping
         compares pieces as numpy fixed-width strings, which ignore trailing
         zero bytes, so it relies on `Dictionary` words holding none."""
@@ -406,21 +388,15 @@ class SplitIndex:
         lengths, counts = np.unique(np.fromiter(map(len, words), dtype=np.int64,
                                                 count=len(words)), return_counts=True)
         joined = np.frombuffer(b"".join(words), dtype=np.uint8)
-        stats = BuildStats()
         table = ChainedHashMap()
         bounds_of = piece_bounds(k)
         at = 0
         for m, count in zip(lengths.tolist(), counts.tolist()):
             block = joined[at:at + m * count].reshape(count, m)
             at += m * count
-            if m <= k:
-                stats.words_skipped += count
-                continue
-            stats.words_indexed += count
-            for split_at, end_at, key in bounds_of[m]:
+            for split_at, end_at, key in bounds_of[m] or ():
                 table.put(key, _group(block, split_at, end_at, substitution))
-        stats.entries = (k + 1) * stats.words_indexed
-        return cls(k, table, substitution, stats)
+        return cls(k, table, substitution)
 
     # -- queries ------------------------------------------------------------
 

@@ -37,6 +37,24 @@ class TestBuildCommand:
         printed = capsys.readouterr().out
         assert "split index" in printed and "load-factor" in printed
 
+    @pytest.mark.parametrize("flags", [[], ["--compress"]], ids=["plain", "coded"])
+    @pytest.mark.parametrize("k, counts", [(1, "words=5 skipped=2 entries=10"),
+                                           (2, "words=4 skipped=3 entries=12"),
+                                           (3, "words=4 skipped=3 entries=16")])
+    def test_split_build_counts(self, tmp_path, capsys, k, counts, flags):
+        # Seven distinct words load; those of k symbols or fewer are
+        # skipped, and each other one is listed once per piece.
+        source = tmp_path / "words.txt"
+        source.write_bytes(b"table\ncable\nab\na\ntable\n\nbad word\nleft\nx\ntablet\nab\n")
+        out = tmp_path / "split.idx"
+        assert main(["build", "--type", "split", "--k", str(k), *flags,
+                     "--input", str(source), "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [f"split index: k={k} {counts}",
+                             "rejected lines: overlong=0 bad-bytes=1 empty=1"]
+        loaded = deserialize_index(out.read_bytes())
+        assert len(loaded.reconstruct_words()) == int(counts.rsplit("=", 1)[1])
+
     def test_k_zero_rejected(self, tmp_path, dict_file):
         out = tmp_path / "split.idx"
         assert main(["build", "--type", "split", "--k", "0",

@@ -719,8 +719,9 @@ def _directory_digest(directory) -> str:
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 13).  It is the format 12
-    # file without the key blob (85 bytes and its u32 length), the row count
+    # Golden digest of a linear index file (format 14, the format 13 file
+    # with only the version byte changed).  The format 13 file is the format
+    # 12 file without the key blob (85 bytes and its u32 length), the row count
     # and the last `starts` entry, with `counts` in place of `starts`:
     # 291,163 bytes became 291,066.  The directory it builds and loads, key
     # buffer included, is the format 12 build's, whose 31 multi-symbol
@@ -733,15 +734,16 @@ def test_linear_file_digest():
             "32c263835b5278dd11e5fc5acd73ee4558ccf58bfd4b864f62dc4e3707db7b3c")
     assert len(data) == 291_066
     assert hashlib.sha256(data).hexdigest() == (
-        "eebb350ac5fe99e77e5786acae38933602b1594c1808fbfaebb775b8d360a561")
+        "528b6a0d21593bc9d7a7e0c450cca727cd402c5ac15ab65fc2e7a6d0e41b9a6c")
 
 
 def test_linear_file_digest_above_alpha_8():
-    # Golden digest of a linear file at alpha 12 and q 3 (format 13), whose
-    # 5,409 grams keep the format 12 build's keys and columns.  Those were
-    # taken when alpha above 8 found its distinct phrases by slicing and
-    # below by packed words: the one suffix-array build writes the same
-    # bytes for both.
+    # Golden digest of a linear file at alpha 12 and q 3 (format 14, the
+    # format 13 file with only the version byte changed), whose 5,409 grams
+    # keep the format 12 build's keys and columns.  Those were taken when
+    # alpha above 8 found its distinct phrases by slicing and below by
+    # packed words: the one suffix-array build writes the same bytes for
+    # both.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     index = LinearIndex.build(corpus, alpha=12, q=3)
     data = serialize_index(index)
@@ -750,12 +752,12 @@ def test_linear_file_digest_above_alpha_8():
             "c6cf59b46f7eedcd46ac6ee1a265b849a2d1edcfb36601df7fefe1473145d6a8")
     assert len(data) == 467_870
     assert hashlib.sha256(data).hexdigest() == (
-        "0f3600f626bc84959a9d4fcccefa23be63b9a370d6c8674dad3d785d251a1687")
+        "684396bd8f3db7a1e1556504270f6354d5c8fbe07756527541a50de5c58ef865")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 13, the format 10
-    # to 12 file with only the version byte changed): the corpus blob and
+    # Golden digest of a superlinear index file (format 14, the format 10
+    # to 13 file with only the version byte changed): the corpus blob and
     # u32 q_max (128) of the format 9 file, without the suffix array that
     # followed them.  The directory its load derives equals the one
     # the format 8 file stored.
@@ -763,18 +765,21 @@ def test_superlinear_file_digest():
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "77a6410917175b4eae97597dc2316c99a4d3d4de81fbbb7ffbeb584d0660d50c")
+        "a0517a954f38839fab6f46dfe1412657067e6239b45df0075a154f8a2642d727")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 13, the format 11 and 12
-    # files with only the version byte changed): k = 2 over 2,000 generated
-    # words, plain and coded with a 100-code substitution table, one group
-    # per (m, role) with one fixed-width run per key.
+    # Golden digests of split index files (format 14): k = 2 over 2,000
+    # generated words, plain and coded with a 100-code substitution table,
+    # one group per (m, role) with one fixed-width run per key.  Each is
+    # the format 13 file (the format 11 and 12 files with only the version
+    # byte changed) with each group's keys and runs in key byte order
+    # rather than first-seen order, so the lengths did not change.
     d = random_word_dictionary(2000, seed=7)
     plain = serialize_index(SplitIndex.build(d, 2))
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
+    assert (len(plain), len(coded)) == (67_303, 63_288)
     assert hashlib.sha256(plain).hexdigest() == (
-        "b91b5ce8953d8bf78e93511a437332f55cefe708c2a6ae71ac8fb0499ef6956f")
+        "7215af720fa50349af789f1471a350b651643469de2e4d5688424fedd285bc33")
     assert hashlib.sha256(coded).hexdigest() == (
-        "c0d2b495cd8c647eac7c0677840fe117019625891d12bf40933a31fb2b690700")
+        "eb08ea2e0131163301a61b4c4bd4e1133280d5be3bfaf2ff44b8ea100af61f84")

@@ -8,8 +8,11 @@ from textindex.harness import (BenchConfig, NaiveHammingSearcher,
                                english_like_text, generate_noisy_queries,
                                hamming_distance, load_corpus, load_dictionary,
                                load_queries, naive_count, naive_hamming_search,
-                               random_word_dictionary, run_bench, sample_patterns)
+                               per_character_query_time, random_word_dictionary,
+                               run_bench, sample_patterns)
+from textindex.fmgram import SuperlinearIndex
 from textindex.splitindex import Dictionary
+from textindex.textcore import Corpus
 
 
 def loop_hamming_search(words, pattern, k):
@@ -129,6 +132,15 @@ class TestLoaders:
         assert stats.accepted == 2
         assert stats.duplicates == 1
 
+    def test_duplicates_are_repeated_accepted_tokens(self, tmp_path):
+        # a rejected line is no duplicate, even when it repeats
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"a\nb\na\nb\na\n\n\nc d\nc d\nc\n")
+        d, stats = load_dictionary(path)
+        assert d.words == (b"a", b"b", b"c")
+        assert (stats.accepted, stats.duplicates) == (3, 3)
+        assert (stats.rejected_empty, stats.rejected_bad_bytes) == (2, 2)
+
     def test_rejections_counted(self, tmp_path):
         path = tmp_path / "words.txt"
         path.write_bytes(b"good\n" + b"x" * 300 + b"\nbad byte\n\nok\n")
@@ -196,6 +208,24 @@ class TestAverageComparisons:
             avg_comparison_experiment(4, 0)
         with pytest.raises(ValueError, match="length"):
             avg_comparison_experiment(4, 10, length=0)
+
+
+class TestPerCharacterQueryTime:
+    @pytest.fixture(scope="class")
+    def index(self):
+        return SuperlinearIndex.build(Corpus.from_bytes(english_like_text(500, seed=1)))
+
+    def test_time_per_character(self, index):
+        assert per_character_query_time(index, [b"the", b"and a"], repeats=1) > 0
+
+    def test_empty_patterns_refused(self, index):
+        with pytest.raises(ValueError, match="patterns"):
+            per_character_query_time(index, [])
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_refused(self, index, repeats):
+        with pytest.raises(ValueError, match="repeats"):
+            per_character_query_time(index, [b"the"], repeats=repeats)
 
 
 class TestGenerators:

@@ -78,3 +78,20 @@ def test_repeated_src_refused(tmp_path):
     done = run(tmp_path, ("a", 1), src=["src0", "src0"])
     assert done.returncode == 2
     assert "each --src may be given once" in done.stderr
+
+
+def test_src_that_is_no_directory_refused(tmp_path):
+    done = run(tmp_path, ("a", 1), src=["src0", "missing"])
+    assert done.returncode == 2
+    assert done.stderr.splitlines()[-1].endswith("error: --src missing is not a directory")
+    assert done.stdout == ""
+
+
+def test_failed_cell_names_cell_and_checkout(tmp_path):
+    # an empty directory holds no `fake` module, so its first cell fails
+    (tmp_path / "empty").mkdir()
+    done = run(tmp_path, ("a", 1), src=["src0", "empty"])
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "small: the checkout empty failed: ModuleNotFoundError: No module named 'fake'"]
+    assert done.stdout == ""

@@ -9,7 +9,7 @@ from textindex.errors import MalformedInputError
 from textindex.harness import NaiveHammingSearcher, random_word_dictionary
 from textindex.envelope import deserialize_index, serialize_index
 from textindex.hashmap import ChainedHashMap
-from textindex.splitindex import (MAX_WORD_LENGTH, BuildStats, Dictionary, PieceRuns,
+from textindex.splitindex import (MAX_WORD_LENGTH, Dictionary, PieceRuns,
                                   SplitIndex, SubstitutionTable, _candidate_table,
                                   decode_word, encode_word, piece_bounds, piece_sizes,
                                   select_qgrams, split_word)
@@ -52,25 +52,31 @@ def with_run(idx, key, piece, run):
 
 def reference_build(dictionary, k, substitution=None):
     """The per-word build that the bulk `SplitIndex.build` replaced: one
-    dict step per word and piece, runs grown entry by entry."""
-    stats = BuildStats()
+    dict step per word and piece, runs grown entry by entry, and each
+    group's pieces sorted bytewise."""
     groups = {}
     bounds_of = piece_bounds(k)
     for word in sorted(dictionary, key=len):
         if len(word) <= k:
-            stats.words_skipped += 1
             continue
-        stats.words_indexed += 1
         for split_at, end_at, key in bounds_of[len(word)]:
             run = groups.setdefault(key, {}).setdefault(word[split_at:end_at], bytearray())
             missing = word[:split_at] + word[end_at:]
             run += missing if substitution is None else substitution.encode(missing)
-    stats.entries = (k + 1) * stats.words_indexed
     table = ChainedHashMap()
     for key, runs in groups.items():
+        runs = dict(sorted(runs.items()))
         keys = np.frombuffer(b"".join(runs), np.uint8).reshape(len(runs), -1)
         table.put(key, PieceRuns(keys, list(map(len, runs.values())), b"".join(runs.values())))
-    return SplitIndex(k, table, substitution, stats)
+    return SplitIndex(k, table, substitution)
+
+
+def assert_pieces_sorted(idx):
+    """Each group of `idx` keys its runs by pieces in strictly increasing
+    byte order."""
+    for key, group in idx.table.items():
+        pieces = list(group.ids)
+        assert all(a < b for a, b in zip(pieces, pieces[1:])), key
 
 
 def assert_same_build(d, k, substitution=None):
@@ -78,8 +84,9 @@ def assert_same_build(d, k, substitution=None):
     reference = reference_build(d, k, substitution)
     assert layout(built) == layout(reference)
     assert lists(built) == lists(reference)
-    assert built.stats == reference.stats
     assert serialize_index(built) == serialize_index(reference)
+    assert_pieces_sorted(built)
+    assert_pieces_sorted(deserialize_index(serialize_index(built)))
 
 
 def greedy_encode(word, pairs):
@@ -188,14 +195,15 @@ class TestBuild:
     def test_worked_example_lists(self):
         d = Dictionary([b"table", b"cable", b"left", b"tablet"])
         idx = SplitIndex.build(d, 1)
-        # One group per (m, role), shortest words first.  A run is the
-        # missing parts of its piece's words, of width m - len(piece), in
-        # dictionary order: "le" is piece 1 of table (tab|le) and cable
-        # (cab|le), and piece 0 of left (le|ft), in another group.
+        # One group per (m, role), shortest words first, its pieces in
+        # byte order.  A run is the missing parts of its piece's words, of
+        # width m - len(piece), in dictionary order: "le" is piece 1 of
+        # table (tab|le) and cable (cab|le), and piece 0 of left (le|ft),
+        # in another group.
         assert layout(idx) == [
             (b"\x04\x00", [(b"le", b"ft")]),
             (b"\x04\x01", [(b"ft", b"le")]),
-            (b"\x05\x00", [(b"tab", b"le"), (b"cab", b"le")]),
+            (b"\x05\x00", [(b"cab", b"le"), (b"tab", b"le")]),
             (b"\x05\x01", [(b"le", b"tabcab")]),
             (b"\x06\x00", [(b"tab", b"let")]),
             (b"\x06\x01", [(b"let", b"tab")]),
@@ -233,8 +241,9 @@ class TestBuild:
         for k in (1, 2, 3):
             idx = SplitIndex.build(d, k)
             indexable = sum(1 for w in d if len(w) > k)
-            assert idx.stats.entries == (k + 1) * indexable
-            assert idx.stats.words_skipped == len(d) - indexable
+            entries = sum(len(run) // (m - len(piece)) for (m, _), group in idx.table.items()
+                          for piece, run in group.items())
+            assert entries == (k + 1) * indexable
 
     def test_reconstruction_multiset(self):
         rng = random.Random(3)
@@ -297,8 +306,8 @@ class TestBuild:
 
 
 class TestBulkBuild:
-    """The bulk build makes the table, stats and file bytes of the
-    per-word reference build."""
+    """The bulk build makes the table and file bytes of the per-word
+    reference build, with each group's pieces in byte order."""
 
     @pytest.mark.parametrize("coded", [False, True], ids=["plain", "coded"])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -317,7 +326,9 @@ class TestBulkBuild:
         idx = SplitIndex.build(d, 1, substitution)
         assert dict(idx.table.get(b"\x04\x00").items())[b"ab"] == (
             b"ab\x80" if coded else b"abcd")
-        assert idx.stats == BuildStats(words_indexed=4, words_skipped=1, entries=8)
+        # four words of two pieces each; "a" has no two pieces
+        assert Counter(idx.reconstruct_words()) == Counter(
+            {b"cdab": 2, b"abab": 2, b"abcd": 2, b"ab": 2})
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_only_skipped_words(self, k):
