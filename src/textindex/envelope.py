@@ -13,22 +13,22 @@ suffixes and derives the gram directory as the build does, so a file that
 loads is the index a build over its corpus gives.  A linear file is alpha,
 q, the n-byte BWT and what the BWT cannot give of the directory of its
 multi-symbol phrases: the u32 gram count and four u32 columns, `lengths`,
-`firsts`, `counts` and `rows` (gram g's rows follow those of the grams
-before it).  It holds no corpus and no gram keys: load only parses it for
-`LinearIndex.from_bwt`, the build's constructor too, which builds the FM
-index from the BWT alone, reads the keys off the BWT and checks every
-gram's rows in one walk, and keys each gram to its id in bulk.  A split
-file is k, the substitution table if any, the u32 group count and, for
-each (m, role) group: m and the role (u8 each), the u32 key count, the
-keys (each as long as piece `role` of an m-symbol word; a build writes
-them in byte order, which load does not check), the u32 run lengths and
-the runs.  Load hands those columns to `PieceRuns`, the build's
-constructor too, which keys each piece to its id in bulk and frames the
-runs with a cumulative sum over one bytes object, and checks the run
-lengths in bulk.  No file holds a hash-map setting or build
-statistics: the reported bucket layout is fixed by class constants and
-follows from the entry count.  CHANGES.md records how each format version
-differs from the one before.
+`firsts`, `counts` and `rows`, the grams by length and then by first row
+(an order that load does not check), each gram's rows after those of the
+grams before it.  It holds no corpus and no gram keys: load only parses it
+for `LinearIndex.from_bwt`, the build's constructor too, which builds the
+FM index from the BWT alone, reads the keys off it and checks every gram's
+rows in one walk, and keys each gram to its id in bulk.  A split file is
+k, the substitution table if any, the u32 group count and, for each (m,
+role) group: m and the role (u8 each), the u32 key count, the keys (each
+as long as piece `role` of an m-symbol word; a build writes them in byte
+order, which load does not check), the u32 run lengths and the runs.  Load
+hands those columns to `PieceRuns`, the build's constructor too, which
+keys each piece to its id in bulk and frames the runs with a cumulative
+sum over one bytes object, and checks the run lengths in bulk.  No file
+holds a hash-map setting or build statistics: the reported bucket layout
+is fixed by class constants and follows from the entry count.  CHANGES.md
+records how each format version differs from the one before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
 bytes; a superlinear corpus whose terminator is missing or not only at its
@@ -70,7 +70,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 14
+FORMAT_VERSION = 15
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.

@@ -146,15 +146,15 @@ def _phrase_directory(corpus: Corpus, sa, offsets, lengths):
     """The linear gram directory's columns `lengths`, `firsts`, `counts` and
     `rows`, read off the suffix array: each distinct phrase
     data[offsets[i]:offsets[i] + lengths[i]] (`textcore.phrases`) of two or
-    more symbols, in first-seen order (`_phrase_grams`).  A gram of L
-    symbols whose rows start at row r has rows isa[sa[r:r + count] + L],
-    which already rise.  `isa` is u32 (`suffixbwt.inverse_permutation`),
-    and the rows are gathered for about suffixbwt.BLOCK of them at a time,
-    whole grams in order, so that each block fills one slice of `rows` and
-    no temporary spans every row."""
+    more symbols, by length and then by first row (`_phrase_grams`).  A gram
+    of L symbols whose rows start at row r has rows isa[sa[r:r + count] + L],
+    which already rise.  `isa` (u32) is made once the grams are chosen, and
+    the rows are gathered for about suffixbwt.BLOCK of them at a time, whole
+    grams in order, so that each block fills one slice of `rows` and no
+    temporary spans every row."""
+    lengths, first, size = _phrase_grams(corpus.data, sa, offsets, lengths)
     isa = suffixbwt.inverse_permutation(sa)
-    phrase, first, size = _phrase_grams(corpus.data, sa, isa, offsets, lengths)
-    lengths, ends = lengths[phrase], np.cumsum(size)
+    ends = np.cumsum(size)
     rows = np.empty(int(ends[-1]) if len(ends) else 0, dtype=np.uint32)
     # Each block starts at the gram that holds row k * BLOCK.
     cuts = np.unique(np.searchsorted(ends, np.arange(0, len(rows), suffixbwt.BLOCK),
@@ -166,18 +166,20 @@ def _phrase_directory(corpus: Corpus, sa, offsets, lengths):
     return lengths, first, size, rows
 
 
-def _phrase_grams(data: bytes, sa, isa, offsets, lengths):
-    """The grams among the phrases data[offsets[i]:offsets[i] + lengths[i]]:
-    for each distinct phrase of two or more symbols, the first i that holds
-    it, the first row of the rows whose suffixes start with it and their
-    count, as three int64 rows ordered by that i.  Rows whose suffixes
-    share L symbols form runs, which data[sa] splits for L = 1 and
-    data[sa + L - 1] for each larger L; a gram of L symbols is the L-run
-    holding row isa[p] of an L-symbol phrase at p.  Its own function, so
-    that the n-sized arrays of its passes are freed before the rows are
-    gathered."""
+def _phrase_grams(data: bytes, sa, offsets, lengths):
+    """For each distinct phrase data[offsets[i]:offsets[i] + lengths[i]] of
+    two or more symbols, its length, the first of the rows whose suffixes
+    start with it and their count: three int64 rows, by length and then by
+    first row.  Rows whose suffixes share L symbols form runs, which
+    data[sa] splits for L = 1 and data[sa + L - 1] for each larger L; a gram
+    is an L-run holding a row whose suffix starts an L-symbol phrase.  Its
+    own function, so that its n-sized arrays are freed before the gather."""
     n = len(data)
     longest = int(lengths.max(initial=0))
+    # starting[r]: the length of the phrase that row r's suffix starts, or 0.
+    starting = np.zeros(n, dtype=lengths.dtype)
+    starting[offsets] = lengths
+    starting = starting[sa]
     # Zero-padded, so that data[L - 1:] holds a symbol for every sa.
     data = np.frombuffer(data + bytes(longest), dtype=np.uint8)
     new = np.ones(n, dtype=bool)
@@ -186,16 +188,10 @@ def _phrase_grams(data: bytes, sa, isa, offsets, lengths):
     for length in range(2, longest + 1):
         symbols = data[length - 1:][sa]
         new[1:] |= symbols[1:] != symbols[:-1]
-        mine = np.flatnonzero(lengths == length)
         bounds = np.flatnonzero(new)
-        # Per run, its first phrase of this length, or len(offsets) if none.
-        earliest = np.full(n, len(offsets), dtype=np.uint32)
-        earliest[isa[offsets[mine]]] = mine
-        earliest = np.minimum.reduceat(earliest, bounds)
-        held = np.flatnonzero(earliest < len(offsets))
-        found.append([earliest[held], bounds[held], np.diff(bounds, append=n)[held]])
-    found = np.concatenate(found, axis=1)
-    return found[:, np.argsort(found[0])]
+        held = np.flatnonzero(np.logical_or.reduceat(starting == length, bounds))
+        found.append([np.full(len(held), length), bounds[held], np.diff(bounds, append=n)[held]])
+    return np.concatenate(found, axis=1)
 
 
 def _ranges(begins: np.ndarray, sizes: np.ndarray) -> np.ndarray:

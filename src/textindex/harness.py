@@ -242,11 +242,16 @@ def sample_patterns(text: bytes, count: int, lengths, seed: int = 0,
     """Patterns for count queries: mostly substrings of `text`, the rest
     random strings of the same lengths (mostly absent from the text)."""
     rng = random.Random(seed)
+    # Every length below 1 fits any text, so the filter keeps it.
     lengths = [ln for ln in lengths if ln <= len(text)]
     if not lengths:
         raise ValueError(f"no requested pattern length fits a text of {len(text)} bytes")
+    if min(lengths) < 1:
+        raise ValueError(f"lengths must all be at least 1, not {min(lengths)}")
     if alphabet is None:
         alphabet = bytes(sorted(set(text)))
+    if miss_ratio > 0 and not alphabet:
+        raise ValueError("alphabet must not be empty when miss_ratio is above 0")
     patterns = []
     for _ in range(count):
         length = rng.choice(lengths)

@@ -96,6 +96,8 @@ def piece_sizes(length: int, k: int) -> list[int]:
     last piece takes the remainder, clamped so every piece keeps at least
     one symbol (e.g. length 6 with k = 3 becomes 2,2,1,1).
     """
+    if k < 0:
+        raise ValueError(f"k must be at least 0, not {k}")
     if length < k + 1:
         raise ValueError(f"length {length} cannot host {k + 1} nonempty pieces")
     base = (2 * length + k + 1) // (2 * k + 2)

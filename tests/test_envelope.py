@@ -193,9 +193,13 @@ class TestDirectoryStructure:
     """Files with a valid CRC but a wrong structure are refused at load.
     Only linear files store a gram directory."""
 
+    # Gram ids, by length and then by first row: "ac" (row 4), "ad" (row 5)
+    # and "br" (rows 6 and 7).
+    AC, AD, BR = 0, 1, 2
+
     @staticmethod
     def _linear():
-        # grams "br" (rows 1 and 4), "ac" and "ad"; BWT "ard$rcaaaabb"
+        # grams "ac", "ad" and "br" (rows 1 and 4); BWT "ard$rcaaaabb"
         return LinearIndex.build(Corpus.from_bytes(b"abracadabra"), alpha=2, q=2)
 
     @staticmethod
@@ -231,9 +235,10 @@ class TestDirectoryStructure:
         data = serialize_index(index)
         at = self._columns_at(index)
         assert data[at - 4:at] == struct.pack("<I", 3)
-        assert data[at:] == struct.pack("<13I", 2, 2, 2, 6, 4, 5, 2, 1, 1, 1, 4, 5, 2)
+        assert data[at:] == struct.pack("<13I", 2, 2, 2, 4, 5, 6, 1, 1, 2, 5, 2, 1, 4)
         assert data[9 + 4 + 4 + 4:9 + 4 + 4 + 4 + 12] == index.fm.l == b"ard\0rcaaaabb"
-        assert index.directory.buffer == b"bracad"
+        assert index.directory.buffer == b"acadbr"
+        assert dict(index.directory) == {b"ac": self.AC, b"ad": self.AD, b"br": self.BR}
 
     # Column order: lengths, firsts, counts, rows.
     @pytest.mark.parametrize("column, value", [
@@ -242,11 +247,11 @@ class TestDirectoryStructure:
         (1, 12),    # first + count > n
     ])
     def test_gram_entry_out_of_range(self, column, value):
-        self._refused(self._linear(), column, 0, value, "out of range")
+        self._refused(self._linear(), column, self.BR, value, "out of range")
 
     def test_gram_longer_than_alpha(self):
         # row 6 starts "bra$", but a phrase holds at most alpha (2) symbols
-        self._refused(self._linear(), 0, 0, 3, "out of range")
+        self._refused(self._linear(), 0, self.BR, 3, "out of range")
 
     def test_gram_length_refused_before_reading_keys(self):
         # alpha 2**32 - 1 and a gram of 2**31 symbols: the length is refused
@@ -254,7 +259,7 @@ class TestDirectoryStructure:
         index = self._linear()
         data = bytearray(serialize_index(index))
         data[9:13] = struct.pack("<I", 2**32 - 1)
-        at = self._item_at(index, 0, 0)
+        at = self._item_at(index, 0, self.BR)
         data[at:at + 4] = struct.pack("<I", 2**31)
         started = time.perf_counter()
         with pytest.raises(MalformedInputError, match="out of range"):
@@ -276,7 +281,7 @@ class TestDirectoryStructure:
     def test_gram_key_holds_the_terminator(self):
         # "ac" (count 1) moved to row 1, "a$": its key, the first two
         # symbols of that row, holds the terminator
-        self._refused(self._linear(), 1, 1, 1, "terminator")
+        self._refused(self._linear(), 1, self.AC, 1, "terminator")
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_first_row_moved(self, delta):
@@ -284,7 +289,7 @@ class TestDirectoryStructure:
         # range one row off reads "ad" off row 5, which its last row 6 does
         # not start with, or keeps "br" and takes in row 8, which does not
         index = self._linear()
-        self._refused(index, 1, 0, index.directory.firsts[0] + delta, "rows differ")
+        self._refused(index, 1, self.BR, index.directory.firsts[self.BR] + delta, "rows differ")
 
     @pytest.mark.parametrize("item", [0, 1])
     def test_gram_end_rows_not_the_walks(self, item):
@@ -292,8 +297,8 @@ class TestDirectoryStructure:
         # and 4; a row between those keeps the rows increasing, but is not
         # where the walk from the first or the last row ends
         index = self._linear()
-        rows = index.directory.rows
-        self._refused(index, 3, item, (rows[0] + rows[1]) // 2 + item, "rows differ")
+        rows, lo = index.directory.rows, index.directory.starts[self.BR]
+        self._refused(index, 3, lo + item, (rows[lo] + rows[lo + 1]) // 2 + item, "rows differ")
 
     @pytest.mark.parametrize("kept", [0, 1], ids=["first-row", "last-row"])
     def test_gram_range_one_row_short(self, kept):
@@ -303,11 +308,11 @@ class TestDirectoryStructure:
         # range is short
         built = self._linear()
         directory = built.directory
-        assert directory.get(b"br") == 0 and directory.firsts[0] == 6
+        assert directory.get(b"br") == self.BR and directory.firsts[self.BR] == 6
         rows = list(directory.rows)
-        rows.pop(1 - kept)
+        rows.pop(directory.starts[self.BR] + 1 - kept)
         self._directory_refused(built, directory.lengths.tolist(),
-                                [6 + kept, *directory.firsts[1:]], [1, 1, 1], rows,
+                                [*directory.firsts[:self.BR], 6 + kept], [1, 1, 1], rows,
                                 "rows differ")
 
     def test_gram_range_one_row_long(self):
@@ -317,9 +322,9 @@ class TestDirectoryStructure:
         # only the last row's key shows that the range is long
         built = self._linear()
         directory = built.directory
-        assert list(directory.rows) == [1, 4, 5, 2]
+        assert list(directory.rows) == [5, 2, 1, 4]
         self._directory_refused(built, directory.lengths.tolist(), list(directory.firsts),
-                                [3, 1, 1], [1, 4, 9, 5, 2], "rows differ")
+                                [1, 1, 3], [5, 2, 1, 4, 9], "rows differ")
 
     # BWT byte 3 is its terminator: overwrite it, or add a second one
     @pytest.mark.parametrize("item, value", [(3, ord("a")), (0, 0)], ids=["none", "two"])
@@ -363,17 +368,17 @@ class TestDirectoryStructure:
         assert loaded.count(b"abracadabra") == 1
 
     def test_repeated_gram(self):
-        # a fourth gram with the first one's length, first row and rows
+        # a fourth gram with "br"'s length, first row and rows
         built = self._linear()
         directory = built.directory
         rows = list(directory.rows)
-        self._directory_refused(built, [2, 2, 2, 2], [*directory.firsts, 6], [2, 1, 1, 2],
-                                rows + rows[:2], "repeated gram")
+        self._directory_refused(built, [2, 2, 2, 2], [*directory.firsts, 6], [1, 1, 2, 2],
+                                rows + rows[-2:], "repeated gram")
 
     def test_row_past_the_end(self):
-        # the last row of the last gram, raised to n, still increases
+        # the one row of "ad", raised to n, still increases
         index = self._linear()
-        self._refused(index, 3, len(index.directory.rows) - 1, len(index.fm.l))
+        self._refused(index, 3, index.directory.starts[self.AD], len(index.fm.l))
 
     def test_repeated_row_in_a_gram(self):
         index = self._linear()
@@ -387,14 +392,14 @@ class TestDirectoryStructure:
     def test_counts_do_not_sum_to_the_rows_length(self, count):
         # "br" has two rows: with one, a row is left over after the last
         # gram's; with three, the last gram's row runs past the payload
-        self._refused(self._linear(), 2, 0, count, "trailing|truncated")
+        self._refused(self._linear(), 2, self.BR, count, "trailing|truncated")
 
     def test_gram_without_rows(self):
         # "ac" gets no row and "ad" two, so the counts still sum to the
         # rows: every gram occurs
         index = self._linear()
         data = bytearray(serialize_index(index))
-        at = self._item_at(index, 2, 1)
+        at = self._item_at(index, 2, self.AC)
         data[at:at + 8] = struct.pack("<2I", 0, 2)
         with pytest.raises(MalformedInputError, match="out of range"):
             deserialize_index(_resign(data))
@@ -679,6 +684,44 @@ def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
         assert [clone.count(p) for p in patterns] == [naive_count(text, p) for p in patterns]
 
 
+@pytest.mark.parametrize("build", [
+    lambda corpus: SuperlinearIndex.build(corpus, q_max=16),
+    lambda corpus: LinearIndex.build(corpus, alpha=3, q=4),
+    lambda corpus: LinearIndex.build(corpus, alpha=8, q=3),
+], ids=["superlinear", "linear-alpha-3", "linear-alpha-8"])
+def test_gram_ids_by_length_then_first_row(build):
+    # Both FM kinds number their grams in the order the suffix array gives
+    # them, by length and then by first row, in a build and in a load.
+    index = build(Corpus.from_bytes(english_like_text(5000, seed=43)))
+    for directory in (index.directory, deserialize_index(serialize_index(index)).directory):
+        lengths, firsts = (np.asarray(c, np.int64) for c in (directory.lengths, directory.firsts))
+        assert len(set(lengths.tolist())) > 1
+        assert (np.diff(lengths * 2**32 + firsts) > 0).all()
+        assert list(directory.values()) == list(range(len(directory)))
+
+
+def test_permuted_linear_grams_load_and_count():
+    # Load does not check the gram order: a linear file with its grams
+    # shuffled and re-signed loads with the ids shuffled alike, and counts
+    # every pattern as a scan of the text does.
+    corpus = Corpus.from_bytes(dna_like_text(3000, seed=44))
+    index = LinearIndex.build(corpus, alpha=3, q=4)
+    directory = index.directory
+    order = np.random.default_rng(45).permutation(len(directory))
+    starts, rows = np.asarray(directory.starts, np.int64), np.asarray(directory.rows)
+    # envelope, alpha, q, BWT blob and gram count; then the four columns
+    at = 9 + 4 + 4 + 4 + len(index.fm.l) + 4
+    data = bytearray(serialize_index(index))
+    data[at:] = np.concatenate([
+        directory.lengths[order], np.asarray(directory.firsts)[order], np.diff(starts)[order],
+        *(rows[starts[g]:starts[g + 1]] for g in order)]).astype("<u4").tobytes()
+    loaded = deserialize_index(_resign(data))
+    keys = list(directory)
+    assert list(loaded.directory) == [keys[g] for g in order] != keys
+    patterns = sample_patterns(corpus.text, 300, VERIFY_LENGTHS, seed=46)
+    assert [loaded.count(p) for p in patterns] == [naive_count(corpus.text, p) for p in patterns]
+
+
 def test_one_bwt_walk_per_linear_build_and_load(monkeypatch):
     # Build and load read the gram keys and check the gram rows in one
     # walk; the calls are counted through every module's name for it
@@ -719,8 +762,10 @@ def _directory_digest(directory) -> str:
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 14, the format 13 file
-    # with only the version byte changed).  The format 13 file is the format
+    # Golden digest of a linear index file (format 15: the format 14 file
+    # with its grams permuted into length, then first-row order, so the
+    # length did not change; the format 14 file is the format 13 file with
+    # only the version byte changed).  The format 13 file is the format
     # 12 file without the key blob (85 bytes and its u32 length), the row count
     # and the last `starts` entry, with `counts` in place of `starts`:
     # 291,163 bytes became 291,066.  The directory it builds and loads, key
@@ -731,33 +776,34 @@ def test_linear_file_digest():
     data = serialize_index(index)
     for directory in (index.directory, deserialize_index(data).directory):
         assert _directory_digest(directory) == (
-            "32c263835b5278dd11e5fc5acd73ee4558ccf58bfd4b864f62dc4e3707db7b3c")
+            "786c131186d68bb7edd860fb837e6bf97153b5b106455c24338a1533eedffb7b")
     assert len(data) == 291_066
     assert hashlib.sha256(data).hexdigest() == (
-        "528b6a0d21593bc9d7a7e0c450cca727cd402c5ac15ab65fc2e7a6d0e41b9a6c")
+        "0d5bb4d201920448acbecf36f16f81eaf8fc9c50b4064e97fc8da3978c377196")
 
 
 def test_linear_file_digest_above_alpha_8():
-    # Golden digest of a linear file at alpha 12 and q 3 (format 14, the
-    # format 13 file with only the version byte changed), whose 5,409 grams
-    # keep the format 12 build's keys and columns.  Those were taken when
-    # alpha above 8 found its distinct phrases by slicing and below by
-    # packed words: the one suffix-array build writes the same bytes for
-    # both.
+    # Golden digest of a linear file at alpha 12 and q 3 (format 15: the
+    # format 14 file with its grams permuted into length, then first-row
+    # order; the format 14 file is the format 13 file with only the version
+    # byte changed), whose 5,409 grams keep the format 12 build's keys,
+    # first rows and row lists.  Those were taken when alpha above 8 found
+    # its distinct phrases by slicing and below by packed words: the one
+    # suffix-array build writes the same bytes for both.
     corpus = Corpus.from_bytes(dna_like_text(64 * 1024, seed=7))
     index = LinearIndex.build(corpus, alpha=12, q=3)
     data = serialize_index(index)
     for directory in (index.directory, deserialize_index(data).directory):
         assert _directory_digest(directory) == (
-            "c6cf59b46f7eedcd46ac6ee1a265b849a2d1edcfb36601df7fefe1473145d6a8")
+            "b97be4f84aeaa4a9f34be99a32598bc03dd5c0029d19fb8994aadb7cc54314e9")
     assert len(data) == 467_870
     assert hashlib.sha256(data).hexdigest() == (
-        "684396bd8f3db7a1e1556504270f6354d5c8fbe07756527541a50de5c58ef865")
+        "f3b0f583498834582cc9ea5fb5d0957dc9502233d94dad0eaf1427f2b8bc2a8f")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 14, the format 10
-    # to 13 file with only the version byte changed): the corpus blob and
+    # Golden digest of a superlinear index file (format 15, the format 10
+    # to 14 file with only the version byte changed): the corpus blob and
     # u32 q_max (128) of the format 9 file, without the suffix array that
     # followed them.  The directory its load derives equals the one
     # the format 8 file stored.
@@ -765,14 +811,15 @@ def test_superlinear_file_digest():
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "a0517a954f38839fab6f46dfe1412657067e6239b45df0075a154f8a2642d727")
+        "396eb53d071b2cfeaa44710442117410976de3fd10f6f70184d5a61677768d38")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 14): k = 2 over 2,000
-    # generated words, plain and coded with a 100-code substitution table,
-    # one group per (m, role) with one fixed-width run per key.  Each is
-    # the format 13 file (the format 11 and 12 files with only the version
+    # Golden digests of split index files (format 15, the format 14 files
+    # with only the version byte changed): k = 2 over 2,000 generated
+    # words, plain and coded with a 100-code substitution table, one group
+    # per (m, role) with one fixed-width run per key.  Each format 14 file
+    # is the format 13 file (the format 11 and 12 files with only the version
     # byte changed) with each group's keys and runs in key byte order
     # rather than first-seen order, so the lengths did not change.
     d = random_word_dictionary(2000, seed=7)
@@ -780,6 +827,6 @@ def test_split_file_digest():
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
     assert (len(plain), len(coded)) == (67_303, 63_288)
     assert hashlib.sha256(plain).hexdigest() == (
-        "7215af720fa50349af789f1471a350b651643469de2e4d5688424fedd285bc33")
+        "1d8f7b6967e3908fd5f5d1e9b5481d0871f90d14d3702f394654110b57d19da8")
     assert hashlib.sha256(coded).hexdigest() == (
-        "eb08ea2e0131163301a61b4c4bd4e1133280d5be3bfaf2ff44b8ea100af61f84")
+        "449aa2b929e4d089e3ff913facfe16a66783db1646eb385ffbd99375f79c114e")

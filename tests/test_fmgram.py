@@ -290,18 +290,19 @@ class TestLinearIndex:
         corpus = Corpus.from_bytes(raw)
         inv = {int(p): r for r, p in enumerate(build_suffix_array(corpus))}
         # alpha at most 8 and above it: the directory lists every phrase of
-        # two or more symbols once, in first-seen order
+        # two or more symbols once, by length and then by first row
         for alpha, q in [(3, 3), (9, 2)]:
             idx = LinearIndex.build(corpus, alpha=alpha, q=q)
-            pieces = phrase_bytes(raw, alpha, q)
-            assert [gram for gram, _ in idx.directory.items()] == [
-                p for p in dict.fromkeys(pieces) if len(p) > 1]
-            for gram, (rows, first) in directory_entries(idx.directory).items():
-                starts = [s for s in range(len(raw) - len(gram) + 1)
-                          if raw[s:s + len(gram)] == gram]
-                expected_rows = sorted(inv[s + len(gram)] for s in starts)
-                assert rows == expected_rows
-                assert first == min(inv[s] for s in starts)
+            expected = {}
+            for gram in dict.fromkeys(phrase_bytes(raw, alpha, q)):
+                if len(gram) > 1:
+                    starts = [s for s in range(len(raw) - len(gram) + 1)
+                              if raw[s:s + len(gram)] == gram]
+                    expected[gram] = (sorted(inv[s + len(gram)] for s in starts),
+                                      min(inv[s] for s in starts))
+            assert [gram for gram, _ in idx.directory.items()] == sorted(
+                expected, key=lambda gram: (len(gram), expected[gram][1]))
+            assert directory_entries(idx.directory) == expected
 
     def test_no_single_symbol_grams(self):
         # one-symbol phrases are counted with a character step, so the

@@ -262,6 +262,19 @@ class TestGenerators:
         b = sample_patterns(text, 50, [4, 8], seed=4)
         assert a == b
 
+    @pytest.mark.parametrize("lengths", [[-2], [0], [4, 0], [4, -1, 8]])
+    def test_sample_patterns_length_below_one_refused(self, lengths):
+        # a length of -2 would slice text[at:at - 2], and 0 give b""
+        with pytest.raises(ValueError, match="lengths must all be at least 1"):
+            sample_patterns(b"abracadabra", 10, lengths, seed=1)
+
+    def test_sample_patterns_empty_alphabet_refused_for_misses(self):
+        with pytest.raises(ValueError, match="alphabet must not be empty"):
+            sample_patterns(b"abracadabra", 10, [3], seed=1, alphabet=b"")
+        # with no misses to draw, no alphabet is read
+        patterns = sample_patterns(b"abracadabra", 10, [3], seed=1, miss_ratio=0, alphabet=b"")
+        assert all(p in b"abracadabra" for p in patterns)
+
 
 class TestBench:
     def test_split_bench_rows(self, tmp_path):

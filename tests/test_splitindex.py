@@ -190,6 +190,18 @@ class TestSplitWord:
         with pytest.raises(ValueError):
             split_word(b"ab", 2)
 
+    @pytest.mark.parametrize("k", [-1, -2, -7])
+    def test_negative_k_refused(self, k):
+        # k = -1 divided by zero, and k <= -2 gave the whole word as one piece
+        with pytest.raises(ValueError, match=f"k must be at least 0, not {k}"):
+            split_word(b"table", k)
+        with pytest.raises(ValueError, match="k must be at least 0"):
+            piece_sizes(5, k)
+
+    def test_zero_k_keeps_the_word_whole(self):
+        assert split_word(b"table", 0) == [b"table"]
+        assert piece_sizes(5, 0) == [5]
+
 
 class TestBuild:
     def test_worked_example_lists(self):
