@@ -16,7 +16,7 @@ from .fmgram import LinearIndex, SuperlinearIndex
 from .harness import (BENCH_CSV_COLUMNS, BenchConfig, NaiveHammingSearcher,
                       generate_noisy_queries, load_corpus, load_dictionary,
                       load_queries, naive_count, run_bench, sample_patterns)
-from .splitindex import Dictionary, SplitIndex, select_qgrams
+from .splitindex import MAX_K, Dictionary, SplitIndex, select_qgrams
 from .suffixbwt import bwt_inverse
 from .textcore import FrequencyTable, entropy, printable
 
@@ -86,8 +86,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_build(args) -> int:
     if args.type == "split":
-        if args.k < 1:
-            print("error: --k must be at least 1 for the split index", file=sys.stderr)
+        if not 1 <= args.k <= MAX_K:
+            bound = "be at least 1" if args.k < 1 else f"be at most {MAX_K}"
+            print(f"error: --k must {bound} for the split index", file=sys.stderr)
             return 2
         dictionary, load_stats = load_dictionary(args.input)
         substitution = select_qgrams(dictionary) if args.compress else None
@@ -252,6 +253,9 @@ def _cmd_bench(args) -> int:
     k_values = _positive_ints("--k", args.k)
     lengths = _positive_ints("--lengths", args.lengths)
     if k_values is None or lengths is None:
+        return 2
+    if args.type == "split" and max(k_values) > MAX_K:
+        print(f"error: --k must be at most {MAX_K} for the split index", file=sys.stderr)
         return 2
     config = BenchConfig(
         structure=args.type,

@@ -33,22 +33,22 @@ records how each format version differs from the one before.
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
 bytes; a superlinear corpus whose terminator is missing or not only at its
 end, or whose `q_max` is not a power of two up to n - 1 (0 for an empty
-text); a split file with k below 1, a bad substitution table, a group
-whose role is above k or whose m is at most k, a repeated group, a
-repeated key within a group, or a run whose length (decoded, if coded) is
-not a positive multiple of its width m - len(key), or that holds an
-unknown code.  `LinearIndex.from_bwt` refuses, with the same error, a
-linear file with alpha or q below 1, or whose BWT does not hold exactly
-one terminator; and a linear directory whose grams are empty, longer than
-alpha or than n - 1 (alone or together), hold the terminator or repeat,
-whose count is 0 or whose first row plus count passes n, whose rows reach
-n or do not rise inside a gram, or whose grams do not start exactly the
-rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or do not lead
-from the first and last of them to the gram's first and last rows.  A
-linear file that loads can still miscount: nothing short of rebuilding
-checks the rows between a gram's first and last, or that the BWT is some
-text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its alpha and q,
-since a phrase the directory lacks takes character steps.
+text); a split file with k below 1, a coded flag other than 0 or 1, a bad
+substitution table, a group whose role is above k or whose m is at most k,
+a repeated group, a repeated key within a group, or a run whose length
+(decoded, if coded) is not a positive multiple of its width m - len(key),
+or that holds an unknown code.  `LinearIndex.from_bwt` refuses, with the
+same error, a linear file with alpha or q below 1, or whose BWT does not
+hold exactly one terminator; and a linear directory whose grams are empty,
+longer than alpha or than n - 1 (alone or together), hold the terminator
+or repeat, whose count is 0 or whose first row plus count passes n, whose
+rows reach n or do not rise inside a gram, or whose grams do not start
+exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or
+do not lead from the first and last of them to the gram's first and last
+rows.  A linear file that loads can still miscount: nothing short of
+rebuilding checks the rows between a gram's first and last, or that the
+BWT is some text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its
+alpha and q, since a phrase the directory lacks takes character steps.
 """
 
 from __future__ import annotations
@@ -183,6 +183,8 @@ def _load_split(r: _Reader) -> SplitIndex:
     if k < 1:
         raise MalformedInputError("split index k must be at least 1")
     compressed = r.u8()
+    if compressed > 1:
+        raise MalformedInputError("split index coded flag must be 0 or 1")
     substitution = None
     if compressed:
         pairs = []

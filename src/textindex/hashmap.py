@@ -5,15 +5,15 @@ call runs on a query path.  Its chained-bucket layout is kept only as a
 measurement, fixed by class constants: `bucket_count` and `load_factor`
 follow the doubling rule of a chained map that starts with
 `INITIAL_BUCKETS` buckets and doubles whenever entries / buckets passes
-`MAX_LOAD_FACTOR`, and `stats()` hashes every key once with xxhash32 to
-report the chain lengths that map would have.  Chain lengths depend only
-on the final key set and the final bucket count, so the report equals what
-a map grown one insertion at a time would show.
+`MAX_LOAD_FACTOR`, and `stats()` hashes every key once with `zlib.crc32`
+to report the longest chain that map would have.  Chains depend only on the
+final key set and the final bucket count, so the report equals what a map
+grown one insertion at a time would show.
 """
 
 from __future__ import annotations
 
-from .hashes import xxhash32
+import zlib
 
 
 class ChainedHashMap(dict):
@@ -47,18 +47,10 @@ class ChainedHashMap(dict):
         return len(self) / self.bucket_count
 
     def stats(self) -> dict:
-        """Chain lengths of this map's keys hashed by xxhash32 into
-        `bucket_count` chains."""
+        """The entry count and the longest chain of this map's keys hashed by
+        `zlib.crc32` into `bucket_count` chains."""
         buckets = self.bucket_count
         lengths = [0] * buckets
         for key in self:
-            lengths[xxhash32(key) % buckets] += 1
-        entries = len(self)
-        used = buckets - lengths.count(0)
-        return {
-            "entries": entries,
-            "buckets": buckets,
-            "load_factor": entries / buckets,
-            "max_chain": max(lengths),
-            "mean_chain_nonempty": (entries / used) if used else 0.0,
-        }
+            lengths[zlib.crc32(key) % buckets] += 1
+        return {"entries": len(self), "max_chain": max(lengths)}

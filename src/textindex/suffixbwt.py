@@ -211,23 +211,23 @@ def row_prefixes(l: bytes, psi: np.ndarray, rows, lengths) -> tuple[np.ndarray, 
 def bwt_inverse(l: bytes) -> Corpus:
     """Reconstruct the corpus whose BWT is `l`.
 
-    Walks the LF mapping (`RankIndex`) backwards from row 0, which is the
-    row of the rotation starting with the terminator.  `l` is a BWT only if
-    that walk is one cycle through all n rows: it must write no terminator
-    before the end, and its last row must be the one whose byte is the
-    terminator.  Any other string of one terminator is refused with
+    Walks Ψ (`psi_mapping`) forward from row 0, the row of the rotation
+    starting with the terminator: Ψ[0] is the row of the whole text, and
+    each further step reads the next text symbol off `l`.  `l` is a BWT
+    only if that walk is one cycle through all n rows: it must write no
+    terminator before the end, and its last row must be the one whose byte
+    is the terminator.  Any other string of one terminator is refused with
     `MalformedInputError`, since it is no text's BWT.
     """
     n = len(l)
     if l.count(TERMINATOR) != 1:
         raise MalformedInputError("BWT string must contain exactly one terminator")
-    lf = memoryview(inverse_permutation(psi_mapping(l)))
+    psi = memoryview(psi_mapping(l))
     out = bytearray(n)
-    row = 0
-    for pos in range(n - 2, -1, -1):
+    row = psi[0]
+    for pos in range(n):
+        row = psi[row]
         out[pos] = l[row]
-        row = lf[row]
-    out[n - 1] = l[row]
     if out.find(TERMINATOR) != n - 1:
         raise MalformedInputError("BWT string's LF mapping is not one cycle through its rows")
     return Corpus(bytes(out))

@@ -97,11 +97,24 @@ class TestBuildCommand:
             assert not out.exists()
 
     def test_k_past_one_byte_rejected(self, tmp_path, dict_file, capsys):
+        # a usage error, as --k 0 is, before the dictionary is read
         out = tmp_path / "split.idx"
-        assert main(["build", "--type", "split", "--k", "300",
-                     "--input", str(dict_file), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: k must lie in 1..255\n"
-        assert not out.exists()
+        for k in ("256", "300"):
+            assert main(["build", "--type", "split", "--k", k,
+                         "--input", str(dict_file), "--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: --k must be at most 255 for the split index\n"
+            assert not out.exists()
+
+    def test_k_255_builds(self, tmp_path, capsys):
+        # the largest k; a word holds at most 255 symbols, so none is split
+        source = tmp_path / "long.txt"
+        source.write_bytes(b"a" * 255 + b"\n")
+        out = tmp_path / "split.idx"
+        assert main(["build", "--type", "split", "--k", "255",
+                     "--input", str(source), "--out", str(out)]) == 0
+        assert "k=255 words=0 skipped=1 entries=0\n" in capsys.readouterr().out
 
     def test_missing_input(self, tmp_path):
         assert main(["build", "--type", "split", "--input",
@@ -467,3 +480,11 @@ class TestBenchCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("k", ["256", "1,256"])
+    def test_split_k_past_one_byte_is_a_usage_error(self, dict_file, capsys, k):
+        assert main(["bench", "--type", "split", "--input", str(dict_file),
+                     "--random", "5", "--repeats", "1", "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --k must be at most 255 for the split index\n"

@@ -533,6 +533,16 @@ class TestSplitStructure:
         data[9] = 0
         self._refused(_resign(data), "k must be at least 1")
 
+    @pytest.mark.parametrize("flag", [2, 255])
+    def test_coded_flag_neither_0_nor_1(self, flag):
+        # the flag byte follows k; a coded file with flag 2 would otherwise
+        # load as coded
+        d = random_word_dictionary(20, seed=26)
+        data = bytearray(serialize_index(SplitIndex.build(d, 1, select_qgrams(d, budget=10))))
+        assert data[9:11] == b"\x01\x01"
+        data[10] = flag
+        self._refused(_resign(data), "coded flag")
+
     # Over "ab" and "cd" at k = 1: the envelope, k, no substitution table,
     # two groups, then group (2, 0): its key, two keys "ac", run lengths 1
     # and 1, runs "bd"; group (2, 1) follows.

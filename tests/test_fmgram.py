@@ -188,8 +188,8 @@ class TestSuperlinearCount:
         assert idx.q_max == 0 and len(idx.directory) == 0 and not idx.directory
         assert idx.count_with_steps(b"a") == (0, 0)
         assert idx.count(b"ab") == 0
-        assert idx.directory.stats() == {"entries": 0, "buckets": 64, "load_factor": 0.0,
-                                         "max_chain": 0, "mean_chain_nonempty": 0.0}
+        assert idx.directory.stats() == {"entries": 0, "max_chain": 0}
+        assert (idx.directory.bucket_count, idx.directory.load_factor) == (64, 0.0)
         assert idx.size_in_bytes() == 4 * 64 + 1
 
 

@@ -175,6 +175,25 @@ class TestBwt:
                 assert bwt_forward(corpus) == swapped
         assert refused == 41
 
+    @given(st.lists(st.sampled_from(b"abc"), max_size=40).map(bytes), st.randoms())
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_of_shuffled_bwt_needs_one_lf_cycle(self, body, rng):
+        # a shuffled BWT is some text's BWT exactly when its LF mapping, from
+        # a naive rank count, is one cycle through all rows
+        l = bytearray(bwt_forward(Corpus.from_bytes(body)))
+        rng.shuffle(l)
+        l = bytes(l)
+        first = {c: sum(s < c for s in l) for c in set(l)}
+        lf = [first[c] + l[:r].count(c) for r, c in enumerate(l)]
+        row, cycle = lf[0], 1
+        while row != 0:
+            row, cycle = lf[row], cycle + 1
+        if cycle < len(l):
+            with pytest.raises(MalformedInputError, match="one cycle"):
+                bwt_inverse(l)
+        else:
+            assert bwt_forward(bwt_inverse(l)) == l
+
     def test_bwt_sa_relation(self):
         c = Corpus.from_bytes(b"pattern")
         sa = build_suffix_array(c)
