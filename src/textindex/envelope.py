@@ -37,9 +37,10 @@ text); a split file with k below 1, a coded flag other than 0 or 1, a bad
 substitution table, a group whose role is above k or whose m is at most k,
 a repeated group, a repeated key within a group, or a run whose length
 (decoded, if coded) is not a positive multiple of its width m - len(key),
-or that holds an unknown code.  `LinearIndex.from_bwt` refuses, with the
-same error, a linear file with alpha or q below 1, or whose BWT does not
-hold exactly one terminator; and a linear directory whose grams are empty,
+or that holds byte 0, an unknown code or, if plain, a byte of 128 or
+more.  `LinearIndex.from_bwt` refuses, with the same error, a linear file
+with alpha or q below 1, or whose BWT does not hold exactly one
+terminator; and a linear directory whose grams are empty,
 longer than alpha or than n - 1 (alone or together), hold the terminator
 or repeat, whose count is 0 or whose first row plus count passes n, whose
 rows reach n or do not rise inside a gram, or whose grams do not start
@@ -217,6 +218,11 @@ def _load_split(r: _Reader) -> SplitIndex:
                           r.take(int(lengths.sum(dtype=np.int64))))
         if len(group.ids) != count:
             raise MalformedInputError("repeated piece in a split group")
+        # The query's mismatch test counts on decoded runs holding word
+        # bytes only, 1..127: a plain run holds nothing else, and a coded
+        # one only those and its table's codes (checked below).
+        if b"\0" in group.runs or substitution is None and not group.runs.isascii():
+            raise MalformedInputError("a split run holds a byte that no word holds")
         if substitution is not None:
             # Decoded run lengths: cumulative decoded widths of the bytes,
             # taken at the run starts.

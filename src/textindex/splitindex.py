@@ -11,15 +11,19 @@ the index of the piece among the word's k+1 pieces.  m and the role fix
 where the piece sits and its length, so every missing part of one list has
 the same width w = m - len(piece), and a list is one run: its words'
 missing parts concatenated in dictionary order, with no counter, separator
-or sort order to read.  A query of length m looks up, for each role, the
-(m, role) group in `SplitIndex.table` and its piece in the group, and
-verifies the whole run.
+or sort order to read.  The index reads its (m, role) groups into one
+list indexed by m, so a query of length m takes its roles' groups from
+entry m with no lookup, looks up its piece in each group, and verifies
+the whole run.
 
 The run is verified with one big-integer Hamming check.  Read as one
 little-endian integer, it is XORed with the rest of the pattern repeated
-once per entry; an OR cascade folds each byte of the difference into its
-low bit; and a multiplication by the integer of w one-bytes sums each
-entry's mismatch flags into the byte under its last missing byte: byte
+once per entry.  The pattern's bytes 128..255 are first mapped to 0, which
+still differs from every word byte (1..127), so no byte of the difference
+exceeds 127: adding 0x7F to every byte sets bit 7 of exactly the nonzero
+ones and carries nothing into the next byte, and bit 7 shifted down is the
+byte's mismatch flag.  A multiplication by the integer of w one-bytes then
+sums each entry's flags into the byte under its last missing byte: byte
 e * w + w - 1 of the product sums exactly the w flags of entry e.  No byte
 of the product exceeds w <= 254, so the multiplication carries nothing.
 
@@ -65,6 +69,9 @@ CODE_FLOOR = 128
 _ONES = [int.from_bytes(b"\1" * w, "little") for w in range(MAX_WORD_LENGTH + 1)]
 # Finds a byte that no word may hold: 0, or a code byte.
 _foreign_byte = re.compile(rb"[^\x01-\x7f]").search
+# Maps the bytes 128..255, which no word holds, to 0, which no word holds
+# either, and keeps the rest.
+_CLAMP = bytes(range(CODE_FLOOR)) + bytes(256 - CODE_FLOOR)
 
 
 class Dictionary:
@@ -360,7 +367,11 @@ def _group(block: np.ndarray, split_at: int, end_at: int,
 class SplitIndex:
     """The piece-keyed k-mismatch index over a dictionary.
 
-    `table` maps the 2-byte key (m, role) of each group to its `PieceRuns`.
+    `table` maps the 2-byte key (m, role) of each group to its `PieceRuns`;
+    a key whose m or role does not fit k raises `ValueError`.  The index
+    reads the table once, at construction: `_groups[m]` holds, for each
+    role of an m-symbol word, its piece's offsets and its group, or None
+    for a group that the table lacks, and is empty where no group has m.
     `substitution`, if set, is the table the runs are coded with.
     """
 
@@ -369,9 +380,22 @@ class SplitIndex:
         self.k = k
         self.table = table
         self.substitution = substitution
-        self._bounds = piece_bounds(k)
+        self._bounds = bounds = piece_bounds(k)
+        by_length: dict[int, list[PieceRuns | None]] = {}
+        for (m, role), group in table.items():
+            if m <= k or role > k:
+                raise ValueError(f"split group m={m}, role={role} does not fit k={k}")
+            by_length.setdefault(m, [None] * (k + 1))[role] = group
+        self._groups: list[tuple[tuple[int, int, PieceRuns | None], ...]] = (
+            [()] * (MAX_WORD_LENGTH + 1))
+        for m, groups in by_length.items():
+            self._groups[m] = tuple((split_at, end_at, group) for (split_at, end_at, _), group
+                                    in zip(bounds[m], groups))
         # 1 at every mismatch count within k, for `bytes.translate`.
         self._within = bytes(count <= k for count in range(256))
+        # For each run width met so far, the integers of that many 0x7F and
+        # 0x80 bytes.
+        self._masks: dict[int, tuple[int, int]] = {}
 
     @classmethod
     def build(cls, dictionary: Dictionary, k: int,
@@ -422,10 +446,10 @@ class SplitIndex:
         results: set[bytes] = set()
         if m > MAX_WORD_LENGTH:
             return results
-        get = self.table.get
+        clamped = pattern.translate(_CLAMP)
+        masks = self._masks
         sub = self.substitution
-        for split_at, end_at, key in self._bounds[m]:
-            group = get(key)
+        for split_at, end_at, group in self._groups[m]:
             if group is None:
                 continue
             piece = pattern[split_at:end_at]
@@ -436,15 +460,17 @@ class SplitIndex:
             run = group.runs[starts[i]:starts[i + 1]]
             if sub is not None:
                 run = sub.decode(run)
-            rest = pattern[:split_at] + pattern[end_at:]
+            rest = clamped[:split_at] + clamped[end_at:]
             width = len(run)
             w = len(rest)
             count = width // w
+            pair = masks.get(width)
+            if pair is None:
+                pair = masks[width] = (int.from_bytes(b"\x7f" * width, "little"),
+                                       int.from_bytes(b"\x80" * width, "little"))
+            low, high = pair
             x = int.from_bytes(run, "little") ^ int.from_bytes(rest * count, "little")
-            x |= x >> 4
-            x |= x >> 2
-            x |= x >> 1
-            x &= int.from_bytes(b"\1" * width, "little")
+            x = ((x + low) & high) >> 7
             product = (x * _ONES[w]).to_bytes(width + w, "little")
             close = product[w - 1:width:w].translate(self._within)
             e = close.find(1)

@@ -468,6 +468,51 @@ class TestQuery:
             q = w[:h] + bytes(rng.choice(odd) for _ in range(len(w) - h))
             assert idx.query(q) == oracle.search(q, k)
 
+    @pytest.mark.parametrize("loaded", [False, True])
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_high_difference_byte_carries_into_no_neighbour(self, k, coded, loaded):
+        # 0xFF differs from "a" by 0x9E.  The run check adds 0x7F to every
+        # byte of the difference, so a difference byte of 0x81 or more
+        # would lose its own flag and carry one into the byte after it: a
+        # match there, or the first byte of the next entry, would count as
+        # a mismatch.  The pattern's bytes 128..255 are mapped to 0 first,
+        # so no difference byte passes 127.
+        m = 3 * (k + 1)
+        head = b"h" * piece_sizes(m, k)[0]
+        w = m - len(head)
+        inside = head + b"a" + b"c" * (w - 1)
+        # adjacent in their run: the last byte of `last`, then the first
+        # byte of `after`
+        last = head + b"c" * (w - 1) + b"a"
+        after = head + b"c" * (w - k) + b"d" * (k - 1) + b"\x7f"
+        d = Dictionary([inside, last, after, b"g" * m])
+        table = SubstitutionTable([(b"cc", 128)]) if coded else None
+        idx = SplitIndex.build(d, k, table)
+        if loaded:
+            idx = deserialize_index(serialize_index(idx))
+        assert lists(idx)[m, 0, head] == [word[len(head):] for word in d.words[:3]]
+        assert (b"\x80" in idx.table.get(bytes((m, 0))).runs) == coded
+        oracle = NaiveHammingSearcher(d)
+        for pattern, within, beyond in (
+                # before a match in the same entry
+                (head + b"\xff" + b"c" * (w - 1), {inside}, set()),
+                # before a mismatch in the same entry: k + 1 mismatches
+                (head + b"\xff" + b"d" * k + b"c" * (w - 1 - k), set(), {inside}),
+                # the last byte of an entry, before a match that begins an
+                # entry of k mismatches
+                (head + b"c" * (w - 1) + b"\xff", {last, after}, set())):
+            answer = oracle.search(pattern, k)
+            assert within <= answer and not beyond & answer
+            assert idx.query(pattern) == answer
+        # Every word with one or two of its bytes set to 0xFF.
+        for word in d.words:
+            for at in range(m):
+                for second in range(at, m):
+                    q = bytearray(word)
+                    q[at] = q[second] = 0xFF
+                    assert idx.query(bytes(q)) == oracle.search(bytes(q), k)
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_patterns_longer_than_any_word(self, k):
         # Words hold at most 255 symbols, so a longer pattern matches none,
@@ -557,6 +602,19 @@ class TestListChecks:
             idx.table.put(key, idx.table.get(b"\x04\x00"))
             self._refused_at_load(idx, "does not fit k=1")
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_key_that_does_not_fit_k_refused_at_construction(self, k):
+        # the index reads its groups per word length when it is made, so a
+        # table that a load would refuse is refused there too, as a
+        # ValueError, not an IndexError or a TypeError
+        idx = SplitIndex.build(Dictionary([b"abcdef"]), k)
+        group = idx.table.get(b"\x06\x00")
+        for key in (bytes((6, k + 1)), bytes((6, 255)), bytes((k, 0)), b"\x00\x00"):
+            table = ChainedHashMap(idx.table)
+            table.put(key, group)
+            with pytest.raises(ValueError, match=f"does not fit k={k}"):
+                SplitIndex(k, table)
+
     def test_role_groups_with_different_words_refused(self):
         idx = SplitIndex.build(Dictionary([b"abcd", b"efgh"]), 1)
         assert layout(idx)[0] == (b"\x04\x00", [(b"ab", b"cd"), (b"ef", b"gh")])
@@ -572,6 +630,16 @@ class TestListChecks:
         assert dict(idx.table.get(b"\x04\x00").items()) == {b"ab": b"\x80"}
         with_run(idx, b"\x04\x00", b"ab", b"\x80x")
         self._refused_at_load(idx, "multiple")
+
+    @pytest.mark.parametrize("coded, run", [(False, b"c\x80"), (False, b"c\xff"),
+                                            (False, b"\x00d"), (True, b"c\x00")])
+    def test_run_byte_that_no_word_holds_refused(self, coded, run):
+        # the query's mismatch test needs every run byte in 1..127 once
+        # decoded; each run here is whole entries of its width
+        table = SubstitutionTable([(b"cd", 128)]) if coded else None
+        idx = SplitIndex.build(Dictionary([b"abcd"]), 1, table)
+        with_run(idx, b"\x04\x00", b"ab", run)
+        self._refused_at_load(idx, "byte that no word holds")
 
     def test_unknown_code_in_a_run_refused(self):
         table = SubstitutionTable([(b"cd", 128)])

@@ -33,8 +33,11 @@ def test_every_wrap_point_installs_and_uninstalls():
         assert split.query(b"tacle") == {b"table"}
     finally:
         tracer.uninstall()
-    # The lookups the indexes make go through the wrapped names.
-    for layer in ("fmgram.entry_for", "fmgram.get", "hashmap.put", "hashmap.get"):
+    # The lookups and stores the indexes make go through the wrapped names.
+    # A split query reads its groups from a list per word length, so no
+    # package code calls `ChainedHashMap.get`: its wrap point installs, but
+    # counts nothing.
+    for layer in ("fmgram.entry_for", "fmgram.get", "hashmap.put"):
         assert tracer.total(layer, field=0) > 0, layer
     assert (vars(GramDirectory)["get"], vars(GramDirectory)["entry_for"],
             vars(ChainedHashMap)["get"], vars(ChainedHashMap)["put"]) == originals
