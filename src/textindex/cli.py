@@ -24,8 +24,9 @@ from .textcore import FrequencyTable, entropy, printable
 # Pattern lengths that `verify --random` samples for FM indexes: Fibonacci
 # numbers from 1, which fits a one-symbol text, up to 233, which checks long
 # patterns that spend most of their steps on one row.  A linear index also
-# gets the lengths of one minimizer window and one more, which hold one and
-# up to two minimizer positions.  Lengths past the text are dropped.
+# gets the lengths of one minimizer window and one more: shorter patterns are
+# counted by plain FM steps, and these are the shortest that take the gram
+# loop.  Lengths past the text are dropped.
 VERIFY_LENGTHS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
 
 

@@ -13,18 +13,15 @@ Two variants trade space for fewer backward-search steps:
 
 * `LinearIndex` stores lists only for the corpus phrases, the substrings
   between consecutive (alpha, q)-minimizer positions, of two or more
-  symbols.  A query runs plain per-character steps on the pattern tail and
-  head and on one-symbol phrases, and phrase-sized steps on the others;
-  minimizers guarantee that a pattern long enough to contain one full
-  window chooses the same interior phrases as the text.  A shorter pattern
-  is counted by character steps alone, and so is a phrase the directory
-  does not list.  Phrase steps run only while the backward-search
-  interval holds several rows: once it holds one, the rest of the pattern
-  goes to `FmIndex.extend`, which follows that row with one LF read per
-  symbol.  So a query finds the pattern's minimizers from the right, one
-  phrase at a time, and stops with the phrase steps; only the build
-  selects a whole text's minimizers at once.  Character steps and that
-  walk read the BWT, count table and LF mapping of an `FmIndex`.
+  symbols, each with the rows of every occurrence.  A query reads the
+  pattern right to left: while the backward-search interval holds several
+  rows, it takes a step on the longest listed gram that ends where the
+  unread prefix ends, or else a character step.  Once the interval holds
+  one row, the rest of the pattern goes to `FmIndex.extend`, which follows
+  that row with one LF read per symbol.  Only the build selects
+  minimizers; a pattern shorter than one minimizer window is counted by
+  character steps alone.  Character steps and that walk read the BWT,
+  count table and LF mapping of an `FmIndex`.
 
 Both directories are read off runs of suffix-array rows whose suffixes share
 their first symbols (`directory_from_suffix_array`, `_phrase_directory`);
@@ -48,7 +45,7 @@ import numpy as np
 from . import suffixbwt
 from .errors import MalformedInputError
 from .hashmap import ChainedHashMap
-from .textcore import TERMINATOR, Corpus, byte_windows, minimizers, minimizers_from_right, phrases
+from .textcore import TERMINATOR, Corpus, byte_windows, minimizers, phrases
 from .suffixbwt import FmIndex, countable
 
 DEFAULT_Q_MAX = 128
@@ -292,13 +289,16 @@ class LinearIndex:
     one buffer of the phrases read off the BWT, and no corpus: queries read
     only n, which is len(fm.l), and the gram keys.  The text stays
     recoverable from the BWT (`suffixbwt.bwt_inverse`), since an FM index
-    is a self-index."""
+    is a self-index.  `longest`, the longest gram a query looks up, is the
+    longest gram listed (0 if none is), read once: per query, the numpy max
+    would add about 1 µs."""
 
     def __init__(self, fm: FmIndex, alpha: int, q: int, directory: GramDirectory):
         self.fm = fm
         self.alpha = alpha
         self.q = q
         self.directory = directory
+        self.longest = int(directory.lengths.max(initial=0))
 
     @classmethod
     def build(cls, corpus: Corpus, alpha: int, q: int) -> "LinearIndex":
@@ -364,53 +364,48 @@ class LinearIndex:
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.
-        A pattern shorter than one minimizer window holds no full window, so
-        its phrases need not be the text's: it takes character steps alone.
 
-        Minimizer positions come from the right, one per phrase step, and
-        phrase steps run only while the interval holds several rows.  Once
-        it holds one, the untouched prefix goes to `FmIndex.extend`, whose
-        single-row walk checks that one occurrence symbol by symbol, each
-        for less than a gram lookup costs, and no further minimizer is
-        found.  Backward search reaches the same rows whatever the step
-        sizes, so the answer does not change.  A phrase the directory does
-        not list takes character steps, so the count does not depend on
-        alpha and q being the build's."""
-        if len(pattern) < self.q + self.alpha - 1:
-            return self.fm.count(pattern)
+        Backward search from the right: while the interval holds several
+        rows, each pass takes the longest gram of 2 to `longest` symbols
+        that ends where the unread prefix ends and that the directory
+        lists, or else one character step.  A gram lists the rows of every
+        occurrence, so its step is exact whatever the text's phrases are,
+        and answers do not depend on alpha and q being the build's.  Once
+        the interval holds one row, the unread prefix goes to
+        `FmIndex.extend`, whose single-row walk checks that one occurrence
+        for less than a gram lookup costs.  A pattern shorter than one
+        minimizer window (q + alpha - 1 symbols) goes to `FmIndex.count`
+        whole: on short DNA-like patterns the lookups cost more than the
+        character steps they save."""
         fm = self.fm
+        if len(pattern) < self.q + self.alpha - 1:
+            return fm.count(pattern)
         n = len(fm.l)
         if not countable(pattern, n):
             return 0
-        marks = minimizers_from_right(pattern, self.alpha, self.q)
         step = fm.step
         directory = self.directory
         lookup = directory.get
         firsts, starts, rows = directory.firsts, directory.starts, directory.rows
-        right = next(marks)
-        s, e = fm.extend(pattern[right:], 0, n - 1)
-        # Each pass consumes phrase pattern[left:right].
-        while s < e:
-            left = next(marks, None)
-            if left is None:
-                break
-            if right - left == 1:
-                # Single-symbol phrase: the character-level step is cheaper.
-                s, e = step(s, e, pattern[left])
-            elif (g := lookup(pattern[left:right])) is None:
-                # Unlisted, yet in the text if alpha or q are not the build's.
-                s, e = fm.extend(pattern[left:right], s, e)
+        longest = self.longest
+        s, e, pos = 0, n - 1, len(pattern)
+        while s < e and pos:
+            for left in range(max(pos - longest, 0), pos - 1):
+                if (g := lookup(pattern[left:pos])) is not None:
+                    break
             else:
-                first, lo, hi = firsts[g], starts[g], starts[g + 1]
-                # At most e - s + 1 of the gram's rows lie in [s, e], so the
-                # second search only looks that far past the first.
-                r = bisect_right(rows, s - 1, lo, hi)
-                upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
-                s, e = first + r - lo, first + upto - lo - 1
-            right = left
+                pos -= 1
+                s, e = step(s, e, pattern[pos])
+                continue
+            first, lo, hi = firsts[g], starts[g], starts[g + 1]
+            # At most e - s + 1 of the gram's rows lie in [s, e], so the
+            # second search only looks that far past the first.
+            r = bisect_right(rows, s - 1, lo, hi)
+            upto = bisect_right(rows, e, r, min(hi, r + e - s + 1))
+            s, e, pos = first + r - lo, first + upto - lo - 1, left
         if s > e:
             return 0
-        s, e = fm.extend(pattern[:right], s, e)
+        s, e = fm.extend(pattern[:pos], s, e)
         return e - s + 1
 
     def size_in_bytes(self) -> int:

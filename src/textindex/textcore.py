@@ -9,8 +9,7 @@ the suffix-sorting machinery relies on.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
-from collections.abc import Iterator
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,9 +144,8 @@ def minimizers(text: bytes, alpha: int, q: int) -> np.ndarray:
     step grams at i, keeping the right one's winning position only if its
     key is smaller, so that the leftmost of equal grams wins.  Winners
     never move left, so a winner shared by neighbouring windows is a
-    repeat next to itself and is dropped.  This is the build's path; a
-    query, which reads only the rightmost few positions, takes
-    `minimizers_from_right`.
+    repeat next to itself and is dropped.  Only the build selects
+    minimizers: a query steps on whichever grams the directory lists.
     """
     n = len(text)
     if alpha < 1 or q < 1:
@@ -178,43 +176,6 @@ def minimizers(text: bytes, alpha: int, q: int) -> np.ndarray:
     fresh[0] = True
     np.not_equal(winners[1:], winners[:-1], out=fresh[1:])
     return winners[fresh].astype(np.int64, copy=False)
-
-
-def minimizers_from_right(text: bytes, alpha: int, q: int) -> Iterator[int]:
-    """The positions of `minimizers(text, alpha, q)`, largest first, found
-    lazily: each one costs only the grams up to it, so a caller that stops
-    early never scans the rest of the text.
-
-    Windows are taken right to left.  Grams compare as byte slices, which
-    order as `_window_keys` does for any q.  `candidates` holds (position,
-    gram) pairs, leftmost first, whose grams strictly decrease: a gram
-    added on the left evicts every candidate it ties or beats, so the
-    leftmost of equal grams wins, and the rightmost candidate drops off
-    once the window has moved past it.  The rightmost candidate left is
-    the window's winner, and a winner shared by neighbouring windows is
-    yielded once.
-    """
-    if alpha < 1 or q < 1:
-        raise ValueError("alpha and q must be positive")
-    if len(text) < q + alpha - 1:
-        raise ValueError(
-            f"text of length {len(text)} is shorter than one window ({q + alpha - 1})")
-    candidates = deque()
-    last = None
-    last_window = len(text) - q - alpha + 1
-    for p in range(len(text) - q, -1, -1):
-        gram = text[p:p + q]
-        while candidates and candidates[0][1] >= gram:
-            candidates.popleft()
-        candidates.appendleft((p, gram))
-        if p <= last_window:
-            # Window p holds the grams at p .. p + alpha - 1.
-            if candidates[-1][0] == p + alpha:
-                candidates.pop()
-            winner = candidates[-1][0]
-            if winner != last:
-                last = winner
-                yield winner
 
 
 def phrases(text: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

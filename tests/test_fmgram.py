@@ -575,8 +575,7 @@ class TestKeyMap:
 
 
 class TestLazyMinimizers:
-    """`LinearIndex.count` finds its pattern's minimizers from the right,
-    lazily; only the build selects minimizers with numpy."""
+    """No `LinearIndex.count` selects minimizers; only the build does."""
 
     def test_no_query_calls_the_numpy_path(self, monkeypatch):
         calls = []
@@ -609,8 +608,9 @@ def occurs_twice(text, pattern):
 
 
 class TestOneRowHandOff:
-    """`LinearIndex.count` takes phrase steps only while the interval holds
-    several rows, and hands the rest of the pattern to `FmIndex.extend`."""
+    """`LinearIndex.count` takes gram steps only while the interval holds
+    several rows, on grams no longer than the longest it lists, and hands
+    the rest of the pattern to `FmIndex.extend`."""
 
     @staticmethod
     def spy_lookups(monkeypatch):
@@ -649,7 +649,15 @@ class TestOneRowHandOff:
 
     def test_no_gram_lookup_once_one_row(self, monkeypatch):
         # on a DNA-like text the interval holds one row after a few symbols;
-        # from then on the pattern's phrases are walked, not looked up
+        # a gram ending at pos is looked up only while pattern[pos:] occurs
+        # twice or more, and the prefix handed to the walk is the whole
+        # pattern's or ends where the suffix read occurs once
+        class Sliced(bytes):
+            def __getitem__(self, key):
+                if isinstance(key, slice):
+                    sliced.append((key.start, key.stop))
+                return bytes.__getitem__(self, key)
+
         raw = dna_like_text(20000, seed=61)
         idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
         looked_up = self.spy_lookups(monkeypatch)
@@ -660,19 +668,35 @@ class TestOneRowHandOff:
             s = rng.randrange(len(raw) - m + 1)
             pattern = raw[s:s + m]
             looked_up.clear()
-            assert idx.count(pattern) == naive_count(raw, pattern)
-            marks = minimizers(pattern, 3, 4).tolist()
-            expected = []
-            for i in range(len(marks) - 1, 0, -1):
-                phrase = pattern[marks[i - 1]:marks[i]]
-                if len(phrase) == 1:
-                    continue
-                if occurs_twice(raw, pattern[marks[i]:]):
-                    expected.append(phrase)
-                else:
-                    saved += 1
-            assert looked_up == expected, pattern
+            sliced = []
+            assert idx.count(Sliced(pattern)) == naive_count(raw, pattern)
+            *grams, (start, walked) = sliced
+            assert start is None and [pattern[a:b] for a, b in grams] == looked_up
+            for _, end in grams:
+                assert occurs_twice(raw, pattern[end:]), pattern
+            if walked:
+                assert not occurs_twice(raw, pattern[walked:]), pattern
+                saved += 1
         assert saved > 100
+
+    def test_lookups_bounded_by_the_longest_listed_gram(self, monkeypatch):
+        # alpha 300 at q 1 lists no gram anywhere near 300 symbols, so a
+        # query looks up none longer than the longest listed, and its
+        # patterns, all of a window or more, are counted by gram steps
+        raw = english_like_text(16 * 1024, seed=3)
+        idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=300, q=1)
+        longest = int(idx.directory.lengths.max())
+        assert idx.longest == longest and 2 <= longest < 100
+        looked_up = self.spy_lookups(monkeypatch)
+        rng = random.Random(3)
+        for _ in range(40):
+            m = rng.randint(300, 599)
+            s = rng.randrange(len(raw) - m + 1)
+            pattern = raw[s:s + m]
+            mutated = pattern[:-5] + b"#" + pattern[-4:]
+            for p in (pattern, mutated):
+                assert idx.count(p) == naive_count(raw, p), p
+        assert looked_up and max(map(len, looked_up)) <= longest
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from textindex.textcore import (Corpus, FrequencyTable, entropy, least_common_letters,
-                                minimizers, minimizers_from_right, most_common_letters,
+                                minimizers, most_common_letters,
                                 phrases, printable)
 
 
@@ -61,16 +61,36 @@ def extract(text, offsets, lengths):
 
 
 def brute_force_minimizers(text, alpha, q):
-    """Independent re-scan of every window."""
+    """Independent re-scan of every window.  Winners never move left, so a
+    winner already picked is the last pick."""
     picks = []
     for w in range(len(text) - (q + alpha - 1) + 1):
         best = min(range(w, w + alpha), key=lambda p: (text[p:p + q], p))
-        if best not in picks:
+        if not picks or best != picks[-1]:
             picks.append(best)
     return picks
 
 
 SYMBOLS = st.one_of(st.integers(1, 4), st.integers(1, 255))
+ALPHABETS = [b"a", b"ab", b"acgt", bytes(range(1, 256))]
+
+
+@st.composite
+def windowed_texts(draw):
+    """(text, alpha, q) with the text at least one window long: random
+    symbols of one alphabet, or a repeated unit of them, from one window
+    (a single position) up to 300 symbols."""
+    alpha, q = draw(st.integers(1, 16)), draw(st.integers(1, 20))
+    symbols = st.sampled_from(draw(st.sampled_from(ALPHABETS)))
+    window = q + alpha - 1
+    m = draw(st.one_of(st.just(window), st.just(window + 1),
+                       st.integers(window, 300)))
+    if draw(st.booleans()):
+        unit = bytes(draw(st.lists(symbols, min_size=1, max_size=12)))
+        text = (unit * (m // len(unit) + 1))[:m]
+    else:
+        text = bytes(draw(st.lists(symbols, min_size=m, max_size=m)))
+    return text, alpha, q
 
 
 class TestMinimizers:
@@ -92,6 +112,20 @@ class TestMinimizers:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             minimizers(b"abc", 3, 2)
+
+    def test_bad_arguments_rejected(self):
+        for alpha, q in [(0, 2), (1, 0)]:
+            with pytest.raises(ValueError):
+                minimizers(b"abc", alpha, q)
+
+    # Texts of one window to 300 symbols over alphabets of 1 to 255
+    # symbols, q up to 20: both key paths of `_window_keys`, direct up to 8
+    # symbols and ranked by doubling above.
+    @given(windowed_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_brute_force_on_windowed_texts(self, case):
+        text, alpha, q = case
+        assert minimizers(text, alpha, q).tolist() == brute_force_minimizers(text, alpha, q)
 
     # Symbols 1-4, so equal grams are common, mixed with any byte 1-255; a
     # repeated unit makes long grams tie, or differ in a single symbol.  q
@@ -194,14 +228,13 @@ class TestMinimizerPasses:
     @pytest.mark.parametrize("alpha", [2, 3, 8, 16])
     def test_u32_positions(self, alpha):
         # Over 65,536 grams, so the positions and their wrapping differences
-        # are u32.  The lazy right-to-left scan is the oracle here, since
-        # the brute-force scan is quadratic in the winners.
+        # are u32.
         rng = random.Random(alpha)
         n = 3 * 65536 + 1000
         for symbols in (b"ab", b"acgt"):
             text = bytes(rng.choice(symbols) for _ in range(n))
             assert minimizers(text, alpha, 4).tolist() == \
-                list(minimizers_from_right(text, alpha, 4))[::-1]
+                brute_force_minimizers(text, alpha, 4)
 
     @pytest.mark.parametrize("q", [4, 8])
     def test_memory_does_not_grow_with_alpha(self, q):
@@ -218,72 +251,6 @@ class TestMinimizerPasses:
             finally:
                 tracemalloc.stop()
         assert max(peaks) <= 1.5 * min(peaks)
-
-
-ALPHABETS = [b"a", b"ab", b"acgt", bytes(range(1, 256))]
-
-
-@st.composite
-def windowed_texts(draw):
-    """(text, alpha, q) with the text at least one window long: random
-    symbols of one alphabet, or a repeated unit of them, from one window
-    (a single position) up to 300 symbols."""
-    alpha, q = draw(st.integers(1, 16)), draw(st.integers(1, 20))
-    symbols = st.sampled_from(draw(st.sampled_from(ALPHABETS)))
-    window = q + alpha - 1
-    m = draw(st.one_of(st.just(window), st.just(window + 1),
-                       st.integers(window, 300)))
-    if draw(st.booleans()):
-        unit = bytes(draw(st.lists(symbols, min_size=1, max_size=12)))
-        text = (unit * (m // len(unit) + 1))[:m]
-    else:
-        text = bytes(draw(st.lists(symbols, min_size=m, max_size=m)))
-    return text, alpha, q
-
-
-class TestMinimizersFromRight:
-    def test_texting_3_2(self):
-        assert list(minimizers_from_right(b"texting", 3, 2)) == [4, 1]
-
-    def test_single_window(self):
-        assert list(minimizers_from_right(b"acg", 2, 2)) == [0]
-
-    def test_bad_arguments_rejected(self):
-        for text, alpha, q in [(b"abc", 3, 2), (b"abc", 0, 2), (b"abc", 1, 0)]:
-            with pytest.raises(ValueError):
-                next(minimizers_from_right(text, alpha, q))
-
-    # q above 8 is where `minimizers` ranks grams by doubling, so the byte
-    # comparisons here are checked against both of its key paths.
-    @given(windowed_texts())
-    @settings(max_examples=600, deadline=None)
-    def test_reverses_minimizers(self, case):
-        text, alpha, q = case
-        from_right = list(minimizers_from_right(text, alpha, q))[::-1]
-        assert from_right == minimizers(text, alpha, q).tolist()
-        assert from_right == brute_force_minimizers(text, alpha, q)
-
-    def test_scan_stops_at_the_window_it_yields_from(self):
-        # A winner yielded from window p lies in p .. p + alpha - 1, and no
-        # gram left of p has been read yet.
-        class Recorded(bytes):
-            def __getitem__(self, key):
-                read.append(key.start)
-                return bytes.__getitem__(self, key)
-
-        rng = random.Random(71)
-        for alpha, q in [(1, 1), (3, 4), (8, 4), (2, 17)]:
-            read = []
-            text = Recorded(bytes(rng.choice(b"acgt") for _ in range(120)))
-            marks = minimizers_from_right(text, alpha, q)
-            assert read == []
-            first = next(marks)
-            assert min(read) == len(text) - q - alpha + 1
-            pulled = [first]
-            for winner in marks:
-                assert min(read) >= winner - alpha + 1
-                pulled.append(winner)
-            assert pulled == minimizers(bytes(text), alpha, q).tolist()[::-1]
 
 
 class TestPhrases:
