@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import partial
 
 from .envelope import load_index, save_index
 from .fmgram import LinearIndex, SuperlinearIndex
@@ -130,35 +131,26 @@ def _cmd_query(args, parser) -> int:
     else:
         patterns = load_queries(args.queries)
 
-    failed = False
+    # Per kind: the call that answers a pattern, the default op, and how an
+    # answer becomes a count.
     if isinstance(index, SplitIndex):
-        op = args.op or "words"
-        for pattern in patterns:
-            try:
-                words = index.query(pattern)
-            except ValueError as exc:
-                print(f"error: {exc}")
-                failed = True
-                continue
-            if op == "words":
-                print("\t".join(sorted(w.decode("latin-1") for w in words)))
-            elif op == "count":
-                print(len(words))
-            else:
-                print(1 if words else 0)
-        return 1 if failed else 0
-
-    op = args.op or "count"
-    if op == "words":
-        parser.error("--op words is only supported by split indexes")
+        answer, op, count = index.query, args.op or "words", len
+    else:
+        answer, op, count = index.count, args.op or "count", int
+        if op == "words":
+            parser.error("--op words is only supported by split indexes")
+    failed = False
     for pattern in patterns:
         try:
-            count = index.count(pattern)
+            found = answer(pattern)
         except ValueError as exc:
             print(f"error: {exc}")
             failed = True
             continue
-        print(count if op == "count" else (1 if count else 0))
+        if op == "words":
+            print("\t".join(sorted(w.decode("latin-1") for w in found)))
+        else:
+            print(count(found) if op == "count" else (1 if found else 0))
     return 1 if failed else 0
 
 
@@ -169,48 +161,38 @@ def _cmd_verify(args, parser) -> int:
         print("error: --random must be at least 1", file=sys.stderr)
         return 2
     index = load_index(args.index)
-    discrepancies = 0
-    total = 0
-
+    # Per kind: the patterns, the call that answers one, its oracle, and the
+    # shortest pattern checked (a split index answers only k + 1 or more
+    # symbols).
     if isinstance(index, SplitIndex):
-        words = sorted(set(index.reconstruct_words()))
-        dictionary = Dictionary(words)
-        oracle = NaiveHammingSearcher(dictionary)
-        if args.queries:
-            patterns = load_queries(args.queries)
-        else:
+        dictionary = Dictionary(sorted(set(index.reconstruct_words())))
+        answer, shortest = index.query, index.k + 1
+        oracle = partial(NaiveHammingSearcher(dictionary).search, k=index.k)
+        if not args.queries:
             patterns = list(generate_noisy_queries(dictionary, args.random,
                                                    seed=args.seed).queries)
-        for pattern in patterns:
-            if len(pattern) < index.k + 1:
-                continue
-            total += 1
-            if index.query(pattern) != oracle.search(pattern, index.k):
-                discrepancies += 1
     else:
         # A linear index keeps no corpus: its text comes back from its BWT,
         # which `bwt_inverse` refuses if it is no text's.
         corpus = index.corpus if isinstance(index, SuperlinearIndex) else bwt_inverse(index.fm.l)
         text = corpus.text
-        if args.queries:
-            patterns = load_queries(args.queries)
-        else:
+        answer, oracle, shortest = index.count, partial(naive_count, text), 1
+        if not args.queries:
             lengths = VERIFY_LENGTHS
             if isinstance(index, LinearIndex):
                 window = index.q + index.alpha - 1
                 lengths = sorted({*lengths, window, window + 1})
             patterns = sample_patterns(text, args.random, lengths, seed=args.seed)
-        for pattern in patterns:
-            total += 1
-            if index.count(pattern) != naive_count(text, pattern):
-                discrepancies += 1
+    if args.queries:
+        patterns = load_queries(args.queries)
 
-    if total == 0:
-        # Only a split index skips patterns: those shorter than k + 1.
-        need = f" with at least {index.k + 1} symbols" if patterns else ""
+    checked = [pattern for pattern in patterns if len(pattern) >= shortest]
+    discrepancies = sum(answer(pattern) != oracle(pattern) for pattern in checked)
+    if not checked:
+        need = f" with at least {shortest} symbols" if patterns else ""
         print(f"error: no query{need} to check", file=sys.stderr)
         return 1
-    print(f"{discrepancies} discrepancies over {total} queries")
+    print(f"{discrepancies} discrepancies over {len(checked)} queries")
     return 0 if discrepancies == 0 else 1
 
 

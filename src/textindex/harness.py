@@ -381,7 +381,10 @@ def _pass_seconds(run_query, queries, repeats: int) -> list[float]:
 
 def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, float]:
     """Per-query microseconds: mean over repetitions, plus 50th and 95th
-    percentiles of the per-repetition averages (`_pass_seconds`)."""
+    percentiles of the per-repetition averages (`_pass_seconds`); all 0.0
+    for no queries."""
+    if not queries:
+        return 0.0, 0.0, 0.0
     per_rep = sorted(elapsed / len(queries) * 1e6
                      for elapsed in _pass_seconds(run_query, queries, repeats))
     mean = statistics.fmean(per_rep)
@@ -390,21 +393,27 @@ def _time_workload(run_query, queries, repeats: int) -> tuple[float, float, floa
     return mean, p50, p95
 
 
-def _load_seconds(index, repeats: int) -> float:
-    """Best of `repeats` timed loads of the index's file bytes."""
+def _timed_build(repeats: int, build, *args):
+    """The index `build(*args)` returns, and the bench-row fields it fixes
+    alone: its size, its build seconds, and the best of `repeats` timed
+    loads of its file bytes."""
+    start = time.perf_counter()
+    index = build(*args)
+    build_seconds = time.perf_counter() - start
     data = serialize_index(index)
-    best = float("inf")
+    load_seconds = float("inf")
     for _ in range(max(repeats, 1)):
         start = time.perf_counter()
         deserialize_index(data)
-        best = min(best, time.perf_counter() - start)
-    return best
+        load_seconds = min(load_seconds, time.perf_counter() - start)
+    return index, {"index_bytes": index.size_in_bytes(), "build_seconds": build_seconds,
+                   "load_seconds": load_seconds}
 
 
-def run_bench(config: BenchConfig) -> BenchReport:
-    """Build the requested structures, replay the workload and report."""
-    report = BenchReport()
-    label = str(config.input_path)
+def _bench_rows(config: BenchConfig):
+    """Yields each row's build fields, params, answer call, queries and
+    counters.  A split row has a build of its own per k; the rows of one FM
+    build share it, one per pattern length."""
     if config.structure == "split":
         dictionary, _ = load_dictionary(config.input_path)
         if config.queries_path:
@@ -414,49 +423,31 @@ def run_bench(config: BenchConfig) -> BenchReport:
                 dictionary, config.random_queries, seed=config.seed).queries)
         substitution = select_qgrams(dictionary) if config.compress else None
         for k in config.k_values:
-            start = time.perf_counter()
-            index = SplitIndex.build(dictionary, k, substitution)
-            build_seconds = time.perf_counter() - start
+            index, built = _timed_build(config.repeats, SplitIndex.build, dictionary, k,
+                                        substitution)
+            built.update(index.piece_layout())
             usable = [q for q in queries if len(q) >= k + 1]
-            if not usable:
-                mean = p50 = p95 = 0.0
-                counters = "no-queries"
-            else:
-                verifications = 0
-                inspected = 0
-                for q in usable:
-                    _, qs = index.query_verbose(q)
-                    verifications += qs.verifications
-                    inspected += qs.entries_inspected
-                counters = f"verifications={verifications};entries_inspected={inspected}"
-                mean, p50, p95 = _time_workload(index.query, usable, config.repeats)
-            layout = index.piece_layout()
-            report.rows.append(BenchRow(
-                structure="split", params=f"k={k};compress={config.compress}",
-                dataset=label, index_bytes=index.size_in_bytes(),
-                build_seconds=build_seconds,
-                load_seconds=_load_seconds(index, config.repeats), queries=len(usable),
-                repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
-                p95_query_us=p95, counters=counters,
-                load_factor=layout["load_factor"], buckets=layout["buckets"],
-                entries=layout["entries"]))
-        return report
+            counters = "no-queries"
+            if usable:
+                stats = [index.query_verbose(q)[1] for q in usable]
+                counters = (f"verifications={sum(qs.verifications for qs in stats)};"
+                            f"entries_inspected={sum(qs.entries_inspected for qs in stats)}")
+            yield built, f"k={k};compress={config.compress}", index.query, usable, counters
+        return
 
     corpus = load_corpus(config.input_path)
     if config.structure == "fm-super":
-        start = time.perf_counter()
-        index = SuperlinearIndex.build(corpus, config.q_max)
-        build_seconds = time.perf_counter() - start
+        index, built = _timed_build(config.repeats, SuperlinearIndex.build, corpus, config.q_max)
         base_params = f"q_max={config.q_max}"
     elif config.structure == "fm-linear":
-        start = time.perf_counter()
-        index = LinearIndex.build(corpus, config.alpha, config.q)
-        build_seconds = time.perf_counter() - start
+        index, built = _timed_build(config.repeats, LinearIndex.build, corpus, config.alpha,
+                                    config.q)
         base_params = f"alpha={config.alpha};q={config.q}"
     else:
         raise ValueError(f"unknown structure {config.structure!r}")
     directory = index.directory
-    load_seconds = _load_seconds(index, config.repeats)
+    built.update(load_factor=directory.load_factor, buckets=directory.bucket_count,
+                 entries=len(directory))
 
     # One row per pattern length so per-character trends can be read off;
     # a query file, if given, contributes a single mixed-length row instead.
@@ -470,29 +461,25 @@ def run_bench(config: BenchConfig) -> BenchReport:
             for length in config.pattern_lengths if length < corpus.n
         ]
     for tag, queries in workloads:
-        if queries:
-            mean, p50, p95 = _time_workload(index.count, queries, config.repeats)
-        else:
-            mean = p50 = p95 = 0.0
         if config.structure == "fm-super":
-            steps = sum(index.count_with_steps(q)[1] for q in queries)
-            counters = f"lf_steps={steps}"
+            counters = f"lf_steps={sum(index.count_with_steps(q)[1] for q in queries)}"
         else:
             # The linear index's own plain FM index, timed on the same
             # queries, so that one row compares the two.
-            fm_mean = 0.0
-            if queries:
-                fm_mean = _time_workload(index.fm.count, queries, config.repeats)[0]
+            fm_mean = _time_workload(index.fm.count, queries, config.repeats)[0]
             counters = f"fm_mean_us={fm_mean:.3f}"
+        yield built, f"{base_params};{tag}", index.count, queries, counters
+
+
+def run_bench(config: BenchConfig) -> BenchReport:
+    """Build the requested structures, replay the workload and report."""
+    report = BenchReport()
+    for built, params, answer, queries, counters in _bench_rows(config):
+        mean, p50, p95 = _time_workload(answer, queries, config.repeats)
         report.rows.append(BenchRow(
-            structure=config.structure, params=f"{base_params};{tag}",
-            dataset=label, index_bytes=index.size_in_bytes(),
-            build_seconds=build_seconds, load_seconds=load_seconds,
-            queries=len(queries),
-            repeats=config.repeats, mean_query_us=mean, p50_query_us=p50,
-            p95_query_us=p95, counters=counters,
-            load_factor=directory.load_factor, buckets=directory.bucket_count,
-            entries=len(directory)))
+            structure=config.structure, params=params, dataset=str(config.input_path),
+            queries=len(queries), repeats=config.repeats, mean_query_us=mean,
+            p50_query_us=p50, p95_query_us=p95, counters=counters, **built))
     return report
 
 

@@ -9,8 +9,25 @@ from textindex.cli import main
 from textindex.envelope import FORMAT_VERSION, deserialize_index, serialize_index
 from textindex.errors import MalformedInputError
 from textindex.fmgram import LinearIndex
-from textindex.harness import dna_like_text, english_like_text, random_word_dictionary
+from textindex.harness import (NaiveHammingSearcher, dna_like_text, english_like_text,
+                               generate_noisy_queries, naive_count, random_word_dictionary,
+                               sample_patterns)
 from textindex.textcore import Corpus
+
+QUERY_WORDS = random_word_dictionary(200, min_len=3, max_len=6, alphabet=b"abcd", seed=43)
+
+# Per kind: build flags, input bytes, and a pattern the index refuses (a
+# split pattern shorter than k + 1, an FM pattern holding byte 0).
+QUERY_KINDS = {
+    "fm-super": (["--type", "fm-super", "--qmax", "8"],
+                 english_like_text(2000, seed=41), b"th\x00e"),
+    "fm-linear": (["--type", "fm-linear", "--alpha", "3", "--q", "4"],
+                  dna_like_text(3000, seed=42), b"AC\x00GT"),
+    "split": (["--type", "split", "--k", "2"],
+              b"\n".join(QUERY_WORDS) + b"\n", b"ab"),
+    "split-coded": (["--type", "split", "--k", "1", "--compress"],
+                    b"\n".join(QUERY_WORDS) + b"\n", b"a"),
+}
 
 
 @pytest.fixture()
@@ -193,6 +210,44 @@ class TestQueryCommand:
         # below the minimizer window, so counted by character steps alone
         assert main(["query", "--index", str(out), "--pattern", "ana"]) == 0
         assert capsys.readouterr().out == "4\n"  # two occurrences in each banana
+
+    @pytest.mark.parametrize("kind, op", [
+        (kind, op) for kind in QUERY_KINDS for op in (None, "count", "match", "words")
+        if op != "words" or kind.startswith("split")])
+    def test_batch_of_every_kind_and_op(self, tmp_path, capsys, kind, op):
+        # every line of a batch equals the oracle's, and a refused pattern in
+        # its middle prints one error line without stopping the rest
+        build_args, data, refused = QUERY_KINDS[kind]
+        source, index = tmp_path / "input", tmp_path / "index.idx"
+        source.write_bytes(data)
+        assert main(["build", *build_args, "--input", str(source), "--out", str(index)]) == 0
+        if kind.startswith("split"):
+            k = int(build_args[3])
+            patterns = list(generate_noisy_queries(QUERY_WORDS, 8, seed=44).queries)
+            oracle = NaiveHammingSearcher(QUERY_WORDS)
+            answers = [oracle.search(pattern, k) for pattern in patterns]
+            # some words line joins several words
+            assert max(map(len, answers)) >= 2
+            counts = list(map(len, answers))
+        else:
+            patterns = sample_patterns(data, 8, [1, 3, 6, 7, 12, 30], seed=44)
+            counts = [naive_count(data, pattern) for pattern in patterns]
+        shown = op or ("words" if kind.startswith("split") else "count")
+        if shown == "words":
+            expected = ["\t".join(sorted(w.decode("latin-1") for w in found))
+                        for found in answers]
+        else:
+            expected = [str(n if shown == "count" else int(n > 0)) for n in counts]
+        middle = len(patterns) // 2
+        queries = tmp_path / "q.txt"
+        queries.write_bytes(b"\n".join([*patterns[:middle], refused, *patterns[middle:]]) + b"\n")
+        capsys.readouterr()
+        assert main(["query", "--index", str(index), "--queries", str(queries),
+                     *(["--op", op] if op else [])]) == 1
+        lines = capsys.readouterr().out.split("\n")
+        assert lines.pop() == ""
+        assert lines.pop(middle).startswith("error: ")
+        assert lines == expected
 
     def test_words_op_rejected_for_fm(self, tmp_path, corpus_file):
         out = tmp_path / "fm.idx"

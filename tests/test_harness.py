@@ -334,6 +334,13 @@ class TestBench:
         assert header.index("load_seconds") == header.index("build_seconds") + 1
         assert len(report.rows) == 2
         assert all(row.load_seconds > 0 for row in report.rows)
+        if structure == "split":
+            # one build, and so one row, per k
+            assert [row.params for row in report.rows] == [
+                "k=1;compress=False", "k=2;compress=False"]
+        else:
+            # the rows of one FM build share its build and load times
+            assert len({(row.build_seconds, row.load_seconds) for row in report.rows}) == 1
 
     def test_zero_queries(self, tmp_path):
         d = random_word_dictionary(50, seed=9)
@@ -351,15 +358,21 @@ class TestBench:
         d = random_word_dictionary(200, seed=10)
         path = tmp_path / "dict.txt"
         path.write_bytes(b"\n".join(d.words) + b"\n")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(english_like_text(3000, seed=10))
         timing = {"build_seconds", "load_seconds", "mean_query_us", "p50_query_us",
                   "p95_query_us"}
 
-        def stable_fields():
-            config = BenchConfig(structure="split", input_path=str(path),
+        def stable_fields(structure):
+            config = BenchConfig(structure=structure,
+                                 input_path=str(path if structure == "split" else corpus),
                                  random_queries=50, repeats=2, k_values=(1, 2),
-                                 seed=11)
+                                 q_max=16, pattern_lengths=(4, 8, 16), seed=11)
             rows = run_bench(config).rows
-            return [{k: v for k, v in vars(row).items() if k not in timing}
+            # an fm-linear row's counters are a timing, `fm_mean_us`
+            skip = timing | ({"counters"} if structure == "fm-linear" else set())
+            return [{k: v for k, v in vars(row).items() if k not in skip}
                     for row in rows]
 
-        assert stable_fields() == stable_fields()
+        for structure in ("split", "fm-super", "fm-linear"):
+            assert stable_fields(structure) == stable_fields(structure)
