@@ -22,12 +22,10 @@ from .suffixbwt import bwt_inverse
 from .textcore import FrequencyTable, entropy, printable
 
 
-# Pattern lengths that `verify --random` samples for FM indexes: Fibonacci
-# numbers from 1, which fits a one-symbol text, up to 233, which checks long
-# patterns that spend most of their steps on one row.  A linear index also
-# gets the lengths of one minimizer window and one more: shorter patterns are
-# counted by plain FM steps, and these are the shortest that take the gram
-# loop.  Lengths past the text are dropped.
+# Pattern lengths that `verify --random` samples for every FM index:
+# Fibonacci numbers from 1, which fits a one-symbol text, up to 233, which
+# checks long patterns that spend most of their steps on one row.  Lengths
+# past the text are dropped.
 VERIFY_LENGTHS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233)
 
 
@@ -113,7 +111,7 @@ def _cmd_build(args) -> int:
         extra = f"q_max={index.q_max}"
     else:
         index = LinearIndex.build(corpus, args.alpha, args.q)
-        extra = f"alpha={index.alpha} q={index.q}"
+        extra = f"alpha={args.alpha} q={args.q}"
     save_index(index, args.out)
     directory = index.directory
     print(f"{args.type} index: n={corpus.n} {extra} grams={len(directory)}")
@@ -168,7 +166,7 @@ def _cmd_verify(args, parser) -> int:
         dictionary = Dictionary(sorted(set(index.reconstruct_words())))
         answer, shortest = index.query, index.k + 1
         oracle = partial(NaiveHammingSearcher(dictionary).search, k=index.k)
-        if not args.queries:
+        if args.queries is None:
             patterns = list(generate_noisy_queries(dictionary, args.random,
                                                    seed=args.seed).queries)
     else:
@@ -177,13 +175,9 @@ def _cmd_verify(args, parser) -> int:
         corpus = index.corpus if isinstance(index, SuperlinearIndex) else bwt_inverse(index.fm.l)
         text = corpus.text
         answer, oracle, shortest = index.count, partial(naive_count, text), 1
-        if not args.queries:
-            lengths = VERIFY_LENGTHS
-            if isinstance(index, LinearIndex):
-                window = index.q + index.alpha - 1
-                lengths = sorted({*lengths, window, window + 1})
-            patterns = sample_patterns(text, args.random, lengths, seed=args.seed)
-    if args.queries:
+        if args.queries is None:
+            patterns = sample_patterns(text, args.random, VERIFY_LENGTHS, seed=args.seed)
+    if args.queries is not None:
         patterns = load_queries(args.queries)
 
     checked = [pattern for pattern in patterns if len(pattern) >= shortest]

@@ -10,8 +10,8 @@ not copied out first; nothing loaded keeps a view of them.
 
 A superlinear file is the corpus and u32 `q_max`; load sorts the corpus's
 suffixes and derives the gram directory as the build does, so a file that
-loads is the index a build over its corpus gives.  A linear file is alpha,
-q, the n-byte BWT and what the BWT cannot give of the directory of its
+loads is the index a build over its corpus gives.  A linear file is the
+n-byte BWT and what the BWT cannot give of the directory of its
 multi-symbol phrases: the u32 gram count and four u32 columns, `lengths`,
 `firsts`, `counts` and `rows`, the grams by length and then by first row
 (an order that load does not check), each gram's rows after those of the
@@ -39,17 +39,17 @@ a repeated group, a repeated key within a group, or a run whose length
 (decoded, if coded) is not a positive multiple of its width m - len(key),
 or that holds byte 0, an unknown code or, if plain, a byte of 128 or
 more.  `LinearIndex.from_bwt` refuses, with the same error, a linear file
-with alpha or q below 1, or whose BWT does not hold exactly one
-terminator; and a linear directory whose grams are empty,
-longer than alpha or than n - 1 (alone or together), hold the terminator
-or repeat, whose count is 0 or whose first row plus count passes n, whose
-rows reach n or do not rise inside a gram, or whose grams do not start
-exactly the rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or
-do not lead from the first and last of them to the gram's first and last
-rows.  A linear file that loads can still miscount: nothing short of
-rebuilding checks the rows between a gram's first and last, or that the
-BWT is some text's (`suffixbwt.bwt_inverse`, O(n) Python steps); not its
-alpha and q, since a phrase the directory lacks takes character steps.
+whose BWT does not hold exactly one terminator; and a linear directory
+whose grams are empty, longer than n - 1 (alone or together), hold the
+terminator or repeat, whose count is 0 or whose first row plus count
+passes n, whose rows reach n or do not rise inside a gram, or whose grams
+do not start exactly the rows from `firsts[g]` to `firsts[g] + count - 1`
+of the BWT or do not lead from the first and last of them to the gram's
+first and last rows.  A linear file that loads can still miscount:
+nothing short of rebuilding checks the rows between a gram's first and
+last, or that the BWT is some text's (`suffixbwt.bwt_inverse`, O(n)
+Python steps).  Which phrases the directory lists does not matter, since
+a query steps on any listed gram and takes character steps elsewhere.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ from .textcore import Corpus
 MAGIC_SPLIT = b"SPLX"
 MAGIC_SUPERLINEAR = b"FMSX"
 MAGIC_LINEAR = b"FMLX"
-FORMAT_VERSION = 15
+FORMAT_VERSION = 16
 
 _MAGICS = (MAGIC_SPLIT, MAGIC_SUPERLINEAR, MAGIC_LINEAR)
 # Magic, version byte and CRC32 come before the payload.
@@ -273,8 +273,6 @@ def _load_superlinear(r: _Reader) -> SuperlinearIndex:
 
 def _linear_payload(index: LinearIndex) -> bytes:
     w = _Writer()
-    w.u32(index.alpha)
-    w.u32(index.q)
     w.blob(index.fm.l)
     directory = index.directory
     w.u32(len(directory.lengths))
@@ -284,7 +282,6 @@ def _linear_payload(index: LinearIndex) -> bytes:
 
 
 def _load_linear(r: _Reader) -> LinearIndex:
-    alpha, q = r.u32(), r.u32()
     l = r.blob()
     grams = r.u32()
     lengths, firsts, counts = r.u32s(grams), r.u32s(grams), r.u32s(grams)
@@ -293,7 +290,7 @@ def _load_linear(r: _Reader) -> LinearIndex:
     rows = r.u32s(counts.sum(dtype=np.int64))
     if not r.done():
         raise MalformedInputError("trailing bytes after index payload")
-    return LinearIndex.from_bwt(l, alpha, q, lengths, firsts, counts, rows)
+    return LinearIndex.from_bwt(l, lengths, firsts, counts, rows)
 
 
 # ---------------------------------------------------------------------------

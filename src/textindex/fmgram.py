@@ -19,9 +19,9 @@ Two variants trade space for fewer backward-search steps:
   unread prefix ends, or else a character step.  Once the interval holds
   one row, the rest of the pattern goes to `FmIndex.extend`, which follows
   that row with one LF read per symbol.  Only the build selects
-  minimizers; a pattern shorter than one minimizer window is counted by
-  character steps alone.  Character steps and that walk read the BWT,
-  count table and LF mapping of an `FmIndex`.
+  minimizers, and neither the index nor its file keeps alpha or q: every
+  pattern takes the same loop.  Character steps and that walk read the
+  BWT, count table and LF mapping of an `FmIndex`.
 
 Both directories are read off runs of suffix-array rows whose suffixes share
 their first symbols (`directory_from_suffix_array`, `_phrase_directory`);
@@ -285,18 +285,17 @@ class SuperlinearIndex:
 class LinearIndex:
     """FM index with occurrence lists for the corpus phrases only.
 
-    It holds the FM index, alpha, q and the gram directory, whose keys are
-    one buffer of the phrases read off the BWT, and no corpus: queries read
-    only n, which is len(fm.l), and the gram keys.  The text stays
+    It holds the FM index and the gram directory, whose keys are one buffer
+    of the phrases read off the BWT, and no corpus: queries read only n,
+    which is len(fm.l), and the gram keys.  Alpha and q choose the phrases
+    at build time only, so the index keeps neither.  The text stays
     recoverable from the BWT (`suffixbwt.bwt_inverse`), since an FM index
     is a self-index.  `longest`, the longest gram a query looks up, is the
     longest gram listed (0 if none is), read once: per query, the numpy max
     would add about 1 µs."""
 
-    def __init__(self, fm: FmIndex, alpha: int, q: int, directory: GramDirectory):
+    def __init__(self, fm: FmIndex, directory: GramDirectory):
         self.fm = fm
-        self.alpha = alpha
-        self.q = q
         self.directory = directory
         self.longest = int(directory.lengths.max(initial=0))
 
@@ -319,29 +318,27 @@ class LinearIndex:
         # Freed before Ψ and the LF mapping are made: held past them, it
         # raised the peak RSS of repeated 1 MiB builds by 6-12 MiB.
         del sa
-        return cls.from_bwt(l, alpha, q, *columns)
+        return cls.from_bwt(l, *columns)
 
     @classmethod
-    def from_bwt(cls, l: bytes, alpha: int, q: int, lengths, firsts, counts, rows) -> LinearIndex:
+    def from_bwt(cls, l: bytes, lengths, firsts, counts, rows) -> LinearIndex:
         """The index over the BWT `l` whose gram g is the first lengths[g]
         symbols of row firsts[g], with the next counts[g] of the u32 `rows`.
         Build and load alike make it here, with Ψ, the FM index and every
         check that the `envelope` docstring lists (`MalformedInputError`)."""
-        if alpha < 1 or q < 1:
-            raise MalformedInputError("minimizer alpha and q must be positive")
         psi = suffixbwt.psi_mapping(l)
         fm = FmIndex(l, psi)
         # The BWT's own count table keeps backward steps inside the n rows
         # whatever its bytes are; with one terminator, row 0 is its suffix.
         if fm.count_table[TERMINATOR + 1] != 1:
             raise MalformedInputError("BWT must hold exactly one terminator")
-        # A gram, a phrase between neighbouring minimizers, holds 1 to
-        # min(alpha, n - 1) symbols and occurs at least once, at rising rows
-        # below n.  As distinct phrases of one split of the text, the grams
-        # hold at most n - 1 symbols, which bounds the passes of the key read.
+        # A gram, a phrase of the text, holds 1 to n - 1 symbols and occurs
+        # at least once, at rising rows below n.  As distinct phrases of one
+        # split of the text, the grams hold at most n - 1 symbols together,
+        # which bounds the passes of the key read.
         n = len(l)
         lengths, firsts, counts = (np.asarray(c, np.int64) for c in (lengths, firsts, counts))
-        if ((lengths == 0) | (lengths > min(alpha, n - 1)) | (counts < 1)
+        if ((lengths == 0) | (lengths > n - 1) | (counts < 1)
                 | (firsts + counts > n)).any() or lengths.sum() > n - 1:
             raise MalformedInputError("gram directory entry out of range")
         if len(rows) and rows.max() >= n:
@@ -360,7 +357,7 @@ class LinearIndex:
         directory = GramDirectory(keys, offsets, lengths, firsts, starts, rows)
         if len(directory) != len(lengths):
             raise MalformedInputError("repeated gram in directory")
-        return cls(fm, alpha, q, directory)
+        return cls(fm, directory)
 
     def count(self, pattern: bytes) -> int:
         """Occurrences of `pattern` in the corpus text, overlaps included.
@@ -370,16 +367,11 @@ class LinearIndex:
         that ends where the unread prefix ends and that the directory
         lists, or else one character step.  A gram lists the rows of every
         occurrence, so its step is exact whatever the text's phrases are,
-        and answers do not depend on alpha and q being the build's.  Once
-        the interval holds one row, the unread prefix goes to
-        `FmIndex.extend`, whose single-row walk checks that one occurrence
-        for less than a gram lookup costs.  A pattern shorter than one
-        minimizer window (q + alpha - 1 symbols) goes to `FmIndex.count`
-        whole: on short DNA-like patterns the lookups cost more than the
-        character steps they save."""
+        and every pattern, however short, takes this one loop.  Once the
+        interval holds one row, the unread prefix goes to `FmIndex.extend`,
+        whose single-row walk checks that one occurrence for less than a
+        gram lookup costs."""
         fm = self.fm
-        if len(pattern) < self.q + self.alpha - 1:
-            return fm.count(pattern)
         n = len(fm.l)
         if not countable(pattern, n):
             return 0

@@ -200,14 +200,15 @@ class TestQueryCommand:
         assert main(["query", "--index", str(out), "--queries", str(queries)]) == 0
         assert capsys.readouterr().out == "2\n2\n0\n"
 
-    def test_linear_short_pattern_falls_back(self, tmp_path, capsys):
+    def test_linear_short_pattern(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.txt"
         corpus.write_bytes(b"banana banana band")
         out = tmp_path / "fml.idx"
         main(["build", "--type", "fm-linear", "--alpha", "3", "--q", "4",
               "--input", str(corpus), "--out", str(out)])
         capsys.readouterr()
-        # below the minimizer window, so counted by character steps alone
+        # below the minimizer window, and counted by the same loop as any
+        # longer pattern
         assert main(["query", "--index", str(out), "--pattern", "ana"]) == 0
         assert capsys.readouterr().out == "4\n"  # two occurrences in each banana
 
@@ -311,11 +312,9 @@ class TestVerifyCommand:
         assert main(["verify", "--index", str(out), "--random", "200", "--seed", "7"]) == 0
         assert "0 discrepancies over 200 queries" in capsys.readouterr().out
         lengths = {len(pattern) for pattern in sampled}
-        # a linear index (alpha 3, q 4) also samples one window, 6 symbols,
-        # and one more
-        edges = {6, 7} if build_args[1] == "fm-linear" else set()
-        assert max(lengths) >= 55 and edges <= lengths
-        assert lengths <= (set(cli.VERIFY_LENGTHS) | edges) - {233}
+        # every FM kind samples the same lengths
+        assert max(lengths) >= 55
+        assert lengths <= set(cli.VERIFY_LENGTHS) - {233}
 
     def test_verify_deterministic(self, tmp_path, dict_file, capsys):
         out = tmp_path / "s.idx"
@@ -393,6 +392,21 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == "error: no query to check\n"
 
+    @pytest.mark.parametrize("kind", ["split", "fm-super", "fm-linear"])
+    def test_empty_queries_name_is_a_file_error(self, tmp_path, dict_file, corpus_file,
+                                                capsys, kind):
+        # an empty --queries name is a file that cannot be read, as it is
+        # for `query`, and not a call for random patterns
+        out = tmp_path / "index.idx"
+        source = dict_file if kind == "split" else corpus_file
+        assert main(["build", "--type", kind, "--input", str(source), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["query", "--index", str(out), "--queries", ""]) == 1
+        expected = capsys.readouterr()
+        assert expected.err.startswith("error: [Errno 2]") and expected.err.count("\n") == 1
+        assert main(["verify", "--index", str(out), "--queries", ""]) == 1
+        assert capsys.readouterr() == expected
+
     def test_split_patterns_below_k_plus_one_are_a_failure(self, tmp_path, dict_file,
                                                            capsys):
         # a split index takes patterns of k + 1 symbols and more
@@ -423,8 +437,8 @@ class TestVerifyCommand:
         # back for the oracle
         index = LinearIndex.build(Corpus.from_bytes(dna_like_text(500, seed=35)), 3, 4)
         data, l = serialize_index(index), index.fm.l
-        # envelope, alpha, q, BWT blob length; then the BWT
-        at = 9 + 4 + 4 + 4
+        # envelope, BWT blob length; then the BWT
+        at = 9 + 4
         for i in range(len(l) - 1):
             if l[i] == l[i + 1]:
                 continue

@@ -73,9 +73,9 @@ class TestRoundTrip:
         index = LinearIndex.build(corpus, alpha=3, q=4)
         clone = deserialize_index(serialize_index(index))
         assert isinstance(clone, LinearIndex)
-        assert (clone.alpha, clone.q) == (3, 4)
-        # no corpus is kept or stored; the BWT holds the text
-        assert not hasattr(index, "corpus") and not hasattr(clone, "corpus")
+        # no corpus, alpha or q is kept or stored; the BWT holds the text
+        for kept in (index, clone):
+            assert not {"corpus", "alpha", "q"} & set(vars(kept))
         assert bwt_inverse(clone.fm.l).data == corpus.data
         rng = random.Random(4)
         for _ in range(200):
@@ -204,9 +204,9 @@ class TestDirectoryStructure:
 
     @staticmethod
     def _columns_at(index) -> int:
-        # envelope, alpha, q, BWT blob, gram count; then the lengths,
-        # firsts, counts and rows columns, 4 bytes an item
-        return 9 + 4 + 4 + 4 + len(index.fm.l) + 4
+        # envelope, BWT blob, gram count; then the lengths, firsts, counts
+        # and rows columns, 4 bytes an item
+        return 9 + 4 + len(index.fm.l) + 4
 
     @classmethod
     def _item_at(cls, index, column: int, item: int) -> int:
@@ -220,7 +220,7 @@ class TestDirectoryStructure:
             deserialize_index(_resign(data))
 
     def _directory_refused(self, index, lengths, firsts, counts, rows, match):
-        # the file's alpha, q and BWT, then these columns in place of its own
+        # the file's BWT, then these columns in place of its own
         at = self._columns_at(index)
         data = bytearray(serialize_index(index)[:at - 4])
         data += struct.pack(f"<{1 + 3 * len(lengths) + len(rows)}I",
@@ -236,7 +236,8 @@ class TestDirectoryStructure:
         at = self._columns_at(index)
         assert data[at - 4:at] == struct.pack("<I", 3)
         assert data[at:] == struct.pack("<13I", 2, 2, 2, 4, 5, 6, 1, 1, 2, 5, 2, 1, 4)
-        assert data[9 + 4 + 4 + 4:9 + 4 + 4 + 4 + 12] == index.fm.l == b"ard\0rcaaaabb"
+        assert data[9:9 + 4 + 12] == struct.pack("<I", 12) + index.fm.l
+        assert index.fm.l == b"ard\0rcaaaabb"
         assert index.directory.buffer == b"acadbr"
         assert dict(index.directory) == {b"ac": self.AC, b"ad": self.AD, b"br": self.BR}
 
@@ -249,16 +250,17 @@ class TestDirectoryStructure:
     def test_gram_entry_out_of_range(self, column, value):
         self._refused(self._linear(), column, self.BR, value, "out of range")
 
-    def test_gram_longer_than_alpha(self):
-        # row 6 starts "bra$", but a phrase holds at most alpha (2) symbols
-        self._refused(self._linear(), 0, self.BR, 3, "out of range")
+    def test_gram_longer_than_its_rows_lead(self):
+        # "br" three symbols long fits in the text, and rows 6 and 7 both
+        # start "bra", but three symbols on they lead to rows 0 and 8, not
+        # to the gram's rows 1 and 4
+        self._refused(self._linear(), 0, self.BR, 3, "rows differ")
 
     def test_gram_length_refused_before_reading_keys(self):
-        # alpha 2**32 - 1 and a gram of 2**31 symbols: the length is refused
-        # against the text before any pass reads a key symbol off the BWT
+        # a gram of 2**31 symbols: the length is refused against the text
+        # before any pass reads a key symbol off the BWT
         index = self._linear()
         data = bytearray(serialize_index(index))
-        data[9:13] = struct.pack("<I", 2**32 - 1)
         at = self._item_at(index, 0, self.BR)
         data[at:at + 4] = struct.pack("<I", 2**31)
         started = time.perf_counter()
@@ -272,7 +274,6 @@ class TestDirectoryStructure:
         # most 11 symbols between them
         index = self._linear()
         data = bytearray(serialize_index(index))
-        data[9:13] = struct.pack("<I", 2**32 - 1)
         at = self._item_at(index, 0, 0)
         data[at:at + 12] = struct.pack("<3I", 10, 10, 10)
         with pytest.raises(MalformedInputError, match="out of range"):
@@ -406,8 +407,8 @@ class TestDirectoryStructure:
 
     @staticmethod
     def _bwt_at(index) -> int:
-        # envelope, alpha, q, BWT blob length, then the BWT
-        return 9 + 4 + 4 + 4
+        # envelope, BWT blob length, then the BWT
+        return 9 + 4
 
     @pytest.mark.parametrize("symbol", [b"r", b"z"])
     def test_bwt_symbol_counts_differ(self, symbol):
@@ -666,23 +667,20 @@ def test_flipped_fm_byte_is_refused_or_harmless(kind, where, flip):
 
 @pytest.mark.parametrize("flip", [0x01, 0x02, 0x10, 0x80, 0xFF])
 def test_flipped_linear_key_or_first_row_is_refused_or_exact(flip):
-    # Every byte of the small linear file's alpha and q, gram count,
-    # `lengths`, `firsts` and `counts` columns, flipped and re-signed: the
-    # file is refused, or it loads and counts every pattern as a scan of the
-    # text its BWT holds.  Load reads each key off the BWT from its first
-    # row and checks it against the gram's last row and both neighbours, so
-    # a moved range or a changed length does not load; the counts must
-    # frame the rows to the end of the payload.  Another alpha or q picks
-    # other phrases, and one the directory does not list takes character
-    # steps.  The longer sampled patterns hold whole windows at a flipped
-    # alpha or q.
+    # Every byte of the small linear file's gram count, `lengths`, `firsts`
+    # and `counts` columns, flipped and re-signed: the file is refused, or it
+    # loads and counts every pattern as a scan of the text its BWT holds.
+    # Load reads each key off the BWT from its first row and checks it
+    # against the gram's last row and both neighbours, so a moved range or a
+    # changed length does not load; the counts must frame the rows to the
+    # end of the payload.
     data, patterns = _small_fm_file("linear")
     index = deserialize_index(data)
     patterns = patterns + sample_patterns(bwt_inverse(index.fm.l).text, 200, VERIFY_LENGTHS)
-    # envelope; alpha and q; BWT blob; then the gram count, `lengths`,
-    # `firsts` and `counts`
-    count_at = 9 + 4 + 4 + 4 + len(index.fm.l)
-    flipped = [*range(9, 9 + 8), *range(count_at, count_at + 4 + 12 * len(index.directory))]
+    # envelope; BWT blob; then the gram count, `lengths`, `firsts` and
+    # `counts`
+    count_at = 9 + 4 + len(index.fm.l)
+    flipped = range(count_at, count_at + 4 + 12 * len(index.directory))
     for at in flipped:
         corrupted = bytearray(data)
         corrupted[at] ^= flip
@@ -719,8 +717,8 @@ def test_permuted_linear_grams_load_and_count():
     directory = index.directory
     order = np.random.default_rng(45).permutation(len(directory))
     starts, rows = np.asarray(directory.starts, np.int64), np.asarray(directory.rows)
-    # envelope, alpha, q, BWT blob and gram count; then the four columns
-    at = 9 + 4 + 4 + 4 + len(index.fm.l) + 4
+    # envelope, BWT blob and gram count; then the four columns
+    at = 9 + 4 + len(index.fm.l) + 4
     data = bytearray(serialize_index(index))
     data[at:] = np.concatenate([
         directory.lengths[order], np.asarray(directory.firsts)[order], np.diff(starts)[order],
@@ -772,10 +770,12 @@ def _directory_digest(directory) -> str:
 
 
 def test_linear_file_digest():
-    # Golden digest of a linear index file (format 15: the format 14 file
-    # with its grams permuted into length, then first-row order, so the
-    # length did not change; the format 14 file is the format 13 file with
-    # only the version byte changed).  The format 13 file is the format
+    # Golden digest of a linear index file (format 16: the format 15 file
+    # without its u32 alpha and q, 291,066 bytes become 291,058).  The
+    # format 15 file is the format 14 file with its grams permuted into
+    # length, then first-row order, so the length did not change; the
+    # format 14 file is the format 13 file with only the version byte
+    # changed.  The format 13 file is the format
     # 12 file without the key blob (85 bytes and its u32 length), the row count
     # and the last `starts` entry, with `counts` in place of `starts`:
     # 291,163 bytes became 291,066.  The directory it builds and loads, key
@@ -787,13 +787,14 @@ def test_linear_file_digest():
     for directory in (index.directory, deserialize_index(data).directory):
         assert _directory_digest(directory) == (
             "786c131186d68bb7edd860fb837e6bf97153b5b106455c24338a1533eedffb7b")
-    assert len(data) == 291_066
+    assert len(data) == 291_058
     assert hashlib.sha256(data).hexdigest() == (
-        "0d5bb4d201920448acbecf36f16f81eaf8fc9c50b4064e97fc8da3978c377196")
+        "eb1fa87f52059fc029bc56c0c3a057ed9f951c1eb3cd28fa3f757fddf1c3c367")
 
 
 def test_linear_file_digest_above_alpha_8():
-    # Golden digest of a linear file at alpha 12 and q 3 (format 15: the
+    # Golden digest of a linear file at alpha 12 and q 3 (format 16: the
+    # format 15 file without its u32 alpha and q; the format 15 file is the
     # format 14 file with its grams permuted into length, then first-row
     # order; the format 14 file is the format 13 file with only the version
     # byte changed), whose 5,409 grams keep the format 12 build's keys,
@@ -806,14 +807,14 @@ def test_linear_file_digest_above_alpha_8():
     for directory in (index.directory, deserialize_index(data).directory):
         assert _directory_digest(directory) == (
             "b97be4f84aeaa4a9f34be99a32598bc03dd5c0029d19fb8994aadb7cc54314e9")
-    assert len(data) == 467_870
+    assert len(data) == 467_862
     assert hashlib.sha256(data).hexdigest() == (
-        "f3b0f583498834582cc9ea5fb5d0957dc9502233d94dad0eaf1427f2b8bc2a8f")
+        "54e202025a59746603da051ff351b2a37437c2c7cdaa7cbe488782d69fec93d2")
 
 
 def test_superlinear_file_digest():
-    # Golden digest of a superlinear index file (format 15, the format 10
-    # to 14 file with only the version byte changed): the corpus blob and
+    # Golden digest of a superlinear index file (format 16, the format 10
+    # to 15 file with only the version byte changed): the corpus blob and
     # u32 q_max (128) of the format 9 file, without the suffix array that
     # followed them.  The directory its load derives equals the one
     # the format 8 file stored.
@@ -821,12 +822,12 @@ def test_superlinear_file_digest():
     data = serialize_index(SuperlinearIndex.build(corpus))
     assert len(data) == 9 + 4 + corpus.n + 4
     assert hashlib.sha256(data).hexdigest() == (
-        "396eb53d071b2cfeaa44710442117410976de3fd10f6f70184d5a61677768d38")
+        "d9387160e01a666b558175f35774e6bc3514e54e105e4692561b4beb1cb90ad0")
 
 
 def test_split_file_digest():
-    # Golden digests of split index files (format 15, the format 14 files
-    # with only the version byte changed): k = 2 over 2,000 generated
+    # Golden digests of split index files (format 16, the format 14 and 15
+    # files with only the version byte changed): k = 2 over 2,000 generated
     # words, plain and coded with a 100-code substitution table, one group
     # per (m, role) with one fixed-width run per key.  Each format 14 file
     # is the format 13 file (the format 11 and 12 files with only the version
@@ -837,6 +838,6 @@ def test_split_file_digest():
     coded = serialize_index(SplitIndex.build(d, 2, select_qgrams(d, budget=100)))
     assert (len(plain), len(coded)) == (67_303, 63_288)
     assert hashlib.sha256(plain).hexdigest() == (
-        "1d8f7b6967e3908fd5f5d1e9b5481d0871f90d14d3702f394654110b57d19da8")
+        "1f36d8ee21343c67c472842386359c2d4dc54e7285d39803fef7e9498926526e")
     assert hashlib.sha256(coded).hexdigest() == (
-        "449aa2b929e4d089e3ff913facfe16a66783db1646eb385ffbd99375f79c114e")
+        "2103ee51d0170ad6b1c59d6c1713da064e0e17bca66c5686628995bd7efad5d0")

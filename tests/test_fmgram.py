@@ -259,26 +259,27 @@ class TestLinearIndex:
     @pytest.mark.parametrize("alpha, q", [(1, 2), (3, 2), (4, 2), (3, 4), (4, 1), (8, 4),
                                           (1, 1), (16, 6), (2, 17)])
     def test_short_patterns_match_naive(self, alpha, q):
-        # a pattern below one window is counted by character steps alone,
-        # one window long holds one minimizer position and one longer up to
-        # two; the smallest buildable corpus, one window long, also gets
-        # patterns longer than itself
+        # patterns below one window, one window long and one or two longer
+        # all take the one count loop; the smallest buildable corpus, one
+        # window long, also gets patterns longer than itself.  Each index is
+        # checked as built and as loaded from its file.
         rng = random.Random(alpha * 100 + q)
         raw = bytes(rng.choice(b"abc") for _ in range(300))
         window = q + alpha - 1
         for text in (raw, raw[:window]):
-            idx = LinearIndex.build(Corpus.from_bytes(text), alpha=alpha, q=q)
-            for m in range(1, window + 3):
-                patterns = [bytes(rng.choice(b"abc") for _ in range(m)) for _ in range(8)]
-                patterns += [b"d" * m, b"a" * (m - 1) + b"d"]
-                if m <= len(text):
-                    patterns += [text[s:s + m] for s in
-                                 rng.sample(range(len(text) - m + 1), min(5, len(text) - m + 1))]
-                for pattern in patterns:
-                    assert idx.count(pattern) == naive_count(text, pattern), pattern
-            for bad in (b"", b"\x00", b"a\x00", b"a" * window + b"\x00"):
-                with pytest.raises(ValueError):
-                    idx.count(bad)
+            built = LinearIndex.build(Corpus.from_bytes(text), alpha=alpha, q=q)
+            for idx in (built, deserialize_index(serialize_index(built))):
+                for m in range(1, window + 3):
+                    patterns = [bytes(rng.choice(b"abc") for _ in range(m)) for _ in range(8)]
+                    patterns += [b"d" * m, b"a" * (m - 1) + b"d"]
+                    if m <= len(text):
+                        patterns += [text[s:s + m] for s in rng.sample(
+                            range(len(text) - m + 1), min(5, len(text) - m + 1))]
+                    for pattern in patterns:
+                        assert idx.count(pattern) == naive_count(text, pattern), pattern
+                for bad in (b"", b"\x00", b"a\x00", b"a" * window + b"\x00"):
+                    with pytest.raises(ValueError):
+                        idx.count(bad)
 
     def test_whole_text_pattern(self):
         idx = LinearIndex.build(Corpus.from_bytes(b"appearance"), alpha=4, q=2)
@@ -475,8 +476,8 @@ class TestDirectoryIds:
             idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=3, q=4)
         data = serialize_index(idx)
         if kind == "linear":
-            # envelope, alpha, q, BWT blob; no corpus
-            columns = stored_columns(data, 9 + 4 + 4 + 4 + len(raw) + 1, Corpus.from_bytes(raw))
+            # envelope, BWT blob; no corpus
+            columns = stored_columns(data, 9 + 4 + len(raw) + 1, Corpus.from_bytes(raw))
         if loaded:
             idx = deserialize_index(data)
         directory = idx.directory
@@ -681,8 +682,7 @@ class TestOneRowHandOff:
 
     def test_lookups_bounded_by_the_longest_listed_gram(self, monkeypatch):
         # alpha 300 at q 1 lists no gram anywhere near 300 symbols, so a
-        # query looks up none longer than the longest listed, and its
-        # patterns, all of a window or more, are counted by gram steps
+        # query looks up none longer than the longest listed
         raw = english_like_text(16 * 1024, seed=3)
         idx = LinearIndex.build(Corpus.from_bytes(raw), alpha=300, q=1)
         longest = int(idx.directory.lengths.max())
