@@ -10,16 +10,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from functools import partial
 
 from .envelope import load_index, save_index
 from .fmgram import LinearIndex, SuperlinearIndex
-from .harness import (BENCH_CSV_COLUMNS, BenchConfig, NaiveHammingSearcher,
+from .harness import (BENCH_CSV_COLUMNS, BenchConfig, NaiveHammingSearcher, bench_csv,
                       generate_noisy_queries, load_corpus, load_dictionary,
                       load_queries, naive_count, run_bench, sample_patterns)
 from .splitindex import MAX_K, Dictionary, SplitIndex, select_qgrams
 from .suffixbwt import bwt_inverse
-from .textcore import FrequencyTable, entropy, printable
+from .textcore import entropy, printable
 
 
 # Pattern lengths that `verify --random` samples for every FM index:
@@ -196,13 +197,12 @@ def _cmd_stats(args) -> int:
     if not data:
         print("error: input file is empty", file=sys.stderr)
         return 1
-    table = FrequencyTable.from_bytes(data)
-    probs = table.probabilities()
+    counts = Counter(data)
     print("symbol\tcount\tprobability")
-    for sym in sorted(table.counts):
+    for sym in sorted(counts):
         label = printable(bytes([sym])) if 0x21 <= sym <= 0x7E or sym == 0 else f"0x{sym:02x}"
-        print(f"{label}\t{table.counts[sym]}\t{probs[sym]:.6f}")
-    print(f"entropy\t{entropy(table):.6f}\tbits/symbol")
+        print(f"{label}\t{counts[sym]}\t{counts[sym] / len(data):.6f}")
+    print(f"entropy\t{entropy(counts):.6f}\tbits/symbol")
     return 0
 
 
@@ -247,8 +247,7 @@ def _cmd_bench(args) -> int:
         q=args.q,
         compress=args.compress,
         pattern_lengths=lengths)
-    report = run_bench(config)
-    sys.stdout.write(report.to_csv())
+    sys.stdout.write(bench_csv(run_bench(config)))
     return 0
 
 

@@ -25,27 +25,27 @@ as long as piece `role` of an m-symbol word; a build writes them in byte
 order, which load does not check), the u32 run lengths and the runs.  Load
 hands those columns to `PieceRuns`, the build's constructor too, which
 keys each piece to its id in bulk and frames the runs with a cumulative
-sum over one bytes object, and checks the run lengths in bulk.  No file
-holds a hash-map setting or build statistics: the reported bucket layout
-is fixed by class constants and follows from the entry count.  CHANGES.md
-records how each format version differs from the one before.
+sum over one bytes object; load itself checks the run lengths in bulk.
+No file holds a hash-map setting or build statistics: the reported bucket
+layout is fixed by class constants and follows from the entry count.
+CHANGES.md records how each format version differs from the one before.
 
 Load refuses, with `MalformedInputError`: a truncated payload or trailing
 bytes; a superlinear corpus whose terminator is missing or not only at its
 end, or whose `q_max` is not a power of two up to n - 1 (0 for an empty
 text); a split file with k below 1, a coded flag other than 0 or 1, a bad
 substitution table, a group whose role is above k or whose m is at most k,
-a repeated group, a repeated key within a group, or a run whose length
-(decoded, if coded) is not a positive multiple of its width m - len(key),
-or that holds byte 0, an unknown code or, if plain, a byte of 128 or
-more.  `LinearIndex.from_bwt` refuses, with the same error, a linear file
-whose BWT does not hold exactly one terminator; and a linear directory
-whose grams are empty, longer than n - 1 (alone or together), hold the
-terminator or repeat, whose count is 0 or whose first row plus count
-passes n, whose rows reach n or do not rise inside a gram, or whose grams
-do not start exactly the rows from `firsts[g]` to `firsts[g] + count - 1`
-of the BWT or do not lead from the first and last of them to the gram's
-first and last rows.  A linear file that loads can still miscount:
+a repeated group, a repeated key within a group, a key that holds a byte
+outside 1..127, or a run whose length (decoded, if coded) is not a
+positive multiple of its width m - len(key), or that holds byte 0, an
+unknown code or, if plain, a byte of 128 or more.  `LinearIndex.from_bwt`
+refuses, with the same error, a linear file whose BWT does not hold
+exactly one terminator; and a linear directory whose grams are empty,
+longer than n - 1 (alone or together), hold the terminator or repeat,
+whose count is 0 or whose first row plus count passes n, whose rows reach
+n or do not rise inside a gram, or whose grams do not start exactly the
+rows from `firsts[g]` to `firsts[g] + count - 1` of the BWT or do not
+lead from the first and last of them to the gram's first and last rows.  A linear file that loads can still miscount:
 nothing short of rebuilding checks the rows between a gram's first and
 last, or that the BWT is some text's (`suffixbwt.bwt_inverse`, O(n)
 Python steps).  Which phrases the directory lists does not matter, since
@@ -209,10 +209,11 @@ def _load_split(r: _Reader) -> SplitIndex:
         size = end_at - split_at
         count = r.u32()
         keys = r.u8s(count * size)
-        # Word bytes are nonzero, and `PieceRuns` reads keys whole only
-        # when they hold none.
-        if not keys.all():
-            raise MalformedInputError("a split key holds a zero byte")
+        # Word bytes are 1..127: `PieceRuns` reads keys whole only when
+        # they hold no byte 0, and the query's mismatch test (below) counts
+        # on none above 127.
+        if ((keys == 0) | (keys > 127)).any():
+            raise MalformedInputError("a split key holds a byte that no word holds")
         lengths = r.u32s(count)
         group = PieceRuns(keys.reshape(count, size), lengths,
                           r.take(int(lengths.sum(dtype=np.int64))))

@@ -310,9 +310,12 @@ class LinearIndex:
         sa = suffixbwt.build_suffix_array(corpus)
         l = suffixbwt.bwt_forward(corpus, sa)
         # `starts` is held to the end of the build: freed once the directory
-        # is made, it shifted where later allocations land, and on 1 MiB of
-        # DNA-like text each load after a build then faulted about 2,500
-        # pages (`load_s` 10.6 to 12.6 ms).
+        # is made, it shifts where later allocations land.  On 1 MiB of
+        # DNA-like text the benchmark's loads after a build then fault in two
+        # of its four rounds (2,531-3,553 pages a load) instead of one, and
+        # over 10 alternating pairs of 8 s runs the held build read the lower
+        # `load_s` (12.2 against 14.3 ms) and peak RSS (94.0 against 95.9
+        # MiB) in all 10.
         starts = minimizers(text, alpha, q)
         columns = _phrase_directory(corpus, sa, *phrases(text, starts))
         # Freed before Ψ and the LF mapping are made: held past them, it

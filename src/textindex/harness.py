@@ -15,7 +15,7 @@ import random
 import re
 import statistics
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -336,17 +336,14 @@ class BenchRow:
 BENCH_CSV_COLUMNS = [column.name for column in fields(BenchRow)]
 
 
-@dataclass
-class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(BENCH_CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow([getattr(row, col) for col in BENCH_CSV_COLUMNS])
-        return out.getvalue()
+def bench_csv(rows: list[BenchRow]) -> str:
+    """`rows` as CSV text under the `BENCH_CSV_COLUMNS` header."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(BENCH_CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([getattr(row, col) for col in BENCH_CSV_COLUMNS])
+    return out.getvalue()
 
 
 @dataclass
@@ -471,16 +468,17 @@ def _bench_rows(config: BenchConfig):
         yield built, f"{base_params};{tag}", index.count, queries, counters
 
 
-def run_bench(config: BenchConfig) -> BenchReport:
-    """Build the requested structures, replay the workload and report."""
-    report = BenchReport()
+def run_bench(config: BenchConfig) -> list[BenchRow]:
+    """Build the requested structures, replay the workload and return one
+    row per structure and workload."""
+    rows = []
     for built, params, answer, queries, counters in _bench_rows(config):
         mean, p50, p95 = _time_workload(answer, queries, config.repeats)
-        report.rows.append(BenchRow(
+        rows.append(BenchRow(
             structure=config.structure, params=params, dataset=str(config.input_path),
             queries=len(queries), repeats=config.repeats, mean_query_us=mean,
             p50_query_us=p50, p95_query_us=p95, counters=counters, **built))
-    return report
+    return rows
 
 
 def per_character_query_time(index: SuperlinearIndex, patterns: list[bytes],

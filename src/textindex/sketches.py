@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .textcore import least_common_letters, most_common_letters
+from .textcore import ENGLISH_LETTER_FREQUENCIES
 
 OCCURRENCE = "occurrence"
 COUNT = "count"
@@ -58,18 +58,17 @@ class SketchConfig:
 
     @classmethod
     def from_policy(cls, policy: str, mode: str = OCCURRENCE, width: int = 2) -> "SketchConfig":
-        """Pick tracked letters by frequency policy over English text."""
+        """Pick tracked letters by frequency policy over English text: the
+        most common ones, the least common ones, or half of each."""
         slots = width * 8 if mode == OCCURRENCE else width * 4
-        if policy == "most-common":
-            letters = most_common_letters(slots)
-        elif policy == "least-common":
-            letters = least_common_letters(slots)
-        elif policy == "mixed":
-            half = slots // 2
-            letters = most_common_letters(half) + least_common_letters(slots - half)
-        else:
+        common = {"most-common": slots, "least-common": 0, "mixed": slots // 2}.get(policy)
+        if common is None:
             raise ValueError(f"unknown policy {policy!r}; use most-common, "
                              "least-common, mixed or an explicit gram list")
+        ranked = "".join(ENGLISH_LETTER_FREQUENCIES).encode()  # most common first
+        if not 0 <= slots <= len(ranked):
+            raise ValueError(f"letter count {slots} outside 0..{len(ranked)}")
+        letters = ranked[:common] + ranked[len(ranked) - (slots - common):]
         return cls.from_letters(letters, mode=mode, width=width)
 
 

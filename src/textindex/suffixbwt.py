@@ -244,7 +244,7 @@ def _symbol_counts(data) -> np.ndarray:
     return counts
 
 
-def _count_table(data: bytes) -> list[int]:
+def build_count_table(data: bytes) -> list[int]:
     """The count table C of `data` as 257 entries: C[c] is the number of
     symbols smaller than c and C[256] = len(data), so symbol c occurs
     exactly when C[c] < C[c + 1], and then rows C[c] to C[c + 1] - 1 are
@@ -252,11 +252,6 @@ def _count_table(data: bytes) -> list[int]:
     table = np.zeros(257, dtype=np.int64)
     np.cumsum(_symbol_counts(data), out=table[1:])
     return table.tolist()
-
-
-def build_count_table(corpus: Corpus) -> list[int]:
-    """The count table C of the corpus symbols (`_count_table`)."""
-    return _count_table(corpus.data)
 
 
 class RankIndex:
@@ -269,14 +264,14 @@ class RankIndex:
     permutation of Ψ (`psi_mapping`, `inverse_permutation`).  `psi`, if
     given, is Ψ of `l`, already computed by a caller that also reads it;
     the index does not keep it.  `count_table` is the 257-entry count table
-    C of `l` (`_count_table`).  rank(c, i) is inclusive of position i, and
-    rank(c, -1) = 0.
+    C of `l` (`build_count_table`).  rank(c, i) is inclusive of position i,
+    and rank(c, -1) = 0.
     """
 
     def __init__(self, l: bytes, psi: np.ndarray | None = None):
         self.l = l
         self.lf = memoryview(inverse_permutation(psi_mapping(l) if psi is None else psi))
-        self.count_table = _count_table(l)
+        self.count_table = build_count_table(l)
 
     def rank(self, symbol: int, i: int) -> int:
         """Occurrences of `symbol` in the BWT prefix ending at position i, inclusive."""

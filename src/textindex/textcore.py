@@ -9,8 +9,8 @@ the suffix-sorting machinery relies on.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,22 +26,6 @@ ENGLISH_LETTER_FREQUENCIES = {
     "v": 0.978, "k": 0.772, "j": 0.153, "x": 0.150, "q": 0.095,
     "z": 0.074,
 }
-
-
-def most_common_letters(count: int) -> bytes:
-    """The `count` most frequent English letters, most frequent first."""
-    letters = list(ENGLISH_LETTER_FREQUENCIES)
-    if not 0 <= count <= len(letters):
-        raise ValueError(f"letter count {count} outside 0..{len(letters)}")
-    return "".join(letters[:count]).encode()
-
-
-def least_common_letters(count: int) -> bytes:
-    """The `count` least frequent English letters, most frequent first."""
-    letters = list(ENGLISH_LETTER_FREQUENCIES)
-    if not 0 <= count <= len(letters):
-        raise ValueError(f"letter count {count} outside 0..{len(letters)}")
-    return "".join(letters[len(letters) - count:]).encode()
 
 
 @dataclass(frozen=True)
@@ -195,34 +179,14 @@ def phrases(text: bytes, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[:-1], lengths.astype(np.min_scalar_type(lengths.max(initial=0)))
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Per-symbol occurrence counts with derived probabilities."""
-
-    counts: dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "FrequencyTable":
-        return cls(dict(Counter(data)))
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def probabilities(self) -> dict[int, float]:
-        total = self.total
-        if total == 0:
-            raise ValueError("empty frequency table")
-        return {sym: c / total for sym, c in self.counts.items()}
-
-
-def entropy(freq: FrequencyTable) -> float:
-    """Zero-order entropy in bits per symbol: -sum(p * log2 p), 0 log 0 = 0."""
-    if not freq.counts or freq.total == 0:
+def entropy(counts: Mapping[int, int]) -> float:
+    """Zero-order entropy in bits per symbol of the per-symbol occurrence
+    counts `counts`: -sum(p * log2 p), 0 log 0 = 0."""
+    total = sum(counts.values())
+    if total == 0:
         raise ValueError("empty frequency table")
-    total = freq.total
     result = 0.0
-    for count in freq.counts.values():
+    for count in counts.values():
         if count:
             p = count / total
             result -= p * math.log2(p)

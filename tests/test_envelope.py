@@ -18,7 +18,8 @@ from textindex.fmgram import LinearIndex, SuperlinearIndex
 from textindex.cli import VERIFY_LENGTHS
 from textindex.harness import (NaiveHammingSearcher, dna_like_text, english_like_text,
                                naive_count, random_word_dictionary, sample_patterns)
-from textindex.splitindex import Dictionary, PieceRuns, SplitIndex, select_qgrams
+from textindex.splitindex import (Dictionary, PieceRuns, SplitIndex, SubstitutionTable,
+                                  select_qgrams)
 from textindex.suffixbwt import bwt_inverse
 from textindex.textcore import Corpus
 
@@ -573,7 +574,22 @@ class TestSplitStructure:
         # zero bytes; no word byte is 0
         data = self._two_words()
         data[self._TWO_WORDS + 7] = 0
-        self._refused(_resign(data), "zero byte")
+        self._refused(_resign(data), "key holds a byte that no word holds")
+
+    @pytest.mark.parametrize("coded", [False, True])
+    @pytest.mark.parametrize("byte", [0x80, 0xC8, 0xFF])
+    def test_key_byte_above_127(self, coded, byte):
+        # no word byte is above 127, which the query's mismatch test counts
+        # on: with the key "le" of "left" made "\xc8e", the query "\xc8eft"
+        # would answer both "left" and itself
+        substitution = SubstitutionTable([(b"ab", 200)]) if coded else None
+        words = Dictionary([b"table", b"left", b"tablet", b"cable"])
+        data = bytearray(serialize_index(SplitIndex.build(words, 1, substitution)))
+        # group (4, 0): its key, one key "le", then its run length
+        at = data.find(b"\x04\x00\x01\x00\x00\x00le\x02\x00\x00\x00") + 6
+        assert at > 6 and data[10] == coded
+        data[at] = byte
+        self._refused(_resign(data), "key holds a byte that no word holds")
 
     @pytest.mark.parametrize("run", [b"", b"x", b"xyz"], ids=["empty", "short", "long"])
     def test_run_not_whole_entries_refused(self, run):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from textindex.harness import (BenchConfig, NaiveHammingSearcher,
+from textindex.harness import (BenchConfig, NaiveHammingSearcher, bench_csv,
                                avg_comparison_experiment, dna_kmer_dictionary,
                                dna_like_text, english_frequency_vector,
                                english_like_text, generate_noisy_queries,
@@ -283,10 +283,10 @@ class TestBench:
         path.write_bytes(b"\n".join(d.words) + b"\n")
         config = BenchConfig(structure="split", input_path=str(path),
                              random_queries=40, repeats=3, k_values=(1, 2))
-        report = run_bench(config)
-        assert len(report.rows) == 2
-        assert report.rows[0].index_bytes < report.rows[1].index_bytes
-        csv_text = report.to_csv()
+        rows = run_bench(config)
+        assert len(rows) == 2
+        assert rows[0].index_bytes < rows[1].index_bytes
+        csv_text = bench_csv(rows)
         assert csv_text.splitlines()[0].startswith("structure,params,dataset")
         assert len(csv_text.splitlines()) == 3
 
@@ -296,10 +296,10 @@ class TestBench:
         config = BenchConfig(structure="fm-super", input_path=str(path),
                              random_queries=30, repeats=3, q_max=16,
                              pattern_lengths=(8, 16, 32))
-        report = run_bench(config)
-        assert [row.params for row in report.rows] == [
+        rows = run_bench(config)
+        assert [row.params for row in rows] == [
             "q_max=16;m=8", "q_max=16;m=16", "q_max=16;m=32"]
-        for row in report.rows:
+        for row in rows:
             assert row.structure == "fm-super"
             assert row.queries == 30
             assert row.mean_query_us > 0
@@ -312,9 +312,9 @@ class TestBench:
         path.write_bytes(dna_like_text(4000, seed=13))
         config = BenchConfig(structure="fm-linear", input_path=str(path),
                              random_queries=20, repeats=2, pattern_lengths=(8, 64))
-        report = run_bench(config)
-        assert len(report.rows) == 2
-        for row in report.rows:
+        rows = run_bench(config)
+        assert len(rows) == 2
+        for row in rows:
             name, _, value = row.counters.partition("=")
             assert name == "fm_mean_us" and float(value) > 0
 
@@ -329,18 +329,18 @@ class TestBench:
         config = BenchConfig(structure=structure, input_path=str(path),
                              random_queries=20, repeats=2, k_values=(1, 2), q_max=16,
                              pattern_lengths=(8, 16))
-        report = run_bench(config)
-        header = report.to_csv().splitlines()[0].split(",")
+        rows = run_bench(config)
+        header = bench_csv(rows).splitlines()[0].split(",")
         assert header.index("load_seconds") == header.index("build_seconds") + 1
-        assert len(report.rows) == 2
-        assert all(row.load_seconds > 0 for row in report.rows)
+        assert len(rows) == 2
+        assert all(row.load_seconds > 0 for row in rows)
         if structure == "split":
             # one build, and so one row, per k
-            assert [row.params for row in report.rows] == [
+            assert [row.params for row in rows] == [
                 "k=1;compress=False", "k=2;compress=False"]
         else:
             # the rows of one FM build share its build and load times
-            assert len({(row.build_seconds, row.load_seconds) for row in report.rows}) == 1
+            assert len({(row.build_seconds, row.load_seconds) for row in rows}) == 1
 
     def test_zero_queries(self, tmp_path):
         d = random_word_dictionary(50, seed=9)
@@ -350,9 +350,9 @@ class TestBench:
         queries.write_bytes(b"")
         config = BenchConfig(structure="split", input_path=str(path),
                              queries_path=str(queries), repeats=3)
-        report = run_bench(config)
-        assert report.rows[0].queries == 0
-        assert report.rows[0].mean_query_us == 0.0
+        rows = run_bench(config)
+        assert rows[0].queries == 0
+        assert rows[0].mean_query_us == 0.0
 
     def test_non_timing_fields_deterministic(self, tmp_path):
         d = random_word_dictionary(200, seed=10)
@@ -368,7 +368,7 @@ class TestBench:
                                  input_path=str(path if structure == "split" else corpus),
                                  random_queries=50, repeats=2, k_values=(1, 2),
                                  q_max=16, pattern_lengths=(4, 8, 16), seed=11)
-            rows = run_bench(config).rows
+            rows = run_bench(config)
             # an fm-linear row's counters are a timing, `fm_mean_us`
             skip = timing | ({"counters"} if structure == "fm-linear" else set())
             return [{k: v for k, v in vars(row).items() if k not in skip}

@@ -30,9 +30,28 @@ class TestConfig:
     def test_zero_width_tracks_no_letters(self, policy):
         assert SketchConfig.from_policy(policy, width=0).grams == ()
 
+    @pytest.mark.parametrize("policy, first", [
+        ("most-common", b"etao"), ("least-common", b"jxqz"), ("mixed", b"etqz")])
+    def test_policy_letter_counts(self, policy, first):
+        # one slot per tracked letter: 8 a byte in occurrence mode, 4 in count mode
+        assert bytes(SketchConfig.from_policy(policy, mode=COUNT, width=1).grams) == first
+        for mode, width, slots in [(OCCURRENCE, 1, 8), (OCCURRENCE, 3, 24), (COUNT, 6, 24)]:
+            grams = SketchConfig.from_policy(policy, mode=mode, width=width).grams
+            assert len(grams) == slots and set(grams) <= set(b"abcdefghijklmnopqrstuvwxyz")
+
+    @pytest.mark.parametrize("policy", ["most-common", "least-common", "mixed"])
+    @pytest.mark.parametrize("mode, width", [(OCCURRENCE, -1), (COUNT, 7), (OCCURRENCE, 4)],
+                             ids=["-8", "28", "32"])
+    def test_more_letters_than_the_alphabet_refused(self, policy, mode, width):
+        with pytest.raises(ValueError, match="outside 0..26"):
+            SketchConfig.from_policy(policy, mode=mode, width=width)
+
     def test_unknown_policy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown policy"):
             SketchConfig.from_policy("alphabetical")
+        # named before the letter count is checked
+        with pytest.raises(ValueError, match="unknown policy"):
+            SketchConfig.from_policy("alphabetical", width=4)
 
     def test_fields_hashed_once(self):
         # every `build_sketch` cache lookup hashes the config; the grams
